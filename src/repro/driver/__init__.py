@@ -3,7 +3,7 @@ compile/link/execute flows of paper Figure 4."""
 
 from .cache import BytecodeCache, toolchain_fingerprint
 from .passmanager import (
-    CrashReport, FaultPolicy, PassBudgetExceeded, TransactionalPassManager,
+    CrashReport, FaultPolicy, PassBudgetExceeded,
     TranslationValidationError, restore_module, snapshot_module,
 )
 from .pipelines import (
@@ -15,7 +15,7 @@ from .lifelong import LifelongSession
 
 __all__ = [
     "BytecodeCache", "CrashReport", "FaultPolicy", "PassBudgetExceeded",
-    "TransactionalPassManager", "TranslationValidationError",
+    "TranslationValidationError",
     "analyze_module", "compile_and_link",
     "compile_translation_units", "link_time_optimize",
     "lint_whole_program", "lto_pipeline", "optimize_module",

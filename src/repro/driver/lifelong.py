@@ -25,6 +25,7 @@ from ..profile import (
     Granularity, OfflineReoptimizer, ProfileData, ProfileInstrumentation,
     ReoptimizationReport,
 )
+from ..transforms import ModulePassAdaptor, PassManager
 from .cache import BytecodeCache
 from .passmanager import FaultPolicy
 from .pipelines import compile_and_link
@@ -69,7 +70,7 @@ class LifelongSession:
         if cache is not None:
             cache.store_bytes(self._program_key, self.bytecode)
         instrumentation = ProfileInstrumentation(Granularity.BLOCKS)
-        instrumentation.run_on_module(self.module)
+        PassManager().add(instrumentation).run(self.module)
         self.profile = ProfileData(instrumentation.profile_map)
         self.reopt_reports: list[ReoptimizationReport] = []
         #: The trace-compiling tier, shared by every run of this
@@ -140,11 +141,14 @@ class LifelongSession:
         so that entry is invalidated and re-stored; per-TU entries stay
         valid — the sources they were keyed on have not changed.
 
-        Under a :attr:`fault_policy`, a crashing reoptimizer is a
-        contained event: the module rolls back to its pre-reoptimization
-        state (the program keeps running exactly as before) and an
-        empty report is returned — a daemon doing this at idle time
-        must never lose the program to its own bug.
+        The reoptimizer runs as one module pass through the pass
+        manager every other transform uses.  Under a
+        :attr:`fault_policy`, a crashing reoptimizer is therefore a
+        contained event like any crashing pass: the module rolls back
+        to its pre-reoptimization state (the program keeps running
+        exactly as before), a crash report is recorded, and an empty
+        report is returned — a daemon doing this at idle time must
+        never lose the program to its own bug.
 
         Either way the software trace cache is invalidated: compiled
         traces are closures over specific block objects, and both a
@@ -153,28 +157,20 @@ class LifelongSession:
         """
         if self.trace_manager is not None:
             self.trace_manager.invalidate_all()
-        if self.fault_policy is not None:
-            from .passmanager import (
-                CrashReport, restore_module, snapshot_module,
-            )
+        reports = []
 
-            snapshot = snapshot_module(self.module)
-            try:
-                report = OfflineReoptimizer(**kwargs).run(self.module,
-                                                          self.profile)
-            except Exception as error:
-                restore_module(self.module, snapshot)
-                self.fault_policy.count("passes.rolled_back")
-                self.fault_policy.record(CrashReport(
-                    pass_name="reoptimizer", module=self.module.name,
-                    function=None, error_type=type(error).__name__,
-                    error_message=str(error), traceback=""))
-                report = ReoptimizationReport()
-                self.reopt_reports.append(report)
-                return report
-        else:
-            report = OfflineReoptimizer(**kwargs).run(self.module,
-                                                      self.profile)
+        def reoptimizer(module: Module) -> bool:
+            reports.append(OfflineReoptimizer(**kwargs).run(module,
+                                                            self.profile))
+            return True
+
+        manager = PassManager(policy=self.fault_policy)
+        manager.add(ModulePassAdaptor(reoptimizer))
+        if not manager.run(self.module):
+            # Contained — or skipped, poisoned by an earlier crash.
+            self.reopt_reports.append(ReoptimizationReport())
+            return self.reopt_reports[-1]
+        report = reports[0]
         self.reopt_reports.append(report)
         self.bytecode = write_bytecode(self.module)
         if self.cache is not None:

@@ -1,4 +1,4 @@
-"""Transactional pass execution: crash containment for the optimizer.
+"""Containment: crash isolation for the optimizer.
 
 The paper's lifelong story (sections 2.4, 4.1.2) has the optimizer
 running forever — at link time, at install time, in the idle-time
@@ -6,51 +6,36 @@ reoptimizer.  A component that runs forever *will* eventually meet a
 pass bug, a corrupted artifact, or a pathological input; this module
 makes that an isolable, reportable event instead of a process abort.
 
-Every transform pass runs inside a **transaction**, at the granularity
-matching its contract:
+There is one pass manager (:class:`repro.transforms.PassManager`) and
+it runs every pass as a sequence of per-unit transactions — one
+function of a function pass, the whole module of a module pass — as
+described in its module docstring.  Given a :class:`FaultPolicy` it
+calls back here for everything that makes a failure survivable:
 
-* A **function pass** is a sequence of per-function transactions.  The
-  snapshot is the function's printed text (cached across passes, so an
-  untouched function is snapshotted once, not once per pass); the pass
-  runs under a step/time budget (a watchdog preempts runaway passes
-  from inside); then the post-pass text is compared against the
-  snapshot and re-verification plus translation validation run *only
-  when the digest actually moved*.  A function the pass honestly
-  reports not changing costs nothing at all — the changed flag is kept
-  honest project-wide by the ``verify_each`` digest audit
-  (:class:`repro.transforms.passmanager.ChangedFlagLie`) and the fuzzer.
-  On a failure, only the guilty function is rolled back — rebuilt from
-  its snapshot text via the linker's cross-module graft
-  (``materialize_function``) — and the sweep continues with the next
-  function, so one poisoned function no longer costs the whole module
-  its optimization, and no full-module serialization happens on the
-  happy path at all.
+* the **watchdog** that preempts a runaway pass from inside, under a
+  step/time budget capped by the build's deadline;
+* **translation validation** of every function a function pass changed
+  (``translation_validate``), co-executed against its snapshot in a
+  carrier module that shares the live module's globals and other
+  functions.  A refinement violation is a failure like any other,
+  except the report also carries the concrete counterexample input.
+  Module (interprocedural) passes are exempt: their rewrites may be
+  justified by call-site context that per-function refinement cannot
+  see (docs/ANALYSIS.md);
+* **rollback** of the failed unit from its snapshot — a function is
+  rebuilt in place from its text via the linker's cross-module graft
+  (``materialize_function``), a module from its bytecode — so one bad
+  function costs only itself its optimization;
+* **containment**, once per pass: the guilty functions of a function
+  pass are *poisoned* for that pass; a failing module pass is bisected
+  to name the function that kills it and poisoned module-wide; a
+  structured :class:`CrashReport` (with a bugpoint-reduced IR
+  testcase) is recorded; and the pipeline continues — semantics
+  preserved, just less optimized.
 
-* A **module pass** transacts over full-module bytecode (the cheapest
-  faithful deep copy in the system, and deterministic).  The pre-pass
-  snapshot is reused from the previous transaction when nothing has
-  changed in between, and re-verification is skipped when the post-pass
-  serialization is byte-identical to the snapshot.
-
-On an exception, a verifier failure, or budget exhaustion the failed
-unit is rolled back, the pass is marked *poisoned* for that function or
-module, a structured :class:`CrashReport` (with a bugpoint-reduced IR
-testcase) is recorded, and the pipeline continues — semantics
-preserved, just less optimized.  A failing *module* pass is bisected to
-name the function that kills it before being skipped.  The
-:class:`FaultPolicy` owns the knobs and the ``-stats`` counters
-(``passes.rolled_back``, ``crashes.reported``, ``fallbacks.taken``).
-
-With ``translation_validate`` on, every function a *function* pass
-actually changed is checked for refinement against its snapshot text
-(:mod:`repro.tvalid`), co-executed in a carrier module that shares the
-live module's globals and other functions.  A refinement violation is
-handled exactly like a crash — rollback, poison, structured report with
-a bugpoint-reduced testcase that still fails validation — except the
-report also carries the concrete counterexample input.  Module
-(interprocedural) passes are exempt: their rewrites may be justified by
-call-site context that per-function refinement cannot see
-(docs/ANALYSIS.md).
+The :class:`FaultPolicy` also owns the knobs and the ``-stats``
+counters (``passes.rolled_back``, ``crashes.reported``,
+``fallbacks.taken``).
 
 Rollback itself is trusted machinery: like snapshot serialization, a
 failure *inside* restore still raises, by design — it would mean the
@@ -68,11 +53,12 @@ import traceback as _traceback
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..bitcode import read_bytecode, write_bytecode
+from ..bitcode import read_bytecode
 from ..core.module import Module
-from ..core.printer import print_function
-from ..core.verifier import verify_function, verify_module
-from ..transforms.passmanager import PassManager, PassTimings
+from ..core.verifier import verify_module
+from ..transforms.passmanager import (
+    PassManager, snapshot_function, snapshot_module,
+)
 from ..tvalid.validate import (
     FAILED as _VALIDATION_FAILED, TranslationValidationError,
     TranslationValidator, ValidationConfig,
@@ -81,11 +67,6 @@ from ..tvalid.validate import (
 
 class PassBudgetExceeded(Exception):
     """A pass ran past its step or wall-clock budget."""
-
-
-def snapshot_module(module: Module) -> bytes:
-    """The transaction snapshot: deterministic serialized bytecode."""
-    return write_bytecode(module, strip_names=False)
 
 
 def restore_module(module: Module, snapshot: bytes) -> None:
@@ -101,18 +82,6 @@ def restore_module(module: Module, snapshot: bytes) -> None:
     module.named_types = restored.named_types
     for symbol in (*module.globals.values(), *module.functions.values()):
         symbol.parent = module
-
-
-def snapshot_function(function) -> str:
-    """The per-function transaction snapshot: the function's text.
-
-    Text rather than a structural clone because it is what the digest
-    comparison needs anyway, it costs nothing to keep across passes,
-    and the print -> parse round trip is byte-exact (pinned by the
-    differential fuzzer), so it can faithfully rebuild the function on
-    the rare rollback path.
-    """
-    return print_function(function)
 
 
 def restore_function(module: Module, function, snapshot: str) -> None:
@@ -173,6 +142,12 @@ class _Watchdog:
         return False
 
 
+#: Budgets for one bisection/reduction probe: far below a real pass
+#: run's, because probes are many and their inputs shrink.
+_PROBE_TIME_BUDGET = 2.0
+_PROBE_STEP_BUDGET = 300_000
+
+
 @dataclass
 class CrashReport:
     """Everything a human (or the fuzzer) needs to triage one crash."""
@@ -215,17 +190,12 @@ class FaultPolicy:
     """
 
     crash_dir: Optional[str] = None
-    retry_function_granularity: bool = True
     #: Passes newly poisoned in one pipeline attempt beyond which the
     #: driver falls back a level (the -O2 -> -O1 -> -O0 ladder).
     max_poisoned_passes: int = 2
     pass_time_budget: float = 10.0
     pass_step_budget: int = 5_000_000
     reduce_testcases: bool = True
-    reduce_time_budget: float = 2.0
-    reduce_step_budget: int = 300_000
-    reduce_rounds: int = 6
-    verify_after_each: bool = True
     #: check refinement of every function a function pass changes
     #: (--translation-validate); violations roll back like crashes
     translation_validate: bool = False
@@ -281,16 +251,14 @@ class FaultPolicy:
 
     name = "fault-policy"  # the -stats source label
 
-    def time_budget(self, budget: Optional[float] = None) -> float:
+    def time_budget(self, budget: float) -> float:
         """A watchdog time budget, capped by the remaining deadline.
 
-        With no :attr:`deadline` this is just the configured budget.
-        Past the deadline it bottoms out at a tiny positive slice, so
-        a pass still *starts* (and immediately trips the watchdog,
-        rolling back cleanly) rather than dividing by zero somewhere.
+        With no :attr:`deadline` this is just ``budget``.  Past the
+        deadline it bottoms out at a tiny positive slice, so a pass
+        still *starts* (and immediately trips the watchdog, rolling
+        back cleanly) rather than dividing by zero somewhere.
         """
-        if budget is None:
-            budget = self.pass_time_budget
         if self.deadline is None:
             return budget
         return min(budget, max(0.05, self.deadline - time.monotonic()))
@@ -320,11 +288,6 @@ class FaultPolicy:
             return (function is not None
                     and (pass_name, module, function) in self._poisoned)
 
-    @property
-    def poisoned_count(self) -> int:
-        with self._lock:
-            return len(self._poisoned)
-
     # -- crash reports ------------------------------------------------------
 
     def record(self, report: CrashReport) -> None:
@@ -349,9 +312,179 @@ class FaultPolicy:
             except OSError:
                 pass  # reporting must never become a second crash
 
+    # -- the pass manager's collaborator interface --------------------------
 
-def _pass_name(pass_obj) -> str:
-    return getattr(pass_obj, "name", type(pass_obj).__name__)
+    def watchdog(self) -> _Watchdog:
+        """The budget one unit of one pass runs under."""
+        return _Watchdog(self.time_budget(self.pass_time_budget),
+                         self.pass_step_budget)
+
+    def injected_fault(self, name: str) -> Optional[Exception]:
+        """Fire the ``pass:<name>`` injection site.  An armed fault is
+        returned, counted as a rollback, instead of raised."""
+        from ..fuzz import faultinject
+
+        try:
+            faultinject.check(f"pass:{name}")
+        except faultinject.InjectedFault as fault:
+            self.count("passes.rolled_back")
+            return fault
+        return None
+
+    def validate_function(self, name: str, module: Module, function,
+                          snapshot: str) -> None:
+        """Under ``translation_validate``, refinement-check one changed
+        function against its snapshot text; count verdicts; raise on a
+        violation.
+
+        The "before" side is the snapshot re-materialized in the live
+        module's symbol space, co-executed in a carrier module sharing
+        the live globals and every *other* function — so callee
+        differences cancel and the check isolates this function's
+        change (modular refinement: callees are validated separately).
+        """
+        if not self.translation_validate:
+            return
+        from ..linker.linker import materialize_function
+
+        before_fn = materialize_function(module, snapshot)
+        carrier = Module(module.name, module.data_layout)
+        carrier.globals = module.globals
+        carrier.named_types = module.named_types
+        carrier.functions = dict(module.functions)
+        carrier.functions[function.name] = before_fn
+        before_fn.parent = carrier
+        failure = None
+        for result in self.validator().validate(carrier, module,
+                                                function.name):
+            if result.status in (_VALIDATION_FAILED, "passed"):
+                self.count("validations.run")
+            self.count(f"validations.{result.status}")
+            if result.status == _VALIDATION_FAILED and failure is None:
+                failure = result
+        if failure is not None:
+            raise TranslationValidationError(name, failure)
+
+    def rollback(self, module: Module, function, snapshot) -> None:
+        """Undo a failed unit: ``function`` (or, when None, the whole
+        module) goes back to ``snapshot``, in place."""
+        if function is None:
+            restore_module(module, snapshot)
+        else:
+            restore_function(module, function, snapshot)
+        self.count("passes.rolled_back")
+
+    def contain(self, pass_obj, name: str, module: Module,
+                failures: list) -> int:
+        """Containment for one pass's failed units, already rolled
+        back: poison, attribute, report once per (pass, run).  Returns
+        how many units were poisoned.  ``failures`` holds ``(unit,
+        error, snapshot)`` in sweep order; the unit of an injected
+        fault, which fires before any unit runs, is None."""
+        _, error, snapshot = failures[0]
+        # Budget blowouts and one-shot injected faults do not reproduce
+        # on a re-run, so bisecting/reducing them is wasted work (and
+        # the reduction predicate would never hold).
+        from ..fuzz.faultinject import InjectedFault
+
+        reproducible = self.reduce_testcases and not isinstance(
+            error, (PassBudgetExceeded, InjectedFault))
+        if hasattr(pass_obj, "run_on_module"):
+            # Module granularity: bisect for attribution only — the
+            # pass is poisoned module-wide either way.
+            guilty = [None]
+            culprit = (self._bisect_module_pass(pass_obj, snapshot)
+                       if reproducible else None)
+        else:
+            # Function granularity: the sweep already retried every
+            # other function; only the guilty ones lose this pass.
+            self.count("retries.function")
+            guilty = [unit for unit, _, _ in failures if unit is not None]
+            culprit = guilty[0] if guilty else None
+            snapshot = None
+        for unit in guilty:
+            self.poison(name, module.name, unit)
+        report = CrashReport(
+            pass_name=name, module=module.name, function=culprit,
+            error_type=type(error).__name__, error_message=str(error),
+            traceback="".join(_traceback.format_exception(
+                type(error), error, error.__traceback__)),
+        )
+        if reproducible:
+            # Every failed unit is rolled back, so the module is in a
+            # reproducing state: snapshot it now if the failed unit was
+            # not the module itself.
+            reduced = self._reduce_testcase(
+                pass_obj, snapshot or snapshot_module(module),
+                validate=isinstance(error, TranslationValidationError))
+            if reduced is not None:
+                from ..core import print_module
+
+                report.reduced_ir = print_module(reduced)
+                report.reduced_instructions = sum(
+                    f.instruction_count()
+                    for f in reduced.defined_functions())
+        self.record(report)
+        return len(guilty)
+
+    def _probe(self, pass_obj, candidate: Module) -> None:
+        """Run a fresh instance of the pass over ``candidate`` exactly
+        as the real run would — through a :class:`PassManager`, with no
+        policy so a failure propagates — under the (small) probe
+        budget, then verify the result."""
+        with _Watchdog(self.time_budget(_PROBE_TIME_BUDGET),
+                       _PROBE_STEP_BUDGET):
+            PassManager().add(_fresh_pass(pass_obj)).run(candidate)
+        verify_module(candidate)
+
+    def _bisect_module_pass(self, pass_obj, snapshot: bytes) -> Optional[str]:
+        """Name the function that kills a module-level pass: probe
+        one-function-at-a-time skeletons of the snapshot (every other
+        body dropped) and report the first that still crashes it."""
+        names = [f.name for f in read_bytecode(snapshot).defined_functions()]
+        for function_name in names:
+            try:
+                probe = read_bytecode(snapshot)
+                for other in list(probe.defined_functions()):
+                    if other.name != function_name:
+                        other.delete_body()
+                self._probe(pass_obj, probe)
+            except PassBudgetExceeded:
+                continue
+            except Exception:
+                return function_name
+        return None
+
+    def _reduce_testcase(self, pass_obj, snapshot: bytes,
+                         validate: bool = False) -> Optional[Module]:
+        """Shrink the snapshot to a minimal module that still crashes
+        the pass (reusing bugpoint's delta reduction).  For a
+        validation failure the interestingness predicate is "the pass
+        still miscompiles this", so the reduced testcase ships with a
+        replayable refinement violation, not just a crash."""
+        from ..fuzz.bugpoint import reduce_module
+
+        def crashes(candidate: Module) -> bool:
+            try:
+                pre_pass = snapshot_module(candidate) if validate else None
+                self._probe(pass_obj, candidate)
+            except PassBudgetExceeded:
+                return False
+            except Exception:
+                return True
+            if validate:
+                try:
+                    results = self.validator().validate(
+                        read_bytecode(pre_pass), candidate)
+                except Exception:
+                    return False
+                return any(r.status == _VALIDATION_FAILED for r in results)
+            return False
+
+        try:
+            return reduce_module(read_bytecode(snapshot), crashes)
+        except Exception:
+            return None
 
 
 def _fresh_pass(pass_obj):
@@ -371,337 +504,3 @@ def _fresh_pass(pass_obj):
         return type(pass_obj)()
     except Exception:
         return pass_obj
-
-
-def _run_pass_plain(pass_obj, module: Module) -> bool:
-    if hasattr(pass_obj, "run_on_module"):
-        return pass_obj.run_on_module(module)
-    changed = False
-    for function in list(module.defined_functions()):
-        if pass_obj.run_on_function(function):
-            changed = True
-    return changed
-
-
-class TransactionalPassManager(PassManager):
-    """A :class:`PassManager` in which every pass is a transaction.
-
-    ``run`` never raises for a pass failure: the failing pass is rolled
-    back, poisoned, and reported through the policy, and the remaining
-    passes still run.  (Snapshot serialization itself failing would
-    mean the *input* module is broken; that still raises, by design.)
-    """
-
-    def __init__(self, policy: FaultPolicy,
-                 timings: Optional[PassTimings] = None):
-        super().__init__(verify_each=False, timings=timings)
-        self.policy = policy
-        #: Passes module-poisoned during this manager's run() calls —
-        #: what the degradation ladder consults.
-        self.poisoned_in_run = 0
-        #: Per-function snapshot texts describing the module's current
-        #: state: the change-detection digest *and* the rollback source.
-        self._snapshots: dict[str, str] = {}
-        #: Full-module bytecode of the current state, when still valid;
-        #: lets consecutive module passes share one serialization.
-        self._module_snapshot: Optional[bytes] = None
-
-    def run(self, module: Module) -> bool:
-        # The caches only describe mutations made through this manager;
-        # between run() calls other components may touch the module.
-        self._snapshots.clear()
-        self._module_snapshot = None
-        changed = False
-        for pass_obj in self.passes:
-            name = _pass_name(pass_obj)
-            if self.policy.is_poisoned(name, module.name):
-                self.policy.count("passes.skipped")
-                continue
-            start = time.perf_counter()
-            if hasattr(pass_obj, "run_on_module"):
-                this_changed = self._transact_module_pass(
-                    pass_obj, name, module)
-            else:
-                this_changed = self._transact_function_pass(
-                    pass_obj, name, module)
-            # Containment work (rollback, bisection, reduction) bills
-            # to the pass that caused it.
-            self.timings.record(name, time.perf_counter() - start)
-            changed |= this_changed
-        return changed
-
-    # -- function-pass transactions ----------------------------------------
-
-    def _transact_function_pass(self, pass_obj, name: str,
-                                module: Module) -> bool:
-        policy = self.policy
-        changed = False
-        guilty: list[str] = []
-        first_error: Optional[Exception] = None
-        # With per-function retry disabled the whole pass is one
-        # transaction: track what it changed so a failure undoes it all.
-        undo_log = ([] if not policy.retry_function_granularity else None)
-        try:
-            self._check_injection(name)
-        except Exception as error:
-            # The armed fault for this pass's site fires before any
-            # function is touched, so there is nothing to roll back;
-            # the per-function sweep below doubles as the retry.
-            policy.count("passes.rolled_back")
-            first_error = error
-        for function in list(module.defined_functions()):
-            fn_name = function.name
-            if policy.is_poisoned(name, module.name, fn_name):
-                continue
-            snapshot = self._snapshots.get(fn_name)
-            if snapshot is None:
-                snapshot = snapshot_function(function)
-                self._snapshots[fn_name] = snapshot
-            try:
-                with _Watchdog(policy.time_budget(),
-                               policy.pass_step_budget):
-                    claimed = pass_obj.run_on_function(function)
-                if not claimed:
-                    # An honest "no change" costs nothing.  The flag is
-                    # kept honest project-wide by the verify-each digest
-                    # audit (ChangedFlagLie) and the fuzzer.
-                    continue
-                post = snapshot_function(function)
-                if post == snapshot:
-                    continue  # over-reported: skip re-verify and tvalid
-                if policy.verify_after_each:
-                    verify_function(function)
-                if policy.translation_validate:
-                    self._validate_function(name, module, function, snapshot)
-                if undo_log is not None:
-                    undo_log.append((function, snapshot))
-                self._snapshots[fn_name] = post
-                self._module_snapshot = None
-                changed = True
-            except Exception as error:
-                restore_function(module, function, snapshot)
-                policy.count("passes.rolled_back")
-                if first_error is None:
-                    first_error = error
-                if undo_log is not None:
-                    for done, done_snapshot in reversed(undo_log):
-                        restore_function(module, done, done_snapshot)
-                        self._snapshots[done.name] = done_snapshot
-                    self._contain_module_level(pass_obj, name, module,
-                                               first_error)
-                    return False
-                guilty.append(fn_name)
-        if guilty or first_error is not None:
-            self._contain_function_pass(pass_obj, name, module, guilty,
-                                        first_error)
-        return changed
-
-    def _validate_function(self, name: str, module: Module, function,
-                           snapshot: str) -> None:
-        """Refinement-check one changed function against its snapshot
-        text; count verdicts; raise on a violation.
-
-        The "before" side is the snapshot re-materialized in the live
-        module's symbol space, co-executed in a carrier module sharing
-        the live globals and every *other* function — so callee
-        differences cancel and the check isolates this function's
-        change (modular refinement: callees are validated separately).
-        """
-        from ..linker.linker import materialize_function
-
-        policy = self.policy
-        before_fn = materialize_function(module, snapshot)
-        carrier = Module(module.name, module.data_layout)
-        carrier.globals = module.globals
-        carrier.named_types = module.named_types
-        carrier.functions = dict(module.functions)
-        carrier.functions[function.name] = before_fn
-        before_fn.parent = carrier
-        failure = None
-        for result in policy.validator().validate(carrier, module,
-                                                  function.name):
-            if result.status in (_VALIDATION_FAILED, "passed"):
-                policy.count("validations.run")
-                policy.count(f"validations.{result.status}")
-            else:
-                policy.count(f"validations.{result.status}")
-            if result.status == _VALIDATION_FAILED and failure is None:
-                failure = result
-        if failure is not None:
-            raise TranslationValidationError(name, failure)
-
-    # -- module-pass transactions -------------------------------------------
-
-    def _transact_module_pass(self, pass_obj, name: str,
-                              module: Module) -> bool:
-        policy = self.policy
-        snapshot = self._module_snapshot
-        if snapshot is None:
-            snapshot = snapshot_module(module)
-            self._module_snapshot = snapshot
-        try:
-            with _Watchdog(policy.time_budget(), policy.pass_step_budget):
-                self._check_injection(name)
-                claimed = pass_obj.run_on_module(module)
-            if not claimed:
-                return False  # snapshot cache stays valid
-            post = snapshot_module(module)
-            if post == snapshot:
-                return False  # over-reported: skip re-verification
-            if policy.verify_after_each:
-                verify_module(module)
-            self._module_snapshot = post
-            self._snapshots.clear()  # function bodies may have moved
-            return True
-        except Exception as error:
-            restore_module(module, snapshot)
-            self._module_snapshot = snapshot
-            policy.count("passes.rolled_back")
-            self._contain_module_level(pass_obj, name, module, error,
-                                       snapshot)
-            return False
-
-    @staticmethod
-    def _check_injection(name: str) -> None:
-        from ..fuzz import faultinject
-
-        faultinject.check(f"pass:{name}")
-
-    # -- containment --------------------------------------------------------
-
-    def _contain_function_pass(self, pass_obj, name: str, module: Module,
-                               guilty: list, error: Exception) -> None:
-        """Function-granularity containment: poison the guilty
-        functions, report once per (pass, run)."""
-        policy = self.policy
-        policy.count("retries.function")
-        for function_name in guilty:
-            policy.poison(name, module.name, function_name)
-            self.poisoned_in_run += 1
-        self._record_crash(pass_obj, name, module,
-                           guilty[0] if guilty else None, error)
-
-    def _contain_module_level(self, pass_obj, name: str, module: Module,
-                              error: Exception,
-                              snapshot: Optional[bytes] = None) -> None:
-        """Module-granularity containment: bisect for attribution,
-        poison the pass module-wide, report."""
-        policy = self.policy
-        if snapshot is None and policy.reduce_testcases:
-            snapshot = snapshot_module(module)
-        guilty = (self._bisect_module_pass(pass_obj, snapshot)
-                  if snapshot is not None else None)
-        policy.poison(name, module.name)
-        self.poisoned_in_run += 1
-        self._record_crash(pass_obj, name, module, guilty, error, snapshot)
-
-    def _record_crash(self, pass_obj, name: str, module: Module,
-                      guilty: Optional[str], error: Exception,
-                      snapshot: Optional[bytes] = None) -> None:
-        policy = self.policy
-        report = CrashReport(
-            pass_name=name, module=module.name, function=guilty,
-            error_type=type(error).__name__, error_message=str(error),
-            traceback="".join(_traceback.format_exception(
-                type(error), error, error.__traceback__)),
-        )
-        if policy.reduce_testcases and self._is_deterministic(error):
-            # The module is back in a reproducing state (guilty
-            # functions rolled back), so snapshot it now if containment
-            # did not already have one.
-            if snapshot is None:
-                snapshot = snapshot_module(module)
-            reduced = self._reduce_testcase(
-                pass_obj, snapshot,
-                validate=isinstance(error, TranslationValidationError))
-            if reduced is not None:
-                from ..core import print_module
-
-                report.reduced_ir = print_module(reduced)
-                report.reduced_instructions = sum(
-                    f.instruction_count()
-                    for f in reduced.defined_functions())
-        policy.record(report)
-
-    @staticmethod
-    def _is_deterministic(error: Exception) -> bool:
-        """Budget blowouts and one-shot injected faults do not
-        reproduce on a re-run, so bisecting/reducing them is wasted
-        work (and the reduction predicate would never hold)."""
-        if isinstance(error, PassBudgetExceeded):
-            return False
-        from ..fuzz.faultinject import InjectedFault
-
-        return not isinstance(error, InjectedFault)
-
-    def _bisect_module_pass(self, pass_obj, snapshot: bytes) -> Optional[str]:
-        """Name the function that kills a module-level pass: run a
-        fresh instance over one-function-at-a-time skeletons of the
-        snapshot (every other body dropped) and report the first that
-        still crashes it.  Attribution only — the pass stays poisoned
-        module-wide either way."""
-        policy = self.policy
-        if not self._is_deterministic_probe_worthwhile():
-            return None
-        try:
-            names = [f.name
-                     for f in read_bytecode(snapshot).defined_functions()]
-        except Exception:
-            return None
-        for function_name in names:
-            try:
-                probe = read_bytecode(snapshot)
-                for other in list(probe.defined_functions()):
-                    if other.name != function_name:
-                        other.delete_body()
-                with _Watchdog(policy.time_budget(
-                                   policy.reduce_time_budget),
-                               policy.reduce_step_budget):
-                    _run_pass_plain(_fresh_pass(pass_obj), probe)
-                verify_module(probe)
-            except PassBudgetExceeded:
-                continue
-            except Exception:
-                return function_name
-        return None
-
-    def _is_deterministic_probe_worthwhile(self) -> bool:
-        return self.policy.reduce_testcases
-
-    def _reduce_testcase(self, pass_obj, snapshot: bytes,
-                         validate: bool = False) -> Optional[Module]:
-        """Shrink the snapshot to a minimal module that still crashes
-        the pass (reusing bugpoint's delta reduction).  For a
-        validation failure the interestingness predicate is "the pass
-        still miscompiles this", so the reduced testcase ships with a
-        replayable refinement violation, not just a crash."""
-        from ..fuzz.bugpoint import reduce_module
-
-        policy = self.policy
-
-        def crashes(candidate: Module) -> bool:
-            try:
-                pre_pass = snapshot_module(candidate) if validate else None
-                with _Watchdog(policy.time_budget(
-                                   policy.reduce_time_budget),
-                               policy.reduce_step_budget):
-                    _run_pass_plain(_fresh_pass(pass_obj), candidate)
-                verify_module(candidate)
-            except PassBudgetExceeded:
-                return False
-            except Exception:
-                return True
-            if validate:
-                try:
-                    results = policy.validator().validate(
-                        read_bytecode(pre_pass), candidate)
-                except Exception:
-                    return False
-                return any(r.status == _VALIDATION_FAILED for r in results)
-            return False
-
-        try:
-            return reduce_module(read_bytecode(snapshot), crashes,
-                                 max_rounds=policy.reduce_rounds)
-        except Exception:
-            return None

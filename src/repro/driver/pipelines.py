@@ -15,9 +15,7 @@ from ..core.module import Module
 from ..frontend import compile_source
 from ..linker import link_modules
 from .cache import BytecodeCache
-from .passmanager import (
-    FaultPolicy, TransactionalPassManager, restore_module, snapshot_module,
-)
+from .passmanager import FaultPolicy, restore_module, snapshot_module
 from ..transforms import (
     AggressiveDCE, ConstantPropagation, DeadCodeElimination, GVN,
     InstCombine, LICM, PassManager, PromoteMem2Reg, RangeOpt, Reassociate,
@@ -36,18 +34,14 @@ def standard_pipeline(level: int = 2, verify_each: bool = False,
                       timings: Optional[PassTimings] = None) -> PassManager:
     """The per-module pipeline for an optimization level (0-3).
 
-    With a :class:`FaultPolicy` the pipeline is *transactional*: each
-    pass runs under snapshot/rollback crash containment
-    (docs/ROBUSTNESS.md) instead of letting a pass failure abort the
-    build.  ``timings`` may supply a shared sink so one ``-time-passes``
-    report covers every manager a driver invocation creates (each pass
-    execution is recorded exactly once, by the manager that ran it).
+    With a :class:`FaultPolicy` a failing pass is contained — rolled
+    back, poisoned and reported (docs/ROBUSTNESS.md) — instead of
+    aborting the build.  ``timings`` may supply a shared sink so one
+    ``-time-passes`` report covers every manager a driver invocation
+    creates (each pass execution is recorded exactly once, by the
+    manager that ran it).
     """
-    if policy is not None:
-        manager: PassManager = TransactionalPassManager(policy,
-                                                        timings=timings)
-    else:
-        manager = PassManager(verify_each=verify_each, timings=timings)
+    manager = PassManager(verify_each, timings, policy)
     if level <= 0:
         return manager
     # SSA construction as the paper prescribes: scalar expansion, then
@@ -82,34 +76,39 @@ def standard_pipeline(level: int = 2, verify_each: bool = False,
     return manager
 
 
+def run_ladder(module: Module, level: int = 2, verify_each: bool = False,
+               policy: Optional[FaultPolicy] = None,
+               timings: Optional[PassTimings] = None) -> PassManager:
+    """Run the standard pipeline in place, degrading on too many
+    failures; returns the manager whose attempt stood.
+
+    When an attempt poisons more passes than
+    ``policy.max_poisoned_passes`` the module is restored to its
+    pre-optimization state and the next lower level is tried
+    (``-O2 -> -O1 -> -O0``), counting ``fallbacks.taken``.  ``-O0``,
+    the empty pipeline, is the floor: the unoptimized module is always
+    correct.  Without a policy nothing is ever poisoned — a failure
+    propagates — so the ladder is its first attempt.
+    """
+    pristine = snapshot_module(module) if policy is not None else None
+    for attempt in range(level, 0, -1):
+        manager = standard_pipeline(attempt, verify_each, policy, timings)
+        manager.run(module)
+        if policy is None \
+                or manager.poisoned_in_run <= policy.max_poisoned_passes:
+            return manager
+        restore_module(module, pristine)
+        policy.count("fallbacks.taken")
+    return standard_pipeline(0, verify_each, policy, timings)
+
+
 def optimize_module(module: Module, level: int = 2,
                     verify_each: bool = False,
                     policy: Optional[FaultPolicy] = None,
                     timings: Optional[PassTimings] = None) -> Module:
-    """Run the standard pipeline in place; returns the module.
-
-    With a :class:`FaultPolicy`, runs the fault-tolerant degradation
-    ladder instead of the bare pipeline: each attempt executes
-    transactionally, and when an attempt poisons more passes than
-    ``policy.max_poisoned_passes`` the module is restored to its
-    pre-optimization state and the next lower level is tried
-    (``-O2 -> -O1 -> -O0``), counting ``fallbacks.taken``.  ``-O0`` is
-    the floor: the unoptimized module is always correct.
-    """
-    if policy is None:
-        standard_pipeline(level, verify_each, timings=timings).run(module)
-        return module
-    pristine = snapshot_module(module)
-    for attempt in range(level, -1, -1):
-        if attempt == 0:
-            restore_module(module, pristine)
-            return module
-        manager = standard_pipeline(attempt, policy=policy, timings=timings)
-        manager.run(module)
-        if manager.poisoned_in_run <= policy.max_poisoned_passes:
-            return module
-        restore_module(module, pristine)
-        policy.count("fallbacks.taken")
+    """Run the standard pipeline in place (see :func:`run_ladder`);
+    returns the module."""
+    run_ladder(module, level, verify_each, policy, timings)
     return module
 
 
@@ -119,11 +118,7 @@ def lto_pipeline(internalize: bool = True,
                  policy: Optional[FaultPolicy] = None,
                  timings: Optional[PassTimings] = None) -> PassManager:
     """The interprocedural pass sequence of the link-time optimizer."""
-    if policy is not None:
-        manager: PassManager = TransactionalPassManager(policy,
-                                                        timings=timings)
-    else:
-        manager = PassManager(verify_each=verify_each, timings=timings)
+    manager = PassManager(verify_each, timings, policy)
     if internalize:
         manager.add(Internalize(preserved))
     manager.add(Devirtualize())
@@ -316,11 +311,10 @@ def compile_and_link(sources: Iterable[str], name: str = "program",
     the number of concurrent TU compilations; both are output-invariant
     — the linked module is identical with or without them.
 
-    ``policy`` turns on fault-tolerant execution end to end: every
-    transform pass runs transactionally, a failing pass is rolled back
-    and reported instead of aborting the build, too many failures step
-    the level down (-O2 -> -O1 -> -O0), and a transiently failing link
-    is retried once.  See docs/ROBUSTNESS.md.
+    ``policy`` turns on fault-tolerant execution end to end: a failing
+    pass is rolled back and reported instead of aborting the build, too
+    many failures step the level down (-O2 -> -O1 -> -O0), and a
+    transiently failing link is retried once.  See docs/ROBUSTNESS.md.
     """
     sources = list(sources)
     modules = compile_translation_units(sources, name, level, verify_each,

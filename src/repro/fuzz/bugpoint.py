@@ -33,6 +33,7 @@ from ..core.values import Constant, null_value
 from ..driver import pipelines
 from ..frontend import compile_source
 from ..transforms import PassManager
+from ..transforms.passmanager import pass_name
 from .harness import (
     DEFAULT_STEP_LIMIT, Outcome, run_interpreter, run_machine,
 )
@@ -79,7 +80,7 @@ def bisect_passes(module_factory: Callable[[], Module],
     """
     if passes is None:
         passes = pipelines.standard_pipeline(level).passes
-    names = [getattr(p, "name", type(p).__name__) for p in passes]
+    names = [pass_name(p) for p in passes]
 
     def probe(length: int) -> bool:
         return interesting(_run_prefix(module_factory(), passes, length))
@@ -181,8 +182,7 @@ def _try_simplify_cfg(module: Module,
     try:
         from ..transforms import SimplifyCFG
 
-        for function in list(candidate.defined_functions()):
-            SimplifyCFG().run_on_function(function)
+        PassManager().add(SimplifyCFG()).run(candidate)
         verify_module(candidate)
     except Exception:
         return module, False

@@ -13,7 +13,7 @@ Sites fall into two families:
 
 * **check sites** — ``faultinject.check("site")`` raises
   :class:`InjectedFault` at the marked point: inside a chosen transform
-  pass (``pass:<name>``, hooked in the transactional pass manager) or
+  pass (``pass:<name>``, fired by the pass manager under a fault policy) or
   in the linker (``linker.symbol-clash``).
 * **mangle sites** — ``faultinject.mangle(...)`` corrupts data flowing
   past the marked point: flip one byte (``cache.read``) or several
@@ -93,11 +93,12 @@ def registered_sites(level: int = 3) -> dict[str, str]:
     instead of a hand-maintained list.
     """
     from ..driver.pipelines import lto_pipeline, standard_pipeline
+    from ..transforms.passmanager import pass_name
 
     sites = dict(STATIC_SITES)
     for manager in (standard_pipeline(level), lto_pipeline()):
         for pass_obj in manager.passes:
-            name = getattr(pass_obj, "name", type(pass_obj).__name__)
+            name = pass_name(pass_obj)
             sites.setdefault(f"pass:{name}",
                              f"raise inside the {name} pass")
     return sites

@@ -26,6 +26,7 @@ from ..transforms.dce import AggressiveDCE
 from ..transforms.gvn import GVN
 from ..transforms.instcombine import InstCombine
 from ..transforms.ipo.inline import inline_call_site
+from ..transforms.passmanager import PassManager
 from ..transforms.sccp import SCCP
 from ..transforms.simplifycfg import SimplifyCFG
 from .collector import ProfileData
@@ -98,10 +99,11 @@ class OfflineReoptimizer:
                     )
 
         # 4. Clean-up pipeline over everything the above touched.
+        cleanup = PassManager()
         for pass_obj in (SimplifyCFG(), InstCombine(), SCCP(), SimplifyCFG(),
                          GVN(), AggressiveDCE(), SimplifyCFG()):
-            for function in list(module.defined_functions()):
-                pass_obj.run_on_function(function)
+            cleanup.add(pass_obj)
+        cleanup.run(module)
         return report
 
 

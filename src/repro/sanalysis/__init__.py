@@ -60,12 +60,10 @@ def _promoted_view(module: Module) -> Module:
     """A stack-promoted (mem2reg) clone for checkers that need SSA
     def-use chains; the original module is never mutated."""
     from ..linker import link_modules
-    from ..transforms.mem2reg import PromoteMem2Reg
+    from ..transforms import PassManager, PromoteMem2Reg
 
     clone = link_modules([module], module.name)
-    promote = PromoteMem2Reg()
-    for function in list(clone.defined_functions()):
-        promote.run_on_function(function)
+    PassManager().add(PromoteMem2Reg()).run(clone)
     return clone
 
 

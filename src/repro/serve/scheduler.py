@@ -33,6 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..transforms.passmanager import is_level_stat
 from . import protocol
 from .workers import WorkerHandle
 
@@ -71,17 +72,27 @@ class ServerStats:
             self._counters[name] = value
 
     def merge(self, counters: dict, prefix: str = "") -> None:
-        """Fold a worker-reported counter delta into the totals."""
+        """Fold a worker-reported counter delta into the totals.
+        Levels (``synth.rules-loaded``) are set, never added."""
         with self._lock:
             for key, value in counters.items():
                 if not isinstance(value, int) or isinstance(value, bool):
                     continue
                 name = prefix + key
-                self._counters[name] = self._counters.get(name, 0) + value
+                if not is_level_stat(key):
+                    value += self._counters.get(name, 0)
+                self._counters[name] = value
 
     def statistics(self) -> dict[str, int]:
+        """The totals, plus the cache hit rate derived from the summed
+        raw counts (workers ship no rates: rates do not add)."""
         with self._lock:
-            return dict(self._counters)
+            stats = dict(self._counters)
+        hits = stats.get("serverd.cache-hits", 0)
+        lookups = hits + stats.get("serverd.cache-misses", 0)
+        if lookups:
+            stats["serverd.cache-hit-rate-pct"] = 100 * hits // lookups
+        return stats
 
 
 @dataclass

@@ -31,6 +31,7 @@ import time
 import traceback
 from typing import Any, Optional
 
+from ..transforms.passmanager import is_level_stat
 from . import protocol
 
 
@@ -96,12 +97,15 @@ def worker_main(conn, config: dict) -> None:
         response = _execute(job, cache)
         if cache is not None:
             # Ship cache counters as deltas so the supervisor can
-            # aggregate across restarts without double counting.
+            # aggregate across restarts without double counting —
+            # counters only: a delta of a rate or an average means
+            # nothing, the supervisor derives rates from the sums.
             stats = cache.statistics()
             response["cache_stats"] = {
                 key: value - previous_stats.get(key, 0)
                 for key, value in stats.items()
                 if value != previous_stats.get(key, 0)
+                and not is_level_stat(key)
             }
             previous_stats = stats
         try:

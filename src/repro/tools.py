@@ -35,9 +35,11 @@ from .core.module import Module
 from .driver import (
     BytecodeCache, compile_and_link, link_time_optimize, optimize_module,
 )
+from .driver.pipelines import run_ladder
 from .execution import Interpreter
 from .frontend import compile_source
 from .linker import link_modules
+from .transforms.passmanager import PassManager, PassTimings
 
 
 def _read_text(path: str) -> str:
@@ -292,43 +294,20 @@ def lc_opt(argv=None) -> int:
             parser.error(f"unknown analysis {args.analyze!r}")
         from .analysis.absint.engine import RangeDumpPass
 
-        dump = RangeDumpPass(stream=sys.stdout)
-        for function in module.defined_functions():
-            dump.run_on_function(function)
+        PassManager().add(RangeDumpPass(stream=sys.stdout)).run(module)
         return 0
     policy = _make_fault_policy(args)
     managers = []
     # One shared timing sink across every manager this invocation
     # creates (ladder attempts included), so -time-passes emits a
     # single report in which each pass appears exactly once.
-    from .transforms.passmanager import PassTimings
-
     timings = PassTimings()
     with _armed(args, parser):
         if args.level is not None:
-            from .driver.pipelines import optimize_module as _optimize
-
-            if policy is not None:
-                # The full ladder: transactional attempts, -O fallback.
-                _optimize(module, args.level, policy=policy,
-                          timings=timings)
-            else:
-                from .driver.pipelines import standard_pipeline
-
-                manager = standard_pipeline(args.level, args.verify_each,
-                                            timings=timings)
-                manager.run(module)
-                managers.append(manager)
+            managers.append(run_ladder(module, args.level, args.verify_each,
+                                       policy, timings))
         if args.passes:
-            if policy is not None:
-                from .driver import TransactionalPassManager
-
-                manager = TransactionalPassManager(policy, timings=timings)
-            else:
-                from .transforms import PassManager
-
-                manager = PassManager(verify_each=args.verify_each,
-                                      timings=timings)
+            manager = PassManager(args.verify_each, timings, policy)
             registry = _pass_registry()
             for name in args.passes.split(","):
                 name = name.strip()
@@ -941,10 +920,8 @@ def lc_absint(argv=None) -> int:
         parser.error("an input module is required without --self-check")
     from .analysis.absint.engine import RangeDumpPass
 
-    module = _read_module(args.input)
-    dump = RangeDumpPass(stream=sys.stdout)
-    for function in module.defined_functions():
-        dump.run_on_function(function)
+    PassManager().add(RangeDumpPass(stream=sys.stdout)).run(
+        _read_module(args.input))
     return 0
 
 

@@ -2,18 +2,41 @@
 
 The optimizations are "built into libraries, making it easy for
 front-ends to use them" (paper section 3.2); the pass manager is that
-library interface.  Passes are callables reporting whether they changed
-anything; the manager sequences them, optionally re-verifying after
-each pass so that a mis-transforming pass fails loudly at its own site.
+library interface, and :meth:`PassManager.run` is the only code that
+executes a transform pass — compile time, link time, the idle-time
+reoptimizer, bugpoint's probes and crash reduction all go through it.
+
+Every pass runs as a sequence of **units**: one function of a function
+pass, or the whole module of a module pass.  The per-unit step is
+
+    skip if poisoned -> lazily snapshot -> run (under the watchdog when
+    a policy is present) -> if tracking, compare the unit's digest ->
+    ChangedFlagLie if it moved unclaimed -> verify the unit ->
+    translation-validate -> commit the new digest;
+    on an exception: re-raise with no policy, else roll the unit back
+    and hand it to containment.
+
+*Tracking* is on when ``verify_each`` or a ``policy`` is given.  With
+neither, a pass run is exactly the ``run_on_*`` calls — nothing is
+printed or serialized.  A unit's digest is its snapshot: a function's
+printed text, or the module's bytecode (bytecode rather than text for
+module passes, because it carries flags the printer does not — function
+purity — and only module passes set those).  Digests are cached across
+passes, so an untouched function is printed once, not once per pass.
 
 The changed flag each pass returns is load-bearing: fixpoint drivers
-stop iterating on it, and managers skip re-verification on the strength
-of a ``False``.  ``verify_each`` mode therefore *audits* the flag with
-a serialization digest taken after every pass: a pass that mutates the
-module while reporting "no change" raises :class:`ChangedFlagLie` at
-its own site instead of shipping unverified IR, and a pass that
-over-reports (claims a change but moved nothing) skips the redundant
-re-verify.
+stop iterating on it, and with a policy alone an honest ``False`` costs
+nothing at all (no post-pass print).  ``verify_each`` therefore
+*audits* the flag: the digest is compared after every unit, a unit that
+moved while its pass reported "no change" raises :class:`ChangedFlagLie`
+at the pass's own site, and a pass that over-reports (claims a change
+but moved nothing) skips the redundant re-verify.
+
+The ``policy`` is the containment collaborator
+(:class:`repro.driver.passmanager.FaultPolicy`; this package never
+imports the driver).  The manager calls it for poison lookups, the
+watchdog, translation validation, rollback, and — once per pass, with
+every unit that failed — containment (poison, bisect, reduce, report).
 """
 
 from __future__ import annotations
@@ -21,7 +44,9 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional, Protocol, Sequence
 
+from ..bitcode import write_bytecode
 from ..core.module import Function, Module
+from ..core.printer import print_function
 from ..core.verifier import verify_function, verify_module
 
 
@@ -34,18 +59,33 @@ class ChangedFlagLie(Exception):
         self.pass_name = pass_name
 
 
-def _module_digest(module: Module) -> bytes:
-    """Cheap change detector: a hash of the serialized module.
+def snapshot_module(module: Module) -> bytes:
+    """A module unit's snapshot and digest: deterministic bytecode."""
+    return write_bytecode(module, strip_names=False)
 
-    Bytecode rather than text, because the bytecode carries flags the
-    printer does not (function purity), so a pass cannot change
-    anything observable without moving the digest.
+
+def snapshot_function(function: Function) -> str:
+    """A function unit's snapshot and digest: the function's text.
+
+    Text rather than a structural clone because it is what the digest
+    comparison needs anyway, it costs nothing to keep across passes,
+    and the print -> parse round trip is byte-exact (pinned by the
+    differential fuzzer), so it can faithfully rebuild the function on
+    the rare rollback path.
     """
-    from hashlib import sha256
+    return print_function(function)
 
-    from ..bitcode import write_bytecode
 
-    return sha256(write_bytecode(module, strip_names=False)).digest()
+def is_level_stat(name: str) -> bool:
+    """Is ``name`` a level (a rate, an average, a loaded-rule count)
+    rather than a counter?  Levels from several sources are never
+    added together — ``-stats`` merges and the daemon's totals both
+    ask here."""
+    return name.endswith(("-pct", "-avg-us", "rules-loaded", "rules_loaded"))
+
+
+def pass_name(pass_obj) -> str:
+    return getattr(pass_obj, "name", type(pass_obj).__name__)
 
 
 class FunctionPass(Protocol):
@@ -85,12 +125,21 @@ class PassManager:
     """Runs a sequence of module/function passes over a module."""
 
     def __init__(self, verify_each: bool = False,
-                 timings: Optional[PassTimings] = None):
+                 timings: Optional[PassTimings] = None, policy=None):
         self.passes: list[object] = []
         self.verify_each = verify_each
         # A caller may pass a shared sink so one -time-passes report
         # covers every manager a driver invocation creates.
         self.timings = timings if timings is not None else PassTimings()
+        #: The containment collaborator, or None: failures propagate.
+        self.policy = policy
+        #: Units poisoned during this manager's run() calls — what the
+        #: degradation ladder consults.
+        self.poisoned_in_run = 0
+        #: Snapshots describing the module's *current* state, by unit
+        #: (function name; None for the module): the change-detection
+        #: digest and the rollback source in one.
+        self._digests: dict = {}
 
     def add(self, pass_obj) -> "PassManager":
         if not hasattr(pass_obj, "run_on_function") and not hasattr(pass_obj, "run_on_module"):
@@ -99,30 +148,94 @@ class PassManager:
         return self
 
     def run(self, module: Module) -> bool:
+        policy = self.policy
+        # The digests only describe mutations made through this manager;
+        # between run() calls other components may touch the module.
+        self._digests.clear()
         changed = False
-        digest = _module_digest(module) if self.verify_each else None
         for pass_obj in self.passes:
-            name = getattr(pass_obj, "name", type(pass_obj).__name__)
+            name = pass_name(pass_obj)
+            if policy is not None and policy.is_poisoned(name, module.name):
+                policy.count("passes.skipped")
+                continue
             start = time.perf_counter()
-            if hasattr(pass_obj, "run_on_module"):
-                this_changed = pass_obj.run_on_module(module)
-            else:
-                this_changed = False
-                for function in list(module.defined_functions()):
-                    if pass_obj.run_on_function(function):
-                        this_changed = True
-            # Timed before the audit below: digest/verify overhead is
-            # the manager's, not the pass's.
+            module_pass = hasattr(pass_obj, "run_on_module")
+            units = [None] if module_pass else list(module.defined_functions())
+            #: (unit, error, snapshot) of every unit that failed.
+            failures: list = []
+            # The pass's fault-injection site fires before any unit is
+            # touched, so there is nothing to roll back.  A function
+            # pass carries on: its sweep doubles as the retry.  A
+            # module pass has no smaller unit to retry.
+            fault = policy.injected_fault(name) if policy is not None else None
+            if fault is not None:
+                failures.append((None, fault, None))
+                if module_pass:
+                    units = []
+            for unit in units:
+                changed |= self._run_unit(pass_obj, name, module, unit,
+                                          failures)
+            if failures:
+                self.poisoned_in_run += policy.contain(pass_obj, name,
+                                                       module, failures)
+            # Tracking and containment work (rollback, bisection,
+            # reduction) bills to the pass that caused it.
             self.timings.record(name, time.perf_counter() - start)
-            changed |= this_changed
-            if self.verify_each:
-                post = _module_digest(module)
-                if post != digest:
-                    if not this_changed:
-                        raise ChangedFlagLie(name)
-                    verify_module(module)
-                digest = post
         return changed
+
+    def _run_unit(self, pass_obj, name: str, module: Module,
+                  function: Optional[Function], failures: list) -> bool:
+        """One unit of one pass (see the module docstring); returns the
+        pass's changed claim, or False for a unit that was rolled back."""
+        policy = self.policy
+        if function is not None:
+            unit, target = function.name, function
+            run, snapshot, verify = (pass_obj.run_on_function,
+                                     snapshot_function, verify_function)
+            if policy is not None and policy.is_poisoned(name, module.name,
+                                                         unit):
+                return False
+        else:
+            unit, target = None, module
+            run, snapshot, verify = (pass_obj.run_on_module,
+                                     snapshot_module, verify_module)
+        tracking = self.verify_each or policy is not None
+        before = None
+        if tracking:
+            before = self._digests.get(unit)
+            if before is None:
+                before = self._digests[unit] = snapshot(target)
+        try:
+            if policy is not None:
+                with policy.watchdog():
+                    claimed = bool(run(target))
+            else:
+                claimed = bool(run(target))
+            # Without verify_each an honest "no change" costs nothing:
+            # the flag is kept honest project-wide by the verify_each
+            # audit below and by the fuzzer.
+            if not tracking or not (claimed or self.verify_each):
+                return claimed
+            after = snapshot(target)
+            if after == before:
+                return claimed  # over-reported: skip re-verify and tvalid
+            if not claimed:
+                raise ChangedFlagLie(name)
+            verify(target)
+            if function is None:
+                self._digests.clear()  # function bodies may have moved
+            else:
+                if policy is not None:
+                    policy.validate_function(name, module, function, before)
+                self._digests.pop(None, None)
+            self._digests[unit] = after
+            return True
+        except Exception as error:
+            if policy is None:
+                raise
+            policy.rollback(module, function, before)
+            failures.append((unit, error, before))
+            return False
 
     def statistics(self) -> dict[str, dict[str, int]]:
         """Aggregate per-pass counters (the ``lc-opt -stats`` report).
@@ -130,7 +243,8 @@ class PassManager:
         A pass participates either by defining ``statistics() -> dict``
         or by carrying a ``stats`` object whose integer attributes are
         taken as counters.  Counters from repeated runs of a pass with
-        the same name are summed.
+        the same name are summed; levels (:func:`is_level_stat`) are
+        not — two InstCombine instances load the same 52 rules.
         """
         merged: dict[str, dict[str, int]] = {}
         for pass_obj in self.passes:
@@ -149,10 +263,11 @@ class PassManager:
                             counters[attr] = value
             if not counters:
                 continue
-            name = getattr(pass_obj, "name", type(pass_obj).__name__)
-            bucket = merged.setdefault(name, {})
+            bucket = merged.setdefault(pass_name(pass_obj), {})
             for counter, value in counters.items():
-                bucket[counter] = bucket.get(counter, 0) + value
+                if not is_level_stat(counter):
+                    value += bucket.get(counter, 0)
+                bucket[counter] = value
         return merged
 
     def run_until_fixpoint(self, module: Module, max_iterations: int = 8) -> int:

@@ -23,7 +23,7 @@ from repro.bitcode import (
 from repro.core import parse_module, print_module, verify_module
 from repro.driver import (
     BytecodeCache, CrashReport, FaultPolicy, LifelongSession,
-    TransactionalPassManager, compile_and_link, optimize_module,
+    compile_and_link, optimize_module,
     restore_module, snapshot_module,
 )
 from repro.driver.passmanager import PassBudgetExceeded
@@ -34,7 +34,7 @@ from repro.fuzz import (
     run_interpreter,
 )
 from repro.fuzz import faultinject
-from repro.transforms import PromoteMem2Reg, SimplifyCFG
+from repro.transforms import PassManager, PromoteMem2Reg, SimplifyCFG
 
 SRC = """
 extern int print_int(int x);
@@ -113,12 +113,12 @@ class SpinPass:
 # The transactional pass manager (tentpole part 1)
 # ----------------------------------------------------------------------
 
-class TestTransactionalPassManager:
+class TestContainedPassManager:
     def test_throwing_pass_rolls_back_and_pipeline_continues(self, tmp_path):
         """The golden crash-containment test of ISSUE 5."""
         policy = FaultPolicy(crash_dir=str(tmp_path))
         module = fresh_module()
-        manager = TransactionalPassManager(policy)
+        manager = PassManager(policy=policy)
         manager.add(SimplifyCFG())
         manager.add(EvilFunctionPass("main"))
         manager.add(PromoteMem2Reg())
@@ -148,7 +148,7 @@ class TestTransactionalPassManager:
     def test_crash_report_written_to_crash_dir(self, tmp_path):
         policy = FaultPolicy(crash_dir=str(tmp_path))
         module = fresh_module()
-        manager = TransactionalPassManager(policy)
+        manager = PassManager(policy=policy)
         manager.add(EvilFunctionPass("main"))
         manager.run(module)
 
@@ -167,7 +167,7 @@ class TestTransactionalPassManager:
         function is poisoned for the failing pass."""
         policy = FaultPolicy(reduce_testcases=False)
         module = fresh_module()
-        manager = TransactionalPassManager(policy)
+        manager = PassManager(policy=policy)
         manager.add(EvilFunctionPass("victim"))
         manager.run(module)
 
@@ -179,7 +179,7 @@ class TestTransactionalPassManager:
     def test_poisoned_function_is_skipped_on_rerun(self):
         policy = FaultPolicy(reduce_testcases=False)
         module = fresh_module()
-        manager = TransactionalPassManager(policy)
+        manager = PassManager(policy=policy)
         manager.add(EvilFunctionPass("victim"))
         manager.run(module)
         manager.run(module)  # the second run must not crash again
@@ -188,7 +188,7 @@ class TestTransactionalPassManager:
     def test_module_pass_bisection_names_guilty_function(self):
         policy = FaultPolicy()
         module = fresh_module()
-        manager = TransactionalPassManager(policy)
+        manager = PassManager(policy=policy)
         manager.add(EvilModulePass())
         manager.run(module)
 
@@ -203,7 +203,7 @@ class TestTransactionalPassManager:
         policy = FaultPolicy(reduce_testcases=False)
         module = fresh_module()
         before = print_module(module)
-        manager = TransactionalPassManager(policy)
+        manager = PassManager(policy=policy)
         manager.add(CorruptingPass())
         manager.run(module)
 
@@ -216,7 +216,7 @@ class TestTransactionalPassManager:
         policy = FaultPolicy(pass_step_budget=5_000, pass_time_budget=5.0,
                              reduce_testcases=False)
         module = fresh_module()
-        manager = TransactionalPassManager(policy)
+        manager = PassManager(policy=policy)
         manager.add(SpinPass())
         manager.run(module)
 
@@ -288,7 +288,7 @@ class TestPerFunctionTransactions:
                              translation_validate=False)
         module = fresh_module()
         victim_before = print_module(module).split("\n\n")
-        manager = TransactionalPassManager(policy)
+        manager = PassManager(policy=policy)
         manager.add(MutateThenThrow())
         manager.run(module)
 
@@ -311,7 +311,7 @@ class TestPerFunctionTransactions:
         policy = FaultPolicy(reduce_testcases=False)
         sink = PassTimings()
         module = fresh_module()
-        manager = TransactionalPassManager(policy, timings=sink)
+        manager = PassManager(policy=policy, timings=sink)
         manager.add(SimplifyCFG())
         manager.add(EvilFunctionPass("victim"))
         manager.add(PromoteMem2Reg())
@@ -320,6 +320,180 @@ class TestPerFunctionTransactions:
         assert sink.runs == {"simplifycfg": 1, "evil": 1, "mem2reg": 1}
         # The crashing pass's containment overhead is its own bill.
         assert sink.seconds["evil"] > 0.0
+
+
+class TestOneManager:
+    """ISSUE 12: one PassManager, containment as a collaborator.  Each
+    of the first three tests fails on the plain/transactional fork."""
+
+    LIAR_IR = """
+int %f() {
+entry:
+  %dead = add int 1, 2
+  ret int 0
+}
+"""
+
+    def test_verify_each_composes_with_policy(self):
+        """A pass that mutates while claiming "no change" used to ship
+        unverified IR under a policy (only the other manager audited
+        the flag).  Now it is rolled back, poisoned and reported."""
+        from repro.transforms import FunctionPassAdaptor
+
+        def liar(function):
+            function.entry_block.instructions[0].erase_from_parent()
+            return False  # the lie
+
+        policy = FaultPolicy(reduce_testcases=False)
+        module = parse_module(self.LIAR_IR)
+        before = write_bytecode(module, strip_names=False)
+        manager = PassManager(verify_each=True, policy=policy)
+        manager.add(FunctionPassAdaptor(liar, "liar"))
+        assert manager.run(module) is False
+
+        assert write_bytecode(module, strip_names=False) == before
+        assert policy.is_poisoned("liar", module.name, "f")
+        (report,) = policy.crash_reports
+        assert report.error_type == "ChangedFlagLie"
+        assert report.pass_name == "liar" and report.function == "f"
+        assert policy.statistics()["passes.rolled_back"] == 1
+
+    def _opt(self, tmp_path, capsys, *flags):
+        from repro.tools import lc_cc, lc_opt
+
+        source = tmp_path / "gzip.lc"
+        if not source.exists():
+            from repro.benchsuite import load_source
+
+            source.write_text(load_source("gzip"))
+            assert lc_cc([str(source), "-c",
+                          "-o", str(tmp_path / "in.bc")]) == 0
+        out = tmp_path / "out.bc"
+        assert lc_opt([str(tmp_path / "in.bc"), "-O", "2", "-c",
+                       "-o", str(out), *flags]) == 0
+        return out.read_bytes(), capsys.readouterr().err
+
+    def test_fault_tolerant_stats_keep_the_per_pass_rows(self, tmp_path,
+                                                         capsys):
+        """`lc-opt -O2 --fault-tolerant -stats` used to lose every
+        per-pass counter: the ladder kept its managers to itself."""
+        _, plain = self._opt(tmp_path, capsys, "-stats")
+        _, contained = self._opt(tmp_path, capsys, "-stats",
+                                 "--fault-tolerant")
+
+        def rows(err):
+            return [line for line in err.splitlines()
+                    if line[:8].strip().isdigit()
+                    and "fault-policy" not in line]
+
+        assert rows(plain) == rows(contained)
+        sources = {line.split()[1] for line in rows(plain)}
+        assert {"instcombine", "gvn", "licm", "rangeopt"} <= sources
+        assert any("fault-policy" in line for line in contained.splitlines())
+        # A level, not a counter: -O2's two InstCombine instances load
+        # the same rules (this row once read twice the rule count).
+        from repro.transforms.peephole import load_generated_rules
+
+        (loaded,) = [line for line in rows(plain)
+                     if "generated_rules_loaded" in line]
+        assert int(loaded.split()[0]) == len(load_generated_rules())
+
+    def test_verify_each_and_fault_tolerant_emit_the_same_bytes(
+            self, tmp_path, capsys):
+        """--verify-each was silently ignored next to any fault flag."""
+        audited, _ = self._opt(tmp_path, capsys, "--verify-each")
+        both, err = self._opt(tmp_path, capsys, "--verify-each",
+                              "--fault-tolerant", "-stats")
+        assert audited == both
+        assert "contained" not in err
+        assert self._opt(tmp_path, capsys)[0] == audited
+
+
+class _CallCounter:
+    """Counts calls through one name of the pass manager's namespace."""
+
+    def __init__(self, monkeypatch, name):
+        from repro.transforms import passmanager
+
+        self.calls = 0
+        self._real = getattr(passmanager, name)
+        monkeypatch.setattr(passmanager, name, self)
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self._real(*args, **kwargs)
+
+
+class TestTrackingCostPins:
+    """Operation-count pins (in the style of the O(uses) pins): what the
+    manager prints and serializes on each path, so the plain path's
+    cost cannot drift."""
+
+    @staticmethod
+    def _noop(name):
+        from repro.transforms import FunctionPassAdaptor
+
+        return FunctionPassAdaptor(lambda function: False, name)
+
+    def test_plain_path_never_prints_or_serializes(self, monkeypatch):
+        prints = _CallCounter(monkeypatch, "print_function")
+        writes = _CallCounter(monkeypatch, "write_bytecode")
+        module = fresh_module()
+        optimize_module(module, 2)
+        assert "alloca" not in print_module(module)  # it did run
+        assert (prints.calls, writes.calls) == (0, 0)
+
+    def test_policy_prints_once_per_function_then_once_per_change(
+            self, monkeypatch):
+        from repro.transforms import FunctionPassAdaptor, ModulePassAdaptor
+
+        def rename_victim(function):
+            if function.name != "victim":
+                return False
+            function.blocks[0].name = f"{function.blocks[0].name}.t"
+            return True
+
+        prints = _CallCounter(monkeypatch, "print_function")
+        writes = _CallCounter(monkeypatch, "write_bytecode")
+        module = fresh_module()
+        functions = len(list(module.defined_functions()))
+        after_pass = []  # prints so far, sampled after each real pass
+
+        def sample(module):
+            after_pass.append(prints.calls)
+            return False
+
+        manager = PassManager(policy=FaultPolicy(reduce_testcases=False))
+        for pass_obj in (self._noop("first"), self._noop("second"),
+                         FunctionPassAdaptor(rename_victim, "rename"),
+                         self._noop("last")):
+            manager.add(pass_obj)
+            manager.add(ModulePassAdaptor(sample, f"after-{pass_obj.name}"))
+        manager.run(module)
+        # The first snapshot of every function; nothing for an unclaimed
+        # function after that; exactly one print for the changed one.
+        assert after_pass == [functions, functions,
+                              functions + 1, functions + 1]
+        # The sampling module passes (unclaimed) each snapshot the
+        # module once the function pass before them changed something.
+        assert writes.calls == 2
+
+    def test_verify_each_serializes_only_around_module_passes(
+            self, monkeypatch):
+        from repro.transforms import ModulePassAdaptor
+
+        writes = _CallCounter(monkeypatch, "write_bytecode")
+        module = fresh_module()
+        manager = PassManager(verify_each=True)
+        manager.add(SimplifyCFG())
+        manager.add(PromoteMem2Reg())
+        manager.run(module)
+        assert writes.calls == 0
+
+        manager.add(ModulePassAdaptor(lambda module: False, "ipo-noop"))
+        manager.add(SimplifyCFG())
+        manager.run(fresh_module())
+        assert writes.calls == 2  # before and after the one module pass
 
 
 # ----------------------------------------------------------------------
@@ -378,6 +552,31 @@ class TestDegradationLadder:
         verify_module(module)
         assert run_interpreter(module, STEP_LIMIT) == reference_outcome()
         assert policy.statistics()["passes.rolled_back"] >= 1
+
+
+@pytest.mark.parametrize("program", ["art", "equake", "twolf"])
+def test_every_mode_emits_identical_bytecode(program):
+    """Tracking only observes: -O2 + LTO plain, audited (verify_each),
+    contained (a FaultPolicy) and both produce the same bytes, and
+    nothing is rolled back on the way."""
+    from repro.benchsuite import load_source
+
+    source = load_source(program)
+
+    def build(verify_each, contained):
+        policy = FaultPolicy(reduce_testcases=False) if contained else None
+        module = compile_and_link([source], program, 2, lto=True,
+                                  verify_each=verify_each, policy=policy)
+        if policy is not None:
+            stats = policy.statistics()
+            assert stats["passes.rolled_back"] == 0
+            assert stats["crashes.reported"] == 0
+        return write_bytecode(module, strip_names=False)
+
+    plain = build(False, False)
+    assert build(True, False) == plain
+    assert build(False, True) == plain
+    assert build(True, True) == plain
 
 
 # ----------------------------------------------------------------------
@@ -627,6 +826,36 @@ class TestLifelongFaultTolerance:
         assert session.run().exit_value == before  # rolled back, still runs
         assert any(r.pass_name == "reoptimizer"
                    for r in policy.crash_reports)
+
+    def test_reoptimizer_crash_report_is_a_real_one(self, monkeypatch):
+        """The reoptimizer is a module-pass transaction of the one
+        manager: its crash report carries the traceback (the hand-rolled
+        containment it replaces shipped an empty one) and the module is
+        byte-identical to its pre-reoptimization self."""
+        policy = FaultPolicy(reduce_testcases=False)
+        session = LifelongSession([SRC], level=1, fault_policy=policy)
+        session.run()
+        before = write_bytecode(session.module, strip_names=False)
+        shipped = session.bytecode
+
+        from repro.profile import OfflineReoptimizer
+
+        def boom(self, module, profile, **kwargs):
+            module.functions["main"].delete_body()  # half-done rewrite
+            raise RuntimeError("reoptimizer bug")
+
+        monkeypatch.setattr(OfflineReoptimizer, "run", boom)
+        session.reoptimize()
+        (report,) = policy.crash_reports
+        assert report.pass_name == "reoptimizer"
+        assert report.error_type == "RuntimeError"
+        assert "reoptimizer bug" in report.traceback
+        assert "boom" in report.traceback
+        assert write_bytecode(session.module, strip_names=False) == before
+        assert session.bytecode == shipped
+        stats = policy.statistics()
+        assert stats["passes.rolled_back"] == 1
+        assert stats["crashes.reported"] == 1
 
     def test_without_policy_reoptimizer_crash_propagates(self, monkeypatch):
         session = LifelongSession([SRC], level=1)

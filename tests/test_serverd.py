@@ -409,6 +409,31 @@ class TestObservability:
         misses = stats.get("serverd.cache-misses", 0)
         assert hits >= 1 and misses >= 1
 
+    def test_levels_are_merged_not_summed(self, server):
+        """Rates and loaded-rule counts are levels: the daemon's totals
+        derive the hit rate from the summed raw counts and merge
+        ``synth.rules-loaded`` as the one value every compile reports
+        (summing per-request deltas once read 133 % and 2340 rules)."""
+        from repro.driver import FaultPolicy
+
+        policy = FaultPolicy(reduce_testcases=False)
+        compile_and_link([PROGRAMS[0]], policy=policy)
+        rules = policy.statistics()["synth.rules-loaded"]
+        assert rules > 0
+        with make_client(server) as client:
+            for index in (0, 1, 0, 1, 0):  # two cold, three warm
+                client.compile([PROGRAMS[index]])
+            stats = client.stats()
+        hits = stats["serverd.cache-hits"]
+        misses = stats["serverd.cache-misses"]
+        assert hits >= 1 and misses >= 1
+        assert 0 <= stats["serverd.cache-hit-rate-pct"] <= 100
+        assert stats["serverd.cache-hit-rate-pct"] \
+            == 100 * hits // (hits + misses)
+        assert stats["serverd.synth.rules-loaded"] == rules
+        # Averages of one worker's latencies do not add across workers.
+        assert "serverd.cache-lookup-avg-us" not in stats
+
 
 class TestDrain:
     def test_sigterm_drains_in_flight_requests(self, tmp_path):

@@ -7,11 +7,11 @@ import pytest
 
 from repro.core import parse_module, types
 from repro.core.values import ConstantInt
-from repro.driver import FaultPolicy, TransactionalPassManager
+from repro.driver import FaultPolicy
 from repro.driver.pipelines import optimize_module
 from repro.execution.interpreter import Interpreter
 from repro.transforms import (
-    DeadCodeElimination, GVN, InstCombine, Reassociate, SCCP,
+    DeadCodeElimination, GVN, InstCombine, PassManager, Reassociate, SCCP,
 )
 from repro.tvalid import (
     FAILED, PASSED, SKIPPED_UNSUPPORTED, TranslationValidator,
@@ -380,7 +380,7 @@ def _corrupt_reassociate(function):
 def test_planted_wrong_fold_caught_and_rolled_back(base_cls, corrupt):
     module = parse_module(PLANT_SOURCE)
     policy = FaultPolicy(translation_validate=True, reduce_testcases=False)
-    manager = TransactionalPassManager(policy)
+    manager = PassManager(policy=policy)
     manager.add(_plant(base_cls, corrupt))
     manager.run(module)
 
@@ -401,7 +401,7 @@ def test_correct_passes_validate_cleanly():
     """The same passes, unplanted, over the same input: all green."""
     module = parse_module(PLANT_SOURCE)
     policy = FaultPolicy(translation_validate=True, reduce_testcases=False)
-    manager = TransactionalPassManager(policy)
+    manager = PassManager(policy=policy)
     for pass_obj in (SCCP(), GVN(), Reassociate(), InstCombine()):
         manager.add(pass_obj)
     manager.run(module)
@@ -432,7 +432,7 @@ entry:
 }
 """)
     policy = FaultPolicy(translation_validate=True)
-    manager = TransactionalPassManager(policy)
+    manager = PassManager(policy=policy)
     manager.add(InstCombine(unsafe_cast_fold=True))
     manager.run(module)
 
