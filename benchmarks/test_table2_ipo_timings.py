@@ -60,7 +60,8 @@ def _run_table() -> list[tuple]:
         inline_seconds, inliner = _time_pass(FunctionInlining, _fresh_linked(info.name))
         compile_seconds = _full_compile_seconds(info.name)
         rows.append((info.spec_name, dge_seconds, dae_seconds, inline_seconds,
-                     compile_seconds, dge.stats, dae.stats, inliner.stats))
+                     compile_seconds, dge.counters, dae.counters,
+                     inliner.counters))
     return rows
 
 
@@ -112,10 +113,10 @@ def test_table2_transformation_counts():
         inliner.run_on_module(module)
         dge = DeadGlobalElimination()
         dge.run_on_module(module)
-        total_inlined += inliner.stats.calls_inlined
-        total_globals_deleted += dge.stats.globals_deleted
-        total_functions_deleted += (dge.stats.functions_deleted
-                                    + inliner.stats.functions_deleted)
+        total_inlined += inliner.counters["calls_inlined"]
+        total_globals_deleted += dge.counters["globals_deleted"]
+        total_functions_deleted += (dge.counters["functions_deleted"]
+                                    + inliner.counters["functions_deleted"])
     report(f"\ninlined calls: {total_inlined}, functions deleted: "
           f"{total_functions_deleted}, globals deleted: {total_globals_deleted}")
     assert total_inlined > 50, "the inliner should fire across the suite"

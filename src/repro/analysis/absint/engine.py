@@ -381,8 +381,12 @@ class ValueFacts:
         return lines
 
 
-def analyze_function(function, call_range: Optional[CallRangeHook] = None,
-                     narrowing_sweeps: int = 2) -> ValueFacts:
+#: Narrowing sweeps after the widened fixpoint (see below).
+_NARROWING_SWEEPS = 2
+
+
+def analyze_function(function,
+                     call_range: Optional[CallRangeHook] = None) -> ValueFacts:
     """Run the engine over one function and return its facts."""
     analysis = _RangeAnalysis(function, call_range)
     result = solve_sparse(analysis, function)
@@ -401,7 +405,7 @@ def analyze_function(function, call_range: Optional[CallRangeHook] = None,
         elements[value] = element
         return element
 
-    for _ in range(max(0, narrowing_sweeps)):
+    for _ in range(_NARROWING_SWEEPS):
         for block in reverse_postorder(function):
             for inst in block.instructions:
                 old = elements.get(inst)

@@ -32,16 +32,13 @@ class CallGraphNode:
 class CallGraph:
     """The module's call graph."""
 
-    def __init__(self, module: Module, assume_closed: bool = False):
-        """``assume_closed``: treat the module as a whole program whose
-        only outside entry point is ``main`` (the link-time situation of
-        paper section 3.3)."""
+    def __init__(self, module: Module):
         self.module = module
         self.nodes: dict[str, CallGraphNode] = {}
         self._address_taken: set[str] = set()
-        self._build(assume_closed)
+        self._build()
 
-    def _build(self, assume_closed: bool) -> None:
+    def _build(self) -> None:
         for function in self.module.functions.values():
             self.nodes[function.name] = CallGraphNode(function)
         for function in self.module.functions.values():
@@ -73,14 +70,8 @@ class CallGraph:
             node = self.nodes[function.name]
             if function.name in self._address_taken:
                 node.has_unknown_callers = True
-            if not function.is_internal and not (
-                assume_closed and function.name != "main"
-            ):
+            if not function.is_internal:
                 node.has_unknown_callers = True
-        if assume_closed:
-            main = self.module.functions.get("main")
-            if main is not None:
-                self.nodes[main.name].has_unknown_callers = True
 
     def _scan_address_taken(self, function: Function) -> None:
         for inst in function.instructions():

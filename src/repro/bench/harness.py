@@ -210,9 +210,9 @@ def _bench_program(name: str, sources: list[str], config: BenchConfig,
         elapsed = time.perf_counter() - start
         if iteration >= warmup:
             pipeline_samples.append(elapsed)
-            for pass_name, seconds in manager.timings.seconds.items():
+            for pass_name, seconds in manager.stats.seconds.items():
                 pass_samples.setdefault(pass_name, []).append(seconds)
-                pass_runs[pass_name] = manager.timings.runs[pass_name]
+                pass_runs[pass_name] = manager.stats.runs[pass_name]
     table.record(f"pipeline.O{level}", name,
                  statistics.median(pipeline_samples))
     for pass_name, samples in pass_samples.items():

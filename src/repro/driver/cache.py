@@ -52,6 +52,7 @@ from typing import Optional
 from ..bitcode import read_bytecode, write_bytecode
 from ..bitcode.writer import VERSION as BYTECODE_VERSION
 from ..core.module import Module
+from ..stats import Stats
 
 #: Bump when the standard pipelines change in a way that alters the IR
 #: they produce; it participates in every cache key, so old entries are
@@ -88,6 +89,14 @@ def _fault_hooks():
     return faultinject
 
 
+def hit_rate_pct(rows: dict) -> int:
+    """The hit percentage of the cache's counters.  A rate is derived
+    from sums, never stored or added: the daemon applies this to the
+    totals over all of its workers."""
+    lookups = rows["cache-hits"] + rows["cache-misses"]
+    return 100 * rows["cache-hits"] // lookups if lookups else 0
+
+
 def toolchain_fingerprint() -> str:
     """The version component of every cache key."""
     return f"lc-bc{BYTECODE_VERSION}-pipe{PIPELINE_VERSION}"
@@ -117,19 +126,16 @@ class BytecodeCache:
         self._memory: OrderedDict[str, bytes] = OrderedDict()
         self._memory_text: dict[str, str] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self.evictions = 0
-        self.lru_evictions = 0
-        self.summary_hits = 0
-        self.summary_misses = 0
-        self.summary_stores = 0
-        self.summary_evictions = 0
-        self._lookup_ns = 0
-        self._lookups = 0
-        self._store_ns = 0
-        self._stores_timed = 0
+        #: The cache's ``-stats`` rows, under :attr:`name`, and the
+        #: seconds and runs of ``cache-lookup`` / ``cache-store``.
+        self.stats = Stats()
+        self.stats.declare(
+            self.name, "cache-hits", "cache-misses", "cache-stores",
+            "cache-evictions", "cache-lru-evictions", "summary-hits",
+            "summary-misses", "summary-stores", "summary-evictions")
+
+    def _count(self, name: str, delta: int = 1) -> None:
+        self.stats.count(self.name, name, delta)
 
     # -- keys ---------------------------------------------------------------
 
@@ -164,7 +170,7 @@ class BytecodeCache:
         file mtime on disk), which is what the LRU eviction of a
         bounded cache orders by.
         """
-        started = time.perf_counter_ns()
+        started = time.perf_counter()
         if self.directory is None:
             with self._lock:
                 data = self._memory.get(key)
@@ -191,19 +197,14 @@ class BytecodeCache:
             data = _unframe(data)
             if data is None:
                 self.invalidate(key)
-        with self._lock:
-            if data is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            self._lookups += 1
-            self._lookup_ns += time.perf_counter_ns() - started
+        self._count("cache-misses" if data is None else "cache-hits")
+        self.stats.time("cache-lookup", time.perf_counter() - started)
         return data
 
     def store_bytes(self, key: str, data: bytes) -> None:
         """Store an artifact atomically (last writer wins); with
         ``max_bytes`` set, then evict LRU entries past the budget."""
-        started = time.perf_counter_ns()
+        started = time.perf_counter()
         data = _frame(data)
         if self.directory is None:
             with self._lock:
@@ -223,10 +224,8 @@ class BytecodeCache:
                     pass
                 raise
         self._enforce_budget(keep=key)
-        with self._lock:
-            self.stores += 1
-            self._stores_timed += 1
-            self._store_ns += time.perf_counter_ns() - started
+        self._count("cache-stores")
+        self.stats.time("cache-store", time.perf_counter() - started)
 
     # -- bounded-cache eviction ---------------------------------------------
 
@@ -289,8 +288,7 @@ class BytecodeCache:
                 total -= size
                 evicted += 1
         if evicted:
-            with self._lock:
-                self.lru_evictions += evicted
+            self._count("cache-lru-evictions", evicted)
 
     def invalidate(self, key: str) -> bool:
         """Drop one entry (used by the reoptimizer when it rewrites the
@@ -304,8 +302,7 @@ class BytecodeCache:
             except OSError:
                 existed = False
         if existed:
-            with self._lock:
-                self.evictions += 1
+            self._count("cache-evictions")
         return existed
 
     # -- sidecar text artifacts ---------------------------------------------
@@ -327,11 +324,7 @@ class BytecodeCache:
                 text = None
         if text is not None:
             text = _fault_hooks().mangle_text("sidecar.corrupt", text)
-        with self._lock:
-            if text is None:
-                self.summary_misses += 1
-            else:
-                self.summary_hits += 1
+        self._count("summary-misses" if text is None else "summary-hits")
         return text
 
     def store_text(self, key: str, text: str) -> None:
@@ -351,8 +344,7 @@ class BytecodeCache:
                 except OSError:
                     pass
                 raise
-        with self._lock:
-            self.summary_stores += 1
+        self._count("summary-stores")
 
     def evict_text(self, key: str) -> bool:
         """Drop one sidecar (used when its content is unparseable —
@@ -366,8 +358,7 @@ class BytecodeCache:
             except OSError:
                 existed = False
         if existed:
-            with self._lock:
-                self.summary_evictions += 1
+            self._count("summary-evictions")
         return existed
 
     # -- modules ------------------------------------------------------------
@@ -390,9 +381,8 @@ class BytecodeCache:
             # BytecodeError (truncation, corruption, unsupported newer
             # version) and anything else alike: the load_bytes hit was
             # illusory — reclassify it and evict.
-            with self._lock:
-                self.hits -= 1
-                self.misses += 1
+            self._count("cache-hits", -1)
+            self._count("cache-misses")
             self.invalidate(key)
             return None
 
@@ -412,25 +402,14 @@ class BytecodeCache:
         rates a daemon operator actually watches: the hit percentage
         and the average lookup and store latency in microseconds.
         """
-        with self._lock:
-            lookups = self.hits + self.misses
-            return {
-                "cache-hits": self.hits,
-                "cache-misses": self.misses,
-                "cache-stores": self.stores,
-                "cache-evictions": self.evictions,
-                "cache-lru-evictions": self.lru_evictions,
-                "cache-hit-rate-pct": (100 * self.hits // lookups
-                                       if lookups else 0),
-                "cache-lookup-avg-us": (self._lookup_ns // self._lookups
-                                        // 1000 if self._lookups else 0),
-                "cache-store-avg-us": (self._store_ns // self._stores_timed
-                                       // 1000 if self._stores_timed else 0),
-                "summary-hits": self.summary_hits,
-                "summary-misses": self.summary_misses,
-                "summary-stores": self.summary_stores,
-                "summary-evictions": self.summary_evictions,
-            }
+        rows = self.stats.view(self.name)
+        rows["cache-hit-rate-pct"] = hit_rate_pct(rows)
+        for activity in ("cache-lookup", "cache-store"):
+            runs = self.stats.runs.get(activity, 0)
+            rows[f"{activity}-avg-us"] = (
+                int(self.stats.seconds[activity] * 1e6) // runs
+                if runs else 0)
+        return rows
 
     def __len__(self) -> int:
         if self.directory is None:

@@ -43,14 +43,12 @@ class LifelongSession:
 
     def __init__(self, sources: Sequence[str], name: str = "program",
                  level: int = 2, cache: Optional[BytecodeCache] = None,
-                 jobs: int = 1,
                  fault_policy: Optional[FaultPolicy] = None,
                  jit_traces: bool = False, trace_threshold: int = 50):
         self.cache = cache
         self._sources = list(sources)
         self._name = name
         self._level = level
-        self._jobs = jobs
         #: Fault-tolerant execution policy for every compile in this
         #: session (initial build and reoptimizations alike): a session
         #: that lives forever must outlive its own components' bugs.
@@ -62,8 +60,7 @@ class LifelongSession:
             cache.key("\0".join(sources) + "\0" + name, level, tag="program")
             if cache is not None else None
         )
-        self.module = compile_and_link(sources, name, level,
-                                       cache=cache, jobs=jobs,
+        self.module = compile_and_link(sources, name, level, cache=cache,
                                        policy=fault_policy)
         #: The persistent representation shipped with the executable.
         self.bytecode = write_bytecode(self.module)
@@ -132,7 +129,7 @@ class LifelongSession:
 
         return lint_whole_program(self._sources, name=self._name,
                                   level=self._level, checks=checks,
-                                  cache=self.cache, jobs=self._jobs)
+                                  cache=self.cache)
 
     def reoptimize(self, **kwargs) -> ReoptimizationReport:
         """The idle-time pass: consume the accumulated profile.

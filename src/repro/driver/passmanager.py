@@ -56,6 +56,7 @@ from typing import Optional
 from ..bitcode import read_bytecode
 from ..core.module import Module
 from ..core.verifier import verify_module
+from ..stats import Stats
 from ..transforms.passmanager import (
     PassManager, snapshot_function, snapshot_module,
 )
@@ -113,8 +114,7 @@ class _Watchdog:
     pass; it counts those as *steps* and checks the wall clock every
     256 of them.  Over budget, it raises :class:`PassBudgetExceeded`
     inside the traced frame, which unwinds out of the pass and into the
-    surrounding transaction.  Thread-local (``sys.settrace``), so
-    parallel TU compiles budget independently.
+    surrounding transaction.
     """
 
     def __init__(self, time_budget: float, step_budget: int):
@@ -185,8 +185,7 @@ class FaultPolicy:
 
     One policy instance is threaded through a whole driver invocation
     (all TUs, all pipeline runs), so poisoning decisions and counters
-    aggregate across the build.  Thread-safe: parallel TU compiles
-    share one policy.
+    aggregate across the build.
     """
 
     crash_dir: Optional[str] = None
@@ -217,37 +216,21 @@ class FaultPolicy:
         #: (pass, module, function-or-None) triples banned from running.
         self._poisoned: set = set()
         self._validator: Optional[TranslationValidator] = None
-        self._counters = {
-            "passes.rolled_back": 0,
-            "crashes.reported": 0,
-            "fallbacks.taken": 0,
-            "passes.poisoned": 0,
-            "passes.skipped": 0,
-            "retries.function": 0,
-            "link.retries": 0,
-            "validations.run": 0,
-            "validations.passed": 0,
-            "validations.failed": 0,
-            "validations.skipped-by-size": 0,
-            "validations.skipped-unsupported": 0,
-            "synth.rules-loaded": 0,
-        }
-
-    # -- counters -----------------------------------------------------------
+        #: The policy's ``-stats`` rows, under :attr:`name`.
+        self.stats = Stats()
+        self.stats.declare(
+            self.name, "passes.rolled_back", "crashes.reported",
+            "fallbacks.taken", "passes.poisoned", "passes.skipped",
+            "retries.function", "link.retries", "validations.run",
+            "validations.passed", "validations.failed",
+            "validations.skipped-by-size", "validations.skipped-unsupported")
+        self.stats.gauge(self.name, "synth.rules-loaded", 0)
 
     def count(self, name: str, delta: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + delta
-
-    def gauge(self, name: str, value: int) -> None:
-        """Set a level-style counter (idempotent across pipeline builds)."""
-        with self._lock:
-            self._counters[name] = value
+        self.stats.count(self.name, name, delta)
 
     def statistics(self) -> dict[str, int]:
-        """Counters in the shape the ``-stats`` machinery expects."""
-        with self._lock:
-            return dict(self._counters)
+        return self.stats.view(self.name)
 
     name = "fault-policy"  # the -stats source label
 

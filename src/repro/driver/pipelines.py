@@ -8,7 +8,6 @@ optimization at link time (section 3.3).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Optional, Sequence
 
 from ..core.module import Module
@@ -16,12 +15,12 @@ from ..frontend import compile_source
 from ..linker import link_modules
 from .cache import BytecodeCache
 from .passmanager import FaultPolicy, restore_module, snapshot_module
+from ..stats import Stats
 from ..transforms import (
     AggressiveDCE, ConstantPropagation, DeadCodeElimination, GVN,
     InstCombine, LICM, PassManager, PromoteMem2Reg, RangeOpt, Reassociate,
     SCCP, ScalarReplAggregates, SimplifyCFG, TailRecursionElimination,
 )
-from ..transforms.passmanager import PassTimings
 from ..transforms.ipo import (
     DeadArgumentElimination, DeadGlobalElimination, Devirtualize,
     FunctionInlining, HeapToStackPromotion, Internalize,
@@ -31,17 +30,17 @@ from ..transforms.ipo import (
 
 def standard_pipeline(level: int = 2, verify_each: bool = False,
                       policy: Optional[FaultPolicy] = None,
-                      timings: Optional[PassTimings] = None) -> PassManager:
+                      stats: Optional[Stats] = None) -> PassManager:
     """The per-module pipeline for an optimization level (0-3).
 
     With a :class:`FaultPolicy` a failing pass is contained — rolled
     back, poisoned and reported (docs/ROBUSTNESS.md) — instead of
-    aborting the build.  ``timings`` may supply a shared sink so one
-    ``-time-passes`` report covers every manager a driver invocation
-    creates (each pass execution is recorded exactly once, by the
-    manager that ran it).
+    aborting the build.  ``stats`` may supply a shared record so one
+    ``-stats`` / ``-time-passes`` report covers every manager a driver
+    invocation creates (each pass execution is recorded exactly once,
+    by the manager that ran it).
     """
-    manager = PassManager(verify_each, timings, policy)
+    manager = PassManager(verify_each, stats, policy)
     if level <= 0:
         return manager
     # SSA construction as the paper prescribes: scalar expansion, then
@@ -51,8 +50,8 @@ def standard_pipeline(level: int = 2, verify_each: bool = False,
     manager.add(PromoteMem2Reg())
     combiner = InstCombine()
     if policy is not None:
-        policy.gauge("synth.rules-loaded",
-                     combiner.stats.generated_rules_loaded)
+        policy.stats.gauge(policy.name, "synth.rules-loaded",
+                           len(combiner.generated_rules))
     manager.add(combiner)
     manager.add(SimplifyCFG())
     manager.add(ConstantPropagation())
@@ -78,7 +77,7 @@ def standard_pipeline(level: int = 2, verify_each: bool = False,
 
 def run_ladder(module: Module, level: int = 2, verify_each: bool = False,
                policy: Optional[FaultPolicy] = None,
-               timings: Optional[PassTimings] = None) -> PassManager:
+               stats: Optional[Stats] = None) -> PassManager:
     """Run the standard pipeline in place, degrading on too many
     failures; returns the manager whose attempt stood.
 
@@ -92,35 +91,33 @@ def run_ladder(module: Module, level: int = 2, verify_each: bool = False,
     """
     pristine = snapshot_module(module) if policy is not None else None
     for attempt in range(level, 0, -1):
-        manager = standard_pipeline(attempt, verify_each, policy, timings)
+        manager = standard_pipeline(attempt, verify_each, policy, stats)
         manager.run(module)
         if policy is None \
                 or manager.poisoned_in_run <= policy.max_poisoned_passes:
             return manager
         restore_module(module, pristine)
         policy.count("fallbacks.taken")
-    return standard_pipeline(0, verify_each, policy, timings)
+    return standard_pipeline(0, verify_each, policy, stats)
 
 
 def optimize_module(module: Module, level: int = 2,
                     verify_each: bool = False,
                     policy: Optional[FaultPolicy] = None,
-                    timings: Optional[PassTimings] = None) -> Module:
+                    stats: Optional[Stats] = None) -> Module:
     """Run the standard pipeline in place (see :func:`run_ladder`);
     returns the module."""
-    run_ladder(module, level, verify_each, policy, timings)
+    run_ladder(module, level, verify_each, policy, stats)
     return module
 
 
-def lto_pipeline(internalize: bool = True,
-                 preserved: Sequence[str] = ("main",),
+def lto_pipeline(preserved: Sequence[str] = ("main",),
                  verify_each: bool = False,
                  policy: Optional[FaultPolicy] = None,
-                 timings: Optional[PassTimings] = None) -> PassManager:
+                 stats: Optional[Stats] = None) -> PassManager:
     """The interprocedural pass sequence of the link-time optimizer."""
-    manager = PassManager(verify_each, timings, policy)
-    if internalize:
-        manager.add(Internalize(preserved))
+    manager = PassManager(verify_each, stats, policy)
+    manager.add(Internalize(preserved))
     manager.add(Devirtualize())
     manager.add(IPConstantPropagation())
     manager.add(FunctionInlining())
@@ -132,22 +129,19 @@ def lto_pipeline(internalize: bool = True,
 
 
 def link_time_optimize(module: Module, level: int = 2,
-                       internalize: bool = True,
                        preserved: Sequence[str] = ("main",),
                        verify_each: bool = False,
                        policy: Optional[FaultPolicy] = None,
-                       timings: Optional[PassTimings] = None) -> Module:
+                       stats: Optional[Stats] = None) -> Module:
     """The link-time interprocedural optimizer (paper section 3.3)."""
-    manager = lto_pipeline(internalize, preserved, verify_each, policy,
-                           timings=timings)
+    manager = lto_pipeline(preserved, verify_each, policy, stats)
     manager.run(module)
     if level > 0:
         # A scalar cleanup round over the post-IPO bodies, then one more
         # IPO round to exploit what the cleanup exposed.
-        optimize_module(module, level, verify_each, policy, timings=timings)
+        optimize_module(module, level, verify_each, policy, stats)
         manager.run(module)
-        optimize_module(module, min(level, 2), verify_each, policy,
-                        timings=timings)
+        optimize_module(module, min(level, 2), verify_each, policy, stats)
     return module
 
 
@@ -170,8 +164,7 @@ def lint_whole_program(sources: Sequence[str],
                        filenames: Optional[Sequence[str]] = None,
                        name: str = "program", level: int = 2,
                        checks: Optional[Sequence[str]] = None,
-                       cache: Optional[BytecodeCache] = None,
-                       jobs: int = 1):
+                       cache: Optional[BytecodeCache] = None):
     """The ``lint-wp`` stage: interprocedural lint across all TUs.
 
     Compiles every translation unit (through the bytecode cache when
@@ -190,8 +183,7 @@ def lint_whole_program(sources: Sequence[str],
     sources = list(sources)
     if filenames is None:
         filenames = [f"{name}.tu{index}" for index in range(len(sources))]
-    modules = compile_translation_units(sources, name, level, False,
-                                        cache, jobs)
+    modules = compile_translation_units(sources, name, level, False, cache)
     tables: list[Optional[ModuleAnalysisSummaries]] = [None] * len(sources)
     keys: list[Optional[str]] = [None] * len(sources)
     if cache is not None:
@@ -219,7 +211,8 @@ def lint_whole_program(sources: Sequence[str],
 def _compile_translation_unit(source: str, tu_name: str, level: int,
                               verify_each: bool,
                               cache: Optional[BytecodeCache],
-                              policy: Optional[FaultPolicy] = None) -> Module:
+                              policy: Optional[FaultPolicy] = None,
+                              stats: Optional[Stats] = None) -> Module:
     """One TU through front-end + per-module optimization, or the cache.
 
     A hit deserializes the stored bytecode instead of running the
@@ -234,7 +227,7 @@ def _compile_translation_unit(source: str, tu_name: str, level: int,
             module.name = tu_name
             return module
     module = compile_source(source, tu_name)
-    optimize_module(module, level, verify_each, policy)
+    optimize_module(module, level, verify_each, policy, stats)
     if cache is not None:
         cache.store(key, module)
     return module
@@ -243,28 +236,14 @@ def _compile_translation_unit(source: str, tu_name: str, level: int,
 def compile_translation_units(sources: Sequence[str], name: str = "program",
                               level: int = 2, verify_each: bool = False,
                               cache: Optional[BytecodeCache] = None,
-                              jobs: int = 1,
                               policy: Optional[FaultPolicy] = None,
+                              stats: Optional[Stats] = None,
                               ) -> list[Module]:
-    """The batch front of the driver: every TU to optimized IR.
-
-    Translation units are independent until link time, so with
-    ``jobs > 1`` they compile concurrently; results are always returned
-    in input order, keeping the link order — and therefore the linked
-    module and its bytecode — deterministic regardless of ``jobs``.
-    """
-    sources = list(sources)
-    if jobs > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as executor:
-            return list(executor.map(
-                lambda item: _compile_translation_unit(
-                    item[1], f"{name}.tu{item[0]}", level, verify_each,
-                    cache, policy),
-                enumerate(sources),
-            ))
+    """The batch front of the driver: every TU to optimized IR, in
+    input order (which is the link order)."""
     return [
         _compile_translation_unit(source, f"{name}.tu{index}", level,
-                                  verify_each, cache, policy)
+                                  verify_each, cache, policy, stats)
         for index, source in enumerate(sources)
     ]
 
@@ -292,8 +271,8 @@ def compile_and_link(sources: Iterable[str], name: str = "program",
                      level: int = 2, lto: bool = True,
                      verify_each: bool = False, analyze: bool = False,
                      cache: Optional[BytecodeCache] = None,
-                     jobs: int = 1,
-                     policy: Optional[FaultPolicy] = None) -> Module:
+                     policy: Optional[FaultPolicy] = None,
+                     stats: Optional[Stats] = None) -> Module:
     """Front-end + per-module optimization + link (+ link-time IPO).
 
     ``sources`` are LC translation units.  This is the paper's Figure 4
@@ -307,22 +286,24 @@ def compile_and_link(sources: Iterable[str], name: str = "program",
 
     ``cache`` makes the front of the pipeline incremental: unchanged
     TUs (by content hash) skip the front-end and per-module optimizer
-    and are deserialized from stored bytecode instead.  ``jobs`` sets
-    the number of concurrent TU compilations; both are output-invariant
-    — the linked module is identical with or without them.
+    and are deserialized from stored bytecode instead; the linked
+    module is identical with or without it.
 
     ``policy`` turns on fault-tolerant execution end to end: a failing
     pass is rolled back and reported instead of aborting the build, too
     many failures step the level down (-O2 -> -O1 -> -O0), and a
     transiently failing link is retried once.  See docs/ROBUSTNESS.md.
+
+    ``stats`` receives the seconds, runs and counters of every pass
+    that runs, at compile time and at link time (``lc-cc -stats``).
     """
     sources = list(sources)
     modules = compile_translation_units(sources, name, level, verify_each,
-                                        cache, jobs, policy)
+                                        cache, policy, stats)
     linked = _link_with_retry(modules, name, policy)
     if lto:
         link_time_optimize(linked, level, verify_each=verify_each,
-                           policy=policy)
+                           policy=policy, stats=stats)
     if analyze == "whole-program":
         # lint-wp: the summary-based interprocedural suite over the
         # pre-link TUs (per-file attribution), attached to the program.

@@ -35,12 +35,6 @@ from .interpreter import Interpreter
 from .tracejit import TraceManager
 
 
-class JITStats:
-    def __init__(self):
-        self.functions_in_image = 0
-        self.functions_materialized = 0
-
-
 class JITEngine:
     """Function-at-a-time lazy execution of a bytecode image."""
 
@@ -49,15 +43,15 @@ class JITEngine:
                  preload: Sequence[str] = (), jit_traces: bool = False,
                  trace_threshold: int = 50):
         self.module, self._decoder = read_bytecode_lazy(bytecode)
-        self.stats = JITStats()
-        self.stats.functions_in_image = len(self._decoder.pending_bodies)
+        self.functions_in_image = len(self._decoder.pending_bodies)
+        self.functions_materialized = 0
         #: Names that arrived with a body, decoded or not — the image's
         #: definitions, as opposed to external declarations or typos.
         self._image_names = frozenset(self._decoder.pending_bodies)
         for name in preload:
             target = self.module.functions.get(name)
             if target is not None and self._decoder.materialize(target):
-                self.stats.functions_materialized += 1
+                self.functions_materialized += 1
         self.profile = None
         externals = dict(extra_externals or {})
         if instrument:
@@ -95,7 +89,7 @@ class JITEngine:
         """Decode (and instrument) one function on first call."""
         if not self._decoder.materialize(function):
             return False
-        self.stats.functions_materialized += 1
+        self.functions_materialized += 1
         if self._instrumentation is not None:
             counter_fn = self.module.get_or_insert_function(
                 _counter_type(), "__profile_count"

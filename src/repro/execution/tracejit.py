@@ -108,19 +108,9 @@ class TraceJITStats:
         self.unreconstructed_exits = 0
 
     def statistics(self) -> dict[str, int]:
-        return {
-            "traces-compiled": self.traces_compiled,
-            "trace-entries": self.trace_entries,
-            "trace-iterations": self.trace_iterations,
-            "guard-exits": self.guard_exits,
-            "budget-exits": self.budget_exits,
-            "steps-saved": self.steps_saved,
-            "entry-fallbacks": self.entry_fallbacks,
-            "recordings-aborted": self.recordings_aborted,
-            "traces-evicted": self.traces_evicted,
-            "invalidations": self.invalidations,
-            "unreconstructed-exits": self.unreconstructed_exits,
-        }
+        """The ``-stats`` rows: every counter above, hyphenated."""
+        return {name.replace("_", "-"): value
+                for name, value in vars(self).items()}
 
 
 class CompiledTrace:
@@ -222,14 +212,15 @@ class TraceManager:
     #: more in prologue/writeback than it saves — evict it.
     eviction_window = 32
     min_saved_per_entry = 24
+    #: A recording longer than this many blocks is aborted, and a
+    #: header whose recordings abort this often is blacklisted.
+    max_blocks = 32
+    max_aborts = 3
 
-    def __init__(self, hot_threshold: int = 50, max_blocks: int = 32,
-                 max_aborts: int = 3,
+    def __init__(self, hot_threshold: int = 50,
                  cache: Optional[TraceCache] = None,
                  stats: Optional[TraceJITStats] = None):
         self.hot_threshold = hot_threshold
-        self.max_blocks = max_blocks
-        self.max_aborts = max_aborts
         self.cache = cache if cache is not None else TraceCache()
         self.stats = stats if stats is not None else TraceJITStats()
         self._counts: dict[int, int] = {}

@@ -253,8 +253,11 @@ def _try_delete_instructions(module: Module,
     return module, changed
 
 
-def reduce_module(module: Module, interesting: Predicate,
-                  max_rounds: int = 6) -> Module:
+#: Sweeps over the reducers before :func:`reduce_module` settles.
+_MAX_ROUNDS = 6
+
+
+def reduce_module(module: Module, interesting: Predicate) -> Module:
     """Shrink ``module`` while ``interesting`` holds; returns the
     reduced module (always verifier-clean, always still interesting).
     """
@@ -262,7 +265,7 @@ def reduce_module(module: Module, interesting: Predicate,
         raise ValueError("input module is not interesting; refusing to "
                          "reduce toward nothing")
     module = clone_module(module)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         any_change = False
         for reducer in (_try_drop_function_bodies, _force_branches,
                         _try_delete_instructions, _try_simplify_cfg):

@@ -353,10 +353,11 @@ def _run_evict_race_cell(site, program_seed, source, reference, fault_seed,
                 module = compile_and_link([source], "fault", level=level,
                                           cache=cache, policy=policy)
                 outcome = run_interpreter(module, step_limit)
-            ok = outcome == reference and cache.lru_evictions >= 1
+            evictions = cache.statistics()["cache-lru-evictions"]
+            ok = outcome == reference and evictions >= 1
             detail = "" if ok else (f"expected {reference.describe()}, got "
                                     f"{outcome.describe()} "
-                                    f"({cache.lru_evictions} evictions)")
+                                    f"({evictions} evictions)")
         except Exception as error:
             disarm()
             return FaultOutcome(site, program_seed, False, True,

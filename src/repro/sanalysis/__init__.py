@@ -177,6 +177,8 @@ class StaticCheckSuite:
     def __init__(self, checks: Optional[Sequence[str]] = None):
         self.checks = list(checks) if checks is not None else None
         self.reporter = Reporter()
+        #: Findings per checker, and ``errors`` (the ``-stats`` rows).
+        self.counters: dict[str, int] = {}
 
     @property
     def diagnostics(self) -> list[Diagnostic]:
@@ -188,15 +190,12 @@ class StaticCheckSuite:
 
     def run_on_module(self, module: Module) -> bool:
         run_checkers(module, self.checks, self.reporter)
-        return False
-
-    def statistics(self) -> dict[str, int]:
-        """Per-checker finding counts (the ``lc-opt -stats`` hook)."""
-        stats: dict[str, int] = {}
+        counters = self.counters
+        counters.clear()
         for diag in self.reporter.diagnostics:
-            stats[diag.checker] = stats.get(diag.checker, 0) + 1
-        stats["errors"] = len(self.reporter.errors)
-        return stats
+            counters[diag.checker] = counters.get(diag.checker, 0) + 1
+        counters["errors"] = len(self.reporter.errors)
+        return False
 
 
 __all__ = [

@@ -136,7 +136,7 @@ class Reporter:
 
 def stable_order(diagnostics: list[Diagnostic]) -> list[Diagnostic]:
     """Multi-file ordering: (file, line, checker, …), independent of
-    checker scheduling and ``--jobs`` interleaving."""
+    checker scheduling."""
     return sorted(
         diagnostics,
         key=lambda d: (d.file or "", d.line or 0, d.checker,

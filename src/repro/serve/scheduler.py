@@ -21,7 +21,8 @@ The scheduler is the daemon's load-bearing wall:
   the fault-tolerant driver uses for its own failures) and pauses the
   idle-time reoptimizer; calm restores full optimization.
 
-Everything is observable through :class:`ServerStats` (``serverd.*``).
+Everything is observable through the supervisor's
+:class:`~repro.stats.Stats` record (``serverd.*``).
 """
 
 from __future__ import annotations
@@ -33,66 +34,23 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..transforms.passmanager import is_level_stat
+from ..stats import Stats
 from . import protocol
 from .workers import WorkerHandle
 
 
-class ServerStats:
-    """The daemon's ``-stats`` source: one lock, monotonic counters."""
+#: The ``-stats`` source of the supervisor's own rows.  Rows merged in
+#: from workers keep their sources (``bytecode-cache``,
+#: ``fault-policy``); :meth:`repro.serve.server.Server.statistics`
+#: flattens all of them into ``serverd.*``.
+SOURCE = "serverd"
 
-    name = "serverd"
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._counters: dict[str, int] = {
-            "serverd.accepted": 0,
-            "serverd.completed": 0,
-            "serverd.failed": 0,
-            "serverd.shed": 0,
-            "serverd.timed-out": 0,
-            "serverd.retried": 0,
-            "serverd.degraded": 0,
-            "serverd.degraded-requests": 0,
-            "serverd.recovered": 0,
-            "serverd.worker-crashes": 0,
-            "serverd.worker-restarts": 0,
-            "serverd.protocol-errors": 0,
-            "serverd.connections": 0,
-            "serverd.reopt.queued": 0,
-            "serverd.reopt.completed": 0,
-        }
-
-    def count(self, name: str, delta: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + delta
-
-    def gauge(self, name: str, value: int) -> None:
-        with self._lock:
-            self._counters[name] = value
-
-    def merge(self, counters: dict, prefix: str = "") -> None:
-        """Fold a worker-reported counter delta into the totals.
-        Levels (``synth.rules-loaded``) are set, never added."""
-        with self._lock:
-            for key, value in counters.items():
-                if not isinstance(value, int) or isinstance(value, bool):
-                    continue
-                name = prefix + key
-                if not is_level_stat(key):
-                    value += self._counters.get(name, 0)
-                self._counters[name] = value
-
-    def statistics(self) -> dict[str, int]:
-        """The totals, plus the cache hit rate derived from the summed
-        raw counts (workers ship no rates: rates do not add)."""
-        with self._lock:
-            stats = dict(self._counters)
-        hits = stats.get("serverd.cache-hits", 0)
-        lookups = hits + stats.get("serverd.cache-misses", 0)
-        if lookups:
-            stats["serverd.cache-hit-rate-pct"] = 100 * hits // lookups
-        return stats
+#: DegradeController hysteresis: admissions at or above the degrade
+#: watermark before the level steps down, completions on an empty queue
+#: before it steps back up, and the most levels it may take away.
+_PRESSURE_ADMITS = 4
+_CALM_COMPLETIONS = 8
+_MAX_SHIFT = 2
 
 
 @dataclass
@@ -127,14 +85,9 @@ class DegradeController:
     full optimization.
     """
 
-    def __init__(self, stats: ServerStats, degrade_water: int,
-                 pressure_admits: int = 4, calm_completions: int = 8,
-                 max_shift: int = 2):
+    def __init__(self, stats: Stats, degrade_water: int):
         self._stats = stats
         self.degrade_water = max(1, degrade_water)
-        self.pressure_admits = pressure_admits
-        self.calm_completions = calm_completions
-        self.max_shift = max_shift
         self._lock = threading.Lock()
         self._pressure = 0
         self._calm = 0
@@ -150,12 +103,12 @@ class DegradeController:
             if depth >= self.degrade_water:
                 self._pressure += 1
                 self._calm = 0
-                if (self._pressure >= self.pressure_admits
-                        and self._shift < self.max_shift):
+                if (self._pressure >= _PRESSURE_ADMITS
+                        and self._shift < _MAX_SHIFT):
                     self._shift += 1
                     self._pressure = 0
-                    self._stats.count("serverd.degraded")
-                    self._stats.gauge("serverd.degrade-level", self._shift)
+                    self._stats.count(SOURCE, "degraded")
+                    self._stats.gauge(SOURCE, "degrade-level", self._shift)
             else:
                 self._pressure = max(0, self._pressure - 1)
 
@@ -164,17 +117,17 @@ class DegradeController:
             if depth > 0:
                 return
             self._calm += 1
-            if self._calm >= self.calm_completions and self._shift > 0:
+            if self._calm >= _CALM_COMPLETIONS and self._shift > 0:
                 self._shift -= 1
                 self._calm = 0
-                self._stats.count("serverd.recovered")
-                self._stats.gauge("serverd.degrade-level", self._shift)
+                self._stats.count(SOURCE, "recovered")
+                self._stats.gauge(SOURCE, "degrade-level", self._shift)
 
 
 class Scheduler:
     """Bounded queue + dispatcher-per-worker + the recovery protocol."""
 
-    def __init__(self, stats: ServerStats, worker_config: dict,
+    def __init__(self, stats: Stats, worker_config: dict,
                  workers: int = 2, queue_depth: int = 32,
                  high_water: Optional[int] = None,
                  degrade_water: Optional[int] = None,
@@ -242,11 +195,11 @@ class Scheduler:
                 self._queue_cond.notify()
                 shed_code = None
         if shed_code is None:
-            self.stats.count("serverd.accepted")
-            self.stats.gauge("serverd.queue-depth", depth)
+            self.stats.count(SOURCE, "accepted")
+            self.stats.gauge(SOURCE, "queue-depth", depth)
             self.degrade.note_admit(depth)
             return True
-        self.stats.count("serverd.shed")
+        self.stats.count(SOURCE, "shed")
         if shed_code == protocol.BUSY:
             hint = int(100 * max(1, depth))
             job.respond(protocol.error_response(
@@ -266,7 +219,7 @@ class Scheduler:
                 self._queue_cond.wait(timeout=0.2)
             if self._queue:
                 job = self._queue.popleft()
-                self.stats.gauge("serverd.queue-depth", len(self._queue))
+                self.stats.gauge(SOURCE, "queue-depth", len(self._queue))
                 return job
             return None
 
@@ -287,7 +240,7 @@ class Scheduler:
                         f"{error}"))
                 except Exception:
                     pass
-                self.stats.count("serverd.failed")
+                self.stats.count(SOURCE, "failed")
             finally:
                 with self._idle_cond:
                     self._in_flight -= 1
@@ -307,7 +260,7 @@ class Scheduler:
         while True:
             remaining = job.remaining()
             if remaining <= 0:
-                self.stats.count("serverd.timed-out")
+                self.stats.count(SOURCE, "timed-out")
                 job.respond(protocol.error_response(
                     job.id, protocol.TIMEOUT,
                     f"deadline expired after "
@@ -321,7 +274,7 @@ class Scheduler:
                 payload["requested_level"] = requested
                 shifted = max(0, requested - self.degrade.shift)
                 if shifted < requested:
-                    self.stats.count("serverd.degraded-requests")
+                    self.stats.count(SOURCE, "degraded-requests")
                 payload["level"] = shifted
             inject = {}
             plan = faultinject.claim("server.worker-crash")
@@ -342,8 +295,8 @@ class Scheduler:
                     # the worker — crash-only, so recovery is the same
                     # restart as for a real crash.
                     worker.restart(kill=True)
-                    self.stats.count("serverd.worker-restarts")
-                    self.stats.count("serverd.timed-out")
+                    self.stats.count(SOURCE, "worker-restarts")
+                    self.stats.count(SOURCE, "timed-out")
                     job.respond(protocol.error_response(
                         job.id, protocol.TIMEOUT,
                         f"deadline expired while executing "
@@ -353,13 +306,13 @@ class Scheduler:
                 crashed = True
             if crashed:
                 worker.restart()
-                self.stats.count("serverd.worker-crashes")
-                self.stats.count("serverd.worker-restarts")
+                self.stats.count(SOURCE, "worker-crashes")
+                self.stats.count(SOURCE, "worker-restarts")
                 backoff = self._backoff(attempt, job)
                 if (attempt < self.server_retries
                         and job.remaining() > backoff):
                     attempt += 1
-                    self.stats.count("serverd.retried")
+                    self.stats.count(SOURCE, "retried")
                     time.sleep(backoff)
                     continue
                 job.respond(protocol.error_response(
@@ -367,20 +320,15 @@ class Scheduler:
                     f"worker died executing op {job.op}; "
                     f"{attempt} retry(ies) spent"))
                 return
-            # A response came back; fold worker-side stats into ours.
-            cache_stats = response.pop("cache_stats", None)
-            if cache_stats:
-                self.stats.merge(cache_stats, prefix="serverd.")
+            # A response came back; fold what the worker counted since
+            # its last one into ours.
+            self.stats.merge(response.pop("stats"))
             if response.get("ok"):
-                result = response["result"]
-                worker_stats = result.get("stats")
-                if isinstance(worker_stats, dict):
-                    self.stats.merge(worker_stats, prefix="serverd.")
-                self.stats.count("serverd.completed")
-                job.respond(protocol.ok_response(job.id, result))
+                self.stats.count(SOURCE, "completed")
+                job.respond(protocol.ok_response(job.id, response["result"]))
             else:
                 error = response.get("error") or {}
-                self.stats.count("serverd.failed")
+                self.stats.count(SOURCE, "failed")
                 job.respond(protocol.error_response(
                     job.id, error.get("code", protocol.INTERNAL),
                     error.get("message", "request failed")))

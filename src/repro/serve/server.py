@@ -39,8 +39,10 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
+from ..driver.cache import BytecodeCache, hit_rate_pct
+from ..stats import Stats
 from . import protocol
-from .scheduler import Job, Scheduler, ServerStats
+from .scheduler import SOURCE, Job, Scheduler
 
 
 @dataclass
@@ -70,9 +72,18 @@ class ServerConfig:
 class Server:
     """One daemon instance; embeddable (tests) or CLI-run (lc-serverd)."""
 
+    name = SOURCE  # the -stats source label
+
     def __init__(self, config: ServerConfig):
         self.config = config
-        self.stats = ServerStats()
+        #: The supervisor's own counters, plus everything its workers
+        #: ship back (their cache's and fault policies' rows).
+        self.stats = Stats()
+        self.stats.declare(
+            SOURCE, "accepted", "completed", "failed", "shed", "timed-out",
+            "retried", "degraded", "degraded-requests", "recovered",
+            "worker-crashes", "worker-restarts", "protocol-errors",
+            "connections", "reopt.queued", "reopt.completed")
         self.scheduler = Scheduler(
             self.stats, config.worker_config(),
             workers=config.workers, queue_depth=config.queue_depth,
@@ -130,7 +141,7 @@ class Server:
                 conn, _ = self._listener.accept()
             except OSError:
                 return  # listener closed: we are draining
-            self.stats.count("serverd.connections")
+            self.stats.count(SOURCE, "connections")
             threading.Thread(target=self._serve_connection, args=(conn,),
                              name="lc-serverd-conn", daemon=True).start()
 
@@ -155,7 +166,7 @@ class Server:
                     # Garbage input: one structured goodbye (best
                     # effort), then this connection is done.  The
                     # daemon itself never flinches.
-                    self.stats.count("serverd.protocol-errors")
+                    self.stats.count(SOURCE, "protocol-errors")
                     respond(protocol.error_response(
                         None, protocol.PROTOCOL, str(error)))
                     return
@@ -172,7 +183,7 @@ class Server:
         try:
             op, payload = protocol.validate_request(obj)
         except protocol.ServeError as error:
-            self.stats.count("serverd.failed")
+            self.stats.count(SOURCE, "failed")
             respond(protocol.error_response(
                 obj.get("id") if isinstance(obj, dict) else None,
                 error.code, str(error)))
@@ -216,7 +227,7 @@ class Server:
             self._reopt_backlog.move_to_end(key)
             while len(self._reopt_backlog) > 32:
                 self._reopt_backlog.popitem(last=False)
-        self.stats.count("serverd.reopt.queued")
+        self.stats.count(SOURCE, "reopt.queued")
 
     def _reopt_loop(self) -> None:
         """Work the queue's cold time; pause under load (section 2.4)."""
@@ -230,7 +241,7 @@ class Server:
 
             def done(frame: dict, _payload=payload) -> None:
                 if frame.get("ok"):
-                    self.stats.count("serverd.reopt.completed")
+                    self.stats.count(SOURCE, "reopt.completed")
 
             job = Job(id=None, op="compile", payload=payload,
                       respond=done,
@@ -241,7 +252,15 @@ class Server:
     # -- observability -------------------------------------------------------
 
     def statistics(self) -> dict:
-        stats = self.stats.statistics()
+        """Every row of the record as ``serverd.<name>``, plus the
+        cache hit rate derived from the workers' summed raw counts
+        (workers ship no rates: rates do not add)."""
+        views = self.stats.views()
+        if BytecodeCache.name in views:
+            cache = views[BytecodeCache.name]
+            cache["cache-hit-rate-pct"] = hit_rate_pct(cache)
+        stats = {f"{SOURCE}.{name}": value
+                 for view in views.values() for name, value in view.items()}
         stats["serverd.queue-depth"] = self.scheduler.depth()
         stats["serverd.degrade-level"] = self.scheduler.degrade.shift
         stats["serverd.workers"] = len(self.scheduler.workers)

@@ -31,7 +31,7 @@ import time
 import traceback
 from typing import Any, Optional
 
-from ..transforms.passmanager import is_level_stat
+from ..stats import Stats
 from . import protocol
 
 
@@ -77,7 +77,12 @@ def worker_main(conn, config: dict) -> None:
     if config.get("cache_dir"):
         cache = BytecodeCache(config["cache_dir"],
                               max_bytes=config.get("cache_max_bytes"))
-    previous_stats: dict[str, int] = {}
+    #: The worker's one record: the cache counts into it and each
+    #: request's fault policy is merged into it.  ``shipped`` is what
+    #: the supervisor has been sent of it, so every response carries
+    #: only the difference and a restart double-counts nothing.
+    stats = cache.stats if cache is not None else Stats()
+    shipped = Stats()
     while True:
         try:
             job = conn.recv()
@@ -94,27 +99,16 @@ def worker_main(conn, config: dict) -> None:
             # server.worker-crash: die the crash-only way — abruptly,
             # mid-request, without a word on the pipe.
             os._exit(70 + int(inject["crash"]) % 16)
-        response = _execute(job, cache)
-        if cache is not None:
-            # Ship cache counters as deltas so the supervisor can
-            # aggregate across restarts without double counting —
-            # counters only: a delta of a rate or an average means
-            # nothing, the supervisor derives rates from the sums.
-            stats = cache.statistics()
-            response["cache_stats"] = {
-                key: value - previous_stats.get(key, 0)
-                for key, value in stats.items()
-                if value != previous_stats.get(key, 0)
-                and not is_level_stat(key)
-            }
-            previous_stats = stats
+        response = _execute(job, cache, stats)
+        response["stats"] = stats.delta(shipped)
+        shipped.merge(response["stats"])
         try:
             conn.send(response)
         except (BrokenPipeError, OSError):
             break
 
 
-def _execute(job: dict, cache) -> dict:
+def _execute(job: dict, cache, stats: Stats) -> dict:
     """One request, never letting an exception reach the worker loop."""
     op = job.get("op", "?")
     try:
@@ -124,7 +118,7 @@ def _execute(job: dict, cache) -> dict:
             "code": protocol.BAD_REQUEST,
             "message": f"worker cannot execute op {op!r}"}}
     try:
-        return {"ok": True, "result": handler(job, cache)}
+        return {"ok": True, "result": handler(job, cache, stats)}
     except Exception as error:
         return {"ok": False, "error": {
             "code": protocol.REQUEST_FAILED,
@@ -150,7 +144,7 @@ def _clean(policy) -> bool:
             and stats["passes.poisoned"] == 0)
 
 
-def _do_compile(job: dict, cache) -> dict:
+def _do_compile(job: dict, cache, stats: Stats) -> dict:
     from ..bitcode import write_bytecode
     from ..driver.pipelines import compile_and_link
 
@@ -160,6 +154,7 @@ def _do_compile(job: dict, cache) -> dict:
                               level=level, lto=job.get("lto", True),
                               cache=cache, policy=policy)
     data = write_bytecode(module, strip_names=False)
+    stats.merge(policy.stats)
     return {
         "bytecode": _b64(data),
         "level": level,
@@ -170,7 +165,7 @@ def _do_compile(job: dict, cache) -> dict:
     }
 
 
-def _do_lint(job: dict, cache) -> dict:
+def _do_lint(job: dict, cache, stats: Stats) -> dict:
     from ..driver.pipelines import lint_whole_program
 
     result = lint_whole_program(job["sources"],
@@ -185,12 +180,13 @@ def _do_lint(job: dict, cache) -> dict:
             "warnings": len(rendered) - errors}
 
 
-def _do_reoptimize(job: dict, cache) -> dict:
+def _do_reoptimize(job: dict, cache, stats: Stats) -> dict:
     from ..driver.lifelong import LifelongSession
 
+    policy = _policy(job)
     session = LifelongSession(job["sources"], job.get("name", "program"),
                               level=job.get("level", 2), cache=cache,
-                              fault_policy=_policy(job))
+                              fault_policy=policy)
     runs = []
     for run in job.get("runs") or [{"function": "main", "args": []}]:
         outcome = session.run(run.get("function", "main"),
@@ -198,6 +194,7 @@ def _do_reoptimize(job: dict, cache) -> dict:
         runs.append({"exit": outcome.exit_value, "output": outcome.output,
                      "steps": outcome.steps})
     report = session.reoptimize()
+    stats.merge(policy.stats)
     return {
         "runs": runs,
         "report": {
@@ -211,7 +208,7 @@ def _do_reoptimize(job: dict, cache) -> dict:
     }
 
 
-def _do_triage(job: dict, cache) -> dict:
+def _do_triage(job: dict, cache, stats: Stats) -> dict:
     from ..fuzz.generator import generate_program
     from ..fuzz.harness import HarnessConfig, check_program
 
@@ -227,7 +224,7 @@ def _do_triage(job: dict, cache) -> dict:
     }
 
 
-def _do_sleep(job: dict, cache) -> dict:
+def _do_sleep(job: dict, cache, stats: Stats) -> dict:
     """A diagnostic op: hold a worker for ``ms`` — the deterministic
     load generator behind the overload and drain tests."""
     ms = min(int(job.get("ms", 0)), 10_000)

@@ -39,7 +39,8 @@ from .driver.pipelines import run_ladder
 from .execution import Interpreter
 from .frontend import compile_source
 from .linker import link_modules
-from .transforms.passmanager import PassManager, PassTimings
+from .stats import Stats, format_stats, format_timings
+from .transforms.passmanager import PassManager
 
 
 def _read_text(path: str) -> str:
@@ -101,6 +102,27 @@ def _add_fault_arguments(parser) -> None:
                              "--fault-tolerant)")
 
 
+def _add_stats_argument(parser, what: str) -> None:
+    """``-stats`` / ``--stats``, spelled both ways by every tool."""
+    parser.add_argument("-stats", "--stats", action="store_true",
+                        dest="stats", help=f"print {what} to stderr")
+
+
+def _print_stats(rows: dict, *owners) -> None:
+    """The ``-stats`` report: ``rows`` (source -> name -> value), then
+    the rows of each owner — a cache, a fault policy, a trace manager,
+    a daemon; None is skipped — under its ``name``."""
+    for owner in owners:
+        if owner is not None:
+            rows[owner.name] = owner.statistics()
+    _print_report(format_stats(rows))
+
+
+def _print_report(report: str) -> None:
+    if report:
+        print(report, file=sys.stderr)
+
+
 def _parse_fault_spec(spec: str, parser) -> tuple:
     """``SITE`` or ``SITE:SEED`` -> (site, seed).  Site names may
     themselves contain a colon (``pass:gvn``), so the seed is only
@@ -155,32 +177,25 @@ def lc_cc(argv=None) -> int:
                         help="content-addressed bytecode cache directory; "
                              "unchanged translation units skip the "
                              "front-end and optimizer")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="compile translation units with N threads")
-    parser.add_argument("-stats", action="store_true", dest="stats",
-                        help="print cache hit/miss statistics to stderr")
+    _add_stats_argument(parser, "per-pass, cache and fault-policy counters")
     _add_fault_arguments(parser)
     args = parser.parse_args(argv)
     sources = [_read_text(path) for path in args.sources]
     cache = BytecodeCache(args.cache_dir) if args.cache_dir else None
     policy = _make_fault_policy(args)
+    stats = Stats()
     with _armed(args, parser):
         if len(sources) == 1 and not args.lto and cache is None \
                 and policy is None:
             module = compile_source(sources[0], "module")
-            optimize_module(module, args.level)
+            optimize_module(module, args.level, stats=stats)
         else:
             module = compile_and_link(sources, "program", args.level,
-                                      args.lto, cache=cache, jobs=args.jobs,
-                                      policy=policy)
+                                      args.lto, cache=cache, policy=policy,
+                                      stats=stats)
     verify_module(module)
     if args.stats:
-        stats = {}
-        if cache is not None:
-            stats[cache.name] = cache.statistics()
-        if policy is not None:
-            stats[policy.name] = policy.statistics()
-        _print_stats(stats)
+        _print_stats(stats.views(), cache, policy)
     for report in (policy.crash_reports if policy is not None else ()):
         print(f"lc-cc: contained: {report.describe()}", file=sys.stderr)
     _write_module(module, args.o, args.binary)
@@ -281,8 +296,7 @@ def lc_opt(argv=None) -> int:
                              "transforming (currently: ranges)")
     parser.add_argument("--verify-each", action="store_true",
                         help="run the IR verifier after every pass")
-    parser.add_argument("-stats", action="store_true", dest="stats",
-                        help="print per-pass statistics to stderr")
+    _add_stats_argument(parser, "per-pass statistics")
     parser.add_argument("-time-passes", action="store_true",
                         dest="time_passes",
                         help="print per-pass wall-clock timings to stderr")
@@ -298,16 +312,16 @@ def lc_opt(argv=None) -> int:
         return 0
     policy = _make_fault_policy(args)
     managers = []
-    # One shared timing sink across every manager this invocation
-    # creates (ladder attempts included), so -time-passes emits a
-    # single report in which each pass appears exactly once.
-    timings = PassTimings()
+    # One record shared by every manager this invocation creates
+    # (ladder attempts included), so -stats and -time-passes each emit
+    # a single report in which each pass appears exactly once.
+    stats = Stats()
     with _armed(args, parser):
         if args.level is not None:
             managers.append(run_ladder(module, args.level, args.verify_each,
-                                       policy, timings))
+                                       policy, stats))
         if args.passes:
-            manager = PassManager(args.verify_each, timings, policy)
+            manager = PassManager(args.verify_each, stats, policy)
             registry = _pass_registry()
             for name in args.passes.split(","):
                 name = name.strip()
@@ -324,31 +338,11 @@ def lc_opt(argv=None) -> int:
             for diag in getattr(pass_obj, "diagnostics", ()):
                 print(diag.render(args.input), file=sys.stderr)
     if args.stats:
-        for manager in managers:
-            _print_stats(manager.statistics())
-        if policy is not None:
-            _print_stats({policy.name: policy.statistics()})
+        _print_stats(stats.views(), policy)
     if args.time_passes:
-        report = timings.report()
-        if report:
-            print("===" + "-" * 18 + " pass timings " + "-" * 18 + "===",
-                  file=sys.stderr)
-            print(report, file=sys.stderr)
+        _print_report(format_timings(stats))
     _write_module(module, args.o, args.binary)
     return 0
-
-
-def _print_stats(stats_by_name: dict) -> None:
-    """LLVM `-stats` style report: one line per (source, counter)."""
-    lines = []
-    for name, counters in stats_by_name.items():
-        for counter, value in sorted(counters.items()):
-            lines.append(f"{value:8d} {name:<18s} {counter}")
-    if lines:
-        print("===" + "-" * 20 + " statistics " + "-" * 20 + "===",
-              file=sys.stderr)
-        for line in lines:
-            print(line, file=sys.stderr)
 
 
 def lc_link(argv=None) -> int:
@@ -381,8 +375,7 @@ def lc_run(argv=None) -> int:
                         help="integer arguments for the entry function")
     parser.add_argument("--entry", default="main")
     parser.add_argument("--step-limit", type=int, default=50_000_000)
-    parser.add_argument("--stats", action="store_true",
-                        help="print step/memory statistics to stderr")
+    _add_stats_argument(parser, "step, memory and trace-JIT statistics")
     parser.add_argument("--jit-traces", action="store_true",
                         dest="jit_traces",
                         help="compile hot paths to guarded traces "
@@ -404,8 +397,7 @@ def lc_run(argv=None) -> int:
         print(f"steps: {interpreter.steps}", file=sys.stderr)
         print(f"heap bytes live: {interpreter.memory.heap_bytes()}",
               file=sys.stderr)
-        if manager is not None:
-            _print_stats({manager.name: manager.statistics()})
+        _print_stats({}, manager)
     return int(result) & 0xFF if isinstance(result, int) else 0
 
 
@@ -472,11 +464,7 @@ def lc_lint(argv=None) -> int:
                         help="bytecode/summary cache for .lc inputs "
                         "(whole-program mode): unchanged files are "
                         "neither recompiled nor resummarized")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="concurrent TU compilations (with --cache-dir)")
-    parser.add_argument("-stats", "--stats", action="store_true",
-                        dest="stats",
-                        help="print analysis/cache counters to stderr")
+    _add_stats_argument(parser, "analysis/cache counters")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress the summary line")
     args = parser.parse_args(argv)
@@ -529,6 +517,7 @@ def _run_lint(args, checks, ipa_checks) -> int:
         print(f"lc-lint: {exc}", file=sys.stderr)
         return 2
     diagnostics = []
+    cache = None
     stats: dict = {}
     for module, display in loaded:
         if args.level:
@@ -561,8 +550,7 @@ def _run_lint(args, checks, ipa_checks) -> int:
             result = lint_whole_program(
                 [_read_text(path) for path in args.inputs],
                 filenames=list(args.inputs), level=args.level,
-                checks=ipa_checks, cache=cache, jobs=args.jobs)
-            stats[cache.name] = cache.statistics()
+                checks=ipa_checks, cache=cache)
         else:
             result = run_whole_program(
                 [(display, module) for module, display in loaded],
@@ -590,7 +578,7 @@ def _run_lint(args, checks, ipa_checks) -> int:
         print(f"lc-lint: too many errors; stopping after "
               f"{args.max_errors}", file=sys.stderr)
     if args.stats:
-        _print_stats(stats)
+        _print_stats(stats, cache)
     if not args.quiet and args.format == "text":
         print(f"lc-lint: {errors} error(s), {warnings} warning(s), "
               f"{len(diagnostics) - errors - warnings} note(s)",
@@ -1085,9 +1073,7 @@ def lc_serverd(argv=None) -> int:
                              "daemon (e.g. server.worker-crash:7); it "
                              "fires on the first request that reaches "
                              "the site")
-    parser.add_argument("-stats", "--stats", action="store_true",
-                        dest="stats",
-                        help="print serverd.* counters on shutdown")
+    _add_stats_argument(parser, "serverd.* counters, on shutdown,")
     parser.add_argument("-q", "--quiet", action="store_true")
     args = parser.parse_args(argv)
     if args.socket and args.host:
@@ -1135,7 +1121,7 @@ def lc_serverd(argv=None) -> int:
     signal.signal(signal.SIGINT, on_signal)
     server.wait()
     if args.stats:
-        _print_stats({"serverd": server.statistics()})
+        _print_stats({}, server)
     if not args.quiet:
         print("lc-serverd: drained, bye", file=sys.stderr)
     return 0

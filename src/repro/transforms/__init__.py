@@ -11,7 +11,7 @@ from .instcombine import InstCombine
 from .licm import LICM
 from .mem2reg import PromoteMem2Reg
 from .passmanager import (
-    FunctionPassAdaptor, ModulePassAdaptor, PassManager, PassTimings,
+    FunctionPassAdaptor, ModulePassAdaptor, PassManager,
 )
 from .rangeopt import RangeOpt
 from .reassociate import Reassociate
@@ -23,8 +23,7 @@ from .tailrec import TailRecursionElimination
 __all__ = [
     "ConstantPropagation", "AggressiveDCE", "DeadCodeElimination", "GVN",
     "InstCombine", "LICM", "PromoteMem2Reg", "FunctionPassAdaptor",
-    "ModulePassAdaptor", "PassManager", "PassTimings", "RangeOpt",
-    "Reassociate",
+    "ModulePassAdaptor", "PassManager", "RangeOpt", "Reassociate",
     "SCCP", "SimplifyCFG", "ScalarReplAggregates",
     "TailRecursionElimination",
 ]

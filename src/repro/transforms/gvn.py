@@ -39,10 +39,7 @@ class GVN:
 
     def __init__(self):
         self._dsa_cache: dict = {}
-        self.loads_eliminated_via_dsa = 0
-
-    def statistics(self) -> dict:
-        return {"loads-eliminated-via-dsa": self.loads_eliminated_via_dsa}
+        self.counters = {"loads-eliminated-via-dsa": 0}
 
     def _dsa_for(self, function: Function):
         """The module's DSA, built on first demand and shared across
@@ -62,7 +59,8 @@ class GVN:
         numbering = _Numbering(function, DominatorTree(function),
                                lambda: self._dsa_for(function))
         changed = numbering.run()
-        self.loads_eliminated_via_dsa += numbering.dsa_loads_eliminated
+        self.counters["loads-eliminated-via-dsa"] += \
+            numbering.dsa_loads_eliminated
         return changed
 
 

@@ -30,14 +30,6 @@ from .peephole import Rule, try_apply
 from .utils import fold_instruction, is_trivially_dead, replace_and_erase
 
 
-class InstCombineStats:
-    """-stats counters (picked up via the pass's ``stats`` attribute)."""
-
-    def __init__(self):
-        self.generated_rules_loaded = 0
-        self.generated_rules_fired = 0
-
-
 class InstCombine:
     """The pass object (see module docstring).
 
@@ -56,8 +48,8 @@ class InstCombine:
             generated_rules = _default_rules()
         self.generated_rules = list(generated_rules)
         self.unsafe_cast_fold = unsafe_cast_fold
-        self.stats = InstCombineStats()
-        self.stats.generated_rules_loaded = len(self.generated_rules)
+        self.counters = {"generated_rules_fired": 0}
+        self.levels = {"generated_rules_loaded": len(self.generated_rules)}
         #: generated rules bucketed by LHS root opcode name for O(1)
         #: candidate lookup in the worklist loop
         self._rules_by_root: dict[str, list[Rule]] = {}
@@ -106,7 +98,7 @@ class InstCombine:
         for rule in rules:
             replacement = try_apply(rule, inst)
             if replacement is not None:
-                self.stats.generated_rules_fired += 1
+                self.counters["generated_rules_fired"] += 1
                 return replacement
         return None
 

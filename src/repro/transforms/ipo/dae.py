@@ -19,19 +19,13 @@ from ...core.module import Function, Module
 from ...core.values import Value
 
 
-class DAEStats:
-    def __init__(self):
-        self.arguments_deleted = 0
-        self.returns_deleted = 0
-
-
 class DeadArgumentElimination:
     """The pass object (see module docstring)."""
 
     name = "dae"
 
     def __init__(self):
-        self.stats = DAEStats()
+        self.counters = {"arguments_deleted": 0, "returns_deleted": 0}
 
     def run_on_module(self, module: Module) -> bool:
         callgraph = CallGraph(module)
@@ -50,8 +44,8 @@ class DeadArgumentElimination:
             if not dead_args and not dead_return:
                 continue
             _rewrite_function(module, function, set(dead_args), dead_return)
-            self.stats.arguments_deleted += len(dead_args)
-            self.stats.returns_deleted += int(dead_return)
+            self.counters["arguments_deleted"] += len(dead_args)
+            self.counters["returns_deleted"] += int(dead_return)
             changed = True
         return changed
 

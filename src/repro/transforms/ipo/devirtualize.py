@@ -35,19 +35,13 @@ from ...core.values import (
 from ..utils import replace_and_erase
 
 
-class DevirtStats:
-    def __init__(self):
-        self.loads_folded = 0
-        self.calls_devirtualized = 0
-
-
 class Devirtualize:
     """The pass object (see module docstring)."""
 
     name = "devirtualize"
 
     def __init__(self):
-        self.stats = DevirtStats()
+        self.counters = {"loads_folded": 0, "calls_devirtualized": 0}
 
     def run_on_module(self, module: Module) -> bool:
         layout = module.data_layout
@@ -59,7 +53,7 @@ class Devirtualize:
                         folded = _fold_constant_load(inst, layout)
                         if folded is not None:
                             replace_and_erase(inst, folded)
-                            self.stats.loads_folded += 1
+                            self.counters["loads_folded"] += 1
                             changed = True
                     elif isinstance(inst, (CallInst, InvokeInst)):
                         if self._devirtualize_call(inst):
@@ -77,7 +71,7 @@ class Devirtualize:
             if not _compatible_signature(call, target):
                 return False
         call.set_operand(0, target)
-        self.stats.calls_devirtualized += 1
+        self.counters["calls_devirtualized"] += 1
         return True
 
 

@@ -15,19 +15,13 @@ from ...core.module import Function, GlobalVariable, Module
 from ...core.values import Constant, Value
 
 
-class DGEStats:
-    def __init__(self):
-        self.functions_deleted = 0
-        self.globals_deleted = 0
-
-
 class DeadGlobalElimination:
     """The pass object (see module docstring)."""
 
     name = "dge"
 
     def __init__(self):
-        self.stats = DGEStats()
+        self.counters = {"functions_deleted": 0, "globals_deleted": 0}
 
     def run_on_module(self, module: Module) -> bool:
         live: set[int] = set()
@@ -56,13 +50,13 @@ class DeadGlobalElimination:
             if id(function) not in live:
                 self._drop_symbol(function)
                 function.erase_from_parent()
-                self.stats.functions_deleted += 1
+                self.counters["functions_deleted"] += 1
                 changed = True
         for global_var in list(module.globals.values()):
             if id(global_var) not in live:
                 self._drop_symbol(global_var)
                 global_var.erase_from_parent()
-                self.stats.globals_deleted += 1
+                self.counters["globals_deleted"] += 1
                 changed = True
         return changed
 

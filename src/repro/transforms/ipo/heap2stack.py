@@ -25,12 +25,6 @@ from ...core.module import Function, Module
 from ...core.values import Value
 
 
-class Heap2StackStats:
-    def __init__(self):
-        self.mallocs_promoted = 0
-        self.frees_deleted = 0
-
-
 class HeapToStackPromotion:
     """The pass object (see module docstring)."""
 
@@ -40,7 +34,7 @@ class HeapToStackPromotion:
         #: Objects bigger than this stay on the heap (stack frames are
         #: not the place for megabyte buffers).
         self.max_bytes = max_bytes
-        self.stats = Heap2StackStats()
+        self.counters = {"mallocs_promoted": 0, "frees_deleted": 0}
 
     def run_on_module(self, module: Module) -> bool:
         changed = False
@@ -71,8 +65,8 @@ class HeapToStackPromotion:
                 inst.erase_from_parent()
                 for free in frees:
                     free.erase_from_parent()
-                self.stats.mallocs_promoted += 1
-                self.stats.frees_deleted += len(frees)
+                self.counters["mallocs_promoted"] += 1
+                self.counters["frees_deleted"] += len(frees)
                 changed = True
         return changed
 

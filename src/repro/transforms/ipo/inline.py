@@ -23,14 +23,6 @@ from ...core.values import UndefValue, Value
 from ..cloning import clone_body
 
 
-class InlineStats:
-    """Counters in the style of the paper's Table 2 notes."""
-
-    def __init__(self):
-        self.calls_inlined = 0
-        self.functions_deleted = 0
-
-
 class FunctionInlining:
     """The pass object (see module docstring)."""
 
@@ -41,7 +33,8 @@ class FunctionInlining:
         #: functions with a single call site are inlined regardless.
         self.threshold = threshold
         self.delete_unused = delete_unused
-        self.stats = InlineStats()
+        #: Counters in the style of the paper's Table 2 notes.
+        self.counters = {"calls_inlined": 0, "functions_deleted": 0}
 
     def run_on_module(self, module: Module) -> bool:
         callgraph = CallGraph(module)
@@ -62,10 +55,10 @@ class FunctionInlining:
                 if not self._should_inline(callee, callgraph):
                     continue
                 if inline_call_site(inst):
-                    self.stats.calls_inlined += 1
+                    self.counters["calls_inlined"] += 1
                     changed = True
         if self.delete_unused and changed:
-            self.stats.functions_deleted += _delete_dead_functions(module)
+            self.counters["functions_deleted"] += _delete_dead_functions(module)
         return changed
 
     def _should_inline(self, callee: Function, callgraph: CallGraph) -> bool:

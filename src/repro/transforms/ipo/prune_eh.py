@@ -21,11 +21,6 @@ from ...core.instructions import (
 from ...core.module import Function, Module
 
 
-class PruneEHStats:
-    def __init__(self):
-        self.invokes_demoted = 0
-
-
 class PruneExceptionHandlers:
     """The pass object (see module docstring)."""
 
@@ -40,7 +35,7 @@ class PruneExceptionHandlers:
     })
 
     def __init__(self):
-        self.stats = PruneEHStats()
+        self.counters = {"invokes_demoted": 0}
 
     def run_on_module(self, module: Module) -> bool:
         may_unwind = self._compute_may_unwind(module)
@@ -55,7 +50,7 @@ class PruneExceptionHandlers:
                     callee.name, True
                 ):
                     _demote_invoke(term)
-                    self.stats.invokes_demoted += 1
+                    self.counters["invokes_demoted"] += 1
                     changed = True
         return changed
 

@@ -72,10 +72,7 @@ class LICM:
 
     def __init__(self):
         self._disambiguators: dict = {}
-        self.loads_hoisted_past_writes = 0
-
-    def statistics(self) -> dict:
-        return {"loads-hoisted-past-writes": self.loads_hoisted_past_writes}
+        self.counters = {"loads-hoisted-past-writes": 0}
 
     def run_on_function(self, function: Function) -> bool:
         loop_info = LoopInfo(function)
@@ -142,7 +139,7 @@ class LICM:
                             # a possibly-trapping memory access.
                             continue
                         if writers:
-                            self.loads_hoisted_past_writes += 1
+                            self.counters["loads-hoisted-past-writes"] += 1
                     block.instructions.remove(inst)
                     inst.parent = None
                     preheader.insert_before_terminator(inst)

@@ -48,6 +48,7 @@ from ..bitcode import write_bytecode
 from ..core.module import Function, Module
 from ..core.printer import print_function
 from ..core.verifier import verify_function, verify_module
+from ..stats import Stats
 
 
 class ChangedFlagLie(Exception):
@@ -76,14 +77,6 @@ def snapshot_function(function: Function) -> str:
     return print_function(function)
 
 
-def is_level_stat(name: str) -> bool:
-    """Is ``name`` a level (a rate, an average, a loaded-rule count)
-    rather than a counter?  Levels from several sources are never
-    added together — ``-stats`` merges and the daemon's totals both
-    ask here."""
-    return name.endswith(("-pct", "-avg-us", "rules-loaded", "rules_loaded"))
-
-
 def pass_name(pass_obj) -> str:
     return getattr(pass_obj, "name", type(pass_obj).__name__)
 
@@ -104,33 +97,23 @@ class ModulePass(Protocol):
     def run_on_module(self, module: Module) -> bool: ...
 
 
-class PassTimings:
-    """Wall-clock time accumulated per pass name (paper Table 2 style)."""
-
-    def __init__(self):
-        self.seconds: dict[str, float] = {}
-        self.runs: dict[str, int] = {}
-
-    def record(self, name: str, elapsed: float) -> None:
-        self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
-        self.runs[name] = self.runs.get(name, 0) + 1
-
-    def report(self) -> str:
-        lines = [f"{name:24s} {secs:8.4f}s ({self.runs[name]} runs)"
-                 for name, secs in sorted(self.seconds.items())]
-        return "\n".join(lines)
-
-
 class PassManager:
-    """Runs a sequence of module/function passes over a module."""
+    """Runs a sequence of module/function passes over a module.
+
+    A pass takes part in ``-stats`` by carrying ``counters``, a dict of
+    integers it bumps as it works (and ``levels``, a dict of integers
+    that are set, not added: InstCombine's loaded-rule count).
+    """
 
     def __init__(self, verify_each: bool = False,
-                 timings: Optional[PassTimings] = None, policy=None):
+                 stats: Optional[Stats] = None, policy=None):
         self.passes: list[object] = []
         self.verify_each = verify_each
-        # A caller may pass a shared sink so one -time-passes report
-        # covers every manager a driver invocation creates.
-        self.timings = timings if timings is not None else PassTimings()
+        #: Seconds, runs and counters of every pass this manager ran.
+        #: A caller may pass a shared record so one ``-stats`` /
+        #: ``-time-passes`` report covers every manager a driver
+        #: invocation creates.
+        self.stats = stats if stats is not None else Stats()
         #: The containment collaborator, or None: failures propagate.
         self.policy = policy
         #: Units poisoned during this manager's run() calls — what the
@@ -159,6 +142,8 @@ class PassManager:
                 policy.count("passes.skipped")
                 continue
             start = time.perf_counter()
+            counters = getattr(pass_obj, "counters", {})
+            before = dict(counters)
             module_pass = hasattr(pass_obj, "run_on_module")
             units = [None] if module_pass else list(module.defined_functions())
             #: (unit, error, snapshot) of every unit that failed.
@@ -180,7 +165,11 @@ class PassManager:
                                                        module, failures)
             # Tracking and containment work (rollback, bisection,
             # reduction) bills to the pass that caused it.
-            self.timings.record(name, time.perf_counter() - start)
+            self.stats.time(name, time.perf_counter() - start)
+            for key, value in counters.items():
+                self.stats.count(name, key, value - before.get(key, 0))
+            for key, value in getattr(pass_obj, "levels", {}).items():
+                self.stats.gauge(name, key, value)
         return changed
 
     def _run_unit(self, pass_obj, name: str, module: Module,
@@ -238,37 +227,11 @@ class PassManager:
             return False
 
     def statistics(self) -> dict[str, dict[str, int]]:
-        """Aggregate per-pass counters (the ``lc-opt -stats`` report).
-
-        A pass participates either by defining ``statistics() -> dict``
-        or by carrying a ``stats`` object whose integer attributes are
-        taken as counters.  Counters from repeated runs of a pass with
-        the same name are summed; levels (:func:`is_level_stat`) are
-        not — two InstCombine instances load the same 52 rules.
-        """
-        merged: dict[str, dict[str, int]] = {}
-        for pass_obj in self.passes:
-            counters: dict[str, int] = {}
-            stats_fn = getattr(pass_obj, "statistics", None)
-            if callable(stats_fn):
-                counters = dict(stats_fn())
-            else:
-                stats = getattr(pass_obj, "stats", None)
-                if stats is not None:
-                    for attr in dir(stats):
-                        if attr.startswith("_"):
-                            continue
-                        value = getattr(stats, attr)
-                        if isinstance(value, int) and not isinstance(value, bool):
-                            counters[attr] = value
-            if not counters:
-                continue
-            bucket = merged.setdefault(pass_name(pass_obj), {})
-            for counter, value in counters.items():
-                if not is_level_stat(counter):
-                    value += bucket.get(counter, 0)
-                bucket[counter] = value
-        return merged
+        """Per-pass counters (the ``lc-opt -stats`` rows) of everything
+        that ran into this manager's record: counters from repeated runs
+        of a pass with the same name are summed, levels are not — two
+        InstCombine instances load the same 52 rules."""
+        return self.stats.views()
 
     def run_until_fixpoint(self, module: Module, max_iterations: int = 8) -> int:
         """Re-run the whole pipeline until nothing changes; returns iterations."""

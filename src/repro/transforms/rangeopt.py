@@ -53,21 +53,10 @@ class RangeOpt:
     name = "rangeopt"
 
     def __init__(self):
-        self.values_folded = 0
-        self.cmps_folded = 0
-        self.branches_folded = 0
-        self.divrem_reduced = 0
-        self.rem_identities = 0
-        self.bitops_simplified = 0
-
-    def statistics(self) -> dict:
-        return {
-            "values-folded": self.values_folded,
-            "cmps-folded": self.cmps_folded,
-            "branches-folded": self.branches_folded,
-            "divrem-strength-reduced": self.divrem_reduced,
-            "rem-identities": self.rem_identities,
-            "bitops-simplified": self.bitops_simplified,
+        self.counters = {
+            "values-folded": 0, "cmps-folded": 0, "branches-folded": 0,
+            "divrem-strength-reduced": 0, "rem-identities": 0,
+            "bitops-simplified": 0,
         }
 
     def run_on_function(self, function: Function) -> bool:
@@ -87,7 +76,7 @@ class RangeOpt:
                 changed |= self._simplify(inst, facts)
         for block in list(function.blocks):
             if block.parent is not None and constant_fold_terminator(block):
-                self.branches_folded += 1
+                self.counters["branches-folded"] += 1
                 changed = True
         return changed
 
@@ -120,9 +109,9 @@ class RangeOpt:
                 return False  # folding would erase a possible trap
         replacement = make_constant(inst.type, value)
         if inst.is_comparison:
-            self.cmps_folded += 1
+            self.counters["cmps-folded"] += 1
         else:
-            self.values_folded += 1
+            self.counters["values-folded"] += 1
         replace_and_erase(inst, replacement)
         return True
 
@@ -134,7 +123,7 @@ class RangeOpt:
         # x rem y == x when every execution has 0 <= x < y.
         if inst.opcode == Opcode.REM and dividend.lo >= 0 \
                 and divisor.lo > dividend.hi:
-            self.rem_identities += 1
+            self.counters["rem-identities"] += 1
             replace_and_erase(inst, inst.lhs)
             return True
         # x div/rem 2^k with x provably non-negative: shift/mask.
@@ -156,7 +145,7 @@ class RangeOpt:
                                          inst.name)
         replacement.loc = inst.loc
         block.insert(index, replacement)
-        self.divrem_reduced += 1
+        self.counters["divrem-strength-reduced"] += 1
         replace_and_erase(inst, replacement)
         return True
 
@@ -181,7 +170,7 @@ class RangeOpt:
                 may_set = mask & ~other_kb.zeros
                 redundant = may_set & kept_kb.ones == may_set
             if redundant:
-                self.bitops_simplified += 1
+                self.counters["bitops-simplified"] += 1
                 replace_and_erase(inst, kept)
                 return True
         return False

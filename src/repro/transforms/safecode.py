@@ -30,12 +30,6 @@ from ..core.module import Function, Module
 from ..core.values import ConstantInt, Value
 
 
-class BoundsCheckStats:
-    def __init__(self):
-        self.checks_inserted = 0
-        self.checks_elided = 0
-
-
 class BoundsCheckInsertion:
     """The pass object (see module docstring)."""
 
@@ -44,14 +38,7 @@ class BoundsCheckInsertion:
     FAIL_FUNCTION = "__rt_bounds_fail"
 
     def __init__(self):
-        self.stats = BoundsCheckStats()
-
-    def statistics(self) -> dict:
-        """Counters surfaced through ``lc-opt -stats``."""
-        return {
-            "checks_inserted": self.stats.checks_inserted,
-            "checks_elided": self.stats.checks_elided,
-        }
+        self.counters = {"checks_inserted": 0, "checks_elided": 0}
 
     def run_on_module(self, module: Module) -> bool:
         fail = module.get_or_insert_function(
@@ -76,10 +63,10 @@ class BoundsCheckInsertion:
                 for position, bound in self._checkable_indices(inst):
                     index = inst.operands[1 + position]
                     if self._provably_in_range(index, bound):
-                        self.stats.checks_elided += 1
+                        self.counters["checks_elided"] += 1
                         continue
                     self._insert_guard(function, inst, index, bound, fail)
-                    self.stats.checks_inserted += 1
+                    self.counters["checks_inserted"] += 1
                     changed = True
         return changed
 

@@ -163,7 +163,7 @@ entry:
   ret int %r
 }
 """)
-        assert changed and opt.rem_identities == 1
+        assert changed and opt.counters["rem-identities"] == 1
         assert not any(i.opcode == Opcode.REM for i in fn.instructions())
 
     def test_div_by_power_of_two_becomes_shift(self):
@@ -175,7 +175,7 @@ entry:
   ret int %q
 }
 """)
-        assert changed and opt.divrem_reduced == 1
+        assert changed and opt.counters["divrem-strength-reduced"] == 1
         assert any(i.opcode == Opcode.SHR for i in fn.instructions())
         assert not any(i.opcode == Opcode.DIV for i in fn.instructions())
 
@@ -187,7 +187,7 @@ entry:
   ret int %q
 }
 """)
-        assert opt.divrem_reduced == 0
+        assert opt.counters["divrem-strength-reduced"] == 0
         assert any(i.opcode == Opcode.DIV for i in fn.instructions())
 
     def test_possible_trap_not_folded(self):
@@ -216,7 +216,8 @@ no:
   ret int 0
 }
 """)
-        assert opt.cmps_folded == 1 and opt.branches_folded == 1
+        assert opt.counters["cmps-folded"] == 1 \
+            and opt.counters["branches-folded"] == 1
         assert Interpreter(fn.parent).run("f", [12345]) == 1
 
     def test_redundant_and_simplified(self):
@@ -228,7 +229,7 @@ entry:
   ret int %again
 }
 """)
-        assert opt.bitops_simplified == 1
+        assert opt.counters["bitops-simplified"] == 1
         assert Interpreter(fn.parent).run("f", [0xABC]) == 0xC
 
     def test_semantics_preserved_end_to_end(self):

@@ -29,7 +29,8 @@ from repro.bench.compare import load_report
 
 #: One tiny program, minimal repetitions: the harness machinery is what
 #: is under test, not the numbers it produces.
-FAST = dict(programs=["equake"], warmup=0, repeat=1, rauw_fanout=200)
+FAST = dict(programs=["equake"], warmup=0, repeat=1, rauw_fanout=200,
+            jit_programs=["vortex"])
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +51,7 @@ class TestHarness:
             "cache.store", "cache.lookup", "link", "rauw.highfanout",
         }
         assert expected <= set(report["phases"])
-        # The per-pass table harvested from the pipeline's timing sink.
+        # The per-pass table read from the pipeline's statistics record.
         assert "mem2reg" in report["passes"]
         assert report["passes"]["mem2reg"]["runs"] >= 1
 

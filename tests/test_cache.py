@@ -119,9 +119,9 @@ class TestCorruptionRecovery:
 
 
 class TestConcurrentCounters:
-    """The ``--jobs`` driver shares one cache across worker threads;
-    every counter mutation must happen under ``cache._lock`` so the
-    ``-stats`` totals are exact, not merely close.  The hammer below
+    """A cache may be shared across threads; every counter mutation
+    must happen under its record's lock so the ``-stats`` totals are
+    exact, not merely close.  The hammer below
     would lose increments with unguarded ``+=`` under free-threaded
     interpreters (and flakily even under the GIL, since ``+=`` is a
     read-modify-write)."""
@@ -194,21 +194,16 @@ class TestConcurrentCounters:
         assert stats["summary-evictions"] == total("tevicts")
 
 
-class TestParallelDriver:
-    def test_parallel_matches_serial(self):
-        serial = compile_and_link(BATCH, "batch", 2, jobs=1)
-        parallel = compile_and_link(BATCH, "batch", 2, jobs=4)
-        assert write_bytecode(parallel) == write_bytecode(serial)
-
-    def test_parallel_with_cache(self, tmp_path):
+class TestBatchDriver:
+    def test_batch_with_cache(self, tmp_path):
         cache = BytecodeCache(str(tmp_path))
-        cold = compile_and_link(BATCH, "batch", 2, cache=cache, jobs=4)
-        warm = compile_and_link(BATCH, "batch", 2, cache=cache, jobs=4)
+        cold = compile_and_link(BATCH, "batch", 2, cache=cache)
+        warm = compile_and_link(BATCH, "batch", 2, cache=cache)
         assert write_bytecode(warm) == write_bytecode(cold)
         assert cache.statistics()["cache-hits"] == len(BATCH)
 
     def test_link_order_is_input_order(self):
-        modules = compile_translation_units(BATCH, "batch", 0, jobs=4)
+        modules = compile_translation_units(BATCH, "batch", 0)
         assert [m.name for m in modules] == [
             f"batch.tu{i}" for i in range(len(BATCH))
         ]
@@ -283,7 +278,7 @@ class TestLifelongSessionCache:
             "int compute(int x) { return x * 3 + 1; }",
             "int compute(int x); int main() { return compute(13); }",
         ]
-        first = LifelongSession(sources, "prog", 2, cache=cache, jobs=2)
+        first = LifelongSession(sources, "prog", 2, cache=cache)
         assert cache.statistics()["cache-misses"] == len(sources)
         program_key = first._program_key
         assert cache.load_bytes(program_key) == first.bytecode

@@ -12,6 +12,7 @@ from repro.core.basicblock import BasicBlock
 from repro.core.instructions import BranchInst, Opcode
 from repro.core.module import Function, Linkage
 from repro.execution import Interpreter
+from repro.stats import Stats, format_stats, format_timings
 from repro.transforms import (
     DeadCodeElimination, FunctionPassAdaptor, ModulePassAdaptor,
     PassManager, SimplifyCFG,
@@ -81,9 +82,9 @@ entry:
         manager = PassManager()
         manager.add(SimplifyCFG())
         manager.run(module)
-        assert "simplifycfg" in manager.timings.seconds
-        assert manager.timings.runs["simplifycfg"] == 1
-        assert "simplifycfg" in manager.timings.report()
+        assert "simplifycfg" in manager.stats.seconds
+        assert manager.stats.runs["simplifycfg"] == 1
+        assert "simplifycfg" in format_timings(manager.stats)
 
     def test_verify_each_catches_bad_pass(self):
         module = parse_module("int %f(int %x) {\nentry:\n  ret int %x\n}")
@@ -144,22 +145,129 @@ entry:
         manager.add(ModulePassAdaptor(lambda m: False, "noop"))
         assert manager.run(module) is False
 
-    def test_shared_timings_sink(self):
-        """Two managers given one sink merge their reports, so a driver
-        invocation prints each pass exactly once (-time-passes audit)."""
-        from repro.transforms.passmanager import PassTimings
-
-        sink = PassTimings()
+    def test_shared_record(self):
+        """Two managers given one record merge their reports, so a
+        driver invocation prints each pass exactly once (-time-passes
+        audit)."""
+        sink = Stats()
         module = parse_module("int %f() {\nentry:\n  ret int 0\n}")
-        first = PassManager(timings=sink)
+        first = PassManager(stats=sink)
         first.add(SimplifyCFG())
         first.run(module)
-        second = PassManager(timings=sink)
+        second = PassManager(stats=sink)
         second.add(SimplifyCFG())
         second.run(module)
         assert sink.runs["simplifycfg"] == 2
-        assert second.timings is sink
-        assert sink.report().count("simplifycfg") == 1
+        assert second.stats is sink
+        assert format_timings(sink).count("simplifycfg") == 1
+
+
+class TestStatsRecord:
+    """The one statistics record (ISSUE 13): counters add, levels are
+    set, and the kind is the record's, not the name's."""
+
+    @staticmethod
+    def record(hits: int, misses: int, rules: int, seconds: float) -> Stats:
+        stats = Stats()
+        stats.declare("cache", "hits", "misses", "evictions")
+        stats.count("cache", "hits", hits)
+        stats.count("cache", "misses", misses)
+        stats.gauge("policy", "rules-loaded", rules)
+        stats.time("gvn", seconds)
+        return stats
+
+    def test_merge_adds_counters_and_keeps_levels(self):
+        total = self.record(3, 1, 52, 0.25)
+        total.merge(self.record(4, 2, 52, 0.5))
+        assert total.view("cache") == {"hits": 7, "misses": 3,
+                                       "evictions": 0}
+        # A name that *looks* like a counter is still a level.
+        assert total.view("policy") == {"rules-loaded": 52}
+        assert total.seconds == {"gvn": 0.75} and total.runs == {"gvn": 2}
+
+    def test_merging_a_delta_reproduces_the_source(self):
+        source = self.record(3, 1, 52, 0.25)
+        shipped = Stats().merge(source)
+        source.count("cache", "hits", 5)
+        source.count("inline", "calls_inlined", 2)
+        source.gauge("policy", "rules-loaded", 60)
+        source.time("gvn", 0.5)
+        source.time("licm", 0.125)
+        delta = source.delta(shipped)
+        assert delta.view("cache") == {"hits": 5, "misses": 0,
+                                       "evictions": 0}
+        shipped.merge(delta)
+        assert shipped.views() == source.views()
+        assert shipped.seconds == source.seconds
+        assert shipped.runs == source.runs
+        # ... and a second delta, with nothing new, moves nothing.
+        assert not any(source.delta(shipped).view("cache").values())
+
+    def test_declared_names_are_in_the_view_at_zero(self):
+        stats = Stats()
+        stats.declare("policy", "passes.rolled_back", "fallbacks.taken")
+        assert stats.view("policy") == {"passes.rolled_back": 0,
+                                        "fallbacks.taken": 0}
+        assert Stats().merge(stats).view("policy") == stats.view("policy")
+        assert stats.view("nobody") == {}
+
+    def test_a_name_never_changes_kind(self):
+        stats = self.record(1, 1, 52, 0.0)
+        with pytest.raises(ValueError):
+            stats.count("policy", "rules-loaded")
+        with pytest.raises(ValueError):
+            stats.gauge("cache", "hits", 9)
+        assert stats.view("policy") == {"rules-loaded": 52}
+        assert stats.view("cache")["hits"] == 1
+
+    def test_crosses_a_pipe(self):
+        import pickle
+
+        stats = self.record(3, 1, 52, 0.25)
+        copy = pickle.loads(pickle.dumps(stats))
+        assert copy.views() == stats.views()
+        copy.count("cache", "hits")  # the copy has a lock of its own
+        with pytest.raises(ValueError):
+            copy.count("policy", "rules-loaded")
+
+    def test_report_formats_are_pinned(self):
+        stats = self.record(12, 1, 52, 0.25)
+        stats.time("gvn", 0.5)
+        assert format_stats(stats.views()) == "\n".join([
+            "===-------------------- statistics --------------------===",
+            "       0 cache              evictions",
+            "      12 cache              hits",
+            "       1 cache              misses",
+            "      52 policy             rules-loaded",
+        ])
+        assert format_timings(stats) == "\n".join([
+            "===------------------ pass timings ------------------===",
+            "gvn                        0.7500s (2 runs)",
+        ])
+        assert format_stats({}) == "" and format_timings(Stats()) == ""
+
+    def test_pass_counters_land_as_each_pass_finishes(self):
+        """The pass manager's one participation protocol: ``counters``
+        (and ``levels``) on the pass object, folded in by difference so
+        a pass object that runs twice is not counted twice."""
+        class Counting:
+            name = "counting"
+
+            def __init__(self):
+                self.counters = {"seen": 0}
+                self.levels = {"limit": 7}
+
+            def run_on_function(self, function):
+                self.counters["seen"] += 1
+                return False
+
+        module = parse_module("int %f() {\nentry:\n  ret int 0\n}\n"
+                              "int %g() {\nentry:\n  ret int 0\n}")
+        manager = PassManager().add(Counting()).add(Counting())
+        manager.run(module)
+        assert manager.statistics() == {"counting": {"seen": 4, "limit": 7}}
+        manager.run(module)
+        assert manager.statistics() == {"counting": {"seen": 8, "limit": 7}}
 
 
 class TestCloning:

@@ -467,7 +467,7 @@ class TestIncrementalLint:
         assert warm.computed_scopes == []
         assert warm.statistics()["ipa-summaries-cached"] == 2
         assert _renders(warm) == _renders(cold)
-        assert cache.summary_hits == 2
+        assert cache.statistics()["summary-hits"] == 2
 
     def test_editing_one_tu_recomputes_only_it(self, tmp_path):
         cache = BytecodeCache(str(tmp_path))

@@ -52,7 +52,7 @@ entry:
         inliner = FunctionInlining()
         inliner.run_on_module(module)
         assert "helper" not in module.functions
-        assert inliner.stats.functions_deleted == 1
+        assert inliner.counters["functions_deleted"] == 1
 
     def test_multiple_returns_become_phi(self):
         module = parse_module("""
@@ -176,7 +176,7 @@ entry:
         assert dge.run_on_module(module)
         assert "unused" not in module.globals
         assert "used" in module.globals
-        assert dge.stats.globals_deleted == 1
+        assert dge.counters["globals_deleted"] == 1
 
     def test_dead_cycle_removed(self):
         """The "aggressive" part: two dead functions calling each other."""
@@ -198,7 +198,7 @@ entry:
 """)
         dge = DeadGlobalElimination()
         assert dge.run_on_module(module)
-        assert dge.stats.functions_deleted == 2
+        assert dge.counters["functions_deleted"] == 2
         assert set(module.functions) == {"main"}
 
     def test_external_symbols_kept(self):
@@ -237,7 +237,7 @@ entry:
         dae = DeadArgumentElimination()
         assert dae.run_on_module(module)
         verify_module(module)
-        assert dae.stats.arguments_deleted == 1
+        assert dae.counters["arguments_deleted"] == 1
         assert len(module.functions["f"].args) == 1
         assert Interpreter(module).run("main") == expected == 3
 
@@ -259,7 +259,7 @@ entry:
         dae = DeadArgumentElimination()
         assert dae.run_on_module(module)
         verify_module(module)
-        assert dae.stats.returns_deleted == 1
+        assert dae.counters["returns_deleted"] == 1
         assert module.functions["noisy"].return_type.is_void
         assert Interpreter(module).run("main") == 1
 
@@ -382,7 +382,7 @@ bad:
         prune = PruneExceptionHandlers()
         assert prune.run_on_module(module)
         verify_module(module)
-        assert prune.stats.invokes_demoted == 1
+        assert prune.counters["invokes_demoted"] == 1
         main = module.functions["main"]
         assert not any(isinstance(i, InvokeInst) for i in main.instructions())
         assert Interpreter(module).run("main") == 3

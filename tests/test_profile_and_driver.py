@@ -280,7 +280,7 @@ int main(int which) {
         # The cold path never ran: its body was never decoded.
         assert not jit.materialized("cold_path")
         assert not jit.materialized("helper_b")
-        assert jit.stats.functions_materialized == 2
+        assert jit.functions_materialized == 2
 
     def test_cold_path_decodes_when_taken(self):
         from repro.execution import JITEngine

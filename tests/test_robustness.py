@@ -306,12 +306,12 @@ class TestPerFunctionTransactions:
     def test_fault_tolerant_timings_count_each_pass_once(self):
         """-time-passes audit: one transactional run records every pass
         exactly once, and containment time bills to the causing pass."""
-        from repro.transforms.passmanager import PassTimings
+        from repro.stats import Stats
 
         policy = FaultPolicy(reduce_testcases=False)
-        sink = PassTimings()
+        sink = Stats()
         module = fresh_module()
-        manager = PassManager(policy=policy, timings=sink)
+        manager = PassManager(policy=policy, stats=sink)
         manager.add(SimplifyCFG())
         manager.add(EvilFunctionPass("victim"))
         manager.add(PromoteMem2Reg())
@@ -655,8 +655,8 @@ class TestCacheRobustness:
             handle.write(bytes(data))
 
         assert cache.load(key) is None
-        assert cache.misses == 1
-        assert cache.evictions == 1
+        assert cache.statistics()["cache-misses"] == 1
+        assert cache.statistics()["cache-evictions"] == 1
         assert not os.path.exists(path)  # evicted, next store re-creates
 
     def test_truncated_entry_is_miss_and_eviction(self, tmp_path):
@@ -666,7 +666,7 @@ class TestCacheRobustness:
         with open(path, "wb") as handle:
             handle.write(data[: len(data) // 3])
         assert cache.load(key) is None
-        assert cache.evictions == 1
+        assert cache.statistics()["cache-evictions"] == 1
 
     def test_newer_toolchain_entry_is_miss_not_raise(self, tmp_path):
         """An entry whose *payload* was written by a newer bytecode
@@ -678,7 +678,7 @@ class TestCacheRobustness:
         payload[4] = 99  # future version byte
         cache.store_bytes(key, bytes(payload))  # correctly framed
         assert cache.load(key) is None
-        assert cache.evictions == 1
+        assert cache.statistics()["cache-evictions"] == 1
 
     def test_foreign_file_is_miss(self, tmp_path):
         cache = BytecodeCache(str(tmp_path))
@@ -742,7 +742,7 @@ class TestSidecarRobustness:
 
         relint = lint_whole_program([SRC], level=2, cache=cache)
         assert [d.render() for d in relint.diagnostics] == clean_rendered
-        assert cache.summary_evictions >= 1
+        assert cache.statistics()["summary-evictions"] >= 1
         assert cache.statistics()["summary-evictions"] >= 1
 
 

@@ -867,7 +867,7 @@ out:
         loop_block = next(b for b in fn.blocks if b.name == "loop")
         assert not any(isinstance(i, LoadInst)
                        for i in loop_block.instructions)
-        assert licm.statistics()["loads-hoisted-past-writes"] == 1
+        assert licm.counters["loads-hoisted-past-writes"] == 1
         assert Interpreter(fn.parent).run("f", [4]) == expected == 8
 
     def test_load_not_hoisted_past_clobbering_store(self):
@@ -920,7 +920,7 @@ int f(int n) {
         verify_function(fn)
         # The load of %source moves out (bump only writes %counter);
         # the load of %counter stays in place.
-        hoisted = licm.statistics()["loads-hoisted-past-writes"]
+        hoisted = licm.counters["loads-hoisted-past-writes"]
         assert hoisted >= 1
         assert Interpreter(module).run("f", [3]) == expected == 126
 
@@ -947,7 +947,7 @@ int f(int n) {
         licm = LICM()
         licm.run_on_function(fn)
         verify_function(fn)
-        assert licm.statistics()["loads-hoisted-past-writes"] == 0
+        assert licm.counters["loads-hoisted-past-writes"] == 0
         assert Interpreter(module).run("f", [3]) == expected == 126
 
 
@@ -986,7 +986,7 @@ body:
         body = next(b for b in fn.blocks if b.name == "body")
         assert sum(isinstance(i, LoadInst)
                    for i in body.instructions) == 1
-        assert gvn.statistics()["loads-eliminated-via-dsa"] == 1
+        assert gvn.counters["loads-eliminated-via-dsa"] == 1
         assert Interpreter(fn.parent).run("f", [1]) == expected == 14
 
     def test_load_evicted_when_store_may_clobber(self):
@@ -1018,5 +1018,5 @@ body:
         body = next(b for b in fn.blocks if b.name == "body")
         assert sum(isinstance(i, LoadInst)
                    for i in body.instructions) == 2
-        assert gvn.statistics()["loads-eliminated-via-dsa"] == 0
+        assert gvn.counters["loads-eliminated-via-dsa"] == 0
         assert Interpreter(fn.parent).run("f", [1]) == expected == 16

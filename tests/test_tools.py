@@ -145,6 +145,51 @@ int main() {
         assert "1 safecode-bounds    checks_elided" in err
         assert "1 safecode-bounds    checks_inserted" in err
 
+    @staticmethod
+    def _pass_rows(err: str) -> list[str]:
+        """``source name`` of every -stats row but the fault policy's
+        (pipelines differ in what they fold, not in what they report)."""
+        return sorted({" ".join(line.split()[1:]) for line in err.splitlines()
+                       if line[:8].strip().isdigit()
+                       and "fault-policy" not in line})
+
+    def test_cc_stats_reports_the_pass_rows_opt_does(self, tmp_path, capsys):
+        """`lc-cc -O2 --lto -stats` used to print only cache and
+        fault-policy rows: compile_and_link threw its managers away."""
+        from repro.benchsuite import load_source
+
+        src = tmp_path / "gcc.lc"
+        src.write_text(load_source("gcc"))
+        ll = tmp_path / "gcc.ll"
+        assert lc_cc([str(src), "-o", str(ll)]) == 0
+        capsys.readouterr()
+        assert lc_opt([str(ll), "-O", "2", "-stats",
+                       "-o", str(tmp_path / "o.ll")]) == 0
+        opt_rows = self._pass_rows(capsys.readouterr().err)
+        assert lc_cc([str(src), "-O", "2", "-stats",
+                      "-o", str(tmp_path / "c.ll")]) == 0
+        assert self._pass_rows(capsys.readouterr().err) == opt_rows
+        assert "instcombine generated_rules_loaded" in opt_rows
+        assert lc_cc([str(src), "-O", "2", "--lto", "--fault-tolerant",
+                      "-stats", "-o", str(tmp_path / "l.ll")]) == 0
+        err = capsys.readouterr().err
+        assert set(opt_rows) < set(self._pass_rows(err))
+        assert "inline calls_inlined" in self._pass_rows(err)
+        assert "fault-policy       passes.rolled_back" in err
+        assert err.count("statistics") == 1  # one record, one report
+
+    @pytest.mark.parametrize("flag", ["-stats", "--stats"])
+    def test_every_tool_takes_both_spellings(self, flag, hello_lc, tmp_path,
+                                             capsys):
+        ll = tmp_path / "hello.ll"
+        assert lc_cc([hello_lc, "-O", "1", flag, "-o", str(ll)]) == 0
+        assert lc_opt([str(ll), "-O", "1", flag, "-o", str(ll)]) == 0
+        assert lc_run([str(ll), flag]) == 0
+        assert lc_lint([hello_lc, "--whole-program", flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("statistics") == 3  # cc, opt, lint
+        assert "steps:" in captured.err
+
     def test_module_entry_point(self, hello_lc):
         result = subprocess.run(
             [sys.executable, "-m", "repro.tools", "cc", hello_lc, "-O", "2"],

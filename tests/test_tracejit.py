@@ -263,7 +263,7 @@ int main(int which) {
         jit = JITEngine(self._bytecode(), preload=["helper_b"])
         assert jit.materialized("helper_b")
         assert not jit.materialized("helper_a")
-        assert jit.stats.functions_materialized == 1
+        assert jit.functions_materialized == 1
 
     def test_jit_traces_tier_wired_in(self):
         from repro.bitcode import write_bytecode
