@@ -7,9 +7,13 @@ exhaustively checked against the concrete ``constfold`` semantics at
 production widths — any violation means a transfer claims something
 some execution contradicts.  Second, the benchsuite compiles at -O2
 with --translation-validate: the range-driven ``rangeopt`` pass must
-fire a minimum number of rewrites across the suite (the analysis is
-pulling its weight) while causing zero validation failures and zero
-rollbacks (every rewrite it makes is machine-checked refinement).
+fire exactly the pinned number of rewrites across the suite (a change
+to the analysis or to the order its solver visits things in that costs
+a fold, or invents one, has to be looked at and re-pinned) while
+causing zero validation failures and zero rollbacks (every rewrite it
+makes is machine-checked refinement).  SCCP's fold totals are printed
+beside it: both passes reach their fixpoint through the one sparse
+solver.
 See docs/ANALYSIS.md, "Value-range abstract interpretation".
 
 Usage:  PYTHONPATH=src python benchmarks/absint_gate.py
@@ -27,9 +31,10 @@ from repro.driver import FaultPolicy
 from repro.driver.pipelines import standard_pipeline
 from repro.frontend import compile_source
 
-#: The suite must yield at least this many range-driven rewrites; fewer
-#: means the analysis lost precision (or rangeopt lost its wiring).
-MIN_FOLDS = 5
+#: The suite yields exactly this many range-driven rewrites.  Fewer
+#: means the analysis lost precision (or rangeopt lost its wiring); more
+#: means it found some — either way the per-program table says where.
+EXPECTED_FOLDS = 15
 
 LEVEL = 2
 
@@ -56,7 +61,8 @@ def main(argv=None) -> int:
 
     policy = FaultPolicy(translation_validate=True, reduce_testcases=False)
     started = time.perf_counter()
-    total_folds = 0
+    folds_by_program = {}
+    sccp_folds = {"values-folded": 0, "branches-folded": 0}
     failed_programs = []
     for name in benchmark_names():
         program_started = time.perf_counter()
@@ -64,8 +70,10 @@ def main(argv=None) -> int:
         manager = standard_pipeline(LEVEL, policy=policy)
         manager.run(module)
         stats = policy.statistics()
-        folds = sum(manager.statistics().get("rangeopt", {}).values())
-        total_folds += folds
+        rows = manager.statistics()
+        folds = folds_by_program[name] = sum(rows.get("rangeopt", {}).values())
+        for key in sccp_folds:
+            sccp_folds[key] += rows.get("sccp", {}).get(key, 0)
         print(f"absint-gate: {name:10s} "
               f"{time.perf_counter() - program_started:6.1f}s  "
               f"rangeopt-rewrites={folds} "
@@ -77,8 +85,11 @@ def main(argv=None) -> int:
                 print(f"absint-gate:   {report.describe()}", file=sys.stderr)
 
     stats = policy.statistics()
+    total_folds = sum(folds_by_program.values())
     print(f"absint-gate: suite at -O{LEVEL}: {total_folds} rangeopt "
-          f"rewrites, {stats['validations.run']} validations "
+          f"rewrites (sccp: {sccp_folds['values-folded']} values, "
+          f"{sccp_folds['branches-folded']} branches folded), "
+          f"{stats['validations.run']} validations "
           f"({stats['validations.failed']} failed), "
           f"{stats['passes.rolled_back']} rollbacks, "
           f"{time.perf_counter() - started:.1f}s")
@@ -90,9 +101,11 @@ def main(argv=None) -> int:
         print("absint-gate: FAIL — the validator never ran "
               "(wiring regression)", file=sys.stderr)
         return 1
-    if total_folds < MIN_FOLDS:
-        print(f"absint-gate: FAIL — only {total_folds} rangeopt rewrites "
-              f"(need >= {MIN_FOLDS}); the analysis lost precision",
+    if total_folds != EXPECTED_FOLDS:
+        table = ", ".join(f"{name}={folds}"
+                          for name, folds in folds_by_program.items())
+        print(f"absint-gate: FAIL — {total_folds} rangeopt rewrites, "
+              f"pinned at {EXPECTED_FOLDS}; per program: {table}",
               file=sys.stderr)
         return 1
 

@@ -495,42 +495,24 @@ def interval_cast(src_shape: Shape, dst_shape: Shape,
 
 def _kb_add(bits: int, a: KnownBits, b: KnownBits,
             carry_in: int) -> KnownBits:
-    """Exact bitwise carry propagation for addition.
+    """Exact bitwise carry propagation for addition, in closed form.
 
-    Walks the ripple adder tracking the set of possible carries; a
-    result bit is known when every (a-bit, b-bit, carry) combination
-    produces the same sum bit.  ``carry_in`` seeds the carry set
-    (1 for subtraction encoded as ``a + ~b + 1``).
+    The sum of the operands' largest members has a one wherever some
+    execution's sum bit can be one given a possible carry, and the sum
+    of their smallest members a zero wherever it can be zero; xor-ing
+    the operand bits back out of each leaves the carry into every
+    position that is known zero / known one.  A result bit is known
+    where both operand bits and the incoming carry are.  ``carry_in``
+    is 1 for subtraction encoded as ``a + ~b + 1``.
     """
-    zeros = 0
-    ones = 0
-    carries = {carry_in}
-    for i in range(bits):
-        a_bits = _possible_bits(a, i)
-        b_bits = _possible_bits(b, i)
-        sums = set()
-        next_carries = set()
-        for x in a_bits:
-            for y in b_bits:
-                for c in carries:
-                    total = x + y + c
-                    sums.add(total & 1)
-                    next_carries.add(total >> 1)
-        if sums == {0}:
-            zeros |= 1 << i
-        elif sums == {1}:
-            ones |= 1 << i
-        carries = next_carries
-    return KnownBits(bits, zeros, ones)
-
-
-def _possible_bits(kb: KnownBits, i: int) -> tuple:
-    bit = 1 << i
-    if kb.zeros & bit:
-        return (0,)
-    if kb.ones & bit:
-        return (1,)
-    return (0, 1)
+    mask = (1 << bits) - 1
+    largest = (mask & ~a.zeros) + (mask & ~b.zeros) + carry_in
+    smallest = a.ones + b.ones + carry_in
+    carry_zeros = ~(largest ^ a.zeros ^ b.zeros)
+    carry_ones = smallest ^ a.ones ^ b.ones
+    known = (a.zeros | a.ones) & (b.zeros | b.ones) \
+        & (carry_zeros | carry_ones) & mask
+    return KnownBits(bits, ~largest & known, smallest & known)
 
 
 def _kb_not(kb: KnownBits) -> KnownBits:

@@ -2,9 +2,9 @@
 reduced product of the interval and known-bits domains.
 
 ``analyze_function`` runs an SCCP-style optimistic fixpoint on the
-existing sparse dataflow engine (:mod:`repro.sanalysis.dataflow`):
-every instruction starts *undefined* and information flows along
-def-use edges only.  Interval ascent through loop-carried phis is
+shared sparse dataflow engine (:mod:`repro.analysis.dataflow`): every
+instruction starts *undefined* and information flows along def-use
+edges only.  Interval ascent through loop-carried phis is
 accelerated by widening (after a bounded number of grow events the
 moving bound jumps to the shape extreme) and then sharpened by two
 narrowing sweeps that intersect each fact with its freshly recomputed
@@ -19,28 +19,22 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ...core import types
 from ...core.instructions import (
     BinaryOperator,
     CallInst,
     CastInst,
     Instruction,
     InvokeInst,
-    LoadInst,
-    Opcode,
     PhiNode,
     ShiftInst,
-    VAArgInst,
 )
 from ...core.values import (
-    Argument,
     ConstantBool,
     ConstantInt,
-    UndefValue,
     Value,
 )
-from ...sanalysis.dataflow import SparseAnalysis, solve_sparse
 from ..cfg import reverse_postorder
+from ..dataflow import SparseAnalysis, solve_sparse
 from ..loops import LoopInfo
 from .domains import (
     BOOL_SHAPE,
@@ -188,16 +182,7 @@ class _RangeAnalysis(SparseAnalysis):
         shape = shape_of(value.type)
         if shape is None:
             return NOINFO
-        if isinstance(value, (Argument, UndefValue, Instruction)):
-            return AbsValue.top(shape)
         return AbsValue.top(shape)
-
-    def meet(self, a, b):  # pragma: no cover - solver never calls it
-        if a is UNDEF:
-            return b
-        if b is UNDEF or a is NOINFO or b is NOINFO:
-            return a
-        return a.join(b)
 
     # -- transfer -----------------------------------------------------------
 
@@ -214,16 +199,12 @@ class _RangeAnalysis(SparseAnalysis):
             return self._transfer_shift(inst, get, result_shape)
         if isinstance(inst, CastInst):
             return self._transfer_cast(inst, get, result_shape)
-        if isinstance(inst, (CallInst, InvokeInst)):
-            if self.call_range is not None:
-                interval = _clamp_hook_range(result_shape,
-                                             self.call_range(inst))
-                return AbsValue(result_shape, interval,
-                                KnownBits.top(result_shape[0]))
-            return AbsValue.top(result_shape)
-        if isinstance(inst, (LoadInst, VAArgInst)):
-            return AbsValue.top(result_shape)
-        return AbsValue.top(result_shape)
+        if isinstance(inst, (CallInst, InvokeInst)) \
+                and self.call_range is not None:
+            interval = _clamp_hook_range(result_shape, self.call_range(inst))
+            return AbsValue(result_shape, interval,
+                            KnownBits.top(result_shape[0]))
+        return AbsValue.top(result_shape)  # loads, vaarg, opaque calls
 
     def _operand(self, value: Value, get, shape: Shape):
         """The operand's fact: an AbsValue of ``shape``, or UNDEF when
@@ -350,8 +331,8 @@ class ValueFacts:
         element = self._elements.get(value)
         if element is UNDEF:
             return True
-        # The sparse solver only seeds instructions in CFG-reachable
-        # blocks; an instruction it never saw sits in dead code.
+        # The sparse solver only visits blocks an executable edge
+        # reaches; an instruction it never saw sits in dead code.
         return element is None and isinstance(value, Instruction)
 
     def contains(self, value: Value, concrete) -> bool:
@@ -390,28 +371,19 @@ def analyze_function(function,
     """Run the engine over one function and return its facts."""
     analysis = _RangeAnalysis(function, call_range)
     result = solve_sparse(analysis, function)
-    elements = dict(result.values)
+    elements = result.values
 
     # Narrowing: recompute every transfer against the (post-widening)
     # fixpoint and keep the intersection.  Each sweep is sound on its
     # own, so a fixed small number of sweeps needs no convergence check.
     analysis.widening_enabled = False
-
-    def get(value: Value):
-        existing = elements.get(value)
-        if existing is not None:
-            return existing
-        element = analysis.initial(value)
-        elements[value] = element
-        return element
-
     for _ in range(_NARROWING_SWEEPS):
         for block in reverse_postorder(function):
             for inst in block.instructions:
                 old = elements.get(inst)
                 if not isinstance(old, AbsValue):
                     continue
-                new = analysis.transfer(inst, get)
+                new = analysis.transfer(inst, result.view(inst))
                 if isinstance(new, AbsValue):
                     refined = old.intersect(new)
                     elements[inst] = refined if refined is not None else new

@@ -1,10 +1,11 @@
-"""Static analysis: a sparse dataflow engine and the `lc-lint` checker suite.
+"""Static analysis: the `lc-lint` checker suite over the dataflow engine.
 
 The paper's claim is that a typed, SSA-based IR supports "lifelong
 program analysis", not just optimization.  This package is the analysis
-half of that claim: a reusable dataflow engine (:mod:`.dataflow`)
-driving a catalogue of correctness checkers (:mod:`.checkers`) that emit
-structured, source-located diagnostics (:mod:`.diagnostics`).
+half of that claim: the shared dataflow engine
+(:mod:`repro.analysis.dataflow`, re-exported here) driving a catalogue
+of correctness checkers (:mod:`.checkers`) that emit structured,
+source-located diagnostics (:mod:`.diagnostics`).
 
 Entry points:
 
@@ -20,12 +21,12 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from ..core.module import Module
-from .checkers import ALL_CHECKERS, CHECKERS, CallSignatureChecker
-from .dataflow import (
+from ..analysis.dataflow import (
     BACKWARD, DenseAnalysis, DenseResult, FORWARD, SparseAnalysis,
     SparseResult, solve_dense, solve_sparse,
 )
+from ..core.module import Module
+from .checkers import ALL_CHECKERS, CHECKERS, CallSignatureChecker
 from .diagnostics import Diagnostic, Reporter, Severity, dedupe, stable_order
 
 

@@ -29,7 +29,14 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..analysis.absint import (
+    analyze_function, exact_binary_range, shape_bounds, shape_of,
+)
 from ..analysis.cfg import reachable_blocks, unreachable_blocks
+from ..analysis.dataflow import (
+    BACKWARD, DenseAnalysis, FORWARD, SparseAnalysis, solve_dense,
+    solve_sparse,
+)
 from ..core import types
 from ..core.instructions import (
     AllocaInst, AllocationInst, BinaryOperator, CallInst, CastInst, FreeInst,
@@ -41,10 +48,6 @@ from ..core.values import (
     ConstantExpr, ConstantInt, ConstantPointerNull, UndefValue, Value,
 )
 from ..transforms.mem2reg import is_promotable
-from .dataflow import (
-    BACKWARD, DenseAnalysis, FORWARD, SparseAnalysis, solve_dense,
-    solve_sparse,
-)
 from .diagnostics import Reporter, Severity
 
 
@@ -272,8 +275,6 @@ class StaticBoundsChecker:
     wants_ssa = True
 
     def check_module(self, module: Module, reporter: Reporter) -> None:
-        from ..analysis.absint import analyze_function
-
         for function in module.defined_functions():
             facts = None
             for block in reachable_blocks(function):
@@ -548,8 +549,6 @@ def _range_facts_for(function: Function, wanted) -> Optional[object]:
     Keeps the absint solve off the common path: a checker only pays for
     the analysis in functions that can possibly trigger it.
     """
-    from ..analysis.absint import analyze_function
-
     has_candidate = any(
         wanted(inst)
         for block in reachable_blocks(function)
@@ -652,10 +651,6 @@ class DefiniteOverflowChecker:
     _OPCODES = (Opcode.ADD, Opcode.SUB, Opcode.MUL)
 
     def check_module(self, module: Module, reporter: Reporter) -> None:
-        from ..analysis.absint import (
-            exact_binary_range, shape_bounds, shape_of,
-        )
-
         def wanted(inst):
             return isinstance(inst, BinaryOperator) and \
                 inst.opcode in self._OPCODES and inst.type.is_integer and \

@@ -34,7 +34,9 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.absint import analyze_function
 from ..analysis.callgraph import strongly_connected_components
+from ..analysis.dataflow import DenseAnalysis, FORWARD, solve_dense
 from ..analysis.dsa import KNOWN_SAFE_EXTERNALS
 from ..core import types
 from ..core.instructions import (
@@ -48,7 +50,6 @@ from ..core.values import (
     UndefValue, Value,
 )
 from .checkers import NULL_MAYBE, NULL_NONNULL, NULL_NULL, NULL_TOP
-from .dataflow import DenseAnalysis, FORWARD, solve_dense
 
 #: Taint lattice: ``top`` (no evidence, meet identity) / ``clean`` /
 #: ``tainted`` (may derive from unchecked external input).
@@ -602,8 +603,7 @@ def summarize_function_ipa(function: Function) -> AnalysisSummary:
         if not isinstance(value.type, types.IntegerType):
             return None
         if not absint_facts:
-            from ..analysis.absint import analyze_function as _absint
-            absint_facts.append(_absint(function))
+            absint_facts.append(analyze_function(function))
         fact = absint_facts[0].abs_of(value)
         if fact is None or fact.interval.is_top(fact.shape):
             return None

@@ -22,7 +22,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
+from ..analysis.absint import analyze_function
 from ..analysis.cfg import reachable_blocks
+from ..analysis.dataflow import (
+    DenseAnalysis, FORWARD, SparseAnalysis, solve_dense, solve_sparse,
+)
 from ..core.instructions import (
     BinaryOperator, CallInst, CastInst, FreeInst, GetElementPtrInst,
     Instruction, InvokeInst, LoadInst, MallocInst, Opcode, PhiNode,
@@ -33,9 +37,6 @@ from ..core.values import Argument, Constant, ConstantInt, Value
 from .checkers import (
     NULL_MAYBE, NULL_NONNULL, NULL_NULL, NULL_TOP, _dereferenced_pointer,
     _Nullness,
-)
-from .dataflow import (
-    DenseAnalysis, FORWARD, SparseAnalysis, solve_dense, solve_sparse,
 )
 from .diagnostics import Reporter
 from .interproc import (
@@ -580,8 +581,6 @@ class IPABoundsAdvisor(IPAChecker):
 
     def check_function(self, function: Function,
                        reporter: Reporter) -> None:
-        from ..analysis.absint import analyze_function
-
         def call_range(inst):
             return self.program.call_return_range(self.scope, inst)
 

@@ -28,8 +28,7 @@ would change observable faulting behaviour the test suite pins.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from ..analysis.absint import ValueFacts, analyze_function, shape_of
 from ..core import types
 from ..core.constfold import make_constant
 from ..core.instructions import (
@@ -42,9 +41,6 @@ from ..core.instructions import (
 from ..core.module import Function
 from ..core.values import ConstantInt
 from .utils import constant_fold_terminator, replace_and_erase
-
-if TYPE_CHECKING:
-    from ..analysis.absint import ValueFacts
 
 
 class RangeOpt:
@@ -62,11 +58,6 @@ class RangeOpt:
     def run_on_function(self, function: Function) -> bool:
         if function.is_declaration:
             return False
-        # Imported here, not at module scope: absint itself sits on the
-        # sanalysis dataflow engine, whose package pulls the transforms
-        # back in through the SSA-view checkers.
-        from ..analysis.absint import analyze_function
-
         facts = analyze_function(function)
         changed = False
         for block in list(function.blocks):
@@ -82,7 +73,7 @@ class RangeOpt:
 
     # -- rewrites -----------------------------------------------------------
 
-    def _simplify(self, inst, facts: "ValueFacts") -> bool:
+    def _simplify(self, inst, facts: ValueFacts) -> bool:
         if not isinstance(inst, (BinaryOperator, ShiftInst, CastInst,
                                  PhiNode)):
             return False
@@ -98,7 +89,7 @@ class RangeOpt:
                 return self._simplify_bitop(inst, facts)
         return False
 
-    def _fold_singleton(self, inst, fact, facts: "ValueFacts") -> bool:
+    def _fold_singleton(self, inst, fact, facts: ValueFacts) -> bool:
         value = fact.singleton()
         if value is None:
             return False
@@ -115,7 +106,7 @@ class RangeOpt:
         replace_and_erase(inst, replacement)
         return True
 
-    def _simplify_divrem(self, inst, facts: "ValueFacts") -> bool:
+    def _simplify_divrem(self, inst, facts: ValueFacts) -> bool:
         dividend = facts.interval_of(inst.lhs)
         divisor = facts.interval_of(inst.rhs)
         if dividend is None or divisor is None:
@@ -149,9 +140,7 @@ class RangeOpt:
         replace_and_erase(inst, replacement)
         return True
 
-    def _simplify_bitop(self, inst, facts: "ValueFacts") -> bool:
-        from ..analysis.absint import shape_of
-
+    def _simplify_bitop(self, inst, facts: ValueFacts) -> bool:
         shape = shape_of(inst.type)
         if shape is None:
             return False

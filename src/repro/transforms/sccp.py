@@ -1,32 +1,118 @@
 """Sparse conditional constant propagation (Wegman–Zadeck).
 
-Runs a three-level lattice (undefined → constant → overdefined) over
-SSA values while simultaneously tracking edge executability, so
-constants are propagated *through* conditional structure: a branch
-whose condition folds keeps its dead edge non-executable, and phi nodes
-only merge values from executable edges.  This is the kind of fast,
-flow-insensitive-cost / flow-sensitive-benefit algorithm the paper
-credits SSA form with enabling.
+A three-point lattice (undefined → constant → overdefined) over SSA
+values, solved by the shared sparse engine
+(:func:`repro.analysis.dataflow.solve_sparse`), which tracks edge
+executability while it propagates: this analysis tells it that a branch
+or switch on a constant has one feasible successor (and one on a
+still-undefined value has none), so constants are propagated *through*
+conditional structure — the dead edge stays non-executable and phi
+nodes only merge values from executable edges.  This is the kind of
+fast, flow-insensitive-cost / flow-sensitive-benefit algorithm the
+paper credits SSA form with enabling.
+
+The pass is the analysis plus its rewrite: every side-effect-free
+instruction whose element is a constant is replaced by it, and the
+terminators of executable blocks fold; the blocks that leaves
+unreachable are SimplifyCFG's to sweep.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
+from ..analysis.dataflow import SparseAnalysis, solve_sparse
 from ..core import constfold
-from ..core.basicblock import BasicBlock
 from ..core.instructions import (
-    BranchInst, CastInst, Instruction, Opcode, PhiNode, ShiftInst, SwitchInst,
+    BranchInst, CastInst, Instruction, PhiNode, ShiftInst, SwitchInst,
 )
 from ..core.module import Function
-from ..core.values import Constant, ConstantBool, ConstantInt, UndefValue, Value
+from ..core.values import (
+    Constant, ConstantBool, ConstantFP, ConstantInt, ConstantPointerNull,
+    UndefValue, Value,
+)
 from .utils import constant_fold_terminator, replace_and_erase
 
+#: The lattice's two sentinels; every other element is a Constant.
 _UNDEFINED = "undefined"
 _OVERDEFINED = "overdefined"
 
-#: Lattice element: the sentinel strings or a Constant.
-Lattice = Union[str, Constant]
+_SCALAR_CONSTANTS = (ConstantInt, ConstantBool, ConstantFP,
+                     ConstantPointerNull)
+
+
+class _Constants(SparseAnalysis):
+    """The constant lattice and what decides a branch (module docstring)."""
+
+    def __init__(self):
+        #: One object per distinct scalar constant, so that the solver's
+        #: ``!=`` (identity, on Constants) is value equality.  Symbolic
+        #: constants (globals, constant expressions) are only ever equal
+        #: to themselves.
+        self._canonical: dict[tuple, Constant] = {}
+
+    def _constant(self, constant: Constant) -> Constant:
+        if not isinstance(constant, _SCALAR_CONSTANTS):
+            return constant
+        # The printed form tells -0.0 from 0.0 and equates NaN with NaN.
+        return self._canonical.setdefault((constant.type, str(constant)),
+                                          constant)
+
+    def top(self):
+        return _UNDEFINED
+
+    def initial(self, value: Value):
+        if isinstance(value, UndefValue):
+            return _UNDEFINED
+        if isinstance(value, Constant):
+            return self._constant(value)
+        return _OVERDEFINED  # an argument: only known at run time
+
+    def meet(self, a, b):
+        if a is _UNDEFINED or a is b:
+            return b
+        if b is _UNDEFINED:
+            return a
+        return _OVERDEFINED
+
+    def transfer(self, inst: Instruction, get):
+        if isinstance(inst, PhiNode):
+            merged = _UNDEFINED
+            for value, _ in inst.incoming:
+                merged = self.meet(merged, get(value))
+            return merged
+        if not (inst.is_binary_op or isinstance(inst, (ShiftInst, CastInst))):
+            return _OVERDEFINED  # loads, calls, ...: a run-time value
+        operands = [get(operand) for operand in inst.operands]
+        if _OVERDEFINED in operands:
+            return _OVERDEFINED
+        if _UNDEFINED in operands:
+            return _UNDEFINED
+        if isinstance(inst, CastInst):
+            folded = constfold.fold_cast(operands[0], inst.type)
+        elif isinstance(inst, ShiftInst):
+            folded = constfold.fold_shift(inst.opcode, *operands)
+        else:
+            folded = constfold.fold_binary(inst.opcode, *operands)
+        return self._constant(folded) if folded is not None else _OVERDEFINED
+
+    def feasible_successors(self, terminator: Instruction, get):
+        # Dispatch on the terminator, not the selector: a switch may be
+        # on a bool, whose operand layout is not a branch's.
+        if isinstance(terminator, BranchInst) and terminator.is_conditional:
+            element = get(terminator.condition)
+            if isinstance(element, ConstantBool):
+                return (terminator.operands[1 if element.value else 2],)
+        elif isinstance(terminator, SwitchInst):
+            element = get(terminator.value)
+            if isinstance(element, (ConstantInt, ConstantBool)):
+                for case_value, destination in terminator.cases:
+                    if case_value.value == element.value:
+                        return (destination,)
+                return (terminator.default_dest,)
+        else:
+            return terminator.successors
+        if element is _UNDEFINED:
+            return ()  # no execution gets here yet
+        return terminator.successors
 
 
 class SCCP:
@@ -34,195 +120,26 @@ class SCCP:
 
     name = "sccp"
 
+    def __init__(self):
+        self.counters = {"values-folded": 0, "branches-folded": 0}
+
     def run_on_function(self, function: Function) -> bool:
-        solver = _Solver(function)
-        solver.solve()
-        return solver.rewrite()
-
-
-class _Solver:
-    def __init__(self, function: Function):
-        self.function = function
-        self.lattice: dict[int, Lattice] = {}
-        self.executable_edges: set[tuple[int, int]] = set()
-        self.executable_blocks: set[int] = set()
-        self.ssa_worklist: list[Instruction] = []
-        self.block_worklist: list[BasicBlock] = [function.entry_block]
-
-    # -- lattice helpers ------------------------------------------------------
-
-    def value_of(self, value: Value) -> Lattice:
-        if isinstance(value, UndefValue):
-            return _UNDEFINED
-        if isinstance(value, Constant):
-            return value
-        if isinstance(value, Instruction):
-            return self.lattice.get(id(value), _UNDEFINED)
-        return _OVERDEFINED  # arguments, globals used as scalars, etc.
-
-    def _raise_to(self, inst: Instruction, new_value: Lattice) -> None:
-        old = self.lattice.get(id(inst), _UNDEFINED)
-        if old == _OVERDEFINED or _lattice_equal(old, new_value):
-            return
-        if old != _UNDEFINED and not _lattice_equal(old, new_value):
-            new_value = _OVERDEFINED
-        self.lattice[id(inst)] = new_value
-        for user in inst.users():
-            if isinstance(user, Instruction):
-                self.ssa_worklist.append(user)
-
-    # -- solving --------------------------------------------------------------
-
-    def solve(self) -> None:
-        while self.block_worklist or self.ssa_worklist:
-            while self.block_worklist:
-                block = self.block_worklist.pop()
-                if id(block) in self.executable_blocks:
-                    continue
-                self.executable_blocks.add(id(block))
-                for inst in block.instructions:
-                    self.visit(inst)
-            while self.ssa_worklist:
-                inst = self.ssa_worklist.pop()
-                if inst.parent is not None and id(inst.parent) in self.executable_blocks:
-                    self.visit(inst)
-
-    def _mark_edge(self, src: BasicBlock, dst: BasicBlock) -> None:
-        edge = (id(src), id(dst))
-        if edge in self.executable_edges:
-            return
-        self.executable_edges.add(edge)
-        if id(dst) in self.executable_blocks:
-            # New edge into an already-visited block: phis must re-merge.
-            for phi in dst.phis():
-                self.visit(phi)
-        else:
-            self.block_worklist.append(dst)
-
-    def visit(self, inst: Instruction) -> None:
-        if isinstance(inst, PhiNode):
-            self._visit_phi(inst)
-        elif isinstance(inst, BranchInst):
-            self._visit_branch(inst)
-        elif isinstance(inst, SwitchInst):
-            self._visit_switch(inst)
-        elif inst.is_terminator:
-            for succ in inst.successors:  # invoke/unwind
-                self._mark_edge(inst.parent, succ)
-            if not inst.type.is_void:
-                # An invoke produces a runtime value.
-                self._raise_to(inst, _OVERDEFINED)
-        elif inst.is_binary_op:
-            self._visit_binary(inst)
-        elif isinstance(inst, ShiftInst):
-            self._visit_shift(inst)
-        elif isinstance(inst, CastInst):
-            self._visit_cast(inst)
-        elif not inst.type.is_void:
-            self._raise_to(inst, _OVERDEFINED)
-
-    def _visit_phi(self, phi: PhiNode) -> None:
-        merged: Lattice = _UNDEFINED
-        for value, pred in phi.incoming:
-            if (id(pred), id(phi.parent)) not in self.executable_edges:
-                continue
-            incoming = self.value_of(value)
-            if incoming == _UNDEFINED:
-                continue
-            if incoming == _OVERDEFINED:
-                merged = _OVERDEFINED
-                break
-            if merged == _UNDEFINED:
-                merged = incoming
-            elif not _lattice_equal(merged, incoming):
-                merged = _OVERDEFINED
-                break
-        if merged != _UNDEFINED:
-            self._raise_to(phi, merged)
-
-    def _visit_branch(self, inst: BranchInst) -> None:
-        block = inst.parent
-        if not inst.is_conditional:
-            self._mark_edge(block, inst.operands[0])
-            return
-        cond = self.value_of(inst.condition)
-        if isinstance(cond, ConstantBool):
-            taken = inst.operands[1] if cond.value else inst.operands[2]
-            self._mark_edge(block, taken)
-        elif cond == _OVERDEFINED:
-            self._mark_edge(block, inst.operands[1])
-            self._mark_edge(block, inst.operands[2])
-        # undefined: no edge executable yet
-
-    def _visit_switch(self, inst: SwitchInst) -> None:
-        block = inst.parent
-        value = self.value_of(inst.value)
-        if isinstance(value, ConstantInt):
-            target = inst.default_dest
-            for case_value, dest in inst.cases:
-                if case_value.value == value.value:  # type: ignore[attr-defined]
-                    target = dest
-                    break
-            self._mark_edge(block, target)
-        elif value == _OVERDEFINED:
-            for succ in inst.successors:
-                self._mark_edge(block, succ)
-
-    def _visit_binary(self, inst: Instruction) -> None:
-        lhs = self.value_of(inst.operands[0])
-        rhs = self.value_of(inst.operands[1])
-        if lhs == _OVERDEFINED or rhs == _OVERDEFINED:
-            self._raise_to(inst, _OVERDEFINED)
-            return
-        if lhs == _UNDEFINED or rhs == _UNDEFINED:
-            return
-        folded = constfold.fold_binary(inst.opcode, lhs, rhs)
-        self._raise_to(inst, folded if folded is not None else _OVERDEFINED)
-
-    def _visit_shift(self, inst: ShiftInst) -> None:
-        value = self.value_of(inst.value)
-        amount = self.value_of(inst.amount)
-        if value == _OVERDEFINED or amount == _OVERDEFINED:
-            self._raise_to(inst, _OVERDEFINED)
-            return
-        if value == _UNDEFINED or amount == _UNDEFINED:
-            return
-        folded = constfold.fold_shift(inst.opcode, value, amount)
-        self._raise_to(inst, folded if folded is not None else _OVERDEFINED)
-
-    def _visit_cast(self, inst: CastInst) -> None:
-        value = self.value_of(inst.value)
-        if value == _OVERDEFINED:
-            self._raise_to(inst, _OVERDEFINED)
-            return
-        if value == _UNDEFINED:
-            return
-        folded = constfold.fold_cast(value, inst.type)
-        self._raise_to(inst, folded if folded is not None else _OVERDEFINED)
-
-    # -- rewriting -----------------------------------------------------------------
-
-    def rewrite(self) -> bool:
+        result = solve_sparse(_Constants(), function)
         changed = False
-        for block in self.function.blocks:
-            if id(block) not in self.executable_blocks:
+        for block in function.blocks:
+            if block not in result.executable_blocks:
                 continue
             for inst in list(block.instructions):
-                value = self.lattice.get(id(inst))
-                if isinstance(value, Constant) and not inst.has_side_effects():
-                    replace_and_erase(inst, value)
+                if isinstance(result[inst], Constant) \
+                        and not inst.has_side_effects():
+                    replace_and_erase(inst, result[inst])
+                    self.counters["values-folded"] += 1
                     changed = True
         # Branches whose condition became constant fold here; the dead
         # blocks themselves are left for SimplifyCFG to sweep.
-        for block in list(self.function.blocks):
-            if id(block) in self.executable_blocks:
-                changed |= constant_fold_terminator(block)
+        for block in function.blocks:
+            if block in result.executable_blocks \
+                    and constant_fold_terminator(block):
+                self.counters["branches-folded"] += 1
+                changed = True
         return changed
-
-
-def _lattice_equal(a: Lattice, b: Lattice) -> bool:
-    if isinstance(a, str) or isinstance(b, str):
-        return a is b or a == b
-    if type(a) is not type(b) or a.type is not b.type:
-        return False
-    return getattr(a, "value", None) == getattr(b, "value", None)

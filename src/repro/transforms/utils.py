@@ -101,7 +101,8 @@ def constant_fold_terminator(block: BasicBlock) -> bool:
             block.append(BranchInst(dest))
             return True
         return False
-    if isinstance(term, SwitchInst) and isinstance(term.value, ConstantInt):
+    if isinstance(term, SwitchInst) \
+            and isinstance(term.value, (ConstantInt, ConstantBool)):
         selected = term.default_dest
         for case_value, dest in term.cases:
             if case_value.value == term.value.value:  # type: ignore[attr-defined]

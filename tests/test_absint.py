@@ -2,6 +2,7 @@
 pass it feeds, and the range-driven lint checkers."""
 
 import io
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.analysis.absint import (
     exact_binary_range, interval_binary, interval_from_kb, kb_binary,
     kb_from_interval, reduce_pair, run_self_check, shape_of,
 )
+from repro.analysis.absint.domains import _kb_add
 from repro.core import parse_function, parse_module, types, verify_function
 from repro.core.constfold import ArithmeticFault, eval_binary
 from repro.core.instructions import Opcode
@@ -72,6 +74,66 @@ class TestDomains:
         assert shape_of(types.INT) == INT
         assert shape_of(types.BOOL) == BOOL_SHAPE
         assert shape_of(types.FLOAT) is None
+
+
+def _ripple_kb_add(bits, a, b, carry_in):
+    """The reference `_kb_add` is checked against: walk the ripple adder
+    tracking the set of possible carries; a result bit is known when
+    every (a-bit, b-bit, carry) combination produces the same sum bit."""
+    def possible(kb, i):
+        if kb.zeros >> i & 1:
+            return (0,)
+        if kb.ones >> i & 1:
+            return (1,)
+        return (0, 1)
+
+    zeros = ones = 0
+    carries = {carry_in}
+    for i in range(bits):
+        totals = {x + y + c for x in possible(a, i) for y in possible(b, i)
+                  for c in carries}
+        sums = {total & 1 for total in totals}
+        if sums == {0}:
+            zeros |= 1 << i
+        elif sums == {1}:
+            ones |= 1 << i
+        carries = {total >> 1 for total in totals}
+    return KnownBits(bits, zeros, ones)
+
+
+def _all_knownbits(bits):
+    for zeros in range(1 << bits):
+        for ones in range(1 << bits):
+            if not zeros & ones:
+                yield KnownBits(bits, zeros, ones)
+
+
+class TestKnownBitsAdd:
+    """The closed-form carry computation equals the ripple adder."""
+
+    def test_exhaustive_at_five_bits(self):
+        patterns = list(_all_knownbits(5))
+        assert len(patterns) == 3 ** 5
+        for a in patterns:
+            for b in patterns:
+                for carry_in in (0, 1):
+                    assert _kb_add(5, a, b, carry_in) == \
+                        _ripple_kb_add(5, a, b, carry_in), (a, b, carry_in)
+
+    @pytest.mark.parametrize("bits", [32, 64])
+    def test_seeded_samples_at_production_widths(self, bits):
+        rng = random.Random(bits)
+        mask = (1 << bits) - 1
+
+        def sample():
+            known = rng.getrandbits(bits) & rng.getrandbits(bits)
+            ones = rng.getrandbits(bits) & known
+            return KnownBits(bits, known & ~ones & mask, ones)
+
+        for _ in range(2000):
+            a, b, carry_in = sample(), sample(), rng.getrandbits(1)
+            assert _kb_add(bits, a, b, carry_in) == \
+                _ripple_kb_add(bits, a, b, carry_in), (a, b, carry_in)
 
 
 class TestSelfCheck:

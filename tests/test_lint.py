@@ -10,8 +10,9 @@ the standard pipeline and requires zero errors or warnings.
 import pytest
 
 from repro.benchsuite import benchmark_names, compile_benchmark
+from repro.analysis.cfg import reachable_blocks
 from repro.core import IRBuilder, Module, parse_module, types
-from repro.core.values import ConstantExpr, ConstantInt
+from repro.core.values import Constant, ConstantExpr, ConstantInt
 from repro.frontend import compile_source
 from repro.driver.pipelines import analyze_module, compile_and_link
 from repro.sanalysis import (
@@ -159,6 +160,26 @@ class _OpcodeFlow(SparseAnalysis):
         return element
 
 
+class _PrunedFlow(_OpcodeFlow):
+    """The same, with constants visible (``"const"``) and a branch or
+    switch on a literal constant feasible only where it leads."""
+
+    def initial(self, value):
+        return frozenset({"const"} if isinstance(value, Constant) else ())
+
+    def feasible_successors(self, terminator, get):
+        selector = terminator.operands[0] if terminator.operands else None
+        successors = terminator.successors
+        if not isinstance(selector, Constant) or len(successors) < 2:
+            return successors
+        if terminator.opcode.value == "switch":
+            for case_value, destination in terminator.cases:
+                if case_value.value == selector.value:
+                    return [destination]
+            return [terminator.default_dest]
+        return [successors[0 if selector.value else 1]]
+
+
 class TestSparseEngine:
     def test_propagates_through_phi(self):
         fn = parse_module("""
@@ -182,6 +203,147 @@ join:
                    if i.name}
         assert result[by_name["m"]] == {"phi", "add", "mul"}
         assert result[by_name["r"]] == {"sub", "phi", "add", "mul"}
+
+    # -- edge executability -------------------------------------------------
+
+    @staticmethod
+    def _solve(analysis, text):
+        fn = parse_module(text).functions["f"]
+        result = solve_sparse(analysis, fn)
+        insts = {i.name: i for b in fn.blocks for i in b.instructions
+                 if i.name}
+        executable = {b.name for b in result.executable_blocks}
+        return fn, result, insts, executable
+
+    _CONSTANT_BRANCH = """
+int %f(int %x) {
+entry:
+  br bool true, label %a, label %b
+a:
+  %p = add int %x, %x
+  br label %join
+b:
+  %q = mul int %x, %x
+  br label %join
+join:
+  %m = phi int [ %p, %a ], [ 7, %b ]
+  %n = phi int [ 7, %a ], [ %q, %b ]
+  ret int %m
+}
+"""
+
+    def test_infeasible_edge_does_not_pollute_the_merge(self):
+        _, result, insts, executable = self._solve(
+            _PrunedFlow(), self._CONSTANT_BRANCH)
+        assert result[insts["m"]] == {"phi", "add"}  # no "const" from %b
+        assert result[insts["n"]] == {"phi", "const"}  # no "mul" from %b
+        assert executable == {"entry", "a", "join"}
+
+    def test_block_behind_infeasible_edge_stays_at_top(self):
+        analysis = _PrunedFlow()
+        fn, result, insts, executable = self._solve(
+            analysis, self._CONSTANT_BRANCH)
+        assert "b" not in executable
+        assert result.get(insts["q"], analysis.top()) == analysis.top()
+        assert insts["q"] not in result.values
+
+    def test_default_feasibility_visits_the_cfg_reachable_blocks(self):
+        """What ``ValueFacts.is_unreached`` relies on: an analysis that
+        does not override ``feasible_successors`` prunes nothing, not
+        even a literal ``br bool true``, and never enters dead code."""
+        fn, result, insts, executable = self._solve(_OpcodeFlow(), """
+int %f(int %x) {
+entry:
+  br bool true, label %a, label %b
+a:
+  ret int %x
+b:
+  %q = mul int %x, 2
+  ret int %q
+dead:
+  %d = add int %x, 1
+  br label %a
+}
+""")
+        assert result.executable_blocks == set(reachable_blocks(fn))
+        assert executable == {"entry", "a", "b"}
+        assert result[insts["q"]] == {"mul"}
+        assert insts["d"] not in result.values
+
+    def test_phi_ignores_an_unreachable_predecessor(self):
+        """Default feasibility, a phi fed from a block no edge reaches:
+        the solve shows the phi ``top`` for that incoming, not its
+        ``initial`` element, and ``result.view`` keeps showing it so."""
+        class _VisibleConstants(_OpcodeFlow):
+            initial = _PrunedFlow.initial
+
+        analysis = _VisibleConstants()
+        _, result, insts, executable = self._solve(analysis, """
+int %f(int %x) {
+entry:
+  %p = add int %x, %x
+  br label %join
+dead:
+  br label %join
+join:
+  %m = phi int [ %p, %entry ], [ 7, %dead ]
+  %n = phi int [ 7, %entry ], [ 7, %dead ]
+  %r = sub int %m, 7
+  ret int %r
+}
+""")
+        assert executable == {"entry", "join"}
+        assert result[insts["m"]] == {"phi", "add"}  # no "const" from %dead
+        assert result[insts["n"]] == {"phi", "const"}  # live over %entry
+        assert result[insts["r"]] == {"sub", "phi", "add", "const"}
+        (_, _), (dead_seven, _) = insts["m"].incoming
+        assert result.view(insts["m"])(dead_seven) == analysis.top()
+        assert result.view(insts["r"])(dead_seven) == {"const"}
+
+    def test_constant_switch_marks_exactly_one_successor(self):
+        _, result, insts, executable = self._solve(_PrunedFlow(), """
+int %f(int %x) {
+entry:
+  switch int 2, label %other [ int 1, label %one  int 2, label %two ]
+one:
+  br label %join
+two:
+  br label %join
+other:
+  br label %join
+join:
+  %m = phi int [ 1, %one ], [ %x, %two ], [ 3, %other ]
+  ret int %m
+}
+""")
+        assert executable == {"entry", "two", "join"}
+        assert result[insts["m"]] == {"phi"}
+
+    def test_late_feasible_edge_remerges_the_phis(self):
+        """The back edge becomes executable after the header was
+        visited; the header's phi must pick up what it carries, and so
+        must everything downstream of the phi."""
+        _, result, insts, executable = self._solve(_PrunedFlow(), """
+int %f(int %n) {
+entry:
+  br label %header
+header:
+  %i = phi int [ 0, %entry ], [ %next, %latch ]
+  %more = setlt int %i, %n
+  br bool %more, label %latch, label %exit
+latch:
+  %next = shl int %i, ubyte 1
+  br label %header
+exit:
+  %r = sub int %i, 1
+  ret int %r
+}
+""")
+        assert executable == {"entry", "header", "latch", "exit"}
+        assert result[insts["i"]] == {"phi", "const", "shl"}
+        assert result[insts["r"]] == {"sub", "phi", "const", "shl"}
+        assert result.iterations > sum(
+            len(b.instructions) for b in result.executable_blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,20 @@ tail recursion elimination, and reg2mem."""
 
 import pytest
 
+from repro.benchsuite import benchmark_names, load_source
 from repro.core import (
-    parse_function, print_function, types, verify_function,
+    parse_function, parse_module, print_function, types, verify_function,
 )
 from repro.core.instructions import (
     AllocaInst, BinaryOperator, CallInst, LoadInst, Opcode, PhiNode,
 )
 from repro.core.values import ConstantInt
+from repro.driver.pipelines import standard_pipeline
 from repro.execution import Interpreter
 from repro.frontend import compile_source
 from repro.transforms import (
     AggressiveDCE, ConstantPropagation, DeadCodeElimination, GVN,
-    InstCombine, LICM, PromoteMem2Reg, Reassociate, SCCP,
+    InstCombine, LICM, PassManager, PromoteMem2Reg, Reassociate, SCCP,
     ScalarReplAggregates, SimplifyCFG, TailRecursionElimination,
 )
 from repro.transforms.reg2mem import DemoteRegisters
@@ -270,6 +272,174 @@ entry:
 """)
         SCCP().run_on_function(fn)
         assert Interpreter(fn.parent).run("f", [21]) == 42
+
+    def test_constant_survives_a_loop(self):
+        """Optimism: the back edge only ever carries the same constant,
+        so the phi never leaves it; the counter beside it does."""
+        fn = parse_function("""
+int %f(int %n) {
+entry:
+  br label %loop
+loop:
+  %k = phi int [ 4, %entry ], [ %k2, %loop ]
+  %i = phi int [ 0, %entry ], [ %i2, %loop ]
+  %k2 = mul int %k, 1
+  %i2 = add int %i, 1
+  %done = setge int %i2, %n
+  br bool %done, label %exit, label %loop
+exit:
+  %r = add int %k, %i
+  ret int %r
+}
+""")
+        sccp = SCCP()
+        assert sccp.run_on_function(fn)
+        verify_function(fn)
+        assert sccp.counters == {"values-folded": 2, "branches-folded": 0}
+        assert [phi.name for phi in fn.blocks[1].phis()] == ["i"]
+        assert Interpreter(fn.parent).run("f", [3]) == 6
+
+    def test_constant_switch_takes_one_case(self):
+        fn = parse_function("""
+int %f(int %x) {
+entry:
+  %sel = add int 1, 1
+  switch int %sel, label %other [ int 1, label %one  int 2, label %two ]
+one:
+  br label %join
+two:
+  br label %join
+other:
+  br label %join
+join:
+  %p = phi int [ %x, %one ], [ 20, %two ], [ %x, %other ]
+  ret int %p
+}
+""")
+        sccp = SCCP()
+        assert sccp.run_on_function(fn)
+        assert sccp.counters == {"values-folded": 2, "branches-folded": 1}
+        SimplifyCFG().run_on_function(fn)
+        assert Interpreter(fn.parent).run("f", [5]) == 20
+
+    @pytest.mark.parametrize("selector, expected", [("true", 2), ("false", 1)])
+    def test_switch_on_constant_bool(self, selector, expected):
+        """A switch may select on a bool; its operands are not a
+        branch's (default first, then case value / destination)."""
+        fn = parse_function(f"""
+int %f() {{
+entry:
+  %sel = xor bool {selector}, false
+  switch bool %sel, label %d [ bool true, label %t ]
+d:
+  br label %join
+t:
+  br label %join
+join:
+  %p = phi int [ 1, %d ], [ 2, %t ]
+  ret int %p
+}}
+""")
+        assert Interpreter(fn.parent).run("f", []) == expected
+        sccp = SCCP()
+        assert sccp.run_on_function(fn)
+        verify_function(fn)
+        assert sccp.counters == {"values-folded": 2, "branches-folded": 1}
+        assert Interpreter(fn.parent).run("f", []) == expected
+
+    def test_distinct_symbolic_constants_do_not_merge(self):
+        """Two globals of one type are different constants (the old
+        private solver compared them by type alone and folded the phi
+        to one of them)."""
+        module = parse_module("""
+%a = global int 1
+%b = global int 2
+
+int %f(bool %c) {
+entry:
+  br bool %c, label %l, label %r
+l:
+  br label %join
+r:
+  br label %join
+join:
+  %p = phi int* [ %a, %l ], [ %b, %r ]
+  %v = load int* %p
+  ret int %v
+}
+""")
+        fn = module.functions["f"]
+        assert not SCCP().run_on_function(fn)
+        assert [Interpreter(module).run("f", [c]) for c in (1, 0)] == [1, 2]
+
+    def test_signed_zeros_do_not_merge(self):
+        fn = parse_function("""
+double %f(bool %c) {
+entry:
+  br bool %c, label %l, label %r
+l:
+  br label %join
+r:
+  br label %join
+join:
+  %p = phi double [ 0.0, %l ], [ -0.0, %r ]
+  %q = phi double [ 1.5, %l ], [ 1.5, %r ]
+  %s = add double %p, %q
+  ret double %s
+}
+""")
+        sccp = SCCP()
+        assert sccp.run_on_function(fn)
+        assert sccp.counters["values-folded"] == 1
+        assert [phi.name for phi in fn.blocks[-1].phis()] == ["p"]
+
+
+#: (values-folded, branches-folded) of SCCP per benchsuite program,
+#: captured with the pre-PR-14 private Wegman–Zadeck solver, at two
+#: positions: SCCP's own place in the -O2 pipeline, where constprop and
+#: instcombine have already taken everything it could fold, and
+#: directly on fresh SSA (simplifycfg, sroa, mem2reg), where it has
+#: work.  A solver change that costs or invents a fold shows up here.
+SCCP_FOLDS = {
+    "gzip": ((0, 0), (4, 0)),
+    "vpr": ((0, 0), (7, 1)),
+    "gcc": ((0, 0), (0, 0)),
+    "mesa": ((0, 0), (4, 0)),
+    "art": ((0, 0), (4, 1)),
+    "mcf": ((0, 0), (2, 1)),
+    "equake": ((0, 0), (2, 0)),
+    "crafty": ((0, 0), (6, 0)),
+    "ammp": ((0, 0), (0, 0)),
+    "parser": ((0, 0), (2, 0)),
+    "perlbmk": ((0, 0), (3, 0)),
+    "gap": ((0, 0), (4, 0)),
+    "vortex": ((0, 0), (4, 0)),
+    "bzip2": ((0, 0), (4, 0)),
+    "twolf": ((0, 0), (1, 0)),
+}
+
+
+class TestSCCPFoldCounts:
+    @staticmethod
+    def _folds(name, passes):
+        sccp = SCCP()
+        manager = PassManager()
+        for pass_obj in [*passes, sccp]:
+            manager.add(pass_obj)
+        manager.run(compile_source(load_source(name), name))
+        return (sccp.counters["values-folded"],
+                sccp.counters["branches-folded"])
+
+    def test_table_covers_the_suite(self):
+        assert sorted(SCCP_FOLDS) == sorted(benchmark_names())
+
+    @pytest.mark.parametrize("name", sorted(SCCP_FOLDS))
+    def test_golden_fold_counts(self, name):
+        pipeline = standard_pipeline(2).passes
+        position = [type(p) for p in pipeline].index(SCCP)
+        fresh_ssa = [SimplifyCFG(), ScalarReplAggregates(), PromoteMem2Reg()]
+        assert (self._folds(name, pipeline[:position]),
+                self._folds(name, fresh_ssa)) == SCCP_FOLDS[name]
 
 
 class TestGVN:
