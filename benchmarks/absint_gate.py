@@ -11,9 +11,11 @@ fire exactly the pinned number of rewrites across the suite (a change
 to the analysis or to the order its solver visits things in that costs
 a fold, or invents one, has to be looked at and re-pinned) while
 causing zero validation failures and zero rollbacks (every rewrite it
-makes is machine-checked refinement).  SCCP's fold totals are printed
-beside it: both passes reach their fixpoint through the one sparse
-solver.
+makes is machine-checked refinement), and the analyses behind them
+must stay under a pinned ceiling of transfer-function calls (solver
+effort is a count, so a convergence regression fails deterministically).
+SCCP's fold totals are printed beside it: both passes reach their
+fixpoint through the one sparse solver.
 See docs/ANALYSIS.md, "Value-range abstract interpretation".
 
 Usage:  PYTHONPATH=src python benchmarks/absint_gate.py
@@ -30,11 +32,20 @@ from repro.benchsuite import benchmark_names, load_source
 from repro.driver import FaultPolicy
 from repro.driver.pipelines import standard_pipeline
 from repro.frontend import compile_source
+from repro.transforms import RangeOpt
 
 #: The suite yields exactly this many range-driven rewrites.  Fewer
 #: means the analysis lost precision (or rangeopt lost its wiring); more
 #: means it found some — either way the per-program table says where.
 EXPECTED_FOLDS = 15
+
+#: Ceiling on the transfer-function calls rangeopt's analyses make over
+#: the suite.  The count repeats exactly: 13 289 now, 41 221 before the
+#: widening operator covered the known bits.  A convergence regression —
+#: an ascent that gives up one bit per round trip again — multiplies it
+#: and fails here by count, not inside a timing bound; the slack is for
+#: front-end or pass changes that move a few instructions.
+MAX_ABSINT_TRANSFERS = 15_000
 
 LEVEL = 2
 
@@ -63,6 +74,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     folds_by_program = {}
     sccp_folds = {"values-folded": 0, "branches-folded": 0}
+    transfers = 0
     failed_programs = []
     for name in benchmark_names():
         program_started = time.perf_counter()
@@ -71,7 +83,10 @@ def main(argv=None) -> int:
         manager.run(module)
         stats = policy.statistics()
         rows = manager.statistics()
-        folds = folds_by_program[name] = sum(rows.get("rangeopt", {}).values())
+        rangeopt = rows.get("rangeopt", {})
+        folds = folds_by_program[name] = sum(rangeopt.get(key, 0)
+                                             for key in RangeOpt.REWRITES)
+        transfers += rangeopt.get("absint-transfers", 0)
         for key in sccp_folds:
             sccp_folds[key] += rows.get("sccp", {}).get(key, 0)
         print(f"absint-gate: {name:10s} "
@@ -89,6 +104,7 @@ def main(argv=None) -> int:
     print(f"absint-gate: suite at -O{LEVEL}: {total_folds} rangeopt "
           f"rewrites (sccp: {sccp_folds['values-folded']} values, "
           f"{sccp_folds['branches-folded']} branches folded), "
+          f"{transfers} absint transfers, "
           f"{stats['validations.run']} validations "
           f"({stats['validations.failed']} failed), "
           f"{stats['passes.rolled_back']} rollbacks, "
@@ -106,6 +122,12 @@ def main(argv=None) -> int:
                           for name, folds in folds_by_program.items())
         print(f"absint-gate: FAIL — {total_folds} rangeopt rewrites, "
               f"pinned at {EXPECTED_FOLDS}; per program: {table}",
+              file=sys.stderr)
+        return 1
+
+    if transfers > MAX_ABSINT_TRANSFERS:
+        print(f"absint-gate: FAIL — {transfers} absint transfers, ceiling "
+              f"{MAX_ABSINT_TRANSFERS}: the solver converges more slowly",
               file=sys.stderr)
         return 1
 

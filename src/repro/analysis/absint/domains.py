@@ -309,6 +309,12 @@ def reduce_pair(shape: Shape,
     """Mutually refine the two domains (sound reduced product):
     the result concretizations each contain the intersection of the
     inputs' concretizations."""
+    # A top side has nothing to give the other, and takes exactly the
+    # other side's view of itself.
+    if kb.is_top():
+        return interval, kb_from_interval(shape, interval)
+    if interval.is_top(shape):
+        return interval_from_kb(shape, kb), kb
     narrowed = interval.intersect(interval_from_kb(shape, kb))
     if narrowed is not None:
         interval = narrowed

@@ -4,11 +4,12 @@ reduced product of the interval and known-bits domains.
 ``analyze_function`` runs an SCCP-style optimistic fixpoint on the
 shared sparse dataflow engine (:mod:`repro.analysis.dataflow`): every
 instruction starts *undefined* and information flows along def-use
-edges only.  Interval ascent through loop-carried phis is
-accelerated by widening (after a bounded number of grow events the
-moving bound jumps to the shape extreme) and then sharpened by two
-narrowing sweeps that intersect each fact with its freshly recomputed
-transfer — the intersection of two sound over-approximations is sound.
+edges only.  Ascent through loop-carried phis is accelerated by
+widening (after a bounded number of grow events :func:`widen` gives up
+the moving interval bound and the moving known bits together) and then
+sharpened by two narrowing sweeps that intersect each fact a widened
+phi reaches with its freshly recomputed transfer — the intersection of
+two sound over-approximations is sound.
 
 The result is a :class:`ValueFacts` oracle: per-SSA-value intervals and
 known bits that rangeopt, the lint checkers, the interprocedural
@@ -141,6 +142,36 @@ class AbsValue:
         return f"{self.interval} {self.kb}"
 
 
+def widen(previous: AbsValue, joined: AbsValue) -> AbsValue:
+    """The widening operator of the reduced product: an upper bound of
+    ``previous`` and ``joined`` that gives up, in *both* domains at once,
+    whatever moved between them.
+
+    An interval bound that moved jumps to the shape's extreme.  Of the
+    known bits, everything at or above the lowest bit that changed is
+    dropped: a growing value carries upward only, so the trailing bits
+    that held still ("even", "a multiple of 8") are the ones a loop
+    really preserves, while a leading bit that is still known merely has
+    not been reached yet.  Building the result through
+    :meth:`AbsValue.make` keeps the pair reduced, so no stale bit can
+    pull the interval back in on the next round trip and make the
+    ascent give up one bit at a time.
+    """
+    shape = previous.shape
+    smin, smax = shape_bounds(shape)
+    lo, hi = previous.interval.lo, previous.interval.hi
+    if joined.interval.lo < lo:
+        lo = smin
+    if joined.interval.hi > hi:
+        hi = smax
+    kb = previous.kb.join(joined.kb)
+    moved = (kb.zeros ^ previous.kb.zeros) | (kb.ones ^ previous.kb.ones)
+    if moved:
+        stable = (moved & -moved) - 1  # the bits below the lowest moved one
+        kb = KnownBits(kb.bits, kb.zeros & stable, kb.ones & stable)
+    return AbsValue.make(shape, Interval(lo, hi), kb)
+
+
 #: Optional hook giving call results an interval: maps a call/invoke
 #: instruction to ``(lo, hi)`` (either end may be None for unbounded)
 #: or None for no information.
@@ -167,6 +198,10 @@ class _RangeAnalysis(SparseAnalysis):
         self._phi_state: Dict[int, AbsValue] = {}
         self._phi_grows: Dict[int, int] = {}
         self._header_blocks: Optional[set] = None
+        #: Phis whose state the widening operator pushed past their join.
+        self.widened: set = set()
+        #: Calls of :meth:`transfer`: the analysis' unit of work.
+        self.transfers = 0
         #: When False (narrowing sweeps), phi transfers are plain joins.
         self.widening_enabled = True
 
@@ -186,7 +221,11 @@ class _RangeAnalysis(SparseAnalysis):
 
     # -- transfer -----------------------------------------------------------
 
+    def tracks(self, inst: Instruction) -> bool:
+        return shape_of(inst.type) is not None
+
     def transfer(self, inst: Instruction, get):
+        self.transfers += 1
         result_shape = shape_of(inst.type)
         if result_shape is None:
             return NOINFO
@@ -270,14 +309,10 @@ class _RangeAnalysis(SparseAnalysis):
             limit = WIDEN_AFTER if self._in_loop_header(inst) \
                 else WIDEN_BACKSTOP
             if grows >= limit:
-                smin, smax = shape_bounds(result_shape)
-                lo = joined.interval.lo
-                hi = joined.interval.hi
-                if lo < previous.interval.lo:
-                    lo = smin
-                if hi > previous.interval.hi:
-                    hi = smax
-                joined = AbsValue(result_shape, Interval(lo, hi), joined.kb)
+                widened = widen(previous, joined)
+                if widened != joined:
+                    self.widened.add(inst)
+                    joined = widened
         self._phi_state[id(inst)] = joined
         return joined
 
@@ -303,9 +338,14 @@ def abstract_of_constant(value: Value) -> Optional[AbsValue]:
 class ValueFacts:
     """The queryable result of analyzing one function."""
 
-    def __init__(self, function, elements: Dict[Value, object]):
+    def __init__(self, function, elements: Dict[Value, object],
+                 transfers: int, phis_widened: int):
         self.function = function
         self._elements = elements
+        #: What the facts cost: transfer-function calls (solve plus
+        #: narrowing) and phis the widening operator had to push.
+        self.transfers = transfers
+        self.phis_widened = phis_widened
 
     def abs_of(self, value: Value) -> Optional[AbsValue]:
         """The fact for ``value``, or None when nothing is known (not
@@ -373,22 +413,33 @@ def analyze_function(function,
     result = solve_sparse(analysis, function)
     elements = result.values
 
-    # Narrowing: recompute every transfer against the (post-widening)
-    # fixpoint and keep the intersection.  Each sweep is sound on its
-    # own, so a fixed small number of sweeps needs no convergence check.
-    analysis.widening_enabled = False
-    for _ in range(_NARROWING_SWEEPS):
-        for block in reverse_postorder(function):
-            for inst in block.instructions:
-                old = elements.get(inst)
-                if not isinstance(old, AbsValue):
-                    continue
+    # Narrowing: recompute transfers against the (post-widening) fixpoint
+    # and keep the intersection.  Each sweep is sound on its own, so a
+    # fixed small number of sweeps needs no convergence check.  Only what
+    # a widened phi reaches along def-use edges can sit above its transfer;
+    # everywhere else the solver stopped on exactly what the transfer
+    # returns, and intersecting a fact with itself is wasted work.
+    if analysis.widened:
+        analysis.widening_enabled = False
+        reached = set(analysis.widened)
+        pending = list(reached)
+        while pending:
+            for user in pending.pop().users():
+                if user not in reached \
+                        and isinstance(elements.get(user), AbsValue):
+                    reached.add(user)
+                    pending.append(user)
+        order = [inst for block in reverse_postorder(function)
+                 for inst in block.instructions if inst in reached]
+        for _ in range(_NARROWING_SWEEPS):
+            for inst in order:
                 new = analysis.transfer(inst, result.view(inst))
                 if isinstance(new, AbsValue):
-                    refined = old.intersect(new)
+                    refined = elements[inst].intersect(new)
                     elements[inst] = refined if refined is not None else new
 
-    return ValueFacts(function, elements)
+    return ValueFacts(function, elements, analysis.transfers,
+                      len(analysis.widened))
 
 
 class RangeDumpPass:

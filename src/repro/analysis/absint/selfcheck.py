@@ -41,6 +41,7 @@ from ...core.constfold import (
 )
 from ...core.instructions import COMPARISON_OPCODES, Opcode
 from ...tvalid.evaluate import argument_domain
+from .engine import WIDEN_AFTER, AbsValue, widen
 from .domains import (
     BOOL_SHAPE,
     Interval,
@@ -408,6 +409,99 @@ def check_reduction(shape: Shape, problems: List[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The widening operator
+# ---------------------------------------------------------------------------
+
+def all_abs_values(shape: Shape) -> List[AbsValue]:
+    """Every element the engine can hold: the distinct results of
+    ``AbsValue.make`` over the satisfiable (interval, known-bits) pairs."""
+    seen = {}
+    for kb in all_knownbits(shape[0]):
+        admitted = kb_members(shape, kb)
+        for interval in all_intervals(shape):
+            if any(interval.contains(v) for v in admitted):
+                seen[AbsValue.make(shape, interval, kb)] = None
+    return list(seen)
+
+
+def check_widening_extensive(shape: Shape, problems: List[str]) -> None:
+    """``widen(previous, joined)`` must admit every value either argument
+    admits: covering ``joined`` is what keeps the phi's fact sound,
+    covering ``previous`` is what makes the ascent monotone."""
+    lo = shape_bounds(shape)[0]
+
+    def members(value: AbsValue) -> int:
+        """The concretization as a bit set over the shape's values."""
+        return sum(1 << (v - lo) for v in kb_members(shape, value.kb)
+                   if value.interval.contains(v))
+
+    values = [(value, members(value)) for value in all_abs_values(shape)]
+    results = {}  # widen lands on few distinct elements
+    for previous, before in values:
+        for joined, incoming in values:
+            result = widen(previous, joined)
+            key = (result.interval.lo, result.interval.hi,
+                   result.kb.zeros, result.kb.ones)
+            admitted = results.get(key)
+            if admitted is None:
+                admitted = results[key] = members(result)
+            lost = (before | incoming) & ~admitted
+            if lost:
+                problems.append(
+                    f"widen {shape}: ({previous}) with ({joined}) -> "
+                    f"({result}) drops {lost.bit_length() - 1 + lo}")
+                return
+
+
+def _phi_settles(start: AbsValue, body: Callable[[AbsValue], AbsValue],
+                 limit: int, allowed: int) -> bool:
+    """Whether the loop phi ``x = phi(start, body(x))`` is stable after
+    at most ``allowed`` changes under the engine's rule: plain joins
+    until the ``limit``-th change, :func:`widen` from then on."""
+    state = start
+    for change in range(1, allowed + 2):
+        joined = start.join(body(state))
+        if change >= limit:
+            joined = widen(state, joined)
+        if joined == state:
+            return True
+        state = joined
+    return False
+
+
+def check_widening_chains(shape: Shape, problems: List[str],
+                          starts: list, steps: list, limit: int) -> None:
+    """Every one-phi loop ``x = phi(c, x op k)`` / ``phi(c, k op x)``
+    settles within two changes of the one that first widens.  An
+    operator that leaves the two domains inconsistent — keeping the
+    join's known bits beside the widened interval — ascends one bit per
+    round trip instead and fails this at every width."""
+    allowed = limit + 2
+    for opcode in ARITH_OPCODES:
+        for k in steps:
+            step = AbsValue.const(shape, k)
+            for swapped in (False, True):
+
+                def body(x: AbsValue) -> AbsValue:
+                    a, b = (step, x) if swapped else (x, step)
+                    return AbsValue.make(
+                        shape,
+                        interval_binary(opcode, shape, a.interval, b.interval),
+                        kb_binary(opcode, shape, a.kb, b.kb))
+
+                for c in starts:
+                    if not _phi_settles(AbsValue.const(shape, c), body,
+                                        limit, allowed):
+                        loop = f"{k} {opcode.value} x" if swapped \
+                            else f"x {opcode.value} {k}"
+                        problems.append(
+                            f"widen {shape}: x = phi({c}, {loop}) still "
+                            f"moving after {allowed} changes "
+                            f"(widening from change {limit})")
+                        return
+
+
+# ---------------------------------------------------------------------------
 # The ladder
 # ---------------------------------------------------------------------------
 
@@ -449,9 +543,23 @@ def run_self_check(full: bool = True, seed: int = 0x5eed,
         for dst in cast_shapes:
             check_cast_exhaustive(src, dst, problems)
 
-    say("[4/5] reduced product: conversions and reduce_pair")
+    say("[4/5] reduced product: conversions, reduce_pair and the "
+        "widening operator")
     for shape in narrow_shapes:
         check_reduction(shape, problems)
+        check_widening_extensive(shape, problems)
+        # Too narrow to keep a known bit through WIDEN_AFTER changes, so
+        # widen from the first one.
+        lo, hi = shape_bounds(shape)
+        everything = list(range(lo, hi + 1))
+        check_widening_chains(shape, problems, everything, everything,
+                              limit=1)
+    for shape in ((32, True), (64, True), (64, False)) if full \
+            else ((32, True),):
+        ty = type_for_shape(shape)
+        check_widening_chains(shape, problems,
+                              argument_domain(ty, core_only=True),
+                              argument_domain(ty), limit=WIDEN_AFTER)
 
     if full:
         say("[5/5] 8-bit exhaustive singletons; 16/32/64-bit boundary "

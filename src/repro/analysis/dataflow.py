@@ -168,6 +168,13 @@ class SparseAnalysis:
     def meet(self, a, b):
         raise NotImplementedError
 
+    def tracks(self, inst: Instruction) -> bool:
+        """Whether ``inst``'s element depends on its operands (default:
+        yes).  One that does not — :meth:`transfer` answers the same
+        whatever ``get`` says — is visited once, when its block is
+        swept, and never again."""
+        return True
+
     def feasible_successors(self, terminator: Instruction,
                             get: Callable[[Value], object]
                             ) -> Sequence[BasicBlock]:
@@ -274,7 +281,8 @@ def solve_sparse(analysis: SparseAnalysis, function: Function) -> SparseResult:
         batch = blocks[heappop(reached)].instructions if reached \
             else (worklist.popleft(),)
         for inst in batch:
-            queued.discard(id(inst))
+            if analysis.tracks(inst):  # else it stays queued for good
+                queued.discard(id(inst))
             iterations += 1
             new = analysis.transfer(inst, view(inst))
             if new != elements[inst]:

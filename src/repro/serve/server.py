@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..driver.cache import BytecodeCache, hit_rate_pct
+from ..driver.passmanager import FaultPolicy
 from ..stats import Stats
 from . import protocol
 from .scheduler import SOURCE, Job, Scheduler
@@ -252,15 +253,21 @@ class Server:
     # -- observability -------------------------------------------------------
 
     def statistics(self) -> dict:
-        """Every row of the record as ``serverd.<name>``, plus the
-        cache hit rate derived from the workers' summed raw counts
-        (workers ship no rates: rates do not add)."""
+        """Every row of the record — the supervisor's, the cache's and
+        the fault policy's as ``serverd.<name>``, a pass's counters (the
+        workers ship what their pass managers folded in) as
+        ``serverd.<pass>.<name>`` — plus the cache hit rate derived from
+        the workers' summed raw counts (workers ship no rates: rates do
+        not add)."""
         views = self.stats.views()
         if BytecodeCache.name in views:
             cache = views[BytecodeCache.name]
             cache["cache-hit-rate-pct"] = hit_rate_pct(cache)
-        stats = {f"{SOURCE}.{name}": value
-                 for view in views.values() for name, value in view.items()}
+        unqualified = (SOURCE, BytecodeCache.name, FaultPolicy.name)
+        stats = {(f"{SOURCE}.{name}" if source in unqualified
+                  else f"{SOURCE}.{source}.{name}"): value
+                 for source, view in views.items()
+                 for name, value in view.items()}
         stats["serverd.queue-depth"] = self.scheduler.depth()
         stats["serverd.degrade-level"] = self.scheduler.degrade.shift
         stats["serverd.workers"] = len(self.scheduler.workers)

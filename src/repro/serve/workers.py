@@ -152,7 +152,7 @@ def _do_compile(job: dict, cache, stats: Stats) -> dict:
     level = job.get("level", 2)
     module = compile_and_link(job["sources"], job.get("name", "program"),
                               level=level, lto=job.get("lto", True),
-                              cache=cache, policy=policy)
+                              cache=cache, policy=policy, stats=stats)
     data = write_bytecode(module, strip_names=False)
     stats.merge(policy.stats)
     return {

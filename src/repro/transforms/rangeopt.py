@@ -48,17 +48,22 @@ class RangeOpt:
 
     name = "rangeopt"
 
+    #: The counters that count rewrites; the other two are what the
+    #: facts behind them cost (see :class:`ValueFacts`).
+    REWRITES = ("values-folded", "cmps-folded", "branches-folded",
+                "divrem-strength-reduced", "rem-identities",
+                "bitops-simplified")
+
     def __init__(self):
-        self.counters = {
-            "values-folded": 0, "cmps-folded": 0, "branches-folded": 0,
-            "divrem-strength-reduced": 0, "rem-identities": 0,
-            "bitops-simplified": 0,
-        }
+        self.counters = dict.fromkeys(
+            self.REWRITES + ("absint-transfers", "phis-widened"), 0)
 
     def run_on_function(self, function: Function) -> bool:
         if function.is_declaration:
             return False
         facts = analyze_function(function)
+        self.counters["absint-transfers"] += facts.transfers
+        self.counters["phis-widened"] += facts.phis_widened
         changed = False
         for block in list(function.blocks):
             for inst in list(block.instructions):

@@ -7,6 +7,8 @@ acceptance test runs the whole suite over every benchmark program after
 the standard pipeline and requires zero errors or warnings.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.benchsuite import benchmark_names, compile_benchmark
@@ -299,6 +301,55 @@ join:
         (_, _), (dead_seven, _) = insts["m"].incoming
         assert result.view(insts["m"])(dead_seven) == analysis.top()
         assert result.view(insts["r"])(dead_seven) == {"const"}
+
+    def test_untracked_instruction_is_visited_once(self):
+        """An instruction the analysis does not track gets its element
+        when its block is swept and is never revisited, however often
+        its operands move; its terminator still opens the successors."""
+        class _IntsOnly(_OpcodeFlow):
+            def __init__(self):
+                self.visits = Counter()
+
+            def tracks(self, inst):
+                return inst.type.is_integer
+
+            def transfer(self, inst, get):
+                self.visits[inst.opcode.value] += 1
+                if not self.tracks(inst):
+                    return frozenset({"untracked"})
+                return super().transfer(inst, get)
+
+        text = """
+int %f(int %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi int [ 0, %entry ], [ %next, %loop ]
+  %next = add int %i, 1
+  %c = setlt int %next, %n
+  br bool %c, label %loop, label %out
+out:
+  ret int %i
+}
+"""
+        analysis = _IntsOnly()
+        _, result, insts, executable = self._solve(analysis, text)
+        assert executable == {"entry", "loop", "out"}
+        assert result[insts["c"]] == {"untracked"}
+        assert result[insts["i"]] == {"phi", "add"}
+        # %c and the loop's br each saw %next move; neither was revisited.
+        assert analysis.visits["setlt"] == 1
+        assert analysis.visits["br"] == 2 and analysis.visits["ret"] == 1
+        assert analysis.visits["phi"] > 1  # the tracked cycle was
+
+        class _Everything(_IntsOnly):
+            def tracks(self, inst):
+                return True
+
+            transfer = _OpcodeFlow.transfer
+
+        everything = self._solve(_Everything(), text)[1]
+        assert result.iterations < everything.iterations
 
     def test_constant_switch_marks_exactly_one_successor(self):
         _, result, insts, executable = self._solve(_PrunedFlow(), """

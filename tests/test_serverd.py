@@ -408,6 +408,9 @@ class TestObservability:
         hits = stats.get("serverd.cache-hits", 0)
         misses = stats.get("serverd.cache-misses", 0)
         assert hits >= 1 and misses >= 1
+        # So are the workers' pass counters, under the pass's name.
+        assert stats["serverd.rangeopt.absint-transfers"] > 0
+        assert "serverd.sccp.values-folded" in stats
 
     def test_levels_are_merged_not_summed(self, server):
         """Rates and loaded-rule counts are levels: the daemon's totals

@@ -171,6 +171,9 @@ int main() {
         assert self._pass_rows(capsys.readouterr().err) == opt_rows
         assert "instcombine generated_rules_loaded" in opt_rows
         assert {"sccp values-folded", "sccp branches-folded"} <= set(opt_rows)
+        # What rangeopt's facts cost, next to what they bought.
+        assert {"rangeopt absint-transfers",
+                "rangeopt phis-widened"} <= set(opt_rows)
         assert lc_cc([str(src), "-O", "2", "--lto", "--fault-tolerant",
                       "-stats", "-o", str(tmp_path / "l.ll")]) == 0
         err = capsys.readouterr().err
