@@ -53,7 +53,7 @@ class CallGraph:
                 node.calls_unknown = True  # body unknown
             for inst in function.instructions():
                 if isinstance(inst, (CallInst, InvokeInst)):
-                    callee = _direct_callee(inst.callee)
+                    callee = direct_callee(inst.callee)
                     if callee is not None and callee.name in self.nodes:
                         self._add_edge(function, callee)
                     else:
@@ -62,7 +62,7 @@ class CallGraph:
                         # function with a matching signature.
                         for target_name in self._address_taken:
                             target = self.module.functions.get(target_name)
-                            if target is not None and _signature_compatible(
+                            if target is not None and signature_compatible(
                                 inst, target
                             ):
                                 self._add_edge(function, target)
@@ -201,21 +201,22 @@ def strongly_connected_components(edges: dict) -> list[list]:
     return components
 
 
-def _direct_callee(callee) -> Optional[Function]:
-    if isinstance(callee, Function):
-        return callee
-    if isinstance(callee, ConstantExpr) and callee.opcode == "cast":
-        inner = callee.operands[0]
-        if isinstance(inner, Function):
-            return inner
-    return None
+def direct_callee(callee) -> Optional[Function]:
+    """The function a call site provably targets, through constant casts."""
+    while isinstance(callee, ConstantExpr) and callee.opcode == "cast":
+        callee = callee.operands[0]
+    return callee if isinstance(callee, Function) else None
 
 
-def _signature_compatible(call_site, function: Function) -> bool:
+def signature_compatible(call_site, function: Function) -> bool:
+    """Do the call's arguments fit ``function``'s parameters (the fixed
+    ones of a vararg function)?  The return type is the caller's to
+    check: a conservative call-graph edge does not need it to agree."""
     fn_ty = function.function_type
     args = call_site.args
     if fn_ty.is_vararg:
-        return len(args) >= len(fn_ty.params)
-    if len(args) != len(fn_ty.params):
+        if len(args) < len(fn_ty.params):
+            return False
+    elif len(args) != len(fn_ty.params):
         return False
     return all(a.type is p for a, p in zip(args, fn_ty.params))

@@ -19,9 +19,10 @@ only because of two representation-equivalence guarantees:
   freshly compiled one — lint diagnostics, link results and native code
   are byte-for-byte the same.
 
-Entries live one-per-file under a cache directory (``<key>.bc``), or in
-memory when no directory is given.  Writes go through a temp file +
-``os.replace`` so concurrent compilers never observe torn entries.
+Entries live one-per-file under a cache directory (``<key>.bc``) —
+bytecode and analysis-summary sidecars alike, in one framed format.
+Writes go through a temp file + ``os.replace`` so concurrent compilers
+never observe torn entries.
 With ``max_bytes`` set the cache is bounded: every store enforces the
 budget by evicting least-recently-used entries (recency is bumped on
 every hit), and deletes are atomic and multi-process-safe — two
@@ -44,9 +45,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
-import threading
 import time
-from collections import OrderedDict
 from typing import Optional
 
 from ..bitcode import read_bytecode, write_bytecode
@@ -57,7 +56,7 @@ from ..stats import Stats
 #: Bump when the standard pipelines change in a way that alters the IR
 #: they produce; it participates in every cache key, so old entries are
 #: automatically ignored (and eventually evicted) after an upgrade.
-PIPELINE_VERSION = 2
+PIPELINE_VERSION = 3
 
 #: On-disk entry framing: magic + 16 bytes of SHA-256 over the payload.
 _FRAME_MAGIC = b"lcC\x01"
@@ -102,30 +101,33 @@ def toolchain_fingerprint() -> str:
     return f"lc-bc{BYTECODE_VERSION}-pipe{PIPELINE_VERSION}"
 
 
+#: The two kinds of entry — the prefix of their ``-stats`` counters —
+#: and the fault sites that corrupt a stored entry of that kind before
+#: its frame is checked, exactly like real disk corruption would: the
+#: digest catches any flip deterministically.
+_CORRUPTION_SITES = {
+    "cache": ("cache.read", "bytecode.corrupt"),
+    "summary": ("sidecar.corrupt",),
+}
+
+
 class BytecodeCache:
     """Keyed storage of serialized modules, with hit/miss accounting.
 
-    ``directory=None`` keeps entries in memory (useful for tests and
-    single-process batch runs); otherwise entries persist on disk and
-    are shared between compiler processes.  The counter names mirror
-    pass statistics so the cache plugs into the same ``-stats``
-    reporting (see :meth:`statistics`).
+    Entries persist under ``directory`` and are shared between compiler
+    processes.  The counter names mirror pass statistics so the cache
+    plugs into the same ``-stats`` reporting (see :meth:`statistics`).
     """
 
     name = "bytecode-cache"
 
-    def __init__(self, directory: Optional[str] = None,
-                 max_bytes: Optional[int] = None):
+    def __init__(self, directory: str, max_bytes: Optional[int] = None):
         self.directory = directory
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-        #: Byte budget for stored bytecode; None means unbounded.
+        os.makedirs(directory, exist_ok=True)
+        #: Byte budget for stored entries; None means unbounded.
         #: Enforced on every store by LRU eviction (the entry being
         #: stored is never its own victim).
         self.max_bytes = max_bytes
-        self._memory: OrderedDict[str, bytes] = OrderedDict()
-        self._memory_text: dict[str, str] = {}
-        self._lock = threading.Lock()
         #: The cache's ``-stats`` rows, under :attr:`name`, and the
         #: seconds and runs of ``cache-lookup`` / ``cache-store``.
         self.stats = Stats()
@@ -143,8 +145,9 @@ class BytecodeCache:
         """Content-addressed key for one compilation.
 
         ``tag`` separates key spaces that share source text — per-TU
-        entries (``"tu"``) vs whole-program entries (``"program"``,
-        used by the lifelong session).
+        entries (``"tu"``), whole-program entries (``"program"``, used
+        by the lifelong session) and analysis summaries
+        (``"ipa-summary"``).
         """
         digest = hashlib.sha256()
         digest.update(toolchain_fingerprint().encode("utf-8"))
@@ -154,82 +157,97 @@ class BytecodeCache:
         digest.update(source.encode("utf-8"))
         return digest.hexdigest()
 
-    # -- raw bytes ----------------------------------------------------------
+    # -- entries ------------------------------------------------------------
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.bc")
 
-    def load_bytes(self, key: str) -> Optional[bytes]:
-        """The stored artifact, or None (counted as a miss).
+    def _load(self, key: str, kind: str) -> Optional[bytes]:
+        """The payload stored under ``key``, or None; counted as a
+        ``<kind>-hits`` or ``<kind>-misses``.
 
         The integrity frame is verified here: an entry that fails it —
         torn write, bit flip, foreign or newer format — is evicted and
-        reported as a miss, never handed to the decoder.
-
-        A hit also bumps the entry's recency (in-memory order, or the
-        file mtime on disk), which is what the LRU eviction of a
-        bounded cache orders by.
+        reported as a miss, never handed to a decoder.  A hit bumps the
+        file's mtime, which is what the LRU eviction of a bounded cache
+        orders by.
         """
         started = time.perf_counter()
-        if self.directory is None:
-            with self._lock:
-                data = self._memory.get(key)
-                if data is not None:
-                    self._memory.move_to_end(key)
-        else:
-            try:
-                with open(self._path(key), "rb") as handle:
-                    data = handle.read()
-            except OSError:
-                data = None
-            if data is not None:
-                try:
-                    os.utime(self._path(key))
-                except OSError:
-                    pass  # raced with an eviction; the bytes are ours
+        path = self._path(key)
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        except OSError:
+            data = None
         if data is not None:
-            # Injected corruption of the *stored entry* lands before the
-            # frame check, exactly like real disk corruption would: the
-            # digest catches any flip deterministically.
+            try:
+                os.utime(path)
+            except OSError:
+                pass  # raced with an eviction; the bytes are ours
             hooks = _fault_hooks()
-            data = hooks.mangle("cache.read", data)
-            data = hooks.mangle("bytecode.corrupt", data)
+            for site in _CORRUPTION_SITES[kind]:
+                data = hooks.mangle(site, data)
             data = _unframe(data)
             if data is None:
-                self.invalidate(key)
-        self._count("cache-misses" if data is None else "cache-hits")
+                self._evict(key, kind)
+        self._count(f"{kind}-misses" if data is None else f"{kind}-hits")
         self.stats.time("cache-lookup", time.perf_counter() - started)
         return data
 
-    def store_bytes(self, key: str, data: bytes) -> None:
-        """Store an artifact atomically (last writer wins); with
+    def _store(self, key: str, data: bytes, kind: str) -> None:
+        """Frame and store ``data`` atomically (last writer wins); with
         ``max_bytes`` set, then evict LRU entries past the budget."""
         started = time.perf_counter()
-        data = _frame(data)
-        if self.directory is None:
-            with self._lock:
-                self._memory[key] = data
-                self._memory.move_to_end(key)
-        else:
-            fd, temp_path = tempfile.mkstemp(dir=self.directory,
-                                             suffix=".tmp")
+        fd, temp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(_frame(data))
+            os.replace(temp_path, self._path(key))
+        except BaseException:
             try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                os.replace(temp_path, self._path(key))
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
+                os.unlink(temp_path)
+            except OSError:
+                pass
+            raise
         self._enforce_budget(keep=key)
-        self._count("cache-stores")
+        self._count(f"{kind}-stores")
         self.stats.time("cache-store", time.perf_counter() - started)
+
+    def load_bytes(self, key: str) -> Optional[bytes]:
+        """The stored artifact, or None (counted as a miss)."""
+        return self._load(key, "cache")
+
+    def store_bytes(self, key: str, data: bytes) -> None:
+        """Store an artifact (see :meth:`_store`)."""
+        self._store(key, data, "cache")
+
+    def load_summary(self, key: str) -> Optional[str]:
+        """An analysis-summary sidecar (the paper's section 3.3
+        summaries "attached to the bytecode"): an entry like any other,
+        counted under ``summary-*``."""
+        data = self._load(key, "summary")
+        return None if data is None else data.decode("utf-8")
+
+    def store_summary(self, key: str, text: str) -> None:
+        """Store an analysis-summary sidecar (see :meth:`_store`)."""
+        self._store(key, text.encode("utf-8"), "summary")
+
+    def _evict(self, key: str, kind: str) -> bool:
+        try:
+            os.unlink(self._path(key))
+        except OSError:
+            return False
+        self._count(f"{kind}-evictions")
+        return True
+
+    def invalidate(self, key: str) -> bool:
+        """Drop one entry (used by the reoptimizer when it rewrites the
+        IR an entry was derived from); True if an entry existed."""
+        return self._evict(key, "cache")
 
     # -- bounded-cache eviction ---------------------------------------------
 
-    def _enforce_budget(self, keep: Optional[str] = None) -> None:
+    def _enforce_budget(self, keep: str) -> None:
         """Evict least-recently-used entries until under ``max_bytes``.
 
         Multi-process safe by construction: the scan tolerates files
@@ -242,124 +260,37 @@ class BytecodeCache:
         """
         if self.max_bytes is None:
             return
+        entries = []
+        for name in os.listdir(self.directory):
+            if not name.endswith(".bc"):
+                continue
+            path = os.path.join(self.directory, name)
+            try:
+                status = os.stat(path)
+            except OSError:
+                continue  # vanished under us: a concurrent evictor
+            entries.append((status.st_mtime_ns, status.st_size, path))
+        total = sum(size for _, size, _ in entries)
+        entries.sort()
+        keep_path = self._path(keep)
+        hooks = _fault_hooks()
         evicted = 0
-        if self.directory is None:
-            with self._lock:
-                total = sum(len(blob) for blob in self._memory.values())
-                for victim in list(self._memory):
-                    if total <= self.max_bytes:
-                        break
-                    if victim == keep:
-                        continue
-                    total -= len(self._memory.pop(victim))
-                    self._memory_text.pop(victim, None)
-                    evicted += 1
-        else:
-            entries = []
-            for name in os.listdir(self.directory):
-                if not name.endswith(".bc"):
-                    continue
-                path = os.path.join(self.directory, name)
-                try:
-                    status = os.stat(path)
-                except OSError:
-                    continue  # vanished under us: a concurrent evictor
-                entries.append((status.st_mtime_ns, status.st_size, path))
-            total = sum(size for _, size, _ in entries)
-            entries.sort()
-            keep_path = self._path(keep) if keep is not None else None
-            hooks = _fault_hooks()
-            for _, size, path in entries:
-                if total <= self.max_bytes:
-                    break
-                if path == keep_path:
-                    continue
-                # Injected race: a concurrent daemon deletes the victim
-                # between our scan and our unlink.
-                hooks.race_delete("cache.evict-race", path)
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass  # lost the race; the entry is gone either way
-                try:
-                    os.unlink(path[:-len(".bc")] + ".json")
-                except OSError:
-                    pass
-                total -= size
-                evicted += 1
+        for _, size, path in entries:
+            if total <= self.max_bytes:
+                break
+            if path == keep_path:
+                continue
+            # Injected race: a concurrent daemon deletes the victim
+            # between our scan and our unlink.
+            hooks.race_delete("cache.evict-race", path)
+            try:
+                os.unlink(path)
+            except OSError:
+                pass  # lost the race; the entry is gone either way
+            total -= size
+            evicted += 1
         if evicted:
             self._count("cache-lru-evictions", evicted)
-
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry (used by the reoptimizer when it rewrites the
-        IR an entry was derived from); True if an entry existed."""
-        if self.directory is None:
-            existed = self._memory.pop(key, None) is not None
-        else:
-            try:
-                os.unlink(self._path(key))
-                existed = True
-            except OSError:
-                existed = False
-        if existed:
-            self._count("cache-evictions")
-        return existed
-
-    # -- sidecar text artifacts ---------------------------------------------
-
-    def _text_path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.json")
-
-    def load_text(self, key: str) -> Optional[str]:
-        """A sidecar artifact stored next to the bytecode (``<key>.json``)
-        — analysis summaries attached per the paper's section 3.3."""
-        if self.directory is None:
-            text = self._memory_text.get(key)
-        else:
-            try:
-                with open(self._text_path(key), "r",
-                          encoding="utf-8") as handle:
-                    text = handle.read()
-            except OSError:
-                text = None
-        if text is not None:
-            text = _fault_hooks().mangle_text("sidecar.corrupt", text)
-        self._count("summary-misses" if text is None else "summary-hits")
-        return text
-
-    def store_text(self, key: str, text: str) -> None:
-        """Store a sidecar artifact atomically (last writer wins)."""
-        if self.directory is None:
-            self._memory_text[key] = text
-        else:
-            fd, temp_path = tempfile.mkstemp(dir=self.directory,
-                                             suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                os.replace(temp_path, self._text_path(key))
-            except BaseException:
-                try:
-                    os.unlink(temp_path)
-                except OSError:
-                    pass
-                raise
-        self._count("summary-stores")
-
-    def evict_text(self, key: str) -> bool:
-        """Drop one sidecar (used when its content is unparseable —
-        e.g. written by a newer toolchain); True if one existed."""
-        if self.directory is None:
-            existed = self._memory_text.pop(key, None) is not None
-        else:
-            try:
-                os.unlink(self._text_path(key))
-                existed = True
-            except OSError:
-                existed = False
-        if existed:
-            self._count("summary-evictions")
-        return existed
 
     # -- modules ------------------------------------------------------------
 
@@ -412,7 +343,5 @@ class BytecodeCache:
         return rows
 
     def __len__(self) -> int:
-        if self.directory is None:
-            return len(self._memory)
         return sum(1 for entry in os.listdir(self.directory)
                    if entry.endswith(".bc"))

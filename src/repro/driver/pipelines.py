@@ -17,9 +17,9 @@ from .cache import BytecodeCache
 from .passmanager import FaultPolicy, restore_module, snapshot_module
 from ..stats import Stats
 from ..transforms import (
-    AggressiveDCE, ConstantPropagation, DeadCodeElimination, GVN,
-    InstCombine, LICM, PassManager, PromoteMem2Reg, RangeOpt, Reassociate,
-    SCCP, ScalarReplAggregates, SimplifyCFG, TailRecursionElimination,
+    AggressiveDCE, DeadCodeElimination, GVN, InstCombine, LICM, PassManager,
+    PromoteMem2Reg, RangeOpt, Reassociate, SCCP, ScalarReplAggregates,
+    SimplifyCFG, TailRecursionElimination,
 )
 from ..transforms.ipo import (
     DeadArgumentElimination, DeadGlobalElimination, Devirtualize,
@@ -54,10 +54,11 @@ def standard_pipeline(level: int = 2, verify_each: bool = False,
                            len(combiner.generated_rules))
     manager.add(combiner)
     manager.add(SimplifyCFG())
-    manager.add(ConstantPropagation())
+    # Constants fold once the first instcombine/simplifycfg has exposed
+    # them, and before dce sweeps what folding leaves dead.
+    manager.add(SCCP())
     manager.add(DeadCodeElimination())
     if level >= 2:
-        manager.add(SCCP())
         manager.add(SimplifyCFG())
         manager.add(Reassociate())
         manager.add(GVN())
@@ -189,22 +190,20 @@ def lint_whole_program(sources: Sequence[str],
     if cache is not None:
         for index, source in enumerate(sources):
             keys[index] = cache.key(source, level, tag="ipa-summary")
-            text = cache.load_text(keys[index])
+            text = cache.load_summary(keys[index])
             if text is not None:
                 try:
                     tables[index] = ModuleAnalysisSummaries.from_json(text)
                 except Exception:
-                    # Unparseable sidecar (corruption, stale or *newer*
-                    # format): degrade to recomputing this TU's summary
-                    # and evict the bad entry — counted in -stats
-                    # (``summary-evictions``), never an abort.
-                    tables[index] = None
-                    cache.evict_text(keys[index])
+                    # Intact but in another summary format: a miss,
+                    # recomputed below and stored over.
+                    pass
     result = run_whole_program(list(zip(filenames, modules)), checks,
                                tables=tables)
     if cache is not None:
         for scope in result.computed_scopes:
-            cache.store_text(keys[scope], result.tables[scope].to_json())
+            cache.store_summary(keys[scope],
+                                result.tables[scope].to_json())
     return result
 
 
@@ -280,9 +279,7 @@ def compile_and_link(sources: Iterable[str], name: str = "program",
     interprocedural optimizer runs over the whole program.  With
     ``analyze=True`` the post-link module is additionally run through
     the static checker suite (see :func:`analyze_module`); findings
-    land on ``module.diagnostics``.  ``analyze="whole-program"`` runs
-    the summary-based interprocedural suite instead (see
-    :func:`lint_whole_program`).
+    land on ``module.diagnostics``.
 
     ``cache`` makes the front of the pipeline incremental: unchanged
     TUs (by content hash) skip the front-end and per-module optimizer
@@ -304,12 +301,6 @@ def compile_and_link(sources: Iterable[str], name: str = "program",
     if lto:
         link_time_optimize(linked, level, verify_each=verify_each,
                            policy=policy, stats=stats)
-    if analyze == "whole-program":
-        # lint-wp: the summary-based interprocedural suite over the
-        # pre-link TUs (per-file attribution), attached to the program.
-        result = lint_whole_program(sources, name=name, level=level,
-                                    cache=cache)
-        linked.diagnostics = result.diagnostics
-    elif analyze:
+    if analyze:
         analyze_module(linked)
     return linked

@@ -21,7 +21,8 @@ Sites fall into two families:
   frame is checked — modelling disk corruption, caught by the digest —
   truncate decoded bytecode before the reader runs
   (``bytecode.truncate``, caught by the decoder's structured errors),
-  or make a summary sidecar unparseable (``sidecar.corrupt``).
+  or flip one byte of a stored summary sidecar (``sidecar.corrupt``,
+  caught by the same digest).
 
 A plan is *single-shot*: it fires at the first matching site and then
 disarms itself, modelling one transient fault.  Everything is seeded —
@@ -50,7 +51,8 @@ STATIC_SITES: dict[str, str] = {
     "cache.read": "flip one byte of a stored cache entry (digest catches)",
     "bytecode.truncate": "truncate cached bytecode before decoding",
     "bytecode.corrupt": "flip four bits of a stored cache entry",
-    "sidecar.corrupt": "make an analysis-summary sidecar unparseable",
+    "sidecar.corrupt": "flip one byte of a stored analysis-summary "
+                       "sidecar (digest catches)",
     "linker.symbol-clash": "raise a duplicate-symbol error while linking",
     "cache.evict-race": "delete an LRU eviction victim out from under "
                         "the evictor (concurrent-daemon race)",
@@ -195,15 +197,6 @@ def race_delete(site: str, path: str) -> None:
         os.unlink(path)
     except OSError:
         pass
-
-
-def mangle_text(site: str, text: str) -> str:
-    """Mangle site for text sidecars: garble ``text`` if armed."""
-    plan = _claim(site)
-    if plan is None:
-        return text
-    # Keep it textual but unparseable regardless of the format inside.
-    return "\x00corrupt{" + text[:len(text) // 2]
 
 
 # ----------------------------------------------------------------------

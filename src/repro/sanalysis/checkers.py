@@ -32,6 +32,7 @@ from typing import Callable, Optional
 from ..analysis.absint import (
     analyze_function, exact_binary_range, shape_bounds, shape_of,
 )
+from ..analysis.callgraph import direct_callee
 from ..analysis.cfg import reachable_blocks, unreachable_blocks
 from ..analysis.dataflow import (
     BACKWARD, DenseAnalysis, FORWARD, SparseAnalysis, solve_dense,
@@ -424,16 +425,6 @@ class UnreachableCodeChecker:
 # call-signature: mismatches the type system was cast around
 # ---------------------------------------------------------------------------
 
-def _underlying_function(callee: Value) -> Optional[Value]:
-    """Peel constant casts off a callee to find the function beneath."""
-    while isinstance(callee, ConstantExpr) and callee.opcode == "cast":
-        callee = callee.operands[0]
-    if isinstance(callee, GlobalValue) and callee.type.is_pointer \
-            and callee.type.pointee.is_function:
-        return callee
-    return None
-
-
 class CallSignatureChecker:
     """Calls whose cast-constructed callee hides a signature mismatch.
 
@@ -458,7 +449,7 @@ class CallSignatureChecker:
         callee = inst.callee
         if not isinstance(callee, ConstantExpr):
             return
-        target = _underlying_function(callee)
+        target = direct_callee(callee)
         if target is None:
             return
         declared = callee.type.pointee   # what the call site believes

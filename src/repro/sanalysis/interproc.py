@@ -35,7 +35,9 @@ import json
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.absint import analyze_function
-from ..analysis.callgraph import strongly_connected_components
+from ..analysis.callgraph import (
+    direct_callee, strongly_connected_components,
+)
 from ..analysis.dataflow import DenseAnalysis, FORWARD, solve_dense
 from ..analysis.dsa import KNOWN_SAFE_EXTERNALS
 from ..core import types
@@ -97,17 +99,6 @@ def strip_pointer(value: Value) -> Value:
     return value
 
 
-def direct_callee(callee: Value) -> Optional[Function]:
-    """The function a call site provably targets, through constant casts."""
-    if isinstance(callee, Function):
-        return callee
-    if isinstance(callee, ConstantExpr) and callee.opcode == "cast":
-        inner = callee.operands[0]
-        if isinstance(inner, Function):
-            return inner
-    return None
-
-
 def _merge_range(a, b):
     """Hull of two range elements (``RANGE_TOP`` is the identity)."""
     if a == RANGE_TOP:
@@ -117,98 +108,6 @@ def _merge_range(a, b):
     lo = None if a[0] is None or b[0] is None else min(a[0], b[0])
     hi = None if a[1] is None or b[1] is None else max(a[1], b[1])
     return (lo, hi)
-
-
-def _range_arith(opcode: Opcode, a, b):
-    """Interval arithmetic for the few operators the range domain folds."""
-    if a == RANGE_TOP or b == RANGE_TOP:
-        return RANGE_TOP
-    if opcode == Opcode.ADD:
-        lo = None if a[0] is None or b[0] is None else a[0] + b[0]
-        hi = None if a[1] is None or b[1] is None else a[1] + b[1]
-        return (lo, hi)
-    if opcode == Opcode.SUB:
-        lo = None if a[0] is None or b[1] is None else a[0] - b[1]
-        hi = None if a[1] is None or b[0] is None else a[1] - b[0]
-        return (lo, hi)
-    if opcode == Opcode.MUL:
-        if None in a or None in b:
-            return RANGE_UNBOUNDED
-        products = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
-        return (min(products), max(products))
-    return RANGE_UNBOUNDED
-
-
-def value_range(value: Value, call_range: Optional[Callable] = None,
-                depth: int = 0):
-    """Best-effort integer range of ``value``: ``(lo, hi)``, ``None``
-    meaning unbounded on that side.
-
-    ``call_range(call_inst)`` lets the whole-program checkers resolve
-    direct calls through :class:`ProgramSummaries`; without it a call is
-    unbounded.  Only transparently-bounding operators are folded
-    (constants, ``and`` masks, ``rem`` by a constant, add/sub/mul of
-    bounded operands, widening casts, phi hulls) — anything else is
-    conservatively unbounded, which keeps every "provably in bounds"
-    claim sound.
-    """
-    if depth > 16:
-        return RANGE_UNBOUNDED
-    if isinstance(value, ConstantInt):
-        return (value.value, value.value)
-    if isinstance(value, BinaryOperator):
-        lhs, rhs = value.operands
-        if value.opcode == Opcode.AND:
-            for side in (lhs, rhs):
-                if isinstance(side, ConstantInt) and side.value >= 0:
-                    return (0, side.value)
-        if value.opcode == Opcode.REM and isinstance(rhs, ConstantInt) \
-                and rhs.value > 0:
-            bound = rhs.value - 1
-            ty = value.type
-            if getattr(ty, "signed", True):
-                lo, _ = value_range(lhs, call_range, depth + 1)
-                if lo is not None and lo >= 0:
-                    return (0, bound)
-                return (-bound, bound)
-            return (0, bound)
-        if value.opcode in (Opcode.ADD, Opcode.SUB, Opcode.MUL):
-            a = value_range(lhs, call_range, depth + 1)
-            b = value_range(rhs, call_range, depth + 1)
-            return _range_arith(value.opcode, a, b)
-        return RANGE_UNBOUNDED
-    if isinstance(value, CastInst):
-        source, target = value.value.type, value.type
-        if (isinstance(source, types.IntegerType)
-                and isinstance(target, types.IntegerType)
-                and target.bits >= source.bits
-                and (target.signed == source.signed or not source.signed)):
-            return value_range(value.value, call_range, depth + 1)
-        return RANGE_UNBOUNDED
-    if isinstance(value, PhiNode):
-        merged = RANGE_TOP
-        for incoming, _ in value.incoming:
-            if incoming is value:
-                continue
-            merged = _merge_range(
-                merged, value_range(incoming, call_range, depth + 1))
-            if merged == RANGE_UNBOUNDED:
-                return merged
-        return RANGE_UNBOUNDED if merged == RANGE_TOP else merged
-    if isinstance(value, (CallInst, InvokeInst)) and call_range is not None:
-        resolved = call_range(value)
-        if resolved is not None and resolved != RANGE_TOP:
-            return resolved
-        return RANGE_UNBOUNDED
-    return RANGE_UNBOUNDED
-
-
-def range_proves_in_bounds(rng, bound: int) -> bool:
-    """Does the range prove an index lies within ``[0, bound)``?"""
-    if rng == RANGE_TOP:
-        return False
-    lo, hi = rng
-    return lo is not None and hi is not None and 0 <= lo and hi < bound
 
 
 # ---------------------------------------------------------------------------
@@ -597,38 +496,24 @@ def summarize_function_ipa(function: Function) -> AnalysisSummary:
 
     absint_facts: list = []  # lazily computed, at most once per function
 
-    def absint_range(value: Value):
-        """The abstract interpreter's interval for ``value``, as a
-        ``(lo, hi)`` pair, or None when it adds nothing over top."""
+    def range_of(value: Value):
+        """The abstract interpreter's interval for ``value`` as a
+        ``(lo, hi)`` pair; ``(None, None)`` when it knows nothing."""
         if not isinstance(value.type, types.IntegerType):
-            return None
+            return RANGE_UNBOUNDED
         if not absint_facts:
             absint_facts.append(analyze_function(function))
         fact = absint_facts[0].abs_of(value)
         if fact is None or fact.interval.is_top(fact.shape):
-            return None
+            return RANGE_UNBOUNDED
         return (fact.interval.lo, fact.interval.hi)
-
-    def best_range(value: Value):
-        """``value_range`` sharpened by the abstract interpreter: keep
-        the tighter bound on each side (both are sound over-approxima-
-        tions, so their intersection is too)."""
-        rng = value_range(value)
-        lo, hi = (None, None) if rng == RANGE_TOP else rng
-        sharp = absint_range(value)
-        if sharp is not None:
-            lo = sharp[0] if lo is None else max(lo, sharp[0])
-            hi = sharp[1] if hi is None else min(hi, sharp[1])
-            if lo > hi:  # contradictory — trust neither side
-                return RANGE_UNBOUNDED
-        return (lo, hi)
 
     def simple_range_atom(value: Value) -> list:
         if isinstance(value, Argument):
             index = param_index.get(id(value))
             if index is not None:
                 return ["param", index]
-        rng = best_range(value)
+        rng = range_of(value)
         return ["const", rng[0], rng[1]]
 
     def eval_range(value: Value, visited: set) -> List[list]:
@@ -653,7 +538,7 @@ def summarize_function_ipa(function: Function) -> AnalysisSummary:
                 args = [simple_range_atom(a) for a in value.args]
                 return [["ret", target.name, args]]
             return [["const", None, None]]
-        rng = best_range(value)
+        rng = range_of(value)
         return [["const", rng[0], rng[1]]]
 
     def malloc_is_owned(alloc: MallocInst, ret_value: Value) -> bool:
@@ -1099,10 +984,12 @@ class ProgramSummaries:
         return value
 
     def call_return_range(self, scope: int, inst):
-        """Concrete return range of a direct call (context from locally
-        foldable arguments)."""
+        """Concrete return range of a direct call; a constant argument
+        gives the callee its exact context."""
         def arg_value(arg: Value):
-            return value_range(arg)
+            if isinstance(arg, ConstantInt):
+                return (arg.value, arg.value)
+            return RANGE_UNBOUNDED
         value = self._call_value(scope, inst, "range", arg_value)
         if value == RANGE_TOP:
             return None

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from ..analysis.absint import analyze_function
+from ..analysis.callgraph import direct_callee
 from ..analysis.cfg import reachable_blocks
 from ..analysis.dataflow import (
     DenseAnalysis, FORWARD, SparseAnalysis, solve_dense, solve_sparse,
@@ -41,8 +42,7 @@ from .checkers import (
 from .diagnostics import Reporter
 from .interproc import (
     KNOWN_SAFE_EXTERNALS, ProgramSummaries, TAINT_CLEAN, TAINT_TAINTED,
-    TAINT_TOP, direct_callee, range_proves_in_bounds, strip_pointer,
-    value_range,
+    TAINT_TOP, strip_pointer,
 )
 
 
@@ -569,10 +569,9 @@ class IPABoundsAdvisor(IPAChecker):
     *provably out* of bounds.  In whole-program mode this advisor
     covers the remaining variable ones: any index whose range —
     computed by the abstract interpreter with callee return-range
-    summaries feeding call results, with the syntactic ``value_range``
-    folder as a second opinion — provably fits ``[0, N)`` is silent,
-    and only the rest get an advisory note (severity below the
-    ``-Werror`` gate).
+    summaries feeding call results — provably fits ``[0, N)`` is
+    silent, and only the rest get an advisory note (severity below
+    the ``-Werror`` gate).
     """
 
     name = "gep-bounds"
@@ -600,9 +599,6 @@ class IPABoundsAdvisor(IPAChecker):
                     current = current.element
                     if isinstance(index, ConstantInt):
                         continue  # the static checker owns constants
-                    rng = value_range(index, call_range)
-                    if range_proves_in_bounds(rng, bound):
-                        continue
                     if facts is None:
                         facts = analyze_function(function,
                                                  call_range=call_range)

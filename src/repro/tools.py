@@ -254,7 +254,6 @@ def _pass_registry():
             "simplifycfg": transforms.SimplifyCFG,
             "dce": transforms.DeadCodeElimination,
             "adce": transforms.AggressiveDCE,
-            "constprop": transforms.ConstantPropagation,
             "sccp": transforms.SCCP,
             "gvn": transforms.GVN,
             "instcombine": transforms.InstCombine,

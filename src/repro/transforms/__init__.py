@@ -4,7 +4,6 @@ The standard pipelines (what ``-O1``/``-O3`` mean here) live in
 :mod:`repro.driver.pipelines`.
 """
 
-from .constprop import ConstantPropagation
 from .dce import AggressiveDCE, DeadCodeElimination
 from .gvn import GVN
 from .instcombine import InstCombine
@@ -21,9 +20,8 @@ from .sroa import ScalarReplAggregates
 from .tailrec import TailRecursionElimination
 
 __all__ = [
-    "ConstantPropagation", "AggressiveDCE", "DeadCodeElimination", "GVN",
-    "InstCombine", "LICM", "PromoteMem2Reg", "FunctionPassAdaptor",
-    "ModulePassAdaptor", "PassManager", "RangeOpt", "Reassociate",
-    "SCCP", "SimplifyCFG", "ScalarReplAggregates",
-    "TailRecursionElimination",
+    "AggressiveDCE", "DeadCodeElimination", "GVN", "InstCombine", "LICM",
+    "PromoteMem2Reg", "FunctionPassAdaptor", "ModulePassAdaptor",
+    "PassManager", "RangeOpt", "Reassociate", "SCCP", "SimplifyCFG",
+    "ScalarReplAggregates", "TailRecursionElimination",
 ]

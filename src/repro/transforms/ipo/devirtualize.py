@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ...analysis.callgraph import signature_compatible
 from ...core import types
 from ...core.datalayout import DataLayout
 from ...core.instructions import (
@@ -68,7 +69,8 @@ class Devirtualize:
         if target.type is not callee.type:
             # Signature mismatch after stripping casts: calling through
             # a mismatched type is not safely rewritable.
-            if not _compatible_signature(call, target):
+            if not signature_compatible(call, target) \
+                    or target.function_type.return_type is not call.type:
                 return False
         call.set_operand(0, target)
         self.counters["calls_devirtualized"] += 1
@@ -83,19 +85,6 @@ def _strip_pointer_casts(value):
             value = value.operands[0]
         else:
             return value
-
-
-def _compatible_signature(call, function: Function) -> bool:
-    fn_ty = function.function_type
-    args = call.args
-    if fn_ty.is_vararg:
-        if len(args) < len(fn_ty.params):
-            return False
-    elif len(args) != len(fn_ty.params):
-        return False
-    if not all(a.type is p for a, p in zip(args, fn_ty.params)):
-        return False
-    return fn_ty.return_type is call.type
 
 
 def _fold_constant_load(load: LoadInst, layout: DataLayout) -> Optional[Constant]:

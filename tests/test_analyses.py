@@ -5,6 +5,7 @@ import pytest
 from repro.analysis import (
     AliasResult, CallGraph, LoopInfo, ModRefAnalysis, alias,
 )
+from repro.analysis.callgraph import direct_callee, signature_compatible
 from repro.analysis.cfg import (
     edges, is_critical_edge, postorder, reachable_blocks,
     reverse_postorder, split_critical_edge, unreachable_blocks,
@@ -13,6 +14,7 @@ from repro.core import (
     IRBuilder, Module, parse_function, parse_module, types,
     verify_function,
 )
+from repro.core.values import ConstantExpr, ConstantInt
 from repro.execution import Interpreter
 
 
@@ -201,6 +203,39 @@ entry:
         # The indirect call conservatively edges to cb.
         main = graph.node(module.functions["main"])
         assert cb in main.callees
+
+    def test_direct_callee_sees_through_constant_casts(self):
+        module = parse_module(self.MODULE)
+        leaf = module.functions["leaf"]
+        other = types.pointer(types.function(types.INT, [types.LONG]))
+        once = ConstantExpr("cast", other, [leaf])
+        twice = ConstantExpr("cast", leaf.type, [once])
+        assert direct_callee(leaf) is leaf
+        assert direct_callee(once) is leaf and direct_callee(twice) is leaf
+        assert direct_callee(ConstantInt(types.INT, 0)) is None
+
+    def test_signature_compatible_checks_the_fixed_parameters(self):
+        module = parse_module("""
+declare int %printf(sbyte* %fmt, ...)
+int %leaf(int %x) {
+entry:
+  ret int %x
+}
+int %main(sbyte* %s, long %wide) {
+entry:
+  %a = call int %leaf(int 1)
+  %b = call int (sbyte*, ...)* %printf(sbyte* %s, int %a)
+  ret int %b
+}
+""")
+        to_leaf, to_printf = [inst for inst in
+                              module.functions["main"].instructions()
+                              if inst.opcode.value == "call"]
+        leaf, printf = module.functions["leaf"], module.functions["printf"]
+        assert signature_compatible(to_leaf, leaf)
+        assert signature_compatible(to_printf, printf)
+        assert not signature_compatible(to_printf, leaf)   # arity
+        assert not signature_compatible(to_leaf, printf)   # int is not sbyte*
 
 
 class TestAlias:

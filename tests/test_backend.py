@@ -220,10 +220,8 @@ int main() { return initialized; }
         assert "cmpbr.lt" in listing
         assert ".loop" in listing
 
-    def test_both_targets_compile_whole_benchmark(self):
-        from repro.benchsuite import compile_benchmark
-
-        module = compile_benchmark("mcf")
+    def test_both_targets_compile_whole_benchmark(self, suite_o2):
+        module = suite_o2("mcf")
         for target in (X86, SPARC):
             image = compile_for_size(module, target)
             assert image.code_size > 500

@@ -8,8 +8,7 @@ compiles, runs deterministically, and optimization preserves its output.
 import pytest
 
 from repro.benchsuite import (
-    BENCHMARKS, benchmark_info, benchmark_names, compile_benchmark,
-    load_source,
+    BENCHMARKS, benchmark_info, benchmark_names, load_source,
 )
 from repro.core import verify_module
 from repro.execution import Interpreter
@@ -17,13 +16,6 @@ from repro.frontend import compile_source
 
 #: A couple of heavier programs get a higher step allowance.
 STEP_LIMIT = 100_000_000
-
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def _optimized(name):
-    return compile_benchmark(name)
 
 
 @pytest.mark.parametrize("name", benchmark_names())
@@ -34,27 +26,22 @@ def test_compiles_and_verifies(name):
 
 
 @pytest.mark.parametrize("name", benchmark_names())
-def test_optimization_preserves_output(name):
-    source = load_source(name)
-    unoptimized = compile_source(source, name)
-    raw = Interpreter(unoptimized, step_limit=STEP_LIMIT)
-    expected = raw.run("main")
+def test_optimization_preserves_output(name, suite_o2, suite_runs):
+    expected, raw_output, raw_steps = suite_runs(name, 0)
 
-    optimized = _optimized(name)
-    verify_module(optimized)
-    cooked = Interpreter(optimized, step_limit=STEP_LIMIT)
-    assert cooked.run("main") == expected
-    assert cooked.output == raw.output
-    assert cooked.steps < raw.steps, "optimization should reduce work"
+    verify_module(suite_o2(name))
+    value, output, steps = suite_runs(name, 2)
+    assert value == expected
+    assert output == raw_output
+    assert steps < raw_steps, "optimization should reduce work"
 
 
 @pytest.mark.parametrize("name", benchmark_names())
-def test_deterministic(name):
-    module = _optimized(name)
-    first = Interpreter(module, step_limit=STEP_LIMIT)
-    second = Interpreter(module, step_limit=STEP_LIMIT)
-    assert first.run("main") == second.run("main")
-    assert first.output == second.output
+def test_deterministic(name, suite_o2, suite_runs):
+    value, output, _ = suite_runs(name, 2)
+    again = Interpreter(suite_o2(name), step_limit=STEP_LIMIT)
+    assert again.run("main") == value
+    assert again.output == output
 
 
 def test_suite_covers_table1():

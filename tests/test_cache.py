@@ -33,16 +33,16 @@ BATCH = [MAIN] + HELPERS
 
 
 class TestCacheKeys:
-    def test_key_is_content_addressed(self):
-        cache = BytecodeCache()
+    def test_key_is_content_addressed(self, tmp_path):
+        cache = BytecodeCache(str(tmp_path))
         assert cache.key("int f;", 2) == cache.key("int f;", 2)
         assert cache.key("int f;", 2) != cache.key("int g;", 2)
         assert cache.key("int f;", 2) != cache.key("int f;", 3)
         assert cache.key("int f;", 2) != cache.key("int f;", 2, tag="program")
 
-    def test_key_includes_toolchain_fingerprint(self):
+    def test_key_includes_toolchain_fingerprint(self, tmp_path):
         assert toolchain_fingerprint() in repr(toolchain_fingerprint())
-        cache = BytecodeCache()
+        cache = BytecodeCache(str(tmp_path))
         # Keys are full SHA-256 hex digests.
         assert len(cache.key("x", 0)) == 64
 
@@ -58,8 +58,8 @@ class TestHitMiss:
         assert cache.statistics()["cache-hits"] == 1
         assert print_module(warm) == print_module(cold)
 
-    def test_in_memory_cache(self):
-        cache = BytecodeCache()
+    def test_one_entry_per_translation_unit(self, tmp_path):
+        cache = BytecodeCache(str(tmp_path))
         compile_and_link([HELPERS[0]], "p", 2, cache=cache)
         compile_and_link([HELPERS[0]], "p", 2, cache=cache)
         stats = cache.statistics()
@@ -126,17 +126,15 @@ class TestConcurrentCounters:
     interpreters (and flakily even under the GIL, since ``+=`` is a
     read-modify-write)."""
 
-    @pytest.mark.parametrize("on_disk", [False, True])
-    def test_counter_conservation_under_hammer(self, tmp_path, on_disk):
+    def test_counter_conservation_under_hammer(self, tmp_path):
         import random
         import threading
 
-        cache = BytecodeCache(str(tmp_path / "hammer") if on_disk else None)
+        cache = BytecodeCache(str(tmp_path / "hammer"))
         n_threads, rounds = 8, 250
         barrier = threading.Barrier(n_threads)
         local = [
-            {"loads": 0, "stores": 0, "evicts": 0,
-             "tloads": 0, "tstores": 0, "tevicts": 0}
+            {"loads": 0, "stores": 0, "evicts": 0, "tloads": 0, "tstores": 0}
             for _ in range(n_threads)
         ]
         errors: list[BaseException] = []
@@ -147,8 +145,10 @@ class TestConcurrentCounters:
             try:
                 barrier.wait()
                 for i in range(rounds):
-                    key = cache.key(f"k{rng.randrange(12)}", 2)
-                    op = rng.randrange(6)
+                    source = f"k{rng.randrange(12)}"
+                    key = cache.key(source, 2)
+                    summary_key = cache.key(source, 2, tag="ipa-summary")
+                    op = rng.randrange(5)
                     if op == 0:
                         cache.store_bytes(key, b"payload%d" % i)
                         mine["stores"] += 1
@@ -159,14 +159,11 @@ class TestConcurrentCounters:
                         if cache.invalidate(key):
                             mine["evicts"] += 1
                     elif op == 3:
-                        cache.store_text(key, f"summary {i}")
+                        cache.store_summary(summary_key, f"summary {i}")
                         mine["tstores"] += 1
-                    elif op == 4:
-                        cache.load_text(key)
-                        mine["tloads"] += 1
                     else:
-                        if cache.evict_text(key):
-                            mine["tevicts"] += 1
+                        cache.load_summary(summary_key)
+                        mine["tloads"] += 1
             except BaseException as exc:  # surfaced after join
                 errors.append(exc)
 
@@ -191,7 +188,7 @@ class TestConcurrentCounters:
         assert stats["cache-evictions"] == total("evicts")
         assert stats["summary-hits"] + stats["summary-misses"] == total("tloads")
         assert stats["summary-stores"] == total("tstores")
-        assert stats["summary-evictions"] == total("tevicts")
+        assert stats["summary-evictions"] == 0
 
 
 class TestBatchDriver:
@@ -272,8 +269,8 @@ class TestReloadedModulesLintIdentically:
 
 
 class TestLifelongSessionCache:
-    def test_session_uses_and_invalidates_cache(self):
-        cache = BytecodeCache()
+    def test_session_uses_and_invalidates_cache(self, tmp_path):
+        cache = BytecodeCache(str(tmp_path))
         sources = [
             "int compute(int x) { return x * 3 + 1; }",
             "int compute(int x); int main() { return compute(13); }",
@@ -296,8 +293,8 @@ class TestLifelongSessionCache:
         assert cache.statistics()["cache-evictions"] == evictions_before + 1
         assert cache.load_bytes(program_key) == second.bytecode
 
-    def test_session_runs_correctly_from_cache(self):
-        cache = BytecodeCache()
+    def test_session_runs_correctly_from_cache(self, tmp_path):
+        cache = BytecodeCache(str(tmp_path))
         sources = ["int main() { return 17 + 25; }"]
         LifelongSession(sources, "p", 2, cache=cache)
         warm = LifelongSession(sources, "p", 2, cache=cache)
@@ -315,10 +312,8 @@ class TestBoundedCacheLRU:
         cache.store_bytes(key, bytes(size))
         return key
 
-    @pytest.mark.parametrize("on_disk", [False, True])
-    def test_oldest_entry_is_evicted_first(self, tmp_path, on_disk):
-        cache = BytecodeCache(str(tmp_path) if on_disk else None,
-                              max_bytes=220)
+    def test_oldest_entry_is_evicted_first(self, tmp_path):
+        cache = BytecodeCache(str(tmp_path), max_bytes=220)
         first = self._store(cache, "a")    # ~84 framed bytes each
         second = self._store(cache, "b")
         third = self._store(cache, "c")    # budget blown: "a" must go
@@ -327,30 +322,24 @@ class TestBoundedCacheLRU:
         assert cache.load_bytes(third) is not None
         assert cache.statistics()["cache-lru-evictions"] == 1
 
-    @pytest.mark.parametrize("on_disk", [False, True])
-    def test_hit_bumps_recency(self, tmp_path, on_disk):
+    def test_hit_bumps_recency(self, tmp_path):
         import time as _time
 
-        cache = BytecodeCache(str(tmp_path) if on_disk else None,
-                              max_bytes=220)
+        cache = BytecodeCache(str(tmp_path), max_bytes=220)
         first = self._store(cache, "a")
         second = self._store(cache, "b")
-        if on_disk:
-            _time.sleep(0.02)  # let the utime bump order the mtimes
+        _time.sleep(0.02)  # let the utime bump order the mtimes
         assert cache.load_bytes(first) is not None  # "a" is now newest
-        if on_disk:
-            _time.sleep(0.02)
+        _time.sleep(0.02)
         self._store(cache, "c")
         assert cache.load_bytes(second) is None  # "b" was the LRU
         assert cache.load_bytes(first) is not None
 
-    @pytest.mark.parametrize("on_disk", [False, True])
-    def test_oversized_entry_still_caches(self, tmp_path, on_disk):
+    def test_oversized_entry_still_caches(self, tmp_path):
         """The entry being stored is never its own victim: a single
         artifact bigger than the whole budget still caches (and evicts
         everything else)."""
-        cache = BytecodeCache(str(tmp_path) if on_disk else None,
-                              max_bytes=100)
+        cache = BytecodeCache(str(tmp_path), max_bytes=100)
         small = self._store(cache, "small", size=16)
         big = self._store(cache, "big", size=4096)
         assert cache.load_bytes(big) is not None
@@ -374,14 +363,41 @@ class TestBoundedCacheLRU:
         third = self._store(cache, "c")  # must not raise
         assert cache.load_bytes(third) is not None
 
-    def test_eviction_drops_sidecar_with_entry(self, tmp_path):
+    def test_sidecars_share_the_budget(self, tmp_path):
+        """A summary sidecar is an entry like any other: it counts
+        against ``max_bytes`` and is evicted in the same LRU order."""
         cache = BytecodeCache(str(tmp_path), max_bytes=220)
-        first = self._store(cache, "a")
-        cache.store_text(first, "summary of a")
+        summary = cache.key("a", 2, tag="ipa-summary")
+        cache.store_summary(summary, "s" * 64)
         self._store(cache, "b")
         self._store(cache, "c")
-        assert cache.load_bytes(first) is None
-        assert cache.load_text(first) is None
+        assert cache.load_summary(summary) is None
+        assert cache.statistics()["cache-lru-evictions"] == 1
+
+
+class TestSidecarIntegrity:
+    """Sidecars carry the same SHA-256 frame as bytecode: corruption is
+    a counted miss and eviction in the cache, never a parser's
+    exception in the caller."""
+
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[:-3] + bytes([data[-3] ^ 0x10]) + data[-2:],
+        lambda data: data[:-7],
+    ], ids=["flipped-byte", "torn-tail"])
+    def test_damaged_sidecar_is_a_miss_and_an_eviction(self, tmp_path,
+                                                      damage):
+        cache = BytecodeCache(str(tmp_path))
+        key = cache.key("int f;", 2, tag="ipa-summary")
+        cache.store_summary(key, '{"format": 1, "functions": []}')
+        assert cache.load_summary(key) == '{"format": 1, "functions": []}'
+        path = tmp_path / f"{key}.bc"
+        path.write_bytes(damage(path.read_bytes()))
+        assert cache.load_summary(key) is None
+        stats = cache.statistics()
+        assert (stats["summary-hits"], stats["summary-misses"],
+                stats["summary-evictions"]) == (1, 1, 1)
+        assert stats["cache-misses"] == stats["cache-evictions"] == 0
+        assert not path.exists()
 
 
 class TestCacheLatencyStats:
@@ -397,5 +413,6 @@ class TestCacheLatencyStats:
         assert stats["cache-store-avg-us"] >= 0
         assert "cache-lru-evictions" in stats
 
-    def test_hit_rate_with_no_lookups_is_zero(self):
-        assert BytecodeCache().statistics()["cache-hit-rate-pct"] == 0
+    def test_hit_rate_with_no_lookups_is_zero(self, tmp_path):
+        stats = BytecodeCache(str(tmp_path)).statistics()
+        assert stats["cache-hit-rate-pct"] == 0

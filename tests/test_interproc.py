@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.analysis.absint import analyze_function
 from repro.core import parse_module
 from repro.driver import BytecodeCache, LifelongSession, lint_whole_program
 from repro.frontend import compile_source
@@ -24,10 +25,7 @@ from repro.sanalysis import (
 from repro.sanalysis.checkers import (
     NULL_MAYBE, NULL_NONNULL, NULL_NULL, NULL_TOP, _Nullness,
 )
-from repro.sanalysis.interproc import (
-    ModuleAnalysisSummaries, ProgramSummaries, range_proves_in_bounds,
-    value_range,
-)
+from repro.sanalysis.interproc import ModuleAnalysisSummaries, ProgramSummaries
 from repro.tools import lc_lint
 
 
@@ -487,9 +485,11 @@ class TestIncrementalLint:
         sources = [LC_NULL_LIB]
         lint_whole_program(sources, cache=cache)
         key = cache.key(LC_NULL_LIB, 2, tag="ipa-summary")
-        cache.store_text(key, "{not json")
+        cache.store_summary(key, "{not json")
         result = lint_whole_program(sources, cache=cache)
         assert result.computed_scopes == [0]
+        # Recomputed and stored over the bad entry: the next run hits.
+        assert lint_whole_program(sources, cache=cache).computed_scopes == []
 
     def test_lifelong_session_lint(self, tmp_path):
         cache = BytecodeCache(str(tmp_path))
@@ -545,7 +545,7 @@ entry:
         notes = [d for d in result.diagnostics if d.checker == "gep-bounds"]
         assert notes and all(d.severity == Severity.NOTE for d in notes)
 
-    def test_value_range_interval_arithmetic(self):
+    def test_interval_arithmetic_is_the_abstract_interpreters(self):
         module = parse_module("""
 int %f(int %x) {
 entry:
@@ -555,8 +555,28 @@ entry:
   ret int %s
 }
 """)
-        blocks = list(module.functions["f"].blocks)
-        s = blocks[0].instructions[2]
-        assert value_range(s) == (1, 15)
-        assert range_proves_in_bounds(value_range(s), 16)
-        assert not range_proves_in_bounds(value_range(s), 15)
+        function = module.functions["f"]
+        s = function.blocks[0].instructions[2]
+        interval = analyze_function(function).interval_of(s)
+        assert (interval.lo, interval.hi) == (1, 15)
+
+    def test_signed_wrap_is_not_proven_in_bounds(self):
+        # (x & 127) + (y & 127) on sbyte wraps: 127 + 127 is -2, so the
+        # index is in [-128, 127], not the [0, 254] that interval
+        # arithmetic without wrap-around claimed fits [255 x int].
+        result = _wp([("wrap.ll", """
+int %pick(sbyte %x, sbyte %y) {
+entry:
+  %table = alloca [255 x int]
+  %a = and sbyte %x, 127
+  %b = and sbyte %y, 127
+  %s = add sbyte %a, %b
+  %i = cast sbyte %s to int
+  %slot = getelementptr [255 x int]* %table, long 0, int %i
+  %v = load int* %slot
+  ret int %v
+}
+""")], ["gep-bounds"])
+        notes = [d for d in result.diagnostics if d.checker == "gep-bounds"]
+        assert len(notes) == 1 and notes[0].severity == Severity.NOTE
+        assert "255 elements" in notes[0].message

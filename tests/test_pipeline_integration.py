@@ -1,12 +1,17 @@
 """Integration tests: tricky whole programs through the full pipeline,
 checked for exact output equivalence at every optimization level."""
 
+import importlib.util
+import os
+
 import pytest
 
 from repro.core import verify_module
 from repro.driver import compile_and_link, optimize_module
+from repro.driver.pipelines import standard_pipeline
 from repro.execution import Interpreter
 from repro.frontend import compile_source
+from repro.transforms.passmanager import pass_name
 
 
 def _equivalent_at_all_levels(source: str, entry: str = "main", args=()):
@@ -31,6 +36,56 @@ def _equivalent_at_all_levels(source: str, entry: str = "main", args=()):
     assert interp.run(entry, args) == reference
     assert interp.output == outputs
     return reference
+
+
+class TestPipelineShape:
+    def test_one_constant_propagator_in_the_folders_old_slot(self):
+        names = [pass_name(p) for p in standard_pipeline(2).passes]
+        assert names == [
+            "simplifycfg", "sroa", "mem2reg", "instcombine", "simplifycfg",
+            "sccp", "dce", "simplifycfg", "reassociate", "gvn", "licm",
+            "rangeopt", "instcombine", "adce", "simplifycfg"]
+        assert [pass_name(p) for p in standard_pipeline(1).passes] \
+            == names[:7]
+
+    def test_folding_exposes_dead_code_to_the_dce_behind_it(self):
+        # A constant branch condition: sccp folds the compare and the
+        # branch, dce and simplifycfg take what that leaves — at -O1 too.
+        module = compile_source("""
+int main() {
+  int x = 6 * 7;
+  if (x == 42) { return 1; }
+  return 2;
+}
+""", "fold")
+        optimize_module(module, 1)
+        main = module.functions["main"]
+        assert len(main.blocks) == 1 and main.instruction_count() == 1
+        assert Interpreter(module).run("main") == 1
+
+
+class TestSlotAudit:
+    """benchmarks/slot_audit.py (the CI gate) on the two programs it
+    carries for the link-time passes no LC suite program reaches."""
+
+    @pytest.fixture(scope="class")
+    def slot_audit(self):
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "benchmarks", "slot_audit.py")
+        spec = importlib.util.spec_from_file_location("slot_audit", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @pytest.mark.parametrize("program, slot", [
+        ("animals", ("lto", 1, "devirtualize")),
+        ("guarded-call", ("lto", 6, "prune-eh")),
+    ])
+    def test_section_4_1_2_passes_have_a_program_they_move(
+            self, slot_audit, program, slot):
+        audit = slot_audit.Audit()
+        audit.audit_program(program, slot_audit.corpus(0)[program])
+        assert audit.slots[slot]["ipo-1"] == [1, 1, {program}]
 
 
 class TestTrickyPrograms:

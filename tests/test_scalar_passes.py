@@ -16,9 +16,9 @@ from repro.driver.pipelines import standard_pipeline
 from repro.execution import Interpreter
 from repro.frontend import compile_source
 from repro.transforms import (
-    AggressiveDCE, ConstantPropagation, DeadCodeElimination, GVN,
-    InstCombine, LICM, PassManager, PromoteMem2Reg, Reassociate, SCCP,
-    ScalarReplAggregates, SimplifyCFG, TailRecursionElimination,
+    AggressiveDCE, DeadCodeElimination, GVN, InstCombine, LICM, PassManager,
+    PromoteMem2Reg, Reassociate, SCCP, ScalarReplAggregates, SimplifyCFG,
+    TailRecursionElimination,
 )
 from repro.transforms.reg2mem import DemoteRegisters
 
@@ -196,7 +196,7 @@ entry:
   ret int %c
 }
 """)
-        assert ConstantPropagation().run_on_function(fn)
+        assert SCCP().run_on_function(fn)
         DeadCodeElimination().run_on_function(fn)
         assert fn.instruction_count() == 1
         assert fn.entry_block.terminator.return_value.value == 19
@@ -394,12 +394,13 @@ join:
         assert [phi.name for phi in fn.blocks[-1].phis()] == ["p"]
 
 
-#: (values-folded, branches-folded) of SCCP per benchsuite program,
-#: captured with the pre-PR-14 private Wegman–Zadeck solver, at two
-#: positions: SCCP's own place in the -O2 pipeline, where constprop and
-#: instcombine have already taken everything it could fold, and
-#: directly on fresh SSA (simplifycfg, sroa, mem2reg), where it has
-#: work.  A solver change that costs or invents a fold shows up here.
+#: (values-folded, branches-folded) of SCCP per benchsuite program at
+#: two positions: its slot in the -O pipelines (after instcombine and
+#: simplifycfg — on the suite instcombine's own folding leaves it
+#: nothing; fuzz programs do give it work there, see
+#: benchmarks/slot_audit.py), and directly on fresh SSA (simplifycfg,
+#: sroa, mem2reg), where it has work.  A solver change that costs or
+#: invents a fold shows up here.
 SCCP_FOLDS = {
     "gzip": ((0, 0), (4, 0)),
     "vpr": ((0, 0), (7, 1)),

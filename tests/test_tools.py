@@ -78,6 +78,8 @@ class TestToolPipeline:
         lc_cc([hello_lc, "-o", str(ll)])
         with pytest.raises(SystemExit):
             lc_opt([str(ll), "-p", "no_such_pass"])
+        with pytest.raises(SystemExit):  # sccp is the constant propagator
+            lc_opt([str(ll), "-p", "constprop"])
 
     def test_run_executes(self, hello_lc, tmp_path, capsys):
         ll = tmp_path / "x.ll"
