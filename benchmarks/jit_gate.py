@@ -36,7 +36,6 @@ import time
 
 from repro.benchsuite import benchmark_names, compile_benchmark
 from repro.execution import Interpreter, TraceManager
-from repro.execution.interpreter import ExitCalled
 
 #: The whole suite must compile at least this many traces.
 MIN_TRACES = 10
@@ -58,11 +57,8 @@ def _run(module, manager=None):
     if manager is not None:
         manager.attach(interp)
     started = time.perf_counter()
-    try:
-        value = interp.run("main", [])
-        code = value if isinstance(value, int) else 0
-    except ExitCalled as exc:
-        code = exc.code
+    value = interp.run("main", [])
+    code = value if isinstance(value, int) else 0
     seconds = time.perf_counter() - started
     return code, "".join(interp.output), interp.steps, seconds
 

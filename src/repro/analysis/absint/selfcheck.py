@@ -29,6 +29,7 @@ fast mode keeps the unit suite quick.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import Callable, List, Optional
 
@@ -77,9 +78,12 @@ _REAL_TYPES = {
 }
 
 
+@functools.cache
 def type_for_shape(shape: Shape):
     """A concrete type object carrying ``shape``'s semantics: the real
-    LC type when one exists, a :class:`NarrowInt` stand-in otherwise."""
+    LC type when one exists, a :class:`NarrowInt` stand-in otherwise
+    (one per shape, so constfold's per-type evaluator memo stays as
+    small as the set of shapes)."""
     if shape == BOOL_SHAPE:
         return types.BOOL
     real = _REAL_TYPES.get(shape)

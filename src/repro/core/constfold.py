@@ -1,11 +1,20 @@
 """Exact evaluation semantics for the instruction set, plus constant folding.
 
 This module is the single source of truth for what each opcode *means*
-on concrete values: the execution engine interprets instructions with
-these helpers, and the optimizer folds constants with them, so the two
-can never disagree.
+on concrete values, stated once as a table of evaluators:
+:func:`binary_evaluator`, :func:`shift_evaluator` and
+:func:`cast_evaluator` return the callable for one (opcode, type),
+chosen once and memoised on the interned type.  Every engine consumes
+that table and none restates it: the interpreter binds the callables
+when it decodes a block; ``eval_binary`` / ``eval_shift`` /
+``eval_cast`` are a lookup plus a call, which is what the machine
+simulator, tvalid's evaluator, SCCP, the peephole verifier and the
+absint self-check call; ``fold_*`` wrap those for ``Constant``
+operands.  So the optimizer and the execution engines can never
+disagree.  (``tests/test_constfold.py`` keeps the if-chains the table
+replaced as the reference it is checked against.)
 
-Conventions for the raw evaluators:
+Conventions for the evaluators:
 
 * integers are Python ints already wrapped into their type's range;
 * pointers are Python ints (addresses in the flat memory model);
@@ -18,7 +27,9 @@ Conventions for the raw evaluators:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import struct as _struct
 from typing import Optional
 
@@ -35,143 +46,198 @@ class ArithmeticFault(Exception):
     """Raised for division or remainder by zero."""
 
 
-def _round_fp(ty: Type, value: float) -> float:
-    if ty.is_floating and ty.bits == 32:  # type: ignore[attr-defined]
-        return _struct.unpack("<f", _struct.pack("<f", value))[0]
-    return value
+_SINGLE = _struct.Struct("<f")
 
 
-def _to_unsigned(ty: types.IntegerType, value: int) -> int:
-    return value & ((1 << ty.bits) - 1)
+def _round32(value: float) -> float:
+    """Re-round through single precision (``float``-typed results)."""
+    return _SINGLE.unpack(_SINGLE.pack(value))[0]
 
 
-def eval_binary(opcode: Opcode, ty: Type, lhs, rhs):
-    """Evaluate a binary opcode on concrete operand values of type ``ty``.
+def _float_div(lhs: float, rhs: float) -> float:
+    if rhs == 0.0:
+        if lhs == 0.0:
+            return math.nan
+        return math.copysign(math.inf, lhs) * math.copysign(1.0, rhs)
+    return lhs / rhs
 
-    For comparisons the result is a Python bool; otherwise a value of
-    ``ty``'s representation.
-    """
-    if opcode == Opcode.ADD:
-        if ty.is_floating:
-            return _round_fp(ty, lhs + rhs)
-        return ty.wrap(lhs + rhs)  # type: ignore[attr-defined]
-    if opcode == Opcode.SUB:
-        if ty.is_floating:
-            return _round_fp(ty, lhs - rhs)
-        return ty.wrap(lhs - rhs)  # type: ignore[attr-defined]
-    if opcode == Opcode.MUL:
-        if ty.is_floating:
-            return _round_fp(ty, lhs * rhs)
-        return ty.wrap(lhs * rhs)  # type: ignore[attr-defined]
-    if opcode == Opcode.DIV:
-        if ty.is_floating:
-            if rhs == 0.0:
-                if lhs == 0.0:
-                    return _round_fp(ty, math.nan)
-                return _round_fp(ty, math.copysign(math.inf, lhs) * math.copysign(1.0, rhs))
-            return _round_fp(ty, lhs / rhs)
+
+def _float_rem(lhs: float, rhs: float) -> float:
+    if rhs == 0.0:
+        return math.nan
+    return math.fmod(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# The evaluator table: one callable per (opcode, type)
+# ---------------------------------------------------------------------------
+
+#: Ints arrive signed-corrected and pointers as non-negative addresses,
+#: so plain Python comparison is right for every first-class type.
+_COMPARISONS = {
+    Opcode.SETEQ: operator.eq, Opcode.SETNE: operator.ne,
+    Opcode.SETLT: operator.lt, Opcode.SETGT: operator.gt,
+    Opcode.SETLE: operator.le, Opcode.SETGE: operator.ge,
+}
+_DOUBLE = {
+    Opcode.ADD: operator.add, Opcode.SUB: operator.sub,
+    Opcode.MUL: operator.mul, Opcode.DIV: _float_div, Opcode.REM: _float_rem,
+}
+_BOOL = {
+    Opcode.AND: lambda lhs, rhs: bool(lhs & rhs),
+    Opcode.OR: lambda lhs, rhs: bool(lhs | rhs),
+    Opcode.XOR: lambda lhs, rhs: bool(lhs ^ rhs),
+}
+
+
+def _single(evaluate):
+    return lambda lhs, rhs: _round32(evaluate(lhs, rhs))
+
+
+_SINGLE_PRECISION = {opcode: _single(evaluate)
+                     for opcode, evaluate in _DOUBLE.items()}
+
+
+def _wrap_constants(ty: types.IntegerType) -> tuple[int, int]:
+    """``(mask, half)`` such that ``((v + half) & mask) - half`` is
+    ``ty.wrap(v)``: two's complement for a signed type, and with
+    ``half == 0`` plain truncation for an unsigned one."""
+    return (1 << ty.bits) - 1, (1 << (ty.bits - 1)) if ty.signed else 0
+
+
+@functools.cache
+def _integer_evaluators(ty: types.IntegerType) -> dict:
+    mask, half = _wrap_constants(ty)
+
+    def div(lhs, rhs):
         if rhs == 0:
             raise ArithmeticFault("integer division by zero")
         quotient = abs(lhs) // abs(rhs)
         if (lhs < 0) != (rhs < 0):
             quotient = -quotient
-        return ty.wrap(quotient)  # type: ignore[attr-defined]
-    if opcode == Opcode.REM:
-        if ty.is_floating:
-            if rhs == 0.0:
-                return _round_fp(ty, math.nan)
-            return _round_fp(ty, math.fmod(lhs, rhs))
+        return ((quotient + half) & mask) - half
+
+    def rem(lhs, rhs):
         if rhs == 0:
             raise ArithmeticFault("integer remainder by zero")
         remainder = abs(lhs) % abs(rhs)
         if lhs < 0:
             remainder = -remainder
-        return ty.wrap(remainder)  # type: ignore[attr-defined]
-    if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR):
-        if ty.is_bool:
-            a, b = int(lhs), int(rhs)
-            if opcode == Opcode.AND:
-                return bool(a & b)
-            if opcode == Opcode.OR:
-                return bool(a | b)
-            return bool(a ^ b)
-        bits_lhs = _to_unsigned(ty, lhs)  # type: ignore[arg-type]
-        bits_rhs = _to_unsigned(ty, rhs)  # type: ignore[arg-type]
-        if opcode == Opcode.AND:
-            result = bits_lhs & bits_rhs
-        elif opcode == Opcode.OR:
-            result = bits_lhs | bits_rhs
-        else:
-            result = bits_lhs ^ bits_rhs
-        return ty.wrap(result)  # type: ignore[attr-defined]
-    if opcode == Opcode.SETEQ:
-        return lhs == rhs
-    if opcode == Opcode.SETNE:
-        return lhs != rhs
-    # Ordered comparisons: ints arrive signed-corrected, pointers as
-    # non-negative addresses, so plain Python comparison is right.
-    if opcode == Opcode.SETLT:
-        return lhs < rhs
-    if opcode == Opcode.SETGT:
-        return lhs > rhs
-    if opcode == Opcode.SETLE:
-        return lhs <= rhs
-    if opcode == Opcode.SETGE:
-        return lhs >= rhs
-    raise ValueError(f"not a binary opcode: {opcode}")
+        return ((remainder + half) & mask) - half
+
+    # The bitwise three wrap their result rather than trusting their
+    # inputs: ``&``, ``|`` and ``^`` commute with truncation, so this is
+    # the two's-complement answer for operands outside the range too.
+    return {
+        Opcode.ADD: lambda lhs, rhs: ((lhs + rhs + half) & mask) - half,
+        Opcode.SUB: lambda lhs, rhs: ((lhs - rhs + half) & mask) - half,
+        Opcode.MUL: lambda lhs, rhs: ((lhs * rhs + half) & mask) - half,
+        Opcode.DIV: div,
+        Opcode.REM: rem,
+        Opcode.AND: lambda lhs, rhs: (((lhs & rhs) + half) & mask) - half,
+        Opcode.OR: lambda lhs, rhs: (((lhs | rhs) + half) & mask) - half,
+        Opcode.XOR: lambda lhs, rhs: (((lhs ^ rhs) + half) & mask) - half,
+    }
 
 
-def eval_shift(opcode: Opcode, ty: types.IntegerType, value: int, amount: int) -> int:
-    """Evaluate ``shl``/``shr``.  Over-wide shifts saturate deterministically."""
+@functools.cache
+def binary_evaluator(opcode: Opcode, ty: Type):
+    """The callable ``(lhs, rhs) -> result`` for one binary opcode on
+    operands of type ``ty``, chosen once per (opcode, interned type).
+
+    For comparisons the result is a Python bool; otherwise a value of
+    ``ty``'s representation.
+    """
+    if opcode in _COMPARISONS:
+        return _COMPARISONS[opcode]
+    if ty.is_integer:
+        table = _integer_evaluators(ty)
+    elif ty.is_floating:
+        table = _DOUBLE if ty.bits == 64 else _SINGLE_PRECISION  # type: ignore[attr-defined]
+    elif ty.is_bool:
+        table = _BOOL
+    else:
+        table = {}
+    if opcode not in table:
+        raise ValueError(f"no binary opcode {opcode} on {ty}")
+    return table[opcode]
+
+
+@functools.cache
+def shift_evaluator(opcode: Opcode, ty: types.IntegerType):
+    """The callable ``(value, amount) -> result`` for ``shl``/``shr`` on
+    ``ty``.  Over-wide shifts saturate deterministically."""
+    bits = ty.bits
+    mask, half = _wrap_constants(ty)
     if opcode == Opcode.SHL:
-        if amount >= ty.bits:
-            return 0
-        return ty.wrap(value << amount)
-    if opcode == Opcode.SHR:
-        if ty.signed:
-            if amount >= ty.bits:
+        def shift(value, amount):
+            if amount >= bits:
+                return 0
+            return (((value << amount) + half) & mask) - half
+    elif opcode != Opcode.SHR:
+        raise ValueError(f"not a shift opcode: {opcode}")
+    elif ty.signed:
+        def shift(value, amount):
+            if amount >= bits:
                 return -1 if value < 0 else 0
-            return ty.wrap(value >> amount)  # Python >> is arithmetic
-        if amount >= ty.bits:
-            return 0
-        return ty.wrap(_to_unsigned(ty, value) >> amount)
-    raise ValueError(f"not a shift opcode: {opcode}")
+            # Python >> is arithmetic
+            return (((value >> amount) + half) & mask) - half
+    else:
+        def shift(value, amount):
+            if amount >= bits:
+                return 0
+            return (value & mask) >> amount
+    return shift
 
 
-def eval_cast(src_ty: Type, dst_ty: Type, value):
-    """Evaluate ``cast`` between first-class types.
+@functools.cache
+def cast_evaluator(src_ty: Type, dst_ty: Type):
+    """The callable ``value -> result`` for ``cast`` from ``src_ty`` to
+    ``dst_ty`` (first-class types).
 
     Integer widening extends according to the *source* signedness (the
     LLVM 1.x rule); narrowing truncates bits and reinterprets by the
     destination signedness.
     """
     if src_ty is dst_ty:
-        return value
-    # Normalise the source to (python int | float | bool)
+        return lambda value: value
     if dst_ty.is_bool:
-        return value != 0 if not src_ty.is_floating else value != 0.0
+        return lambda value: value != 0
     if dst_ty.is_integer:
+        mask, half = _wrap_constants(dst_ty)  # type: ignore[arg-type]
         if src_ty.is_floating:
-            if math.isnan(value) or math.isinf(value):
-                return 0
-            return dst_ty.wrap(int(value))  # type: ignore[attr-defined]
-        if src_ty.is_bool:
-            return dst_ty.wrap(int(value))  # type: ignore[attr-defined]
-        # int or pointer source: reinterpret the bit pattern.
-        return dst_ty.wrap(int(value))  # type: ignore[attr-defined]
-    if dst_ty.is_floating:
-        if src_ty.is_bool:
-            return _round_fp(dst_ty, float(int(value)))
-        if src_ty.is_integer or src_ty.is_floating:
-            return _round_fp(dst_ty, float(value))
-        raise TypeError(f"cannot cast {src_ty} to {dst_ty}")
+            def to_int(value):
+                if math.isnan(value) or math.isinf(value):
+                    return 0
+                return ((int(value) + half) & mask) - half
+            return to_int
+        # bool, int or pointer source: reinterpret the bit pattern.
+        return lambda value: ((int(value) + half) & mask) - half
+    if dst_ty.is_floating and not src_ty.is_pointer:
+        if dst_ty.bits == 64:  # type: ignore[attr-defined]
+            return float
+        return lambda value: _round32(float(value))
     if dst_ty.is_pointer:
         if src_ty.is_pointer:
-            return value
+            return lambda value: value
         if src_ty.is_integer or src_ty.is_bool:
-            return int(value) & ((1 << 64) - 1)
-        raise TypeError(f"cannot cast {src_ty} to {dst_ty}")
+            return lambda value: int(value) & ((1 << 64) - 1)
     raise TypeError(f"cannot cast {src_ty} to {dst_ty}")
+
+
+def eval_binary(opcode: Opcode, ty: Type, lhs, rhs):
+    """Evaluate a binary opcode on concrete operand values of type ``ty``."""
+    return binary_evaluator(opcode, ty)(lhs, rhs)
+
+
+def eval_shift(opcode: Opcode, ty: types.IntegerType, value: int, amount: int) -> int:
+    """Evaluate ``shl``/``shr`` on a value of type ``ty``."""
+    return shift_evaluator(opcode, ty)(value, amount)
+
+
+def eval_cast(src_ty: Type, dst_ty: Type, value):
+    """Evaluate ``cast`` between first-class types."""
+    return cast_evaluator(src_ty, dst_ty)(value)
 
 
 # ---------------------------------------------------------------------------

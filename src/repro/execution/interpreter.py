@@ -8,9 +8,11 @@ it logically unwinds the stack until it removes an activation record
 created by an invoke, then transfers control to the basic block
 specified by the invoke".
 
-The interpreter shares its arithmetic with the constant folder
-(:mod:`repro.core.constfold`), so optimization can never change what a
-program computes.
+The interpreter shares its arithmetic with the constant folder: the
+per-(opcode, type) evaluators of :mod:`repro.core.constfold` are bound
+into each instruction's closure when its block is decoded, so
+optimization can never change what a program computes.  See
+docs/EXECUTION.md, "How the interpreter executes".
 """
 
 from __future__ import annotations
@@ -19,11 +21,10 @@ from typing import Callable, Optional, Sequence
 
 from ..core import constfold, types
 from ..core.basicblock import BasicBlock
-from ..core.constfold import ArithmeticFault
 from ..core.instructions import (
     AllocaInst, BinaryOperator, BranchInst, CallInst, CastInst, FreeInst,
     GetElementPtrInst, Instruction, InvokeInst, LoadInst, MallocInst,
-    Opcode, PhiNode, ReturnInst, ShiftInst, StoreInst, SwitchInst,
+    PhiNode, ReturnInst, ShiftInst, StoreInst, SwitchInst,
     UnwindInst, VAArgInst,
 )
 from ..core.module import Function, GlobalVariable, Module
@@ -60,24 +61,71 @@ class ExitCalled(Exception):
 
 
 class _Frame:
-    __slots__ = ("function", "block", "index", "registers", "allocas",
-                 "prev_block", "pending_call", "va_area")
+    __slots__ = ("function", "block", "index", "ops", "registers", "allocas",
+                 "pending_call", "va_area")
 
-    def __init__(self, function: Function):
+    def __init__(self, function: Function, registers: dict[int, object]):
         self.function = function
-        self.block: BasicBlock = function.entry_block
+        self.block: BasicBlock = function.blocks[0]
         self.index = 0
-        self.registers: dict[int, object] = {}
+        #: The decoded form of ``block``: one closure per instruction.
+        self.ops: list[Callable] = []
+        self.registers = registers
         self.allocas: list[int] = []
-        self.prev_block: Optional[BasicBlock] = None
-        #: The call/invoke instruction this frame is suspended at.
-        self.pending_call: Optional[Instruction] = None
+        #: The decoded call site this frame is suspended at:
+        #: ``(deliver, unwind_edge)`` — see :meth:`Interpreter._decode_call`.
+        self.pending_call: Optional[tuple] = None
         #: Address of the varargs area for vararg functions.
         self.va_area: int = 0
 
 
+#: What an op that pushed or popped a frame, other than a ``ret``,
+#: hands the run loop.
+_SWITCHED = (None,)
+
+#: How an instruction operand is read, decided once at decode: a
+#: register key, a value bound now, or a constant whose evaluation
+#: allocates and is therefore left to execution.
+_REG, _CONST, _LAZY = "reg", "const", "lazy"
+
+
+def _allocates(constant: Value) -> bool:
+    """Evaluating ``constant`` may allocate: a function's code address is
+    handed out on first use, and allocation order is observable."""
+    if isinstance(constant, Function):
+        return True
+    if isinstance(constant, ConstantExpr):
+        return any(_allocates(operand) for operand in constant.operands)
+    return False
+
+
+def _unset_register(regs: dict, *values: Value) -> ExecutionError:
+    """The fault for the first of ``values`` that is a register missing
+    from ``regs`` (operands in the order the instruction reads them)."""
+    for value in values:
+        if (isinstance(value, (Instruction, Argument))
+                and id(value) not in regs):
+            return ExecutionError(
+                f"read of unset register {value.name!r} "
+                f"(undefined behaviour made loud)"
+            )
+    raise AssertionError("every register operand is set")
+
+
 class Interpreter:
-    """Executes functions of one module."""
+    """Executes functions of one module.
+
+    A basic block is *decoded* the first time it is entered: each
+    instruction becomes one closure ``op(stack, frame)`` with its
+    operands resolved, its evaluator from :mod:`repro.core.constfold`
+    bound, and its layout arithmetic folded, and the run loop is
+    ``frame.ops[frame.index](stack, frame)``.  The decoder
+    (:meth:`_decode` and the ``_decode_*`` helpers) is the only code
+    that asks what kind of instruction it is looking at.  Decoded
+    blocks are cached on the interpreter, so the module must not be
+    rewritten under a live one — every caller builds a fresh
+    interpreter per run.
+    """
 
     def __init__(self, module: Module, step_limit: int = 50_000_000,
                  extra_externals: Optional[dict[str, Callable]] = None):
@@ -87,9 +135,6 @@ class Interpreter:
         self.step_limit = step_limit
         self.output: list[str] = []
         self.global_addresses: dict[int, int] = {}
-        #: Hook called as fn(interpreter, block) at each block entry
-        #: (used by the profiling runtime).
-        self.block_hook: Optional[Callable] = None
         #: Hook called as fn(instruction, value) after each SSA register
         #: write (used by the abstract-interpretation fuzz oracle to
         #: cross-check every concrete value against computed facts).
@@ -111,6 +156,8 @@ class Interpreter:
         self.eh_state = None
         #: The active frame's varargs area, visible to ``llvm.va_start``.
         self.current_va_area = 0
+        #: id(block) -> (block, ops); holding the block pins its id.
+        self._decoded: dict[int, tuple[BasicBlock, list[Callable]]] = {}
         self._initialize_globals()
 
     # ==================================================================
@@ -153,7 +200,7 @@ class Interpreter:
         self.memory.store(address, ty, self.constant_value(constant))
 
     # ==================================================================
-    # Value evaluation
+    # Constant evaluation
     # ==================================================================
 
     def constant_value(self, constant: Constant):
@@ -183,41 +230,37 @@ class Interpreter:
                     constant.operands[0].type, constant.type, inner
                 )
             base = self.constant_value(constant.operands[0])
-            return base + self._gep_offset(
+            offset, scaled = self._gep_layout(
                 constant.operands[0].type, constant.operands[1:]
             )
+            for index, scale in scaled:
+                offset += self.constant_value(index) * scale
+            return base + offset
         raise ExecutionError(f"cannot evaluate constant {constant!r}")
 
-    def _gep_offset(self, pointer_type, indices: Sequence[Value],
-                    frame: Optional[_Frame] = None) -> int:
+    def _gep_layout(self, pointer_type, indices: Sequence[Value]
+                    ) -> tuple[int, list[tuple[Value, int]]]:
+        """Fold a ``getelementptr`` index list with the data layout: the
+        byte offset contributed by the literal indices, and an
+        ``(index operand, scale)`` pair for every other one.  Structure
+        field indices are literals by construction."""
         layout = self.module.data_layout
         offset = 0
+        scaled = []
         current = pointer_type.pointee
         for position, index in enumerate(indices):
-            index_value = (self._value(frame, index) if frame is not None
-                           else self.constant_value(index))
-            if position == 0:
-                offset += index_value * layout.size_of(current)
-            elif current.is_struct:
-                offset += layout.field_offset(current, index_value)
-                current = current.fields[index_value]
-            else:  # array
-                offset += index_value * layout.size_of(current.element)
+            if position and current.is_struct:
+                offset += layout.field_offset(current, index.value)
+                current = current.fields[index.value]
+                continue
+            if position:
                 current = current.element
-        return offset
-
-    def _value(self, frame: Optional[_Frame], value: Value):
-        if isinstance(value, (Instruction, Argument)):
-            if frame is None:
-                raise ExecutionError("register value needed outside a frame")
-            try:
-                return frame.registers[id(value)]
-            except KeyError:
-                raise ExecutionError(
-                    f"read of unset register {value.name!r} "
-                    f"(undefined behaviour made loud)"
-                ) from None
-        return self.constant_value(value)  # type: ignore[arg-type]
+            scale = layout.size_of(current)
+            if isinstance(index, ConstantInt):
+                offset += index.value * scale
+            else:
+                scaled.append((index, scale))
+        return offset, scaled
 
     # ==================================================================
     # Running
@@ -235,39 +278,37 @@ class Interpreter:
 
     def _run_function(self, function: Function, args: list):
         stack: list[_Frame] = []
-        frame = self._make_frame(function, args)
-        stack.append(frame)
-        result = None
-        while stack:
-            frame = stack[-1]
-            inst = frame.block.instructions[frame.index]
-            self.steps += 1
-            if self.steps > self.step_limit:
+        self._push_frame(stack, function, args)
+        limit = self.step_limit
+        frame = stack[-1]
+        while True:
+            self.steps = steps = self.steps + 1
+            if steps > limit:
                 raise StepLimitExceeded(
-                    f"exceeded {self.step_limit} interpreted instructions"
+                    f"exceeded {limit} interpreted instructions"
                 )
-            outcome = self._execute(stack, frame, inst)
-            if outcome is not _CONTINUE:
-                result = outcome
-        return result
+            # An op returns None unless it pushed or popped a frame;
+            # then a 1-tuple, holding the value when it was a ``ret``.
+            switched = frame.ops[frame.index](stack, frame)
+            if switched is not None:
+                if not stack:
+                    return switched[0]
+                frame = stack[-1]
 
-    def _make_frame(self, function: Function, args: list) -> _Frame:
-        frame = _Frame(function)
-        fixed = len(function.args)
-        for formal, actual in zip(function.args, args):
-            frame.registers[id(formal)] = actual
-        if function.is_vararg:
-            extra = args[fixed:]
+    def _push_frame(self, stack: list[_Frame], function: Function,
+                    args: list) -> None:
+        frame = _Frame(function, dict(zip(map(id, function.args), args)))
+        if function.type.pointee.is_vararg:
+            extra = args[len(function.args):]
             area = self.memory.allocate(max(8 * len(extra), 8), kind="stack")
             frame.va_area = area
             for slot, value in enumerate(extra):
                 self._store_va_slot(area + 8 * slot, value)
             frame.allocas.append(area)
-        if self.block_hook is not None:
-            self.block_hook(self, frame.block)
+        frame.ops = self._block_ops(frame.block)
         if self.trace_manager is not None:
-            self.trace_manager.on_block(self, frame, frame.block)
-        return frame
+            self._block_event(frame)
+        stack.append(frame)
 
     def _store_va_slot(self, address: int, value) -> None:
         if isinstance(value, float):
@@ -277,220 +318,450 @@ class Interpreter:
         else:
             self.memory.store(address, types.ULONG, value & ((1 << 64) - 1))
 
-    # -- control transfer helpers ----------------------------------------------
-
-    def _enter_block(self, frame: _Frame, dest: BasicBlock) -> None:
-        frame.prev_block = frame.block
-        frame.block = dest
-        frame.index = 0
-        # Phi nodes read their incoming values *simultaneously*.
-        phis = []
-        for inst in dest.instructions:
-            if isinstance(inst, PhiNode):
-                incoming = inst.incoming_for_block(frame.prev_block)
-                if incoming is None:
-                    raise ExecutionError(
-                        f"phi {inst.name!r} has no entry for predecessor "
-                        f"{frame.prev_block.name!r}"
-                    )
-                phis.append((inst, self._value(frame, incoming)))
-            else:
-                break
-        for phi, value in phis:
-            frame.registers[id(phi)] = value
-            if self.value_hook is not None:
-                self.value_hook(phi, value)
-        frame.index = len(phis)
-        if self.block_hook is not None:
-            self.block_hook(self, dest)
-        if self.trace_manager is not None:
-            self.trace_manager.on_block(self, frame, dest)
-
-    def _pop_frame(self, stack: list[_Frame]) -> _Frame:
-        frame = stack.pop()
-        for address in frame.allocas:
+    def _pop_frame(self, stack: list[_Frame]) -> None:
+        for address in stack.pop().allocas:
             self.memory.release(address)
-        return frame
 
-    # -- instruction dispatch -----------------------------------------------------
+    def _block_event(self, frame: _Frame) -> None:
+        """Tell the trace tier ``frame`` has just entered ``frame.block``
+        (phi moves done).  A compiled trace may run here and leave the
+        frame in the middle of any block: execution resumes from
+        whatever ``(frame.block, frame.index)`` it left."""
+        self.trace_manager.on_block(self, frame, frame.block)
+        frame.ops = self._block_ops(frame.block)
 
-    def _execute(self, stack: list[_Frame], frame: _Frame, inst: Instruction):
-        opcode = inst.opcode
-        if isinstance(inst, BinaryOperator):
-            lhs = self._value(frame, inst.operands[0])
-            rhs = self._value(frame, inst.operands[1])
-            result = constfold.eval_binary(
-                opcode, inst.operands[0].type, lhs, rhs
-            )
-            frame.registers[id(inst)] = result
-            if self.value_hook is not None:
-                self.value_hook(inst, result)
-            frame.index += 1
-            return _CONTINUE
-        if isinstance(inst, LoadInst):
-            address = self._value(frame, inst.pointer)
-            loaded = self.memory.load(address, inst.type)
-            frame.registers[id(inst)] = loaded
-            if self.value_hook is not None:
-                self.value_hook(inst, loaded)
-            frame.index += 1
-            return _CONTINUE
-        if isinstance(inst, StoreInst):
-            address = self._value(frame, inst.pointer)
-            self.memory.store(address, inst.value.type,
-                              self._value(frame, inst.value))
-            frame.index += 1
-            return _CONTINUE
-        if isinstance(inst, GetElementPtrInst):
-            base = self._value(frame, inst.pointer)
-            if base == 0:
-                raise MemoryFault("getelementptr on a null pointer")
-            offset = self._gep_offset(inst.pointer.type, inst.indices, frame)
-            frame.registers[id(inst)] = base + offset
-            frame.index += 1
-            return _CONTINUE
-        if isinstance(inst, BranchInst):
-            if inst.is_conditional:
-                taken = self._value(frame, inst.condition)
-                dest = inst.operands[1] if taken else inst.operands[2]
-            else:
-                dest = inst.operands[0]
-            self._enter_block(frame, dest)
-            return _CONTINUE
-        if isinstance(inst, PhiNode):
-            # Phis are handled at block entry; reaching one here means
-            # the function was entered at a block with phis (impossible
-            # for verified IR).
-            raise ExecutionError("phi executed outside block entry")
-        if isinstance(inst, CastInst):
-            value = self._value(frame, inst.value)
-            result = constfold.eval_cast(
-                inst.value.type, inst.type, value
-            )
-            frame.registers[id(inst)] = result
-            if self.value_hook is not None:
-                self.value_hook(inst, result)
-            frame.index += 1
-            return _CONTINUE
-        if isinstance(inst, (CallInst, InvokeInst)):
-            return self._execute_call(stack, frame, inst)
-        if isinstance(inst, ReturnInst):
-            value = (self._value(frame, inst.return_value)
-                     if inst.return_value is not None else None)
-            self._pop_frame(stack)
-            if not stack:
-                return value
-            caller = stack[-1]
-            call = caller.pending_call
-            caller.pending_call = None
-            if not call.type.is_void:
-                caller.registers[id(call)] = value
-                if self.value_hook is not None:
-                    self.value_hook(call, value)
-            if isinstance(call, InvokeInst):
-                self._enter_block(caller, call.normal_dest)
-            else:
-                caller.index += 1
-            return _CONTINUE
-        if isinstance(inst, UnwindInst):
-            return self._execute_unwind(stack)
-        if isinstance(inst, SwitchInst):
-            selector = self._value(frame, inst.value)
-            dest = inst.default_dest
-            for case_value, case_dest in inst.cases:
-                if self._value(frame, case_value) == selector:
-                    dest = case_dest
-                    break
-            self._enter_block(frame, dest)
-            return _CONTINUE
-        if isinstance(inst, ShiftInst):
-            value = self._value(frame, inst.value)
-            amount = self._value(frame, inst.amount)
-            result = constfold.eval_shift(
-                opcode, inst.type, value, amount
-            )
-            frame.registers[id(inst)] = result
-            if self.value_hook is not None:
-                self.value_hook(inst, result)
-            frame.index += 1
-            return _CONTINUE
-        if isinstance(inst, (MallocInst, AllocaInst)):
-            count = 1
-            if inst.array_size is not None:
-                count = self._value(frame, inst.array_size)
-            size = self.module.data_layout.size_of(inst.allocated_type) * count
-            kind = "heap" if isinstance(inst, MallocInst) else "stack"
-            address = self.memory.allocate(size, kind=kind)
-            if kind == "stack":
-                frame.allocas.append(address)
-            frame.registers[id(inst)] = address
-            frame.index += 1
-            return _CONTINUE
-        if isinstance(inst, FreeInst):
-            self.memory.free(self._value(frame, inst.pointer))
-            frame.index += 1
-            return _CONTINUE
-        if isinstance(inst, VAArgInst):
-            slot = self._value(frame, inst.valist)
-            cursor = self.memory.load(slot, types.pointer(types.SBYTE))
-            value = self.memory.load(cursor, inst.type)
-            self.memory.store(slot, types.pointer(types.SBYTE), cursor + 8)
-            frame.registers[id(inst)] = value
-            if self.value_hook is not None:
-                self.value_hook(inst, value)
-            frame.index += 1
-            return _CONTINUE
-        raise ExecutionError(f"cannot execute {inst!r}")
-
-    def _execute_call(self, stack: list[_Frame], frame: _Frame,
-                      inst: Instruction):
-        callee_value = inst.operands[0]
-        args = (inst.operands[1:-2] if isinstance(inst, InvokeInst)
-                else inst.operands[1:])
-        arg_values = [self._value(frame, a) for a in args]
-        if isinstance(callee_value, Function):
-            callee = callee_value
-        else:
-            address = self._value(frame, callee_value)
-            callee = self.memory.function_at(address)
-        if callee.is_declaration and self.lazy_loader is not None:
-            self.lazy_loader(callee)
-        if callee.is_declaration:
-            external = self.externals.get(callee.name)
-            if external is None:
-                raise UndefinedFunction(
-                    f"call to undefined external {callee.name!r}"
-                )
-            self.current_va_area = frame.va_area
-            result = external(self, arg_values)
-            if not inst.type.is_void:
-                frame.registers[id(inst)] = result
-                if self.value_hook is not None:
-                    self.value_hook(inst, result)
-            if isinstance(inst, InvokeInst):
-                self._enter_block(frame, inst.normal_dest)
-            else:
-                frame.index += 1
-            return _CONTINUE
-        frame.pending_call = inst
-        stack.append(self._make_frame(callee, arg_values))
-        return _CONTINUE
-
-    def _execute_unwind(self, stack: list[_Frame]):
+    def _unwind(self, stack: list[_Frame], frame: _Frame) -> None:
         # Pop the unwinding frame, then keep popping until a frame
         # suspended at an invoke is found; control resumes at its
         # unwind destination.
         self._pop_frame(stack)
         while stack:
             frame = stack[-1]
-            call = frame.pending_call
-            frame.pending_call = None
-            if isinstance(call, InvokeInst):
-                self._enter_block(frame, call.unwind_dest)
-                return _CONTINUE
+            unwind_edge = frame.pending_call[1]
+            if unwind_edge is not None:
+                unwind_edge(stack, frame)
+                return _SWITCHED
             self._pop_frame(stack)
         raise UnhandledUnwind("unwind reached the top of the stack")
 
+    # ==================================================================
+    # Decoding: the one place that asks what an instruction is
+    # ==================================================================
 
-#: Sentinel: instruction executed, keep stepping.
-_CONTINUE = object()
+    def _block_ops(self, block: BasicBlock) -> list[Callable]:
+        decoded = self._decoded.get(id(block))
+        if decoded is None:
+            ops = [self._decode(block, index, inst)
+                   for index, inst in enumerate(block.instructions)]
+            decoded = self._decoded[id(block)] = (block, ops)
+        return decoded[1]
+
+    def _operand(self, value: Value) -> tuple[str, object]:
+        if isinstance(value, (Instruction, Argument)):
+            return _REG, id(value)
+        if _allocates(value):
+            return _LAZY, value
+        return _CONST, self.constant_value(value)  # type: ignore[arg-type]
+
+    def _getter(self, value: Value) -> Callable:
+        """``get(regs) -> value`` for an operand of any kind."""
+        kind, payload = self._operand(value)
+        if kind is _REG:
+            def get(regs):
+                try:
+                    return regs[payload]
+                except KeyError:
+                    raise _unset_register(regs, value) from None
+            return get
+        if kind is _CONST:
+            return lambda regs: payload
+        return lambda regs: self.constant_value(value)
+
+    def _edge(self, source: BasicBlock, dest: BasicBlock) -> Callable:
+        """The op that moves a frame along the CFG edge ``source`` ->
+        ``dest``: the phi moves for this predecessor (read
+        *simultaneously*), then the block-entry event.  ``dest`` is
+        decoded when the edge is first taken."""
+        ops = None
+        moves: list[tuple[PhiNode, Callable]] = []
+
+        def enter(stack, frame):
+            nonlocal ops, moves
+            if ops is None:
+                moves = self._phi_moves(source, dest)
+                ops = self._block_ops(dest)
+            if moves:
+                regs = frame.registers
+                values = [get(regs) for _, get in moves]
+                for (phi, _), value in zip(moves, values):
+                    regs[id(phi)] = value
+                    hook = self.value_hook
+                    if hook is not None:
+                        hook(phi, value)
+            frame.block = dest
+            frame.ops = ops
+            frame.index = len(moves)
+            if self.trace_manager is not None:
+                self._block_event(frame)
+        return enter
+
+    def _phi_moves(self, source: BasicBlock,
+                   dest: BasicBlock) -> list[tuple[PhiNode, Callable]]:
+        moves = []
+        for inst in dest.instructions:
+            if not isinstance(inst, PhiNode):
+                break
+            incoming = inst.incoming_for_block(source)
+            if incoming is None:
+                raise ExecutionError(
+                    f"phi {inst.name!r} has no entry for predecessor "
+                    f"{source.name!r}"
+                )
+            moves.append((inst, self._getter(incoming)))
+        return moves
+
+    def _decode(self, block: BasicBlock, index: int,
+                inst: Instruction) -> Callable:
+        following = index + 1
+        if isinstance(inst, BinaryOperator):
+            evaluate = constfold.binary_evaluator(inst.opcode,
+                                                  inst.operands[0].type)
+            return self._decode_binary(inst, following, evaluate)
+        if isinstance(inst, ShiftInst):
+            evaluate = constfold.shift_evaluator(inst.opcode, inst.type)
+            return self._decode_binary(inst, following, evaluate)
+        if isinstance(inst, CastInst):
+            evaluate = constfold.cast_evaluator(inst.value.type, inst.type)
+            return self._decode_unary(inst, following, evaluate)
+        if isinstance(inst, LoadInst):
+            return self._decode_unary(inst, following,
+                                      self.memory.loader(inst.type))
+        if isinstance(inst, StoreInst):
+            return self._decode_store(inst, following)
+        if isinstance(inst, GetElementPtrInst):
+            return self._decode_gep(inst, following)
+        if isinstance(inst, BranchInst):
+            return self._decode_branch(block, inst)
+        if isinstance(inst, SwitchInst):
+            return self._decode_switch(block, inst)
+        if isinstance(inst, (CallInst, InvokeInst)):
+            return self._decode_call(block, inst, following)
+        if isinstance(inst, ReturnInst):
+            return self._decode_return(inst)
+        if isinstance(inst, UnwindInst):
+            return self._unwind
+        if isinstance(inst, (MallocInst, AllocaInst)):
+            return self._decode_allocation(inst, following)
+        if isinstance(inst, FreeInst):
+            return self._decode_free(inst, following)
+        if isinstance(inst, VAArgInst):
+            return self._decode_vaarg(inst, following)
+        if isinstance(inst, PhiNode):
+            # Phis are moved by the edge into their block; reaching one
+            # here means the function was entered at a block with phis
+            # (impossible for verified IR).
+            message = "phi executed outside block entry"
+        else:
+            message = f"cannot execute {inst!r}"
+
+        def op(stack, frame):
+            raise ExecutionError(message)
+        return op
+
+    def _decode_binary(self, inst: Instruction, following: int,
+                       evaluate: Callable) -> Callable:
+        """A two-operand register write: binary operators and shifts."""
+        key = id(inst)
+        first, second = inst.operands
+        (first_kind, x), (second_kind, y) = (self._operand(first),
+                                             self._operand(second))
+        if first_kind is _REG and second_kind is _REG:
+            def op(stack, frame):
+                regs = frame.registers
+                try:
+                    lhs = regs[x]
+                    rhs = regs[y]
+                except KeyError:
+                    raise _unset_register(regs, first, second) from None
+                regs[key] = result = evaluate(lhs, rhs)
+                hook = self.value_hook
+                if hook is not None:
+                    hook(inst, result)
+                frame.index = following
+        elif first_kind is _REG and second_kind is _CONST:
+            def op(stack, frame):
+                regs = frame.registers
+                try:
+                    lhs = regs[x]
+                except KeyError:
+                    raise _unset_register(regs, first) from None
+                regs[key] = result = evaluate(lhs, y)
+                hook = self.value_hook
+                if hook is not None:
+                    hook(inst, result)
+                frame.index = following
+        else:
+            get_first, get_second = self._getter(first), self._getter(second)
+
+            def op(stack, frame):
+                regs = frame.registers
+                regs[key] = result = evaluate(get_first(regs),
+                                              get_second(regs))
+                hook = self.value_hook
+                if hook is not None:
+                    hook(inst, result)
+                frame.index = following
+        return op
+
+    def _decode_unary(self, inst: Instruction, following: int,
+                      evaluate: Callable) -> Callable:
+        """A one-operand register write: ``evaluate`` is a cast's
+        evaluator, or a load's per-type memory reader."""
+        key = id(inst)
+        operand = inst.operands[0]
+        kind, x = self._operand(operand)
+        if kind is _REG:
+            def op(stack, frame):
+                regs = frame.registers
+                try:
+                    value = regs[x]
+                except KeyError:
+                    raise _unset_register(regs, operand) from None
+                regs[key] = result = evaluate(value)
+                hook = self.value_hook
+                if hook is not None:
+                    hook(inst, result)
+                frame.index = following
+        else:
+            get = self._getter(operand)
+
+            def op(stack, frame):
+                regs = frame.registers
+                regs[key] = result = evaluate(get(regs))
+                hook = self.value_hook
+                if hook is not None:
+                    hook(inst, result)
+                frame.index = following
+        return op
+
+    def _decode_store(self, inst: StoreInst, following: int) -> Callable:
+        store = self.memory.storer(inst.value.type)
+        (pointer_kind, p), (value_kind, v) = (self._operand(inst.pointer),
+                                              self._operand(inst.value))
+        if pointer_kind is _REG and value_kind is _REG:
+            def op(stack, frame):
+                regs = frame.registers
+                try:
+                    address = regs[p]
+                    value = regs[v]
+                except KeyError:
+                    raise _unset_register(regs, inst.pointer,
+                                          inst.value) from None
+                store(address, value)
+                frame.index = following
+        else:
+            get_pointer = self._getter(inst.pointer)
+            get_value = self._getter(inst.value)
+
+            def op(stack, frame):
+                regs = frame.registers
+                store(get_pointer(regs), get_value(regs))
+                frame.index = following
+        return op
+
+    def _decode_gep(self, inst: GetElementPtrInst,
+                    following: int) -> Callable:
+        key = id(inst)
+        pointer = inst.pointer
+        offset, scaled = self._gep_layout(pointer.type, inst.indices)
+        kind, b = self._operand(pointer)
+        if kind is _REG and not scaled:
+            def op(stack, frame):
+                regs = frame.registers
+                try:
+                    base = regs[b]
+                except KeyError:
+                    raise _unset_register(regs, pointer) from None
+                if base == 0:
+                    raise MemoryFault("getelementptr on a null pointer")
+                regs[key] = base + offset
+                frame.index = following
+            return op
+        if (kind is _CONST and b != 0 and len(scaled) == 1
+                and isinstance(scaled[0][0], (Instruction, Argument))):
+            # ``&global[i]``: the base and every literal index fold.
+            index, scale = scaled[0]
+            i = id(index)
+            start = b + offset
+
+            def op(stack, frame):
+                regs = frame.registers
+                try:
+                    regs[key] = start + regs[i] * scale
+                except KeyError:
+                    raise _unset_register(regs, index) from None
+                frame.index = following
+            return op
+        get_base = self._getter(pointer)
+        terms = [(self._getter(index), scale) for index, scale in scaled]
+
+        def op(stack, frame):
+            regs = frame.registers
+            base = get_base(regs)
+            if base == 0:
+                raise MemoryFault("getelementptr on a null pointer")
+            address = base + offset
+            for get, scale in terms:
+                address += get(regs) * scale
+            regs[key] = address
+            frame.index = following
+        return op
+
+    def _decode_branch(self, block: BasicBlock, inst: BranchInst) -> Callable:
+        if not inst.is_conditional:
+            return self._edge(block, inst.operands[0])
+        condition = inst.condition
+        kind, c = self._operand(condition)
+        if kind is not _REG:    # a literal condition: one edge, always
+            return self._edge(block, inst.operands[1 if c else 2])
+        if_true = self._edge(block, inst.operands[1])
+        if_false = self._edge(block, inst.operands[2])
+
+        def op(stack, frame):
+            try:
+                taken = frame.registers[c]
+            except KeyError:
+                raise _unset_register(frame.registers, condition) from None
+            if taken:
+                if_true(stack, frame)
+            else:
+                if_false(stack, frame)
+        return op
+
+    def _decode_switch(self, block: BasicBlock, inst: SwitchInst) -> Callable:
+        get = self._getter(inst.value)
+        default = self._edge(block, inst.default_dest)
+        # Case values are literals by construction; the first case
+        # that matches wins.
+        cases: dict[object, Callable] = {}
+        for case_value, case_dest in inst.cases:
+            cases.setdefault(self.constant_value(case_value),
+                             self._edge(block, case_dest))
+
+        def op(stack, frame):
+            cases.get(get(frame.registers), default)(stack, frame)
+        return op
+
+    def _decode_call(self, block: BasicBlock, inst: Instruction,
+                     following: int) -> Callable:
+        """``call`` and ``invoke``.  Bound here: the argument getters,
+        the callee when it is named directly, and the *call site*
+        ``(deliver, unwind_edge)`` that a suspended frame keeps in
+        ``pending_call`` — ``deliver(stack, frame, value)`` is how a
+        result arrives (from an external, or from the callee's
+        ``ret``) and how control moves on.  Left to execution: whether
+        the callee has a body yet (``lazy_loader`` may give it one)."""
+        key = None if inst.type.is_void else id(inst)
+        callee_value = inst.operands[0]
+        if isinstance(inst, InvokeInst):
+            arguments = inst.operands[1:-2]
+            normal_edge = self._edge(block, inst.normal_dest)
+            unwind_edge = self._edge(block, inst.unwind_dest)
+        else:
+            arguments = inst.operands[1:]
+            normal_edge = unwind_edge = None
+        getters = [self._getter(argument) for argument in arguments]
+        direct = callee_value if isinstance(callee_value, Function) else None
+        get_callee = None if direct is not None else self._getter(callee_value)
+
+        def deliver(stack, frame, value):
+            if key is not None:
+                frame.registers[key] = value
+                hook = self.value_hook
+                if hook is not None:
+                    hook(inst, value)
+            if normal_edge is not None:
+                normal_edge(stack, frame)
+            else:
+                frame.index = following
+        site = (deliver, unwind_edge)
+
+        def op(stack, frame):
+            regs = frame.registers
+            values = [get(regs) for get in getters]
+            callee = direct
+            if callee is None:
+                callee = self.memory.function_at(get_callee(regs))
+            if not callee.blocks and self.lazy_loader is not None:
+                self.lazy_loader(callee)
+            if callee.blocks:
+                frame.pending_call = site
+                self._push_frame(stack, callee, values)
+                return _SWITCHED
+            external = self.externals.get(callee.name)
+            if external is None:
+                raise UndefinedFunction(
+                    f"call to undefined external {callee.name!r}"
+                )
+            self.current_va_area = frame.va_area
+            deliver(stack, frame, external(self, values))
+        return op
+
+    def _decode_return(self, inst: ReturnInst) -> Callable:
+        operand = inst.return_value
+        get = self._getter(operand) if operand is not None else None
+
+        def op(stack, frame):
+            value = get(frame.registers) if get is not None else None
+            self._pop_frame(stack)
+            if stack:
+                caller = stack[-1]
+                caller.pending_call[0](stack, caller, value)
+            return (value,)
+        return op
+
+    def _decode_allocation(self, inst: Instruction,
+                           following: int) -> Callable:
+        key = id(inst)
+        size = self.module.data_layout.size_of(inst.allocated_type)
+        get_count = (self._getter(inst.array_size)
+                     if inst.array_size is not None else None)
+        on_stack = isinstance(inst, AllocaInst)
+        kind = "stack" if on_stack else "heap"
+
+        def op(stack, frame):
+            count = get_count(frame.registers) if get_count is not None else 1
+            address = self.memory.allocate(size * count, kind=kind)
+            if on_stack:
+                frame.allocas.append(address)
+            frame.registers[key] = address
+            frame.index = following
+        return op
+
+    def _decode_free(self, inst: FreeInst, following: int) -> Callable:
+        get = self._getter(inst.pointer)
+
+        def op(stack, frame):
+            self.memory.free(get(frame.registers))
+            frame.index = following
+        return op
+
+    def _decode_vaarg(self, inst: VAArgInst, following: int) -> Callable:
+        key = id(inst)
+        get = self._getter(inst.valist)
+        cursor_type = types.pointer(types.SBYTE)
+        load_cursor = self.memory.loader(cursor_type)
+        store_cursor = self.memory.storer(cursor_type)
+        load = self.memory.loader(inst.type)
+
+        def op(stack, frame):
+            slot = get(frame.registers)
+            cursor = load_cursor(slot)
+            value = load(cursor)
+            store_cursor(slot, cursor + 8)
+            frame.registers[key] = value
+            hook = self.value_hook
+            if hook is not None:
+                hook(inst, value)
+            frame.index = following
+        return op

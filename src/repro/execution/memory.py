@@ -13,15 +13,23 @@ deterministic and catchable by tests).
 from __future__ import annotations
 
 import struct as _struct
-from typing import Optional
+from typing import Callable, Optional
 
-from ..core import types
 from ..core.datalayout import DataLayout
 from ..core.types import Type
 
 #: Bits reserved for the byte offset within one allocation (1 GiB max).
 OFFSET_BITS = 30
 OFFSET_MASK = (1 << OFFSET_BITS) - 1
+
+
+#: ``struct`` format characters for integers, keyed by (bits, signed).
+#: A signed format sign-extends exactly like ``IntegerType.wrap``; an
+#: unsigned one stays in [0, 2**bits).
+INT_FORMATS = {
+    (8, True): "b", (8, False): "B", (16, True): "h", (16, False): "H",
+    (32, True): "i", (32, False): "I", (64, True): "q", (64, False): "Q",
+}
 
 
 class MemoryFault(Exception):
@@ -47,6 +55,8 @@ class Memory:
         #: function address -> Function (code is not byte-addressable).
         self.functions_by_address: dict[int, object] = {}
         self._function_addresses: dict[str, int] = {}
+        self._loaders: dict[Type, Callable] = {}
+        self._storers: dict[Type, Callable] = {}
 
     # -- allocation -----------------------------------------------------------
 
@@ -97,14 +107,14 @@ class Memory:
     def _chunk(self, address: int, size: int, writing: bool) -> tuple[Allocation, int]:
         if address == 0:
             raise MemoryFault("null pointer dereference")
-        alloc_id, offset = self._split(address)
-        allocation = self.allocations.get(alloc_id)
+        allocation = self.allocations.get(address >> OFFSET_BITS)
         if allocation is None:
             raise MemoryFault(f"access to unmapped address {address:#x}")
         if allocation.kind == "code":
             raise MemoryFault("data access to a function address")
         if writing and allocation.frozen:
             raise MemoryFault("write to constant memory")
+        offset = address & OFFSET_MASK
         if offset + size > len(allocation.data):
             raise MemoryFault(
                 f"access of {size} bytes at offset {offset} overruns "
@@ -133,41 +143,80 @@ class Memory:
     # -- typed access ----------------------------------------------------------------
 
     def load(self, address: int, ty: Type):
-        if ty.is_bool:
-            return self.read_bytes(address, 1)[0] != 0
-        if ty.is_integer:
-            size = ty.bits // 8  # type: ignore[attr-defined]
-            raw = int.from_bytes(self.read_bytes(address, size), "little")
-            return ty.wrap(raw)  # type: ignore[attr-defined]
-        if ty.is_floating:
-            if ty.bits == 32:  # type: ignore[attr-defined]
-                return _struct.unpack("<f", self.read_bytes(address, 4))[0]
-            return _struct.unpack("<d", self.read_bytes(address, 8))[0]
-        if ty.is_pointer:
-            return int.from_bytes(self.read_bytes(address, self.layout.pointer_size),
-                                  "little")
-        raise MemoryFault(f"cannot load a value of type {ty}")
+        return self.loader(ty)(address)
 
     def store(self, address: int, ty: Type, value) -> None:
-        if ty.is_bool:
-            self.write_bytes(address, bytes([1 if value else 0]))
-            return
+        self.storer(ty)(address, value)
+
+    def loader(self, ty: Type):
+        """The callable ``address -> value`` that loads one ``ty``.
+
+        Chosen once per type, so a caller that knows the type ahead of
+        the access (the interpreter, at decode) pays for the choice
+        once; every access still goes through :meth:`_chunk`.
+        """
+        load = self._loaders.get(ty)
+        if load is None:
+            load = self._loaders[ty] = self._make_loader(ty)
+        return load
+
+    def storer(self, ty: Type):
+        """The callable ``(address, value) -> None`` storing one ``ty``."""
+        store = self._storers.get(ty)
+        if store is None:
+            store = self._storers[ty] = self._make_storer(ty)
+        return store
+
+    def _scalar_format(self, ty: Type, verb: str) -> str:
+        """The ``struct`` format character of a non-bool scalar."""
         if ty.is_integer:
-            size = ty.bits // 8  # type: ignore[attr-defined]
-            raw = value & ((1 << (size * 8)) - 1)
-            self.write_bytes(address, raw.to_bytes(size, "little"))
-            return
+            return INT_FORMATS[ty.bits, ty.signed]  # type: ignore[attr-defined]
         if ty.is_floating:
-            if ty.bits == 32:  # type: ignore[attr-defined]
-                self.write_bytes(address, _struct.pack("<f", value))
-            else:
-                self.write_bytes(address, _struct.pack("<d", value))
-            return
+            return "f" if ty.bits == 32 else "d"  # type: ignore[attr-defined]
         if ty.is_pointer:
-            size = self.layout.pointer_size
-            self.write_bytes(address, (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little"))
-            return
-        raise MemoryFault(f"cannot store a value of type {ty}")
+            return INT_FORMATS[8 * self.layout.pointer_size, False]
+        raise MemoryFault(f"cannot {verb} a value of type {ty}")
+
+    def _make_loader(self, ty: Type) -> Callable:
+        chunk = self._chunk
+        if ty.is_bool:
+            def load(address):
+                allocation, offset = chunk(address, 1, False)
+                return allocation.data[offset] != 0
+            return load
+        layout = _struct.Struct("<" + self._scalar_format(ty, "load"))
+        size, unpack_from = layout.size, layout.unpack_from
+
+        def load(address):
+            allocation, offset = chunk(address, size, False)
+            return unpack_from(allocation.data, offset)[0]
+        return load
+
+    def _make_storer(self, ty: Type) -> Callable:
+        chunk = self._chunk
+        if ty.is_bool:
+            def store(address, value):
+                allocation, offset = chunk(address, 1, True)
+                allocation.data[offset] = 1 if value else 0
+            return store
+        code = self._scalar_format(ty, "store")
+        if not ty.is_floating:
+            code = code.upper()     # see the mask below
+        layout = _struct.Struct("<" + code)
+        size, pack_into = layout.size, layout.pack_into
+        if ty.is_floating:
+            def store(address, value):
+                allocation, offset = chunk(address, size, True)
+                pack_into(allocation.data, offset, value)
+            return store
+        # Integers and pointers store their low bytes whatever the sign
+        # (pointer arithmetic can carry past the pointer width).
+        mask = (1 << (8 * size)) - 1
+
+        def store(address, value):
+            allocation, offset = chunk(address, size, True)
+            pack_into(allocation.data, offset, value & mask)
+        return store
 
     # -- statistics ------------------------------------------------------------------
 

@@ -61,7 +61,7 @@ from ..core.values import (
     Argument, ConstantBool, ConstantExpr, ConstantFP, ConstantInt,
     ConstantPointerNull, UndefValue, Value,
 )
-from .memory import OFFSET_BITS, OFFSET_MASK
+from .memory import INT_FORMATS, OFFSET_BITS, OFFSET_MASK
 
 _CMP_OPS = {
     Opcode.SETEQ: "==", Opcode.SETNE: "!=", Opcode.SETLT: "<",
@@ -69,15 +69,6 @@ _CMP_OPS = {
 }
 _ARITH_OPS = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
 _BIT_OPS = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
-
-#: struct format characters for the inline memory fast path, keyed by
-#: (bits, signed).  Loading through ``struct`` gives exactly the
-#: interpreter's representation: signed formats sign-extend like
-#: ``IntegerType.wrap``, unsigned formats stay in [0, 2**bits).
-_INT_FMT = {
-    (8, True): "b", (8, False): "B", (16, True): "h", (16, False): "H",
-    (32, True): "i", (32, False): "I", (64, True): "q", (64, False): "Q",
-}
 
 
 class Untraceable(Exception):
@@ -772,7 +763,7 @@ class _TraceCompiler:
         if ty.is_bool:
             return None
         if ty.is_integer:
-            return _INT_FMT.get((ty.bits, ty.signed))
+            return INT_FORMATS.get((ty.bits, ty.signed))
         if ty.is_floating:
             return "f" if ty.bits == 32 else "d"
         if ty.is_pointer:

@@ -11,7 +11,7 @@ from repro.analysis.loops import LoopInfo
 from repro.core import parse_module
 from repro.core.constfold import ArithmeticFault
 from repro.driver import LifelongSession
-from repro.execution import Interpreter, TraceManager
+from repro.execution import Interpreter, StepLimitExceeded, TraceManager
 from repro.frontend import compile_source
 from repro.profile import TraceFormation
 
@@ -277,3 +277,98 @@ int main(int which) {
         assert jit.run("main", []) == expected
         assert jit.trace_manager.stats.traces_compiled >= 1
         assert jit.output == reference.output
+
+
+# ---------------------------------------------------------------------------
+# The interpreter/trace-tier contract: exact steps at every point a
+# trace or an external can observe them, and resumption from wherever
+# a side exit leaves the frame.
+# ---------------------------------------------------------------------------
+
+PRINT_THEN_LOOP = """
+declare int %print_int(int %x)
+int %main() {
+entry:
+  %p = call int %print_int(int 7)
+  br label %loop
+loop:
+  %i = phi int [ 0, %entry ], [ %n, %loop ]
+  %a = add int %i, 1
+  %b = mul int %a, 3
+  %n = sub int %b, %a
+  %c = setlt int %n, 1000000000
+  br bool %c, label %loop, label %done
+done:
+  ret int %n
+}
+"""
+
+CLOCKED_LOOP = """
+extern int print_int(int x);
+extern int clock();
+int main() {
+  int acc = 0;
+  int i;
+  for (i = 0; i < 600; i++) {
+    acc += i;
+    if (i % 97 == 0) { print_int(clock()); }
+  }
+  print_int(clock());
+  return acc % 251;
+}
+"""
+
+
+class _WatchingManager(TraceManager):
+    """Counts the block events that left the frame in the middle of a
+    block other than the one that was entered."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.mid_block_exits = []
+
+    def on_block(self, interpreter, frame, block):
+        super().on_block(interpreter, frame, block)
+        if frame.block is not block and frame.index > 0:
+            self.mid_block_exits.append((frame.block, frame.index))
+
+
+class TestInterpreterContract:
+    def test_step_limit_is_exact_under_the_trace_tier(self):
+        module = parse_module(PRINT_THEN_LOOP)
+        for limit in list(range(0, 12)) + list(range(80, 100)):
+            traced = Interpreter(module, step_limit=limit)
+            manager = TraceManager(hot_threshold=3)
+            manager.attach(traced)
+            with pytest.raises(StepLimitExceeded):
+                traced.run("main")
+            assert traced.steps == limit + 1
+            assert traced.output == (["7\n"] if limit >= 1 else [])
+            if limit >= 80:     # the loop got hot and ran as a trace
+                assert manager.stats.traces_compiled == 1
+                assert manager.stats.budget_exits >= 1
+
+    def test_clock_reads_the_same_under_both_tiers(self):
+        reference, traced, manager = _run_pair(CLOCKED_LOOP)
+        assert traced == reference
+        assert reference[1].count("\n") == 8
+        assert manager.stats.traces_compiled >= 1
+        assert manager.stats.steps_saved > 0
+
+    def test_side_exit_resumes_mid_block_of_another_block(self):
+        """A guard that fails inside a trace leaves the frame at
+        ``(block, index)`` of the block holding the guard — not the
+        block whose entry dispatched the trace — and the interpreter
+        must execute exactly that block's ``[index]`` next."""
+        module = compile_source(SHAPE_SHIFT, "t")
+        ref = Interpreter(module)
+        expected = (ref.run("main", []), "".join(ref.output), ref.steps)
+        traced = Interpreter(module)
+        manager = _WatchingManager(hot_threshold=8)
+        manager.attach(traced)
+        got = (traced.run("main", []), "".join(traced.output), traced.steps)
+        assert manager.mid_block_exits, "no side exit into another block"
+        for block, index in manager.mid_block_exits:
+            assert 0 < index < len(block.instructions)
+        assert got == expected
+        assert manager.stats.unreconstructed_exits == 0
