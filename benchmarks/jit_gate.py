@@ -5,12 +5,15 @@ under the plain IR interpreter (the reference) and once with the trace
 tier armed — hot loop headers promote to recording, each recorded path
 compiles to a guarded Python closure, and guard failures side-exit back
 to the interpreter with fully reconstructed state.  The gate holds the
-tier to three promises:
+tier to four promises:
 
 * **correctness** — exit value, printed output, and total interpreter
   steps match the reference exactly on every program, and no side exit
   ever fires with un-reconstructed state (``unreconstructed-exits`` is
   zero across the suite);
+* **derivation** — every trace inlines its arithmetic from
+  ``core/constfold.py``'s table; none calls back into ``eval_binary`` /
+  ``eval_cast`` (``_eb(`` / ``_ec(``) per execution;
 * **coverage** — the suite compiles at least ``MIN_TRACES`` traces (the
   hot-path detector is finding real loops, not idling);
 * **speed** — the interpreter-steps ratio (reference steps over steps
@@ -96,6 +99,14 @@ def main(argv=None) -> int:
                     f"exit {code} vs {ref_code}, steps {steps} vs "
                     f"{ref_steps}, output "
                     f"{'matches' if out == ref_out else 'DIFFERS'}")
+
+        # Arithmetic is inlined from constfold's table; a call back into
+        # eval_binary/eval_cast per execution must not quietly return.
+        delegating = [trace.key for trace in manager.cache.traces()
+                      if "_eb(" in trace.source or "_ec(" in trace.source]
+        if delegating:
+            failures.append(f"{name}: {len(delegating)} trace(s) delegate "
+                            f"arithmetic (_eb/_ec), first {delegating[0]}")
 
         stats = manager.statistics()
         total_traces += stats["traces-compiled"]

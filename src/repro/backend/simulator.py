@@ -473,11 +473,3 @@ class MachineSimulator:
         caller.retval = act.retval_out
         caller.index += 1
         return None
-
-
-def run_on_target(module: Module, target: Target,
-                  function_name: str = "main", args: Sequence = (),
-                  step_limit: int = 100_000_000):
-    """Convenience wrapper: compile + simulate one entry point."""
-    simulator = MachineSimulator(module, target, step_limit=step_limit)
-    return simulator.run(function_name, args)

@@ -169,7 +169,3 @@ class Reader:
         data = self.data[self.position:self.position + length]
         self.position += length
         return data
-
-    @property
-    def at_end(self) -> bool:
-        return self.position >= len(self.data)

@@ -1,18 +1,29 @@
 """Exact evaluation semantics for the instruction set, plus constant folding.
 
 This module is the single source of truth for what each opcode *means*
-on concrete values, stated once as a table of evaluators:
-:func:`binary_evaluator`, :func:`shift_evaluator` and
-:func:`cast_evaluator` return the callable for one (opcode, type),
-chosen once and memoised on the interned type.  Every engine consumes
-that table and none restates it: the interpreter binds the callables
-when it decodes a block; ``eval_binary`` / ``eval_shift`` /
-``eval_cast`` are a lookup plus a call, which is what the machine
-simulator, tvalid's evaluator, SCCP, the peephole verifier and the
-absint self-check call; ``fold_*`` wrap those for ``Constant``
-operands.  So the optimizer and the execution engines can never
-disagree.  (``tests/test_constfold.py`` keeps the if-chains the table
-replaced as the reference it is checked against.)
+on concrete values, stated once as a table of Python **expression
+text**: :func:`binary_expression`, :func:`shift_expression` and
+:func:`cast_expression` return, for one (opcode, type), an expression
+over ``{a}``/``{b}`` with the type's mask, half and width baked in as
+literals.  Everything that executes is a rendering of that text and
+none restates it:
+
+* :func:`binary_evaluator`, :func:`shift_evaluator` and
+  :func:`cast_evaluator` compile a row into a callable, memoised on the
+  interned type.  The interpreter binds these when it decodes a block;
+  ``eval_binary`` / ``eval_shift`` / ``eval_cast`` are a lookup plus a
+  call, which is what the machine simulator, tvalid's evaluator, SCCP,
+  the peephole verifier and the absint self-check call; ``fold_*`` wrap
+  those for ``Constant`` operands.
+* the trace JIT substitutes its locals into the same row and inlines
+  the result in the closure it compiles.
+
+So the optimizer and the execution engines can never disagree.  What
+does not fit an expression (the division traps, the NaN rules, the
+float32 re-round) is a named helper the text calls; :data:`NAMESPACE`
+is the complete list of names a row may use, and both renderings are
+given exactly it.  (``tests/test_constfold.py`` keeps the if-chains
+the table replaced as the reference every row is checked against.)
 
 Conventions for the evaluators:
 
@@ -29,7 +40,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct as _struct
 from typing import Optional
 
@@ -46,12 +56,30 @@ class ArithmeticFault(Exception):
     """Raised for division or remainder by zero."""
 
 
+# ---------------------------------------------------------------------------
+# The statement-shaped cases: helpers the expression text calls
+# ---------------------------------------------------------------------------
+
 _SINGLE = _struct.Struct("<f")
 
 
 def _round32(value: float) -> float:
     """Re-round through single precision (``float``-typed results)."""
     return _SINGLE.unpack(_SINGLE.pack(value))[0]
+
+
+def _int_div(lhs: int, rhs: int) -> int:
+    if rhs == 0:
+        raise ArithmeticFault("integer division by zero")
+    quotient = abs(lhs) // abs(rhs)
+    return -quotient if (lhs < 0) != (rhs < 0) else quotient
+
+
+def _int_rem(lhs: int, rhs: int) -> int:
+    if rhs == 0:
+        raise ArithmeticFault("integer remainder by zero")
+    remainder = abs(lhs) % abs(rhs)
+    return -remainder if lhs < 0 else remainder
 
 
 def _float_div(lhs: float, rhs: float) -> float:
@@ -68,161 +96,146 @@ def _float_rem(lhs: float, rhs: float) -> float:
     return math.fmod(lhs, rhs)
 
 
+def _float_to_int(value: float) -> int:
+    if math.isnan(value) or math.isinf(value):
+        return 0
+    return int(value)
+
+
+#: Every name a row of the table may use.  Whoever executes a row's text
+#: — :func:`_compile` here, the trace JIT in its closures' globals —
+#: supplies exactly these.
+NAMESPACE = {
+    "bool": bool, "float": float, "_round32": _round32,
+    "_int_div": _int_div, "_int_rem": _int_rem,
+    "_float_div": _float_div, "_float_rem": _float_rem,
+    "_float_to_int": _float_to_int,
+}
+
+
 # ---------------------------------------------------------------------------
-# The evaluator table: one callable per (opcode, type)
+# The table: one expression text per (opcode, type)
 # ---------------------------------------------------------------------------
 
 #: Ints arrive signed-corrected and pointers as non-negative addresses,
 #: so plain Python comparison is right for every first-class type.
-_COMPARISONS = {
-    Opcode.SETEQ: operator.eq, Opcode.SETNE: operator.ne,
-    Opcode.SETLT: operator.lt, Opcode.SETGT: operator.gt,
-    Opcode.SETLE: operator.le, Opcode.SETGE: operator.ge,
+_COMPARE = {
+    Opcode.SETEQ: "{a} == {b}", Opcode.SETNE: "{a} != {b}",
+    Opcode.SETLT: "{a} < {b}", Opcode.SETGT: "{a} > {b}",
+    Opcode.SETLE: "{a} <= {b}", Opcode.SETGE: "{a} >= {b}",
 }
-_DOUBLE = {
-    Opcode.ADD: operator.add, Opcode.SUB: operator.sub,
-    Opcode.MUL: operator.mul, Opcode.DIV: _float_div, Opcode.REM: _float_rem,
+_ARITHMETIC = {
+    Opcode.ADD: "{a} + {b}", Opcode.SUB: "{a} - {b}", Opcode.MUL: "{a} * {b}",
 }
-_BOOL = {
-    Opcode.AND: lambda lhs, rhs: bool(lhs & rhs),
-    Opcode.OR: lambda lhs, rhs: bool(lhs | rhs),
-    Opcode.XOR: lambda lhs, rhs: bool(lhs ^ rhs),
+_LOGIC = {
+    Opcode.AND: "{a} & {b}", Opcode.OR: "{a} | {b}", Opcode.XOR: "{a} ^ {b}",
+}
+_INTEGER = _ARITHMETIC | _LOGIC | {
+    Opcode.DIV: "_int_div({a}, {b})", Opcode.REM: "_int_rem({a}, {b})",
+}
+_FLOATING = _ARITHMETIC | {
+    Opcode.DIV: "_float_div({a}, {b})", Opcode.REM: "_float_rem({a}, {b})",
 }
 
 
-def _single(evaluate):
-    return lambda lhs, rhs: _round32(evaluate(lhs, rhs))
+def _wrap(ty: types.IntegerType, text: str) -> str:
+    """``text`` wrapped into ``ty``'s range, as ``ty.wrap`` would: two's
+    complement for a signed type, plain truncation for an unsigned one."""
+    mask = (1 << ty.bits) - 1
+    if not ty.signed:
+        return f"({text}) & {mask}"
+    half = 1 << (ty.bits - 1)
+    return f"((({text}) + {half}) & {mask}) - {half}"
 
 
-_SINGLE_PRECISION = {opcode: _single(evaluate)
-                     for opcode, evaluate in _DOUBLE.items()}
-
-
-def _wrap_constants(ty: types.IntegerType) -> tuple[int, int]:
-    """``(mask, half)`` such that ``((v + half) & mask) - half`` is
-    ``ty.wrap(v)``: two's complement for a signed type, and with
-    ``half == 0`` plain truncation for an unsigned one."""
-    return (1 << ty.bits) - 1, (1 << (ty.bits - 1)) if ty.signed else 0
-
-
-@functools.cache
-def _integer_evaluators(ty: types.IntegerType) -> dict:
-    mask, half = _wrap_constants(ty)
-
-    def div(lhs, rhs):
-        if rhs == 0:
-            raise ArithmeticFault("integer division by zero")
-        quotient = abs(lhs) // abs(rhs)
-        if (lhs < 0) != (rhs < 0):
-            quotient = -quotient
-        return ((quotient + half) & mask) - half
-
-    def rem(lhs, rhs):
-        if rhs == 0:
-            raise ArithmeticFault("integer remainder by zero")
-        remainder = abs(lhs) % abs(rhs)
-        if lhs < 0:
-            remainder = -remainder
-        return ((remainder + half) & mask) - half
-
+def binary_expression(opcode: Opcode, ty: Type) -> str:
+    """The text over ``{a}``/``{b}`` of one binary opcode on operands of
+    type ``ty``.  A comparison yields a Python bool; anything else a
+    value of ``ty``'s representation."""
+    if opcode in _COMPARE:
+        return _COMPARE[opcode]
     # The bitwise three wrap their result rather than trusting their
     # inputs: ``&``, ``|`` and ``^`` commute with truncation, so this is
     # the two's-complement answer for operands outside the range too.
-    return {
-        Opcode.ADD: lambda lhs, rhs: ((lhs + rhs + half) & mask) - half,
-        Opcode.SUB: lambda lhs, rhs: ((lhs - rhs + half) & mask) - half,
-        Opcode.MUL: lambda lhs, rhs: ((lhs * rhs + half) & mask) - half,
-        Opcode.DIV: div,
-        Opcode.REM: rem,
-        Opcode.AND: lambda lhs, rhs: (((lhs & rhs) + half) & mask) - half,
-        Opcode.OR: lambda lhs, rhs: (((lhs | rhs) + half) & mask) - half,
-        Opcode.XOR: lambda lhs, rhs: (((lhs ^ rhs) + half) & mask) - half,
-    }
+    if ty.is_integer and opcode in _INTEGER:
+        return _wrap(ty, _INTEGER[opcode])  # type: ignore[arg-type]
+    if ty.is_floating and opcode in _FLOATING:
+        text = _FLOATING[opcode]
+        return text if ty.bits == 64 else f"_round32({text})"  # type: ignore[attr-defined]
+    if ty.is_bool and opcode in _LOGIC:
+        return f"bool({_LOGIC[opcode]})"
+    raise ValueError(f"no binary opcode {opcode} on {ty}")
 
 
-@functools.cache
-def binary_evaluator(opcode: Opcode, ty: Type):
-    """The callable ``(lhs, rhs) -> result`` for one binary opcode on
-    operands of type ``ty``, chosen once per (opcode, interned type).
-
-    For comparisons the result is a Python bool; otherwise a value of
-    ``ty``'s representation.
-    """
-    if opcode in _COMPARISONS:
-        return _COMPARISONS[opcode]
-    if ty.is_integer:
-        table = _integer_evaluators(ty)
-    elif ty.is_floating:
-        table = _DOUBLE if ty.bits == 64 else _SINGLE_PRECISION  # type: ignore[attr-defined]
-    elif ty.is_bool:
-        table = _BOOL
-    else:
-        table = {}
-    if opcode not in table:
-        raise ValueError(f"no binary opcode {opcode} on {ty}")
-    return table[opcode]
-
-
-@functools.cache
-def shift_evaluator(opcode: Opcode, ty: types.IntegerType):
-    """The callable ``(value, amount) -> result`` for ``shl``/``shr`` on
-    ``ty``.  Over-wide shifts saturate deterministically."""
-    bits = ty.bits
-    mask, half = _wrap_constants(ty)
+def shift_expression(opcode: Opcode, ty: types.IntegerType) -> str:
+    """The text over ``{a}`` (value) and ``{b}`` (amount) of ``shl``/
+    ``shr`` on ``ty``.  Over-wide shifts saturate deterministically."""
     if opcode == Opcode.SHL:
-        def shift(value, amount):
-            if amount >= bits:
-                return 0
-            return (((value << amount) + half) & mask) - half
+        shifted, over_wide = _wrap(ty, "{a} << {b}"), "0"
     elif opcode != Opcode.SHR:
         raise ValueError(f"not a shift opcode: {opcode}")
     elif ty.signed:
-        def shift(value, amount):
-            if amount >= bits:
-                return -1 if value < 0 else 0
-            # Python >> is arithmetic
-            return (((value >> amount) + half) & mask) - half
+        # Python >> is arithmetic
+        shifted, over_wide = _wrap(ty, "{a} >> {b}"), "(-1 if {a} < 0 else 0)"
     else:
-        def shift(value, amount):
-            if amount >= bits:
-                return 0
-            return (value & mask) >> amount
-    return shift
+        shifted, over_wide = "(" + _wrap(ty, "{a}") + ") >> {b}", "0"
+    return f"({shifted}) if {{b}} < {ty.bits} else {over_wide}"
 
 
-@functools.cache
-def cast_evaluator(src_ty: Type, dst_ty: Type):
-    """The callable ``value -> result`` for ``cast`` from ``src_ty`` to
-    ``dst_ty`` (first-class types).
+def cast_expression(src_ty: Type, dst_ty: Type) -> str:
+    """The text over ``{a}`` of ``cast`` from ``src_ty`` to ``dst_ty``
+    (first-class types).
 
     Integer widening extends according to the *source* signedness (the
     LLVM 1.x rule); narrowing truncates bits and reinterprets by the
     destination signedness.
     """
     if src_ty is dst_ty:
-        return lambda value: value
+        return "{a}"
     if dst_ty.is_bool:
-        return lambda value: value != 0
+        return "{a} != 0"
     if dst_ty.is_integer:
-        mask, half = _wrap_constants(dst_ty)  # type: ignore[arg-type]
-        if src_ty.is_floating:
-            def to_int(value):
-                if math.isnan(value) or math.isinf(value):
-                    return 0
-                return ((int(value) + half) & mask) - half
-            return to_int
-        # bool, int or pointer source: reinterpret the bit pattern.
-        return lambda value: ((int(value) + half) & mask) - half
+        # A bool, int or pointer source reinterprets its bit pattern.
+        source = "_float_to_int({a})" if src_ty.is_floating else "{a}"
+        return _wrap(dst_ty, source)  # type: ignore[arg-type]
     if dst_ty.is_floating and not src_ty.is_pointer:
-        if dst_ty.bits == 64:  # type: ignore[attr-defined]
-            return float
-        return lambda value: _round32(float(value))
+        return ("float({a})" if dst_ty.bits == 64  # type: ignore[attr-defined]
+                else "_round32(float({a}))")
     if dst_ty.is_pointer:
         if src_ty.is_pointer:
-            return lambda value: value
+            return "{a}"
         if src_ty.is_integer or src_ty.is_bool:
-            return lambda value: int(value) & ((1 << 64) - 1)
+            return "{a} & %d" % ((1 << 64) - 1)
     raise TypeError(f"cannot cast {src_ty} to {dst_ty}")
+
+
+_GLOBALS = {"__builtins__": {}, **NAMESPACE}
+
+
+def _compile(parameters: str, text: str):
+    """The callable rendering of a row: its text as a lambda's body,
+    with nothing in scope but :data:`NAMESPACE`."""
+    return eval(f"lambda {parameters}: " + text.format(a="a", b="b"), _GLOBALS)
+
+
+@functools.cache
+def binary_evaluator(opcode: Opcode, ty: Type):
+    """The callable ``(lhs, rhs) -> result`` of :func:`binary_expression`,
+    compiled once per (opcode, interned type)."""
+    return _compile("a, b", binary_expression(opcode, ty))
+
+
+@functools.cache
+def shift_evaluator(opcode: Opcode, ty: types.IntegerType):
+    """The callable ``(value, amount) -> result`` of
+    :func:`shift_expression`."""
+    return _compile("a, b", shift_expression(opcode, ty))
+
+
+@functools.cache
+def cast_evaluator(src_ty: Type, dst_ty: Type):
+    """The callable ``value -> result`` of :func:`cast_expression`."""
+    return _compile("a", cast_expression(src_ty, dst_ty))
 
 
 def eval_binary(opcode: Opcode, ty: Type, lhs, rhs):

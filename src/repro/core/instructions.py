@@ -126,9 +126,6 @@ class Instruction(User):
         return self.opcode in (Opcode.STORE, Opcode.CALL, Opcode.INVOKE,
                                Opcode.FREE, Opcode.VAARG)
 
-    def may_read_memory(self) -> bool:
-        return self.opcode in (Opcode.LOAD, Opcode.CALL, Opcode.INVOKE, Opcode.VAARG)
-
     def has_side_effects(self) -> bool:
         """Whether deleting this (unused) instruction could change behaviour.
 
@@ -629,10 +626,6 @@ class CastInst(Instruction):
     def value(self) -> Value:
         return self.operands[0]
 
-    @property
-    def is_noop(self) -> bool:
-        return types.is_losslessly_convertible(self.value.type, self.type)
-
 
 def _callee_function_type(callee: Value) -> types.FunctionType:
     ty = callee.type
@@ -692,8 +685,3 @@ class VAArgInst(Instruction):
     @property
     def valist(self) -> Value:
         return self.operands[0]
-
-
-def successors_of(terminator: Instruction) -> list:
-    """The successor blocks of any terminator instruction."""
-    return getattr(terminator, "successors", [])

@@ -108,7 +108,7 @@ class Function(GlobalValue):
     be called, stored in vtables, or passed around like any constant.
     """
 
-    __slots__ = ("args", "blocks", "is_pure", "source_module", "_next_anon")
+    __slots__ = ("args", "blocks", "is_pure", "source_module")
 
     def __init__(self, fn_type: types.FunctionType, name: str,
                  linkage: str = Linkage.EXTERNAL,
@@ -122,7 +122,6 @@ class Function(GlobalValue):
         #: linker preserves it across merging so whole-program
         #: diagnostics can point at the original file.
         self.source_module: Optional[str] = None
-        self._next_anon = 0
         for index, param_ty in enumerate(fn_type.params):
             arg_name = arg_names[index] if arg_names else f"arg{index}"
             self.args.append(Argument(param_ty, arg_name, self, index))
@@ -158,10 +157,6 @@ class Function(GlobalValue):
 
     def instruction_count(self) -> int:
         return sum(len(block) for block in self.blocks)
-
-    def next_anon_name(self, prefix: str = "tmp") -> str:
-        self._next_anon += 1
-        return f"{prefix}.{self._next_anon}"
 
     def delete_body(self) -> None:
         """Turn a definition back into a declaration.

@@ -39,11 +39,6 @@ class Type:
     is_opaque = False
 
     @property
-    def is_primitive(self) -> bool:
-        """True for void, bool, the integer family, and the float family."""
-        return self.is_void or self.is_bool or self.is_integer or self.is_floating
-
-    @property
     def is_first_class(self) -> bool:
         """First-class types may live in SSA registers.
 

@@ -230,7 +230,7 @@ class Interpreter:
                     constant.operands[0].type, constant.type, inner
                 )
             base = self.constant_value(constant.operands[0])
-            offset, scaled = self._gep_layout(
+            offset, scaled = self.gep_layout(
                 constant.operands[0].type, constant.operands[1:]
             )
             for index, scale in scaled:
@@ -238,8 +238,8 @@ class Interpreter:
             return base + offset
         raise ExecutionError(f"cannot evaluate constant {constant!r}")
 
-    def _gep_layout(self, pointer_type, indices: Sequence[Value]
-                    ) -> tuple[int, list[tuple[Value, int]]]:
+    def gep_layout(self, pointer_type, indices: Sequence[Value]
+                   ) -> tuple[int, list[tuple[Value, int]]]:
         """Fold a ``getelementptr`` index list with the data layout: the
         byte offset contributed by the literal indices, and an
         ``(index operand, scale)`` pair for every other one.  Structure
@@ -573,7 +573,7 @@ class Interpreter:
                     following: int) -> Callable:
         key = id(inst)
         pointer = inst.pointer
-        offset, scaled = self._gep_layout(pointer.type, inst.indices)
+        offset, scaled = self.gep_layout(pointer.type, inst.indices)
         kind, b = self._operand(pointer)
         if kind is _REG and not scaled:
             def op(stack, frame):

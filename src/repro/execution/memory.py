@@ -167,7 +167,7 @@ class Memory:
             store = self._storers[ty] = self._make_storer(ty)
         return store
 
-    def _scalar_format(self, ty: Type, verb: str) -> str:
+    def scalar_format(self, ty: Type, verb: str) -> str:
         """The ``struct`` format character of a non-bool scalar."""
         if ty.is_integer:
             return INT_FORMATS[ty.bits, ty.signed]  # type: ignore[attr-defined]
@@ -184,7 +184,7 @@ class Memory:
                 allocation, offset = chunk(address, 1, False)
                 return allocation.data[offset] != 0
             return load
-        layout = _struct.Struct("<" + self._scalar_format(ty, "load"))
+        layout = _struct.Struct("<" + self.scalar_format(ty, "load"))
         size, unpack_from = layout.size, layout.unpack_from
 
         def load(address):
@@ -199,7 +199,7 @@ class Memory:
                 allocation, offset = chunk(address, 1, True)
                 allocation.data[offset] = 1 if value else 0
             return store
-        code = self._scalar_format(ty, "store")
+        code = self.scalar_format(ty, "store")
         if not ty.is_floating:
             code = code.upper()     # see the mask below
         layout = _struct.Struct("<" + code)

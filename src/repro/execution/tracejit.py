@@ -36,11 +36,14 @@ syncs the step counter, and returns.  The interpreter continues as if
 it had run every instruction itself — reconstruction is total by
 construction, which is what the differential jit-gate measures.
 
-Arithmetic is either delegated to :mod:`repro.core.constfold` (the
-single source of truth) or inlined as expressions proven equal to it:
-the wrap-to-range trick ``((x + 2**(n-1)) & (2**n - 1)) - 2**(n-1)``
-is exactly ``IntegerType.wrap``, and every case with a trap, a NaN, or
-a float32 re-round delegates rather than approximates.
+Arithmetic is derived, not restated: a binary operator, shift or cast
+is its row of :mod:`repro.core.constfold`'s table — the same expression
+text the interpreter's evaluators are compiled from — inlined over the
+trace's locals, with ``constfold.NAMESPACE`` (the helpers a row may
+call: the division traps, the NaN rules, the float32 re-round) in the
+closure's globals.  The recorder likewise borrows the interpreter's
+``gep_layout``, ``constant_value`` and ``Memory.scalar_format`` rather
+than keep a layout walk, an undef rule or a format table of its own.
 """
 
 from __future__ import annotations
@@ -49,32 +52,25 @@ import math
 import struct
 from typing import Optional
 
-from ..core import constfold, types
+from ..core import constfold
 from ..core.basicblock import BasicBlock
 from ..core.instructions import (
     AllocaInst, BinaryOperator, BranchInst, CallInst, CastInst, FreeInst,
-    GetElementPtrInst, Instruction, LoadInst, MallocInst, Opcode, PhiNode,
+    GetElementPtrInst, Instruction, LoadInst, MallocInst, PhiNode,
     ShiftInst, StoreInst, SwitchInst,
 )
 from ..core.module import Function, GlobalVariable
 from ..core.values import (
-    Argument, ConstantBool, ConstantExpr, ConstantFP, ConstantInt,
-    ConstantPointerNull, UndefValue, Value,
+    Argument, ConstantBool, ConstantExpr, ConstantInt, Value,
 )
-from .memory import INT_FORMATS, OFFSET_BITS, OFFSET_MASK
-
-_CMP_OPS = {
-    Opcode.SETEQ: "==", Opcode.SETNE: "!=", Opcode.SETLT: "<",
-    Opcode.SETGT: ">", Opcode.SETLE: "<=", Opcode.SETGE: ">=",
-}
-_ARITH_OPS = {Opcode.ADD: "+", Opcode.SUB: "-", Opcode.MUL: "*"}
-_BIT_OPS = {Opcode.AND: "&", Opcode.OR: "|", Opcode.XOR: "^"}
+from .memory import OFFSET_BITS, OFFSET_MASK
 
 
 class Untraceable(Exception):
     """The recorded path contains something the compiler cannot
-    specialize (a call into compiled IR, an invoke, an exotic
-    constant); the header is blacklisted and stays interpreted."""
+    specialize (a call into compiled IR, an invoke, arithmetic the
+    table has no row for); the header is blacklisted and stays
+    interpreted."""
 
 
 class TraceJITStats:
@@ -159,14 +155,6 @@ class TraceCache:
         if self._by_key.get(trace.key) is trace:
             del self._by_key[trace.key]
         self._by_block.pop(id(trace.header), None)
-
-    def invalidate_function(self, function_name: str) -> int:
-        """Drop every trace compiled over ``function_name``'s old IR."""
-        dead = [k for k in self._by_key if k[0] == function_name]
-        for key in dead:
-            trace = self._by_key.pop(key)
-            self._by_block.pop(id(trace.header), None)
-        return len(dead)
 
     def invalidate_all(self) -> int:
         count = len(self._by_key)
@@ -364,11 +352,9 @@ class _TraceCompiler:
         #: id -> all uses live in the defining block (see
         #: :meth:`_is_block_local`).
         self.block_local: dict[int, bool] = {}
-        #: exec-globals for the closure: blocks, types, IR constants...
-        self.env: dict[str, object] = {
-            "_eb": constfold.eval_binary,
-            "_ec": constfold.eval_cast,
-        }
+        #: exec-globals for the closure: what a row of constfold's table
+        #: may call, then blocks, types, IR constants...
+        self.env: dict[str, object] = dict(constfold.NAMESPACE)
         self._env_ids: dict[int, str] = {}
         #: symbolic constants resolved per entry (globals, functions,
         #: constant expressions: their addresses are per-interpreter).
@@ -436,26 +422,16 @@ class _TraceCompiler:
         return True
 
     def const_ref(self, constant) -> str:
-        if isinstance(constant, ConstantInt):
-            return _literal(constant.value)
-        if isinstance(constant, ConstantBool):
-            return "True" if constant.value else "False"
-        if isinstance(constant, ConstantFP):
-            if math.isfinite(constant.value):
-                return _literal(constant.value)
-            return self._sym_const(constant)
-        if isinstance(constant, ConstantPointerNull):
-            return "0"
-        if isinstance(constant, UndefValue):
-            ty = constant.type
-            if ty.is_floating:
-                return "0.0"
-            if ty.is_bool:
-                return "False"
-            return "0"
+        # Globals, functions and constant expressions over them have
+        # per-interpreter addresses and a trace outlives its
+        # interpreter: they are symbols resolved at each entry.
+        # Everything else is a value the interpreter states once.
         if isinstance(constant, (Function, GlobalVariable, ConstantExpr)):
             return self._sym_const(constant)
-        raise Untraceable(f"constant {constant!r}")
+        value = self.interpreter.constant_value(constant)
+        if isinstance(value, float) and not math.isfinite(value):
+            return self._sym_const(constant)  # nan/inf have no literal
+        return _literal(value)
 
     def _sym_const(self, constant) -> str:
         entry = self.sym_consts.get(id(constant))
@@ -723,17 +699,20 @@ class _TraceCompiler:
     def _emit_instruction(self, block: BasicBlock, index: int,
                           inst: Instruction) -> None:
         if isinstance(inst, BinaryOperator):
-            self._emit_binary(inst)
+            self._emit_table(inst, constfold.binary_expression,
+                             inst.opcode, inst.operands[0].type)
+        elif isinstance(inst, ShiftInst):
+            self._emit_table(inst, constfold.shift_expression,
+                             inst.opcode, inst.type)
+        elif isinstance(inst, CastInst):
+            self._emit_table(inst, constfold.cast_expression,
+                             inst.value.type, inst.type)
         elif isinstance(inst, LoadInst):
             self._emit_load(inst)
         elif isinstance(inst, StoreInst):
             self._emit_store(inst)
         elif isinstance(inst, GetElementPtrInst):
             self._emit_gep(block, index, inst)
-        elif isinstance(inst, CastInst):
-            self._emit_cast(inst)
-        elif isinstance(inst, ShiftInst):
-            self._emit_shift(inst)
         elif isinstance(inst, CallInst):
             self._emit_call(block, index, inst)
         elif isinstance(inst, (MallocInst, AllocaInst)):
@@ -758,17 +737,12 @@ class _TraceCompiler:
             raise Untraceable(f"instruction {type(inst).__name__}")
         self.steps_per_iter += 1
 
-    def _mem_fmt(self, ty) -> Optional[str]:
-        """struct format char for an inline memory access, or None."""
+    def _mem_fmt(self, ty, verb: str) -> Optional[str]:
+        """struct format char for an inline memory access; None for a
+        bool, which memory keeps as a byte it tests."""
         if ty.is_bool:
             return None
-        if ty.is_integer:
-            return INT_FORMATS.get((ty.bits, ty.signed))
-        if ty.is_floating:
-            return "f" if ty.bits == 32 else "d"
-        if ty.is_pointer:
-            return "Q" if self.layout.pointer_size == 8 else "I"
-        return None
+        return self.interpreter.memory.scalar_format(ty, verb)
 
     def _struct_helper(self, kind: str, fmt: str) -> str:
         name = f"_{kind}_{fmt}"
@@ -786,7 +760,7 @@ class _TraceCompiler:
         pointer = self.ref(inst.pointer)
         ty = self._env_ref("T", inst.type)
         dest = self.define(inst)
-        fmt = self._mem_fmt(inst.type)
+        fmt = self._mem_fmt(inst.type, "load")
         if fmt is None:
             self._emit(f"{dest} = _load({pointer}, {ty})")
             return
@@ -815,7 +789,7 @@ class _TraceCompiler:
         pointer = self.ref(inst.pointer)
         value_type = inst.value.type
         ty = self._env_ref("T", value_type)
-        fmt = self._mem_fmt(value_type)
+        fmt = self._mem_fmt(value_type, "store")
         if fmt is None:
             self._emit(f"_store({pointer}, {ty}, {value})")
             return
@@ -837,133 +811,16 @@ class _TraceCompiler:
         self._emit("except (KeyError, _SE):")
         self._emit(f"    _store({pointer}, {ty}, {value})")
 
-    def _wrap_expr(self, ty, expression: str) -> str:
-        mask = (1 << ty.bits) - 1
-        if ty.signed:
-            half = 1 << (ty.bits - 1)
-            return f"((({expression}) + {half}) & {mask}) - {half}"
-        return f"({expression}) & {mask}"
-
-    def _delegate_binary(self, inst: BinaryOperator) -> None:
-        opcode = self._env_ref("O", inst.opcode)
-        ty = self._env_ref("T", inst.operands[0].type)
-        lhs = self.ref(inst.operands[0])
-        rhs = self.ref(inst.operands[1])
-        self._emit(f"{self.define(inst)} = _eb({opcode}, {ty}, {lhs}, "
-                   f"{rhs})")
-
-    def _emit_binary(self, inst: BinaryOperator) -> None:
-        opcode = inst.opcode
-        ty = inst.operands[0].type
-        if opcode in _CMP_OPS:
-            lhs = self.ref(inst.operands[0])
-            rhs = self.ref(inst.operands[1])
-            self._emit(f"{self.define(inst)} = {lhs} "
-                       f"{_CMP_OPS[opcode]} {rhs}")
-            return
-        if opcode in _ARITH_OPS:
-            symbol = _ARITH_OPS[opcode]
-            if ty.is_floating and ty.bits == 64:
-                lhs = self.ref(inst.operands[0])
-                rhs = self.ref(inst.operands[1])
-                self._emit(f"{self.define(inst)} = {lhs} {symbol} {rhs}")
-                return
-            if ty.is_integer:
-                lhs = self.ref(inst.operands[0])
-                rhs = self.ref(inst.operands[1])
-                expression = self._wrap_expr(ty, f"{lhs} {symbol} {rhs}")
-                self._emit(f"{self.define(inst)} = {expression}")
-                return
-            self._delegate_binary(inst)  # float32 re-round, bool arith
-            return
-        if opcode in _BIT_OPS:
-            symbol = _BIT_OPS[opcode]
-            lhs = self.ref(inst.operands[0])
-            rhs = self.ref(inst.operands[1])
-            name = self.define(inst)
-            if ty.is_bool:
-                if opcode == Opcode.AND:
-                    self._emit(f"{name} = {lhs} and {rhs}")
-                elif opcode == Opcode.OR:
-                    self._emit(f"{name} = {lhs} or {rhs}")
-                else:
-                    self._emit(f"{name} = {lhs} != {rhs}")
-                return
-            if ty.is_integer:
-                if ty.signed:
-                    mask = (1 << ty.bits) - 1
-                    expression = self._wrap_expr(
-                        ty, f"({lhs} & {mask}) {symbol} ({rhs} & {mask})")
-                else:
-                    expression = f"{lhs} {symbol} {rhs}"
-                self._emit(f"{self.define(inst)} = {expression}")
-                return
-            self._delegate_binary(inst)
-            return
-        # div/rem: trap on zero, C truncation, float corner cases — the
-        # constant folder is the single source of truth.
-        self._delegate_binary(inst)
-
-    def _emit_shift(self, inst: ShiftInst) -> None:
-        ty = inst.type
-        if not ty.is_integer:
-            raise Untraceable("shift on non-integer")
-        value = self.ref(inst.value)
-        amount = self.ref(inst.amount)
-        name = self.define(inst)
-        bits = ty.bits
-        if inst.opcode == Opcode.SHL:
-            shifted = self._wrap_expr(ty, f"{value} << {amount}")
-            self._emit(f"{name} = ({shifted}) if {amount} < {bits} else 0")
-        elif ty.signed:
-            self._emit(f"{name} = ({value} >> {amount}) if {amount} < "
-                       f"{bits} else (-1 if {value} < 0 else 0)")
-        else:
-            self._emit(f"{name} = ({value} >> {amount}) if {amount} < "
-                       f"{bits} else 0")
-
-    def _emit_cast(self, inst: CastInst) -> None:
-        source_ty = inst.value.type
-        dest_ty = inst.type
-        value = self.ref(inst.value)
-        name = self.define(inst)
-        if source_ty is dest_ty:
-            self._emit(f"{name} = {value}")
-        elif dest_ty.is_bool:
-            zero = "0.0" if source_ty.is_floating else "0"
-            self._emit(f"{name} = {value} != {zero}")
-        elif dest_ty.is_integer:
-            if source_ty.is_bool:
-                self._emit(f"{name} = 1 if {value} else 0")
-            elif source_ty.is_integer or source_ty.is_pointer:
-                self._emit(f"{name} = {self._wrap_expr(dest_ty, value)}")
-            else:  # float -> int: nan/inf corner cases
-                self._delegate_cast(inst, value, name)
-        elif dest_ty.is_floating and dest_ty.bits == 64:
-            if source_ty.is_bool:
-                self._emit(f"{name} = 1.0 if {value} else 0.0")
-            elif source_ty.is_integer:
-                self._emit(f"{name} = float({value})")
-            elif source_ty.is_floating:
-                self._emit(f"{name} = {value}")
-            else:
-                raise Untraceable("pointer-to-float cast")
-        elif dest_ty.is_pointer:
-            if source_ty.is_pointer:
-                self._emit(f"{name} = {value}")
-            elif source_ty.is_bool:
-                self._emit(f"{name} = 1 if {value} else 0")
-            elif source_ty.is_integer:
-                self._emit(f"{name} = {value} & {(1 << 64) - 1}")
-            else:
-                raise Untraceable("float-to-pointer cast")
-        else:  # float32 destination: re-round through single precision
-            self._delegate_cast(inst, value, name)
-
-    def _delegate_cast(self, inst: CastInst, value: str, name: str) -> None:
-        source = self._env_ref("T", inst.value.type)
-        dest = self._env_ref("T", inst.type)
-        self._emit(f"{name} = _ec({source}, {dest}, {value})")
+    def _emit_table(self, inst: Instruction, expression, *key) -> None:
+        """A binary operator, shift or cast is its row of constfold's
+        table, inlined over the operands."""
+        try:
+            text = expression(*key)
+        except (ValueError, TypeError) as error:
+            raise Untraceable(str(error)) from None
+        operands = [self.ref(operand) for operand in inst.operands]
+        self._emit(f"{self.define(inst)} = "
+                   + text.format(**dict(zip("ab", operands))))
 
     def _emit_gep(self, block: BasicBlock, index: int,
                   inst: GetElementPtrInst) -> None:
@@ -971,35 +828,15 @@ class _TraceCompiler:
         # The interpreter traps on a null base before computing the
         # offset; keep that by side-exiting to re-execute the gep.
         self._guard(f"not {base}", block, index)
-        terms: list[str] = []
-        constant_offset = 0
-        current = inst.pointer.type.pointee
-        for position, operand in enumerate(inst.indices):
-            if position == 0:
-                scale = self.layout.size_of(current)
-            elif current.is_struct:
-                if not isinstance(operand, ConstantInt):
-                    raise Untraceable("dynamic struct index")
-                constant_offset += self.layout.field_offset(
-                    current, operand.value)
-                current = current.fields[operand.value]
-                continue
-            else:
-                scale = self.layout.size_of(current.element)
-                current = current.element
-            if isinstance(operand, ConstantInt):
-                constant_offset += operand.value * scale
-            elif isinstance(operand, (Instruction, Argument)):
-                index_value = self.ref(operand)
-                terms.append(f"{index_value} * {scale}"
-                             if scale != 1 else index_value)
-            else:
-                raise Untraceable("exotic gep index")
+        offset, scaled = self.interpreter.gep_layout(
+            inst.pointer.type, inst.indices)
         expression = base
-        if constant_offset:
-            expression += f" + {_literal(constant_offset)}"
-        for term in terms:
-            expression += f" + {term}"
+        if offset:
+            expression += f" + {_literal(offset)}"
+        for operand, scale in scaled:
+            expression += f" + {self.ref(operand)}"
+            if scale != 1:
+                expression += f" * {scale}"
         self._emit(f"{self.define(inst)} = {expression}")
 
     def _emit_call(self, block: BasicBlock, index: int,

@@ -113,12 +113,3 @@ class BoundsCheckInsertion:
         fail_builder.unwind()
 
         guard_builder.cond_br(out, fail_block, continuation)
-
-
-def bounds_fail_external(interp, args):
-    """The runtime half: a bounds violation is a loud, defined fault."""
-    from ..execution.interpreter import ExecutionError
-
-    raise ExecutionError(
-        f"array index {args[0]} out of bounds (size {args[1]})"
-    )

@@ -7,7 +7,7 @@ from typing import Optional
 from ..core import constfold
 from ..core.basicblock import BasicBlock
 from ..core.instructions import (
-    BranchInst, CastInst, GetElementPtrInst, Instruction, Opcode, PhiNode,
+    BranchInst, CastInst, Instruction, Opcode, PhiNode,
     ShiftInst, SwitchInst,
 )
 from ..core.module import Function
@@ -118,13 +118,6 @@ def constant_fold_terminator(block: BasicBlock) -> bool:
         block.append(BranchInst(selected))
         return True
     return False
-
-
-def simplify_gep(inst: GetElementPtrInst) -> Optional[Value]:
-    """A GEP with all-zero indices is the pointer itself (maybe cast)."""
-    if inst.has_all_zero_indices() and inst.type is inst.pointer.type:
-        return inst.pointer
-    return None
 
 
 def phi_single_value(phi: PhiNode) -> Optional[Value]:

@@ -3,15 +3,28 @@ differential runs against the plain interpreter, guard side-exit state
 reconstruction, trap transparency, lifelong trace-cache invalidation —
 plus regression tests for the trace/JIT bugfixes that rode along
 (TraceFormation successor double-counting, JITEngine.materialized on
-never-seen names, the preload instrumentation gap)."""
+never-seen names, the preload instrumentation gap), and, per (opcode,
+type), that the arithmetic a trace inlines is the interpreter's."""
+
+import math
 
 import pytest
 
 from repro.analysis.loops import LoopInfo
-from repro.core import parse_module
+from repro.core import constfold, parse_module, types
+from repro.core.builder import IRBuilder
 from repro.core.constfold import ArithmeticFault
+from repro.core.instructions import (
+    BINARY_OPCODES, BinaryOperator, CastInst, Opcode,
+)
+from repro.core.module import Module
+from repro.core.values import (
+    ConstantAggregateZero, ConstantArray, ConstantBool, ConstantFP,
+    ConstantInt,
+)
 from repro.driver import LifelongSession
 from repro.execution import Interpreter, StepLimitExceeded, TraceManager
+from repro.execution.tracejit import Untraceable, compile_trace
 from repro.frontend import compile_source
 from repro.profile import TraceFormation
 
@@ -372,3 +385,269 @@ class TestInterpreterContract:
             assert 0 < index < len(block.instructions)
         assert got == expected
         assert manager.stats.unreconstructed_exits == 0
+
+
+# ---------------------------------------------------------------------------
+# The inlined arithmetic, per (opcode, type).
+#
+# A trace's arithmetic is constfold's expression text substituted over
+# the trace's locals.  One generated single-block loop per table row
+# reads its operands from constant arrays, applies the one instruction
+# under test and stores the result; the interpreter and the traced run
+# must leave the same bytes, exit value, output and step count, and the
+# loop must actually have run as a compiled trace.
+# ---------------------------------------------------------------------------
+
+_INT_TYPES = [types.SBYTE, types.UBYTE, types.SHORT, types.USHORT,
+              types.INT, types.UINT, types.LONG, types.ULONG]
+_FLOAT_TYPES = [types.FLOAT, types.DOUBLE]
+_POINTER = types.pointer(types.INT)
+_LOGIC = [Opcode.AND, Opcode.OR, Opcode.XOR]
+_ARITHMETIC = [Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.REM]
+_COMPARISONS = sorted(BINARY_OPCODES - set(_LOGIC) - set(_ARITHMETIC),
+                      key=lambda opcode: opcode.value)
+#: Rows run before the loop is hot; repeated so every row also runs
+#: inside the trace.
+_WARM_UP = 4
+
+
+def _samples(ty):
+    """Boundary values of ``ty`` as constants."""
+    if ty.is_bool:
+        return [ConstantBool(False), ConstantBool(True)]
+    if ty.is_integer:
+        values = {ty.min_value, ty.wrap(-1), 0, 1, ty.max_value}
+        return [ConstantInt(ty, value) for value in sorted(values)]
+    # ConstantFP rounds to ``ty``; 0.1f + 0.2f is not a float32, so the
+    # sum is re-rounded.
+    values = [0.0, -0.0, 1.5, -2.9, 255.5, 3e9, 0.1, 0.2,
+              math.inf, -math.inf, math.nan]
+    return [ConstantFP(ty, value) for value in values]
+
+
+def _table_loop(columns, result_type, compute):
+    """``main`` runs ``out[k] = compute(builder, *(c[k] for c in columns))``
+    for every k, as one single-block loop; returns (module, out)."""
+    columns = [column[:_WARM_UP] + column for column in columns]
+    count = len(columns[0])
+    module = Module("table")
+    arrays = []
+    for number, column in enumerate(columns):
+        ty = types.array(column[0].type, count)
+        arrays.append(module.new_global(ty, f"in{number}",
+                                        ConstantArray(ty, column)))
+    out_type = types.array(result_type, count)
+    out = module.new_global(out_type, "out", ConstantAggregateZero(out_type))
+    main = module.new_function(types.function(types.INT, []), "main")
+    entry, loop, done = (main.append_block(name)
+                         for name in ("entry", "loop", "done"))
+    IRBuilder(entry).br(loop)
+    builder = IRBuilder(loop)
+    k = builder.phi(types.UINT, "k")
+    operands = [builder.load(builder.array_gep(array, k)) for array in arrays]
+    builder.store(compute(builder, *operands), builder.array_gep(out, k))
+    following = builder.add(k, ConstantInt(types.UINT, 1))
+    k.add_incoming(ConstantInt(types.UINT, 0), entry)
+    k.add_incoming(following, loop)
+    builder.cond_br(builder.setlt(following, ConstantInt(types.UINT, count)),
+                    loop, done)
+    done_builder = IRBuilder(done)
+    done_builder.ret(done_builder.cast(following, types.INT))
+    return module, out
+
+
+def _observe(module, out, manager=None):
+    interp = Interpreter(module)
+    if manager is not None:
+        manager.attach(interp)
+    value = interp.run("main", [])
+    size = module.data_layout.size_of(out.value_type)
+    stored = interp.memory.read_bytes(interp.global_addresses[id(out)], size)
+    return value, "".join(interp.output), interp.steps, stored
+
+
+def _assert_tiers_agree(columns, result_type, compute, what):
+    module, out = _table_loop(columns, result_type, compute)
+    reference = _observe(module, out)
+    manager = TraceManager(hot_threshold=2)
+    traced = _observe(module, out, manager)
+    assert traced == reference, what
+    assert manager.stats.traces_compiled == 1, what
+    assert manager.stats.steps_saved > 0, what
+    assert manager.stats.unreconstructed_exits == 0, what
+    return manager
+
+
+def _pairs(lhs, rhs):
+    return ([a for a in lhs for _ in rhs], [b for _ in lhs for b in rhs])
+
+
+def _binary(opcode):
+    return lambda builder, lhs, rhs: builder._binary(opcode, lhs, rhs, "r")
+
+
+class TestInlinedArithmeticMatchesTheInterpreter:
+    def test_every_binary_opcode_is_covered(self):
+        assert len(_COMPARISONS) == 6
+        assert (set(_LOGIC) | set(_ARITHMETIC) | set(_COMPARISONS)
+                == BINARY_OPCODES)
+
+    @pytest.mark.parametrize("ty", _INT_TYPES, ids=str)
+    def test_integer_binary_opcodes(self, ty):
+        values = _samples(ty)
+        divisors = [value for value in values if value.value != 0]
+        for opcode in _ARITHMETIC + _LOGIC + _COMPARISONS:
+            rhs = divisors if opcode in (Opcode.DIV, Opcode.REM) else values
+            result = types.BOOL if opcode in _COMPARISONS else ty
+            _assert_tiers_agree(_pairs(values, rhs), result, _binary(opcode),
+                                (opcode, ty))
+
+    @pytest.mark.parametrize("ty", _INT_TYPES, ids=str)
+    def test_shifts(self, ty):
+        amounts = [ConstantInt(types.UBYTE, amount)
+                   for amount in (0, ty.bits - 1, ty.bits, 255)]
+        for shift in (IRBuilder.shl, IRBuilder.shr):
+            _assert_tiers_agree(_pairs(_samples(ty), amounts), ty, shift,
+                                (shift.__name__, ty))
+
+    def test_bool_logic_and_comparisons(self):
+        values = _samples(types.BOOL)
+        for opcode in _LOGIC + _COMPARISONS:
+            _assert_tiers_agree(_pairs(values, values), types.BOOL,
+                                _binary(opcode), opcode)
+
+    @pytest.mark.parametrize("ty", _FLOAT_TYPES, ids=str)
+    def test_floating_point_including_specials_and_the_re_round(self, ty):
+        values = _samples(ty)
+        # math.fmod refuses an infinite dividend (ValueError from both
+        # tiers, as from the reference chain): not a loop's business.
+        finite = [value for value in values if not math.isinf(value.value)]
+        for opcode in _ARITHMETIC + _COMPARISONS:
+            lhs = finite if opcode == Opcode.REM else values
+            result = types.BOOL if opcode in _COMPARISONS else ty
+            _assert_tiers_agree(_pairs(lhs, values), result,
+                                _binary(opcode), (opcode, ty))
+
+    @pytest.mark.parametrize(
+        "source", _INT_TYPES + [types.BOOL] + _FLOAT_TYPES + [_POINTER],
+        ids=str)
+    def test_every_cast_pair(self, source):
+        if source.is_pointer:
+            # Addresses arrive as ulong and become pointers in the loop
+            # (itself an int -> pointer cast under the trace).
+            column = [ConstantInt(types.ULONG, address) for address in
+                      (0, 8, 1 << 30, 0x123456789A, (1 << 64) - 1)]
+        else:
+            column = _samples(source)
+        for dest in _INT_TYPES + [types.BOOL] + _FLOAT_TYPES + [_POINTER]:
+            if {source, dest} & set(_FLOAT_TYPES) and _POINTER in (source,
+                                                                   dest):
+                continue    # refused by CastInst
+
+            def cast(builder, value, dest=dest):
+                value = builder.cast(value, source)     # the pointer case
+                # builder.cast would elide the same-type row.
+                return builder.block.append(CastInst(value, dest, "r"))
+            _assert_tiers_agree([column], dest, cast, (source, dest))
+
+
+#: ``{body}`` computes ``%next`` from ``%x`` (which starts at
+#: ``{start}``) once per iteration, 200 times; ``main`` returns it.
+_REGISTER_LOOP = """
+{ty} %main() {{
+entry:
+  br label %loop
+loop:
+  %i = phi int [ 0, %entry ], [ %i1, %loop ]
+  %x = phi {ty} [ {start}, %entry ], [ %next, %loop ]
+  {body}
+  %i1 = add int %i, 1
+  %c = setlt int %i1, 200
+  br bool %c, label %loop, label %done
+done:
+  ret {ty} %next
+}}
+"""
+
+
+def _clear_evaluators():
+    for memo in (constfold.binary_evaluator, constfold.shift_evaluator,
+                 constfold.cast_evaluator):
+        memo.cache_clear()
+
+
+class TestBothTiersAreDerivedFromOneTable:
+    def _both(self, module):
+        reference = Interpreter(module).run("main", [])
+        traced = Interpreter(module)
+        manager = TraceManager(hot_threshold=2)
+        manager.attach(traced)
+        return reference, traced.run("main", []), manager
+
+    def test_a_wrong_row_is_wrong_in_both_tiers_alike(self, monkeypatch):
+        module = parse_module(_REGISTER_LOOP.format(
+            ty="int", start=2147483000, body="%next = add int %x, 7"))
+        right = types.INT.wrap(2147483000 + 7 * 200)
+        assert self._both(module)[:2] == (right, right)
+
+        def truncate_only(ty, text):    # the signed wrap without + half
+            return f"({text}) & {(1 << ty.bits) - 1}"
+
+        with monkeypatch.context() as patch:
+            patch.setattr(constfold, "_wrap", truncate_only)
+            _clear_evaluators()
+            try:
+                reference, traced, manager = self._both(module)
+            finally:
+                _clear_evaluators()
+        wrong = 2147483000 + 7 * 200    # never brought back into range
+        assert (reference, traced) == (wrong, wrong)
+        assert manager.stats.traces_compiled == 1
+        assert manager.stats.steps_saved > 0
+
+    @pytest.mark.parametrize("ty, start, body, fault, message", [
+        ("int", 100, "%next = sub int %x, 1\n  %q = div int 1000, %next",
+         ArithmeticFault, "integer division by zero"),
+        ("uint", 100, "%next = sub uint %x, 1\n  %q = rem uint 1000, %next",
+         ArithmeticFault, "integer remainder by zero"),
+        # 4.0 ** 64 does not fit single precision: the re-round refuses.
+        ("float", 1.0, "%next = mul float %x, 4.0",
+         OverflowError, "float too large to pack with f format"),
+    ])
+    def test_faults_are_the_evaluators_own_inside_a_trace(
+            self, ty, start, body, fault, message):
+        module = parse_module(_REGISTER_LOOP.format(ty=ty, start=start,
+                                                    body=body))
+        with pytest.raises(fault) as interpreted:
+            Interpreter(module).run("main", [])
+        traced = Interpreter(module)
+        manager = TraceManager(hot_threshold=2)
+        manager.attach(traced)
+        with pytest.raises(fault) as in_trace:
+            traced.run("main", [])
+        assert str(interpreted.value) == str(in_trace.value) == message
+        assert manager.stats.traces_compiled == 1
+        assert manager.stats.trace_entries >= 1
+
+    def test_an_ill_typed_lookup_is_untraceable_with_constfolds_message(self):
+        """The one path from the table to ``Untraceable``.  The
+        instruction constructors refuse ill-typed arithmetic, so the
+        type is swapped afterwards; no run reaches the recorder with
+        such a block, because the interpreter's decoder makes the same
+        lookup first."""
+        class MadeUp(types.Type):
+            def __str__(self):
+                return "made-up"
+
+        module = parse_module(_REGISTER_LOOP.format(
+            ty="int", start=0, body="%next = add int %x, 7"))
+        function = module.functions["main"]
+        loop = function.blocks[1]
+        add = next(inst for inst in loop.instructions
+                   if isinstance(inst, BinaryOperator))
+        add.operands[0].type = MadeUp()
+        message = "no binary opcode Opcode.ADD on made-up"
+        with pytest.raises(Untraceable, match=message):
+            compile_trace(Interpreter(module), function, [loop])
+        with pytest.raises(ValueError, match=message):
+            Interpreter(module).run("main", [])
