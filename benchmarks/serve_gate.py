@@ -7,7 +7,9 @@ a bad day would:
 1. **Concurrent correctness** — N clients compile distinct programs in
    parallel; the armed fault kills a worker mid-request along the way.
    Every response must be byte-identical to what the batch driver
-   produces at the level the daemon actually used.
+   produces at the level the daemon actually used.  One compile is
+   then sent again: the repeat must be answered from the cache's
+   whole-program entry (``serverd.program-hits``) with the same bytes.
 2. **Overload burst** — more concurrent requests than the (small)
    admission queue can hold.  Every outcome must be either a correct
    result or a structured ``BUSY`` with a ``retry_after_ms`` hint;
@@ -122,8 +124,33 @@ def phase_concurrent_compiles(socket_path: str, daemon) -> None:
     assert_alive(daemon)
     if failures:
         fail("; ".join(failures))
+    hits = repeat_is_a_program_hit(socket_path, references)
     print(f"serve-gate: phase 1 ok — {2 * len(PROGRAMS)} concurrent "
-          "compiles byte-identical (one worker crash absorbed)")
+          "compiles byte-identical (one worker crash absorbed), a repeat "
+          f"answered from its program entry (program-hits={hits})")
+
+
+def repeat_is_a_program_hit(socket_path: str, references: dict) -> int:
+    """The same compile twice in a row, at one level, is the same bytes
+    and at least one whole-program cache hit."""
+    with ServeClient(socket_path, retry_budget=8,
+                     backoff_base=0.02) as client:
+        first = client.compile([PROGRAMS[0]], deadline_ms=120_000)
+        again = client.compile([PROGRAMS[0]], deadline_ms=120_000)
+        # The calm after phase 1's backlog may step the degraded level
+        # back up between the two; levels only rise, so this ends.
+        while again["level"] != first["level"]:
+            first = again
+            again = client.compile([PROGRAMS[0]], deadline_ms=120_000)
+        stats = client.stats()
+    if not again["bytecode"] == first["bytecode"] \
+            == references[(PROGRAMS[0], first["level"])]:
+        fail("a repeated compile returned other bytes than the first")
+    hits = stats.get("serverd.program-hits", 0)
+    if hits < 1:
+        fail("serverd.program-hits < 1: a repeated request was compiled "
+             "again instead of read from its program entry")
+    return hits
 
 
 def phase_overload_burst(socket_path: str, daemon) -> int:

@@ -19,8 +19,11 @@ only because of two representation-equivalence guarantees:
   freshly compiled one — lint diagnostics, link results and native code
   are byte-for-byte the same.
 
-Entries live one-per-file under a cache directory (``<key>.bc``) —
-bytecode and analysis-summary sidecars alike, in one framed format.
+Entries live one-per-file under a cache directory (``<key>.bc``), in
+one framed format, and come in three kinds, counted apart: per-TU
+bytecode (``cache-*``), analysis-summary sidecars (``summary-*``) and
+whole-program bytecode (``program-*``), the answer to one entire
+request (:func:`repro.driver.pipelines.compile_to_bytecode`).
 Writes go through a temp file + ``os.replace`` so concurrent compilers
 never observe torn entries.
 With ``max_bytes`` set the cache is bounded: every store enforces the
@@ -101,13 +104,14 @@ def toolchain_fingerprint() -> str:
     return f"lc-bc{BYTECODE_VERSION}-pipe{PIPELINE_VERSION}"
 
 
-#: The two kinds of entry — the prefix of their ``-stats`` counters —
+#: The three kinds of entry — the prefix of their ``-stats`` counters —
 #: and the fault sites that corrupt a stored entry of that kind before
 #: its frame is checked, exactly like real disk corruption would: the
 #: digest catches any flip deterministically.
 _CORRUPTION_SITES = {
     "cache": ("cache.read", "bytecode.corrupt"),
     "summary": ("sidecar.corrupt",),
+    "program": ("cache.read", "bytecode.corrupt"),
 }
 
 
@@ -134,7 +138,9 @@ class BytecodeCache:
         self.stats.declare(
             self.name, "cache-hits", "cache-misses", "cache-stores",
             "cache-evictions", "cache-lru-evictions", "summary-hits",
-            "summary-misses", "summary-stores", "summary-evictions")
+            "summary-misses", "summary-stores", "summary-evictions",
+            "program-hits", "program-misses", "program-stores",
+            "program-evictions")
 
     def _count(self, name: str, delta: int = 1) -> None:
         self.stats.count(self.name, name, delta)
@@ -145,9 +151,8 @@ class BytecodeCache:
         """Content-addressed key for one compilation.
 
         ``tag`` separates key spaces that share source text — per-TU
-        entries (``"tu"``), whole-program entries (``"program"``, used
-        by the lifelong session) and analysis summaries
-        (``"ipa-summary"``).
+        entries (``"tu"``), whole-program entries (``"program"`` /
+        ``"program-lto"``) and analysis summaries (``"ipa-summary"``).
         """
         digest = hashlib.sha256()
         digest.update(toolchain_fingerprint().encode("utf-8"))
@@ -232,6 +237,15 @@ class BytecodeCache:
         """Store an analysis-summary sidecar (see :meth:`_store`)."""
         self._store(key, text.encode("utf-8"), "summary")
 
+    def load_program(self, key: str) -> Optional[bytes]:
+        """A whole-program entry — bytes the integrity frame vouches
+        for, not decoded here — counted under ``program-*``."""
+        return self._load(key, "program")
+
+    def store_program(self, key: str, data: bytes) -> None:
+        """Store a whole-program entry (see :meth:`_store`)."""
+        self._store(key, data, "program")
+
     def _evict(self, key: str, kind: str) -> bool:
         try:
             os.unlink(self._path(key))
@@ -241,8 +255,7 @@ class BytecodeCache:
         return True
 
     def invalidate(self, key: str) -> bool:
-        """Drop one entry (used by the reoptimizer when it rewrites the
-        IR an entry was derived from); True if an entry existed."""
+        """Drop one per-TU entry; True if an entry existed."""
         return self._evict(key, "cache")
 
     # -- bounded-cache eviction ---------------------------------------------

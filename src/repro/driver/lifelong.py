@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..bitcode import write_bytecode
+from ..bitcode import read_bytecode, write_bytecode
 from ..core.module import Module
 from ..execution import Interpreter, TraceManager
 from ..profile import (
@@ -28,7 +28,7 @@ from ..profile import (
 from ..transforms import ModulePassAdaptor, PassManager
 from .cache import BytecodeCache
 from .passmanager import FaultPolicy
-from .pipelines import compile_and_link
+from .pipelines import compile_to_bytecode
 
 
 class RunResult:
@@ -54,18 +54,12 @@ class LifelongSession:
         #: that lives forever must outlive its own components' bugs.
         #: Crash reports accumulate on ``fault_policy.crash_reports``.
         self.fault_policy = fault_policy
-        #: Whole-program cache key (per-TU keys live inside
-        #: compile_and_link; this one names the *linked* artifact).
-        self._program_key = (
-            cache.key("\0".join(sources) + "\0" + name, level, tag="program")
-            if cache is not None else None
-        )
-        self.module = compile_and_link(sources, name, level, cache=cache,
-                                       policy=fault_policy)
+        #: The static build — from the cache's whole-program entry when
+        #: these sources have been built before.
+        self.module = read_bytecode(compile_to_bytecode(
+            self._sources, name, level, cache=cache, policy=fault_policy))
         #: The persistent representation shipped with the executable.
         self.bytecode = write_bytecode(self.module)
-        if cache is not None:
-            cache.store_bytes(self._program_key, self.bytecode)
         instrumentation = ProfileInstrumentation(Granularity.BLOCKS)
         PassManager().add(instrumentation).run(self.module)
         self.profile = ProfileData(instrumentation.profile_map)
@@ -134,9 +128,11 @@ class LifelongSession:
     def reoptimize(self, **kwargs) -> ReoptimizationReport:
         """The idle-time pass: consume the accumulated profile.
 
-        The rewritten IR supersedes the cached whole-program artifact,
-        so that entry is invalidated and re-stored; per-TU entries stay
-        valid — the sources they were keyed on have not changed.
+        The rewritten IR lives in this session (:attr:`module`,
+        :attr:`bytecode`) only.  Cache entries, per-TU and whole-program
+        alike, are functions of the sources and stay what they were: a
+        later compile of the same sources gets the static build, not
+        one shaped by this session's profile.
 
         The reoptimizer runs as one module pass through the pass
         manager every other transform uses.  Under a
@@ -170,7 +166,4 @@ class LifelongSession:
         report = reports[0]
         self.reopt_reports.append(report)
         self.bytecode = write_bytecode(self.module)
-        if self.cache is not None:
-            self.cache.invalidate(self._program_key)
-            self.cache.store_bytes(self._program_key, self.bytecode)
         return report

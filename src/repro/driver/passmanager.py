@@ -12,8 +12,8 @@ function of a function pass, the whole module of a module pass — as
 described in its module docstring.  Given a :class:`FaultPolicy` it
 calls back here for everything that makes a failure survivable:
 
-* the **watchdog** that preempts a runaway pass from inside, under a
-  step/time budget capped by the build's deadline;
+* the **watchdog** that preempts a runaway pass from inside, by
+  interval timer, under a time budget capped by the build's deadline;
 * **translation validation** of every function a function pass changed
   (``translation_validate``), co-executed against its snapshot in a
   carrier module that shares the live module's globals and other
@@ -47,7 +47,8 @@ from __future__ import annotations
 
 import json
 import os
-import sys
+import signal
+import threading
 import time
 import traceback as _traceback
 from dataclasses import dataclass, field
@@ -67,7 +68,7 @@ from ..tvalid.validate import (
 
 
 class PassBudgetExceeded(Exception):
-    """A pass ran past its step or wall-clock budget."""
+    """A pass ran past its wall-clock budget."""
 
 
 def restore_module(module: Module, snapshot: bytes) -> None:
@@ -107,45 +108,54 @@ def restore_function(module: Module, function, snapshot: str) -> None:
     rebuilt.blocks = []
 
 
-class _Watchdog:
-    """Preempt a runaway pass from inside, via the trace hook.
+#: The shortest budget a watchdog arms.  ``setitimer(..., 0)`` disarms
+#: instead of firing, and a pass past the build's deadline must still
+#: *start* (and trip the watchdog, rolling back cleanly).
+_MIN_BUDGET = 0.05
 
-    The trace function fires on every Python function call made by the
-    pass; it counts those as *steps* and checks the wall clock every
-    256 of them.  Over budget, it raises :class:`PassBudgetExceeded`
-    inside the traced frame, which unwinds out of the pass and into the
-    surrounding transaction.
+
+class _Watchdog:
+    """Preempt a runaway pass from inside, by interval timer.
+
+    ``__enter__`` arms ``ITIMER_REAL`` for the budget; the ``SIGALRM``
+    handler raises :class:`PassBudgetExceeded` in whatever frame the
+    pass is executing (main thread only: see
+    :meth:`FaultPolicy.watchdog`), which unwinds into the surrounding
+    transaction.  Nothing runs per call, and a pass that makes no call
+    or sleeps in one is preempted too; only a single C call that never
+    returns to the bytecode loop is not (docs/ROBUSTNESS.md).
     """
 
-    def __init__(self, time_budget: float, step_budget: int):
-        self.deadline = time.monotonic() + time_budget
-        self.step_budget = step_budget
-        self.steps = 0
+    def __init__(self, budget: float):
+        self.budget = max(_MIN_BUDGET, budget)
+        self._armed = False
         self._previous = None
 
-    def _trace(self, frame, event, arg):
-        self.steps += 1
-        if self.steps > self.step_budget:
+    def _expired(self, signum, frame):
+        # An alarm already pending when __exit__ disarms is delivered
+        # at the next bytecode, inside __exit__: too late to count.
+        if self._armed:
             raise PassBudgetExceeded(
-                f"step budget {self.step_budget} exhausted")
-        if self.steps % 256 == 0 and time.monotonic() > self.deadline:
-            raise PassBudgetExceeded("time budget exhausted")
-        return None  # no per-line tracing: call events only
+                f"time budget {self.budget:.2f}s exhausted")
 
     def __enter__(self):
-        self._previous = sys.gettrace()
-        sys.settrace(self._trace)
+        self._previous = signal.signal(signal.SIGALRM, self._expired)
+        self._armed = True
+        signal.setitimer(signal.ITIMER_REAL, self.budget)
         return self
 
     def __exit__(self, *exc_info):
-        sys.settrace(self._previous)
+        self._armed = False
+        # Disarm before restoring: a stray alarm under the default
+        # disposition would kill the process.
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self._previous)
         return False
 
 
-#: Budgets for one bisection/reduction probe: far below a real pass
+#: Budget for one bisection/reduction probe: far below a real pass
 #: run's, because probes are many and their inputs shrink.
 _PROBE_TIME_BUDGET = 2.0
-_PROBE_STEP_BUDGET = 300_000
 
 
 @dataclass
@@ -193,7 +203,6 @@ class FaultPolicy:
     #: driver falls back a level (the -O2 -> -O1 -> -O0 ladder).
     max_poisoned_passes: int = 2
     pass_time_budget: float = 10.0
-    pass_step_budget: int = 5_000_000
     reduce_testcases: bool = True
     #: check refinement of every function a function pass changes
     #: (--translation-validate); violations roll back like crashes
@@ -210,8 +219,6 @@ class FaultPolicy:
     crash_reports: list = field(default_factory=list)
 
     def __post_init__(self):
-        import threading
-
         self._lock = threading.Lock()
         #: (pass, module, function-or-None) triples banned from running.
         self._poisoned: set = set()
@@ -224,27 +231,28 @@ class FaultPolicy:
             "retries.function", "link.retries", "validations.run",
             "validations.passed", "validations.failed",
             "validations.skipped-by-size", "validations.skipped-unsupported")
-        self.stats.gauge(self.name, "synth.rules-loaded", 0)
 
     def count(self, name: str, delta: int = 1) -> None:
         self.stats.count(self.name, name, delta)
 
     def statistics(self) -> dict[str, int]:
-        return self.stats.view(self.name)
+        # The level is written by the first pipeline built under this
+        # policy.  Until then the record has no such row — merged into
+        # a daemon's totals, a build answered from the cache must not
+        # reset what the builds before it measured.
+        return {"synth.rules-loaded": 0, **self.stats.view(self.name)}
 
     name = "fault-policy"  # the -stats source label
 
     def time_budget(self, budget: float) -> float:
         """A watchdog time budget, capped by the remaining deadline.
 
-        With no :attr:`deadline` this is just ``budget``.  Past the
-        deadline it bottoms out at a tiny positive slice, so a pass
-        still *starts* (and immediately trips the watchdog, rolling
-        back cleanly) rather than dividing by zero somewhere.
+        With no :attr:`deadline` this is just ``budget``; past the
+        deadline the watchdog's floor (``_MIN_BUDGET``) applies.
         """
         if self.deadline is None:
             return budget
-        return min(budget, max(0.05, self.deadline - time.monotonic()))
+        return min(budget, self.deadline - time.monotonic())
 
     # -- translation validation ---------------------------------------------
 
@@ -298,9 +306,15 @@ class FaultPolicy:
     # -- the pass manager's collaborator interface --------------------------
 
     def watchdog(self) -> _Watchdog:
-        """The budget one unit of one pass runs under."""
-        return _Watchdog(self.time_budget(self.pass_time_budget),
-                         self.pass_step_budget)
+        """The budget one unit of one pass runs under.  Signals reach
+        the main thread only, so anywhere else this raises — *outside*
+        the unit's transaction, where ``signal.signal``'s ``ValueError``
+        would be contained as if the pass had failed."""
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError(
+                "a FaultPolicy-governed pass must run on the main "
+                "thread: its watchdog preempts by SIGALRM")
+        return _Watchdog(self.time_budget(self.pass_time_budget))
 
     def injected_fault(self, name: str) -> Optional[Exception]:
         """Fire the ``pass:<name>`` injection site.  An armed fault is
@@ -415,8 +429,7 @@ class FaultPolicy:
         as the real run would — through a :class:`PassManager`, with no
         policy so a failure propagates — under the (small) probe
         budget, then verify the result."""
-        with _Watchdog(self.time_budget(_PROBE_TIME_BUDGET),
-                       _PROBE_STEP_BUDGET):
+        with _Watchdog(self.time_budget(_PROBE_TIME_BUDGET)):
             PassManager().add(_fresh_pass(pass_obj)).run(candidate)
         verify_module(candidate)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
+from ..bitcode import write_bytecode
 from ..core.module import Module
 from ..frontend import compile_source
 from ..linker import link_modules
@@ -207,6 +208,19 @@ def lint_whole_program(sources: Sequence[str],
     return result
 
 
+#: Fault-policy counters that stay put through a clean build.  A build
+#: that moved any of them was answered correctly but is not *the*
+#: answer for its key, and is not stored under it: a transient fault
+#: must never become the cached one.
+_UNCLEAN = ("passes.rolled_back", "passes.poisoned", "passes.skipped",
+            "fallbacks.taken", "link.retries")
+
+
+def _unclean(policy: Optional[FaultPolicy]) -> list:
+    rows = policy.statistics() if policy is not None else {}
+    return [rows.get(name, 0) for name in _UNCLEAN]
+
+
 def _compile_translation_unit(source: str, tu_name: str, level: int,
                               verify_each: bool,
                               cache: Optional[BytecodeCache],
@@ -217,7 +231,8 @@ def _compile_translation_unit(source: str, tu_name: str, level: int,
     A hit deserializes the stored bytecode instead of running the
     front-end and the -O pipeline; the module name is restamped because
     it encodes the TU's *position* in this batch, which is not part of
-    the content-addressed key.
+    the content-addressed key.  A miss is stored only if its build was
+    clean (see ``_UNCLEAN``).
     """
     if cache is not None:
         key = cache.key(source, level)
@@ -225,9 +240,10 @@ def _compile_translation_unit(source: str, tu_name: str, level: int,
         if module is not None:
             module.name = tu_name
             return module
+    before = _unclean(policy)
     module = compile_source(source, tu_name)
     optimize_module(module, level, verify_each, policy, stats)
-    if cache is not None:
+    if cache is not None and _unclean(policy) == before:
         cache.store(key, module)
     return module
 
@@ -304,3 +320,35 @@ def compile_and_link(sources: Iterable[str], name: str = "program",
     if analyze:
         analyze_module(linked)
     return linked
+
+
+def compile_to_bytecode(sources: Iterable[str], name: str = "program",
+                        level: int = 2, lto: bool = True,
+                        cache: Optional[BytecodeCache] = None,
+                        policy: Optional[FaultPolicy] = None,
+                        stats: Optional[Stats] = None) -> bytes:
+    """:func:`compile_and_link` to shippable bytecode (names kept): the
+    only reader and writer of the cache's whole-program entries.
+
+    The entry is keyed on everything the build is a function of:
+    toolchain, ``level``, ``lto``, ``name`` and every source.  A hit is
+    one cache read — the bytes come back undecoded, no TU is looked up,
+    no pass runs.  A miss is stored only if its build was clean (see
+    ``_UNCLEAN``), and nothing ever overwrites an entry with other IR.
+    """
+    sources = list(sources)
+    if cache is not None:
+        # Length-prefixed, so no choice of name and sources collides
+        # with another.
+        text = "".join(f"{len(part)}:{part}" for part in (name, *sources))
+        key = cache.key(text, level, tag="program-lto" if lto else "program")
+        data = cache.load_program(key)
+        if data is not None:
+            return data
+    before = _unclean(policy)
+    module = compile_and_link(sources, name, level, lto, cache=cache,
+                              policy=policy, stats=stats)
+    data = write_bytecode(module, strip_names=False)
+    if cache is not None and _unclean(policy) == before:
+        cache.store_program(key, data)
+    return data

@@ -145,15 +145,13 @@ def _clean(policy) -> bool:
 
 
 def _do_compile(job: dict, cache, stats: Stats) -> dict:
-    from ..bitcode import write_bytecode
-    from ..driver.pipelines import compile_and_link
+    from ..driver.pipelines import compile_to_bytecode
 
     policy = _policy(job)
     level = job.get("level", 2)
-    module = compile_and_link(job["sources"], job.get("name", "program"),
-                              level=level, lto=job.get("lto", True),
-                              cache=cache, policy=policy, stats=stats)
-    data = write_bytecode(module, strip_names=False)
+    data = compile_to_bytecode(job["sources"], job.get("name", "program"),
+                               level=level, lto=job.get("lto", True),
+                               cache=cache, policy=policy, stats=stats)
     stats.merge(policy.stats)
     return {
         "bytecode": _b64(data),

@@ -9,10 +9,10 @@ reoptimizer, bugpoint's probes and crash reduction all go through it.
 Every pass runs as a sequence of **units**: one function of a function
 pass, or the whole module of a module pass.  The per-unit step is
 
-    skip if poisoned -> lazily snapshot -> run (under the watchdog when
-    a policy is present) -> if tracking, compare the unit's digest ->
-    ChangedFlagLie if it moved unclaimed -> verify the unit ->
-    translation-validate -> commit the new digest;
+    skip if poisoned -> lazily snapshot -> run (under the watchdog's
+    time budget when a policy is present) -> if tracking, compare the
+    unit's digest -> ChangedFlagLie if it moved unclaimed -> verify the
+    unit -> translation-validate -> commit the new digest;
     on an exception: re-raise with no policy, else roll the unit back
     and hand it to containment.
 
@@ -194,9 +194,12 @@ class PassManager:
             before = self._digests.get(unit)
             if before is None:
                 before = self._digests[unit] = snapshot(target)
+        # Not part of the transaction: a policy that cannot arm its
+        # watchdog here (off the main thread) raises to the caller.
+        watchdog = policy.watchdog() if policy is not None else None
         try:
-            if policy is not None:
-                with policy.watchdog():
+            if watchdog is not None:
+                with watchdog:
                     claimed = bool(run(target))
             else:
                 claimed = bool(run(target))

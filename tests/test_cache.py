@@ -15,13 +15,14 @@ import os
 import pytest
 
 from repro.benchsuite import benchmark_names, load_source
-from repro.bitcode import write_bytecode
+from repro.bitcode import read_bytecode, write_bytecode
 from repro.core import print_module
 from repro.driver import (
-    BytecodeCache, LifelongSession, compile_and_link,
-    compile_translation_units,
+    BytecodeCache, FaultPolicy, LifelongSession, compile_and_link,
+    compile_to_bytecode, compile_translation_units,
 )
 from repro.driver.cache import toolchain_fingerprint
+from repro.fuzz import faultinject
 from repro.sanalysis import run_checkers
 
 HELPERS = [
@@ -268,30 +269,181 @@ class TestReloadedModulesLintIdentically:
         assert print_module(reloaded) == print_module(fresh)
 
 
+class TestProgramEntries:
+    """The whole-program entry (ISSUE 23): the answer to one entire
+    request, read and written by ``compile_to_bytecode`` alone and
+    counted under ``program-*`` — the per-TU counters above never see
+    it."""
+
+    SOURCES = [MAIN] + HELPERS
+
+    def _tu_lookups(self, cache) -> int:
+        stats = cache.statistics()
+        return stats["cache-hits"] + stats["cache-misses"]
+
+    def test_repeat_is_one_read_and_the_same_bytes(self, tmp_path):
+        cache = BytecodeCache(str(tmp_path))
+        reference = write_bytecode(compile_and_link(self.SOURCES, "p", 2),
+                                   strip_names=False)
+        cold = compile_to_bytecode(self.SOURCES, "p", 2, cache=cache)
+        stats = cache.statistics()
+        assert (stats["program-misses"], stats["program-stores"]) == (1, 1)
+        lookups = self._tu_lookups(cache)
+        assert lookups == len(self.SOURCES)
+
+        warm = compile_to_bytecode(self.SOURCES, "p", 2, cache=cache,
+                                   policy=FaultPolicy())
+        stats = cache.statistics()
+        assert stats["program-hits"] == 1
+        assert self._tu_lookups(cache) == lookups  # no TU was looked up
+        assert stats["cache-stores"] == len(self.SOURCES)
+        assert cold == warm == reference
+
+    def test_key_covers_everything_the_build_depends_on(self, tmp_path):
+        cache = BytecodeCache(str(tmp_path))
+        one, two = HELPERS[0], HELPERS[1]
+        builds = [
+            dict(sources=[one, two], name="p", level=2, lto=True),
+            dict(sources=[one, two], name="p", level=1, lto=True),
+            dict(sources=[one, two], name="p", level=2, lto=False),
+            dict(sources=[one, two], name="q", level=2, lto=True),
+            dict(sources=[one, two + " "], name="p", level=2, lto=True),
+            dict(sources=[two, one], name="p", level=2, lto=True),
+            # Same text, cut into translation units elsewhere.
+            dict(sources=[one + "\n" + two], name="p", level=2, lto=True),
+        ]
+        for build in builds:
+            compile_to_bytecode(cache=cache, **build)
+        stats = cache.statistics()
+        assert stats["program-hits"] == 0
+        assert stats["program-stores"] == len(builds)
+        for build in builds:
+            compile_to_bytecode(cache=cache, **build)
+        assert cache.statistics()["program-hits"] == len(builds)
+
+    def test_faulted_build_is_answered_but_never_stored(self, tmp_path):
+        """A transient fault must not become the cached answer: the
+        build it touched is returned to its caller and dropped; the
+        next, clean build is what gets stored."""
+        cache = BytecodeCache(str(tmp_path))
+        policy = FaultPolicy(reduce_testcases=False)
+        with faultinject.injected("pass:gvn", 1) as plan:
+            faulted = compile_to_bytecode(self.SOURCES, "p", 2, cache=cache,
+                                          policy=policy)
+        assert plan.fired
+        assert policy.statistics()["passes.rolled_back"] == 1
+        assert read_bytecode(faulted).functions["main"].blocks
+        assert cache.statistics()["program-stores"] == 0
+
+        clean_policy = FaultPolicy(reduce_testcases=False)
+        clean = compile_to_bytecode(self.SOURCES, "p", 2, cache=cache,
+                                    policy=clean_policy)
+        stats = cache.statistics()
+        assert (stats["program-hits"], stats["program-misses"],
+                stats["program-stores"]) == (0, 2, 1)
+        assert clean_policy.statistics()["passes.rolled_back"] == 0
+        assert clean == write_bytecode(
+            compile_and_link(self.SOURCES, "p", 2), strip_names=False)
+        assert compile_to_bytecode(self.SOURCES, "p", 2,
+                                   cache=cache) == clean
+        assert cache.statistics()["program-hits"] == 1
+
+    def test_real_pass_crash_never_reaches_the_stored_program(
+            self, tmp_path, monkeypatch):
+        """Not even by way of the per-TU entries: a build that lost an
+        optimization to a crash stores nothing, so the clean build
+        after it starts from source."""
+        from repro.transforms import GVN
+
+        cache = BytecodeCache(str(tmp_path))
+        reference = write_bytecode(compile_and_link(self.SOURCES, "p", 2),
+                                   strip_names=False)
+
+        def crash(self, function):
+            raise RuntimeError("planted bug")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(GVN, "run_on_function", crash)
+            policy = FaultPolicy(reduce_testcases=False)
+            compile_to_bytecode(self.SOURCES, "p", 2, cache=cache,
+                                policy=policy)
+            assert policy.statistics()["passes.poisoned"] >= 1
+        assert len(cache) == 0
+        assert compile_to_bytecode(self.SOURCES, "p", 2,
+                                   cache=cache) == reference
+
+    def test_flipped_byte_is_evicted_and_recompiled(self, tmp_path):
+        cache = BytecodeCache(str(tmp_path))
+        good = compile_to_bytecode([HELPERS[0]], "p", 2, cache=cache)
+        with faultinject.injected("cache.read", 7) as plan:
+            again = compile_to_bytecode([HELPERS[0]], "p", 2, cache=cache)
+        assert plan.fired and again == good
+        stats = cache.statistics()
+        assert stats["program-evictions"] == 1
+        assert stats["program-misses"] == 2 and stats["program-stores"] == 2
+        assert stats["cache-evictions"] == 0 and stats["cache-hits"] == 1
+        assert compile_to_bytecode([HELPERS[0]], "p", 2, cache=cache) == good
+        assert cache.statistics()["program-hits"] == 1
+
+    def test_program_entries_share_the_byte_budget(self, tmp_path):
+        """An entry like any other under ``max_bytes``: least recently
+        used goes first, whatever its kind."""
+        import time as _time
+
+        cache = BytecodeCache(str(tmp_path), max_bytes=220)
+        program = cache.key("a", 2, tag="program")
+        cache.store_program(program, bytes(64))   # ~84 framed bytes each
+        _time.sleep(0.02)
+        tu = cache.key("b", 2)
+        cache.store_bytes(tu, bytes(64))
+        _time.sleep(0.02)
+        assert cache.load_program(program) is not None  # now the newest
+        _time.sleep(0.02)
+        cache.store_program(cache.key("c", 2, tag="program"), bytes(64))
+        assert cache.statistics()["cache-lru-evictions"] == 1
+        assert cache.load_bytes(tu) is None             # the LRU went
+        assert cache.load_program(program) is not None
+        cache.store_bytes(cache.key("d", 2), bytes(64))
+        cache.store_bytes(cache.key("e", 2), bytes(64))
+        assert cache.load_program(program) is None      # and so does this
+
+
 class TestLifelongSessionCache:
     def test_session_uses_and_invalidates_cache(self, tmp_path):
+        """The session and the cache (re-pinned by ISSUE 23): a session
+        reads and writes the whole-program entry through
+        ``compile_to_bytecode``, and never rewrites it — an entry is a
+        function of its sources, not of one session's profile."""
         cache = BytecodeCache(str(tmp_path))
         sources = [
             "int compute(int x) { return x * 3 + 1; }",
             "int compute(int x); int main() { return compute(13); }",
         ]
         first = LifelongSession(sources, "prog", 2, cache=cache)
-        assert cache.statistics()["cache-misses"] == len(sources)
-        program_key = first._program_key
-        assert cache.load_bytes(program_key) == first.bytecode
+        stats = cache.statistics()
+        assert stats["cache-misses"] == len(sources)
+        assert (stats["program-misses"], stats["program-stores"]) == (1, 1)
+        static = compile_to_bytecode(sources, "prog", 2, cache=cache)
+        assert write_bytecode(read_bytecode(static)) == first.bytecode
 
         second = LifelongSession(sources, "prog", 2, cache=cache)
         assert second.bytecode == first.bytecode
-        assert cache.statistics()["cache-hits"] >= len(sources)
+        stats = cache.statistics()
+        assert stats["program-hits"] == 2
+        assert stats["cache-hits"] == 0  # a program hit looks up no TU
 
-        # The idle-time reoptimizer rewrites IR; the stale program
-        # entry must be invalidated and replaced with the new bytecode.
+        # The idle-time reoptimizer rewrites the session's IR, and only
+        # the session's: the entry still answers with the static build.
         for _ in range(3):
             second.run()
-        evictions_before = cache.statistics()["cache-evictions"]
         second.reoptimize()
-        assert cache.statistics()["cache-evictions"] == evictions_before + 1
-        assert cache.load_bytes(program_key) == second.bytecode
+        assert second.bytecode != first.bytecode
+        third = LifelongSession(sources, "prog", 2, cache=cache)
+        assert third.bytecode == first.bytecode
+        assert compile_to_bytecode(sources, "prog", 2, cache=cache) == static
+        stats = cache.statistics()
+        assert stats["program-hits"] == 4
+        assert stats["program-evictions"] == stats["cache-evictions"] == 0
 
     def test_session_runs_correctly_from_cache(self, tmp_path):
         cache = BytecodeCache(str(tmp_path))

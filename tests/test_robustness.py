@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import os
 import random
+import signal
 import threading
+import time
 
 import pytest
 
@@ -97,7 +99,7 @@ class CorruptingPass:
 
 
 class SpinPass:
-    """Loops forever, making Python-level calls the watchdog can see."""
+    """Loops forever, making Python-level calls."""
 
     name = "spin"
 
@@ -107,6 +109,33 @@ class SpinPass:
 
         while True:
             poke()
+
+
+class TightLoopPass:
+    """Loops forever without a single call: invisible to a per-call
+    hook, so this hangs the build unless the watchdog is a timer."""
+
+    name = "tight-loop"
+
+    def run_on_function(self, function):
+        while True:
+            pass
+
+
+class SleepPass:
+    """Sits in one long blocking call."""
+
+    name = "sleep"
+
+    def run_on_function(self, function):
+        time.sleep(60)
+        return False
+
+
+def alarm_state():
+    """What a watchdog must leave exactly as it found it."""
+    return (signal.getitimer(signal.ITIMER_REAL),
+            signal.getsignal(signal.SIGALRM))
 
 
 # ----------------------------------------------------------------------
@@ -213,12 +242,24 @@ class TestContainedPassManager:
         assert print_module(module) == before
 
     def test_budget_exhaustion_preempts_runaway_pass(self):
-        policy = FaultPolicy(pass_step_budget=5_000, pass_time_budget=5.0,
-                             reduce_testcases=False)
+        self.assert_preempted(SpinPass)
+
+    @pytest.mark.parametrize("runaway", [TightLoopPass, SleepPass])
+    def test_runaway_pass_that_makes_no_calls_is_preempted(self, runaway):
+        self.assert_preempted(runaway)
+
+    @staticmethod
+    def assert_preempted(runaway):
+        policy = FaultPolicy(pass_time_budget=0.2, reduce_testcases=False)
         module = fresh_module()
         manager = PassManager(policy=policy)
-        manager.add(SpinPass())
+        manager.add(runaway())
+        before = alarm_state()
+        started = time.monotonic()
         manager.run(module)
+        # Three functions, each preempted at its budget.
+        assert time.monotonic() - started < 5.0
+        assert alarm_state() == before
 
         verify_module(module)
         assert run_interpreter(module, STEP_LIMIT) == reference_outcome()
@@ -226,6 +267,69 @@ class TestContainedPassManager:
                    for r in policy.crash_reports)
         # Budget blowouts are not reproducible probes: no reduction.
         assert all(r.reduced_ir is None for r in policy.crash_reports)
+
+    @pytest.mark.parametrize("passes", [
+        [SimplifyCFG(), PromoteMem2Reg()],          # clean
+        [SimplifyCFG(), EvilFunctionPass("main")],  # failing, then probed
+        [EvilModulePass()],                         # bisected and reduced
+    ], ids=["clean", "failing", "bisected"])
+    def test_watchdog_leaves_no_timer_and_no_handler(self, passes):
+        """After any contained run the interval timer is disarmed and
+        SIGALRM's handler is whatever it was before — here a sentinel,
+        so a watchdog that restored the default would show."""
+        def sentinel(signum, frame):  # pragma: no cover - never armed
+            raise AssertionError("stray SIGALRM")
+
+        previous = signal.signal(signal.SIGALRM, sentinel)
+        try:
+            manager = PassManager(policy=FaultPolicy())
+            for pass_obj in passes:
+                manager.add(pass_obj)
+            manager.run(fresh_module())
+            assert alarm_state() == ((0.0, 0.0), sentinel)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_nonpositive_budget_still_arms(self):
+        """``setitimer(..., 0)`` would disarm: a budget the deadline has
+        already eaten is clamped to the floor, so the pass still starts
+        and a runaway is still preempted."""
+        policy = FaultPolicy(reduce_testcases=False,
+                             deadline=time.monotonic() - 1.0)
+        module = fresh_module()
+        PassManager(policy=policy).add(TightLoopPass()).run(module)
+        assert policy.time_budget(10.0) < 0
+        assert all(r.error_type == "PassBudgetExceeded"
+                   for r in policy.crash_reports)
+        assert policy.crash_reports and alarm_state()[0] == (0.0, 0.0)
+
+    def test_policy_off_the_main_thread_is_refused(self):
+        """Signals reach the main thread only.  The refusal must come
+        out of ``run`` itself: swallowed by a unit's transaction it
+        would read as a failed, rolled-back, poisoned pass."""
+        policy = FaultPolicy(reduce_testcases=False)
+        module = fresh_module()
+        before = print_module(module)
+        raised: list = []
+
+        def run():
+            try:
+                PassManager(policy=policy).add(SimplifyCFG()).run(module)
+            except BaseException as error:
+                raised.append(error)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        (error,) = raised
+        assert isinstance(error, RuntimeError)
+        assert "main thread" in str(error)
+        stats = policy.statistics()
+        assert stats["passes.rolled_back"] == 0
+        assert stats["passes.poisoned"] == 0
+        assert policy.crash_reports == []
+        assert print_module(module) == before
 
     def test_rollback_restores_module_in_place(self):
         module = fresh_module()

@@ -17,6 +17,7 @@ The robustness contract under test:
 
 from __future__ import annotations
 
+import base64
 import os
 import random
 import signal
@@ -315,6 +316,31 @@ class TestDeadlines:
             server.stop()
 
 
+class TestWorkerDeadline:
+    def test_deadline_already_passed_still_answers(self, tmp_path):
+        """The request's deadline caps every pass's budget.  With
+        nothing left a pass gets the watchdog's floor, not a disarmed
+        timer and not an alarm that outlives the request: the worker
+        sheds what it must and answers, and is left with no timer."""
+        from repro.bitcode import read_bytecode
+        from repro.benchsuite import load_source
+        from repro.core import verify_module
+        from repro.driver import BytecodeCache
+        from repro.serve.workers import _execute
+
+        cache = BytecodeCache(str(tmp_path))
+        job = {"op": "compile", "sources": [load_source("parser")],
+               "name": "parser", "level": 2, "deadline_remaining": -5.0}
+        response = _execute(job, cache, cache.stats)
+        assert response["ok"], response
+        result = response["result"]
+        verify_module(read_bytecode(base64.b64decode(result["bytecode"])))
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+        # What a pressed build shed is not what the key stands for.
+        stored = cache.statistics()["program-stores"]
+        assert stored == (1 if result["clean"] else 0)
+
+
 class TestOverload:
     def test_high_water_sheds_busy_with_hint(self, tmp_path):
         config = ServerConfig(socket_path=str(tmp_path / "s.sock"),
@@ -397,7 +423,8 @@ class TestObservability:
     def test_stats_expose_cache_and_queue_counters(self, server):
         with make_client(server) as client:
             client.compile([PROGRAMS[4]])
-            client.compile([PROGRAMS[4]])  # warm: cache hit in worker
+            # Warm per-TU: another name is another program, same TU.
+            client.compile([PROGRAMS[4]], "renamed")
             stats = client.stats()
         assert stats["serverd.accepted"] >= 2
         assert stats["serverd.completed"] >= 2
@@ -412,6 +439,26 @@ class TestObservability:
         assert stats["serverd.rangeopt.absint-transfers"] > 0
         assert "serverd.sccp.values-folded" in stats
 
+    def test_repeat_is_a_program_hit_and_the_same_bytes(self, server):
+        """A request the daemon has answered before is one cache read:
+        no TU is looked up, no pass runs, and the bytes are the ones
+        the fresh request got."""
+        with make_client(server) as client:
+            fresh = client.compile([PROGRAMS[3]])
+            before = client.stats()
+            repeat = client.compile([PROGRAMS[3]])
+            after = client.stats()
+        assert repeat["bytecode"] == fresh["bytecode"]
+        assert repeat["clean"] is True and repeat["degraded"] is False
+        assert after["serverd.program-hits"] \
+            == before.get("serverd.program-hits", 0) + 1
+        assert before["serverd.rangeopt.absint-transfers"] > 0
+        for row in ("serverd.cache-hits", "serverd.cache-misses",
+                    "serverd.cache-stores", "serverd.program-misses",
+                    "serverd.program-stores",
+                    "serverd.rangeopt.absint-transfers"):
+            assert after.get(row, 0) == before.get(row, 0), row
+
     def test_levels_are_merged_not_summed(self, server):
         """Rates and loaded-rule counts are levels: the daemon's totals
         derive the hit rate from the summed raw counts and merge
@@ -424,8 +471,11 @@ class TestObservability:
         rules = policy.statistics()["synth.rules-loaded"]
         assert rules > 0
         with make_client(server) as client:
-            for index in (0, 1, 0, 1, 0):  # two cold, three warm
-                client.compile([PROGRAMS[index]])
+            # Two cold, two warm per TU (a new name is a new program
+            # over the same TU), one a whole-program repeat.
+            for index, name in ((0, "a"), (1, "a"), (0, "b"), (1, "b"),
+                                (0, "a")):
+                client.compile([PROGRAMS[index]], name)
             stats = client.stats()
         hits = stats["serverd.cache-hits"]
         misses = stats["serverd.cache-misses"]
