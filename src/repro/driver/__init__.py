@@ -7,7 +7,7 @@ from .passmanager import (
     TranslationValidationError, restore_module, snapshot_module,
 )
 from .pipelines import (
-    analyze_module, compile_and_link, compile_to_bytecode,
+    compile_and_link, compile_to_bytecode,
     compile_translation_units, link_time_optimize, lint_whole_program,
     lto_pipeline, optimize_module, standard_pipeline,
 )
@@ -16,7 +16,7 @@ from .lifelong import LifelongSession
 __all__ = [
     "BytecodeCache", "CrashReport", "FaultPolicy", "PassBudgetExceeded",
     "TranslationValidationError",
-    "analyze_module", "compile_and_link", "compile_to_bytecode",
+    "compile_and_link", "compile_to_bytecode",
     "compile_translation_units", "link_time_optimize",
     "lint_whole_program", "lto_pipeline", "optimize_module",
     "restore_module", "snapshot_module", "standard_pipeline",

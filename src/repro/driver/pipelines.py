@@ -147,21 +147,6 @@ def link_time_optimize(module: Module, level: int = 2,
     return module
 
 
-def analyze_module(module: Module, checks: Optional[Sequence[str]] = None):
-    """The opt-in whole-program "analyze" stage.
-
-    Runs the lc-lint checker suite (:mod:`repro.sanalysis`) over the
-    module and attaches the result to ``module.diagnostics`` so drivers
-    and tests can inspect it without re-running the checkers.  Purely
-    observational: the IR is never modified.
-    """
-    from ..sanalysis import run_checkers
-
-    diagnostics = run_checkers(module, checks)
-    module.diagnostics = diagnostics
-    return diagnostics
-
-
 def lint_whole_program(sources: Sequence[str],
                        filenames: Optional[Sequence[str]] = None,
                        name: str = "program", level: int = 2,
@@ -216,7 +201,10 @@ _UNCLEAN = ("passes.rolled_back", "passes.poisoned", "passes.skipped",
             "fallbacks.taken", "link.retries")
 
 
-def _unclean(policy: Optional[FaultPolicy]) -> list:
+def unclean(policy: Optional[FaultPolicy]) -> list:
+    """The ``_UNCLEAN`` counters of ``policy`` now: a build was clean iff
+    they read the same after it as before it (all zero, for a policy
+    made for that one build)."""
     rows = policy.statistics() if policy is not None else {}
     return [rows.get(name, 0) for name in _UNCLEAN]
 
@@ -240,10 +228,10 @@ def _compile_translation_unit(source: str, tu_name: str, level: int,
         if module is not None:
             module.name = tu_name
             return module
-    before = _unclean(policy)
+    before = unclean(policy)
     module = compile_source(source, tu_name)
     optimize_module(module, level, verify_each, policy, stats)
-    if cache is not None and _unclean(policy) == before:
+    if cache is not None and unclean(policy) == before:
         cache.store(key, module)
     return module
 
@@ -284,7 +272,7 @@ def _link_with_retry(modules: Sequence[Module], name: str,
 
 def compile_and_link(sources: Iterable[str], name: str = "program",
                      level: int = 2, lto: bool = True,
-                     verify_each: bool = False, analyze: bool = False,
+                     verify_each: bool = False,
                      cache: Optional[BytecodeCache] = None,
                      policy: Optional[FaultPolicy] = None,
                      stats: Optional[Stats] = None) -> Module:
@@ -292,10 +280,7 @@ def compile_and_link(sources: Iterable[str], name: str = "program",
 
     ``sources`` are LC translation units.  This is the paper's Figure 4
     static path: front-ends emit IR, the linker combines it, and the
-    interprocedural optimizer runs over the whole program.  With
-    ``analyze=True`` the post-link module is additionally run through
-    the static checker suite (see :func:`analyze_module`); findings
-    land on ``module.diagnostics``.
+    interprocedural optimizer runs over the whole program.
 
     ``cache`` makes the front of the pipeline incremental: unchanged
     TUs (by content hash) skip the front-end and per-module optimizer
@@ -317,8 +302,6 @@ def compile_and_link(sources: Iterable[str], name: str = "program",
     if lto:
         link_time_optimize(linked, level, verify_each=verify_each,
                            policy=policy, stats=stats)
-    if analyze:
-        analyze_module(linked)
     return linked
 
 
@@ -345,10 +328,10 @@ def compile_to_bytecode(sources: Iterable[str], name: str = "program",
         data = cache.load_program(key)
         if data is not None:
             return data
-    before = _unclean(policy)
+    before = unclean(policy)
     module = compile_and_link(sources, name, level, lto, cache=cache,
                               policy=policy, stats=stats)
     data = write_bytecode(module, strip_names=False)
-    if cache is not None and _unclean(policy) == before:
+    if cache is not None and unclean(policy) == before:
         cache.store_program(key, data)
     return data

@@ -38,14 +38,11 @@ from ..backend.simulator import MachineSimulator
 from ..backend.targets import SPARC, X86, Target
 from ..bitcode import read_bytecode, write_bytecode
 from ..core import parse_module, print_module, verify_module
-from ..core.constfold import ArithmeticFault
 from ..core.module import Module
 from ..driver.pipelines import optimize_module
-from ..execution.interpreter import (
-    ExecutionError, Interpreter, StepLimitExceeded,
-)
-from ..execution.memory import MemoryFault
+from ..execution.interpreter import Interpreter
 from ..frontend import compile_source
+from ..tvalid.validate import classified_run
 
 DEFAULT_STEP_LIMIT = 5_000_000
 #: Machine code retires more instructions than the IR for the same
@@ -88,19 +85,18 @@ class Divergence:
                 f"got {self.actual}")
 
 
+def _outcome(engine) -> Outcome:
+    """``main`` on ``engine``, classified as every oracle classifies."""
+    kind, value, output = classified_run(engine, "main")
+    if kind == "value":
+        return Outcome("exit", code=int(value or 0), output=output)
+    return Outcome(kind, trap=value, output=output)
+
+
 def run_interpreter(module: Module,
                     step_limit: int = DEFAULT_STEP_LIMIT) -> Outcome:
     """Reference execution: the IR interpreter."""
-    interp = Interpreter(module, step_limit=step_limit)
-    try:
-        code = interp.run("main")
-    except StepLimitExceeded:
-        return Outcome("timeout", output="".join(interp.output))
-    except (ArithmeticFault, MemoryFault, ExecutionError) as fault:
-        return Outcome("trap", trap=type(fault).__name__,
-                       output="".join(interp.output))
-    return Outcome("exit", code=int(code or 0),
-                   output="".join(interp.output))
+    return _outcome(Interpreter(module, step_limit=step_limit))
 
 
 def run_interpreter_traced(module: Module,
@@ -116,31 +112,14 @@ def run_interpreter_traced(module: Module,
 
     interp = Interpreter(module, step_limit=step_limit)
     TraceManager(hot_threshold=hot_threshold).attach(interp)
-    try:
-        code = interp.run("main")
-    except StepLimitExceeded:
-        return Outcome("timeout", output="".join(interp.output))
-    except (ArithmeticFault, MemoryFault, ExecutionError) as fault:
-        return Outcome("trap", trap=type(fault).__name__,
-                       output="".join(interp.output))
-    return Outcome("exit", code=int(code or 0),
-                   output="".join(interp.output))
+    return _outcome(interp)
 
 
 def run_machine(module: Module, target: Target,
                 step_limit: int = DEFAULT_STEP_LIMIT
                 * MACHINE_STEP_FACTOR) -> Outcome:
     """Backend execution: post-regalloc machine code simulation."""
-    simulator = MachineSimulator(module, target, step_limit=step_limit)
-    try:
-        code = simulator.run("main")
-    except StepLimitExceeded:
-        return Outcome("timeout", output="".join(simulator.output))
-    except (ArithmeticFault, MemoryFault, ExecutionError) as fault:
-        return Outcome("trap", trap=type(fault).__name__,
-                       output="".join(simulator.output))
-    return Outcome("exit", code=int(code or 0),
-                   output="".join(simulator.output))
+    return _outcome(MachineSimulator(module, target, step_limit=step_limit))
 
 
 def _outcomes_differ(reference: Outcome, candidate: Outcome) -> bool:

@@ -38,6 +38,7 @@ from ..analysis.dataflow import (
     BACKWARD, DenseAnalysis, FORWARD, SparseAnalysis, solve_dense,
     solve_sparse,
 )
+from ..analysis.dsa import KNOWN_SAFE_EXTERNALS
 from ..core import types
 from ..core.instructions import (
     AllocaInst, AllocationInst, BinaryOperator, CallInst, CastInst, FreeInst,
@@ -46,7 +47,7 @@ from ..core.instructions import (
 )
 from ..core.module import Function, GlobalValue, Module
 from ..core.values import (
-    ConstantExpr, ConstantInt, ConstantPointerNull, UndefValue, Value,
+    Argument, ConstantExpr, ConstantInt, ConstantPointerNull, Value,
 )
 from ..transforms.mem2reg import is_promotable
 from .diagnostics import Reporter, Severity
@@ -145,7 +146,7 @@ class UninitializedLoadChecker:
 
 
 # ---------------------------------------------------------------------------
-# null-deref: nullness lattice through phis and casts
+# The lint lattices: one record per domain (the table in docs/ANALYSIS.md)
 # ---------------------------------------------------------------------------
 
 #: Four-point nullness lattice.
@@ -154,54 +155,212 @@ NULL_NULL = "null"        #: provably the null pointer
 NULL_NONNULL = "nonnull"  #: provably a valid object address
 NULL_MAYBE = "maybe"      #: could be either
 
+#: Taint lattice: ``top`` (no evidence, meet identity) / ``clean`` /
+#: ``tainted`` (may derive from unchecked external input).
+TAINT_TOP = "top"
+TAINT_CLEAN = "clean"
+TAINT_TAINTED = "tainted"
 
-class _Nullness(SparseAnalysis):
-    def top(self):
-        return NULL_TOP
+#: Range lattice top (never returns / no evidence); concrete elements
+#: are ``(lo, hi)`` pairs where ``None`` means unbounded on that side.
+RANGE_TOP = "top"
+RANGE_UNBOUNDED = (None, None)
+
+
+class Lattice:
+    """One lint lattice, written down once.
+
+    Everything that reasons in the domain derives from this record: the
+    sparse checkers (:class:`DomainAnalysis`), the per-TU summariser's
+    symbolic walker and the link-time resolver (both in ``interproc``).
+
+    ``top`` is the meet identity ("no evidence yet"), ``unknown`` the
+    answer that claims nothing, ``bottom`` the meet of two different
+    elements; ``field`` names the return-value attribute this domain
+    owns on ``AnalysisSummary`` and ``ResolvedSummary``.
+    """
+
+    field = top = unknown = bottom = None
 
     def meet(self, a, b):
-        if a == NULL_TOP:
+        if a == self.top:
             return b
-        if b == NULL_TOP or a == b:
+        if b == self.top or a == b:
             return a
-        return NULL_MAYBE
+        return self.bottom
 
-    def initial(self, value: Value):
+    def external(self, name: str):
+        """The return of a true external (defined in no unit)."""
+        return self.unknown
+
+    def atom(self, element) -> list:
+        """The JSON ``const`` atom of ``element``."""
+        return ["const", element]
+
+    def element(self, atom: list):
+        """The element a ``const`` atom carries."""
+        return atom[1]
+
+    def constant(self, value: Value):
+        """The element of a value whose fact has no operand structure."""
+        return self.unknown
+
+    def flow(self, value: Value) -> tuple:
+        """How ``value``'s fact comes from its operands: ``("const",
+        element)``, ``("join", operands)``, ``("param", argument)`` or
+        ``("call", call instruction)``."""
+        if isinstance(value, PhiNode):
+            return ("join", [incoming for incoming, _ in value.incoming])
+        if isinstance(value, Argument):
+            return ("param", value)
+        if isinstance(value, (CallInst, InvokeInst)):
+            return ("call", value)
+        return ("const", self.constant(value))  # loads, vaarg, undef, ...
+
+
+class _NullLattice(Lattice):
+    field = "return_null"
+    top, unknown, bottom = NULL_TOP, NULL_MAYBE, NULL_MAYBE
+
+    def flow(self, value: Value) -> tuple:
         if not value.type.is_pointer:
-            return NULL_MAYBE
+            return ("const", NULL_MAYBE)
         if isinstance(value, ConstantPointerNull):
-            return NULL_NULL
-        if isinstance(value, GlobalValue):
-            return NULL_NONNULL
-        if isinstance(value, UndefValue):
-            return NULL_MAYBE
-        if isinstance(value, ConstantExpr):
-            base = value.operands[0]
-            if base.type.is_pointer:
-                return self.initial(base)
-            return NULL_MAYBE
-        return NULL_MAYBE  # arguments, anything else
-
-    def transfer(self, inst: Instruction, get: Callable[[Value], object]):
-        if not inst.type.is_pointer:
-            return NULL_MAYBE
-        if isinstance(inst, AllocationInst):
-            return NULL_NONNULL  # alloca/malloc: the runtime traps, never null
-        if isinstance(inst, GetElementPtrInst):
+            return ("const", NULL_NULL)
+        if isinstance(value, (AllocationInst, GlobalValue)):
+            return ("const", NULL_NONNULL)  # alloca/malloc trap, never null
+        if isinstance(value, (CastInst, ConstantExpr)):
+            inner = value.operands[0]
+            if isinstance(inner, ConstantInt):
+                # The front-end lowers ``(T *)0`` to ``cast int 0 to
+                # T*``: the most common way null enters a program.
+                return ("const",
+                        NULL_NULL if inner.value == 0 else NULL_NONNULL)
+            if not inner.type.is_pointer:
+                return ("const", NULL_MAYBE)
+        if isinstance(value, (CastInst, ConstantExpr, GetElementPtrInst)):
             # Address arithmetic preserves the verdict: stepping from
             # null still yields a pointer no object can live at.
-            return get(inst.pointer)
-        if isinstance(inst, CastInst):
-            if inst.value.type.is_pointer:
-                return get(inst.value)
-            return NULL_MAYBE
-        if isinstance(inst, PhiNode):
-            element = NULL_TOP
-            for value, _ in inst.incoming:
-                element = self.meet(element, get(value))
-            return element
-        return NULL_MAYBE  # loads, calls, vaarg: memory contents unknown
+            return ("join", value.operands[:1])
+        return super().flow(value)
 
+
+class _TaintLattice(Lattice):
+    field = "return_taint"
+    top, unknown, bottom = TAINT_TOP, TAINT_CLEAN, TAINT_TAINTED
+
+    #: Bounding operators sanitize, as do comparisons; loads are
+    #: conservatively clean (claims-safe).
+    SANITIZERS = frozenset({Opcode.REM, Opcode.AND, Opcode.DIV, Opcode.SHR})
+
+    def external(self, name: str):
+        return TAINT_CLEAN if name in KNOWN_SAFE_EXTERNALS else TAINT_TAINTED
+
+    def flow(self, value: Value) -> tuple:
+        if isinstance(value, BinaryOperator):
+            if value.is_comparison or value.opcode in self.SANITIZERS:
+                return ("const", TAINT_CLEAN)
+            return ("join", value.operands)
+        if isinstance(value, CastInst):
+            return ("join", value.operands)
+        return super().flow(value)
+
+
+class RangeLattice(Lattice):
+    """Ranges ask the abstract interpreter: ``RangeLattice(function)``
+    is the record bound to one function (analysed at most once, on
+    first need); the unbound :data:`RANGE` serves the resolver, which
+    never calls ``flow``."""
+
+    field = "return_range"
+    top, unknown = RANGE_TOP, RANGE_UNBOUNDED
+
+    def __init__(self, function: Optional[Function] = None):
+        self.function = function
+        self._facts = None
+
+    def meet(self, a, b):
+        """Hull of two ranges."""
+        if a == RANGE_TOP:
+            return b
+        if b == RANGE_TOP:
+            return a
+        lo = None if a[0] is None or b[0] is None else min(a[0], b[0])
+        hi = None if a[1] is None or b[1] is None else max(a[1], b[1])
+        return (lo, hi)
+
+    def atom(self, element) -> list:
+        return ["const", element[0], element[1]]
+
+    def element(self, atom: list):
+        return (atom[1], atom[2])
+
+    def constant(self, value: Value):
+        if not isinstance(value.type, types.IntegerType):
+            return RANGE_UNBOUNDED
+        if self._facts is None:
+            self._facts = analyze_function(self.function)
+        fact = self._facts.abs_of(value)
+        if fact is None or fact.interval.is_top(fact.shape):
+            return RANGE_UNBOUNDED
+        return (fact.interval.lo, fact.interval.hi)
+
+
+NULL, TAINT, RANGE = _NullLattice(), _TaintLattice(), RangeLattice()
+#: Every lattice a function summary carries a return value in.
+LATTICES = (NULL, TAINT, RANGE)
+
+
+class DomainAnalysis(SparseAnalysis):
+    """The sparse analysis of any lint lattice: an element per SSA value,
+    computed as the domain's ``flow`` says.
+
+    Calls are opaque (``unknown``) unless ``program`` — the composed
+    whole-program summaries, read from translation unit ``scope`` —
+    answers them; ``parameter`` is the element of every formal
+    parameter (default ``unknown``).
+    """
+
+    def __init__(self, domain: Lattice, program=None, scope: int = 0,
+                 parameter=None):
+        self.domain = domain
+        self.program = program
+        self.scope = scope
+        self.parameter = domain.unknown if parameter is None else parameter
+
+    def top(self):
+        return self.domain.top
+
+    def meet(self, a, b):
+        return self.domain.meet(a, b)
+
+    def initial(self, value: Value):
+        return self.transfer(value, self.initial)
+
+    def transfer(self, value: Value, get: Callable[[Value], object]):
+        kind, what = self.domain.flow(value)
+        if kind == "const":
+            return what
+        if kind == "join":
+            element = self.domain.top
+            for operand in what:
+                element = self.domain.meet(element, get(operand))
+            return element
+        if kind == "param":
+            return self.parameter
+        if self.program is None:
+            return self.domain.unknown
+        return self.program.call_return(self.domain, self.scope, what, get)
+
+
+def _Nullness() -> DomainAnalysis:
+    """Local nullness: the null lattice with every call opaque."""
+    return DomainAnalysis(NULL)
+
+
+# ---------------------------------------------------------------------------
+# null-deref: the null lattice, calls opaque
+# ---------------------------------------------------------------------------
 
 def _dereferenced_pointer(inst: Instruction) -> Optional[Value]:
     """The pointer operand ``inst`` actually accesses, if any."""
@@ -236,8 +395,8 @@ class NullDereferenceChecker:
             self.check_function(function, reporter)
 
     def check_function(self, function: Function, reporter: Reporter) -> None:
-        result = solve_sparse(_Nullness(), function)
         analysis = _Nullness()
+        result = solve_sparse(analysis, function)
         for block in reachable_blocks(function):
             for inst in block.instructions:
                 pointer = _dereferenced_pointer(inst)

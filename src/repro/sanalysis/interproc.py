@@ -27,14 +27,18 @@ checker suite:
 The split is what makes warm re-lints incremental: editing one TU
 invalidates one summary table; composition — a few SCC sweeps over
 small dictionaries — is cheap enough to rerun every time.
+
+Neither half states a lattice.  The summarizer's symbolic walker and
+the resolver's evaluator both read the domain records of
+:mod:`.checkers` (:class:`~.checkers.Lattice`), the same ones the
+sparse checkers solve over, so a rule exists once or not at all.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..analysis.absint import analyze_function
 from ..analysis.callgraph import (
     direct_callee, strongly_connected_components,
 )
@@ -42,27 +46,15 @@ from ..analysis.dataflow import DenseAnalysis, FORWARD, solve_dense
 from ..analysis.dsa import KNOWN_SAFE_EXTERNALS
 from ..core import types
 from ..core.instructions import (
-    AllocationInst, BinaryOperator, CallInst, CastInst, FreeInst,
-    GetElementPtrInst, Instruction, InvokeInst, LoadInst, MallocInst,
-    Opcode, PhiNode, ReturnInst, StoreInst, VAArgInst,
+    CallInst, CastInst, FreeInst, GetElementPtrInst, Instruction,
+    InvokeInst, MallocInst, Opcode, PhiNode, ReturnInst, StoreInst,
 )
-from ..core.module import Function, GlobalValue, Module
-from ..core.values import (
-    Argument, Constant, ConstantExpr, ConstantInt, ConstantPointerNull,
-    UndefValue, Value,
+from ..core.module import Function, Module
+from ..core.values import Argument, ConstantExpr, UndefValue, Value
+from .checkers import (
+    LATTICES, Lattice, NULL, NULL_NULL, RangeLattice, TAINT,
+    _dereferenced_pointer,
 )
-from .checkers import NULL_MAYBE, NULL_NONNULL, NULL_NULL, NULL_TOP
-
-#: Taint lattice: ``top`` (no evidence, meet identity) / ``clean`` /
-#: ``tainted`` (may derive from unchecked external input).
-TAINT_TOP = "top"
-TAINT_CLEAN = "clean"
-TAINT_TAINTED = "tainted"
-
-#: Range lattice top (never returns / no evidence); concrete elements
-#: are ``(lo, hi)`` pairs where ``None`` means unbounded on that side.
-RANGE_TOP = "top"
-RANGE_UNBOUNDED = (None, None)
 
 #: Externals that write through their pointer arguments but neither
 #: capture nor free them (subset of the DSA safe list).
@@ -99,15 +91,9 @@ def strip_pointer(value: Value) -> Value:
     return value
 
 
-def _merge_range(a, b):
-    """Hull of two range elements (``RANGE_TOP`` is the identity)."""
-    if a == RANGE_TOP:
-        return b
-    if b == RANGE_TOP:
-        return a
-    lo = None if a[0] is None or b[0] is None else min(a[0], b[0])
-    hi = None if a[1] is None or b[1] is None else max(a[1], b[1])
-    return (lo, hi)
+def _add(atoms: list, atom: list) -> None:
+    if atom not in atoms:
+        atoms.append(atom)
 
 
 # ---------------------------------------------------------------------------
@@ -130,77 +116,59 @@ class AnalysisSummary:
       ``["ret", callee]``, or ``["no"]``.
     """
 
-    __slots__ = ("name", "is_declaration", "is_internal",
-                 "return_null", "return_taint", "return_range",
-                 "path_tokens", "may_free_params", "may_escape_params",
-                 "may_free", "may_store", "ret_fresh")
+    #: Every fact, once: (attribute, JSON key, type of its empty value).
+    #: A ``list`` holds atoms, a ``dict`` atoms per parameter index.
+    FIELDS = (
+        ("name", "name", str),
+        ("is_declaration", "declaration", bool),
+        ("is_internal", "internal", bool),
+        ("return_null", "return_null", list),
+        ("return_taint", "return_taint", list),
+        ("return_range", "return_range", list),
+        ("path_tokens", "path_tokens", list),
+        ("may_free_params", "may_free_params", dict),
+        ("may_escape_params", "may_escape_params", dict),
+        ("may_free", "may_free", list),
+        ("may_store", "may_store", list),
+        ("ret_fresh", "ret_fresh", list),
+    )
+
+    __slots__ = tuple(attribute for attribute, _, _ in FIELDS)
 
     def __init__(self, name: str):
+        for attribute, _, empty in self.FIELDS:
+            setattr(self, attribute, empty())
         self.name = name
-        self.is_declaration = False
-        self.is_internal = False
-        self.return_null: List = []
-        self.return_taint: List = []
-        self.return_range: List = []
-        self.path_tokens: List = []
-        self.may_free_params: Dict[int, List] = {}
-        self.may_escape_params: Dict[int, List] = {}
-        self.may_free: List = []
-        self.may_store: List = []
-        self.ret_fresh: List = []
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "declaration": self.is_declaration,
-            "internal": self.is_internal,
-            "return_null": self.return_null,
-            "return_taint": self.return_taint,
-            "return_range": self.return_range,
-            "path_tokens": self.path_tokens,
-            "may_free_params": {str(i): v
-                                for i, v in self.may_free_params.items()},
-            "may_escape_params": {str(i): v
-                                  for i, v in self.may_escape_params.items()},
-            "may_free": self.may_free,
-            "may_store": self.may_store,
-            "ret_fresh": self.ret_fresh,
-        }
+        payload = {}
+        for attribute, key, empty in self.FIELDS:
+            value = getattr(self, attribute)
+            if empty is dict:  # JSON object keys are strings
+                value = {str(i): atoms for i, atoms in value.items()}
+            payload[key] = value
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AnalysisSummary":
         summary = cls(payload["name"])
-        summary.is_declaration = payload["declaration"]
-        summary.is_internal = payload["internal"]
-        summary.return_null = payload["return_null"]
-        summary.return_taint = payload["return_taint"]
-        summary.return_range = payload["return_range"]
-        summary.path_tokens = payload["path_tokens"]
-        summary.may_free_params = {int(i): v for i, v in
-                                   payload["may_free_params"].items()}
-        summary.may_escape_params = {int(i): v for i, v in
-                                     payload["may_escape_params"].items()}
-        summary.may_free = payload["may_free"]
-        summary.may_store = payload["may_store"]
-        summary.ret_fresh = payload["ret_fresh"]
+        for attribute, key, empty in cls.FIELDS:
+            value = payload[key]
+            if empty is dict:
+                value = {int(i): atoms for i, atoms in value.items()}
+            setattr(summary, attribute, value)
         return summary
 
     def callee_names(self) -> set:
         """Every callee this summary's resolution depends on."""
         names = set()
-        for atoms in (self.return_null, self.return_taint,
-                      self.return_range, self.may_free, self.may_store,
-                      self.ret_fresh):
-            for atom in atoms:
-                if atom and atom[0] in ("ret", "call"):
-                    names.add(atom[1])
-        for token in self.path_tokens:
-            if token[0] == "arg":
-                names.add(token[1])
-        for table in (self.may_free_params, self.may_escape_params):
-            for atoms in table.values():
+        for attribute, _, empty in self.FIELDS:
+            value = getattr(self, attribute)
+            groups = value.values() if empty is dict else \
+                [value] if empty is list else ()
+            for atoms in groups:
                 for atom in atoms:
-                    if atom and atom[0] == "call":
+                    if atom and atom[0] in ("ret", "call", "arg"):
                         names.add(atom[1])
         return names
 
@@ -240,33 +208,86 @@ class _MustPathFacts(DenseAnalysis):
         return frozenset(out)
 
 
-def _cast_constant_null(value: Value) -> Optional[str]:
-    """Nullness of an integer constant cast to pointer, if that is what
-    ``value`` is.  The front-end lowers ``(T *)0`` to
-    ``cast int 0 to T*``, so a plain ``ConstantPointerNull`` test misses
-    the most common way null enters a program."""
-    if isinstance(value, (CastInst, ConstantExpr)) and value.type.is_pointer:
-        inner = value.operands[0] if isinstance(value, ConstantExpr) \
-            else value.value
-        if isinstance(inner, ConstantInt):
-            return NULL_NULL if inner.value == 0 else NULL_NONNULL
+def _strip_param(value: Value) -> Optional[int]:
+    """The index of the pointer parameter ``value`` is derived from."""
+    base = strip_pointer(value)
+    if isinstance(base, Argument) and base.type.is_pointer:
+        return base.index
     return None
 
 
-def _simple_null_atom(value: Value, param_index: Dict[int, int]) -> list:
-    """A one-level nullness atom for a call argument."""
-    stripped = strip_pointer(value)
-    index = param_index.get(id(stripped))
-    if index is not None:
-        return ["param", index]
-    if isinstance(stripped, ConstantPointerNull):
-        return ["const", NULL_NULL]
-    if isinstance(stripped, (AllocationInst, GlobalValue)):
-        return ["const", NULL_NONNULL]
-    known = _cast_constant_null(value)
-    if known is not None:
-        return ["const", known]
-    return ["const", NULL_MAYBE]
+def _simple_atom(domain: Lattice, value: Value) -> list:
+    """A one-level (const or param) atom for a call argument."""
+    value = strip_pointer(value)
+    kind, what = domain.flow(value)
+    if kind == "param":
+        return ["param", what.index]
+    return domain.atom(what if kind == "const" else domain.constant(value))
+
+
+def _value_atoms(domain: Lattice, value: Value, atoms: list,
+                 visited: set) -> None:
+    """The symbolic walker: add to ``atoms`` the atoms whose meet is
+    ``value``'s element in ``domain``, following the domain's ``flow``
+    (a join is the union of its operands' atoms)."""
+    if id(value) in visited:
+        return
+    visited.add(id(value))
+    kind, what = domain.flow(value)
+    if kind == "join":
+        for operand in what:
+            _value_atoms(domain, operand, atoms, visited)
+        return
+    if kind == "call":
+        target = direct_callee(what.callee)
+        atom = domain.atom(domain.unknown) if target is None else \
+            ["ret", target.name,
+             [_simple_atom(domain, arg) for arg in what.args]]
+    elif kind == "param":
+        atom = ["param", what.index]
+    else:
+        atom = domain.atom(what)
+    _add(atoms, atom)
+
+
+def _malloc_is_owned(alloc: MallocInst) -> bool:
+    """True when a returned malloc is its function's to give: nothing
+    else captures it (stores of the value, unknown callees, phis), so
+    the caller receives exclusive ownership."""
+    worklist = [alloc]
+    seen = set()
+    while worklist:
+        current = worklist.pop()
+        if id(current) in seen:
+            continue
+        seen.add(id(current))
+        for use in current.uses:
+            user = use.user
+            if isinstance(user, (CastInst, GetElementPtrInst)):
+                worklist.append(user)
+            elif isinstance(user, StoreInst):
+                if user.value is current:
+                    return False
+            elif isinstance(user, (CallInst, InvokeInst, PhiNode, FreeInst)):
+                return False
+    return True
+
+
+def _freshness_atom(value: Value) -> Optional[list]:
+    """Who owns the allocation a pointer return hands back (None when
+    this path returns nothing to own)."""
+    while isinstance(value, CastInst) and value.value.type.is_pointer:
+        value = value.value
+    if isinstance(value, UndefValue) \
+            or NULL.flow(value) == ("const", NULL_NULL):
+        return None
+    if isinstance(value, MallocInst) and _malloc_is_owned(value):
+        return ["local"]
+    if isinstance(value, (CallInst, InvokeInst)):
+        target = direct_callee(value.callee)
+        if target is not None:
+            return ["ret", target.name]
+    return ["no"]
 
 
 def summarize_function_ipa(function: Function) -> AnalysisSummary:
@@ -277,329 +298,82 @@ def summarize_function_ipa(function: Function) -> AnalysisSummary:
     if function.is_declaration:
         return summary
 
-    param_index = {id(arg): i for i, arg in enumerate(function.args)}
-    pointer_params = {i for i, arg in enumerate(function.args)
-                      if arg.type.is_pointer}
-
-    def strip_param(value: Value) -> Optional[int]:
-        index = param_index.get(id(strip_pointer(value)))
-        if index is not None and index in pointer_params:
-            return index
-        return None
-
     # ---- path facts proven on every route to an exit --------------------
     def gen(inst: Instruction):
         tokens = []
+        pointer = _dereferenced_pointer(inst)
+        index = None if pointer is None else _strip_param(pointer)
+        if index is not None:
+            tokens.append(("deref", index))
+            if isinstance(inst, FreeInst):
+                tokens.append(("free", index))
         if isinstance(inst, (CallInst, InvokeInst)):
-            callee_param = strip_param(inst.callee)
-            if callee_param is not None:
-                tokens.append(("deref", callee_param))
             target = direct_callee(inst.callee)
             if target is not None:
                 for j, arg in enumerate(inst.args):
-                    if arg.type.is_pointer:
-                        index = strip_param(arg)
-                        if index is not None:
-                            tokens.append(("arg", target.name, j, index))
-        elif isinstance(inst, FreeInst):
-            index = strip_param(inst.pointer)
-            if index is not None:
-                tokens.append(("free", index))
-                tokens.append(("deref", index))
-        elif isinstance(inst, (LoadInst, StoreInst, VAArgInst)):
-            pointer = (inst.valist if isinstance(inst, VAArgInst)
-                       else inst.pointer)
-            index = strip_param(pointer)
-            if index is not None:
-                tokens.append(("deref", index))
+                    index = _strip_param(arg)
+                    if index is not None:
+                        tokens.append(("arg", target.name, j, index))
         return tokens
 
     result = solve_dense(_MustPathFacts(gen), function)
-    exit_states = []
-    for block, state in result.block_out.items():
-        terminator = block.instructions[-1] if block.instructions else None
-        if terminator is not None and terminator.opcode in (
-                Opcode.RET, Opcode.UNWIND):
-            if state is not None:
-                exit_states.append(state)
+    exit_states = [
+        state for block, state in result.block_out.items()
+        if state is not None and block.instructions
+        and block.instructions[-1].opcode in (Opcode.RET, Opcode.UNWIND)
+    ]
     if exit_states:
         must = frozenset.intersection(*exit_states)
         summary.path_tokens = sorted(list(t) for t in must)
 
     # ---- may facts (any-path, over-approximate) -------------------------
-    may_free_params: Dict[int, list] = {}
-    may_escape_params: Dict[int, list] = {}
-    may_free: list = []
-    may_store: list = []
-
-    def note(table: Dict[int, list], index: int, atom: list) -> None:
-        atoms = table.setdefault(index, [])
-        if atom not in atoms:
-            atoms.append(atom)
-
-    def note_effect(atoms: list, atom: list) -> None:
-        if atom not in atoms:
-            atoms.append(atom)
+    def note(table: Dict[int, list], value: Value, atom: list) -> None:
+        index = _strip_param(value)
+        if index is not None:
+            _add(table.setdefault(index, []), atom)
 
     for inst in function.instructions():
         if isinstance(inst, FreeInst):
-            note_effect(may_free, ["local"])
-            index = strip_param(inst.pointer)
-            if index is not None:
-                note(may_free_params, index, ["local"])
+            _add(summary.may_free, ["local"])
+            note(summary.may_free_params, inst.pointer, ["local"])
         elif isinstance(inst, StoreInst):
-            note_effect(may_store, ["local"])
-            if inst.value.type.is_pointer:
-                index = strip_param(inst.value)
-                if index is not None:
-                    note(may_escape_params, index, ["local"])
+            _add(summary.may_store, ["local"])
+            note(summary.may_escape_params, inst.value, ["local"])
         elif isinstance(inst, PhiNode):
-            if inst.type.is_pointer:
-                for incoming, _ in inst.incoming:
-                    index = strip_param(incoming)
-                    if index is not None:
-                        note(may_escape_params, index, ["local"])
+            for incoming, _ in inst.incoming:
+                note(summary.may_escape_params, incoming, ["local"])
         elif isinstance(inst, ReturnInst):
-            if inst.return_value is not None \
-                    and inst.return_value.type.is_pointer:
-                index = strip_param(inst.return_value)
-                if index is not None:
-                    note(may_escape_params, index, ["local"])
+            if inst.return_value is not None:
+                note(summary.may_escape_params, inst.return_value, ["local"])
         elif isinstance(inst, (CallInst, InvokeInst)):
             target = direct_callee(inst.callee)
-            if target is None:
-                note_effect(may_free, ["local"])
-                note_effect(may_store, ["local"])
-                for arg in inst.args:
-                    if arg.type.is_pointer:
-                        index = strip_param(arg)
-                        if index is not None:
-                            note(may_free_params, index, ["local"])
-                            note(may_escape_params, index, ["local"])
-                continue
-            note_effect(may_free, ["call", target.name])
-            note_effect(may_store, ["call", target.name])
+            effect = ["local"] if target is None else ["call", target.name]
+            _add(summary.may_free, effect)
+            _add(summary.may_store, list(effect))
             for j, arg in enumerate(inst.args):
-                if arg.type.is_pointer:
-                    index = strip_param(arg)
-                    if index is not None:
-                        note(may_free_params, index, ["call", target.name, j])
-                        note(may_escape_params, index,
-                             ["call", target.name, j])
-    summary.may_free_params = may_free_params
-    summary.may_escape_params = may_escape_params
-    summary.may_free = may_free
-    summary.may_store = may_store
+                for table in (summary.may_free_params,
+                              summary.may_escape_params):
+                    note(table, arg,
+                         ["local"] if target is None else effect + [j])
 
     # ---- return-value atoms --------------------------------------------
     returns_pointer = function.return_type.is_pointer
-    returns_integer = isinstance(function.return_type, types.IntegerType)
-    null_atoms: list = []
-    taint_atoms: list = []
-    range_atoms: list = []
-    fresh_atoms: list = []
-
-    def add_atom(atoms: list, atom: list) -> None:
-        if atom not in atoms:
-            atoms.append(atom)
-
-    def eval_null(value: Value, visited: set) -> List[list]:
-        if id(value) in visited:
-            return []
-        visited.add(id(value))
-        if isinstance(value, ConstantPointerNull):
-            return [["const", NULL_NULL]]
-        if isinstance(value, (AllocationInst, GlobalValue)):
-            return [["const", NULL_NONNULL]]
-        if isinstance(value, UndefValue):
-            return [["const", NULL_MAYBE]]
-        known = _cast_constant_null(value)
-        if known is not None:
-            return [["const", known]]
-        if isinstance(value, CastInst) and value.value.type.is_pointer:
-            return eval_null(value.value, visited)
-        if isinstance(value, GetElementPtrInst):
-            return eval_null(value.pointer, visited)
-        if isinstance(value, ConstantExpr):
-            base = value.operands[0]
-            if base.type.is_pointer:
-                return eval_null(base, visited)
-            return [["const", NULL_MAYBE]]
-        if isinstance(value, PhiNode):
-            atoms: list = []
-            for incoming, _ in value.incoming:
-                for atom in eval_null(incoming, visited):
-                    if atom not in atoms:
-                        atoms.append(atom)
-            return atoms
-        if isinstance(value, Argument):
-            index = param_index.get(id(value))
-            if index is not None:
-                return [["param", index]]
-            return [["const", NULL_MAYBE]]
-        if isinstance(value, (CallInst, InvokeInst)):
-            target = direct_callee(value.callee)
-            if target is not None:
-                args = [_simple_null_atom(a, param_index) if
-                        a.type.is_pointer else ["const", NULL_MAYBE]
-                        for a in value.args]
-                return [["ret", target.name, args]]
-            return [["const", NULL_MAYBE]]
-        return [["const", NULL_MAYBE]]
-
-    def simple_taint_atom(value: Value) -> list:
-        if isinstance(value, Argument):
-            index = param_index.get(id(value))
-            if index is not None:
-                return ["param", index]
-        if isinstance(value, Constant):
-            return ["const", TAINT_CLEAN]
-        return ["const", TAINT_CLEAN]
-
-    def eval_taint(value: Value, visited: set) -> List[list]:
-        if id(value) in visited:
-            return []
-        visited.add(id(value))
-        if isinstance(value, Constant):
-            return [["const", TAINT_CLEAN]]
-        if isinstance(value, Argument):
-            index = param_index.get(id(value))
-            if index is not None:
-                return [["param", index]]
-            return [["const", TAINT_CLEAN]]
-        if isinstance(value, BinaryOperator):
-            if value.opcode in (Opcode.REM, Opcode.AND, Opcode.DIV,
-                                Opcode.SHR) or value.is_comparison:
-                return [["const", TAINT_CLEAN]]
-            atoms: list = []
-            for operand in value.operands:
-                for atom in eval_taint(operand, visited):
-                    if atom not in atoms:
-                        atoms.append(atom)
-            return atoms
-        if isinstance(value, CastInst):
-            return eval_taint(value.value, visited)
-        if isinstance(value, PhiNode):
-            atoms = []
-            for incoming, _ in value.incoming:
-                for atom in eval_taint(incoming, visited):
-                    if atom not in atoms:
-                        atoms.append(atom)
-            return atoms
-        if isinstance(value, (CallInst, InvokeInst)):
-            target = direct_callee(value.callee)
-            if target is not None:
-                args = [simple_taint_atom(a) for a in value.args]
-                return [["ret", target.name, args]]
-            return [["const", TAINT_CLEAN]]
-        return [["const", TAINT_CLEAN]]
-
-    absint_facts: list = []  # lazily computed, at most once per function
-
-    def range_of(value: Value):
-        """The abstract interpreter's interval for ``value`` as a
-        ``(lo, hi)`` pair; ``(None, None)`` when it knows nothing."""
-        if not isinstance(value.type, types.IntegerType):
-            return RANGE_UNBOUNDED
-        if not absint_facts:
-            absint_facts.append(analyze_function(function))
-        fact = absint_facts[0].abs_of(value)
-        if fact is None or fact.interval.is_top(fact.shape):
-            return RANGE_UNBOUNDED
-        return (fact.interval.lo, fact.interval.hi)
-
-    def simple_range_atom(value: Value) -> list:
-        if isinstance(value, Argument):
-            index = param_index.get(id(value))
-            if index is not None:
-                return ["param", index]
-        rng = range_of(value)
-        return ["const", rng[0], rng[1]]
-
-    def eval_range(value: Value, visited: set) -> List[list]:
-        if id(value) in visited:
-            return []
-        visited.add(id(value))
-        if isinstance(value, PhiNode):
-            atoms: list = []
-            for incoming, _ in value.incoming:
-                for atom in eval_range(incoming, visited):
-                    if atom not in atoms:
-                        atoms.append(atom)
-            return atoms
-        if isinstance(value, Argument):
-            index = param_index.get(id(value))
-            if index is not None:
-                return [["param", index]]
-            return [["const", None, None]]
-        if isinstance(value, (CallInst, InvokeInst)):
-            target = direct_callee(value.callee)
-            if target is not None:
-                args = [simple_range_atom(a) for a in value.args]
-                return [["ret", target.name, args]]
-            return [["const", None, None]]
-        rng = range_of(value)
-        return [["const", rng[0], rng[1]]]
-
-    def malloc_is_owned(alloc: MallocInst, ret_value: Value) -> bool:
-        """True when the returned malloc is this function's to give:
-        nothing else captures it (stores of the value, unknown callees,
-        phis), so the caller receives exclusive ownership."""
-        worklist = [alloc]
-        seen = set()
-        while worklist:
-            current = worklist.pop()
-            if id(current) in seen:
-                continue
-            seen.add(id(current))
-            for use in current.uses:
-                user = use.user
-                if isinstance(user, (CastInst, GetElementPtrInst)):
-                    worklist.append(user)
-                elif isinstance(user, StoreInst):
-                    if user.value is current:
-                        return False
-                elif isinstance(user, (CallInst, InvokeInst)):
-                    return False
-                elif isinstance(user, (PhiNode, FreeInst)):
-                    return False
-        return True
-
-    for block in function.blocks:
-        for inst in block.instructions:
-            if not isinstance(inst, ReturnInst) or inst.return_value is None:
-                continue
-            value = inst.return_value
-            if returns_pointer:
-                for atom in eval_null(value, set()):
-                    add_atom(null_atoms, atom)
-                stripped = value
-                while isinstance(stripped, CastInst) \
-                        and stripped.value.type.is_pointer:
-                    stripped = stripped.value
-                if isinstance(stripped, (ConstantPointerNull, UndefValue)) \
-                        or _cast_constant_null(stripped) == NULL_NULL:
-                    pass  # nothing to own on this path
-                elif isinstance(stripped, MallocInst) \
-                        and malloc_is_owned(stripped, value):
-                    add_atom(fresh_atoms, ["local"])
-                elif isinstance(stripped, (CallInst, InvokeInst)):
-                    target = direct_callee(stripped.callee)
-                    if target is not None:
-                        add_atom(fresh_atoms, ["ret", target.name])
-                    else:
-                        add_atom(fresh_atoms, ["no"])
-                else:
-                    add_atom(fresh_atoms, ["no"])
-            if returns_integer:
-                for atom in eval_taint(value, set()):
-                    add_atom(taint_atoms, atom)
-                for atom in eval_range(value, set()):
-                    add_atom(range_atoms, atom)
-    summary.return_null = null_atoms
-    summary.return_taint = taint_atoms
-    summary.return_range = range_atoms
-    summary.ret_fresh = fresh_atoms
+    if returns_pointer:
+        domains = (NULL,)
+    elif isinstance(function.return_type, types.IntegerType):
+        domains = (TAINT, RangeLattice(function))
+    else:
+        return summary
+    for inst in function.instructions():
+        if not isinstance(inst, ReturnInst) or inst.return_value is None:
+            continue
+        for domain in domains:
+            _value_atoms(domain, inst.return_value,
+                         getattr(summary, domain.field), set())
+        if returns_pointer:
+            fresh = _freshness_atom(inst.return_value)
+            if fresh is not None:
+                _add(summary.ret_fresh, fresh)
     return summary
 
 
@@ -653,9 +427,8 @@ class ResolvedSummary:
     def __init__(self, name: str, is_declaration: bool):
         self.name = name
         self.is_declaration = is_declaration
-        self.return_null = NULL_TOP
-        self.return_taint = TAINT_TOP
-        self.return_range = RANGE_TOP
+        for domain in LATTICES:
+            setattr(self, domain.field, domain.top)
         self.returns_fresh = False
         self.must_deref: frozenset = frozenset()
         self.must_free: frozenset = frozenset()
@@ -669,22 +442,6 @@ class ResolvedSummary:
                 self.returns_fresh, self.must_deref, self.must_free,
                 self.may_free_params, self.may_escape_params,
                 self.may_free, self.may_store)
-
-
-def _meet_null(a, b):
-    if a == NULL_TOP:
-        return b
-    if b == NULL_TOP or a == b:
-        return a
-    return NULL_MAYBE
-
-
-def _meet_taint(a, b):
-    if a == TAINT_TOP:
-        return b
-    if b == TAINT_TOP or a == b:
-        return a
-    return TAINT_TAINTED
 
 
 class ProgramSummaries:
@@ -772,12 +529,9 @@ class ProgramSummaries:
         if summary.is_declaration:
             return
         scope = qid[0]
-        resolved.return_null = self._eval_atoms(
-            scope, summary.return_null, None, "null", 0)
-        resolved.return_taint = self._eval_atoms(
-            scope, summary.return_taint, None, "taint", 0)
-        resolved.return_range = self._eval_atoms(
-            scope, summary.return_range, None, "range", 0)
+        for domain in LATTICES:
+            setattr(resolved, domain.field, self._eval_atoms(
+                scope, getattr(summary, domain.field), None, domain, 0))
 
         must_deref = set()
         must_free = set()
@@ -862,138 +616,59 @@ class ProgramSummaries:
 
     # -- context-sensitive value evaluation ---------------------------------
 
-    def _domain_unknown(self, domain: str):
-        if domain == "null":
-            return NULL_MAYBE
-        if domain == "taint":
-            return TAINT_CLEAN
-        return RANGE_UNBOUNDED
-
-    def _external_value(self, domain: str, name: str):
-        if domain == "taint":
-            return (TAINT_CLEAN if name in KNOWN_SAFE_EXTERNALS
-                    else TAINT_TAINTED)
-        return self._domain_unknown(domain)
-
-    def _meet(self, domain: str, a, b):
-        if domain == "null":
-            return _meet_null(a, b)
-        if domain == "taint":
-            return _meet_taint(a, b)
-        return _merge_range(a, b)
-
-    def _top(self, domain: str):
-        if domain == "null":
-            return NULL_TOP
-        if domain == "taint":
-            return TAINT_TOP
-        return RANGE_TOP
-
-    def _atoms_of(self, summary: AnalysisSummary, domain: str) -> list:
-        if domain == "null":
-            return summary.return_null
-        if domain == "taint":
-            return summary.return_taint
-        return summary.return_range
-
-    def _resolved_value(self, resolved: ResolvedSummary, domain: str):
-        if domain == "null":
-            return resolved.return_null
-        if domain == "taint":
-            return resolved.return_taint
-        return resolved.return_range
-
-    def _const_payload(self, domain: str, atom: list):
-        if domain == "range":
-            return (atom[1], atom[2])
-        return atom[1]
-
-    def _eval_atoms(self, scope: int, atoms: list, ctx, domain: str,
+    def _eval_atoms(self, scope: int, atoms: list, ctx, domain: Lattice,
                     depth: int):
-        element = self._top(domain)
+        element = domain.top
         for atom in atoms:
-            element = self._meet(domain, element,
-                                 self._eval_atom(scope, atom, ctx, domain,
-                                                 depth))
+            element = domain.meet(
+                element, self._eval_atom(scope, atom, ctx, domain, depth))
         return element
 
-    def _eval_atom(self, scope: int, atom: list, ctx, domain: str,
+    def _eval_atom(self, scope: int, atom: list, ctx, domain: Lattice,
                    depth: int):
         kind = atom[0]
         if kind == "const":
-            return self._const_payload(domain, atom)
+            return domain.element(atom)
         if kind == "param":
             index = atom[1]
             if ctx is not None and index < len(ctx):
                 return ctx[index]
-            return self._domain_unknown(domain)
+            return domain.unknown
         if kind == "ret":
             callee, arg_atoms = atom[1], atom[2]
             ref = self._resolve_ref(scope, callee)
             if ref is None:
-                return self._external_value(domain, callee)
+                return domain.external(callee)
             if depth >= self.MAX_DEPTH:
-                return self._resolved_value(self.resolved[ref], domain)
+                return getattr(self.resolved[ref], domain.field)
             callee_ctx = [self._eval_atom(scope, a, ctx, domain, depth + 1)
                           for a in arg_atoms]
             summary = self._summaries[ref]
             if summary.is_declaration:
-                return self._domain_unknown(domain)
-            return self._eval_atoms(ref[0], self._atoms_of(summary, domain),
+                return domain.unknown
+            return self._eval_atoms(ref[0], getattr(summary, domain.field),
                                     callee_ctx, domain, depth + 1)
-        return self._domain_unknown(domain)
+        return domain.unknown
 
-    # -- call-site queries used by the whole-program checkers ---------------
-
-    def _call_value(self, scope: int, inst, domain: str,
-                    arg_value: Callable[[Value], object]):
+    def call_return(self, domain: Lattice, scope: int, inst,
+                    get: Callable[[Value], object]):
+        """``domain``'s element for the return of call ``inst`` made
+        from unit ``scope``, the callee's summary evaluated with the
+        actual arguments' elements (``get``) as its context.  Whatever
+        cannot be resolved (an indirect call, a declaration, a callee
+        that never returns) claims nothing: ``domain.unknown``."""
         target = direct_callee(inst.callee)
         if target is None:
-            return None
+            return domain.unknown
         ref = self._resolve_ref(scope, target.name)
         if ref is None:
-            return self._external_value(domain, target.name)
+            return domain.external(target.name)
         summary = self._summaries[ref]
         if summary.is_declaration:
-            return self._domain_unknown(domain)
-        ctx = [arg_value(arg) for arg in inst.args]
-        return self._eval_atoms(ref[0], self._atoms_of(summary, domain),
-                                ctx, domain, 1)
-
-    def call_return_null(self, scope: int, inst,
-                         get: Callable[[Value], object]):
-        """Nullness of a call's return, with actual-argument context."""
-        def arg_value(arg: Value):
-            if not arg.type.is_pointer:
-                return NULL_MAYBE
-            element = get(arg)
-            return NULL_MAYBE if element is None else element
-        value = self._call_value(scope, inst, "null", arg_value)
-        if value == NULL_TOP:
-            return NULL_MAYBE  # function never returns; claim nothing
-        return value
-
-    def call_return_taint(self, scope: int, inst,
-                          get: Callable[[Value], object]):
-        def arg_value(arg: Value):
-            element = get(arg)
-            return TAINT_CLEAN if element is None else element
-        value = self._call_value(scope, inst, "taint", arg_value)
-        if value == TAINT_TOP:
-            return TAINT_CLEAN
-        return value
-
-    def call_return_range(self, scope: int, inst):
-        """Concrete return range of a direct call; a constant argument
-        gives the callee its exact context."""
-        def arg_value(arg: Value):
-            if isinstance(arg, ConstantInt):
-                return (arg.value, arg.value)
-            return RANGE_UNBOUNDED
-        value = self._call_value(scope, inst, "range", arg_value)
-        if value == RANGE_TOP:
-            return None
-        return value
+            return domain.unknown
+        value = self._eval_atoms(ref[0], getattr(summary, domain.field),
+                                 [get(arg) for arg in inst.args], domain, 1)
+        return domain.unknown if value == domain.top else value
 
     # -- observability -------------------------------------------------------
 

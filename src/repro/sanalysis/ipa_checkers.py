@@ -20,30 +20,27 @@ Claim discipline, which is what keeps the suite zero-false-positive:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from ..analysis.absint import analyze_function
 from ..analysis.callgraph import direct_callee
 from ..analysis.cfg import reachable_blocks
 from ..analysis.dataflow import (
-    DenseAnalysis, FORWARD, SparseAnalysis, solve_dense, solve_sparse,
+    DenseAnalysis, FORWARD, solve_dense, solve_sparse,
 )
 from ..core.instructions import (
     BinaryOperator, CallInst, CastInst, FreeInst, GetElementPtrInst,
-    Instruction, InvokeInst, LoadInst, MallocInst, Opcode, PhiNode,
-    ReturnInst, StoreInst, VAArgInst,
+    Instruction, InvokeInst, LoadInst, MallocInst, ReturnInst, StoreInst,
+    VAArgInst,
 )
 from ..core.module import Function, Module
-from ..core.values import Argument, Constant, ConstantInt, Value
+from ..core.values import ConstantInt, Value
 from .checkers import (
-    NULL_MAYBE, NULL_NONNULL, NULL_NULL, NULL_TOP, _dereferenced_pointer,
-    _Nullness,
+    DomainAnalysis, NULL, NULL_NULL, RANGE, TAINT, TAINT_TAINTED,
+    _dereferenced_pointer, _Nullness,
 )
 from .diagnostics import Reporter
-from .interproc import (
-    KNOWN_SAFE_EXTERNALS, ProgramSummaries, TAINT_CLEAN, TAINT_TAINTED,
-    TAINT_TOP, strip_pointer,
-)
+from .interproc import KNOWN_SAFE_EXTERNALS, ProgramSummaries, strip_pointer
 
 
 class IPAChecker:
@@ -68,23 +65,6 @@ class IPAChecker:
 # ipa-null-deref
 # ---------------------------------------------------------------------------
 
-class _SummaryNullness(_Nullness):
-    """The local nullness lattice, with call returns resolved through
-    whole-program summaries instead of pessimistically going to maybe."""
-
-    def __init__(self, program: ProgramSummaries, scope: int):
-        self.program = program
-        self.scope = scope
-
-    def transfer(self, inst: Instruction, get):
-        if isinstance(inst, (CallInst, InvokeInst)) and inst.type.is_pointer:
-            element = self.program.call_return_null(self.scope, inst, get)
-            if element is not None:
-                return element
-            return NULL_MAYBE
-        return super().transfer(inst, get)
-
-
 class IPANullDereferenceChecker(IPAChecker):
     """Null flowing through a call boundary into a dereference.
 
@@ -102,10 +82,10 @@ class IPANullDereferenceChecker(IPAChecker):
 
     def check_function(self, function: Function,
                        reporter: Reporter) -> None:
-        local = solve_sparse(_Nullness(), function)
-        aware_analysis = _SummaryNullness(self.program, self.scope)
-        aware = solve_sparse(aware_analysis, function)
         fallback = _Nullness()
+        local = solve_sparse(fallback, function)
+        aware = solve_sparse(DomainAnalysis(NULL, self.program, self.scope),
+                             function)
 
         def element_of(result, value: Value):
             element = result.get(value)
@@ -429,70 +409,6 @@ class IPAUseAfterFreeChecker(IPAChecker):
 # ipa-taint
 # ---------------------------------------------------------------------------
 
-class _Taint(SparseAnalysis):
-    """Sparse taint: does a value derive from unchecked external input?
-
-    Sources are returns of true externals outside the known-safe list
-    (resolved transitively through summaries) and ``main``'s own
-    arguments.  Bounding operators (``rem``/``and``/``div``/``shr``) and
-    comparisons sanitize; loads are conservatively clean (claims-safe).
-    """
-
-    def __init__(self, program: ProgramSummaries, scope: int,
-                 tainted_args: Set[int]):
-        self.program = program
-        self.scope = scope
-        self.tainted_args = tainted_args
-
-    def top(self):
-        return TAINT_TOP
-
-    def meet(self, a, b):
-        if a == TAINT_TOP:
-            return b
-        if b == TAINT_TOP or a == b:
-            return a
-        return TAINT_TAINTED
-
-    def initial(self, value: Value):
-        if isinstance(value, Argument) and id(value) in self.tainted_args:
-            return TAINT_TAINTED
-        return TAINT_CLEAN
-
-    def transfer(self, inst: Instruction, get):
-        if isinstance(inst, BinaryOperator):
-            if inst.is_comparison or inst.opcode in (
-                    Opcode.REM, Opcode.AND, Opcode.DIV, Opcode.SHR):
-                return TAINT_CLEAN
-            element = TAINT_TOP
-            for operand in inst.operands:
-                other = get(operand)
-                element = self.meet(element,
-                                    TAINT_CLEAN if other is None else other)
-            return TAINT_CLEAN if element == TAINT_TOP else element
-        if isinstance(inst, CastInst):
-            element = get(inst.value)
-            return TAINT_CLEAN if element in (None, TAINT_TOP) else element
-        if isinstance(inst, PhiNode):
-            element = TAINT_TOP
-            for value, _ in inst.incoming:
-                other = get(value)
-                element = self.meet(element,
-                                    TAINT_CLEAN if other is None else other)
-            return TAINT_CLEAN if element == TAINT_TOP else element
-        if isinstance(inst, (CallInst, InvokeInst)):
-            def arg_element(arg: Value):
-                element = get(arg)
-                return TAINT_CLEAN if element in (None, TAINT_TOP) \
-                    else element
-            element = self.program.call_return_taint(self.scope, inst,
-                                                     arg_element)
-            if element is None:  # indirect call: claims-safe
-                return TAINT_CLEAN
-            return element
-        return TAINT_CLEAN
-
-
 class IPATaintChecker(IPAChecker):
     """Unchecked external input used directly as an array index."""
 
@@ -502,10 +418,11 @@ class IPATaintChecker(IPAChecker):
 
     def check_function(self, function: Function,
                        reporter: Reporter) -> None:
-        tainted_args: Set[int] = set()
-        if function.name == "main":
-            tainted_args = {id(arg) for arg in function.args}
-        analysis = _Taint(self.program, self.scope, tainted_args)
+        # Sources: returns of true externals outside the known-safe
+        # list (resolved through summaries) and ``main``'s arguments.
+        analysis = DomainAnalysis(
+            TAINT, self.program, self.scope,
+            parameter=TAINT_TAINTED if function.name == "main" else None)
         result = solve_sparse(analysis, function)
 
         compared: Set[int] = set()
@@ -580,8 +497,15 @@ class IPABoundsAdvisor(IPAChecker):
 
     def check_function(self, function: Function,
                        reporter: Reporter) -> None:
+        def argument_range(arg: Value):
+            # A constant argument gives the callee its exact context.
+            if isinstance(arg, ConstantInt):
+                return (arg.value, arg.value)
+            return RANGE.unknown
+
         def call_range(inst):
-            return self.program.call_return_range(self.scope, inst)
+            return self.program.call_return(RANGE, self.scope, inst,
+                                            argument_range)
 
         facts = None
         for block in reachable_blocks(function):

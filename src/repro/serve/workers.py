@@ -137,15 +137,8 @@ def _policy(job: dict):
     return policy
 
 
-def _clean(policy) -> bool:
-    stats = policy.statistics()
-    return (stats["passes.rolled_back"] == 0
-            and stats["fallbacks.taken"] == 0
-            and stats["passes.poisoned"] == 0)
-
-
 def _do_compile(job: dict, cache, stats: Stats) -> dict:
-    from ..driver.pipelines import compile_to_bytecode
+    from ..driver.pipelines import compile_to_bytecode, unclean
 
     policy = _policy(job)
     level = job.get("level", 2)
@@ -158,7 +151,7 @@ def _do_compile(job: dict, cache, stats: Stats) -> dict:
         "level": level,
         "requested_level": job.get("requested_level", level),
         "degraded": level < job.get("requested_level", level),
-        "clean": _clean(policy),
+        "clean": not any(unclean(policy)),
         "stats": policy.statistics(),
     }
 

@@ -14,7 +14,6 @@ usually becomes unreachable and is swept by SimplifyCFG.
 
 from __future__ import annotations
 
-from ...analysis.callgraph import CallGraph
 from ...core.instructions import (
     BranchInst, CallInst, InvokeInst, Opcode, UnwindInst,
 )
@@ -55,7 +54,6 @@ class PruneExceptionHandlers:
         return changed
 
     def _compute_may_unwind(self, module: Module) -> dict[str, bool]:
-        callgraph = CallGraph(module)
         may_unwind: dict[str, bool] = {}
         for function in module.functions.values():
             if function.is_declaration:

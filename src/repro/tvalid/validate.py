@@ -196,23 +196,21 @@ def _deterministic_clock(interp, args):
     return interp._tvalid_clock
 
 
-def _run_interpreter(module: Module, function_name: str, args: tuple,
-                     step_limit: int) -> tuple:
-    """One bounded reference execution -> (kind, value, output)."""
-    from ..execution.interpreter import (
-        ExecutionError, Interpreter, StepLimitExceeded,
-    )
+def classified_run(engine, function_name: str, args: tuple = ()) -> tuple:
+    """One bounded execution on ``engine`` (anything with ``run`` and
+    ``output``) -> (kind, value, output): ``("value", what it
+    returned)``, ``("trap", the fault's class name)`` or ``("timeout",
+    None)``.  The one classification every oracle compares by."""
+    from ..execution.interpreter import ExecutionError, StepLimitExceeded
     from ..execution.memory import MemoryFault
 
-    interp = Interpreter(module, step_limit=step_limit,
-                         extra_externals={"clock": _deterministic_clock})
     try:
-        value = interp.run(function_name, args)
+        kind, value = "value", engine.run(function_name, args)
     except StepLimitExceeded:
-        return ("timeout", None, "".join(interp.output))
+        kind, value = "timeout", None
     except (ArithmeticFault, MemoryFault, ExecutionError) as fault:
-        return ("trap", type(fault).__name__, "".join(interp.output))
-    return ("value", value, "".join(interp.output))
+        kind, value = "trap", type(fault).__name__
+    return (kind, value, "".join(engine.output))
 
 
 class TranslationValidator:
@@ -333,8 +331,13 @@ class TranslationValidator:
     @staticmethod
     def _bounded_run(module: Module, name: str, args: tuple,
                      step_limit: int) -> Optional[tuple]:
+        from ..execution.interpreter import Interpreter
+
         try:
-            return _run_interpreter(module, name, args, step_limit)
+            return classified_run(
+                Interpreter(module, step_limit=step_limit,
+                            extra_externals={"clock": _deterministic_clock}),
+                name, args)
         except Exception:
             # An engine-level failure (not a program trap) proves
             # nothing about refinement; skip the input.

@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.absint import analyze_function
 from repro.core import parse_module
+from repro.core.instructions import ReturnInst
 from repro.driver import BytecodeCache, LifelongSession, lint_whole_program
 from repro.frontend import compile_source
 from repro.sanalysis import (
@@ -23,9 +24,13 @@ from repro.sanalysis import (
     solve_sparse, stable_order,
 )
 from repro.sanalysis.checkers import (
-    NULL_MAYBE, NULL_NONNULL, NULL_NULL, NULL_TOP, _Nullness,
+    DomainAnalysis, NULL, NULL_MAYBE, NULL_NONNULL, NULL_NULL, NULL_TOP,
+    RANGE_UNBOUNDED, RangeLattice, TAINT, TAINT_CLEAN, TAINT_TAINTED,
+    _Nullness,
 )
-from repro.sanalysis.interproc import ModuleAnalysisSummaries, ProgramSummaries
+from repro.sanalysis.interproc import (
+    AnalysisSummary, ModuleAnalysisSummaries, ProgramSummaries,
+)
 from repro.tools import lc_lint
 
 
@@ -155,6 +160,170 @@ exit:
 
 
 # ---------------------------------------------------------------------------
+# The lattice table: sparse analysis and summarise-then-resolve agree
+# ---------------------------------------------------------------------------
+
+NULL_FLOWS = """
+int* %pass(int* %p) {
+entry:
+  ret int* %p
+}
+
+int* %chains(bool %c) {
+entry:
+  %z = cast int 0 to sbyte*
+  %g = getelementptr sbyte* %z, long 4
+  %k = cast sbyte* %g to int*
+  br bool %c, label %left, label %merge
+left:
+  %x = call int* %pass(int* null)
+  br label %merge
+merge:
+  %r = phi int* [ %x, %left ], [ %k, %entry ]
+  ret int* %r
+}
+
+int* %fresh_or_null(bool %c) {
+entry:
+  %m = malloc int
+  br bool %c, label %left, label %merge
+left:
+  br label %merge
+merge:
+  %r = phi int* [ %m, %entry ], [ null, %left ]
+  ret int* %r
+}
+
+int* %through(int* %a) {
+entry:
+  %r = call int* %pass(int* %a)
+  ret int* %r
+}
+"""
+
+TAINT_FLOWS = """
+declare int %read_input()
+
+int %source() {
+entry:
+  %t = call int %read_input()
+  ret int %t
+}
+
+int %pass(int %x) {
+entry:
+  ret int %x
+}
+
+int %chains(bool %c, int %a) {
+entry:
+  br bool %c, label %left, label %merge
+left:
+  %s = call int %source()
+  %w = cast int %s to long
+  %n = add long %w, 1
+  %b = cast long %n to int
+  br label %merge
+merge:
+  %r = phi int [ %b, %left ], [ %a, %entry ]
+  ret int %r
+}
+
+int %sanitized() {
+entry:
+  %s = call int %source()
+  %m = rem int %s, 10
+  ret int %m
+}
+
+int %through(int %a) {
+entry:
+  %r = call int %pass(int %a)
+  ret int %r
+}
+"""
+
+RANGE_FLOWS = """
+int %pass(int %x) {
+entry:
+  ret int %x
+}
+
+int %chains(bool %c, int %a) {
+entry:
+  br bool %c, label %left, label %right
+left:
+  %x = call int %pass(int 7)
+  br label %merge
+right:
+  %y = and int %a, 3
+  br label %merge
+merge:
+  %r = phi int [ %x, %left ], [ %y, %right ]
+  ret int %r
+}
+
+int %through(int %a) {
+entry:
+  %r = call int %pass(int %a)
+  ret int %r
+}
+"""
+
+
+class TestLatticeTable:
+    """Both users of a lattice derive from its one ``flow``: a rule
+    taught to only one of them makes these disagree."""
+
+    @pytest.mark.parametrize("lattice, text, expected", [
+        (lambda function: NULL, NULL_FLOWS, {
+            "chains": NULL_NULL, "fresh_or_null": NULL_MAYBE,
+            "through": NULL_MAYBE}),
+        (lambda function: TAINT, TAINT_FLOWS, {
+            "chains": TAINT_TAINTED, "sanitized": TAINT_CLEAN,
+            "through": TAINT_CLEAN}),
+        (RangeLattice, RANGE_FLOWS, {
+            "chains": (0, 7), "through": RANGE_UNBOUNDED}),
+    ], ids=["null", "taint", "range"])
+    def test_sparse_element_is_the_resolved_summary(self, lattice, text,
+                                                    expected):
+        module = parse_module(text)
+        program = ProgramSummaries(
+            [("tu", ModuleAnalysisSummaries.compute(module))])
+        for name, element in expected.items():
+            function = module.functions[name]
+            domain = lattice(function)
+            result = solve_sparse(DomainAnalysis(domain, program, 0),
+                                  function)
+            [returned] = [inst.return_value
+                          for inst in function.instructions()
+                          if isinstance(inst, ReturnInst)]
+            resolved = getattr(program.resolved_for(0, name), domain.field)
+            assert result[returned] == resolved == element, name
+
+    def test_every_summary_field_round_trips(self):
+        module = parse_module("""
+declare void %sink(int* %p)
+
+int* %f(int* %p, int* %q) {
+entry:
+  %v = load int* %p
+  call void %sink(int* %q)
+  free int* %q
+  %r = call int* %f(int* %p, int* null)
+  ret int* %r
+}
+""")
+        summary = ModuleAnalysisSummaries.compute(module).summaries["f"]
+        again = AnalysisSummary.from_dict(
+            json.loads(json.dumps(summary.to_dict())))
+        for attribute, _, _ in AnalysisSummary.FIELDS:
+            assert getattr(again, attribute) == getattr(summary, attribute)
+        assert summary.may_free_params and summary.path_tokens \
+            and summary.return_null  # the comparison was not of empties
+
+
+# ---------------------------------------------------------------------------
 # The golden cross-TU bug suite: whole-program catches, per-TU misses
 # ---------------------------------------------------------------------------
 
@@ -198,6 +367,36 @@ entry:
                   if d.checker == "ipa-null-deref" and d.is_error]
         assert errors and errors[0].file == "main.ll"
         self._per_tu_clean(units, "null-deref")
+
+    def test_cast_of_zero_across_a_call_is_reported_once(self):
+        """The local and the whole-program null checkers share one
+        lattice, so ``cast int 0 to T*`` returned by a callee is the
+        whole-program checker's finding, the same cast dereferenced in
+        place is the local one's, and neither is both's or nobody's."""
+        units = [("lib.ll", """
+int* %find(int %key) {
+entry:
+  %p = cast int 0 to int*
+  ret int* %p
+}
+"""), ("main.ll", """
+declare int* %find(int %key)
+
+int %main() {
+entry:
+  %p = call int* %find(int 7)
+  %v = load int* %p
+  %q = cast int 0 to int*
+  %w = load int* %q
+  ret int %v
+}
+""")]
+        found = [(d.checker, d.file) for d in _wp(units).diagnostics
+                 if d.is_error]
+        found += [(d.checker, name) for name, text in units
+                  for d in run_checkers(parse_module(text)) if d.is_error]
+        assert sorted(found) == [("ipa-null-deref", "main.ll"),
+                                 ("null-deref", "main.ll")]
 
     LEAK_LIB = """
 int* %make_buffer() {

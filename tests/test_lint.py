@@ -16,7 +16,7 @@ from repro.analysis.cfg import reachable_blocks
 from repro.core import IRBuilder, Module, parse_module, types
 from repro.core.values import Constant, ConstantExpr, ConstantInt
 from repro.frontend import compile_source
-from repro.driver.pipelines import analyze_module, compile_and_link
+from repro.driver.pipelines import compile_and_link, optimize_module
 from repro.sanalysis import (
     BACKWARD, CHECKERS, DenseAnalysis, FORWARD, Severity, SparseAnalysis,
     StaticCheckSuite, check_cross_module, run_checkers, solve_dense,
@@ -487,6 +487,21 @@ int main(int argc) {
 """, ["null-deref"])
         assert diags == []
 
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_cast_of_zero_is_null_at_every_level(self, level):
+        """``(T *)0`` is lowered to ``cast int 0 to T*``; only -O2's
+        constant folding rewrites that to ``null``, so the lattice has
+        to know the cast itself."""
+        module = compile_source("""
+int main() {
+  int *p = (int *)0;
+  return *p;
+}
+""", "t")
+        optimize_module(module, level)
+        [diag] = run_checkers(module, ["null-deref"])
+        assert diag.severity == Severity.ERROR and diag.line == 4
+
 
 class TestStaticBoundsChecker:
     def test_constant_out_of_bounds_index(self):
@@ -704,12 +719,11 @@ class TestSuite:
         assert keyed == sorted(keyed)
 
     def test_analyze_stage_attaches_diagnostics(self):
-        module = compile_and_link([SEEDED], "prog", level=0, lto=False,
-                                  analyze=True)
-        assert module.diagnostics
-        assert any(d.checker == "gep-bounds" for d in module.diagnostics)
-        # analyze_module can re-run standalone with a narrower selection.
-        only_bounds = analyze_module(module, ["gep-bounds"])
+        module = compile_and_link([SEEDED], "prog", level=0, lto=False)
+        diagnostics = run_checkers(module)
+        assert any(d.checker == "gep-bounds" for d in diagnostics)
+        # The suite re-runs standalone with a narrower selection.
+        only_bounds = run_checkers(module, ["gep-bounds"])
         assert {d.checker for d in only_bounds} == {"gep-bounds"}
 
 

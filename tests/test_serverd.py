@@ -340,6 +340,25 @@ class TestWorkerDeadline:
         stored = cache.statistics()["program-stores"]
         assert stored == (1 if result["clean"] else 0)
 
+    def test_retried_link_is_not_a_clean_build(self, tmp_path):
+        """`clean` is the driver's predicate, not a second one: a build
+        whose link had to be retried is answered, not stored, and says
+        so."""
+        from repro.driver import BytecodeCache
+        from repro.fuzz import injected
+        from repro.serve.workers import _execute
+
+        cache = BytecodeCache(str(tmp_path))
+        job = {"op": "compile", "sources": [PROGRAMS[0]], "name": "program",
+               "level": 2}
+        with injected("linker.symbol-clash", 1):
+            response = _execute(job, cache, cache.stats)
+        assert response["ok"], response
+        result = response["result"]
+        assert result["stats"]["link.retries"] == 1
+        assert cache.statistics()["program-stores"] == 0
+        assert result["clean"] is False
+
 
 class TestOverload:
     def test_high_water_sheds_busy_with_hint(self, tmp_path):
