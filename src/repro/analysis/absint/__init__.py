@@ -17,7 +17,6 @@ from .domains import (
     BOOL_SHAPE,
     Interval,
     KnownBits,
-    NarrowInt,
     Shape,
     exact_binary_range,
     from_pattern,
@@ -50,7 +49,6 @@ __all__ = [
     "BOOL_SHAPE",
     "Interval",
     "KnownBits",
-    "NarrowInt",
     "Shape",
     "ValueFacts",
     "abstract_of_constant",

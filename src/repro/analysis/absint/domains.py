@@ -84,39 +84,6 @@ def from_pattern(shape: Shape, pattern: int) -> int:
     return pattern
 
 
-class NarrowInt:
-    """A duck-typed stand-in for :class:`repro.core.types.IntegerType`
-    at widths the uniqued type system does not provide (3, 4, 6 bits).
-
-    Carries exactly the attributes ``constfold.eval_binary`` /
-    ``eval_shift`` / ``eval_cast`` touch, so the self-check can run the
-    *real* concrete semantics at enumeration-tractable widths.
-    """
-
-    is_floating = False
-    is_bool = False
-    is_integer = True
-    is_pointer = False
-
-    def __init__(self, bits: int, signed: bool):
-        self.bits = bits
-        self.signed = signed
-
-    @property
-    def min_value(self) -> int:
-        return shape_bounds((self.bits, self.signed))[0]
-
-    @property
-    def max_value(self) -> int:
-        return shape_bounds((self.bits, self.signed))[1]
-
-    def wrap(self, value: int) -> int:
-        return shape_wrap((self.bits, self.signed), value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{'s' if self.signed else 'u'}int{self.bits}"
-
-
 # ---------------------------------------------------------------------------
 # Interval
 # ---------------------------------------------------------------------------

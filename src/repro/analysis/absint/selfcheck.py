@@ -29,7 +29,6 @@ fast mode keeps the unit suite quick.
 
 from __future__ import annotations
 
-import functools
 import random
 from typing import Callable, List, Optional
 
@@ -47,7 +46,6 @@ from .domains import (
     BOOL_SHAPE,
     Interval,
     KnownBits,
-    NarrowInt,
     Shape,
     from_pattern,
     interval_binary,
@@ -69,26 +67,6 @@ ARITH_OPCODES = (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.REM,
 CMP_OPCODES = tuple(sorted(COMPARISON_OPCODES, key=lambda op: op.value))
 ALL_BINARY = ARITH_OPCODES + CMP_OPCODES
 SHIFT_OPCODES = (Opcode.SHL, Opcode.SHR)
-
-_REAL_TYPES = {
-    (8, True): types.SBYTE, (8, False): types.UBYTE,
-    (16, True): types.SHORT, (16, False): types.USHORT,
-    (32, True): types.INT, (32, False): types.UINT,
-    (64, True): types.LONG, (64, False): types.ULONG,
-}
-
-
-@functools.cache
-def type_for_shape(shape: Shape):
-    """A concrete type object carrying ``shape``'s semantics: the real
-    LC type when one exists, a :class:`NarrowInt` stand-in otherwise
-    (one per shape, so constfold's per-type evaluator memo stays as
-    small as the set of shapes)."""
-    if shape == BOOL_SHAPE:
-        return types.BOOL
-    real = _REAL_TYPES.get(shape)
-    return real if real is not None else NarrowInt(*shape)
-
 
 def _concrete(shape: Shape, numeric: int):
     """The representation constfold expects for a numeric value."""
@@ -119,7 +97,7 @@ def kb_members(shape: Shape, kb: KnownBits) -> List[int]:
 
 def _binary_table(opcode: Opcode, shape: Shape):
     """``table[x - lo][y - lo]`` = numeric result, or None on a trap."""
-    ty = type_for_shape(shape)
+    ty = types.integral(*shape)
     lo, hi = shape_bounds(shape)
     table = []
     for x in range(lo, hi + 1):
@@ -203,7 +181,7 @@ def check_kb_binary_exhaustive(opcode: Opcode, shape: Shape,
 def check_binary_singletons(opcode: Opcode, shape: Shape,
                             problems: List[str], stride: int = 1) -> None:
     """Exhaustive concrete pairs through singleton abstract values."""
-    ty = type_for_shape(shape)
+    ty = types.integral(*shape)
     lo, hi = shape_bounds(shape)
     result_shape = BOOL_SHAPE if opcode in COMPARISON_OPCODES else shape
     for x in range(lo, hi + 1, stride):
@@ -237,7 +215,7 @@ def check_binary_sampled(opcode: Opcode, shape: Shape, problems: List[str],
     """Boundary + seeded sampling for wide shapes: abstract inputs from
     the tvalid argument window, concrete probes at endpoints + seeded
     interior members."""
-    ty = type_for_shape(shape)
+    ty = types.integral(*shape)
     result_shape = BOOL_SHAPE if opcode in COMPARISON_OPCODES else shape
     domain = argument_domain(ty) or []
     lo, hi = shape_bounds(shape)
@@ -288,7 +266,7 @@ def check_binary_sampled(opcode: Opcode, shape: Shape, problems: List[str],
 
 def _shift_table(opcode: Opcode, shape: Shape):
     """``table[x - lo][k]`` over every ubyte amount ``k``."""
-    ty = type_for_shape(shape)
+    ty = types.integral(*shape)
     lo, hi = shape_bounds(shape)
     return [[int(eval_shift(opcode, ty, x, k)) for k in range(256)]
             for x in range(lo, hi + 1)]
@@ -350,8 +328,8 @@ SHIFT_SHAPE: Shape = (8, False)
 
 def check_cast_exhaustive(src: Shape, dst: Shape,
                           problems: List[str]) -> None:
-    src_ty = type_for_shape(src)
-    dst_ty = type_for_shape(dst)
+    src_ty = types.integral(*src)
+    dst_ty = types.integral(*dst)
     lo, hi = shape_bounds(src)
     table = [int(eval_cast(src_ty, dst_ty, _concrete(src, v)))
              for v in range(lo, hi + 1)]
@@ -560,7 +538,7 @@ def run_self_check(full: bool = True, seed: int = 0x5eed,
                               limit=1)
     for shape in ((32, True), (64, True), (64, False)) if full \
             else ((32, True),):
-        ty = type_for_shape(shape)
+        ty = types.integral(*shape)
         check_widening_chains(shape, problems,
                               argument_domain(ty, core_only=True),
                               argument_domain(ty), limit=WIDEN_AFTER)

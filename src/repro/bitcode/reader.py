@@ -3,9 +3,10 @@
 Decoding per function body is two-pass: pass 1 creates a typed
 placeholder for every instruction result (the packed type field carries
 the result type, so forward references across the linear block layout
-resolve cleanly); pass 2 materialises real instructions, resolving each
-operand to the already-built instruction or to the placeholder, and
-finally replaces every placeholder with its real value.
+resolve cleanly); pass 2 materialises real instructions through
+:func:`repro.core.instructions.build`, resolving each operand to a block,
+the already-built instruction or the placeholder, and finally replaces
+every placeholder with its real value.
 """
 
 from __future__ import annotations
@@ -14,13 +15,8 @@ from typing import Optional
 
 from ..core import types
 from ..core.basicblock import BasicBlock
-from ..core.instructions import (
-    AllocaInst, BinaryOperator, BranchInst, CallInst, CastInst, FreeInst,
-    GetElementPtrInst, InvokeInst, LoadInst, MallocInst, Opcode, PhiNode,
-    ReturnInst, ShiftInst, StoreInst, SwitchInst, UnwindInst, VAArgInst,
-    BINARY_OPCODES,
-)
-from ..core.module import Function, GlobalVariable, Linkage, Module
+from ..core.instructions import Opcode, build
+from ..core.module import Function, Linkage, Module
 from ..core.values import (
     Constant, ConstantAggregateZero, ConstantArray, ConstantBool,
     ConstantExpr, ConstantFP, ConstantInt, ConstantPointerNull,
@@ -38,6 +34,16 @@ from .writer import (
 
 _OPCODES = list(Opcode)
 _LINKAGES = [Linkage.EXTERNAL, Linkage.INTERNAL, Linkage.APPENDING]
+
+#: The operand positions that are block numbers, not value ids: the
+#: targets of ``br``/``invoke`` (the last one or two operands) and the
+#: odd positions of ``switch`` (default, case targets) and ``phi``.
+_LABELS = {
+    Opcode.BR: lambda position, count: position >= count - 2,
+    Opcode.INVOKE: lambda position, count: position >= count - 2,
+    Opcode.SWITCH: lambda position, count: position % 2 == 1,
+    Opcode.PHI: lambda position, count: position % 2 == 1,
+}
 
 
 class _Placeholder(Value):
@@ -366,9 +372,7 @@ class _Decoder:
 
         built: list[Optional[Value]] = [None] * len(placeholders)
 
-        def operand(index: int, want_block: bool = False):
-            if want_block:
-                return blocks[index]
+        def operand(index: int):
             if index < base:
                 return self.symbols[index]
             if index < arg_base:
@@ -384,8 +388,10 @@ class _Decoder:
         layout_order: list = []
         for block, block_records in zip(blocks, records):
             for opcode, result_type, ids, value_slot in block_records:
-                inst = self._build_instruction(opcode, result_type, ids,
-                                               operand, blocks)
+                is_label = _LABELS.get(opcode)
+                inst = build(opcode, result_type, [
+                    blocks[i] if is_label and is_label(position, len(ids))
+                    else operand(i) for position, i in enumerate(ids)])
                 block.instructions.append(inst)
                 inst.parent = block
                 layout_order.append(inst)
@@ -407,9 +413,6 @@ class _Decoder:
 
         # Optional local symbol table.
         name_count = reader.count()
-        values_in_order: list[Value] = list(function.args) + [
-            built[i] for i in range(len(built)) if built[i] is not None
-        ]
         for _ in range(name_count):
             kind = reader.u8()
             name = reader.string()
@@ -425,55 +428,3 @@ class _Decoder:
                     target = built[value_id - inst_base]
                     if target is not None:
                         target.name = name
-
-    def _build_instruction(self, opcode: Opcode, result_type: types.Type,
-                           ids: list[int], operand, blocks) -> object:
-        if opcode in BINARY_OPCODES:
-            return BinaryOperator(opcode, operand(ids[0]), operand(ids[1]))
-        if opcode in (Opcode.SHL, Opcode.SHR):
-            return ShiftInst(opcode, operand(ids[0]), operand(ids[1]))
-        if opcode == Opcode.RET:
-            return ReturnInst(operand(ids[0]) if ids else None)
-        if opcode == Opcode.BR:
-            if len(ids) == 1:
-                return BranchInst(blocks[ids[0]])
-            return BranchInst(blocks[ids[1]], operand(ids[0]), blocks[ids[2]])
-        if opcode == Opcode.SWITCH:
-            cases = []
-            for position in range(2, len(ids), 2):
-                cases.append((operand(ids[position]), blocks[ids[position + 1]]))
-            return SwitchInst(operand(ids[0]), blocks[ids[1]], cases)
-        if opcode == Opcode.INVOKE:
-            args = [operand(i) for i in ids[1:-2]]
-            return InvokeInst(operand(ids[0]), args,
-                              blocks[ids[-2]], blocks[ids[-1]])
-        if opcode == Opcode.UNWIND:
-            return UnwindInst()
-        if opcode == Opcode.MALLOC:
-            size = operand(ids[0]) if ids else None
-            return MallocInst(result_type, size)
-        if opcode == Opcode.ALLOCA:
-            size = operand(ids[0]) if ids else None
-            return AllocaInst(result_type, size)
-        if opcode == Opcode.FREE:
-            return FreeInst(operand(ids[0]))
-        if opcode == Opcode.LOAD:
-            return LoadInst(operand(ids[0]))
-        if opcode == Opcode.STORE:
-            return StoreInst(operand(ids[0]), operand(ids[1]))
-        if opcode == Opcode.GETELEMENTPTR:
-            return GetElementPtrInst(operand(ids[0]),
-                                     [operand(i) for i in ids[1:]])
-        if opcode == Opcode.PHI:
-            phi = PhiNode(result_type)
-            for position in range(0, len(ids), 2):
-                phi.add_incoming(operand(ids[position]),
-                                 blocks[ids[position + 1]])
-            return phi
-        if opcode == Opcode.CAST:
-            return CastInst(operand(ids[0]), result_type)
-        if opcode == Opcode.CALL:
-            return CallInst(operand(ids[0]), [operand(i) for i in ids[1:]])
-        if opcode == Opcode.VAARG:
-            return VAArgInst(operand(ids[0]), result_type)
-        raise BytecodeError(f"cannot decode opcode {opcode}")

@@ -35,10 +35,7 @@ from typing import Optional
 
 from ..core import types
 from ..core.basicblock import BasicBlock
-from ..core.instructions import (
-    AllocationInst, CastInst, Instruction, InvokeInst, Opcode, PhiNode,
-    SwitchInst, VAArgInst,
-)
+from ..core.instructions import Instruction, Opcode
 from ..core.module import Function, GlobalVariable, Linkage, Module
 from ..core.values import (
     Argument, Constant, ConstantAggregateZero, ConstantArray, ConstantBool,
@@ -400,13 +397,11 @@ class BytecodeWriter:
                             table: _TypeTable, operand_id) -> None:
         opcode_number = _OPCODE_INDEX[inst.opcode] + 1  # 0 = escape
 
-        # The "type" field carries the result type (the allocated type
-        # for alloca/malloc), which is exactly what the reader needs to
-        # create a typed placeholder before operands resolve.
-        if isinstance(inst, AllocationInst):
-            type_id = table.id_of(inst.allocated_type)
-        else:
-            type_id = table.id_of(inst.type)
+        # The "type" field is the carried type (the result type; the
+        # allocated type for alloca/malloc): what the reader needs to
+        # create a typed placeholder before operands resolve, and to
+        # rebuild the instruction with ``build``.
+        type_id = table.id_of(inst.carried_type)
 
         operands = [operand_id(op) for op in inst.operands]
         if (len(operands) <= 2 and type_id < 0xFF

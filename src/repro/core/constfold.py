@@ -44,7 +44,7 @@ import struct as _struct
 from typing import Optional
 
 from . import types
-from .instructions import Opcode
+from .instructions import CastInst, Instruction, Opcode, ShiftInst
 from .types import Type
 from .values import (
     Constant, ConstantBool, ConstantFP, ConstantInt, ConstantPointerNull,
@@ -307,6 +307,26 @@ def fold_shift(opcode: Opcode, value: Constant, amount: Constant) -> Optional[Co
         return None
     result = eval_shift(opcode, value.type, value.value, amount.value)  # type: ignore[arg-type]
     return ConstantInt(value.type, result)  # type: ignore[arg-type]
+
+
+def fold_instruction(inst: Instruction) -> Optional[Constant]:
+    """Try to evaluate ``inst`` to a constant from constant operands."""
+    if inst.is_binary_op:
+        lhs, rhs = inst.operands
+        if isinstance(lhs, Constant) and isinstance(rhs, Constant):
+            return fold_binary(inst.opcode, lhs, rhs)
+        return None
+    if isinstance(inst, ShiftInst):
+        value, amount = inst.operands
+        if isinstance(value, Constant) and isinstance(amount, Constant):
+            return fold_shift(inst.opcode, value, amount)
+        return None
+    if isinstance(inst, CastInst):
+        value = inst.value
+        if isinstance(value, Constant):
+            return fold_cast(value, inst.type)
+        return None
+    return None
 
 
 def fold_cast(value: Constant, dest_type: Type) -> Optional[Constant]:

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import types
 from .types import Type
-from .values import Constant, ConstantInt, User, Value
+from .values import ConstantInt, User, Value
 
 
 class Opcode(enum.Enum):
@@ -121,6 +121,12 @@ class Instruction(User):
     @property
     def is_commutative(self) -> bool:
         return self.opcode in COMMUTATIVE_OPCODES
+
+    @property
+    def carried_type(self) -> Type:
+        """The type :func:`build` needs besides the operands: the result
+        type (an allocation carries its allocated type instead)."""
+        return self.type
 
     def may_write_memory(self) -> bool:
         return self.opcode in (Opcode.STORE, Opcode.CALL, Opcode.INVOKE,
@@ -407,6 +413,10 @@ class AllocationInst(Instruction):
         self.allocated_type = allocated_type
 
     @property
+    def carried_type(self) -> Type:
+        return self.allocated_type
+
+    @property
     def array_size(self) -> Optional[Value]:
         return self.operands[0] if self.operands else None
 
@@ -685,3 +695,57 @@ class VAArgInst(Instruction):
     @property
     def valist(self) -> Value:
         return self.operands[0]
+
+
+def _branch(ty: Type, ops: Sequence[Value], name: str) -> Instruction:
+    return BranchInst(ops[0]) if len(ops) == 1 else BranchInst(ops[1], ops[0], ops[2])
+
+
+def _phi(ty: Type, ops: Sequence[Value], name: str) -> Instruction:
+    phi = PhiNode(ty, name)
+    for index in range(0, len(ops), 2):
+        phi.add_incoming(ops[index], ops[index + 1])
+    return phi
+
+
+#: opcode -> (carried type, operands, name) -> instruction, for every
+#: opcode but the binary and shift ones (see :func:`build`).
+_MAKERS = {
+    Opcode.RET: lambda ty, ops, name: ReturnInst(*ops),
+    Opcode.BR: _branch,
+    Opcode.SWITCH: lambda ty, ops, name: SwitchInst(
+        ops[0], ops[1], zip(ops[2::2], ops[3::2])),
+    Opcode.INVOKE: lambda ty, ops, name: InvokeInst(
+        ops[0], ops[1:-2], ops[-2], ops[-1], name),
+    Opcode.UNWIND: lambda ty, ops, name: UnwindInst(),
+    Opcode.MALLOC: lambda ty, ops, name: MallocInst(ty, *ops, name=name),
+    Opcode.ALLOCA: lambda ty, ops, name: AllocaInst(ty, *ops, name=name),
+    Opcode.FREE: lambda ty, ops, name: FreeInst(ops[0]),
+    Opcode.LOAD: lambda ty, ops, name: LoadInst(ops[0], name),
+    Opcode.STORE: lambda ty, ops, name: StoreInst(ops[0], ops[1]),
+    Opcode.GETELEMENTPTR: lambda ty, ops, name: GetElementPtrInst(
+        ops[0], ops[1:], name),
+    Opcode.PHI: _phi,
+    Opcode.CAST: lambda ty, ops, name: CastInst(ops[0], ty, name),
+    Opcode.CALL: lambda ty, ops, name: CallInst(ops[0], ops[1:], name),
+    Opcode.VAARG: lambda ty, ops, name: VAArgInst(ops[0], ty, name),
+}
+
+
+def build(opcode: Opcode, carried_type: Type, operands: Sequence[Value],
+          name: str = "") -> Instruction:
+    """Make an instruction from its opcode and its operand list, in
+    ``inst.operands`` order (branch targets and phi predecessors are
+    blocks in that list).
+
+    The one place an instruction is rebuilt rather than written by a
+    front-end: the bytecode reader and the cloner both call it.
+    ``carried_type`` is :attr:`Instruction.carried_type`, the one type
+    the operands cannot imply (read by alloca/malloc, cast, phi and
+    vaarg).
+    """
+    make = _MAKERS.get(opcode)
+    if make is not None:
+        return make(carried_type, operands, name)
+    cls = ShiftInst if opcode in (Opcode.SHL, Opcode.SHR) else BinaryOperator
+    return cls(opcode, operands[0], operands[1], name)

@@ -19,9 +19,10 @@ from typing import Optional
 from . import types
 from .basicblock import BasicBlock
 from .instructions import (
-    AllocaInst, BinaryOperator, BranchInst, CallInst, CastInst, FreeInst,
-    GetElementPtrInst, InvokeInst, LoadInst, MallocInst, Opcode, PhiNode,
-    ReturnInst, ShiftInst, StoreInst, SwitchInst, UnwindInst, VAArgInst,
+    BINARY_OPCODES, AllocaInst, BinaryOperator, BranchInst, CallInst,
+    CastInst, FreeInst, GetElementPtrInst, InvokeInst, LoadInst, MallocInst,
+    Opcode, PhiNode, ReturnInst, ShiftInst, StoreInst, SwitchInst,
+    UnwindInst, VAArgInst,
 )
 from .module import Function, GlobalVariable, Linkage, Module
 from .values import (
@@ -186,6 +187,11 @@ def tokenize(source: str) -> list[Token]:
 # Parser
 # ---------------------------------------------------------------------------
 
+#: The binary opcodes by their textual names (an opcode's value is its
+#: spelling).
+_BINARY_SPELLINGS = frozenset(opcode.value for opcode in BINARY_OPCODES)
+
+
 class _ForwardValue(Value):
     """Placeholder for a local value referenced before its definition."""
 
@@ -197,10 +203,10 @@ class _ForwardValue(Value):
 
 
 class Parser:
-    def __init__(self, source: str, module_name: str = "parsed"):
+    def __init__(self, source: str, module: Module):
         self.tokens = tokenize(source)
         self.position = 0
-        self.module = Module(module_name)
+        self.module = module
         # Module-level symbols created by forward reference, not yet defined.
         self._forward_functions: dict[str, Function] = {}
         self._forward_globals: dict[str, GlobalVariable] = {}
@@ -405,7 +411,7 @@ class Parser:
             if arg_name:
                 arg.name = arg_name
 
-    def _parse_function_definition(self, linkage: str) -> None:
+    def _parse_function_definition(self, linkage: str) -> Function:
         token = self.peek()
         if token.text == Linkage.INTERNAL:
             linkage = token.text
@@ -421,6 +427,7 @@ class Parser:
         self.expect("{")
         _FunctionBodyParser(self, function).parse()
         self.expect("}")
+        return function
 
     def _parse_param_list(self, return_type: types.Type,
                           want_names: bool) -> tuple[types.FunctionType, list[str]]:
@@ -688,28 +695,19 @@ class _FunctionBodyParser:
 
     def _dispatch(self, opcode_text: str, block: BasicBlock):
         parser = self.parser
-        binary_ops = {
-            "add": Opcode.ADD, "sub": Opcode.SUB, "mul": Opcode.MUL,
-            "div": Opcode.DIV, "rem": Opcode.REM, "and": Opcode.AND,
-            "or": Opcode.OR, "xor": Opcode.XOR, "seteq": Opcode.SETEQ,
-            "setne": Opcode.SETNE, "setlt": Opcode.SETLT,
-            "setgt": Opcode.SETGT, "setle": Opcode.SETLE,
-            "setge": Opcode.SETGE,
-        }
-        if opcode_text in binary_ops:
+        if opcode_text in _BINARY_SPELLINGS:
             ty = parser.parse_type()
             lhs = self._parse_value(ty)
             parser.expect(",")
             rhs = self._parse_value(ty)
-            return BinaryOperator(binary_ops[opcode_text], lhs, rhs)
+            return BinaryOperator(Opcode(opcode_text), lhs, rhs)
         if opcode_text in ("shl", "shr"):
             ty = parser.parse_type()
             value = self._parse_value(ty)
             parser.expect(",")
             parser.expect("word", "ubyte")
             amount = self._parse_value(types.UBYTE)
-            opcode = Opcode.SHL if opcode_text == "shl" else Opcode.SHR
-            return ShiftInst(opcode, value, amount)
+            return ShiftInst(Opcode(opcode_text), value, amount)
         if opcode_text == "ret":
             if parser.accept("word", "void"):
                 return ReturnInst(None)
@@ -817,6 +815,29 @@ class _FunctionBodyParser:
         return InvokeInst(callee, args, normal, unwind)
 
 
+class _LiveParser(Parser):
+    """Parses one function definition in a live module's symbol space:
+    named types, globals and functions — the defined function's own name
+    included — are the module's objects, and a symbol the module lacks
+    is an error rather than a forward declaration.  The definition
+    itself becomes a fresh function outside the module."""
+
+    def _named_type(self, name: str) -> types.StructType:
+        named = self.module.named_types.get(name)
+        if named is None:
+            raise self.error(f"unknown type %{name}")
+        return named
+
+    def resolve_global(self, name: str, expected_type: types.Type) -> Value:
+        if self.module.get_symbol(name) is None:
+            raise self.error(f"unknown symbol %{name}")
+        return super().resolve_global(name, expected_type)
+
+    def _get_or_create_function(self, name: str, fn_type: types.FunctionType,
+                                linkage: str = Linkage.EXTERNAL) -> Function:
+        return Function(fn_type, name, linkage)
+
+
 def parse_module(source: str, name: Optional[str] = None) -> Module:
     """Parse textual IR into a module.
 
@@ -826,11 +847,25 @@ def parse_module(source: str, name: Optional[str] = None) -> Module:
     if name is None:
         match = re.search(r";\s*ModuleID\s*=\s*'([^']*)'", source)
         name = match.group(1) if match else "parsed"
-    return Parser(source, name).parse_module()
+    return Parser(source, Module(name)).parse_module()
 
 
-def parse_function(source: str, name: str = "parsed") -> Function:
-    """Parse a single textual function definition (convenience for tests)."""
+def parse_function(source: str, name: str = "parsed",
+                   module: Optional[Module] = None) -> Function:
+    """Parse a single textual function definition.
+
+    Alone, the text is its own module (``name``; a convenience for
+    tests).  Given ``module`` — the module the text was printed from,
+    as the pass manager's per-function snapshots are — its symbols are
+    the live ones (:class:`_LiveParser`) and the result is not added to
+    it, so its body can be transplanted into the live function or
+    co-executed beside it.
+    """
+    if module is not None:
+        parser = _LiveParser(source, module)
+        function = parser._parse_function_definition(Linkage.EXTERNAL)
+        parser.expect("eof")
+        return function
     module = parse_module(source, name)
     defined = [f for f in module.functions.values() if not f.is_declaration]
     if len(defined) != 1:

@@ -97,6 +97,8 @@ class IntegerType(Type):
     The instruction set follows LLVM 1.x in carrying signedness in the
     type (``sbyte``/``ubyte``/.../``long``/``ulong``) rather than in the
     opcode; the opcode plus the operand type determines exact semantics.
+    Narrower widths exist only for exhaustive checking (:func:`integral`)
+    and never appear in IR.
     """
 
     __slots__ = ("bits", "signed")
@@ -114,13 +116,12 @@ class IntegerType(Type):
     }
 
     def __init__(self, bits: int, signed: bool):
-        if (bits, signed) not in self._NAMES:
-            raise ValueError(f"unsupported integer type: {bits} bits")
         self.bits = bits
         self.signed = signed
 
     def __str__(self) -> str:
-        return self._NAMES[(self.bits, self.signed)]
+        return (self._NAMES.get((self.bits, self.signed))
+                or f"{'i' if self.signed else 'u'}{self.bits}")
 
     @property
     def min_value(self) -> int:
@@ -300,6 +301,7 @@ _pointer_cache: dict[int, PointerType] = {}
 _array_cache: dict[tuple[int, int], ArrayType] = {}
 _struct_cache: dict[tuple[int, ...], StructType] = {}
 _function_cache: dict[tuple, FunctionType] = {}
+_narrow_cache: dict[tuple[int, bool], IntegerType] = {}
 
 # Derived-type identity relies on "same structure => same object"; a
 # check-then-insert race between two compiler threads (the parallel
@@ -314,6 +316,20 @@ def integer(bits: int, signed: bool) -> IntegerType:
         if candidate.bits == bits and candidate.signed == signed:
             return candidate
     raise ValueError(f"unsupported integer type: {bits} bits")
+
+
+def integral(bits: int, signed: bool) -> Type:
+    """The integral type of a width and signedness, at any width: ``bool``
+    for one unsigned bit, :func:`integer` where LC has the type, and
+    otherwise a uniqued narrow :class:`IntegerType` — the
+    enumeration-tractable widths lc-synth and the absint self-check
+    verify at, which never appear in IR."""
+    if (bits, signed) == (1, False):
+        return BOOL
+    if (bits, signed) in IntegerType._NAMES:
+        return integer(bits, signed)
+    with _intern_lock:
+        return _narrow_cache.setdefault((bits, signed), IntegerType(bits, signed))
 
 
 def pointer(pointee: Type) -> PointerType:

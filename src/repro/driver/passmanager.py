@@ -22,10 +22,10 @@ calls back here for everything that makes a failure survivable:
   Module (interprocedural) passes are exempt: their rewrites may be
   justified by call-site context that per-function refinement cannot
   see (docs/ANALYSIS.md);
-* **rollback** of the failed unit from its snapshot — a function is
-  rebuilt in place from its text via the linker's cross-module graft
-  (``materialize_function``), a module from its bytecode — so one bad
-  function costs only itself its optimization;
+* **rollback** of the failed unit from its snapshot — a function's text
+  is parsed straight into the live module's symbols and its body moved
+  into the function object in place, a module is re-read from its
+  bytecode — so one bad function costs only itself its optimization;
 * **containment**, once per pass: the guilty functions of a function
   pass are *poisoned* for that pass; a failing module pass is bisected
   to name the function that kills it and poisoned module-wide; a
@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..bitcode import read_bytecode
+from ..core.irparser import parse_function
 from ..core.module import Module
 from ..core.verifier import verify_module
 from ..stats import Stats
@@ -89,14 +90,12 @@ def restore_module(module: Module, snapshot: bytes) -> None:
 def restore_function(module: Module, function, snapshot: str) -> None:
     """Roll one function back to its snapshot text, in place.
 
-    The snapshot is re-parsed in ``module``'s symbol/type space
-    (:func:`repro.linker.linker.materialize_function`) and its body
+    The snapshot is parsed straight into ``module``'s symbol/type space
+    (``parse_function(snapshot, module=module)``) and its body
     transplanted into the live function object, so every call site and
     vtable entry referencing the function stays valid.
     """
-    from ..linker.linker import materialize_function
-
-    rebuilt = materialize_function(module, snapshot)
+    rebuilt = parse_function(snapshot, module=module)
     function.delete_body()
     function.args = rebuilt.args
     for arg in function.args:
@@ -334,17 +333,15 @@ class FaultPolicy:
         function against its snapshot text; count verdicts; raise on a
         violation.
 
-        The "before" side is the snapshot re-materialized in the live
-        module's symbol space, co-executed in a carrier module sharing
+        The "before" side is the snapshot parsed in the live module's
+        symbol space, co-executed in a carrier module sharing
         the live globals and every *other* function — so callee
         differences cancel and the check isolates this function's
         change (modular refinement: callees are validated separately).
         """
         if not self.translation_validate:
             return
-        from ..linker.linker import materialize_function
-
-        before_fn = materialize_function(module, snapshot)
+        before_fn = parse_function(snapshot, module=module)
         carrier = Module(module.name, module.data_layout)
         carrier.globals = module.globals
         carrier.named_types = module.named_types

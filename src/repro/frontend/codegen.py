@@ -75,6 +75,19 @@ class _Scope:
         self.entries[name] = value
 
 
+class _ConstantFolder(IRBuilder):
+    """The builder global initializers are generated with: each
+    instruction is folded by constfold instead of being inserted."""
+
+    def _insert(self, inst):
+        folded = constfold.fold_instruction(inst)
+        inst.drop_all_references()
+        if folded is None:
+            raise CodeGenError("unsupported constant initializer",
+                               self.current_line)
+        return folded
+
+
 class CodeGenerator:
     """Translates one LC translation unit into a fresh module."""
 
@@ -151,9 +164,11 @@ class CodeGenerator:
         for decl in program.declarations:
             if isinstance(decl, ast.FunctionDecl):
                 self._declare_function(decl)
+        self.builder = _ConstantFolder()
         for decl in program.declarations:
             if isinstance(decl, ast.GlobalDecl):
                 self._define_global(decl)
+        self.builder = IRBuilder()
         for decl in program.declarations:
             if isinstance(decl, ast.FunctionDecl) and decl.body is not None:
                 self._define_function(decl)
@@ -214,25 +229,37 @@ class CodeGenerator:
             return ConstantPointerNull(target)  # type: ignore[arg-type]
         if isinstance(expr, ast.StringLiteral) and target.is_pointer:
             return self._string_pointer_constant(expr.data)
+        if isinstance(expr, (ast.Unary, ast.Binary)) and target.is_integer:
+            return constfold.fold_cast(self._run_time_value(expr), target)
         if isinstance(expr, ast.Unary) and expr.op == "-":
             inner = self._constant_expr(expr.operand, target)
-            if isinstance(inner, ConstantInt):
-                return ConstantInt(inner.type, -inner.value)  # type: ignore[arg-type]
             if isinstance(inner, ConstantFP):
                 return ConstantFP(inner.type, -inner.value)  # type: ignore[arg-type]
-        if isinstance(expr, ast.Binary) and target.is_integer:
-            lhs = self._constant_expr(expr.lhs, target)
-            rhs = self._constant_expr(expr.rhs, target)
-            if isinstance(lhs, ConstantInt) and isinstance(rhs, ConstantInt):
-                folded = _fold_const_int(expr.op, lhs.value, rhs.value)
-                if folded is not None:
-                    return ConstantInt(target, folded)  # type: ignore[arg-type]
         if isinstance(expr, ast.Identifier):
             symbol = self.module.functions.get(expr.name)
             if symbol is not None:
                 if symbol.type is target:
                     return symbol
                 return ConstantExpr("cast", target, (symbol,))
+        raise CodeGenError("unsupported constant initializer", expr.line)
+
+    def _run_time_value(self, expr: ast.Expr) -> Constant:
+        """An integer initializer's value as ``T h() { return expr; }``
+        computes it: literals typed as ``gen_expr`` types them, operators
+        emitted by the same code with their conversions, and every
+        instruction folded by constfold (the folding builder
+        :meth:`generate` installs while it defines globals)."""
+        if isinstance(expr, ast.Binary) and expr.op not in ("&&", "||"):
+            lhs = self._run_time_value(expr.lhs)
+            rhs = self._run_time_value(expr.rhs)
+            return self._emit_binary(expr.op, lhs, rhs, expr.line)
+        if isinstance(expr, ast.Unary) and expr.op in ("-", "~"):
+            value = self._run_time_value(expr.operand)
+            if value.type.is_integer:
+                emit = self.builder.neg if expr.op == "-" else self.builder.not_
+                return emit(value)
+        if isinstance(expr, (ast.IntLiteral, ast.CharLiteral)):
+            return self.gen_expr(expr)
         raise CodeGenError("unsupported constant initializer", expr.line)
 
     def _string_global(self, data: bytes) -> GlobalVariable:
@@ -968,31 +995,6 @@ class CodeGenerator:
             f"cannot implicitly convert {source} to {target} "
             "(use an explicit cast)", line
         )
-
-
-def _fold_const_int(op: str, a: int, b: int) -> Optional[int]:
-    """Evaluate simple constant arithmetic in global initializers."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/" and b != 0:
-        return int(a / b)
-    if op == "%" and b != 0:
-        return a - b * int(a / b)
-    if op == "<<":
-        return a << b
-    if op == ">>":
-        return a >> b
-    if op == "|":
-        return a | b
-    if op == "&":
-        return a & b
-    if op == "^":
-        return a ^ b
-    return None
 
 
 def _common_type(a: types.Type, b: types.Type) -> Optional[types.Type]:

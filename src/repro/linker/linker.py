@@ -7,6 +7,12 @@ structurally, declarations are resolved against definitions, internal
 symbols are renamed to avoid collisions, and ``appending`` arrays are
 concatenated.  The resulting module is what the link-time
 interprocedural optimizer runs on.
+
+Bodies are copied by :func:`repro.transforms.cloning.clone_body` under
+the linker's type unifier.  Putting one function's text back into the
+module it came from (the pass manager's rollback) needs no link: the
+parser resolves it against the live module directly
+(``parse_function(text, module=...)``).
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..core import types
-from ..core.instructions import Instruction
 from ..core.module import Function, GlobalVariable, Linkage, Module
 from ..core.values import Constant, ConstantArray, Value
 from ..transforms.cloning import clone_body
@@ -247,74 +252,3 @@ class _Linker:
             self.output._remove_global(target)
             target.replace_all_uses_with(replacement)
             self.output.add_global(replacement)
-
-
-def materialize_function(module: Module, text: str) -> Function:
-    """Parse one function's textual IR back into ``module``'s world.
-
-    ``text`` is a single function definition as printed by
-    ``print_function`` against ``module`` (the transactional pass
-    manager's per-function snapshot).  The result is a *detached*
-    :class:`Function` — not registered in ``module`` — whose external
-    references (globals, callees, named struct types, constants) point
-    at ``module``'s own objects, so its blocks can be spliced into the
-    live function or co-executed against it.
-
-    This is the linker's cross-module identity machinery applied to a
-    one-function "module": the text is parsed under a skeleton of
-    ``module``'s types, globals, and declarations, then grafted through
-    the same type/constant unification a real link uses.
-    """
-    from ..core.irparser import parse_module
-    from ..core.module import GlobalValue
-    from ..core.printer import print_module
-
-    # A skeleton carrier: the module's type and global sections plus a
-    # declaration for every function, so the text parses in a symbol
-    # environment identical to the one it was printed in.
-    skeleton = Module(module.name, module.data_layout)
-    skeleton.named_types = module.named_types
-    skeleton.globals = module.globals
-    for function in module.functions.values():
-        stub = Function(function.function_type, function.name,
-                        function.linkage, [a.name for a in function.args])
-        skeleton.functions[function.name] = stub
-    parsed = parse_module(print_module(skeleton) + "\n" + text)
-    target_name = None
-    for name, candidate in parsed.functions.items():
-        if not candidate.is_declaration:
-            target_name = name
-    if target_name is None:
-        raise LinkError("no function definition in materialized text")
-    parsed_fn = parsed.functions[target_name]
-
-    linker = _Linker(module)
-    value_map: dict[int, Value] = {}
-    for global_var in parsed.globals.values():
-        live = module.globals.get(global_var.name)
-        if live is None:
-            raise LinkError(f"snapshot references unknown global "
-                            f"{global_var.name!r}")
-        value_map[id(global_var)] = live
-    for function in parsed.functions.values():
-        live_fn = module.functions.get(function.name)
-        if live_fn is not None:
-            # Self-references included: a recursive call in the spliced
-            # body must point at the function living in the module, not
-            # at the detached shell.
-            value_map[id(function)] = live_fn
-    detached = Function(linker._map_type(parsed_fn.function_type),  # type: ignore[arg-type]
-                        parsed_fn.name, parsed_fn.linkage,
-                        [a.name for a in parsed_fn.args])
-    for old_arg, new_arg in zip(parsed_fn.args, detached.args):
-        value_map[id(old_arg)] = new_arg
-    for inst in parsed_fn.instructions():
-        for operand in inst.operands:
-            if (isinstance(operand, Constant)
-                    and not isinstance(operand, GlobalValue)
-                    and id(operand) not in value_map):
-                value_map[id(operand)] = linker._map_constant(
-                    operand, value_map)
-    clone_body(parsed_fn.blocks, detached, value_map,
-               map_type=linker._map_type)
-    return detached

@@ -1,107 +1,49 @@
 """IR cloning utilities: remap-and-copy of instructions, blocks, functions.
 
-Shared by the inliner, the trace-formation runtime optimizer (which
-duplicates hot paths into traces), and function specialization.
+Shared by the inliner, the linker (bodies into the output module),
+instruction selection, the trace-formation runtime optimizer (which
+duplicates hot paths into traces), and function specialization.  A copy
+is made by :func:`repro.core.instructions.build` from the opcode and the
+remapped operand list — the constructor the bytecode reader uses too.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..core import types
 from ..core.basicblock import BasicBlock
-from ..core.instructions import (
-    AllocaInst, BinaryOperator, BranchInst, CallInst, CastInst, FreeInst,
-    GetElementPtrInst, Instruction, InvokeInst, LoadInst, MallocInst,
-    Opcode, PhiNode, ReturnInst, ShiftInst, StoreInst, SwitchInst,
-    UnwindInst, VAArgInst,
-)
+from ..core.instructions import Instruction, build
 from ..core.module import Function, Module
 from ..core.values import Value
 
 
-def remap(value: Value, value_map: dict[int, Value]) -> Value:
-    """Translate one operand through the clone map (identity if absent)."""
-    return value_map.get(id(value), value)
-
-
 def clone_instruction(inst: Instruction, value_map: dict[int, Value],
                       map_type=None) -> Instruction:
-    """Copy ``inst`` with operands translated through ``value_map``.
+    """Copy ``inst`` with operands translated through ``value_map``
+    (keyed by ``id``; an operand it lacks is kept as it is).
 
     Block operands may map to not-yet-materialised blocks; callers must
     pre-create all target blocks in the map before cloning bodies.
-    ``map_type`` translates explicitly-carried types (alloca/malloc
-    element types, cast/phi/vaarg result types) — the linker passes its
+    ``map_type`` translates the carried type (alloca/malloc element
+    types, cast/phi/vaarg result types) — the linker passes its
     cross-module type unifier here; plain cloning leaves types alone.
     """
-    get = lambda v: remap(v, value_map)  # noqa: E731
-    if map_type is None:
-        map_type = lambda t: t  # noqa: E731
-    clone = _clone_instruction(inst, get, map_type)
+    carried = inst.carried_type
+    mapped = value_map.get
+    clone = build(inst.opcode, carried if map_type is None else map_type(carried),
+                  [mapped(id(op), op) for op in inst.operands], inst.name)
     clone.loc = inst.loc
     return clone
-
-
-def _clone_instruction(inst: Instruction, get, map_type) -> Instruction:
-    op = inst.opcode
-    if isinstance(inst, ReturnInst):
-        value = inst.return_value
-        return ReturnInst(None if value is None else get(value))
-    if isinstance(inst, BranchInst):
-        if inst.is_conditional:
-            return BranchInst(get(inst.operands[1]), get(inst.operands[0]),
-                              get(inst.operands[2]))
-        return BranchInst(get(inst.operands[0]))
-    if isinstance(inst, SwitchInst):
-        cases = [(get(v), get(d)) for v, d in inst.cases]
-        return SwitchInst(get(inst.value), get(inst.default_dest), cases)
-    if isinstance(inst, InvokeInst):
-        return InvokeInst(get(inst.callee), [get(a) for a in inst.args],
-                          get(inst.normal_dest), get(inst.unwind_dest), inst.name)
-    if isinstance(inst, UnwindInst):
-        return UnwindInst()
-    if isinstance(inst, BinaryOperator):
-        return BinaryOperator(op, get(inst.operands[0]), get(inst.operands[1]), inst.name)
-    if isinstance(inst, ShiftInst):
-        return ShiftInst(op, get(inst.value), get(inst.amount), inst.name)
-    if isinstance(inst, MallocInst):
-        size = inst.array_size
-        return MallocInst(map_type(inst.allocated_type),
-                          None if size is None else get(size), inst.name)
-    if isinstance(inst, AllocaInst):
-        size = inst.array_size
-        return AllocaInst(map_type(inst.allocated_type),
-                          None if size is None else get(size), inst.name)
-    if isinstance(inst, FreeInst):
-        return FreeInst(get(inst.pointer))
-    if isinstance(inst, LoadInst):
-        return LoadInst(get(inst.pointer), inst.name)
-    if isinstance(inst, StoreInst):
-        return StoreInst(get(inst.value), get(inst.pointer))
-    if isinstance(inst, GetElementPtrInst):
-        return GetElementPtrInst(get(inst.pointer), [get(i) for i in inst.indices], inst.name)
-    if isinstance(inst, PhiNode):
-        phi = PhiNode(map_type(inst.type), inst.name)
-        # Incoming entries are filled by the caller once all blocks exist.
-        return phi
-    if isinstance(inst, CastInst):
-        return CastInst(get(inst.value), map_type(inst.type), inst.name)
-    if isinstance(inst, CallInst):
-        return CallInst(get(inst.callee), [get(a) for a in inst.args], inst.name)
-    if isinstance(inst, VAArgInst):
-        return VAArgInst(get(inst.valist), map_type(inst.type), inst.name)
-    raise TypeError(f"cannot clone {inst!r}")
 
 
 def clone_body(source_blocks: list[BasicBlock], target_function: Function,
                value_map: dict[int, Value],
                name_suffix: str = "", map_type=None) -> list[BasicBlock]:
-    """Clone ``source_blocks`` into ``target_function``.
+    """Clone the whole body ``source_blocks`` into ``target_function``.
 
     ``value_map`` may pre-map arguments (for inlining: formal -> actual)
-    and is extended with every cloned block and instruction.  Phi
-    incoming entries are remapped after all instructions exist.
+    and is extended with every cloned block and instruction.  Every
+    branch target and phi predecessor must be one of ``source_blocks``.
     Returns the cloned blocks in source order.
     """
     cloned_blocks: list[BasicBlock] = []
@@ -125,21 +67,12 @@ def clone_body(source_blocks: list[BasicBlock], target_function: Function,
                 placeholders.append((inst, placeholder))
     # Pass 2: clone instructions (operands resolve to clones made so
     # far, or to placeholders).
-    phis: list[tuple[PhiNode, PhiNode]] = []
     for source, block in zip(source_blocks, cloned_blocks):
         for inst in source.instructions:
             cloned = clone_instruction(inst, value_map, map_type)
             value_map[id(inst)] = cloned
             block.instructions.append(cloned)
             cloned.parent = block
-            if isinstance(inst, PhiNode):
-                phis.append((inst, cloned))
-    for source_phi, cloned_phi in phis:
-        for value, pred in source_phi.incoming:
-            mapped_pred = value_map.get(id(pred))
-            if mapped_pred is None:
-                continue  # predecessor outside the cloned region
-            cloned_phi.add_incoming(remap(value, value_map), mapped_pred)
     # Pass 3: splice placeholders out.
     for source_inst, placeholder in placeholders:
         if placeholder.uses:

@@ -4,34 +4,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core import constfold
 from ..core.basicblock import BasicBlock
-from ..core.instructions import (
-    BranchInst, CastInst, Instruction, Opcode, PhiNode,
-    ShiftInst, SwitchInst,
-)
+from ..core.constfold import fold_instruction  # noqa: F401  (re-export)
+from ..core.instructions import BranchInst, Instruction, PhiNode, SwitchInst
 from ..core.module import Function
-from ..core.values import Constant, ConstantBool, ConstantInt, Value
-
-
-def fold_instruction(inst: Instruction) -> Optional[Constant]:
-    """Try to evaluate ``inst`` to a constant from constant operands."""
-    if inst.is_binary_op:
-        lhs, rhs = inst.operands
-        if isinstance(lhs, Constant) and isinstance(rhs, Constant):
-            return constfold.fold_binary(inst.opcode, lhs, rhs)
-        return None
-    if isinstance(inst, ShiftInst):
-        value, amount = inst.operands
-        if isinstance(value, Constant) and isinstance(amount, Constant):
-            return constfold.fold_shift(inst.opcode, value, amount)
-        return None
-    if isinstance(inst, CastInst):
-        value = inst.value
-        if isinstance(value, Constant):
-            return constfold.fold_cast(value, inst.type)
-        return None
-    return None
+from ..core.values import ConstantBool, ConstantInt, Value
 
 
 def is_trivially_dead(inst: Instruction) -> bool:

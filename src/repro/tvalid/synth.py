@@ -58,32 +58,6 @@ _SAMPLED_WIDTHS = (16, 32, 64)
 _SAMPLES_PER_WIDTH = 64
 
 
-class _NarrowInt(types.IntegerType):
-    """A 4-bit integer type for exhaustive verification only.
-
-    The real type lattice stops at 8 bits; this synthetic width never
-    appears in IR — it exists so the identity check can enumerate every
-    input pair (256 of them) while exercising the same width-parametric
-    ``wrap`` semantics the genuine types use."""
-
-    def __init__(self, bits: int, signed: bool):
-        # bypass IntegerType's named-width whitelist
-        self.bits = bits
-        self.signed = signed
-
-    def __str__(self) -> str:
-        return f"{'i' if self.signed else 'u'}{self.bits}"
-
-
-_NARROW = {True: _NarrowInt(4, True), False: _NarrowInt(4, False)}
-
-
-def _int_type(bits: int, signed: bool) -> types.IntegerType:
-    if bits == 4:
-        return _NARROW[signed]
-    return types.integer(bits, signed)
-
-
 # ----------------------------------------------------------------------
 # Candidate enumeration
 # ----------------------------------------------------------------------
@@ -249,7 +223,7 @@ def verify_rule(lhs: tuple, rhs: tuple, signed: bool,
     like the wide widths)."""
     slots = _env_slots(lhs, rhs)
     for bits in (4, 8):
-        ty = _int_type(bits, signed)
+        ty = types.integral(bits, signed)
         if bits == 8 and len(slots) > 2:
             envs: Iterable[tuple] = _sampled_envs(ty, slots, seed)
         else:
@@ -257,7 +231,7 @@ def verify_rule(lhs: tuple, rhs: tuple, signed: bool,
         if _agree(lhs, rhs, ty, envs) is not None:
             return False
     for bits in _SAMPLED_WIDTHS:
-        ty = _int_type(bits, signed)
+        ty = types.integral(bits, signed)
         if _agree(lhs, rhs, ty, _sampled_envs(ty, slots, seed)) is not None:
             return False
     return True
@@ -452,7 +426,7 @@ def synthesize_constant_rules(progress=None) -> list[Rule]:
     ``and(add(x, C0), C1)`` and friends — simply drop out."""
     probes = {}
     for signed in (True, False):
-        ty = _int_type(4, signed)
+        ty = types.integral(4, signed)
         probes[signed] = (ty, _sampled_envs(ty, (0, 2, 3), seed=0xF1E7))
     rules = []
     for lhs in _constant_template_lhs():
@@ -516,7 +490,7 @@ def _fingerprint(tree: tuple, grids) -> Optional[tuple]:
 def _probe_grids():
     grids = []
     for signed in (True, False):
-        ty = _int_type(4, signed)
+        ty = types.integral(4, signed)
         probe = sorted({ty.wrap(v) for v in (-8, -3, -1, 0, 1, 2, 5, 7)})
         grids.append((ty, [(a, b) for a in probe for b in probe]))
     return grids

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.bitcode import BytecodeError, BytecodeWriter, read_bytecode, write_bytecode
-from repro.core import parse_module, print_module, verify_module
+from repro.core import (
+    Opcode, parse_module, print_function, print_module, verify_module,
+)
 from repro.execution import Interpreter
 from repro.frontend import compile_source
+from repro.transforms.cloning import clone_function
 
 
 def _roundtrip(source: str):
@@ -127,6 +130,84 @@ int main() { return fib(12); }
         expected = Interpreter(module).run("main")
         decoded = read_bytecode(write_bytecode(module))
         assert Interpreter(decoded).run("main") == expected == 144
+
+
+#: One module that uses every one of the 31 opcodes.
+ALL_OPCODES = """
+%Pair = type { int, %Pair* }
+%counter = global int 0
+declare int %ext(int %x)
+int %thrower(int %x) {
+entry:
+  unwind
+}
+int %all(int %a, int %b, sbyte** %ap) {
+entry:
+  %slot = alloca int
+  %heap = malloc %Pair, uint 2
+  %s = add int %a, %b
+  %d = sub int %s, 1
+  %m = mul int %d, %b
+  %q = div int %m, 3
+  %r = rem int %q, 5
+  %n = and int %r, 7
+  %o = or int %n, 8
+  %x = xor int %o, %a
+  %sh = shl int %x, ubyte 2
+  %sr = shr int %sh, ubyte 1
+  %field = getelementptr %Pair* %heap, long 1, uint 0
+  store int %sr, int* %field
+  store int %sr, int* %slot
+  %v = load int* %field
+  %g = load int* %counter
+  %eq = seteq int %v, %g
+  %ne = setne int %v, 1
+  %lt = setlt int %v, 2
+  %gt = setgt int %v, 3
+  %le = setle int %v, 4
+  %ge = setge int %v, 5
+  %va = vaarg sbyte** %ap, int
+  %c = cast bool %eq to int
+  %called = call int %ext(int %c)
+  br bool %ne, label %sw, label %done
+sw:
+  switch int %called, label %inv [ int 0, label %done int 1, label %loop ]
+inv:
+  %t = invoke int %thrower(int %va) to label %done unwind to label %done
+loop:
+  %i = phi int [ 0, %sw ], [ %next, %loop ]
+  %next = add int %i, 1
+  %again = setlt int %next, 10
+  br bool %again, label %loop, label %done
+done:
+  free %Pair* %heap
+  ret int %v
+}
+"""
+
+
+class TestRebuildPath:
+    """The reader and the cloner rebuild every opcode through one
+    constructor (``core.instructions.build``): both copies print exactly
+    like the original."""
+
+    def test_module_uses_every_opcode(self):
+        module = parse_module(ALL_OPCODES)
+        verify_module(module)
+        used = {inst.opcode for fn in module.defined_functions()
+                for inst in fn.instructions()}
+        assert used == set(Opcode) and len(used) == 31
+
+    def test_bytecode_round_trip_of_every_opcode(self):
+        _roundtrip(ALL_OPCODES)
+
+    def test_clone_of_every_opcode(self):
+        module = parse_module(ALL_OPCODES)
+        original = module.functions["all"]
+        clone = clone_function(original, "all.copy")
+        verify_module(module)
+        assert (print_function(clone).replace("%all.copy(", "%all(")
+                == print_function(original))
 
 
 class TestStripping:

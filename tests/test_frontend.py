@@ -335,6 +335,23 @@ int main() {
 """
         assert run_main(source) == 42 + 1 + ord("y")
 
+    @pytest.mark.parametrize("ty, expr", [
+        ("long", "2147483647 + 1"),
+        ("long", "65536 * 65536"),
+        ("uint", "-1 / 2"),
+        ("long", "9007199254740993 / 1"),
+        ("ulong", "18446744073709551615 / 3"),
+        ("long", "1 << 40"),
+    ])
+    def test_global_initializer_is_the_run_time_value(self, ty, expr):
+        """An initializer folds as the expression runs: literals keep
+        their own type, operands convert as in ``h``, and the arithmetic
+        wraps in that type before converting to the global's."""
+        module = compile_source(
+            f"{ty} g = {expr};\n{ty} h() {{ return {expr}; }}", "t")
+        assert (module.globals["g"].initializer.value
+                == Interpreter(module).run("h"))
+
     def test_float_arithmetic(self):
         source = """
 int main() {
