@@ -6,11 +6,15 @@ round, the same IPO pass objects again, a second clean-up — running one
 pass at a time and taking every unit's digest before and after it, and
 checks that the module it ends with prints exactly like
 the driver's own ``optimize_module`` / ``link_time_optimize``, so the
-audit is of the real pipeline.
+audit is of the real pipeline.  Each ``-O2`` stage applies the driver's
+skip rule through the driver's own predicate (``stale_functions``, then
+``mark_optimized``): a function that has not moved since an ``-O2`` run
+finished over it, and calls nothing that has, is not visited.
 
 Per slot and stage it reports the units run (functions, or the module
 for a module pass), the units whose digest moved (a function's printed
-text, a module's bytecode), and the programs in which any did.  A slot
+text, a module's bytecode), and the programs in which any did; per
+``-O2`` stage, the functions skipped as unchanged.  A slot
 that moves nothing at any stage on the whole corpus fails the gate: it
 is dead weight (ROADMAP item 5(a)), and this is how one is kept from
 coming back unnoticed.
@@ -31,13 +35,14 @@ import argparse
 import glob
 import os
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Callable
 
 from repro.benchsuite import benchmark_names, load_source
 from repro.core import Module, print_module
 from repro.driver.pipelines import (
-    link_time_optimize, lto_pipeline, optimize_module, standard_pipeline,
+    link_time_optimize, lto_pipeline, mark_optimized, optimize_module,
+    stale_functions, standard_pipeline,
 )
 from repro.frontend import compile_source
 from repro.fuzz.generator import generate_program
@@ -105,23 +110,26 @@ class Audit:
         #: (pipeline, slot, pass) -> stage ->
         #: [units run, units moved, programs in which one moved]
         self.slots = defaultdict(lambda: defaultdict(lambda: [0, 0, set()]))
+        #: -O2 stage -> functions the skip rule did not visit
+        self.skipped = Counter()
 
     def run_slots(self, passes, pipeline: str, stage: str, module,
-                  program: str) -> None:
+                  program: str, only=None) -> None:
         """One pass at a time; a unit and its digest are the pass
         manager's: a function and its printed text, or — for a module
         pass — the module and its bytecode (which carries the purity
-        flags the printer does not)."""
-        texts = _function_texts(module)
+        flags the printer does not).  A function pass runs over the
+        functions named in ``only`` (default: all)."""
+        texts = _function_texts(module, only)
         for slot, pass_obj in enumerate(passes):
             if hasattr(pass_obj, "run_on_module"):
                 before = snapshot_module(module)
                 PassManager().add(pass_obj).run(module)
                 units, moved = 1, int(snapshot_module(module) != before)
-                texts = _function_texts(module)
+                texts = _function_texts(module, only)
             else:
-                PassManager().add(pass_obj).run(module)
-                after = _function_texts(module)
+                PassManager().add(pass_obj).run(module, only)
+                after = _function_texts(module, only)
                 units = len(texts)
                 moved = sum(1 for name in texts if texts[name] != after[name])
                 texts = after
@@ -131,17 +139,24 @@ class Audit:
             if moved:
                 cell[2].add(program)
 
+    def run_o2(self, stage: str, module, program: str) -> None:
+        """An ``-O2`` stage under the driver's skip rule."""
+        only = {f.name for f in stale_functions(module, LEVEL)}
+        self.skipped[stage] += \
+            len(list(module.defined_functions())) - len(only)
+        self.run_slots(standard_pipeline(LEVEL).passes, "O2", stage, module,
+                       program, only)
+        mark_optimized(module, only, LEVEL)
+
     def audit_program(self, program: str, build) -> None:
         modules = build()
         for module in modules:
-            self.run_slots(standard_pipeline(LEVEL).passes, "O2", "compile",
-                           module, program)
+            self.run_o2("compile", module, program)
         linked = link_modules(modules, program)
         ipo = lto_pipeline().passes
         for round_ in ("1", "2"):
             self.run_slots(ipo, "lto", f"ipo-{round_}", linked, program)
-            self.run_slots(standard_pipeline(LEVEL).passes, "O2",
-                           f"cleanup-{round_}", linked, program)
+            self.run_o2(f"cleanup-{round_}", linked, program)
         driver = link_time_optimize(
             link_modules([optimize_module(module, LEVEL)
                           for module in build()], program), LEVEL)
@@ -150,8 +165,9 @@ class Audit:
                              "end where the driver does")
 
 
-def _function_texts(module) -> dict[str, str]:
-    return {f.name: snapshot_function(f) for f in module.defined_functions()}
+def _function_texts(module, only=None) -> dict[str, str]:
+    return {f.name: snapshot_function(f) for f in module.defined_functions()
+            if only is None or f.name in only}
 
 
 def main(argv=None) -> int:
@@ -175,6 +191,8 @@ def main(argv=None) -> int:
         print(f"  {pipeline:3s} {slot:2d} {name:13s} {cells}")
         if not any(moved for _, moved, _ in stages.values()):
             dead.append(f"{pipeline} slot {slot} ({name})")
+    print("slot-audit: functions skipped as unchanged: " + ", ".join(
+        f"{stage} {count}" for stage, count in sorted(audit.skipped.items())))
     if dead:
         print("slot-audit: FAIL — moved nothing on the whole corpus: "
               + ", ".join(dead), file=sys.stderr)

@@ -30,6 +30,7 @@ folder's single source of truth); the self-check enumerates against
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Tuple
 
 from ...core import types
@@ -55,20 +56,12 @@ def shape_of(ty: types.Type) -> Optional[Shape]:
     return None
 
 
+@functools.cache
 def shape_bounds(shape: Shape) -> Tuple[int, int]:
     bits, signed = shape
     if signed:
         return (-(1 << (bits - 1)), (1 << (bits - 1)) - 1)
     return (0, (1 << bits) - 1)
-
-
-def shape_wrap(shape: Shape, value: int) -> int:
-    """Two's-complement wrap of ``value`` into the shape's numeric space."""
-    bits, signed = shape
-    pattern = value & ((1 << bits) - 1)
-    if signed and pattern >= (1 << (bits - 1)):
-        return pattern - (1 << bits)
-    return pattern
 
 
 def to_pattern(shape: Shape, value: int) -> int:
@@ -230,44 +223,50 @@ class KnownBits:
 
 
 # ---------------------------------------------------------------------------
-# Conversions between the domains (the reduced-product operators)
+# Conversions between the domains (the reduced-product operators).  They
+# work on plain ints, ``(zeros, ones)`` and ``(lo, hi)``: ``reduce_pair``
+# runs on every transfer and usually changes nothing.
 # ---------------------------------------------------------------------------
 
-def kb_from_interval(shape: Shape, interval: Interval) -> KnownBits:
-    """Bits every member of the interval agrees on.
+def _common_bits(shape: Shape, lo: int, hi: int) -> Tuple[int, int]:
+    """``(zeros, ones)``: the bits every member of ``[lo, hi]`` agrees on.
 
     When all members share a sign, their patterns form one contiguous
     pattern range, so the common leading prefix of the endpoint patterns
     is known; mixed-sign intervals fix nothing.
     """
-    bits = shape[0]
-    if shape[1] and interval.lo < 0 <= interval.hi:
-        return KnownBits.top(bits)
-    pa = to_pattern(shape, interval.lo)
-    pb = to_pattern(shape, interval.hi)
-    differing = pa ^ pb
-    prefix = ((1 << bits) - 1) ^ ((1 << differing.bit_length()) - 1)
-    return KnownBits(bits, prefix & ~pa, prefix & pa)
+    if shape[1] and lo < 0 <= hi:
+        return 0, 0
+    mask = (1 << shape[0]) - 1
+    pa = lo & mask
+    prefix = mask ^ ((1 << (pa ^ (hi & mask)).bit_length()) - 1)
+    return prefix & ~pa, prefix & pa
+
+
+def _hull(shape: Shape, zeros: int, ones: int) -> Tuple[int, int]:
+    """``(lo, hi)``: the numeric hull of a known-bits pattern set."""
+    bits, signed = shape
+    mask = (1 << bits) - 1
+    if not signed:
+        return ones, mask & ~zeros
+    sign = 1 << (bits - 1)
+    # Minimum: the sign bit set unless proven 0, every other unknown bit
+    # 0.  Maximum: the sign bit clear unless proven 1, every other 1.
+    if zeros & sign:
+        return ones, mask & ~zeros
+    if ones & sign:
+        return ones - (1 << bits), (mask & ~zeros) - (1 << bits)
+    return (ones | sign) - (1 << bits), mask & ~zeros & ~sign
+
+
+def kb_from_interval(shape: Shape, interval: Interval) -> KnownBits:
+    """Bits every member of the interval agrees on."""
+    return KnownBits(shape[0], *_common_bits(shape, interval.lo, interval.hi))
 
 
 def interval_from_kb(shape: Shape, kb: KnownBits) -> Interval:
     """The numeric hull of a known-bits pattern set."""
-    bits, signed = shape
-    mask = (1 << bits) - 1
-    if not signed:
-        return Interval(kb.ones, mask & ~kb.zeros)
-    sign_bit = 1 << (bits - 1)
-    # Minimum: make the value as negative as allowed (sign bit 1 unless
-    # proven 0), every other unknown bit 0.
-    min_pattern = kb.ones
-    if not kb.zeros & sign_bit:
-        min_pattern |= sign_bit
-    # Maximum: sign bit 0 unless proven 1, every other unknown bit 1.
-    max_pattern = mask & ~kb.zeros
-    if not kb.ones & sign_bit:
-        max_pattern &= ~sign_bit
-    return Interval(from_pattern(shape, min_pattern),
-                    from_pattern(shape, max_pattern))
+    return Interval(*_hull(shape, kb.zeros, kb.ones))
 
 
 def reduce_pair(shape: Shape,
@@ -275,19 +274,21 @@ def reduce_pair(shape: Shape,
                 kb: KnownBits) -> Tuple[Interval, KnownBits]:
     """Mutually refine the two domains (sound reduced product):
     the result concretizations each contain the intersection of the
-    inputs' concretizations."""
-    # A top side has nothing to give the other, and takes exactly the
-    # other side's view of itself.
-    if kb.is_top():
-        return interval, kb_from_interval(shape, interval)
-    if interval.is_top(shape):
-        return interval_from_kb(shape, kb), kb
-    narrowed = interval.intersect(interval_from_kb(shape, kb))
-    if narrowed is not None:
-        interval = narrowed
-    sharpened = kb.intersect(kb_from_interval(shape, interval))
-    if sharpened is not None:
-        kb = sharpened
+    inputs' concretizations.  A side that did not change is returned
+    as it came in."""
+    lo, hi = interval.lo, interval.hi
+    klo, khi = _hull(shape, kb.zeros, kb.ones)
+    if klo <= hi and lo <= khi:
+        lo, hi = max(lo, klo), min(hi, khi)
+    zeros, ones = _common_bits(shape, lo, hi)
+    zeros |= kb.zeros
+    ones |= kb.ones
+    if zeros & ones:  # contradictory: keep the known bits as they were
+        zeros, ones = kb.zeros, kb.ones
+    if lo != interval.lo or hi != interval.hi:
+        interval = Interval(lo, hi)
+    if zeros != kb.zeros or ones != kb.ones:
+        kb = KnownBits(kb.bits, zeros, ones)
     return interval, kb
 
 
@@ -518,7 +519,7 @@ def _kb_divrem(opcode: Opcode, shape: Shape, a: KnownBits,
             lhs = from_pattern(shape, a.known_pattern)
             result = _tdiv(lhs, divisor) if opcode == Opcode.DIV \
                 else lhs - _tdiv(lhs, divisor) * divisor
-            return KnownBits.const(shape, shape_wrap(shape, result))
+            return KnownBits.const(shape, result)  # const wraps
         return KnownBits.top(bits)  # every execution traps
     if opcode == Opcode.REM and b.is_fully_known:
         divisor_pattern = b.known_pattern

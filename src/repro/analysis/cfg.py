@@ -98,10 +98,9 @@ def split_critical_edge(src: BasicBlock, dst: BasicBlock) -> BasicBlock:
     from ..core.instructions import BranchInst
 
     function = src.parent
-    middle = BasicBlock(f"{src.name}.{dst.name}.crit", parent=None)
-    position = function.blocks.index(src) + 1
-    function.blocks.insert(position, middle)
-    middle.parent = function
+    middle = function.insert_block(
+        function.blocks.index(src) + 1,
+        BasicBlock(f"{src.name}.{dst.name}.crit"))
     middle.append(BranchInst(dst))
 
     term = src.terminator

@@ -291,7 +291,9 @@ def solve_sparse(analysis: SparseAnalysis, function: Function) -> SparseResult:
                     if isinstance(user, Instruction) \
                             and user.parent in executable_blocks:
                         enqueue(user)
-            if inst.is_terminator:
-                for successor in analysis.feasible_successors(inst, get):
-                    mark_executable(inst.parent, successor)
+        # A terminator ends its block, so it can only be a batch's last.
+        last = batch[-1] if batch else None
+        if last is not None and last.is_terminator:
+            for successor in analysis.feasible_successors(last, get):
+                mark_executable(last.parent, successor)
     return SparseResult(elements, iterations, executable_blocks, view)

@@ -27,6 +27,7 @@ class BasicBlock(Value):
         self.instructions: list[Instruction] = []
         if parent is not None:
             parent.blocks.append(self)
+            self._moved()
 
     # -- structure ----------------------------------------------------------
 
@@ -85,17 +86,26 @@ class BasicBlock(Value):
         return len(self.instructions)
 
     # -- mutation -------------------------------------------------------------
+    #
+    # Each of these moves the containing function's epoch
+    # (:attr:`repro.core.module.Function.epoch`).
+
+    def _moved(self) -> None:
+        if self.parent is not None:
+            self.parent.epoch += 1
 
     def append(self, inst: Instruction) -> Instruction:
         if self.is_terminated:
             raise ValueError(f"block {self.name!r} is already terminated")
         inst.parent = self
         self.instructions.append(inst)
+        self._moved()
         return inst
 
     def insert(self, index: int, inst: Instruction) -> Instruction:
         inst.parent = self
         self.instructions.insert(index, inst)
+        self._moved()
         return inst
 
     def insert_before_terminator(self, inst: Instruction) -> Instruction:
@@ -107,6 +117,7 @@ class BasicBlock(Value):
     def remove_from_parent(self) -> None:
         if self.parent is not None:
             self.parent.blocks.remove(self)
+            self._moved()
             self.parent = None
 
     def erase_from_parent(self) -> None:
@@ -127,8 +138,7 @@ class BasicBlock(Value):
         new_block = BasicBlock(new_name, parent=None)
         if self.parent is not None:
             position = self.parent.blocks.index(self)
-            self.parent.blocks.insert(position + 1, new_block)
-            new_block.parent = self.parent
+            self.parent.insert_block(position + 1, new_block)
         moved = self.instructions[index:]
         del self.instructions[index:]
         for inst in moved:

@@ -66,6 +66,11 @@ class Opcode(enum.Enum):
     SHR = "shr"
     VAARG = "vaarg"
 
+    # Members are singletons and ``==`` is identity, so hash by identity
+    # too: ``Enum``'s own hash re-hashes the member's name on every
+    # ``op in TERMINATOR_OPCODES``.
+    __hash__ = object.__hash__
+
 
 TERMINATOR_OPCODES = frozenset(
     {Opcode.RET, Opcode.BR, Opcode.SWITCH, Opcode.INVOKE, Opcode.UNWIND}
@@ -150,11 +155,22 @@ class Instruction(User):
 
     # -- placement ------------------------------------------------------------
 
+    def _moved(self) -> None:
+        if self.parent is not None:
+            self.parent._moved()
+
+    def remove_from_parent(self) -> None:
+        """Unlink from the containing block, keeping the operands (to
+        re-insert the instruction elsewhere)."""
+        block = self.parent
+        if block is not None:
+            block.instructions.remove(self)
+            block._moved()
+            self.parent = None
+
     def erase_from_parent(self) -> None:
         """Unlink from the containing block and drop operand references."""
-        if self.parent is not None:
-            self.parent.instructions.remove(self)
-            self.parent = None
+        self.remove_from_parent()
         self.drop_all_references()
 
     @property

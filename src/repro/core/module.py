@@ -108,7 +108,8 @@ class Function(GlobalValue):
     be called, stored in vtables, or passed around like any constant.
     """
 
-    __slots__ = ("args", "blocks", "is_pure", "source_module")
+    __slots__ = ("args", "blocks", "is_pure", "source_module", "epoch",
+                 "optimized")
 
     def __init__(self, fn_type: types.FunctionType, name: str,
                  linkage: str = Linkage.EXTERNAL,
@@ -122,6 +123,15 @@ class Function(GlobalValue):
         #: linker preserves it across merging so whole-program
         #: diagnostics can point at the original file.
         self.source_module: Optional[str] = None
+        #: The mutation epoch: moves on every edit of the body — an
+        #: operand of one of its instructions, an instruction or a block
+        #: in or out — made through the IR's mutation API.  Equal epochs
+        #: mean an unchanged body; the value itself means nothing.
+        self.epoch = 0
+        #: ``(level, epoch)`` of the last ``-O<level>`` run that finished
+        #: over this body (see ``repro.driver.pipelines.run_ladder``),
+        #: or None.
+        self.optimized: Optional[tuple[int, int]] = None
         for index, param_ty in enumerate(fn_type.params):
             arg_name = arg_names[index] if arg_names else f"arg{index}"
             self.args.append(Argument(param_ty, arg_name, self, index))
@@ -151,6 +161,22 @@ class Function(GlobalValue):
     def append_block(self, name: str = "") -> BasicBlock:
         return BasicBlock(name, parent=self)
 
+    def insert_block(self, index: int, block: BasicBlock) -> BasicBlock:
+        """Place a detached ``block`` at position ``index``."""
+        block.parent = self
+        self.blocks.insert(index, block)
+        self.epoch += 1
+        return block
+
+    def take_body(self, donor: "Function") -> None:
+        """Move every block of ``donor`` into this bodiless function."""
+        self.blocks = donor.blocks
+        donor.blocks = []
+        for block in self.blocks:
+            block.parent = self
+        self.epoch += 1
+        donor.epoch += 1
+
     def instructions(self) -> Iterator:
         for block in self.blocks:
             yield from block.instructions
@@ -171,6 +197,7 @@ class Function(GlobalValue):
             block.instructions.clear()
             block.remove_from_parent()
         self.blocks.clear()
+        self.epoch += 1
 
     def erase_from_parent(self) -> None:
         self.delete_body()

@@ -82,6 +82,12 @@ class User(Value):
     ``operand_uses`` mirrors ``operands`` slot for slot, holding the
     :class:`Use` edge registered on each operand's use list; it is what
     lets :meth:`_unlink_use` find the edge without scanning.
+
+    Every operand edit after construction goes through
+    :meth:`_append_operand`, :meth:`_pop_operands`, :meth:`set_operand`
+    or :meth:`drop_all_references`, and each calls :meth:`_moved` — how
+    an instruction bumps its function's mutation epoch
+    (:attr:`repro.core.module.Function.epoch`).
     """
 
     __slots__ = ("operands", "operand_uses")
@@ -91,14 +97,22 @@ class User(Value):
         self.operands: list[Value] = []
         self.operand_uses: list[Use] = []
         for operand in operands:
-            self._append_operand(operand)
+            self._link(operand)
 
-    def _append_operand(self, value: Value) -> None:
+    def _moved(self) -> None:
+        """This user's operands changed.  A constant belongs to no
+        function, so nothing happens; an instruction overrides this."""
+
+    def _link(self, value: Value) -> None:
         use = Use(self, len(self.operands))
         self.operands.append(value)
         self.operand_uses.append(use)
         use.position = len(value.uses)
         value.uses.append(use)
+
+    def _append_operand(self, value: Value) -> None:
+        self._link(value)
+        self._moved()
 
     def _pop_operands(self, start: int) -> None:
         """Drop operand slots from ``start`` to the end."""
@@ -107,6 +121,7 @@ class User(Value):
             self._unlink_use(index)
             self.operands.pop()
             self.operand_uses.pop()
+        self._moved()
 
     def _unlink_use(self, index: int) -> None:
         """Unregister the use of operand ``index``: O(1) swap-remove.
@@ -130,6 +145,7 @@ class User(Value):
         self.operands[index] = value
         use.position = len(value.uses)
         value.uses.append(use)
+        self._moved()
 
     def drop_all_references(self) -> None:
         """Detach this user from all of its operands (before deletion)."""
@@ -137,6 +153,7 @@ class User(Value):
             self._unlink_use(index)
         self.operands.clear()
         self.operand_uses.clear()
+        self._moved()
 
 
 class Argument(Value):

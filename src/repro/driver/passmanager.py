@@ -100,11 +100,8 @@ def restore_function(module: Module, function, snapshot: str) -> None:
     function.args = rebuilt.args
     for arg in function.args:
         arg.parent = function
-    function.blocks = rebuilt.blocks
-    for block in function.blocks:
-        block.parent = function
     rebuilt.args = []
-    rebuilt.blocks = []
+    function.take_body(rebuilt)
 
 
 #: The shortest budget a watchdog arms.  ``setitimer(..., 0)`` disarms

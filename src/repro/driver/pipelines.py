@@ -8,10 +8,12 @@ optimization at link time (section 3.3).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..bitcode import write_bytecode
-from ..core.module import Module
+from ..core.instructions import Instruction
+from ..core.module import Function, Module
+from ..core.values import ConstantExpr
 from ..frontend import compile_source
 from ..linker import link_modules
 from .cache import BytecodeCache
@@ -77,11 +79,65 @@ def standard_pipeline(level: int = 2, verify_each: bool = False,
     return manager
 
 
+#: The ``-stats`` source and counters of :func:`run_ladder` itself.
+OPTIMIZE_SOURCE = "optimize"
+OPTIMIZE_COUNTERS = ("functions-optimized", "functions-skipped-unchanged")
+
+
+def stale_functions(module: Module, level: int) -> list[Function]:
+    """The defined functions an ``-O<level>`` run over ``module`` visits.
+
+    A function is skipped when its body has not moved (its ``epoch``)
+    since a run at ``level`` or above finished over it; every other
+    function is visited, and so is every function that calls one of
+    those, transitively, since what a pass knows of a callee (purity,
+    mod/ref) may have moved with it.
+    """
+    stale = {f for f in module.defined_functions()
+             if f.optimized is None or f.optimized[0] < level
+             or f.optimized[1] != f.epoch}
+    pending = list(stale)
+    while pending:
+        for caller in _callers(pending.pop()):
+            if caller not in stale:
+                stale.add(caller)
+                pending.append(caller)
+    return [f for f in module.defined_functions() if f in stale]
+
+
+def mark_optimized(module: Module, names: Iterable[str], level: int) -> None:
+    """Record that an ``-O<level>`` run finished over the functions
+    named in ``names``, as their bodies stand now."""
+    for name in names:
+        function = module.functions[name]
+        function.optimized = (level, function.epoch)
+
+
+def _callers(value) -> Iterator[Function]:
+    """The functions whose instructions use ``value``, directly or
+    through a constant expression (a cast of a function)."""
+    for use in value.uses:
+        user = use.user
+        if isinstance(user, Instruction):
+            if user.function is not None:
+                yield user.function
+        elif isinstance(user, ConstantExpr):
+            yield from _callers(user)
+
+
 def run_ladder(module: Module, level: int = 2, verify_each: bool = False,
                policy: Optional[FaultPolicy] = None,
                stats: Optional[Stats] = None) -> PassManager:
-    """Run the standard pipeline in place, degrading on too many
-    failures; returns the manager whose attempt stood.
+    """Run the standard pipeline in place over the functions that need
+    it, degrading on too many failures; returns the manager whose
+    attempt stood.
+
+    Only :func:`stale_functions` are optimized; the standing attempt
+    records its level and each function's closing epoch on every
+    function it finished (not one it rolled back or skipped as
+    poisoned), so a second run over an unchanged module runs no pass.
+    ``stats`` counts ``functions-optimized`` and
+    ``functions-skipped-unchanged``.
 
     When an attempt poisons more passes than
     ``policy.max_poisoned_passes`` the module is restored to its
@@ -91,15 +147,25 @@ def run_ladder(module: Module, level: int = 2, verify_each: bool = False,
     correct.  Without a policy nothing is ever poisoned — a failure
     propagates — so the ladder is its first attempt.
     """
-    pristine = snapshot_module(module) if policy is not None else None
-    for attempt in range(level, 0, -1):
-        manager = standard_pipeline(attempt, verify_each, policy, stats)
-        manager.run(module)
-        if policy is None \
-                or manager.poisoned_in_run <= policy.max_poisoned_passes:
-            return manager
-        restore_module(module, pristine)
-        policy.count("fallbacks.taken")
+    names: set[str] = set()
+    skipped = 0
+    if level > 0:
+        names = {f.name for f in stale_functions(module, level)}
+        skipped = len(list(module.defined_functions())) - len(names)
+    if stats is not None:
+        for counter, value in zip(OPTIMIZE_COUNTERS, (len(names), skipped)):
+            stats.count(OPTIMIZE_SOURCE, counter, value)
+    if names:
+        pristine = snapshot_module(module) if policy is not None else None
+        for attempt in range(level, 0, -1):
+            manager = standard_pipeline(attempt, verify_each, policy, stats)
+            manager.run(module, names)
+            if policy is None \
+                    or manager.poisoned_in_run <= policy.max_poisoned_passes:
+                mark_optimized(module, names - manager.incomplete, attempt)
+                return manager
+            restore_module(module, pristine)
+            policy.count("fallbacks.taken")
     return standard_pipeline(0, verify_each, policy, stats)
 
 
@@ -107,8 +173,9 @@ def optimize_module(module: Module, level: int = 2,
                     verify_each: bool = False,
                     policy: Optional[FaultPolicy] = None,
                     stats: Optional[Stats] = None) -> Module:
-    """Run the standard pipeline in place (see :func:`run_ladder`);
-    returns the module."""
+    """Run the standard pipeline in place over the functions that moved
+    since they were last optimized, and their callers (see
+    :func:`run_ladder`); returns the module."""
     run_ladder(module, level, verify_each, policy, stats)
     return module
 
@@ -140,7 +207,8 @@ def link_time_optimize(module: Module, level: int = 2,
     manager.run(module)
     if level > 0:
         # A scalar cleanup round over the post-IPO bodies, then one more
-        # IPO round to exploit what the cleanup exposed.
+        # IPO round to exploit what the cleanup exposed.  The second
+        # cleanup visits only what that round moved (and its callers).
         optimize_module(module, level, verify_each, policy, stats)
         manager.run(module)
         optimize_module(module, min(level, 2), verify_each, policy, stats)

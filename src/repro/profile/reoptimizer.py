@@ -141,4 +141,5 @@ def _layout_hot_path(function: Function, block_counts: dict[str, int]) -> int:
     )
     remaining = [b for b in function.blocks if id(b) not in placed_ids]
     function.blocks = placed + remaining
+    function.epoch += 1  # a reorder is an edit no other entry point sees
     return moved

@@ -111,16 +111,14 @@ class TraceFormation:
         clones: list[BasicBlock] = []
         position = function.blocks.index(header) + 1
         for original in originals:
-            clone = BasicBlock(f"{original.name}.trace")
-            function.blocks.insert(position, clone)
+            clone = function.insert_block(
+                position, BasicBlock(f"{original.name}.trace"))
             position += 1
-            clone.parent = function
             value_map: dict[int, Value] = {}
             for inst in original.instructions:
                 copied = clone_instruction(inst, value_map)
                 value_map[id(inst)] = copied
-                clone.instructions.append(copied)
-                copied.parent = clone
+                clone.append(copied)
             clones.append(clone)
         # Retarget: header enters the first clone; each clone's on-trace
         # successor is the next clone; side exits stay on originals.

@@ -41,6 +41,7 @@ from typing import Optional
 
 from ..driver.cache import BytecodeCache, hit_rate_pct
 from ..driver.passmanager import FaultPolicy
+from ..driver.pipelines import OPTIMIZE_COUNTERS, OPTIMIZE_SOURCE
 from ..stats import Stats
 from . import protocol
 from .scheduler import SOURCE, Job, Scheduler
@@ -85,6 +86,7 @@ class Server:
             "retried", "degraded", "degraded-requests", "recovered",
             "worker-crashes", "worker-restarts", "protocol-errors",
             "connections", "reopt.queued", "reopt.completed")
+        self.stats.declare(OPTIMIZE_SOURCE, *OPTIMIZE_COUNTERS)
         self.scheduler = Scheduler(
             self.stats, config.worker_config(),
             workers=config.workers, queue_depth=config.queue_depth,

@@ -35,7 +35,7 @@ from .core.module import Module
 from .driver import (
     BytecodeCache, compile_and_link, link_time_optimize, optimize_module,
 )
-from .driver.pipelines import run_ladder
+from .driver.pipelines import OPTIMIZE_COUNTERS, OPTIMIZE_SOURCE, run_ladder
 from .execution import Interpreter
 from .frontend import compile_source
 from .linker import link_modules
@@ -184,6 +184,7 @@ def lc_cc(argv=None) -> int:
     cache = BytecodeCache(args.cache_dir) if args.cache_dir else None
     policy = _make_fault_policy(args)
     stats = Stats()
+    stats.declare(OPTIMIZE_SOURCE, *OPTIMIZE_COUNTERS)
     with _armed(args, parser):
         if len(sources) == 1 and not args.lto and cache is None \
                 and policy is None:

@@ -71,8 +71,7 @@ def clone_body(source_blocks: list[BasicBlock], target_function: Function,
         for inst in source.instructions:
             cloned = clone_instruction(inst, value_map, map_type)
             value_map[id(inst)] = cloned
-            block.instructions.append(cloned)
-            cloned.parent = block
+            block.append(cloned)
     # Pass 3: splice placeholders out.
     for source_inst, placeholder in placeholders:
         if placeholder.uses:

@@ -76,17 +76,13 @@ def _rewrite_function(module: Module, function: Function,
     # Move the body across and rebind surviving arguments.
     for new_index, old_index in enumerate(kept):
         function.args[old_index].replace_all_uses_with(replacement.args[new_index])
-    replacement.blocks = function.blocks
-    function.blocks = []
-    for block in replacement.blocks:
-        block.parent = replacement
+    replacement.take_body(function)
     if dead_return:
         for block in replacement.blocks:
             term = block.terminator
             if isinstance(term, ReturnInst) and term.return_value is not None:
                 term.erase_from_parent()
-                block.instructions.append(ReturnInst(None))
-                block.instructions[-1].parent = block
+                block.append(ReturnInst(None))
 
     # Rewrite every call site.
     for use in list(function.uses):
@@ -109,9 +105,7 @@ def _rewrite_function(module: Module, function: Function,
 
 def _replace_site(old: Instruction, new: Instruction, dead_return: bool) -> None:
     block = old.parent
-    index = block.instructions.index(old)
-    block.instructions.insert(index, new)
-    new.parent = block
+    block.insert(block.instructions.index(old), new)
     if old.is_used and not dead_return:
         old.replace_all_uses_with(new)
     old.erase_from_parent()

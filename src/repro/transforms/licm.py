@@ -140,8 +140,7 @@ class LICM:
                             continue
                         if writers:
                             self.counters["loads-hoisted-past-writes"] += 1
-                    block.instructions.remove(inst)
-                    inst.parent = None
+                    inst.remove_from_parent()
                     preheader.insert_before_terminator(inst)
                     moved = True
                     changed = True
@@ -182,10 +181,9 @@ def _create_preheader(function: Function, loop: Loop):
     ]
     if not outside:
         return None
-    preheader = BasicBlock(f"{loop.header.name}.preheader")
-    position = function.blocks.index(loop.header)
-    function.blocks.insert(position, preheader)
-    preheader.parent = function
+    preheader = function.insert_block(
+        function.blocks.index(loop.header),
+        BasicBlock(f"{loop.header.name}.preheader"))
     preheader.append(BranchInst(loop.header))
     for phi in loop.header.phis():
         incoming_values = []

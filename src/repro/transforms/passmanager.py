@@ -30,7 +30,15 @@ nothing at all (no post-pass print).  ``verify_each`` therefore
 *audits* the flag: the digest is compared after every unit, a unit that
 moved while its pass reported "no change" raises :class:`ChangedFlagLie`
 at the pass's own site, and a pass that over-reports (claims a change
-but moved nothing) skips the redundant re-verify.
+but moved nothing) skips the redundant re-verify.  Under ``verify_each``
+the same comparison audits the function's mutation epoch
+(``Function.epoch``, what the driver's ``-O`` runs trust to skip an
+unchanged function): a function whose text moved while its epoch did
+not was edited behind the IR's mutation API, and raises
+:class:`UntrackedMutation`.
+
+``run(module, functions)`` restricts the function passes to those
+functions (the driver's skip rule); module passes still see the module.
 
 The ``policy`` is the containment collaborator
 (:class:`repro.driver.passmanager.FaultPolicy`; this package never
@@ -42,7 +50,7 @@ every unit that failed — containment (poison, bisect, reduce, report).
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Collection, Optional, Protocol
 
 from ..bitcode import write_bytecode
 from ..core.module import Function, Module
@@ -57,6 +65,16 @@ class ChangedFlagLie(Exception):
     def __init__(self, pass_name: str):
         super().__init__(
             f"pass {pass_name!r} changed the module but reported no change")
+        self.pass_name = pass_name
+
+
+class UntrackedMutation(Exception):
+    """A pass changed a function without moving its epoch."""
+
+    def __init__(self, pass_name: str, function: str):
+        super().__init__(
+            f"pass {pass_name!r} changed @{function} behind the mutation "
+            "API: its text moved, its epoch did not")
         self.pass_name = pass_name
 
 
@@ -119,6 +137,9 @@ class PassManager:
         #: Units poisoned during this manager's run() calls — what the
         #: degradation ladder consults.
         self.poisoned_in_run = 0
+        #: Names of the functions some function pass skipped as poisoned
+        #: or rolled back: not fully optimized, whatever the level.
+        self.incomplete: set[str] = set()
         #: Snapshots describing the module's *current* state, by unit
         #: (function name; None for the module): the change-detection
         #: digest and the rollback source in one.
@@ -130,7 +151,10 @@ class PassManager:
         self.passes.append(pass_obj)
         return self
 
-    def run(self, module: Module) -> bool:
+    def run(self, module: Module,
+            only: Optional[Collection[str]] = None) -> bool:
+        """Run every pass; a function pass over the defined functions
+        named in ``only`` (default: all of them)."""
         policy = self.policy
         # The digests only describe mutations made through this manager;
         # between run() calls other components may touch the module.
@@ -138,14 +162,19 @@ class PassManager:
         changed = False
         for pass_obj in self.passes:
             name = pass_name(pass_obj)
+            module_pass = hasattr(pass_obj, "run_on_module")
             if policy is not None and policy.is_poisoned(name, module.name):
                 policy.count("passes.skipped")
+                if not module_pass:
+                    self.incomplete.update(
+                        f.name for f in module.defined_functions())
                 continue
             start = time.perf_counter()
             counters = getattr(pass_obj, "counters", {})
             before = dict(counters)
-            module_pass = hasattr(pass_obj, "run_on_module")
-            units = [None] if module_pass else list(module.defined_functions())
+            units = [None] if module_pass else [
+                f for f in module.defined_functions()
+                if only is None or f.name in only]
             #: (unit, error, snapshot) of every unit that failed.
             failures: list = []
             # The pass's fault-injection site fires before any unit is
@@ -183,7 +212,9 @@ class PassManager:
                                      snapshot_function, verify_function)
             if policy is not None and policy.is_poisoned(name, module.name,
                                                          unit):
+                self.incomplete.add(unit)
                 return False
+            epoch = function.epoch
         else:
             unit, target = None, module
             run, snapshot, verify = (pass_obj.run_on_module,
@@ -213,6 +244,9 @@ class PassManager:
                 return claimed  # over-reported: skip re-verify and tvalid
             if not claimed:
                 raise ChangedFlagLie(name)
+            if self.verify_each and function is not None \
+                    and function.epoch == epoch:
+                raise UntrackedMutation(name, unit)
             verify(target)
             if function is None:
                 self._digests.clear()  # function bodies may have moved
@@ -227,6 +261,8 @@ class PassManager:
                 raise
             policy.rollback(module, function, before)
             failures.append((unit, error, before))
+            if unit is not None:
+                self.incomplete.add(unit)
             return False
 
     def statistics(self) -> dict[str, dict[str, int]]:

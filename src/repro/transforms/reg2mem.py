@@ -30,8 +30,7 @@ class DemoteRegisters:
                 continue
             for inst in list(block.instructions):
                 if isinstance(inst, AllocaInst) and inst.array_size is None:
-                    block.instructions.remove(inst)
-                    inst.parent = entry
+                    inst.remove_from_parent()
                     entry.insert(0, inst)
                     changed = True
         # 1. Demote phi nodes: stores in predecessors, load at the phi.

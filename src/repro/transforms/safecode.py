@@ -104,10 +104,9 @@ class BoundsCheckInsertion:
                                        "bc.hi")
         out = guard_builder.or_(too_low, too_high, "bc.out")
 
-        fail_block = BasicBlock(f"{block.name}.boundsfail")
-        insert_at = function.blocks.index(continuation)
-        function.blocks.insert(insert_at, fail_block)
-        fail_block.parent = function
+        fail_block = function.insert_block(
+            function.blocks.index(continuation),
+            BasicBlock(f"{block.name}.boundsfail"))
         fail_builder = IRBuilder(fail_block)
         fail_builder.call(fail, [wide, ConstantInt(types.LONG, bound)])
         fail_builder.unwind()

@@ -94,9 +94,8 @@ def _merge_into_predecessor(block: BasicBlock) -> bool:
         phi.erase_from_parent()
     term.erase_from_parent()
     for inst in list(block.instructions):
-        block.instructions.remove(inst)
-        inst.parent = pred
-        pred.instructions.append(inst)
+        inst.remove_from_parent()
+        pred.append(inst)
     # Successors' phis must now name pred instead of block.
     for succ in pred.successors():
         for phi in succ.phis():

@@ -36,6 +36,10 @@ class TestOpcodeSet:
         assert len(BINARY_OPCODES) == 14
         assert COMPARISON_OPCODES <= BINARY_OPCODES
 
+    def test_hash_is_identity(self):
+        """Members are singletons, so set lookups need not hash names."""
+        assert all(hash(op) == object.__hash__(op) for op in Opcode)
+
 
 class TestBinaryOperators:
     def test_arithmetic_result_type(self):

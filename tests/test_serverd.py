@@ -457,6 +457,9 @@ class TestObservability:
         # So are the workers' pass counters, under the pass's name.
         assert stats["serverd.rangeopt.absint-transfers"] > 0
         assert "serverd.sccp.values-folded" in stats
+        # And what the -O skip rule did, declared before any compile.
+        assert stats["serverd.optimize.functions-optimized"] > 0
+        assert "serverd.optimize.functions-skipped-unchanged" in stats
 
     def test_repeat_is_a_program_hit_and_the_same_bytes(self, server):
         """A request the daemon has answered before is one cache read:

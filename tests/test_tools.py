@@ -176,6 +176,9 @@ int main() {
         # What rangeopt's facts cost, next to what they bought.
         assert {"rangeopt absint-transfers",
                 "rangeopt phis-widened"} <= set(opt_rows)
+        # What the -O skip rule visited and left alone.
+        assert {"optimize functions-optimized",
+                "optimize functions-skipped-unchanged"} <= set(opt_rows)
         assert lc_cc([str(src), "-O", "2", "--lto", "--fault-tolerant",
                       "-stats", "-o", str(tmp_path / "l.ll")]) == 0
         err = capsys.readouterr().err
