@@ -1,37 +1,48 @@
 """Experiment E7 — sections 3.5/3.6: runtime profiling feeds an offline
 (idle-time) reoptimizer that improves the program for its observed use.
 
-The lifelong loop: compile+link with IPO → instrument → end-user runs
-collect block/loop profiles → the offline reoptimizer inlines hot call
-paths, forms superblock traces for biased hot loops, and re-lays-out
-hot code → the next run executes fewer interpreter steps with identical
-output.
+The lifelong loop: compile+link with IPO → end-user runs, whose block
+entries the execution engine counts → the offline reoptimizer inlines
+hot call paths, forms superblock traces for biased hot loops, and
+re-lays-out hot code → the bytecode it ships executes fewer interpreter
+steps with identical output.
 
-Interpreter steps are the deterministic stand-in for run time.
+Interpreter steps are the deterministic stand-in for run time.  Both
+sides are measured the way a user would run them: a plain interpreter
+over the static build, and over the reoptimized bytecode.
 """
 
 from __future__ import annotations
 
+from repro.bitcode import read_bytecode
 from repro.benchsuite import load_source
 from repro.driver import LifelongSession
+from repro.execution import Interpreter
 
 from conftest import report
 
 #: Programs with hot loops and biased branches, where trace formation
 #: and profile-guided inlining have something to gain.
 CANDIDATES = ("gzip", "mcf", "parser", "vortex")
+STEP_LIMIT = 200_000_000
+
+
+def _execute(bytecode: bytes) -> tuple:
+    """(exit, output, steps) of ``main`` under a plain interpreter."""
+    interp = Interpreter(read_bytecode(bytecode), step_limit=STEP_LIMIT)
+    value = interp.run("main")
+    return value, "".join(interp.output), interp.steps
 
 
 def _run_cycle(name: str) -> tuple[int, int, int, int]:
     session = LifelongSession([load_source(name)], name)
-    before = session.run_uninstrumented(step_limit=200_000_000)
-    session.run(step_limit=200_000_000)  # the profiled end-user run
+    before = _execute(session.bytecode)                 # the static build
+    profiled = session.run(step_limit=STEP_LIMIT)       # the end-user run
+    assert profiled.steps == before[2], f"{name}: profiling cost steps"
     report = session.reoptimize(hot_call_threshold=5, hot_loop_threshold=50)
-    after = session.run_uninstrumented(step_limit=200_000_000)
-    assert after.exit_value == before.exit_value, f"{name}: result changed"
-    assert after.output == before.output, f"{name}: output changed"
-    return (before.steps, after.steps, report.traces_formed,
-            report.inlined_calls)
+    after = _execute(session.bytecode)                  # what ships
+    assert after[:2] == before[:2], f"{name}: result or output changed"
+    return before[2], after[2], report.traces_formed, report.inlined_calls
 
 
 def test_lifelong_reoptimization(benchmark):
@@ -67,8 +78,8 @@ def test_profile_persistence_roundtrip():
     session = LifelongSession([load_source("mcf")], "mcf")
     session.run()
     text = session.profile.to_json()
-    restored = ProfileData.from_json(text)
-    assert restored.function_entry_counts() == session.profile.function_entry_counts()
+    restored = ProfileData.from_json(text, session.module)
+    assert restored.counts == session.profile.counts
     assert restored.hot_loops(1) == session.profile.hot_loops(1)
 
 
@@ -79,5 +90,5 @@ def test_profile_accumulates_across_runs():
     session.run()
     first = dict(session.profile.counts)
     session.run()
-    for counter_id, count in first.items():
-        assert session.profile.counts[counter_id] == 2 * count
+    assert session.profile.counts == {block: 2 * count
+                                      for block, count in first.items()}

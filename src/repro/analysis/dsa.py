@@ -45,7 +45,7 @@ from ..core.values import (
 KNOWN_SAFE_EXTERNALS = frozenset({
     "printf", "puts", "putchar", "print_int", "print_long", "print_char",
     "print_double", "print_str", "exit", "abort", "clock", "strlen",
-    "strcmp", "strcpy", "memcpy", "memset", "__profile_count",
+    "strcmp", "strcpy", "memcpy", "memset",
     "llvm.va_start", "llvm.va_end", "__lc_longjmp", "__lc_longjmp_catch",
 })
 

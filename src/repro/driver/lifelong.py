@@ -5,8 +5,10 @@ Ties the stages together the way the paper's system diagram does:
 1. front-ends compile translation units to IR;
 2. the linker + interprocedural optimizer produce the linked program,
    and bytecode is "saved with the native code";
-3. the code generator adds profiling instrumentation;
-4. end-user runs (the execution engine) gather profile data;
+3. the execution engine counts block entries as end-user runs go,
+   standing for the code generator's light-weight instrumentation: the
+   shipped IR is never rewritten to be profiled;
+4. the counts accumulate across runs into one profile;
 5. the offline, idle-time reoptimizer consumes the profile and rewrites
    the preserved IR, ready for the next run.
 
@@ -21,10 +23,7 @@ from typing import Optional, Sequence
 from ..bitcode import read_bytecode, write_bytecode
 from ..core.module import Module
 from ..execution import Interpreter, TraceManager
-from ..profile import (
-    Granularity, OfflineReoptimizer, ProfileData, ProfileInstrumentation,
-    ReoptimizationReport,
-)
+from ..profile import OfflineReoptimizer, ProfileData, ReoptimizationReport
 from ..transforms import ModulePassAdaptor, PassManager
 from .cache import BytecodeCache
 from .passmanager import FaultPolicy
@@ -60,9 +59,8 @@ class LifelongSession:
             self._sources, name, level, cache=cache, policy=fault_policy))
         #: The persistent representation shipped with the executable.
         self.bytecode = write_bytecode(self.module)
-        instrumentation = ProfileInstrumentation(Granularity.BLOCKS)
-        PassManager().add(instrumentation).run(self.module)
-        self.profile = ProfileData(instrumentation.profile_map)
+        #: Block-entry counts of every end-user run of :attr:`module`.
+        self.profile = ProfileData()
         self.reopt_reports: list[ReoptimizationReport] = []
         #: The trace-compiling tier, shared by every run of this
         #: session: traces compiled during one end-user run keep paying
@@ -90,23 +88,12 @@ class LifelongSession:
 
     def run(self, function: str = "main", args: Sequence = (),
             step_limit: int = 50_000_000) -> RunResult:
-        """One end-user run; profile counters accumulate."""
-        interp = Interpreter(self.module, step_limit=step_limit,
-                             extra_externals=self.profile.externals())
+        """One end-user run of the shipped code; its block entries
+        accumulate in :attr:`profile`."""
+        interp = Interpreter(self.module, step_limit=step_limit)
         if self.trace_manager is not None:
             self.trace_manager.attach(interp)
-        exit_value = interp.run(function, args)
-        return RunResult(exit_value, "".join(interp.output), interp.steps)
-
-    def run_uninstrumented(self, function: str = "main",
-                           args: Sequence = (),
-                           step_limit: int = 50_000_000) -> RunResult:
-        """A run with counters ignored (for unbiased step counting)."""
-        interp = Interpreter(self.module, step_limit=step_limit,
-                             extra_externals={"__profile_count":
-                                              lambda i, a: None})
-        if self.trace_manager is not None:
-            self.trace_manager.attach(interp)
+        self.profile.attach(interp)
         exit_value = interp.run(function, args)
         return RunResult(exit_value, "".join(interp.output), interp.steps)
 
@@ -146,10 +133,12 @@ class LifelongSession:
         Either way the software trace cache is invalidated: compiled
         traces are closures over specific block objects, and both a
         successful rewrite and a snapshot rollback replace those
-        objects under them.
+        objects under them.  A rollback's fresh blocks take over the
+        profile's counts by position.
         """
         if self.trace_manager is not None:
             self.trace_manager.invalidate_all()
+        saved = self.profile.to_json()
         reports = []
 
         def reoptimizer(module: Module) -> bool:
@@ -161,6 +150,7 @@ class LifelongSession:
         manager.add(ModulePassAdaptor(reoptimizer))
         if not manager.run(self.module):
             # Contained — or skipped, poisoned by an earlier crash.
+            self.profile = ProfileData.from_json(saved, self.module)
             self.reopt_reports.append(ReoptimizationReport())
             return self.reopt_reports[-1]
         report = reports[0]

@@ -142,11 +142,14 @@ class Interpreter:
         #: Set by the JIT engine: called with a declaration about to be
         #: executed, to materialise its body from bytecode on demand.
         self.lazy_loader: Optional[Callable] = None
-        #: Set by the trace JIT (``--jit-traces``): a
-        #: :class:`repro.execution.tracejit.TraceManager` receiving
-        #: every block entry — it counts hotness, records paths, and
-        #: runs compiled traces in place of the dispatch loop.
-        self.trace_manager = None
+        #: The one listener of the block-entry event, called as
+        #: ``on_block(interp, frame, block)``: the trace JIT's
+        #: :class:`repro.execution.tracejit.TraceManager`
+        #: (``--jit-traces``), which counts hotness, records paths and
+        #: runs compiled traces in place of the dispatch loop, or a
+        #: :class:`repro.profile.ProfileData` counting block entries
+        #: (it forwards to a trace manager it displaced).
+        self.block_hook = None
         from .externals import default_externals
 
         self.externals: dict[str, Callable] = default_externals()
@@ -306,7 +309,7 @@ class Interpreter:
                 self._store_va_slot(area + 8 * slot, value)
             frame.allocas.append(area)
         frame.ops = self._block_ops(frame.block)
-        if self.trace_manager is not None:
+        if self.block_hook is not None:
             self._block_event(frame)
         stack.append(frame)
 
@@ -323,11 +326,11 @@ class Interpreter:
             self.memory.release(address)
 
     def _block_event(self, frame: _Frame) -> None:
-        """Tell the trace tier ``frame`` has just entered ``frame.block``
+        """Tell the block hook ``frame`` has just entered ``frame.block``
         (phi moves done).  A compiled trace may run here and leave the
         frame in the middle of any block: execution resumes from
         whatever ``(frame.block, frame.index)`` it left."""
-        self.trace_manager.on_block(self, frame, frame.block)
+        self.block_hook.on_block(self, frame, frame.block)
         frame.ops = self._block_ops(frame.block)
 
     def _unwind(self, stack: list[_Frame], frame: _Frame) -> None:
@@ -401,7 +404,7 @@ class Interpreter:
             frame.block = dest
             frame.ops = ops
             frame.index = len(moves)
-            if self.trace_manager is not None:
+            if self.block_hook is not None:
                 self._block_event(frame)
         return enter
 

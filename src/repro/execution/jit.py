@@ -12,12 +12,11 @@ reached stay undecoded, which is the property the JIT design buys.
 ``preload`` names functions decoded eagerly at image load (the shape a
 partially-eager image would have).
 
-It can also insert the same profiling instrumentation as the offline
-code generator ("The JIT translator can also insert the same
-instrumentation"), so the lifelong-optimization loop works identically
-in both modes.  Instrumentation covers *every* decoded body — both the
-preloaded ones (swept at construction) and the lazily-materialised
-ones (instrumented as they decode).
+"The JIT translator can also insert the same instrumentation" as the
+offline code generator: here both are the execution engine's block
+event, so a :class:`repro.profile.ProfileData` attached to
+:attr:`JITEngine.interpreter` counts every body that runs, preloaded or
+lazily decoded, and the image is never rewritten to be profiled.
 
 With ``jit_traces=True`` the engine layers the trace-compiling tier
 (:mod:`repro.execution.tracejit`) on top: hot blocks are recorded and
@@ -39,9 +38,8 @@ class JITEngine:
     """Function-at-a-time lazy execution of a bytecode image."""
 
     def __init__(self, bytecode: bytes, step_limit: int = 50_000_000,
-                 instrument: bool = False, extra_externals=None,
-                 preload: Sequence[str] = (), jit_traces: bool = False,
-                 trace_threshold: int = 50):
+                 extra_externals=None, preload: Sequence[str] = (),
+                 jit_traces: bool = False, trace_threshold: int = 50):
         self.module, self._decoder = read_bytecode_lazy(bytecode)
         self.functions_in_image = len(self._decoder.pending_bodies)
         self.functions_materialized = 0
@@ -52,29 +50,8 @@ class JITEngine:
             target = self.module.functions.get(name)
             if target is not None and self._decoder.materialize(target):
                 self.functions_materialized += 1
-        self.profile = None
-        externals = dict(extra_externals or {})
-        if instrument:
-            from ..profile import Granularity, ProfileData, ProfileInstrumentation
-
-            self._instrumentation = ProfileInstrumentation(Granularity.BLOCKS)
-            self.profile = ProfileData(self._instrumentation.profile_map)
-            externals.update(self.profile.externals())
-            # Sweep bodies that were already decoded at image load:
-            # lazy materialisation only instruments what *it* decodes,
-            # and an uncounted hot function would silently starve
-            # trace selection of its block counts.
-            counter_fn = self.module.get_or_insert_function(
-                _counter_type(), "__profile_count"
-            )
-            for function in self.module.functions.values():
-                if not function.is_declaration:
-                    self._instrumentation._instrument_function(
-                        function, counter_fn)
-        else:
-            self._instrumentation = None
         self.interpreter = Interpreter(self.module, step_limit=step_limit,
-                                       extra_externals=externals)
+                                       extra_externals=extra_externals)
         self.interpreter.lazy_loader = self._materialize
         if jit_traces:
             self.trace_manager: Optional[TraceManager] = TraceManager(
@@ -86,15 +63,10 @@ class JITEngine:
     # -- lazy materialisation -------------------------------------------------
 
     def _materialize(self, function: Function) -> bool:
-        """Decode (and instrument) one function on first call."""
+        """Decode one function on first call."""
         if not self._decoder.materialize(function):
             return False
         self.functions_materialized += 1
-        if self._instrumentation is not None:
-            counter_fn = self.module.get_or_insert_function(
-                _counter_type(), "__profile_count"
-            )
-            self._instrumentation._instrument_function(function, counter_fn)
         return True
 
     def materialized(self, name: str) -> bool:
@@ -122,9 +94,3 @@ class JITEngine:
     @property
     def steps(self) -> int:
         return self.interpreter.steps
-
-
-def _counter_type():
-    from ..core import types
-
-    return types.function(types.VOID, [types.UINT])

@@ -181,7 +181,10 @@ class TraceManager:
     memory, globals, and externals through the interpreter they are
     handed at each entry, which is what lets a
     :class:`~repro.driver.lifelong.LifelongSession` keep its trace
-    cache warm across end-user runs.
+    cache warm across end-user runs.  A profile attached over the
+    manager sees only interpreted block entries, so each trace run
+    credits it with the blocks the trace entered (the closure returns
+    its full iterations and the path position it left from).
     """
 
     name = "jit"
@@ -207,11 +210,15 @@ class TraceManager:
         self._aborts: dict[int, int] = {}
         self._blacklist: set[int] = set()
         self._recording: Optional[_Recording] = None
+        #: A :class:`repro.profile.ProfileData` attached over this
+        #: manager, credited with the blocks each trace run covers.
+        self.profile = None
 
     def attach(self, interpreter) -> None:
         """Hook this manager into one interpreter's block events."""
         self._recording = None
-        interpreter.trace_manager = self
+        self.profile = None
+        interpreter.block_hook = self
 
     def statistics(self) -> dict[str, int]:
         return self.stats.statistics()
@@ -264,8 +271,11 @@ class TraceManager:
         stats.trace_entries += 1
         trace.entries += 1
         before = stats.steps_saved
-        if not trace.fn(frame, interpreter, stats):
+        left = trace.fn(frame, interpreter, stats)
+        if left is None:
             stats.entry_fallbacks += 1
+        elif self.profile is not None:
+            self.profile.credit_trace(trace.path, *left)
         trace.saved += stats.steps_saved - before
         if (trace.entries >= self.eviction_window
                 and trace.saved
@@ -363,6 +373,9 @@ class _TraceCompiler:
         self.externals: dict[str, str] = {}
         self.body: list[object] = []  # str lines | ("WB", indent) markers
         self.steps_per_iter = 0
+        #: Path position of the block being emitted: an exit there has
+        #: entered ``path[1:at + 1]`` since the header.
+        self.at = 0
         self.uses_memory: set[str] = set()
         #: The inline load/store fast path binds ``_mem.allocations``.
         self.uses_allocs = False
@@ -447,6 +460,7 @@ class _TraceCompiler:
     def compile(self) -> CompiledTrace:
         path = self.path
         for index, block in enumerate(path):
+            self.at = index
             previous = path[index - 1] if index else None
             if previous is not None:
                 self._emit_phi_moves(previous, block)
@@ -491,7 +505,7 @@ class _TraceCompiler:
             for load in global_loads:
                 lines.append(f"        {load}")
             lines.append("    except KeyError:")
-            lines.append("        return False")
+            lines.append("        return None")
         guards = []
         for vid, value in self.live_ins.items():
             check = self._type_check(value.type, self.names[vid])
@@ -499,12 +513,12 @@ class _TraceCompiler:
                 guards.append(check)
         if guards:
             lines.append(f"    if {' or '.join(guards)}:")
-            lines.append("        return False")
+            lines.append("        return None")
         for var, external_name in self.externals.items():
             lines.append(f"    {var} = interp.externals.get("
                          f"{external_name!r})")
             lines.append(f"    if {var} is None:")
-            lines.append("        return False")
+            lines.append("        return None")
         for name in slow_consts:
             lines.append(f"    {name} = interp.constant_value(_K{name})")
         if self.uses_memory or self.uses_indirect:
@@ -529,7 +543,7 @@ class _TraceCompiler:
         lines.append(f"        if steps + {steps_per_iter} > _limit:")
         budget = self._exit_lines(
             indent=12, block=header, index=self._first_non_phi(header),
-            cum=0, counter="budget_exits", position=0)
+            cum=0, counter="budget_exits", position=0, at=0)
         for entry in budget + self.body:
             if isinstance(entry, tuple):
                 _, indent, position = entry
@@ -586,9 +600,11 @@ class _TraceCompiler:
         return always
 
     def _exit_lines(self, indent: int, block: BasicBlock, index: int,
-                    cum: int, counter: str, position: int) -> list[object]:
+                    cum: int, counter: str, position: int,
+                    at: int) -> list[object]:
         """A side exit: sync steps, point the frame at the instruction
-        to re-execute, write back registers, hand control back."""
+        to re-execute, write back registers, hand control back with
+        ``(full iterations, path position left from)``."""
         pad = " " * indent
         blk = self._env_ref("B", block)
         lines = [
@@ -599,7 +615,7 @@ class _TraceCompiler:
             pad + "stats.trace_iterations += iters",
             pad + f"stats.steps_saved += steps + {cum} - _s0",
             ("WB", indent, position),
-            pad + "return True",
+            pad + f"return iters, {at}",
         ]
         return lines
 
@@ -609,7 +625,7 @@ class _TraceCompiler:
         self.body.append(f"        if {condition}:")
         self.body.extend(self._exit_lines(
             indent=12, block=block, index=index, cum=self.steps_per_iter,
-            counter="guard_exits", position=position))
+            counter="guard_exits", position=position, at=self.at))
 
     # -- per-block emission ------------------------------------------------
 

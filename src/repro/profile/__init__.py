@@ -2,11 +2,10 @@
 offline profile-guided reoptimizer (paper sections 3.5 and 3.6)."""
 
 from .collector import ProfileData
-from .instrument import Granularity, ProfileInstrumentation, ProfileMap
 from .reoptimizer import OfflineReoptimizer, ReoptimizationReport
 from .tracer import TraceFormation
 
 __all__ = [
-    "ProfileData", "Granularity", "ProfileInstrumentation", "ProfileMap",
-    "OfflineReoptimizer", "ReoptimizationReport", "TraceFormation",
+    "ProfileData", "OfflineReoptimizer", "ReoptimizationReport",
+    "TraceFormation",
 ]

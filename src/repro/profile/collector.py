@@ -1,114 +1,117 @@
-"""Profile collection: the runtime half of the instrumentation.
+"""Profile collection: block-entry counts taken by the execution engine.
 
-The counters represent *end-user* runs (paper section 3.6): the data is
-gathered while the application runs in the field (here: under the
-execution engine), persisted, and consumed later by the offline
-reoptimizer — possibly accumulated over several runs with different
-usage patterns.
+The paper's native code generator inserts light-weight counters so the
+preserved IR stays clean (sections 3.4/3.5); here the execution engine
+stands for it: a :class:`ProfileData` attached to an interpreter counts
+every block entry through the interpreter's one block event, and the
+IR is never rewritten to be profiled.  The counts represent *end-user*
+runs (section 3.6): gathered while the application runs in the field,
+persisted, and consumed later by the offline reoptimizer — possibly
+accumulated over several runs with different usage patterns.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
 
-from .instrument import ProfileMap
+from ..analysis.loops import LoopInfo
+from ..core.basicblock import BasicBlock
+from ..core.module import Module
 
 
 class ProfileData:
-    """Counter values plus the map describing what they measure."""
+    """How often each block was entered.
 
-    def __init__(self, profile_map: ProfileMap):
-        self.profile_map = profile_map
-        self.counts: dict[int, int] = {}
+    Counts are keyed by the block object (a block's function is its
+    ``parent``): block names are not unique within a function, and
+    nothing renames them to make them so.
+    """
 
-    # -- collection hook -------------------------------------------------------
+    def __init__(self):
+        self.counts: dict[BasicBlock, int] = {}
+        #: The trace manager found in the block-event slot at attach.
+        self._tier = None
 
-    def externals(self) -> dict:
-        """Extra external functions to install into an Interpreter."""
-        def count(interp, args):
-            counter_id = args[0]
-            self.counts[counter_id] = self.counts.get(counter_id, 0) + 1
-            return None
+    # -- collection --------------------------------------------------------
 
-        return {"__profile_count": count}
+    def attach(self, interpreter) -> None:
+        """Count every block ``interpreter`` enters from now on.
 
-    # -- accumulation across runs -----------------------------------------------
+        The profile takes the interpreter's block-event slot.  A trace
+        manager already in it (attach the trace tier first) keeps
+        receiving every event through :meth:`on_block`, and credits
+        this profile with the blocks its compiled traces run, so the
+        counts are exactly a plain interpreted run's.
+        """
+        self._tier = interpreter.block_hook
+        if self._tier is not None:
+            self._tier.profile = self
+        interpreter.block_hook = self
+
+    def on_block(self, interpreter, frame, block: BasicBlock) -> None:
+        counts = self.counts
+        counts[block] = counts.get(block, 0) + 1
+        if self._tier is not None:
+            self._tier.on_block(interpreter, frame, block)
+
+    def credit_trace(self, path: list[BasicBlock], iterations: int,
+                     last: int) -> None:
+        """A compiled trace over ``path`` ran ``iterations`` full cycles
+        (each enters ``path[1:]`` and re-enters the header), then left
+        in ``path[last]`` having entered ``path[1:last + 1]``."""
+        counts = self.counts
+        for position, block in enumerate(path):
+            entries = iterations + (0 < position <= last)
+            if entries:
+                counts[block] = counts.get(block, 0) + entries
+
+    # -- accumulation across runs ------------------------------------------
 
     def merge(self, other: "ProfileData") -> None:
-        for counter_id, value in other.counts.items():
-            self.counts[counter_id] = self.counts.get(counter_id, 0) + value
+        for block, count in other.counts.items():
+            self.counts[block] = self.counts.get(block, 0) + count
 
-    # -- queries --------------------------------------------------------------------
+    # -- queries -----------------------------------------------------------
 
-    def count_of(self, counter_id: int) -> int:
-        return self.counts.get(counter_id, 0)
+    def _functions(self) -> list:
+        """Functions with a counted block still in them, first entered
+        first."""
+        return list(dict.fromkeys(block.parent for block in self.counts
+                                  if block.parent is not None))
 
     def function_entry_counts(self) -> dict[str, int]:
-        result: dict[str, int] = {}
-        for info in self.profile_map.counters:
-            if info.kind == "entry":
-                result[info.function_name] = self.count_of(info.counter_id)
-        return result
+        return {function.name: self.counts.get(function.blocks[0], 0)
+                for function in self._functions()}
 
-    def block_counts(self, function_name: str) -> dict[str, int]:
-        """Block-name -> execution count (block-granularity profiles).
-
-        Entry and loop-header counters are block counters too (they are
-        just tagged with their role).
-        """
-        result: dict[str, int] = {}
-        for info in self.profile_map.counters:
-            if (info.function_name == function_name
-                    and info.kind in ("block", "entry", "loop")):
-                result[info.block_name] = self.count_of(info.counter_id)
-        return result
-
-    def hot_loops(self, threshold: int) -> list[tuple[str, str, int]]:
-        """(function, loop header block, trip count) over the threshold."""
+    def hot_loops(self, threshold: int) -> list[tuple[str, BasicBlock, int]]:
+        """(function, loop header, entries) over the threshold, hottest
+        first."""
         result = []
-        for info in self.profile_map.counters:
-            if info.kind == "loop":
-                count = self.count_of(info.counter_id)
-                if count >= threshold:
-                    result.append((info.function_name, info.block_name, count))
+        for function in self._functions():
+            headers = {loop.header for loop in LoopInfo(function).all_loops()}
+            for block in function.blocks:
+                count = self.counts.get(block, 0)
+                if block in headers and count >= threshold:
+                    result.append((function.name, block, count))
         result.sort(key=lambda item: -item[2])
         return result
 
-    def hot_functions(self, threshold: int) -> list[tuple[str, int]]:
-        result = [
-            (name, count)
-            for name, count in self.function_entry_counts().items()
-            if count >= threshold
-        ]
-        result.sort(key=lambda item: -item[1])
-        return result
-
-    # -- persistence (the "profile info" shipped between runs) ------------------------
+    # -- persistence (the "profile info" shipped between runs) -------------
 
     def to_json(self) -> str:
-        payload = {
-            "counters": [
-                {
-                    "id": info.counter_id,
-                    "function": info.function_name,
-                    "kind": info.kind,
-                    "block": info.block_name,
-                    "count": self.count_of(info.counter_id),
-                }
-                for info in self.profile_map.counters
-            ]
-        }
-        return json.dumps(payload, indent=2)
+        """Counts by function name, one per position in its blocks."""
+        return json.dumps({
+            function.name: [self.counts.get(block, 0)
+                            for block in function.blocks]
+            for function in self._functions()})
 
     @classmethod
-    def from_json(cls, text: str) -> "ProfileData":
-        payload = json.loads(text)
-        profile_map = ProfileMap()
-        data = cls(profile_map)
-        for entry in payload["counters"]:
-            counter_id = profile_map.new_counter(
-                entry["function"], entry["kind"], entry["block"]
-            )
-            data.counts[counter_id] = entry["count"]
+    def from_json(cls, text: str, module: Module) -> "ProfileData":
+        """The counts of :meth:`to_json`, keyed by ``module``'s blocks."""
+        data = cls()
+        for name, counts in json.loads(text).items():
+            blocks = module.functions[name].blocks
+            for block, count in zip(blocks, counts):
+                if count:
+                    data.counts[block] = count
         return data

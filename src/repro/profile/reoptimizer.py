@@ -2,8 +2,8 @@
 
 "Such an optimizer is simply a modified version of the link-time
 interprocedural optimizer, but with a greater emphasis on profile-
-driven and target-specific optimizations."  It consumes end-user
-profile data gathered by the instrumentation, and:
+driven and target-specific optimizations."  It consumes the block-entry
+counts end-user runs gathered (:class:`~repro.profile.ProfileData`), and:
 
 * inlines call sites inside *hot* functions aggressively (a larger
   threshold than the static inliner would risk);
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..core.basicblock import BasicBlock
 from ..core.instructions import CallInst
 from ..core.module import Function, Module
 from ..transforms.dce import AggressiveDCE
@@ -59,6 +60,8 @@ class OfflineReoptimizer:
             if count >= self.hot_call_threshold
         }
         report.hot_functions = sorted(hot)
+        # The loops of the code that ran, found before inlining moves it.
+        hot_loops = profile.hot_loops(self.hot_loop_threshold)
 
         # 1. Profile-guided inlining: calls *to* hot functions from any
         #    defined caller, sized by the generous profile-backed limit.
@@ -78,13 +81,10 @@ class OfflineReoptimizer:
 
         # 2. Trace formation over strongly-biased hot loops.
         tracer = TraceFormation()
-        for function_name, _, count in profile.hot_loops(self.hot_loop_threshold):
-            function = module.functions.get(function_name)
-            if function is None or function.is_declaration:
-                continue
-            block_counts = profile.block_counts(function_name)
-            if block_counts:
-                tracer.optimize_function(function, block_counts)
+        for name, _, _ in hot_loops:
+            function = module.functions.get(name)
+            if function is not None and not function.is_declaration:
+                tracer.optimize_function(function, profile.counts)
         report.traces_formed = tracer.traces_formed
 
         # 3. Hot-path code layout (affects native code, not the
@@ -92,11 +92,8 @@ class OfflineReoptimizer:
         for name in hot:
             function = module.functions.get(name)
             if function is not None and not function.is_declaration:
-                block_counts = profile.block_counts(name)
-                if block_counts:
-                    report.blocks_reordered += _layout_hot_path(
-                        function, block_counts
-                    )
+                report.blocks_reordered += _layout_hot_path(
+                    function, profile.counts)
 
         # 4. Clean-up pipeline over everything the above touched.
         cleanup = PassManager()
@@ -107,7 +104,8 @@ class OfflineReoptimizer:
         return report
 
 
-def _layout_hot_path(function: Function, block_counts: dict[str, int]) -> int:
+def _layout_hot_path(function: Function,
+                     block_counts: dict[BasicBlock, int]) -> int:
     """Reorder ``function.blocks`` greedily along the hottest successors.
 
     Pure layout: the CFG is unchanged, only the block list order (which
@@ -131,7 +129,7 @@ def _layout_hot_path(function: Function, block_counts: dict[str, int]) -> int:
             hottest = None
             best = -1
             for succ in successors:
-                count = block_counts.get(succ.name, 0)
+                count = block_counts.get(succ, 0)
                 if id(succ) not in placed_ids and count > best:
                     best = count
                     hottest = succ

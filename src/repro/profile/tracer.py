@@ -43,7 +43,7 @@ class TraceFormation:
         self.traces_formed = 0
 
     def optimize_function(self, function: Function,
-                          block_counts: dict[str, int]) -> bool:
+                          block_counts: dict[BasicBlock, int]) -> bool:
         """Form traces for every sufficiently-biased hot loop."""
         loop_info = LoopInfo(function)
         paths = []
@@ -68,8 +68,8 @@ class TraceFormation:
 
     # -- path selection ------------------------------------------------------
 
-    def _select_path(self, loop: Loop,
-                     block_counts: dict[str, int]) -> Optional[list[BasicBlock]]:
+    def _select_path(self, loop: Loop, block_counts: dict[BasicBlock, int]
+                     ) -> Optional[list[BasicBlock]]:
         header = loop.header
         path = [header]
         seen = {id(header)}
@@ -83,9 +83,9 @@ class TraceFormation:
             # double-counting it would make a perfectly biased edge
             # look like a 50% split and fail the hot_fraction test.
             unique = {id(s): s for s in current.successors()}.values()
-            total = sum(block_counts.get(s.name, 0) for s in unique)
-            best = max(successors, key=lambda s: block_counts.get(s.name, 0))
-            best_count = block_counts.get(best.name, 0)
+            total = sum(block_counts.get(s, 0) for s in unique)
+            best = max(successors, key=lambda s: block_counts.get(s, 0))
+            best_count = block_counts.get(best, 0)
             if total == 0 or best_count < self.hot_fraction * total:
                 break  # branch not biased enough to bet on
             if id(best) in seen:

@@ -30,7 +30,7 @@ class PruneExceptionHandlers:
         "printf", "puts", "putchar", "exit",
         "llvm_cxxeh_alloc_exc", "llvm_cxxeh_get_exc",
         "llvm_cxxeh_free_exc", "llvm_cxxeh_current_typeid",
-        "__lc_longjmp", "__lc_longjmp_catch", "__profile_count",
+        "__lc_longjmp", "__lc_longjmp_catch",
     })
 
     def __init__(self):

@@ -416,8 +416,12 @@ class TestLifelongSessionCache:
         function of its sources, not of one session's profile."""
         cache = BytecodeCache(str(tmp_path))
         sources = [
-            "int compute(int x) { return x * 3 + 1; }",
-            "int compute(int x); int main() { return compute(13); }",
+            # A biased hot loop, so that the reoptimizer forms a trace.
+            "int compute(int x) { int s = 0; int i;"
+            " for (i = 0; i < x; i++) {"
+            " if (i % 8 == 0) { s = s + 3; } else { s = s + i; } }"
+            " return s; }",
+            "int compute(int x); int main() { return compute(130) % 251; }",
         ]
         first = LifelongSession(sources, "prog", 2, cache=cache)
         stats = cache.statistics()
@@ -436,7 +440,7 @@ class TestLifelongSessionCache:
         # the session's: the entry still answers with the static build.
         for _ in range(3):
             second.run()
-        second.reoptimize()
+        assert second.reoptimize().traces_formed == 1
         assert second.bytecode != first.bytecode
         third = LifelongSession(sources, "prog", 2, cache=cache)
         assert third.bytecode == first.bytecode

@@ -3,17 +3,16 @@ pipelines, the lifelong session, and the cxxfe lowering helpers."""
 
 import pytest
 
-from repro.core import parse_module, print_module, types, verify_module
-from repro.core.instructions import CallInst
+from repro.bitcode import read_bytecode
+from repro.core import (
+    ConstantInt, IRBuilder, Module, print_module, types, verify_module,
+)
 from repro.driver import (
     LifelongSession, compile_and_link, link_time_optimize, optimize_module,
 )
 from repro.execution import Interpreter
 from repro.frontend import compile_source
-from repro.profile import (
-    Granularity, OfflineReoptimizer, ProfileData, ProfileInstrumentation,
-    TraceFormation,
-)
+from repro.profile import ProfileData, TraceFormation
 
 HOT_LOOP = """
 extern int print_int(int x);
@@ -34,112 +33,149 @@ int main() {
 """
 
 
-class TestInstrumentation:
-    def test_counters_inserted(self):
-        module = compile_source(HOT_LOOP, "hot")
-        instrumentation = ProfileInstrumentation(Granularity.BLOCKS)
-        assert instrumentation.run_on_module(module)
-        verify_module(module)
-        assert len(instrumentation.profile_map) > 0
-        counter_calls = sum(
-            1 for f in module.defined_functions() for i in f.instructions()
-            if isinstance(i, CallInst) and getattr(i.callee, "name", "")
-            == "__profile_count"
-        )
-        assert counter_calls == len(instrumentation.profile_map)
+def _profiled_run(module):
+    """(interpreter, profile) after one profiled run of ``main``."""
+    interp = Interpreter(module)
+    profile = ProfileData()
+    profile.attach(interp)
+    interp.run("main")
+    return interp, profile
 
-    def test_region_granularity_marks_loops(self):
-        module = compile_source(HOT_LOOP, "hot")
-        instrumentation = ProfileInstrumentation(Granularity.REGIONS)
-        instrumentation.run_on_module(module)
-        kinds = {info.kind for info in instrumentation.profile_map.counters}
-        assert kinds == {"entry", "loop"}
+
+class TestInstrumentation:
+    """The execution engine's block event is the profiler: nothing is
+    inserted into the IR."""
 
     def test_counts_collected(self):
         module = compile_source(HOT_LOOP, "hot")
-        instrumentation = ProfileInstrumentation(Granularity.BLOCKS)
-        instrumentation.run_on_module(module)
-        profile = ProfileData(instrumentation.profile_map)
-        interp = Interpreter(module, extra_externals=profile.externals())
-        interp.run("main")
-        counts = profile.block_counts("work")
+        _, profile = _profiled_run(module)
+        work = module.functions["work"]
         # The loop body ran 500 times.
-        assert max(counts.values()) >= 500
+        assert max(profile.counts.get(block, 0) for block in work.blocks) >= 500
         assert profile.function_entry_counts()["main"] == 1
 
     def test_instrumentation_preserves_output(self):
-        clean = compile_source(HOT_LOOP, "hot")
-        expected = Interpreter(clean).run("main")
         module = compile_source(HOT_LOOP, "hot")
-        instrumentation = ProfileInstrumentation(Granularity.BLOCKS)
-        instrumentation.run_on_module(module)
-        profile = ProfileData(instrumentation.profile_map)
-        interp = Interpreter(module, extra_externals=profile.externals())
-        assert interp.run("main") == expected
+        text = print_module(module)
+        plain = Interpreter(module)
+        plain.run("main")
+        profiled, _ = _profiled_run(module)
+        # Same output, same steps: no counter executes.
+        assert (profiled.output, profiled.steps) == (plain.output, plain.steps)
+        assert print_module(module) == text
 
 
 class TestProfileData:
     def _collected(self):
         module = compile_source(HOT_LOOP, "hot")
-        instrumentation = ProfileInstrumentation(Granularity.BLOCKS)
-        instrumentation.run_on_module(module)
-        profile = ProfileData(instrumentation.profile_map)
-        interp = Interpreter(module, extra_externals=profile.externals())
-        interp.run("main")
-        return module, profile
+        return module, _profiled_run(module)[1]
 
     def test_hot_loops_query(self):
-        _, profile = self._collected()
+        module, profile = self._collected()
         hot = profile.hot_loops(threshold=100)
         assert hot and hot[0][2] >= 100
+        function, header, _ = hot[0]
+        assert header in module.functions[function].blocks
 
     def test_json_round_trip(self):
-        _, profile = self._collected()
-        restored = ProfileData.from_json(profile.to_json())
+        module, profile = self._collected()
+        restored = ProfileData.from_json(profile.to_json(), module)
         assert restored.counts == profile.counts
 
     def test_merge(self):
         _, profile = self._collected()
-        merged = ProfileData(profile.profile_map)
+        merged = ProfileData()
         merged.merge(profile)
         merged.merge(profile)
         sample = next(iter(profile.counts))
         assert merged.counts[sample] == 2 * profile.counts[sample]
 
 
+def _same_named_arms():
+    """A loop whose biased branch goes to two blocks both named ``arm``,
+    the cold one first (block names are not unique, and nothing renames
+    them): (module, function, the branching block, the hot arm)."""
+    module = Module("arms")
+    function = module.new_function(types.function(types.INT, []), "main")
+    entry, header, body, cold, hot, latch, done = (
+        function.append_block(name) for name in
+        ("entry", "header", "body", "arm", "arm", "latch", "done"))
+    IRBuilder(entry).br(header)
+    builder = IRBuilder(header)
+    i = builder.phi(types.INT, "i")
+    builder.cond_br(builder.setlt(i, ConstantInt(types.INT, 1000)), body, done)
+    builder = IRBuilder(body)
+    rare = builder.seteq(builder.rem(i, ConstantInt(types.INT, 10)),
+                         ConstantInt(types.INT, 0))
+    builder.cond_br(rare, cold, hot)
+    IRBuilder(cold).br(latch)
+    IRBuilder(hot).br(latch)
+    builder = IRBuilder(latch)
+    following = builder.add(i, ConstantInt(types.INT, 1))
+    builder.br(header)
+    i.add_incoming(ConstantInt(types.INT, 0), entry)
+    i.add_incoming(following, latch)
+    IRBuilder(done).ret(i)
+    verify_module(module)
+    return module, function, body, hot
+
+
 class TestTraceFormation:
     def test_trace_preserves_semantics(self):
         module = compile_and_link([HOT_LOOP], "hot")
         expected = Interpreter(module).run("main")
-        instrumentation = ProfileInstrumentation(Granularity.BLOCKS)
-        instrumentation.run_on_module(module)
-        profile = ProfileData(instrumentation.profile_map)
-        interp = Interpreter(module, extra_externals=profile.externals())
-        interp.run("main")
+        _, profile = _profiled_run(module)
 
         tracer = TraceFormation()
         for fn in list(module.defined_functions()):
-            counts = profile.block_counts(fn.name)
-            if counts:
-                tracer.optimize_function(fn, counts)
+            tracer.optimize_function(fn, profile.counts)
         verify_module(module)
         assert tracer.traces_formed >= 1
-        quiet = Interpreter(module,
-                            extra_externals={"__profile_count": lambda i, a: None})
-        assert quiet.run("main") == expected
+        assert Interpreter(module).run("main") == expected
+
+    def test_same_named_successors_pick_the_hot_one(self):
+        from repro.analysis.loops import LoopInfo
+
+        module, function, body, hot = _same_named_arms()
+        _, profile = _profiled_run(module)
+        (loop,) = LoopInfo(function).all_loops()
+        path = TraceFormation()._select_path(loop, profile.counts)
+        assert path is not None and path[2] is hot
+
+    def test_same_named_successors_lay_out_the_hot_one_next(self):
+        from repro.profile.reoptimizer import _layout_hot_path
+
+        module, function, body, hot = _same_named_arms()
+        _, profile = _profiled_run(module)
+        _layout_hot_path(function, profile.counts)
+        assert function.blocks[function.blocks.index(body) + 1] is hot
 
 
 class TestOfflineReoptimizer:
     def test_cycle(self):
         session = LifelongSession([HOT_LOOP], "hot")
-        before = session.run_uninstrumented()
-        session.run()
+        before = session.run()
         report = session.reoptimize(hot_call_threshold=1, hot_loop_threshold=50)
-        after = session.run_uninstrumented()
+        after = session.run()
         assert after.exit_value == before.exit_value
         assert after.output == before.output
         # Something happened: traces and/or layout changes.
         assert report.traces_formed + report.blocks_reordered > 0
+
+    def test_ships_the_code_it_optimized(self):
+        """A profiled run costs what the static build costs, and the
+        reoptimized bytecode carries nothing but the program."""
+        session = LifelongSession([HOT_LOOP], "hot")
+        static = Interpreter(read_bytecode(session.bytecode))
+        static.run("main")
+        assert session.run().steps == static.steps
+        session.reoptimize(hot_call_threshold=1, hot_loop_threshold=50)
+        shipped = read_bytecode(session.bytecode)
+        assert set(shipped.functions) == set(static.module.functions)
+        rerun = Interpreter(shipped)
+        rerun.run("main")
+        assert rerun.output == static.output
+        assert rerun.steps == session.run().steps
 
 
 class TestPipelines:
@@ -304,16 +340,19 @@ int main(int which) {
 
     def test_jit_instrumentation(self):
         """Section 3.4: "The JIT translator can also insert the same
-        instrumentation as the offline code generator"."""
+        instrumentation as the offline code generator" — both are the
+        engine's block event, which lazily decoded bodies raise too."""
         from repro.execution import JITEngine
 
         bytecode, _ = self._bytecode()
-        jit = JITEngine(bytecode, instrument=True)
+        jit = JITEngine(bytecode)
+        profile = ProfileData()
+        profile.attach(jit.interpreter)
         jit.run("main", [0])
-        counts = jit.profile.function_entry_counts()
+        counts = profile.function_entry_counts()
         assert counts.get("main") == 1
         assert counts.get("helper_a") == 1
-        # Never-materialized functions have no counters at all.
+        # Never-materialized functions have no counts at all.
         assert "cold_path" not in counts
 
     def test_indirect_call_materializes(self):

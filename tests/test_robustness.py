@@ -960,6 +960,28 @@ class TestLifelongFaultTolerance:
         assert stats["passes.rolled_back"] == 1
         assert stats["crashes.reported"] == 1
 
+    def test_profile_follows_the_rollback(self, monkeypatch):
+        """A rollback rebuilds every block; the profile's counts move
+        onto the rebuilt blocks by position, so the next reoptimize
+        still sees what the runs so far measured."""
+        policy = FaultPolicy(reduce_testcases=False)
+        session = LifelongSession([SRC], level=1, fault_policy=policy)
+        session.run()
+        measured = session.profile.to_json()
+
+        from repro.profile import OfflineReoptimizer
+
+        def boom(self, module, profile, **kwargs):
+            module.functions["main"].delete_body()  # half-done rewrite
+            raise RuntimeError("reoptimizer bug")
+
+        monkeypatch.setattr(OfflineReoptimizer, "run", boom)
+        session.reoptimize()
+        assert session.profile.to_json() == measured
+        live = {id(block) for function in session.module.functions.values()
+                for block in function.blocks}
+        assert {id(block) for block in session.profile.counts} <= live
+
     def test_without_policy_reoptimizer_crash_propagates(self, monkeypatch):
         session = LifelongSession([SRC], level=1)
         from repro.profile import OfflineReoptimizer

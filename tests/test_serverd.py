@@ -360,6 +360,33 @@ class TestWorkerDeadline:
         assert result["clean"] is False
 
 
+class TestWorkerReoptimize:
+    def test_reoptimize_ships_clean_code_and_measures_it(self):
+        """The `reoptimize` op answers with the bytecode it optimized,
+        carrying no profiling call, and with runs whose steps are the
+        static build's: the execution engine took the profile."""
+        from repro.bitcode import read_bytecode
+        from repro.benchsuite import load_source
+        from repro.driver.pipelines import compile_to_bytecode
+        from repro.execution import Interpreter
+        from repro.serve.workers import _execute
+        from repro.stats import Stats
+
+        source = load_source("mcf")
+        static = Interpreter(read_bytecode(
+            compile_to_bytecode([source], "mcf", 2)))
+        static.run("main", [])
+        job = {"op": "reoptimize", "sources": [source], "name": "mcf",
+               "runs": [{"function": "main", "args": []}] * 2}
+        response = _execute(job, None, Stats())
+        assert response["ok"], response
+        result = response["result"]
+        assert [run["steps"] for run in result["runs"]] == [static.steps] * 2
+        shipped = read_bytecode(base64.b64decode(result["bytecode"]))
+        assert set(shipped.functions) == set(static.module.functions)
+        assert "__profile_count" not in shipped.functions
+
+
 class TestOverload:
     def test_high_water_sheds_busy_with_hint(self, tmp_path):
         config = ServerConfig(socket_path=str(tmp_path / "s.sock"),

@@ -26,7 +26,7 @@ from repro.driver import LifelongSession
 from repro.execution import Interpreter, StepLimitExceeded, TraceManager
 from repro.execution.tracejit import Untraceable, compile_trace
 from repro.frontend import compile_source
-from repro.profile import TraceFormation
+from repro.profile import ProfileData, TraceFormation
 
 HOT_LOOP = """
 extern int print_int(int x);
@@ -218,7 +218,7 @@ out:
         function = parse_module(self.IR).functions["f"]
         loops = LoopInfo(function).all_loops()
         assert len(loops) == 1
-        counts = {"header": 100, "mid": 100, "latch": 100, "out": 1}
+        counts = dict(zip(function.blocks, (1, 100, 100, 100, 1)))
         path = TraceFormation()._select_path(loops[0], counts)
         assert path is not None
         assert [block.name for block in path] == ["header", "mid", "latch"]
@@ -258,17 +258,18 @@ int main(int which) {
     def test_preloaded_functions_are_instrumented(self):
         from repro.execution import JITEngine
 
-        jit = JITEngine(self._bytecode(), instrument=True,
-                        preload=["helper_a", "helper_b"])
+        jit = JITEngine(self._bytecode(), preload=["helper_a", "helper_b"])
         assert jit.materialized("helper_a")
         assert jit.materialized("helper_b")
+        profile = ProfileData()
+        profile.attach(jit.interpreter)
         jit.run("main", [0])
-        counts = jit.profile.function_entry_counts()
-        # The preloaded body was decoded before instrumentation was
-        # switched on; the init sweep must still cover it.
+        counts = profile.function_entry_counts()
+        # The preloaded body was decoded before the profile was
+        # attached; the engine counts it all the same.
         assert counts.get("main") == 1
         assert counts.get("helper_a") == 1
-        assert counts.get("helper_b") == 0
+        assert "helper_b" not in counts     # decoded, never run
 
     def test_preload_counts_as_materialization(self):
         from repro.execution import JITEngine
@@ -385,6 +386,76 @@ class TestInterpreterContract:
             assert 0 < index < len(block.instructions)
         assert got == expected
         assert manager.stats.unreconstructed_exits == 0
+
+
+def _profiled(module, manager=None):
+    """(exit, output, steps, block counts) of one profiled run."""
+    interp = Interpreter(module)
+    if manager is not None:
+        manager.attach(interp)
+    profile = ProfileData()
+    profile.attach(interp)
+    value = interp.run("main", [])
+    return value, "".join(interp.output), interp.steps, profile.counts
+
+
+class TestProfileUnderTraces:
+    """A profile attached over the trace tier sees only interpreted
+    block entries; each trace run credits the blocks it entered, so the
+    counts are exactly a plain interpreted run's."""
+
+    @pytest.mark.parametrize("source", [HOT_LOOP, SHAPE_SHIFT, CLOCKED_LOOP],
+                             ids=["hot-loop", "shape-shift", "clocked"])
+    def test_traced_profile_is_the_interpreted_one(self, source):
+        module = compile_source(source, "t")
+        reference = _profiled(module)
+        manager = TraceManager(hot_threshold=8)
+        cold = _profiled(module, manager)
+        warm = _profiled(module, manager)
+        assert cold == reference
+        assert warm == reference
+        assert manager.stats.trace_iterations > 0
+
+    def test_budget_exit_credits_the_iterations_run(self):
+        module = parse_module(PRINT_THEN_LOOP)
+        for limit in (85, 90, 99):
+            counts = []
+            for manager in (None, TraceManager(hot_threshold=3)):
+                interp = Interpreter(module, step_limit=limit)
+                if manager is not None:
+                    manager.attach(interp)
+                profile = ProfileData()
+                profile.attach(interp)
+                with pytest.raises(StepLimitExceeded):
+                    interp.run("main")
+                counts.append(profile.counts)
+            assert counts[0] == counts[1]
+            assert manager.stats.budget_exits >= 1
+
+    def test_an_unprofiled_manager_credits_nothing(self):
+        module = compile_source(HOT_LOOP, "t")
+        manager = TraceManager(hot_threshold=8)
+        _profiled(module, manager)
+        plain = Interpreter(module)
+        manager.attach(plain)
+        assert manager.profile is None
+        plain.run("main", [])
+        assert manager.stats.trace_entries > 0
+
+    def test_jit_engine_traces_count_too(self):
+        from repro.bitcode import write_bytecode
+        from repro.execution import JITEngine
+
+        module = compile_source(HOT_LOOP, "hotjit")
+        jit = JITEngine(write_bytecode(module, strip_names=False),
+                        jit_traces=True, trace_threshold=8)
+        profile = ProfileData()
+        profile.attach(jit.interpreter)
+        jit.run("main", [])
+        assert jit.trace_manager.stats.traces_compiled >= 1
+        _, _, steps, counts = _profiled(jit.module)
+        assert profile.counts == counts
+        assert jit.steps == steps
 
 
 # ---------------------------------------------------------------------------
