@@ -39,7 +39,8 @@ from collections import Counter, defaultdict
 from typing import Callable
 
 from repro.benchsuite import benchmark_names, load_source
-from repro.core import Module, print_module
+from repro.bitcode import write_bytecode
+from repro.core import Module, print_function, print_module
 from repro.driver.pipelines import (
     link_time_optimize, lto_pipeline, mark_optimized, optimize_module,
     stale_functions, standard_pipeline,
@@ -48,9 +49,7 @@ from repro.frontend import compile_source
 from repro.fuzz.generator import generate_program
 from repro.linker import link_modules
 from repro.transforms import PassManager
-from repro.transforms.passmanager import (
-    pass_name, snapshot_function, snapshot_module,
-)
+from repro.transforms.passmanager import pass_name
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEVEL = 2
@@ -115,17 +114,17 @@ class Audit:
 
     def run_slots(self, passes, pipeline: str, stage: str, module,
                   program: str, only=None) -> None:
-        """One pass at a time; a unit and its digest are the pass
-        manager's: a function and its printed text, or — for a module
-        pass — the module and its bytecode (which carries the purity
-        flags the printer does not).  A function pass runs over the
-        functions named in ``only`` (default: all)."""
+        """One pass at a time; a unit is the pass manager's, and its
+        digest is a function's printed text, or — for a module pass —
+        the module's bytecode (which carries the purity flags the
+        printer does not).  A function pass runs over the functions
+        named in ``only`` (default: all)."""
         texts = _function_texts(module, only)
         for slot, pass_obj in enumerate(passes):
             if hasattr(pass_obj, "run_on_module"):
-                before = snapshot_module(module)
+                before = _module_bytes(module)
                 PassManager().add(pass_obj).run(module)
-                units, moved = 1, int(snapshot_module(module) != before)
+                units, moved = 1, int(_module_bytes(module) != before)
                 texts = _function_texts(module, only)
             else:
                 PassManager().add(pass_obj).run(module, only)
@@ -166,8 +165,12 @@ class Audit:
 
 
 def _function_texts(module, only=None) -> dict[str, str]:
-    return {f.name: snapshot_function(f) for f in module.defined_functions()
+    return {f.name: print_function(f) for f in module.defined_functions()
             if only is None or f.name in only}
+
+
+def _module_bytes(module) -> bytes:
+    return write_bytecode(module, strip_names=False)
 
 
 def main(argv=None) -> int:

@@ -33,8 +33,9 @@ class VerificationError(Exception):
     """Raised when a module or function violates an IR invariant."""
 
 
-def verify_module(module: Module) -> None:
-    """Verify every defined function and global in ``module``."""
+def verify_module(module: Module, bodies=None) -> None:
+    """Verify every defined function and global in ``module`` — or,
+    given ``bodies``, the symbols and only those function bodies."""
     for global_var in module.globals.values():
         if global_var.parent is not module:
             raise VerificationError(
@@ -45,6 +46,8 @@ def verify_module(module: Module) -> None:
             raise VerificationError(
                 f"function {function.name!r} has wrong parent module"
             )
+    for function in (module.functions.values() if bodies is None
+                     else bodies):
         if not function.is_declaration:
             verify_function(function)
 

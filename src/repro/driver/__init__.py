@@ -4,7 +4,7 @@ compile/link/execute flows of paper Figure 4."""
 from .cache import BytecodeCache, toolchain_fingerprint
 from .passmanager import (
     CrashReport, FaultPolicy, PassBudgetExceeded,
-    TranslationValidationError, restore_module, snapshot_module,
+    TranslationValidationError,
 )
 from .pipelines import (
     compile_and_link, compile_to_bytecode,
@@ -12,6 +12,7 @@ from .pipelines import (
     lto_pipeline, optimize_module, standard_pipeline,
 )
 from .lifelong import LifelongSession
+from ..transforms.passmanager import restore_module, snapshot_module
 
 __all__ = [
     "BytecodeCache", "CrashReport", "FaultPolicy", "PassBudgetExceeded",

@@ -15,17 +15,21 @@ calls back here for everything that makes a failure survivable:
 * the **watchdog** that preempts a runaway pass from inside, by
   interval timer, under a time budget capped by the build's deadline;
 * **translation validation** of every function a function pass changed
-  (``translation_validate``), co-executed against its snapshot in a
+  (``translation_validate``), co-executed against its record in a
   carrier module that shares the live module's globals and other
   functions.  A refinement violation is a failure like any other,
   except the report also carries the concrete counterexample input.
   Module (interprocedural) passes are exempt: their rewrites may be
   justified by call-site context that per-function refinement cannot
   see (docs/ANALYSIS.md);
-* **rollback** of the failed unit from its snapshot — a function's text
-  is parsed straight into the live module's symbols and its body moved
-  into the function object in place, a module is re-read from its
-  bytecode — so one bad function costs only itself its optimization;
+* **rollback** of the failed unit from its checkpoint, in place — an
+  epoch-stamped structural record (``repro.transforms.passmanager``):
+  a function's body is rebuilt from its record through
+  ``instructions.build`` into the live function object, a module's
+  symbols go back into the module object and only the bodies whose
+  epoch moved are rebuilt — so one bad function costs only itself its
+  optimization.  Bytecode is written only on the failure path, after
+  the rollback, for bisection and reduction;
 * **containment**, once per pass: the guilty functions of a function
   pass are *poisoned* for that pass; a failing module pass is bisected
   to name the function that kills it and poisoned module-wide; a
@@ -37,7 +41,7 @@ The :class:`FaultPolicy` also owns the knobs and the ``-stats``
 counters (``passes.rolled_back``, ``crashes.reported``,
 ``fallbacks.taken``).
 
-Rollback itself is trusted machinery: like snapshot serialization, a
+Rollback itself is trusted machinery: like taking a checkpoint, a
 failure *inside* restore still raises, by design — it would mean the
 pre-pass state cannot be reproduced, which no amount of containment can
 paper over.
@@ -54,13 +58,12 @@ import traceback as _traceback
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..bitcode import read_bytecode
-from ..core.irparser import parse_function
-from ..core.module import Module
+from ..bitcode import read_bytecode, write_bytecode
+from ..core.module import Function, Module
 from ..core.verifier import verify_module
 from ..stats import Stats
 from ..transforms.passmanager import (
-    PassManager, snapshot_function, snapshot_module,
+    PassManager, rebuild_body, restore_function, restore_module,
 )
 from ..tvalid.validate import (
     FAILED as _VALIDATION_FAILED, TranslationValidationError,
@@ -70,38 +73,6 @@ from ..tvalid.validate import (
 
 class PassBudgetExceeded(Exception):
     """A pass ran past its wall-clock budget."""
-
-
-def restore_module(module: Module, snapshot: bytes) -> None:
-    """Roll ``module`` back to ``snapshot``, in place.
-
-    Callers all over the driver hold references to the module object
-    itself, so rollback replaces its *contents* (globals, functions,
-    named types) rather than the object.
-    """
-    restored = read_bytecode(snapshot)
-    module.globals = restored.globals
-    module.functions = restored.functions
-    module.named_types = restored.named_types
-    for symbol in (*module.globals.values(), *module.functions.values()):
-        symbol.parent = module
-
-
-def restore_function(module: Module, function, snapshot: str) -> None:
-    """Roll one function back to its snapshot text, in place.
-
-    The snapshot is parsed straight into ``module``'s symbol/type space
-    (``parse_function(snapshot, module=module)``) and its body
-    transplanted into the live function object, so every call site and
-    vtable entry referencing the function stays valid.
-    """
-    rebuilt = parse_function(snapshot, module=module)
-    function.delete_body()
-    function.args = rebuilt.args
-    for arg in function.args:
-        arg.parent = function
-    rebuilt.args = []
-    function.take_body(rebuilt)
 
 
 #: The shortest budget a watchdog arms.  ``setitimer(..., 0)`` disarms
@@ -325,20 +296,22 @@ class FaultPolicy:
         return None
 
     def validate_function(self, name: str, module: Module, function,
-                          snapshot: str) -> None:
+                          record) -> None:
         """Under ``translation_validate``, refinement-check one changed
-        function against its snapshot text; count verdicts; raise on a
+        function against its record; count verdicts; raise on a
         violation.
 
-        The "before" side is the snapshot parsed in the live module's
-        symbol space, co-executed in a carrier module sharing
-        the live globals and every *other* function — so callee
+        The "before" side is the record rebuilt into a fresh function
+        over the live module's symbols, co-executed in a carrier module
+        sharing the live globals and every *other* function — so callee
         differences cancel and the check isolates this function's
         change (modular refinement: callees are validated separately).
         """
         if not self.translation_validate:
             return
-        before_fn = parse_function(snapshot, module=module)
+        before_fn = Function(function.function_type, function.name,
+                             function.linkage)
+        rebuild_body(record, before_fn)
         carrier = Module(module.name, module.data_layout)
         carrier.globals = module.globals
         carrier.named_types = module.named_types
@@ -356,13 +329,13 @@ class FaultPolicy:
         if failure is not None:
             raise TranslationValidationError(name, failure)
 
-    def rollback(self, module: Module, function, snapshot) -> None:
+    def rollback(self, module: Module, function, record) -> None:
         """Undo a failed unit: ``function`` (or, when None, the whole
-        module) goes back to ``snapshot``, in place."""
+        module) goes back to ``record``, in place."""
         if function is None:
-            restore_module(module, snapshot)
+            restore_module(module, record)
         else:
-            restore_function(module, function, snapshot)
+            restore_function(function, record)
         self.count("passes.rolled_back")
 
     def contain(self, pass_obj, name: str, module: Module,
@@ -370,9 +343,9 @@ class FaultPolicy:
         """Containment for one pass's failed units, already rolled
         back: poison, attribute, report once per (pass, run).  Returns
         how many units were poisoned.  ``failures`` holds ``(unit,
-        error, snapshot)`` in sweep order; the unit of an injected
-        fault, which fires before any unit runs, is None."""
-        _, error, snapshot = failures[0]
+        error)`` in sweep order; the unit of an injected fault, which
+        fires before any unit runs, is None."""
+        _, error = failures[0]
         # Budget blowouts and one-shot injected faults do not reproduce
         # on a re-run, so bisecting/reducing them is wasted work (and
         # the reduction predicate would never hold).
@@ -380,19 +353,22 @@ class FaultPolicy:
 
         reproducible = self.reduce_testcases and not isinstance(
             error, (PassBudgetExceeded, InjectedFault))
+        # Every failed unit is rolled back, so the module is in a
+        # reproducing state: its bytecode is what the probes start from.
+        pristine = (write_bytecode(module, strip_names=False)
+                    if reproducible else None)
         if hasattr(pass_obj, "run_on_module"):
             # Module granularity: bisect for attribution only — the
             # pass is poisoned module-wide either way.
             guilty = [None]
-            culprit = (self._bisect_module_pass(pass_obj, snapshot)
+            culprit = (self._bisect_module_pass(pass_obj, pristine)
                        if reproducible else None)
         else:
             # Function granularity: the sweep already retried every
             # other function; only the guilty ones lose this pass.
             self.count("retries.function")
-            guilty = [unit for unit, _, _ in failures if unit is not None]
+            guilty = [unit for unit, _ in failures if unit is not None]
             culprit = guilty[0] if guilty else None
-            snapshot = None
         for unit in guilty:
             self.poison(name, module.name, unit)
         report = CrashReport(
@@ -402,11 +378,8 @@ class FaultPolicy:
                 type(error), error, error.__traceback__)),
         )
         if reproducible:
-            # Every failed unit is rolled back, so the module is in a
-            # reproducing state: snapshot it now if the failed unit was
-            # not the module itself.
             reduced = self._reduce_testcase(
-                pass_obj, snapshot or snapshot_module(module),
+                pass_obj, pristine,
                 validate=isinstance(error, TranslationValidationError))
             if reduced is not None:
                 from ..core import print_module
@@ -456,7 +429,8 @@ class FaultPolicy:
 
         def crashes(candidate: Module) -> bool:
             try:
-                pre_pass = snapshot_module(candidate) if validate else None
+                pre_pass = (write_bytecode(candidate, strip_names=False)
+                            if validate else None)
                 self._probe(pass_obj, candidate)
             except PassBudgetExceeded:
                 return False

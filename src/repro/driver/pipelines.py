@@ -17,13 +17,14 @@ from ..core.values import ConstantExpr
 from ..frontend import compile_source
 from ..linker import link_modules
 from .cache import BytecodeCache
-from .passmanager import FaultPolicy, restore_module, snapshot_module
+from .passmanager import FaultPolicy
 from ..stats import Stats
 from ..transforms import (
     AggressiveDCE, DeadCodeElimination, GVN, InstCombine, LICM, PassManager,
     PromoteMem2Reg, RangeOpt, Reassociate, SCCP, ScalarReplAggregates,
     SimplifyCFG, TailRecursionElimination,
 )
+from ..transforms.passmanager import restore_module, snapshot_module
 from ..transforms.ipo import (
     DeadArgumentElimination, DeadGlobalElimination, Devirtualize,
     FunctionInlining, HeapToStackPromotion, Internalize,

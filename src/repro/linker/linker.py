@@ -9,10 +9,10 @@ concatenated.  The resulting module is what the link-time
 interprocedural optimizer runs on.
 
 Bodies are copied by :func:`repro.transforms.cloning.clone_body` under
-the linker's type unifier.  Putting one function's text back into the
-module it came from (the pass manager's rollback) needs no link: the
-parser resolves it against the live module directly
-(``parse_function(text, module=...)``).
+the linker's type unifier.  Putting one function back into the module
+it came from (the pass manager's rollback) needs no link: its record
+already holds the live module's objects
+(``repro.transforms.passmanager.restore_function``).
 """
 
 from __future__ import annotations

@@ -9,33 +9,37 @@ reoptimizer, bugpoint's probes and crash reduction all go through it.
 Every pass runs as a sequence of **units**: one function of a function
 pass, or the whole module of a module pass.  The per-unit step is
 
-    skip if poisoned -> lazily snapshot -> run (under the watchdog's
-    time budget when a policy is present) -> if tracking, compare the
-    unit's digest -> ChangedFlagLie if it moved unclaimed -> verify the
-    unit -> translation-validate -> commit the new digest;
+    skip if poisoned -> lazily checkpoint -> run (under the watchdog's
+    time budget when a policy is present) -> if tracking, ask whether
+    the unit moved -> verify what moved -> translation-validate;
     on an exception: re-raise with no policy, else roll the unit back
     and hand it to containment.
 
 *Tracking* is on when ``verify_each`` or a ``policy`` is given.  With
-neither, a pass run is exactly the ``run_on_*`` calls — nothing is
-printed or serialized.  A unit's digest is its snapshot: a function's
-printed text, or the module's bytecode (bytecode rather than text for
-module passes, because it carries flags the printer does not — function
-purity — and only module passes set those).  Digests are cached across
-passes, so an untouched function is printed once, not once per pass.
+neither, a pass run is exactly the ``run_on_*`` calls.  Under a policy
+a unit's checkpoint is a structural record stamped with the mutation
+epoch (``Function.epoch``): a function's :class:`FunctionRecord`, or a
+:class:`ModuleRecord` (the symbol table plus every function's record).
+A record stays valid while its function's epoch does, so an untouched
+function is recorded once per :meth:`PassManager.run`, and a module
+record reuses every record whose epoch has not moved.  Nothing is
+printed or serialized: a function unit moved iff its epoch did, a
+module unit iff its symbol table or any epoch did, and rollback
+rebuilds from the record (:func:`restore_function`,
+:func:`restore_module`).  A rename moves no epoch, so a unit that
+claims a change its epoch does not show drops its record.
 
 The changed flag each pass returns is load-bearing: fixpoint drivers
-stop iterating on it, and with a policy alone an honest ``False`` costs
-nothing at all (no post-pass print).  ``verify_each`` therefore
-*audits* the flag: the digest is compared after every unit, a unit that
-moved while its pass reported "no change" raises :class:`ChangedFlagLie`
-at the pass's own site, and a pass that over-reports (claims a change
-but moved nothing) skips the redundant re-verify.  Under ``verify_each``
-the same comparison audits the function's mutation epoch
-(``Function.epoch``, what the driver's ``-O`` runs trust to skip an
-unchanged function): a function whose text moved while its epoch did
-not was edited behind the IR's mutation API, and raises
-:class:`UntrackedMutation`.
+stop iterating on it.  Under a policy an unclaimed epoch move is
+verified and validated like a claimed one; an unclaimed module pass
+costs nothing.  ``verify_each`` *audits* the flag with printed text,
+the one place text survives: a unit whose text moved while its pass
+reported "no change" raises :class:`ChangedFlagLie` at the pass's own
+site, and a pass that over-reports (claims a change but moved nothing)
+skips the redundant re-verify.  The same comparison audits the epoch,
+what the driver's ``-O`` runs and the records trust: a function whose
+text moved while its epoch did not was edited behind the IR's mutation
+API, and raises :class:`UntrackedMutation`.
 
 ``run(module, functions)`` restricts the function passes to those
 functions (the driver's skip rule); module passes still see the module.
@@ -50,11 +54,13 @@ every unit that failed — containment (poison, bisect, reduce, report).
 from __future__ import annotations
 
 import time
-from typing import Callable, Collection, Optional, Protocol
+from typing import Callable, Collection, NamedTuple, Optional, Protocol
 
-from ..bitcode import write_bytecode
+from ..core.basicblock import BasicBlock
+from ..core.instructions import build
 from ..core.module import Function, Module
-from ..core.printer import print_function
+from ..core.printer import print_function, print_module
+from ..core.values import Value
 from ..core.verifier import verify_function, verify_module
 from ..stats import Stats
 
@@ -78,21 +84,168 @@ class UntrackedMutation(Exception):
         self.pass_name = pass_name
 
 
-def snapshot_module(module: Module) -> bytes:
-    """A module unit's snapshot and digest: deterministic bytecode."""
-    return write_bytecode(module, strip_names=False)
+class FunctionRecord(NamedTuple):
+    """A function's checkpoint: its body as structure, valid while the
+    function's epoch equals :attr:`epoch`.
 
-
-def snapshot_function(function: Function) -> str:
-    """A function unit's snapshot and digest: the function's text.
-
-    Text rather than a structural clone because it is what the digest
-    comparison needs anyway, it costs nothing to keep across passes,
-    and the print -> parse round trip is byte-exact (pinned by the
-    differential fuzzer), so it can faithfully rebuild the function on
-    the rare rollback path.
+    ``blocks`` holds ``(name, instructions)`` per block, and each
+    instruction is ``(opcode, carried_type, type, operands, name,
+    loc)``.  An operand local to the function is its position in
+    arguments, then blocks, then instructions in layout order (an int);
+    any other operand — a constant, a global, a function — is the
+    object itself.
     """
-    return print_function(function)
+
+    epoch: int
+    args: tuple
+    blocks: tuple
+
+
+class ModuleRecord(NamedTuple):
+    """A module's checkpoint: ``symbols`` is the symbol table —
+    ``(global, linkage, is_constant, initializer)`` per global,
+    ``(function, linkage, is_pure, source_module)`` per function, each
+    in module order, and the named types — and ``bodies`` maps every
+    function to its :class:`FunctionRecord`."""
+
+    symbols: tuple
+    bodies: dict
+
+
+def snapshot_function(function: Function) -> FunctionRecord:
+    """A function unit's checkpoint (see :class:`FunctionRecord`)."""
+    local: dict = {}
+    for arg in function.args:
+        local[arg] = len(local)
+    for block in function.blocks:
+        local[block] = len(local)
+    for block in function.blocks:
+        for inst in block.instructions:
+            local[inst] = len(local)
+    ref = local.get
+    return FunctionRecord(
+        function.epoch, tuple([arg.name for arg in function.args]),
+        tuple([(block.name, tuple([
+            (inst.opcode, inst.carried_type, inst.type,
+             tuple([ref(op, op) for op in inst.operands]), inst.name,
+             inst.loc)
+            for inst in block.instructions]))
+            for block in function.blocks]))
+
+
+def _module_symbols(module: Module) -> tuple:
+    """:attr:`ModuleRecord.symbols` of ``module`` as it stands."""
+    return (
+        tuple([(g, g.linkage, g.is_constant, g.initializer)
+               for g in module.globals.values()]),
+        tuple([(f, f.linkage, f.is_pure, f.source_module)
+               for f in module.functions.values()]),
+        tuple(module.named_types.items()))
+
+
+def snapshot_module(module: Module,
+                    records: Optional[dict] = None) -> ModuleRecord:
+    """A module unit's checkpoint.  ``records`` caches function records
+    by function: one whose epoch has not moved is reused, any other is
+    taken afresh and stored there."""
+    records = {} if records is None else records
+    bodies = {}
+    for function in module.functions.values():
+        record = records.get(function)
+        if record is None or record.epoch != function.epoch:
+            record = records[function] = snapshot_function(function)
+        bodies[function] = record
+    return ModuleRecord(_module_symbols(module), bodies)
+
+
+def _moved_functions(module: Module, record: ModuleRecord) -> list:
+    """The defined functions of ``module`` that ``record`` does not
+    describe: created since, or moved since (by epoch)."""
+    bodies = record.bodies
+    return [f for f in module.defined_functions()
+            if f not in bodies or bodies[f].epoch != f.epoch]
+
+
+def rebuild_body(record: FunctionRecord, function: Function) -> None:
+    """Give the bodiless ``function`` the body ``record`` describes:
+    its arguments take the recorded names, and every instruction is
+    made by :func:`repro.core.instructions.build`."""
+    values: list = list(function.args)
+    for arg, name in zip(values, record.args):
+        arg.name = name
+    blocks = [BasicBlock(name, parent=function) for name, _ in record.blocks]
+    values += blocks
+    base = len(values)
+    shapes = [inst for _, insts in record.blocks for inst in insts]
+    #: Placeholders for operands defined later in layout order.
+    forward: dict = {}
+
+    def resolve(ref):
+        if type(ref) is not int:
+            return ref
+        if ref < len(values):
+            return values[ref]
+        if ref not in forward:
+            forward[ref] = Value(shapes[ref - base][2])
+        return forward[ref]
+
+    for block, (_, insts) in zip(blocks, record.blocks):
+        for opcode, carried, _, operands, name, loc in insts:
+            inst = build(opcode, carried, [resolve(op) for op in operands],
+                         name)
+            inst.loc = loc
+            block.append(inst)
+            values.append(inst)
+    for ref, placeholder in forward.items():
+        placeholder.replace_all_uses_with(values[ref])
+
+
+def restore_function(function: Function, record: FunctionRecord) -> None:
+    """Roll one function back to ``record``, in place: the live
+    function object (and its arguments) keeps its identity, so every
+    call site and vtable entry referencing it stays valid."""
+    function.delete_body()
+    rebuild_body(record, function)
+
+
+def restore_module(module: Module, record: ModuleRecord) -> None:
+    """Roll ``module`` back to ``record``, in place.
+
+    The recorded globals and functions go back into the module object
+    with their recorded attributes, in their recorded order; a symbol
+    created since is unlinked and its references dropped.  Only a body
+    whose epoch moved is rebuilt.
+    """
+    globals_, functions, named_types = record.symbols
+    recorded = {g for g, _, _, _ in globals_}
+    for global_var in module.globals.values():
+        if global_var not in recorded:
+            global_var.set_initializer(None)
+            global_var.parent = None
+    for function in module.functions.values():
+        if function not in record.bodies:
+            function.delete_body()
+            function.parent = None
+    module.globals.clear()
+    module.functions.clear()
+    module.named_types.clear()
+    module.named_types.update(named_types)
+    for global_var, linkage, is_constant, initializer in globals_:
+        module.globals[global_var.name] = global_var
+        global_var.parent = module
+        global_var.linkage = linkage
+        global_var.is_constant = is_constant
+        if global_var.initializer is not initializer:
+            global_var.set_initializer(initializer)
+    for function, linkage, is_pure, source_module in functions:
+        module.functions[function.name] = function
+        function.parent = module
+        function.linkage = linkage
+        function.is_pure = is_pure
+        function.source_module = source_module
+        body = record.bodies[function]
+        if function.epoch != body.epoch:
+            restore_function(function, body)
 
 
 def pass_name(pass_obj) -> str:
@@ -113,6 +266,16 @@ class ModulePass(Protocol):
     name: str
 
     def run_on_module(self, module: Module) -> bool: ...
+
+
+def _printed(module: Module, function: Optional[Function]):
+    """``verify_each``'s text of a unit: a function's printed form, or
+    the module's plus its purity flags — the one attribute passes set
+    that the printer does not show."""
+    if function is not None:
+        return print_function(function)
+    return (print_module(module),
+            [f.is_pure for f in module.functions.values()])
 
 
 class PassManager:
@@ -140,10 +303,12 @@ class PassManager:
         #: Names of the functions some function pass skipped as poisoned
         #: or rolled back: not fully optimized, whatever the level.
         self.incomplete: set[str] = set()
-        #: Snapshots describing the module's *current* state, by unit
-        #: (function name; None for the module): the change-detection
-        #: digest and the rollback source in one.
-        self._digests: dict = {}
+        #: Function records by function (see :func:`snapshot_module`),
+        #: each valid while its epoch is the function's.
+        self._records: dict = {}
+        #: ``verify_each``'s printed text of the functions it audited,
+        #: by function: always the function's current text.
+        self._texts: dict = {}
 
     def add(self, pass_obj) -> "PassManager":
         if not hasattr(pass_obj, "run_on_function") and not hasattr(pass_obj, "run_on_module"):
@@ -156,9 +321,10 @@ class PassManager:
         """Run every pass; a function pass over the defined functions
         named in ``only`` (default: all of them)."""
         policy = self.policy
-        # The digests only describe mutations made through this manager;
-        # between run() calls other components may touch the module.
-        self._digests.clear()
+        # Names move no epoch, and between run() calls other components
+        # may rename (or, behind the API, edit) what the caches hold.
+        self._records.clear()
+        self._texts.clear()
         changed = False
         for pass_obj in self.passes:
             name = pass_name(pass_obj)
@@ -175,7 +341,7 @@ class PassManager:
             units = [None] if module_pass else [
                 f for f in module.defined_functions()
                 if only is None or f.name in only]
-            #: (unit, error, snapshot) of every unit that failed.
+            #: (unit, error) of every unit that failed.
             failures: list = []
             # The pass's fault-injection site fires before any unit is
             # touched, so there is nothing to roll back.  A function
@@ -183,7 +349,7 @@ class PassManager:
             # module pass has no smaller unit to retry.
             fault = policy.injected_fault(name) if policy is not None else None
             if fault is not None:
-                failures.append((None, fault, None))
+                failures.append((None, fault))
                 if module_pass:
                     units = []
             for unit in units:
@@ -208,23 +374,18 @@ class PassManager:
         policy = self.policy
         if function is not None:
             unit, target = function.name, function
-            run, snapshot, verify = (pass_obj.run_on_function,
-                                     snapshot_function, verify_function)
+            run = pass_obj.run_on_function
             if policy is not None and policy.is_poisoned(name, module.name,
                                                          unit):
                 self.incomplete.add(unit)
                 return False
             epoch = function.epoch
         else:
-            unit, target = None, module
-            run, snapshot, verify = (pass_obj.run_on_module,
-                                     snapshot_module, verify_module)
-        tracking = self.verify_each or policy is not None
-        before = None
-        if tracking:
-            before = self._digests.get(unit)
-            if before is None:
-                before = self._digests[unit] = snapshot(target)
+            unit, target, run = None, module, pass_obj.run_on_module
+            epoch = None
+        record = (self._checkpoint(module, function) if policy is not None
+                  else None)
+        text = self._text(module, function) if self.verify_each else None
         # Not part of the transaction: a policy that cannot arm its
         # watchdog here (off the main thread) raises to the caller.
         watchdog = policy.watchdog() if policy is not None else None
@@ -234,36 +395,74 @@ class PassManager:
                     claimed = bool(run(target))
             else:
                 claimed = bool(run(target))
-            # Without verify_each an honest "no change" costs nothing:
-            # the flag is kept honest project-wide by the verify_each
-            # audit below and by the fuzzer.
-            if not tracking or not (claimed or self.verify_each):
+            if self.verify_each:
+                after = _printed(module, function)
+                if after == text:
+                    return claimed  # over-reported: skip re-verify and tvalid
+                if not claimed:
+                    raise ChangedFlagLie(name)
+                if function is not None and function.epoch == epoch:
+                    raise UntrackedMutation(name, unit)
+            elif policy is None or not self._moved(module, function, record,
+                                                   claimed):
                 return claimed
-            after = snapshot(target)
-            if after == before:
-                return claimed  # over-reported: skip re-verify and tvalid
-            if not claimed:
-                raise ChangedFlagLie(name)
-            if self.verify_each and function is not None \
-                    and function.epoch == epoch:
-                raise UntrackedMutation(name, unit)
-            verify(target)
-            if function is None:
-                self._digests.clear()  # function bodies may have moved
-            else:
+            if function is not None:
+                verify_function(function)
                 if policy is not None:
-                    policy.validate_function(name, module, function, before)
-                self._digests.pop(None, None)
-            self._digests[unit] = after
-            return True
+                    policy.validate_function(name, module, function, record)
+            else:
+                verify_module(module, None if record is None
+                              else _moved_functions(module, record))
+            if self.verify_each:
+                if function is None:
+                    self._texts.clear()  # function bodies may have moved
+                else:
+                    self._texts[function] = after
+            return claimed
         except Exception as error:
             if policy is None:
                 raise
-            policy.rollback(module, function, before)
-            failures.append((unit, error, before))
+            policy.rollback(module, function, record)
+            failures.append((unit, error))
             if unit is not None:
                 self.incomplete.add(unit)
             return False
+
+    def _checkpoint(self, module: Module, function: Optional[Function]):
+        """The unit's record under a policy: its rollback source, and
+        tvalid's "before" side."""
+        if function is None:
+            return snapshot_module(module, self._records)
+        record = self._records.get(function)
+        if record is None or record.epoch != function.epoch:
+            record = self._records[function] = snapshot_function(function)
+        return record
+
+    def _moved(self, module: Module, function: Optional[Function],
+               record, claimed: bool) -> bool:
+        """Under a policy alone: whether the unit changed.  A function
+        changed iff its epoch moved, claimed or not; a module pass is
+        trusted when it claims no change."""
+        if function is not None:
+            if function.epoch != record.epoch:
+                return True
+            if claimed:
+                # A rename moves no epoch: the record's names are stale.
+                del self._records[function]
+            return False
+        return claimed and (
+            _module_symbols(module) != record.symbols
+            or any(f.epoch != body.epoch
+                   for f, body in record.bodies.items()))
+
+    def _text(self, module: Module, function: Optional[Function]):
+        """``verify_each``'s text of the unit before the pass; a
+        function's is cached across passes."""
+        if function is None:
+            return _printed(module, None)
+        if function not in self._texts:
+            self._texts[function] = print_function(function)
+        return self._texts[function]
 
     def statistics(self) -> dict[str, dict[str, int]]:
         """Per-pass counters (the ``lc-opt -stats`` rows) of everything

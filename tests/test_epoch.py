@@ -18,19 +18,20 @@ import os
 import pytest
 
 from repro.bitcode import write_bytecode
-from repro.core import print_module, types
+from repro.core import print_function, print_module, types
 from repro.core.basicblock import BasicBlock
 from repro.core.instructions import BinaryOperator, Opcode, ReturnInst
 from repro.core.values import ConstantInt
 from repro.driver import (
     BytecodeCache, FaultPolicy, compile_and_link, optimize_module,
 )
-from repro.driver.passmanager import restore_function
 from repro.driver.pipelines import OPTIMIZE_SOURCE, stale_functions
 from repro.frontend import compile_source
 from repro.stats import Stats
 from repro.transforms import FunctionPassAdaptor, PassManager
-from repro.transforms.passmanager import UntrackedMutation, snapshot_function
+from repro.transforms.passmanager import (
+    UntrackedMutation, restore_function, snapshot_function,
+)
 
 SRC = """
 int add(int x, int y) { return x + y; }
@@ -125,10 +126,10 @@ class TestEntryPoints:
         assert moves(self.loop, self.loop.delete_body)
 
     def test_restore_function(self):
-        text = snapshot_function(self.loop)
-        assert moves(self.loop,
-                     lambda: restore_function(self.module, self.loop, text))
-        assert snapshot_function(self.loop) == text
+        text = print_function(self.loop)
+        record = snapshot_function(self.loop)
+        assert moves(self.loop, lambda: restore_function(self.loop, record))
+        assert print_function(self.loop) == text
 
     def test_constant_edits_move_no_function(self):
         """A user that is not an instruction belongs to no function."""
@@ -159,7 +160,7 @@ def _swap_call_and_add(through_api: bool):
 class TestVerifyEachAudit:
     def test_edit_behind_the_api_is_caught(self):
         """The planted pass reorders ``block.instructions`` directly: the
-        digest moves, the epoch does not."""
+        text moves, the epoch does not."""
         manager = PassManager(verify_each=True).add(
             FunctionPassAdaptor(_swap_call_and_add(False), "planted"))
         with pytest.raises(UntrackedMutation, match="planted"):

@@ -346,10 +346,10 @@ class TestContainedPassManager:
 
 class TestPerFunctionTransactions:
     """The per-function snapshot machinery of ISSUE 7: function passes
-    snapshot (and roll back) one function's text, never the module."""
+    checkpoint (and roll back) one function's record, never the module."""
 
     def test_function_rollback_restores_in_place(self):
-        from repro.driver.passmanager import (
+        from repro.transforms.passmanager import (
             restore_function, snapshot_function,
         )
 
@@ -359,7 +359,7 @@ class TestPerFunctionTransactions:
         snapshot = snapshot_function(victim)
         victim.blocks[0].instructions[-1].erase_from_parent()
         assert print_module(module) != before
-        restore_function(module, victim, snapshot)
+        restore_function(victim, snapshot)
         assert print_module(module) == before
         verify_module(module)
         # Restoration happens *inside* the existing function object, so
@@ -406,6 +406,44 @@ class TestPerFunctionTransactions:
         assert ".t:" in text
         assert run_interpreter(module, STEP_LIMIT) == reference_outcome()
         assert policy.statistics()["passes.rolled_back"] == 1
+
+    def test_rollback_keeps_an_unclaimed_change(self):
+        """Pass A edits @victim but reports no change; pass B then
+        raises on @victim.  B's rollback must restore what A left: a
+        record is valid only while its function's epoch is, so A's move
+        retires the one taken before it."""
+        from repro.core import print_function, types
+        from repro.core.instructions import BinaryOperator, Opcode
+        from repro.core.values import ConstantInt
+        from repro.transforms import FunctionPassAdaptor
+
+        def unclaimed(function):
+            if function.name == "victim":
+                one = ConstantInt(types.INT, 1)
+                function.entry_block.insert(
+                    0, BinaryOperator(Opcode.ADD, one, one, "planted"))
+            return False
+
+        left_by_a = []
+
+        def crash(function):
+            if function.name == "victim":
+                left_by_a.append(print_function(function))
+                raise RuntimeError("planted bug")
+            return False
+
+        policy = FaultPolicy(reduce_testcases=False)
+        module = fresh_module()
+        manager = PassManager(policy=policy)
+        manager.add(FunctionPassAdaptor(unclaimed, "unclaimed"))
+        manager.add(FunctionPassAdaptor(crash, "crash"))
+        manager.run(module)
+
+        victim = module.functions["victim"]
+        assert policy.statistics()["passes.rolled_back"] == 1
+        assert "%planted" in left_by_a[0]
+        assert print_function(victim) == left_by_a[0]
+        verify_module(module)
 
     def test_fault_tolerant_timings_count_each_pass_once(self):
         """-time-passes audit: one transactional run records every pass
@@ -514,24 +552,35 @@ entry:
 
 
 class _CallCounter:
-    """Counts calls through one name of the pass manager's namespace."""
+    """Counts calls through one attribute of a module or a class: a
+    name of the pass manager's namespace, or a method every caller
+    goes through."""
 
-    def __init__(self, monkeypatch, name):
+    def __init__(self, monkeypatch, name, owner=None):
         from repro.transforms import passmanager
 
+        owner = passmanager if owner is None else owner
         self.calls = 0
-        self._real = getattr(passmanager, name)
-        monkeypatch.setattr(passmanager, name, self)
+        real = getattr(owner, name)
 
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self._real(*args, **kwargs)
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def _serializations(monkeypatch):
+    """Counts every bytecode serialization, whoever asks for it."""
+    from repro.bitcode.writer import BytecodeWriter
+
+    return _CallCounter(monkeypatch, "write", BytecodeWriter)
 
 
 class TestTrackingCostPins:
     """Operation-count pins (in the style of the O(uses) pins): what the
-    manager prints and serializes on each path, so the plain path's
-    cost cannot drift."""
+    manager prints, serializes and records on each path, so the plain
+    path's cost cannot drift and the contained path stays structural."""
 
     @staticmethod
     def _noop(name):
@@ -541,15 +590,27 @@ class TestTrackingCostPins:
 
     def test_plain_path_never_prints_or_serializes(self, monkeypatch):
         prints = _CallCounter(monkeypatch, "print_function")
-        writes = _CallCounter(monkeypatch, "write_bytecode")
+        records = _CallCounter(monkeypatch, "snapshot_function")
+        writes = _serializations(monkeypatch)
         module = fresh_module()
         optimize_module(module, 2)
+        assert (prints.calls, writes.calls, records.calls) == (0, 0, 0)
         assert "alloca" not in print_module(module)  # it did run
-        assert (prints.calls, writes.calls) == (0, 0)
 
-    def test_policy_prints_once_per_function_then_once_per_change(
+    def test_policy_records_once_per_function_then_once_per_move(
             self, monkeypatch):
         from repro.transforms import FunctionPassAdaptor, ModulePassAdaptor
+
+        def move_victim(function):
+            """Takes the first instruction out and puts it back: the
+            epoch moves, the text does not."""
+            if function.name != "victim":
+                return False
+            entry = function.blocks[0]
+            first = entry.instructions[0]
+            first.remove_from_parent()
+            entry.insert(0, first)
+            return True
 
         def rename_victim(function):
             if function.name != "victim":
@@ -558,46 +619,47 @@ class TestTrackingCostPins:
             return True
 
         prints = _CallCounter(monkeypatch, "print_function")
-        writes = _CallCounter(monkeypatch, "write_bytecode")
+        records = _CallCounter(monkeypatch, "snapshot_function")
+        writes = _serializations(monkeypatch)
         module = fresh_module()
-        functions = len(list(module.defined_functions()))
-        after_pass = []  # prints so far, sampled after each real pass
+        functions = len(module.functions)  # declarations are recorded too
+        after_pass = []  # records so far, sampled after each real pass
 
         def sample(module):
-            after_pass.append(prints.calls)
+            after_pass.append(records.calls)
             return False
 
         manager = PassManager(policy=FaultPolicy(reduce_testcases=False))
-        for pass_obj in (self._noop("first"), self._noop("second"),
+        for pass_obj in (self._noop("first"),
+                         FunctionPassAdaptor(move_victim, "move"),
                          FunctionPassAdaptor(rename_victim, "rename"),
                          self._noop("last")):
             manager.add(pass_obj)
             manager.add(ModulePassAdaptor(sample, f"after-{pass_obj.name}"))
         manager.run(module)
-        # The first snapshot of every function; nothing for an unclaimed
-        # function after that; exactly one print for the changed one.
-        assert after_pass == [functions, functions,
-                              functions + 1, functions + 1]
-        # The sampling module passes (unclaimed) each snapshot the
-        # module once the function pass before them changed something.
-        assert writes.calls == 2
+        # One record of every function; after that one for the unit
+        # whose epoch moved, and one for the unit that claimed a change
+        # its epoch does not show (a rename).  The sampling module
+        # passes reuse every record that is still valid.
+        assert after_pass == [functions, functions + 1,
+                              functions + 2, functions + 2]
+        assert (prints.calls, writes.calls) == (0, 0)
+        # A second run() records afresh (names move no epoch), and
+        # takes the same two more.
+        manager.run(module)
+        assert records.calls == 2 * (functions + 2)
 
-    def test_verify_each_serializes_only_around_module_passes(
-            self, monkeypatch):
+    def test_verify_each_never_serializes(self, monkeypatch):
         from repro.transforms import ModulePassAdaptor
 
-        writes = _CallCounter(monkeypatch, "write_bytecode")
-        module = fresh_module()
+        writes = _serializations(monkeypatch)
         manager = PassManager(verify_each=True)
         manager.add(SimplifyCFG())
         manager.add(PromoteMem2Reg())
-        manager.run(module)
-        assert writes.calls == 0
-
         manager.add(ModulePassAdaptor(lambda module: False, "ipo-noop"))
         manager.add(SimplifyCFG())
         manager.run(fresh_module())
-        assert writes.calls == 2  # before and after the one module pass
+        assert writes.calls == 0
 
 
 # ----------------------------------------------------------------------
