@@ -34,6 +34,7 @@ import time
 from repro.bitcode import write_bytecode
 from repro.core import print_function
 from repro.core.instructions import Instruction
+from repro.core.record import snapshot_function
 from repro.driver import compile_and_link
 from repro.driver.pipelines import (
     lto_pipeline, mark_optimized, stale_functions, standard_pipeline,
@@ -42,8 +43,7 @@ from repro.frontend import compile_source
 from repro.linker import link_modules
 from repro.transforms import PassManager
 from repro.transforms.passmanager import (
-    pass_name, restore_function, restore_module, snapshot_function,
-    snapshot_module,
+    pass_name, restore_function, restore_module, snapshot_module,
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))

@@ -14,17 +14,16 @@ from typing import Optional
 
 from ..analysis.cfg import is_critical_edge, split_critical_edge
 from ..core import types
-from ..core.basicblock import BasicBlock
-from ..core.datalayout import DataLayout
 from ..core.instructions import (
     AllocaInst, BinaryOperator, BranchInst, CallInst, CastInst, FreeInst,
     GetElementPtrInst, Instruction, InvokeInst, LoadInst, MallocInst,
-    Opcode, PhiNode, ReturnInst, ShiftInst, StoreInst, SwitchInst,
+    Opcode, ReturnInst, ShiftInst, StoreInst, SwitchInst,
     UnwindInst, VAArgInst,
 )
 from ..core.module import Function, GlobalVariable, Module
+from ..core.record import rebuild_body, snapshot_function
 from ..core.values import (
-    Argument, Constant, ConstantBool, ConstantExpr, ConstantFP,
+    Argument, ConstantBool, ConstantExpr, ConstantFP,
     ConstantInt, ConstantPointerNull, UndefValue, Value,
 )
 from .machine import MachineBlock, MachineFunction, MachineInstr, MOp
@@ -107,13 +106,8 @@ class InstructionSelector:
         # Lower a detached clone: phi elimination inserts machine-level
         # pseudo-instructions that must not leak into the analysable IR.
         clone = Function(function.function_type, function.name,
-                         function.linkage, [a.name for a in function.args])
-        value_map: dict[int, Value] = {}
-        for old_arg, new_arg in zip(function.args, clone.args):
-            value_map[id(old_arg)] = new_arg
-        from ..transforms.cloning import clone_body
-
-        clone_body(function.blocks, clone, value_map)
+                         function.linkage)
+        rebuild_body(snapshot_function(function), clone)
         function = clone
         _eliminate_phis(function)
         machine_fn = MachineFunction(function.name)

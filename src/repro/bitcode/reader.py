@@ -1,12 +1,10 @@
 """Bytecode reader: decodes the binary representation back to IR.
 
-Decoding per function body is two-pass: pass 1 creates a typed
-placeholder for every instruction result (the packed type field carries
-the result type, so forward references across the linear block layout
-resolve cleanly); pass 2 materialises real instructions through
-:func:`repro.core.instructions.build`, resolving each operand to a block,
-the already-built instruction or the placeholder, and finally replaces
-every placeholder with its real value.
+A function body decodes to a :class:`repro.core.record.FunctionRecord`
+— its instruction words, its source-location section and its name table
+— and is built by :func:`repro.core.record.rebuild_body`, the builder
+the pass manager's rollback and every clone use too.  A use that
+precedes its definition in the linear block layout is resolved there.
 """
 
 from __future__ import annotations
@@ -14,13 +12,13 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core import types
-from ..core.basicblock import BasicBlock
-from ..core.instructions import Opcode, build
+from ..core.instructions import Opcode
 from ..core.module import Function, Linkage, Module
+from ..core.record import FunctionRecord, rebuild_body
 from ..core.values import (
     Constant, ConstantAggregateZero, ConstantArray, ConstantBool,
     ConstantExpr, ConstantFP, ConstantInt, ConstantPointerNull,
-    ConstantString, ConstantStruct, UndefValue, Value,
+    ConstantString, ConstantStruct, UndefValue,
 )
 from .errors import BytecodeError
 from .stream import Reader
@@ -33,6 +31,7 @@ from .writer import (
 )
 
 _OPCODES = list(Opcode)
+_ALLOCATIONS = (Opcode.MALLOC, Opcode.ALLOCA)
 _LINKAGES = [Linkage.EXTERNAL, Linkage.INTERNAL, Linkage.APPENDING]
 
 #: The operand positions that are block numbers, not value ids: the
@@ -44,12 +43,6 @@ _LABELS = {
     Opcode.SWITCH: lambda position, count: position % 2 == 1,
     Opcode.PHI: lambda position, count: position % 2 == 1,
 }
-
-
-class _Placeholder(Value):
-    """Typed stand-in for a not-yet-decoded instruction result."""
-
-    __slots__ = ()
 
 
 def read_bytecode(data: bytes) -> Module:
@@ -80,8 +73,9 @@ class _Decoder:
         #: The part of the format currently being decoded, for error
         #: reports (see :class:`BytecodeError`).
         self.section = "header"
-        #: function name -> byte offset of its (not yet decoded) body.
-        self.pending_bodies: dict[str, int] = {}
+        #: function name -> byte offsets of its (not yet decoded) body:
+        #: where it starts and where its length says it ends.
+        self.pending_bodies: dict[str, tuple[int, int]] = {}
 
     def _guard(self, work):
         """Run one decoding step under the robustness contract: only
@@ -161,24 +155,28 @@ class _Decoder:
             body_length = reader.uleb()
             if not body_length:
                 continue
+            end = reader.position + body_length - 1
             if lazy:
-                self.pending_bodies[function.name] = reader.position
-                reader.position += body_length - 1
+                self.pending_bodies[function.name] = (reader.position, end)
+                reader.position = end
             else:
-                self._read_body(function)
+                self._read_body(function, end)
+        if reader.position != len(reader.data):
+            raise BytecodeError(f"the last body ends at {reader.position}, "
+                                f"the data at {len(reader.data)}")
         return self.module
 
     def materialize(self, function: Function) -> bool:
         """Decode one pending function body; False if already decoded
         (or a true declaration)."""
-        offset = self.pending_bodies.pop(function.name, None)
-        if offset is None:
+        span = self.pending_bodies.pop(function.name, None)
+        if span is None:
             return False
         saved = self.reader.position
-        self.reader.position = offset
+        self.reader.position = span[0]
         self.section = f"body:{function.name}"
         try:
-            self._guard(lambda: self._read_body(function))
+            self._guard(lambda: self._read_body(function, span[1]))
         finally:
             self.reader.position = saved
         return True
@@ -318,113 +316,104 @@ class _Decoder:
 
     # -- function bodies ------------------------------------------------------------
 
-    def _read_body(self, function: Function) -> None:
+    def _read_body(self, function: Function, end: int) -> None:
+        """Decode one body, which must end at byte ``end``, into a
+        :class:`FunctionRecord` — words, then the loc section, then the
+        name table — and build it with :func:`rebuild_body`."""
         reader = self.reader
-        pool_count = reader.count()
-        pool = [self._read_constant() for _ in range(pool_count)]
-        base = len(self.symbols)
-        arg_base = base + len(pool)
-        inst_base = arg_base + len(function.args)
-
+        # Value ids number the module's symbols, the body's constant
+        # pool, the arguments, then the value-producing instructions in
+        # layout order; a record numbers arguments, blocks, then every
+        # instruction.  ``known`` maps each value id read so far to its
+        # record operand: the object, or the local's position.  A use
+        # that precedes its definition is read as ``~id`` and patched
+        # once every instruction is.
+        known: list = self.symbols + [
+            self._read_constant() for _ in range(reader.count())]
+        arg_count = len(function.args)
+        arg_base = len(known)
+        inst_base = arg_base + arg_count
+        known += range(arg_count)
         block_count = reader.count()
-        blocks = [BasicBlock(parent=function) for _ in range(block_count)]
-        # Pass 1: read raw records, create typed result placeholders.
-        # Value ids number only the value-producing instructions, in
-        # layout order (matching the writer's numbering).
-        records: list[list[tuple]] = []
-        placeholders: list[Value] = []
-        for block_index in range(block_count):
-            inst_count = reader.count()
-            block_records = []
-            for _ in range(inst_count):
+        first = arg_count + block_count
+        forward: list[list] = []
+        layout: list[list] = []
+        blocks: list[list] = []
+        for _ in range(block_count):
+            start = len(layout)
+            for _ in range(reader.count()):
                 word = reader.u32()
                 opcode_number = word >> 26
                 if opcode_number:
                     type_id = (word >> 18) & 0xFF
                     a = (word >> 9) & 0x1FF
                     b = word & 0x1FF
-                    operands = []
+                    ids = []
                     if a:
-                        operands.append(a - 1)
+                        ids.append(a - 1)
                     if b:
-                        operands.append(b - 1)
+                        ids.append(b - 1)
                 else:
                     header = reader.u32()
                     opcode_number = header >> 26
                     type_id = (header >> 12) & 0x3FFF
                     count = header & 0xFFF
-                    operands = [reader.uleb() for _ in range(count)]
+                    ids = [reader.uleb() for _ in range(count)]
                 if not opcode_number or opcode_number > len(_OPCODES):
                     raise BytecodeError(
                         f"bad opcode number {opcode_number}",
                         offset=reader.position)
                 opcode = _OPCODES[opcode_number - 1]
-                result_type = self.types[type_id]
-                value_slot: Optional[int] = None
-                if opcode in (Opcode.MALLOC, Opcode.ALLOCA):
-                    value_slot = len(placeholders)
-                    placeholders.append(_Placeholder(types.pointer(result_type)))
-                elif not result_type.is_void:
-                    value_slot = len(placeholders)
-                    placeholders.append(_Placeholder(result_type))
-                block_records.append((opcode, result_type, operands, value_slot))
-            records.append(block_records)
-
-        built: list[Optional[Value]] = [None] * len(placeholders)
-
-        def operand(index: int):
-            if index < base:
-                return self.symbols[index]
-            if index < arg_base:
-                return pool[index - base]
-            if index < inst_base:
-                return function.args[index - arg_base]
-            slot = index - inst_base
-            if built[slot] is not None:
-                return built[slot]
-            return placeholders[slot]
-
-        # Pass 2: build instructions.
-        layout_order: list = []
-        for block, block_records in zip(blocks, records):
-            for opcode, result_type, ids, value_slot in block_records:
                 is_label = _LABELS.get(opcode)
-                inst = build(opcode, result_type, [
-                    blocks[i] if is_label and is_label(position, len(ids))
-                    else operand(i) for position, i in enumerate(ids)])
-                block.instructions.append(inst)
-                inst.parent = block
-                layout_order.append(inst)
-                if value_slot is not None:
-                    built[value_slot] = inst
-        # Replace placeholder uses with the real instructions.
-        for placeholder, real in zip(placeholders, built):
-            if placeholder.uses:
-                placeholder.replace_all_uses_with(real)
+                operands = [known[i] if i < len(known) else ~i for i in ids]
+                if is_label is not None:
+                    for index, i in enumerate(ids):
+                        if is_label(index, len(ids)):
+                            if i >= block_count:
+                                raise BytecodeError(
+                                    f"label {i} past the {block_count} "
+                                    "blocks")
+                            operands[index] = arg_count + i
+                if ids and max(ids) >= len(known):
+                    forward.append(operands)
+                carried = self.types[type_id]
+                result_type = (types.pointer(carried)
+                               if opcode in _ALLOCATIONS else carried)
+                if not result_type.is_void:
+                    known.append(first + len(layout))
+                layout.append([opcode, carried, result_type, operands, "",
+                               None])
+            blocks.append(layout[start:])
+        for operands in forward:
+            for index, op in enumerate(operands):
+                if type(op) is int and op < 0:
+                    operands[index] = known[~op]  # IndexError: past the body
 
         # Source-location section (absent in version-1 bytecode).
         if self.version >= 2:
             for _ in range(reader.count()):
                 ordinal = reader.uleb()
                 line = reader.uleb()
-                if ordinal >= len(layout_order):
+                if ordinal >= len(layout):
                     raise BytecodeError("loc record past end of function")
-                layout_order[ordinal].loc = line
+                layout[ordinal][5] = line
 
         # Optional local symbol table.
-        name_count = reader.count()
-        for _ in range(name_count):
+        arg_names = [arg.name for arg in function.args]
+        block_names = [""] * block_count
+        for _ in range(reader.count()):
             kind = reader.u8()
             name = reader.string()
             value_id = reader.uleb()
             if kind == 1:
-                blocks[value_id].name = name
-            else:
-                if value_id < arg_base:
-                    continue
-                if value_id < inst_base:
-                    function.args[value_id - arg_base].name = name
-                else:
-                    target = built[value_id - inst_base]
-                    if target is not None:
-                        target.name = name
+                block_names[value_id] = name
+            elif value_id >= inst_base:
+                layout[known[value_id] - first][4] = name
+            elif value_id >= arg_base:
+                arg_names[value_id - arg_base] = name
+        if reader.position != end:
+            raise BytecodeError(f"body ends at {reader.position}, its "
+                                f"length says {end}")
+        rebuild_body(FunctionRecord(0, tuple(arg_names),
+                                    tuple(zip(block_names, blocks))),
+                     function)

@@ -398,8 +398,8 @@ class BytecodeWriter:
         opcode_number = _OPCODE_INDEX[inst.opcode] + 1  # 0 = escape
 
         # The "type" field is the carried type (the result type; the
-        # allocated type for alloca/malloc): what the reader needs to
-        # create a typed placeholder before operands resolve, and to
+        # allocated type for alloca/malloc): what the reader's record
+        # needs to type a use that precedes its definition, and to
         # rebuild the instruction with ``build``.
         type_id = table.id_of(inst.carried_type)
 

@@ -60,10 +60,11 @@ from typing import Optional
 
 from ..bitcode import read_bytecode, write_bytecode
 from ..core.module import Function, Module
+from ..core.record import rebuild_body
 from ..core.verifier import verify_module
 from ..stats import Stats
 from ..transforms.passmanager import (
-    PassManager, rebuild_body, restore_function, restore_module,
+    PassManager, restore_function, restore_module,
 )
 from ..tvalid.validate import (
     FAILED as _VALIDATION_FAILED, TranslationValidationError,

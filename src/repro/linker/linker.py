@@ -8,21 +8,28 @@ symbols are renamed to avoid collisions, and ``appending`` arrays are
 concatenated.  The resulting module is what the link-time
 interprocedural optimizer runs on.
 
-Bodies are copied by :func:`repro.transforms.cloning.clone_body` under
-the linker's type unifier.  Putting one function back into the module
-it came from (the pass manager's rollback) needs no link: its record
-already holds the live module's objects
+A body is copied by recording it
+(:func:`repro.core.record.snapshot_function`) and rebuilding the record
+into the output function (:func:`repro.core.record.rebuild_body`), which
+maps each symbol, constant and type into the output module as it is
+first met.  Putting one function back into the module it came from
+(the pass manager's rollback) needs no link: its record already holds
+the live module's objects
 (``repro.transforms.passmanager.restore_function``).
 """
 
 from __future__ import annotations
 
+from functools import cache, partial
 from typing import Optional, Sequence
 
 from ..core import types
 from ..core.module import Function, GlobalVariable, Linkage, Module
-from ..core.values import Constant, ConstantArray, Value
-from ..transforms.cloning import clone_body
+from ..core.record import rebuild_body, snapshot_function
+from ..core.values import (
+    Constant, ConstantAggregateZero, ConstantArray, ConstantExpr,
+    ConstantPointerNull, ConstantString, ConstantStruct, Value,
+)
 
 
 class LinkError(Exception):
@@ -123,24 +130,12 @@ class _Linker:
         for function in module.functions.values():
             target: Function = value_map[id(function)]  # type: ignore[assignment]
             if not function.is_declaration and not target.blocks:
-                body_map = dict(value_map)
-                for old_arg, new_arg in zip(function.args, target.args):
-                    body_map[id(old_arg)] = new_arg
                 # Constants embed symbol references and named types; map
-                # them so cloned instructions point into the output
-                # module (scalar constants map to themselves).
-                from ..core.module import GlobalValue
-
-                for inst in function.instructions():
-                    for operand in inst.operands:
-                        if (isinstance(operand, Constant)
-                                and not isinstance(operand, GlobalValue)
-                                and id(operand) not in body_map):
-                            body_map[id(operand)] = self._map_constant(
-                                operand, value_map
-                            )
-                clone_body(function.blocks, target, body_map,
-                           map_type=self._map_type)
+                # each once per body so cloned instructions point into
+                # the output module (scalar constants map to themselves).
+                remap = cache(partial(self._map_constant, value_map=value_map))
+                rebuild_body(snapshot_function(function), target,
+                             target.args, remap, self._map_type)
 
     def _merge_global(self, global_var: GlobalVariable) -> GlobalVariable:
         value_type = self._map_type(global_var.value_type)
@@ -200,12 +195,6 @@ class _Linker:
         return existing
 
     def _map_constant(self, constant: Constant, value_map: dict[int, Value]) -> Constant:
-        from ..core.values import (
-            ConstantAggregateZero, ConstantExpr, ConstantPointerNull,
-            ConstantString, ConstantStruct,
-        )
-        from ..core.values import ConstantArray as CA
-
         mapped = value_map.get(id(constant))
         if mapped is not None:
             return mapped  # type: ignore[return-value]
@@ -217,9 +206,10 @@ class _Linker:
             return ConstantAggregateZero(self._map_type(constant.type))
         if isinstance(constant, ConstantString):
             return constant  # no embedded types
-        if isinstance(constant, CA):
-            return CA(self._map_type(constant.type),  # type: ignore[arg-type]
-                      [self._map_constant(e, value_map) for e in constant.elements])
+        if isinstance(constant, ConstantArray):
+            return ConstantArray(self._map_type(constant.type),  # type: ignore[arg-type]
+                                 [self._map_constant(e, value_map)
+                                  for e in constant.elements])
         if isinstance(constant, ConstantStruct):
             return ConstantStruct(self._map_type(constant.type),  # type: ignore[arg-type]
                                   [self._map_constant(f, value_map)

@@ -20,10 +20,9 @@ from typing import Optional
 
 from ..analysis.loops import Loop, LoopInfo
 from ..core.basicblock import BasicBlock
-from ..core.instructions import BranchInst
+from ..core.instructions import build
 from ..core.module import Function
 from ..core.values import Value
-from ..transforms.cloning import clone_instruction
 from ..transforms.dce import AggressiveDCE
 from ..transforms.gvn import GVN
 from ..transforms.instcombine import InstCombine
@@ -114,10 +113,12 @@ class TraceFormation:
             clone = function.insert_block(
                 position, BasicBlock(f"{original.name}.trace"))
             position += 1
-            value_map: dict[int, Value] = {}
+            copies: dict[Value, Value] = {}
             for inst in original.instructions:
-                copied = clone_instruction(inst, value_map)
-                value_map[id(inst)] = copied
+                copied = copies[inst] = build(
+                    inst.opcode, inst.carried_type,
+                    [copies.get(op, op) for op in inst.operands], inst.name)
+                copied.loc = inst.loc
                 clone.append(copied)
             clones.append(clone)
         # Retarget: header enters the first clone; each clone's on-trace

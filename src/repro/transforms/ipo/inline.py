@@ -15,12 +15,12 @@ from typing import Optional
 from ...analysis.callgraph import CallGraph
 from ...core.basicblock import BasicBlock
 from ...core.instructions import (
-    BranchInst, CallInst, Instruction, InvokeInst, Opcode, PhiNode,
+    BranchInst, CallInst, Instruction, InvokeInst, PhiNode,
     ReturnInst, UnwindInst,
 )
 from ...core.module import Function, Module
+from ...core.record import rebuild_body, snapshot_function
 from ...core.values import UndefValue, Value
-from ..cloning import clone_body
 
 
 class FunctionInlining:
@@ -119,11 +119,9 @@ def _inline_site(call: Instruction, caller: Function, callee: Function,
     else:
         continuation = normal_dest
 
-    # 2. Clone the callee body into the caller.
-    value_map: dict[int, Value] = {}
-    for formal, actual in zip(callee.args, list(args)):
-        value_map[id(formal)] = actual
-    cloned = clone_body(callee.blocks, caller, value_map, name_suffix=".i")
+    # 2. Clone the callee body into the caller, actuals for formals.
+    cloned = rebuild_body(snapshot_function(callee), caller, args,
+                          suffix=".i")
 
     # 3. Rewire: the call block now branches to the cloned entry.
     block_term = block.terminator  # the split's branch, or the invoke

@@ -18,16 +18,18 @@ pass, or the whole module of a module pass.  The per-unit step is
 *Tracking* is on when ``verify_each`` or a ``policy`` is given.  With
 neither, a pass run is exactly the ``run_on_*`` calls.  Under a policy
 a unit's checkpoint is a structural record stamped with the mutation
-epoch (``Function.epoch``): a function's :class:`FunctionRecord`, or a
-:class:`ModuleRecord` (the symbol table plus every function's record).
-A record stays valid while its function's epoch does, so an untouched
-function is recorded once per :meth:`PassManager.run`, and a module
-record reuses every record whose epoch has not moved.  Nothing is
-printed or serialized: a function unit moved iff its epoch did, a
-module unit iff its symbol table or any epoch did, and rollback
-rebuilds from the record (:func:`restore_function`,
-:func:`restore_module`).  A rename moves no epoch, so a unit that
-claims a change its epoch does not show drops its record.
+epoch (``Function.epoch``): a function's
+:class:`repro.core.record.FunctionRecord`, or a :class:`ModuleRecord`
+(the symbol table plus every function's record).  A record stays valid
+while its function's epoch does, so an untouched function is recorded
+once per :meth:`PassManager.run`, and a module record reuses every
+record whose epoch has not moved.  Nothing is printed or serialized: a
+function unit moved iff its epoch did, a module unit iff its symbol
+table or any epoch did, and rollback rebuilds from the record
+(:func:`restore_function`, :func:`restore_module`) with
+:func:`repro.core.record.rebuild_body`, the builder every clone and
+every decoded body goes through too.  A rename moves no epoch, so a
+unit that claims a change its epoch does not show drops its record.
 
 The changed flag each pass returns is load-bearing: fixpoint drivers
 stop iterating on it.  Under a policy an unclaimed epoch move is
@@ -56,11 +58,9 @@ from __future__ import annotations
 import time
 from typing import Callable, Collection, NamedTuple, Optional, Protocol
 
-from ..core.basicblock import BasicBlock
-from ..core.instructions import build
 from ..core.module import Function, Module
 from ..core.printer import print_function, print_module
-from ..core.values import Value
+from ..core.record import FunctionRecord, rebuild_body, snapshot_function
 from ..core.verifier import verify_function, verify_module
 from ..stats import Stats
 
@@ -84,23 +84,6 @@ class UntrackedMutation(Exception):
         self.pass_name = pass_name
 
 
-class FunctionRecord(NamedTuple):
-    """A function's checkpoint: its body as structure, valid while the
-    function's epoch equals :attr:`epoch`.
-
-    ``blocks`` holds ``(name, instructions)`` per block, and each
-    instruction is ``(opcode, carried_type, type, operands, name,
-    loc)``.  An operand local to the function is its position in
-    arguments, then blocks, then instructions in layout order (an int);
-    any other operand — a constant, a global, a function — is the
-    object itself.
-    """
-
-    epoch: int
-    args: tuple
-    blocks: tuple
-
-
 class ModuleRecord(NamedTuple):
     """A module's checkpoint: ``symbols`` is the symbol table —
     ``(global, linkage, is_constant, initializer)`` per global,
@@ -110,27 +93,6 @@ class ModuleRecord(NamedTuple):
 
     symbols: tuple
     bodies: dict
-
-
-def snapshot_function(function: Function) -> FunctionRecord:
-    """A function unit's checkpoint (see :class:`FunctionRecord`)."""
-    local: dict = {}
-    for arg in function.args:
-        local[arg] = len(local)
-    for block in function.blocks:
-        local[block] = len(local)
-    for block in function.blocks:
-        for inst in block.instructions:
-            local[inst] = len(local)
-    ref = local.get
-    return FunctionRecord(
-        function.epoch, tuple([arg.name for arg in function.args]),
-        tuple([(block.name, tuple([
-            (inst.opcode, inst.carried_type, inst.type,
-             tuple([ref(op, op) for op in inst.operands]), inst.name,
-             inst.loc)
-            for inst in block.instructions]))
-            for block in function.blocks]))
 
 
 def _module_symbols(module: Module) -> tuple:
@@ -164,40 +126,6 @@ def _moved_functions(module: Module, record: ModuleRecord) -> list:
     bodies = record.bodies
     return [f for f in module.defined_functions()
             if f not in bodies or bodies[f].epoch != f.epoch]
-
-
-def rebuild_body(record: FunctionRecord, function: Function) -> None:
-    """Give the bodiless ``function`` the body ``record`` describes:
-    its arguments take the recorded names, and every instruction is
-    made by :func:`repro.core.instructions.build`."""
-    values: list = list(function.args)
-    for arg, name in zip(values, record.args):
-        arg.name = name
-    blocks = [BasicBlock(name, parent=function) for name, _ in record.blocks]
-    values += blocks
-    base = len(values)
-    shapes = [inst for _, insts in record.blocks for inst in insts]
-    #: Placeholders for operands defined later in layout order.
-    forward: dict = {}
-
-    def resolve(ref):
-        if type(ref) is not int:
-            return ref
-        if ref < len(values):
-            return values[ref]
-        if ref not in forward:
-            forward[ref] = Value(shapes[ref - base][2])
-        return forward[ref]
-
-    for block, (_, insts) in zip(blocks, record.blocks):
-        for opcode, carried, _, operands, name, loc in insts:
-            inst = build(opcode, carried, [resolve(op) for op in operands],
-                         name)
-            inst.loc = loc
-            block.append(inst)
-            values.append(inst)
-    for ref, placeholder in forward.items():
-        placeholder.replace_all_uses_with(values[ref])
 
 
 def restore_function(function: Function, record: FunctionRecord) -> None:

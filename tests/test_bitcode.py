@@ -4,11 +4,12 @@ import pytest
 
 from repro.bitcode import BytecodeError, BytecodeWriter, read_bytecode, write_bytecode
 from repro.core import (
-    Opcode, parse_module, print_function, print_module, verify_module,
+    Function, Opcode, parse_module, print_function, print_module,
+    verify_module,
 )
+from repro.core.record import rebuild_body, snapshot_function
 from repro.execution import Interpreter
 from repro.frontend import compile_source
-from repro.transforms.cloning import clone_function
 
 
 def _roundtrip(source: str):
@@ -187,9 +188,9 @@ done:
 
 
 class TestRebuildPath:
-    """The reader and the cloner rebuild every opcode through one
-    constructor (``core.instructions.build``): both copies print exactly
-    like the original."""
+    """The reader and a clone rebuild every opcode through one builder
+    (``core.record.rebuild_body``): both copies print exactly like the
+    original."""
 
     def test_module_uses_every_opcode(self):
         module = parse_module(ALL_OPCODES)
@@ -204,7 +205,9 @@ class TestRebuildPath:
     def test_clone_of_every_opcode(self):
         module = parse_module(ALL_OPCODES)
         original = module.functions["all"]
-        clone = clone_function(original, "all.copy")
+        clone = module.add_function(
+            Function(original.function_type, "all.copy"))
+        rebuild_body(snapshot_function(original), clone)
         verify_module(module)
         assert (print_function(clone).replace("%all.copy(", "%all(")
                 == print_function(original))

@@ -21,6 +21,7 @@ from repro.bitcode import write_bytecode
 from repro.core import print_function, print_module, types
 from repro.core.basicblock import BasicBlock
 from repro.core.instructions import BinaryOperator, Opcode, ReturnInst
+from repro.core.record import snapshot_function
 from repro.core.values import ConstantInt
 from repro.driver import (
     BytecodeCache, FaultPolicy, compile_and_link, optimize_module,
@@ -29,9 +30,7 @@ from repro.driver.pipelines import OPTIMIZE_SOURCE, stale_functions
 from repro.frontend import compile_source
 from repro.stats import Stats
 from repro.transforms import FunctionPassAdaptor, PassManager
-from repro.transforms.passmanager import (
-    UntrackedMutation, restore_function, snapshot_function,
-)
+from repro.transforms.passmanager import UntrackedMutation, restore_function
 
 SRC = """
 int add(int x, int y) { return x + y; }

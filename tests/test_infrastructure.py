@@ -11,13 +11,13 @@ from repro.core import (
 from repro.core.basicblock import BasicBlock
 from repro.core.instructions import BranchInst, Opcode
 from repro.core.module import Function, Linkage
+from repro.core.record import rebuild_body, snapshot_function
 from repro.execution import Interpreter
 from repro.stats import Stats, format_stats, format_timings
 from repro.transforms import (
     DeadCodeElimination, FunctionPassAdaptor, ModulePassAdaptor,
     PassManager, SimplifyCFG,
 )
-from repro.transforms.cloning import clone_function
 from repro.transforms.utils import (
     constant_fold_terminator, delete_dead_instructions, fold_instruction,
     is_trivially_dead,
@@ -270,6 +270,14 @@ class TestStatsRecord:
         assert manager.statistics() == {"counting": {"seen": 8, "limit": 7}}
 
 
+def _clone(function: Function, name: str) -> Function:
+    """A deep copy of ``function`` under ``name``, in its module."""
+    clone = function.parent.add_function(
+        Function(function.function_type, name, function.linkage))
+    rebuild_body(snapshot_function(function), clone)
+    return clone
+
+
 class TestCloning:
     def test_clone_function_is_deep(self):
         module = parse_module("""
@@ -289,7 +297,7 @@ join:
 }
 """)
         original = module.functions["original"]
-        clone = clone_function(original, "copy")
+        clone = _clone(original, "copy")
         verify_module(module)
         assert clone.parent is module
         # Same behaviour, distinct objects.
@@ -311,11 +319,35 @@ entry:
 """)
         original = module.functions["original"]
         before = print_function(original)
-        clone = clone_function(original, "copy")
+        clone = _clone(original, "copy")
         clone.entry_block.instructions[0].set_operand(
             1, ConstantInt(types.INT, 99)
         )
         assert print_function(original) == before
+
+    def test_stand_in_arguments_keep_their_names(self):
+        module = parse_module("""
+int %callee(int %x) {
+entry:
+  %a = add int %x, 1
+  ret int %a
+}
+int %host(int %y) {
+entry:
+  ret int %y
+}
+""")
+        host = module.functions["host"]
+        stand_in = host.args[0]
+        blocks = rebuild_body(snapshot_function(module.functions["callee"]),
+                              host, [stand_in], suffix=".i")
+        assert stand_in.name == "y"
+        assert [b.name for b in blocks] == ["entry.i"]
+        assert blocks[0].instructions[0].operands[0] is stand_in
+        # Without stand-ins, the function's own arguments take the
+        # recorded names.
+        copy = _clone(module.functions["callee"], "copy")
+        assert [a.name for a in copy.args] == ["x"]
 
 
 class TestModuleSymbols:

@@ -163,6 +163,60 @@ entry:
         assert node.fields[1].pointee is node
         assert Interpreter(linked).run("main") == 1
 
+    def test_forward_use_of_a_unified_type(self):
+        """A use that precedes its definition, typed by a named struct
+        the linker unifies: the forward placeholder lives in the output
+        module's type space, or the phi would not type-check."""
+        linked = _link(
+            """
+%node = type { int, %node* }
+%node* %cons(int %v, %node* %rest) {
+entry:
+  %n = malloc %node
+  %val = getelementptr %node* %n, long 0, uint 0
+  store int %v, int* %val
+  %next = getelementptr %node* %n, long 0, uint 1
+  store %node* %rest, %node** %next
+  ret %node* %n
+}
+""",
+            """
+%node = type { int, %node* }
+declare %node* %cons(int %v, %node* %rest)
+int %main() {
+entry:
+  br label %build
+build:
+  %list = phi %node* [ null, %entry ], [ %next, %grow ]
+  %i = phi int [ 1, %entry ], [ %i2, %grow ]
+  %more = setle int %i, 4
+  br bool %more, label %grow, label %walk
+grow:
+  %next = call %node* %cons(int %i, %node* %list)
+  %i2 = add int %i, 1
+  br label %build
+walk:
+  %n = phi %node* [ %list, %build ], [ %rest, %step ]
+  %sum = phi int [ 0, %build ], [ %sum2, %step ]
+  %end = seteq %node* %n, null
+  br bool %end, label %done, label %step
+step:
+  %vp = getelementptr %node* %n, long 0, uint 0
+  %v = load int* %vp
+  %sum2 = add int %sum, %v
+  %rp = getelementptr %node* %n, long 0, uint 1
+  %rest = load %node** %rp
+  br label %walk
+done:
+  ret int %sum
+}
+""",
+        )
+        node = linked.named_types["node"]
+        phi = linked.functions["main"].blocks[1].instructions[0]
+        assert phi.type.pointee is node
+        assert Interpreter(linked).run("main") == 10
+
     def test_struct_shape_conflict_rejected(self):
         with pytest.raises(LinkError, match="disagrees"):
             _link(

@@ -349,9 +349,8 @@ class TestPerFunctionTransactions:
     checkpoint (and roll back) one function's record, never the module."""
 
     def test_function_rollback_restores_in_place(self):
-        from repro.transforms.passmanager import (
-            restore_function, snapshot_function,
-        )
+        from repro.core.record import snapshot_function
+        from repro.transforms.passmanager import restore_function
 
         module = fresh_module()
         victim = module.functions["victim"]
@@ -796,6 +795,62 @@ class TestBytecodeHardening:
         for garbage in (b"", b"ll", b"not bytecode at all", b"llvm"):
             with pytest.raises(BytecodeError):
                 read_bytecode(garbage)
+
+    def test_body_longer_than_it_decodes_is_rejected(self):
+        """A body's declared length is checked, not just skipped by the
+        lazy reader: one input must not decode two ways."""
+        from repro.bitcode.reader import read_bytecode_lazy
+
+        # @g's signature puts ``void`` (the type of ``ret``) in the
+        # type table, so with @f declared only the bodies section
+        # differs: an empty body is a zero length.
+        tail = "declare void %g()\n"
+        blob = write_bytecode(parse_module(
+            "int %f(int %x) {\nentry:\n  ret int %x\n}\n" + tail))
+        header = write_bytecode(parse_module(
+            "declare int %f(int %x)\n" + tail))[:-2]
+        length, body = blob[len(header)], blob[len(header) + 1:-1]
+        assert blob == header + bytes([length]) + body + b"\x00"
+        assert length == len(body) + 1 < 0x7F  # a one-byte uleb
+        # The first forgery runs @f's declared span over @g's length,
+        # the second gives @g one more zero byte to read as its own.
+        forged = header + bytes([length + 1]) + body + b"\x00"
+        for data in (forged, forged + b"\x00"):
+            with pytest.raises(BytecodeError, match="length"):
+                read_bytecode(data)
+        # The lazy reader skips by the declared length, so it finds the
+        # mismatch when the body is materialized.
+        module, decoder = read_bytecode_lazy(forged + b"\x00")
+        with pytest.raises(BytecodeError, match="length"):
+            decoder.materialize(module.functions["f"])
+
+    def test_label_past_the_blocks_is_rejected(self):
+        """A block number past the body's blocks must not alias the
+        instruction that a record position would put there."""
+        import struct
+
+        from repro.bitcode.writer import _OPCODE_INDEX
+        from repro.core import Opcode
+
+        blob = write_bytecode(parse_module(
+            "int %f(int %x) {\nentry:\n  %y = add int %x, 1\n"
+            "  br label %next\nnext:\n  ret int %y\n}\n"))
+        # The packed ``br label %next``: opcode, type, then operand A =
+        # block 1 (stored plus one), no operand B.
+        br = _OPCODE_INDEX[Opcode.BR] + 1
+        words = [i for i in range(len(blob) - 3)
+                 if struct.unpack_from("<I", blob, i)[0] >> 26 == br
+                 and struct.unpack_from("<I", blob, i)[0] & 0x3FFFF == 2 << 9]
+        assert len(words) == 1
+        word = struct.unpack_from("<I", blob, words[0])[0]
+        forged = bytearray(blob)
+        struct.pack_into("<I", forged, words[0], word + (1 << 9))  # block 2
+        with pytest.raises(BytecodeError, match="past the 2 blocks"):
+            read_bytecode(bytes(forged))
+
+    def test_trailing_bytes_are_rejected(self):
+        with pytest.raises(BytecodeError, match="last body"):
+            read_bytecode(self._blob() + b"\x00\x01\x02junk")
 
 
 # ----------------------------------------------------------------------
