@@ -123,23 +123,18 @@ class Gate:
                 f"{where} {pass_name(pass_obj)}: the restore left uses "
                 "behind in unlinked bodies")
 
-    # The round trips run a second instance of each pass: GVN and LICM
-    # keep the module's DSA across their units, and after a restore the
-    # analysis would describe bodies that are gone.
-
     def run_o2(self, module, where) -> None:
         """One ``-O2`` stage under the driver's skip rule: a round trip
         of every visited function, then the pass for real."""
         only = {f.name for f in stale_functions(module, LEVEL)}
-        for trip, pass_obj in zip(standard_pipeline(LEVEL).passes,
-                                  standard_pipeline(LEVEL).passes):
-            self.round_trip_functions(trip, module, only, where)
+        for pass_obj in standard_pipeline(LEVEL).passes:
+            self.round_trip_functions(pass_obj, module, only, where)
             PassManager().add(pass_obj).run(module, only)
         mark_optimized(module, only, LEVEL)
 
     def run_ipo(self, passes, module, where) -> None:
-        for trip, pass_obj in zip(lto_pipeline().passes, passes):
-            self.round_trip_module(trip, module, where)
+        for pass_obj in passes:
+            self.round_trip_module(pass_obj, module, where)
             PassManager().add(pass_obj).run(module)
 
     def check_program(self, program: str, units: list[str]) -> None:

@@ -36,7 +36,8 @@ from ...core.values import (
 )
 from ..cfg import reverse_postorder
 from ..dataflow import SparseAnalysis, solve_sparse
-from ..loops import LoopInfo
+from ..dominators import DominatorTree
+from ..manager import function_analysis
 from .domains import (
     BOOL_SHAPE,
     Interval,
@@ -318,9 +319,11 @@ class _RangeAnalysis(SparseAnalysis):
 
     def _in_loop_header(self, inst: Instruction) -> bool:
         if self._header_blocks is None:
-            info = LoopInfo(self.function)
-            self._header_blocks = {id(loop.header)
-                                   for loop in info.all_loops()}
+            # A loop header is a block that dominates a predecessor.
+            domtree = function_analysis(self.function, DominatorTree)
+            self._header_blocks = {id(block) for block in domtree.preorder()
+                                   if any(domtree.dominates_block(block, p)
+                                          for p in block.unique_predecessors())}
         return id(inst.parent) in self._header_blocks
 
 

@@ -14,13 +14,13 @@ from typing import Iterator, Optional
 from ..core.basicblock import BasicBlock
 from ..core.module import Function
 from .cfg import reverse_postorder
+from .manager import function_analysis
 
 
 class DominatorTree:
     """Immediate-dominator tree for the reachable blocks of a function."""
 
     def __init__(self, function: Function):
-        self.function = function
         self._rpo = reverse_postorder(function)
         self._index = {id(b): i for i, b in enumerate(self._rpo)}
         self._idom: dict[int, Optional[BasicBlock]] = {}
@@ -134,13 +134,8 @@ class DominanceFrontiers:
     join points where phi nodes are needed for definitions in ``b``.
     """
 
-    def __init__(self, function: Function, domtree: Optional[DominatorTree] = None):
-        self.domtree = domtree or DominatorTree(function)
-        self._frontiers: dict[int, list[BasicBlock]] = {}
-        self._compute(function)
-
-    def _compute(self, function: Function) -> None:
-        domtree = self.domtree
+    def __init__(self, function: Function):
+        self.domtree = domtree = function_analysis(function, DominatorTree)
         frontier_sets: dict[int, dict[int, BasicBlock]] = {
             id(b): {} for b in function.blocks if domtree.is_reachable(b)
         }
@@ -157,7 +152,8 @@ class DominanceFrontiers:
                 while runner is not idom and runner is not None:
                     frontier_sets[id(runner)].setdefault(id(block), block)
                     runner = domtree.idom(runner)
-        self._frontiers = {key: list(vals.values()) for key, vals in frontier_sets.items()}
+        self._frontiers: dict[int, list[BasicBlock]] = {
+            key: list(vals.values()) for key, vals in frontier_sets.items()}
 
     def frontier(self, block: BasicBlock) -> list[BasicBlock]:
         return self._frontiers.get(id(block), [])

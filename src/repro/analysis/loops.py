@@ -12,6 +12,7 @@ from typing import Optional
 from ..core.basicblock import BasicBlock
 from ..core.module import Function
 from .dominators import DominatorTree
+from .manager import function_analysis
 
 
 class Loop:
@@ -67,9 +68,8 @@ class Loop:
 class LoopInfo:
     """The loop nesting forest of a function."""
 
-    def __init__(self, function: Function, domtree: Optional[DominatorTree] = None):
-        self.function = function
-        self.domtree = domtree or DominatorTree(function)
+    def __init__(self, function: Function):
+        self.domtree = function_analysis(function, DominatorTree)
         self.top_level: list[Loop] = []
         self._loop_of: dict[int, Loop] = {}  # innermost loop per block
         self._discover()
@@ -104,7 +104,6 @@ class LoopInfo:
                 if id(block) not in self._loop_of:
                     self._loop_of[id(block)] = loop
         for loop in loops:
-            header_owner = self._loop_of.get(id(loop.header))
             # The innermost loop of the header is this loop itself; the
             # parent is the innermost *other* loop containing the header.
             candidates = [

@@ -9,14 +9,13 @@ everything.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.instructions import (
     CallInst, FreeInst, InvokeInst, LoadInst, StoreInst,
 )
 from ..core.module import Function, Module
 from .callgraph import CallGraph
 from .dsa import DataStructureAnalysis
+from .manager import module_analysis
 
 
 class ModRefInfo:
@@ -34,33 +33,28 @@ class ModRefInfo:
 class ModRefAnalysis:
     """Per-function Mod/Ref node sets for one module."""
 
-    def __init__(self, module: Module,
-                 dsa: Optional[DataStructureAnalysis] = None):
+    def __init__(self, module: Module):
         self.module = module
-        self.dsa = dsa or DataStructureAnalysis(module)
+        self.dsa = module_analysis(module, DataStructureAnalysis)
         self.info: dict[str, ModRefInfo] = {}
         self._compute()
 
     def _compute(self) -> None:
-        callgraph = CallGraph(self.module)
+        callgraph = module_analysis(self.module, CallGraph)
         for function in self.module.functions.values():
             info = ModRefInfo()
             if function.is_declaration:
-                info.mod_unknown = True
-                info.ref_unknown = True
+                info.mod_unknown = info.ref_unknown = True
             self.info[function.name] = info
         for function in self.module.defined_functions():
             info = self.info[function.name]
             for inst in function.instructions():
-                if isinstance(inst, StoreInst):
-                    node = self._node_of(inst.pointer)
+                if isinstance(inst, (StoreInst, FreeInst)):
+                    node = self.node_of(inst.pointer)
                     info.mods[node.node_id] = node
                 elif isinstance(inst, LoadInst):
-                    node = self._node_of(inst.pointer)
+                    node = self.node_of(inst.pointer)
                     info.refs[node.node_id] = node
-                elif isinstance(inst, FreeInst):
-                    node = self._node_of(inst.pointer)
-                    info.mods[node.node_id] = node
         # Transitive closure over the call graph, to a fixpoint.
         changed = True
         while changed:
@@ -68,28 +62,25 @@ class ModRefAnalysis:
             for function in self.module.defined_functions():
                 info = self.info[function.name]
                 node = callgraph.node(function)
-                if node.calls_unknown and not (info.mod_unknown and info.ref_unknown):
-                    info.mod_unknown = True
-                    info.ref_unknown = True
-                    changed = True
+                before = (len(info.mods), len(info.refs),
+                          info.mod_unknown, info.ref_unknown)
+                if node.calls_unknown:
+                    info.mod_unknown = info.ref_unknown = True
                 for callee in node.callees:
                     callee_info = self.info[callee.name]
-                    before = (len(info.mods), len(info.refs),
-                              info.mod_unknown, info.ref_unknown)
                     info.mods.update(callee_info.mods)
                     info.refs.update(callee_info.refs)
                     info.mod_unknown |= callee_info.mod_unknown
                     info.ref_unknown |= callee_info.ref_unknown
-                    after = (len(info.mods), len(info.refs),
-                             info.mod_unknown, info.ref_unknown)
-                    if before != after:
-                        changed = True
+                changed |= before != (len(info.mods), len(info.refs),
+                                      info.mod_unknown, info.ref_unknown)
 
-    def _node_of(self, pointer):
+    def node_of(self, pointer):
+        """The DSA node ``pointer`` names."""
         return self.dsa._cell_of(pointer).node.find()
 
     def _hits(self, pointer, nodes: dict[int, object]) -> bool:
-        target = self._node_of(pointer)
+        target = self.node_of(pointer)
         return any(node.find() is target for node in nodes.values())
 
     # -- queries ------------------------------------------------------------

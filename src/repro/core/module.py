@@ -109,7 +109,7 @@ class Function(GlobalValue):
     """
 
     __slots__ = ("args", "blocks", "is_pure", "source_module", "epoch",
-                 "optimized")
+                 "optimized", "analyses")
 
     def __init__(self, fn_type: types.FunctionType, name: str,
                  linkage: str = Linkage.EXTERNAL,
@@ -132,6 +132,9 @@ class Function(GlobalValue):
         #: over this body (see ``repro.driver.pipelines.run_ladder``),
         #: or None.
         self.optimized: Optional[tuple[int, int]] = None
+        #: ``(epoch, {kind: analysis})``: the analyses built over this
+        #: body at that epoch (see ``repro.analysis.manager``), or None.
+        self.analyses: Optional[tuple[int, dict]] = None
         for index, param_ty in enumerate(fn_type.params):
             arg_name = arg_names[index] if arg_names else f"arg{index}"
             self.args.append(Argument(param_ty, arg_name, self, index))

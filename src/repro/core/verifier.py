@@ -224,8 +224,11 @@ def _verify_call_types(inst: Instruction) -> None:
 
 def _verify_dominance(function: Function) -> None:
     from ..analysis.dominators import DominatorTree
+    from ..analysis.manager import remember
 
-    domtree = DominatorTree(function)
+    # Built afresh, never taken from the cache, so the check is as
+    # strong as ever; the next pass over this epoch reuses the tree.
+    domtree = remember(function, DominatorTree(function))
     positions: dict[int, tuple[BasicBlock, int]] = {}
     for block in function.blocks:
         for index, inst in enumerate(block.instructions):

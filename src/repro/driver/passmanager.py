@@ -453,7 +453,8 @@ class FaultPolicy:
 
 
 def _fresh_pass(pass_obj):
-    """A clean instance for probing (passes may carry run state).
+    """A clean instance for probing: passes carry only counters and
+    configuration (analyses come from :mod:`repro.analysis.manager`).
 
     A pass with construction-time configuration (e.g. InstCombine's
     rule set) exposes ``fresh()`` so the probe reproduces the *same*

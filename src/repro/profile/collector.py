@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 
 from ..analysis.loops import LoopInfo
+from ..analysis.manager import function_analysis
 from ..core.basicblock import BasicBlock
 from ..core.module import Module
 
@@ -88,7 +89,8 @@ class ProfileData:
         first."""
         result = []
         for function in self._functions():
-            headers = {loop.header for loop in LoopInfo(function).all_loops()}
+            headers = {loop.header for loop
+                       in function_analysis(function, LoopInfo).all_loops()}
             for block in function.blocks:
                 count = self.counts.get(block, 0)
                 if block in headers and count >= threshold:

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..analysis.loops import Loop, LoopInfo
+from ..analysis.manager import function_analysis
 from ..core.basicblock import BasicBlock
 from ..core.instructions import build
 from ..core.module import Function
@@ -44,7 +45,7 @@ class TraceFormation:
     def optimize_function(self, function: Function,
                           block_counts: dict[BasicBlock, int]) -> bool:
         """Form traces for every sufficiently-biased hot loop."""
-        loop_info = LoopInfo(function)
+        loop_info = function_analysis(function, LoopInfo)
         paths = []
         for loop in loop_info.all_loops():
             path = self._select_path(loop, block_counts)

@@ -22,6 +22,8 @@ from typing import Optional
 
 from ..analysis.alias import AliasResult, alias
 from ..analysis.dominators import DominatorTree
+from ..analysis.dsa import DataStructureAnalysis
+from ..analysis.manager import function_analysis, module_analysis
 from ..core.basicblock import BasicBlock
 from ..core.instructions import (
     BinaryOperator, CastInst, GetElementPtrInst, Instruction, LoadInst,
@@ -38,26 +40,10 @@ class GVN:
     name = "gvn"
 
     def __init__(self):
-        self._dsa_cache: dict = {}
         self.counters = {"loads-eliminated-via-dsa": 0}
 
-    def _dsa_for(self, function: Function):
-        """The module's DSA, built on first demand and shared across
-        this pass object's per-function runs (points-to facts only get
-        coarser as GVN deletes instructions, so reuse stays sound)."""
-        module = function.parent
-        if module is None:
-            return None
-        key = id(module)
-        if key not in self._dsa_cache:
-            from ..analysis.dsa import DataStructureAnalysis
-
-            self._dsa_cache[key] = DataStructureAnalysis(module)
-        return self._dsa_cache[key]
-
     def run_on_function(self, function: Function) -> bool:
-        numbering = _Numbering(function, DominatorTree(function),
-                               lambda: self._dsa_for(function))
+        numbering = _Numbering(function)
         changed = numbering.run()
         self.counters["loads-eliminated-via-dsa"] += \
             numbering.dsa_loads_eliminated
@@ -65,12 +51,14 @@ class GVN:
 
 
 class _Numbering:
-    def __init__(self, function: Function, domtree: DominatorTree,
-                 dsa_factory=lambda: None):
+    def __init__(self, function: Function):
         self.function = function
-        self.domtree = domtree
+        self.domtree = function_analysis(function, DominatorTree)
         self.changed = False
-        self._dsa_factory = dsa_factory
+        # The module's DSA, fetched on the first store it must judge.
+        # Within a pass sweep it is the one the earlier units used:
+        # points-to facts only get coarser as GVN deletes instructions.
+        self._dsa = None
         #: memory-fact keys that only survived a store thanks to DSA.
         self._dsa_saved: set = set()
         self.dsa_loads_eliminated = 0
@@ -82,11 +70,13 @@ class _Numbering:
         """Do the two pointers provably name disjoint memory?  True
         only for distinct DSA nodes of which neither is ``unknown``
         (two unknown nodes may overlap no matter their identity)."""
-        dsa = self._dsa_factory()
-        if dsa is None:
+        module = self.function.parent
+        if module is None:
             return False
-        node_a = dsa._cell_of(a).node.find()
-        node_b = dsa._cell_of(b).node.find()
+        if self._dsa is None:
+            self._dsa = module_analysis(module, DataStructureAnalysis)
+        node_a = self._dsa._cell_of(a).node.find()
+        node_b = self._dsa._cell_of(b).node.find()
         return node_a is not node_b \
             and not node_a.unknown and not node_b.unknown
 

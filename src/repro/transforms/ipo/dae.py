@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ...analysis.callgraph import CallGraph
+from ...analysis.manager import module_analysis
 from ...core import types
 from ...core.instructions import CallInst, InvokeInst, Instruction, ReturnInst
 from ...core.module import Function, Module
@@ -28,7 +29,7 @@ class DeadArgumentElimination:
         self.counters = {"arguments_deleted": 0, "returns_deleted": 0}
 
     def run_on_module(self, module: Module) -> bool:
-        callgraph = CallGraph(module)
+        callgraph = module_analysis(module, CallGraph)
         changed = False
         for function in list(module.functions.values()):
             if function.is_declaration or function.is_vararg:

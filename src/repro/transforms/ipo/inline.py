@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ...analysis.callgraph import CallGraph
+from ...analysis.manager import module_analysis
 from ...core.basicblock import BasicBlock
 from ...core.instructions import (
     BranchInst, CallInst, Instruction, InvokeInst, PhiNode,
@@ -37,7 +38,7 @@ class FunctionInlining:
         self.counters = {"calls_inlined": 0, "functions_deleted": 0}
 
     def run_on_module(self, module: Module) -> bool:
-        callgraph = CallGraph(module)
+        callgraph = module_analysis(module, CallGraph)
         changed = False
         for function in callgraph.post_order():
             if function.is_declaration:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ...analysis.callgraph import CallGraph
+from ...analysis.manager import module_analysis
 from ...core.instructions import CallInst, InvokeInst, ReturnInst
 from ...core.module import Function, Module
 from ...core.values import Constant, ConstantBool, ConstantFP, ConstantInt
@@ -22,7 +23,7 @@ class IPConstantPropagation:
     name = "ipcp"
 
     def run_on_module(self, module: Module) -> bool:
-        callgraph = CallGraph(module)
+        callgraph = module_analysis(module, CallGraph)
         changed = False
         for function in module.functions.values():
             if function.is_declaration:

@@ -10,12 +10,14 @@ analysis (direct calls) rule out every writer.
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
 
 from ..analysis.alias import AliasResult, alias
 from ..analysis.cfg import split_critical_edge
 from ..analysis.dominators import DominatorTree
 from ..analysis.loops import Loop, LoopInfo
+from ..analysis.manager import function_analysis, module_analysis
+from ..analysis.modref import ModRefAnalysis
 from ..core.basicblock import BasicBlock
 from ..core.instructions import (
     BinaryOperator, BranchInst, CallInst, CastInst, FreeInst,
@@ -26,43 +28,28 @@ from ..core.module import Function
 from ..core.values import Constant, ConstantInt, Value
 
 
-class _MemoryDisambiguator:
-    """DSA/ModRef answers to "may this writer clobber this pointer?".
-
-    Built lazily, at most once per module: the first loop that both
-    writes memory and contains a candidate load pays for the analysis,
-    every later loop reuses it.  Two pointers are disjoint when their
-    DSA nodes differ and *neither* is ``unknown`` — two distinct
-    unknown nodes may still overlap, so unknown never disambiguates.
-    """
-
-    def __init__(self, module):
-        from ..analysis.dsa import DataStructureAnalysis
-        from ..analysis.modref import ModRefAnalysis
-
-        self.dsa = DataStructureAnalysis(module)
-        self.modref = ModRefAnalysis(module, self.dsa)
-
-    def _node_of(self, pointer):
-        return self.dsa._cell_of(pointer).node.find()
-
-    def may_clobber(self, writer: Instruction, pointer: Value) -> bool:
-        node = self._node_of(pointer)
-        if node.unknown:
-            return True
-        if isinstance(writer, (StoreInst, FreeInst)):
-            written = writer.pointer
-            if isinstance(writer, StoreInst) and \
-                    alias(pointer, written) is AliasResult.NO_ALIAS:
-                return False
-            other = self._node_of(written)
-            return other.unknown or other is node
-        if isinstance(writer, (CallInst, InvokeInst)):
-            target = writer.callee
-            if isinstance(target, Function):
-                return self.modref.may_modify(target, pointer)
-            return True  # indirect call: anything may be written
-        return True  # vaarg and anything else that writes
+def _may_clobber(modref: ModRefAnalysis, writer: Instruction,
+                 pointer: Value) -> bool:
+    """May ``writer`` write what ``pointer`` names?  Two pointers are
+    disjoint when their DSA nodes differ and *neither* is ``unknown`` —
+    two distinct unknown nodes may still overlap, so unknown never
+    disambiguates.  A direct call asks Mod/Ref."""
+    node = modref.node_of(pointer)
+    if node.unknown:
+        return True
+    if isinstance(writer, (StoreInst, FreeInst)):
+        written = writer.pointer
+        if isinstance(writer, StoreInst) and \
+                alias(pointer, written) is AliasResult.NO_ALIAS:
+            return False
+        other = modref.node_of(written)
+        return other.unknown or other is node
+    if isinstance(writer, (CallInst, InvokeInst)):
+        target = writer.callee
+        if isinstance(target, Function):
+            return modref.may_modify(target, pointer)
+        return True  # indirect call: anything may be written
+    return True  # vaarg and anything else that writes
 
 
 class LICM:
@@ -71,47 +58,37 @@ class LICM:
     name = "licm"
 
     def __init__(self):
-        self._disambiguators: dict = {}
         self.counters = {"loads-hoisted-past-writes": 0}
 
     def run_on_function(self, function: Function) -> bool:
-        loop_info = LoopInfo(function)
+        loop_info = function_analysis(function, LoopInfo)
+        # The module's Mod/Ref (and the DSA under it), fetched by the
+        # first loop that both writes memory and has a candidate load.
+        modref = functools.cache(
+            lambda: module_analysis(function.parent, ModRefAnalysis))
         changed = False
         # Process inner loops first so hoisted code can keep moving out.
         loops = sorted(loop_info.all_loops(), key=lambda l: -l.depth)
         for loop in loops:
-            changed |= self._process_loop(function, loop, loop_info.domtree)
+            changed |= self._process_loop(function, loop, loop_info.domtree,
+                                          modref)
         return changed
 
-    def _disambiguator(self, function: Function) -> \
-            Optional[_MemoryDisambiguator]:
-        module = function.parent
-        if module is None:
-            return None
-        key = id(module)
-        if key not in self._disambiguators:
-            self._disambiguators[key] = _MemoryDisambiguator(module)
-        return self._disambiguators[key]
-
-    def _load_is_safe(self, load: LoadInst, writers: list,
-                      function: Function) -> bool:
-        """No writer in the loop can clobber what ``load`` reads."""
-        if not writers:
-            return True
-        aa = self._disambiguator(function)
-        if aa is None:
-            return False
-        return not any(aa.may_clobber(writer, load.pointer)
-                       for writer in writers)
-
     def _process_loop(self, function: Function, loop: Loop,
-                      domtree: DominatorTree) -> bool:
+                      domtree: DominatorTree, modref) -> bool:
         preheader = loop.preheader()
         created = False
         if preheader is None:
             preheader = _create_preheader(function, loop)
             if preheader is None:
                 return False
+            # The new block belongs to every loop around this one: an
+            # outer loop must not take what is hoisted into it for a
+            # value defined outside itself.
+            outer = loop.parent
+            while outer is not None:
+                outer.add_block(preheader)
+                outer = outer.parent
             # The rewiring alone (new block, phi and branch edits) is a
             # change, whether or not anything hoists into it.
             created = True
@@ -132,7 +109,10 @@ class LICM:
                     if not _operands_invariant(inst, loop):
                         continue
                     if isinstance(inst, LoadInst):
-                        if not self._load_is_safe(inst, writers, function):
+                        # No writer in the loop may clobber what it reads.
+                        if writers and (function.parent is None or any(
+                                _may_clobber(modref(), writer, inst.pointer)
+                                for writer in writers)):
                             continue
                         if not _dominates_exits(inst, loop, domtree):
                             # Hoisting a conditional load would speculate

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis.dominators import DominanceFrontiers, DominatorTree
+from ..analysis.dominators import DominanceFrontiers
+from ..analysis.manager import function_analysis
 from ..core.basicblock import BasicBlock
 from ..core.instructions import (
     AllocaInst, Instruction, LoadInst, Opcode, PhiNode, StoreInst,
@@ -61,8 +62,8 @@ class _Promoter:
         self.function = function
         self.allocas = allocas
         self.alloca_index = {id(a): i for i, a in enumerate(allocas)}
-        self.domtree = DominatorTree(function)
-        self.frontiers = DominanceFrontiers(function, self.domtree)
+        self.frontiers = function_analysis(function, DominanceFrontiers)
+        self.domtree = self.frontiers.domtree
         #: phi -> alloca index, for phis this pass inserts.
         self.phi_slot: dict[int, int] = {}
         self.inserted_phis: list[PhiNode] = []

@@ -45,6 +45,8 @@ API, and raises :class:`UntrackedMutation`.
 
 ``run(module, functions)`` restricts the function passes to those
 functions (the driver's skip rule); module passes still see the module.
+A pass's units share the module analyses they ask for
+(:func:`repro.analysis.manager.pass_sweep`) until a unit is rolled back.
 
 The ``policy`` is the containment collaborator
 (:class:`repro.driver.passmanager.FaultPolicy`; this package never
@@ -58,6 +60,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Collection, NamedTuple, Optional, Protocol
 
+from ..analysis.manager import pass_sweep
 from ..core.module import Function, Module
 from ..core.printer import print_function, print_module
 from ..core.record import FunctionRecord, rebuild_body, snapshot_function
@@ -280,9 +283,10 @@ class PassManager:
                 failures.append((None, fault))
                 if module_pass:
                     units = []
-            for unit in units:
-                changed |= self._run_unit(pass_obj, name, module, unit,
-                                          failures)
+            with pass_sweep() as analyses:
+                for unit in units:
+                    changed |= self._run_unit(pass_obj, name, module, unit,
+                                              failures, analyses)
             if failures:
                 self.poisoned_in_run += policy.contain(pass_obj, name,
                                                        module, failures)
@@ -296,7 +300,8 @@ class PassManager:
         return changed
 
     def _run_unit(self, pass_obj, name: str, module: Module,
-                  function: Optional[Function], failures: list) -> bool:
+                  function: Optional[Function], failures: list,
+                  analyses: dict) -> bool:
         """One unit of one pass (see the module docstring); returns the
         pass's changed claim, or False for a unit that was rolled back."""
         policy = self.policy
@@ -351,6 +356,8 @@ class PassManager:
             if policy is None:
                 raise
             policy.rollback(module, function, record)
+            # No memoized module analysis has seen the rebuilt body.
+            analyses.clear()
             failures.append((unit, error))
             if unit is not None:
                 self.incomplete.add(unit)

@@ -1,4 +1,5 @@
-"""Tests for CFG utilities, loops, call graph, alias analysis, Mod/Ref."""
+"""Tests for CFG utilities, loops, call graph, alias analysis, Mod/Ref,
+and the analysis cache."""
 
 import pytest
 
@@ -6,6 +7,11 @@ from repro.analysis import (
     AliasResult, CallGraph, LoopInfo, ModRefAnalysis, alias,
 )
 from repro.analysis.callgraph import direct_callee, signature_compatible
+from repro.analysis.dominators import DominatorTree
+from repro.analysis.dsa import DataStructureAnalysis
+from repro.analysis.manager import (
+    function_analysis, module_analysis, pass_sweep,
+)
 from repro.analysis.cfg import (
     edges, is_critical_edge, postorder, reachable_blocks,
     reverse_postorder, split_critical_edge, unreachable_blocks,
@@ -14,6 +20,7 @@ from repro.core import (
     IRBuilder, Module, parse_function, parse_module, types,
     verify_function,
 )
+from repro.core.instructions import Opcode
 from repro.core.values import ConstantExpr, ConstantInt
 from repro.execution import Interpreter
 
@@ -355,6 +362,85 @@ entry:
         modref = ModRefAnalysis(module)
         caller = module.functions["calls_mystery"]
         assert modref.may_modify(caller, module.globals["g"])
+
+
+class TestAnalysisManager:
+    """One cache: a function's analyses are kept while its epoch holds,
+    a module's for one pass sweep."""
+
+    MODULE = """
+int %first() {
+entry:
+  %p = alloca int
+  store int 1, int* %p
+  %v = load int* %p
+  ret int %v
+}
+int %second() {
+entry:
+  %q = alloca int
+  store int 2, int* %q
+  %v = load int* %q
+  ret int %v
+}
+"""
+
+    def test_function_analysis_kept_until_the_epoch_moves(self):
+        fn = parse_function(LOOP_SOURCE)
+        tree = function_analysis(fn, DominatorTree)
+        assert function_analysis(fn, DominatorTree) is tree
+        assert function_analysis(fn, LoopInfo).domtree is tree
+        exit_block = fn.blocks[-1]
+        ret = exit_block.terminator
+        ret.remove_from_parent()  # moves the epoch, not the CFG
+        exit_block.append(ret)
+        assert function_analysis(fn, DominatorTree) is not tree
+
+    def test_verifier_leaves_its_tree_but_never_reads_the_cache(self):
+        fn = parse_function(LOOP_SOURCE)
+        planted = DominatorTree(parse_function(LOOP_SOURCE))
+        fn.analyses = (fn.epoch, {DominatorTree: planted})
+        verify_function(fn)  # would fail on a tree of another function
+        tree = function_analysis(fn, DominatorTree)
+        assert tree is not planted
+        assert tree.dominates_block(fn.entry_block, fn.blocks[-1])
+
+    def test_module_analysis_memoized_only_in_a_sweep(self):
+        module = parse_module(self.MODULE)
+        assert (module_analysis(module, CallGraph)
+                is not module_analysis(module, CallGraph))
+        with pass_sweep():
+            graph = module_analysis(module, CallGraph)
+            assert module_analysis(module, CallGraph) is graph
+            assert (module_analysis(module, ModRefAnalysis).dsa
+                    is module_analysis(module, DataStructureAnalysis))
+        assert module_analysis(module, CallGraph) is not graph
+
+    def test_rollback_drops_the_sweeps_module_analyses(self):
+        """The unit after a rolled-back one gets a DSA that has seen
+        the rebuilt body, not the memoized one that predates it."""
+        from repro.driver import FaultPolicy
+        from repro.transforms import FunctionPassAdaptor, PassManager
+
+        module = parse_module(self.MODULE)
+        complete = []
+
+        def probe(function):
+            dsa = module_analysis(module, DataStructureAnalysis)
+            complete.append(all(
+                dsa.node_of(inst) is not None
+                for other in module.defined_functions()
+                for inst in other.instructions()
+                if inst.opcode is Opcode.ALLOCA))
+            if function.name == "first":
+                raise RuntimeError("planted failure")
+            return False
+
+        policy = FaultPolicy(reduce_testcases=False)
+        PassManager(policy=policy).add(
+            FunctionPassAdaptor(probe, "probe")).run(module)
+        assert policy.statistics()["passes.rolled_back"] == 1
+        assert complete == [True, True]
 
 
 class TestSummaries:

@@ -159,8 +159,8 @@ def test_dominators_match_naive_dataflow(fn):
 def test_frontier_definition_holds(fn):
     """DF(b) contains exactly the blocks y with a predecessor dominated
     by b where b does not strictly dominate y."""
-    domtree = DominatorTree(fn)
-    frontiers = DominanceFrontiers(fn, domtree)
+    frontiers = DominanceFrontiers(fn)
+    domtree = frontiers.domtree
     reachable = reachable_blocks(fn)
     for block in reachable:
         computed = {id(f) for f in frontiers.frontier(block)}

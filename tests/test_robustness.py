@@ -660,6 +660,89 @@ class TestTrackingCostPins:
         manager.run(fresh_module())
         assert writes.calls == 0
 
+    @pytest.mark.parametrize("contained", [False, True],
+                             ids=["plain", "policy"])
+    def test_one_dominator_tree_per_function_epoch(self, monkeypatch,
+                                                   contained):
+        """Passes and the verifier share one tree per body: none is
+        built twice for a (function, epoch)."""
+        from repro.analysis.dominators import DominatorTree
+
+        built = {}
+        real = DominatorTree.__init__
+
+        def counted(tree, function):
+            key = (function, function.epoch)
+            built[key] = built.get(key, 0) + 1
+            real(tree, function)
+
+        monkeypatch.setattr(DominatorTree, "__init__", counted)
+        policy = FaultPolicy(reduce_testcases=False) if contained else None
+        optimize_module(fresh_module(), 2, policy=policy)
+        assert built and max(built.values()) == 1
+
+    MEMORY_SRC = """
+int g;
+int table[16];
+int fill(int* out, int n) {
+  int i;
+  int first;
+  first = g;
+  out[0] = 1;
+  for (i = 0; i < n; i = i + 1) { out[i] = g + table[3]; }
+  return first + g;
+}
+int scale(int* out, int n) {
+  int i;
+  int first;
+  first = table[2];
+  out[1] = 2;
+  for (i = 0; i < n; i = i + 1) { out[i] = out[i] * table[2]; }
+  return first + table[2];
+}
+int main() {
+  int buf[8];
+  g = 3;
+  return fill(buf, 8) + scale(buf, 8);
+}
+"""
+
+    @pytest.mark.parametrize("contained", [False, True],
+                             ids=["plain", "policy"])
+    def test_gvn_and_licm_build_one_dsa_per_sweep(self, monkeypatch,
+                                                  contained):
+        """Both passes ask for the module's DSA in more than one
+        function; the pass sweep's memo builds it once."""
+        import contextlib
+
+        from repro.analysis.dsa import DataStructureAnalysis
+        from repro.transforms import gvn, licm, passmanager
+
+        fetches = {"gvn": _CallCounter(monkeypatch, "module_analysis", gvn),
+                   "licm": _CallCounter(monkeypatch, "module_analysis",
+                                        licm)}
+        builds = []  # DSA constructions per sweep
+        real_sweep, real_init = (passmanager.pass_sweep,
+                                 DataStructureAnalysis.__init__)
+
+        @contextlib.contextmanager
+        def sweep():
+            builds.append(0)
+            with real_sweep() as memo:
+                yield memo
+
+        def init(analysis, module):
+            builds[-1] += 1
+            real_init(analysis, module)
+
+        monkeypatch.setattr(passmanager, "pass_sweep", sweep)
+        monkeypatch.setattr(DataStructureAnalysis, "__init__", init)
+        policy = FaultPolicy(reduce_testcases=False) if contained else None
+        optimize_module(compile_source(self.MEMORY_SRC, "m"), 2,
+                        policy=policy)
+        assert fetches["gvn"].calls >= 2 and fetches["licm"].calls >= 2
+        assert sum(builds) == 2 and max(builds) == 1
+
 
 # ----------------------------------------------------------------------
 # The degradation ladder (tentpole part 2)

@@ -11,6 +11,7 @@ from repro.core import (
 from repro.core.instructions import (
     AllocaInst, BinaryOperator, CallInst, LoadInst, Opcode, PhiNode,
 )
+from repro.core.record import snapshot_function
 from repro.core.values import ConstantInt
 from repro.driver.pipelines import standard_pipeline
 from repro.execution import Interpreter
@@ -20,6 +21,7 @@ from repro.transforms import (
     PromoteMem2Reg, Reassociate, SCCP, ScalarReplAggregates, SimplifyCFG,
     TailRecursionElimination,
 )
+from repro.transforms.passmanager import restore_function
 from repro.transforms.reg2mem import DemoteRegisters
 
 
@@ -817,6 +819,42 @@ out:
         # Quiescent now: the preheader exists, nothing hoists.
         assert LICM().run_on_function(fn) is False
 
+    def test_created_preheader_joins_enclosing_loops(self):
+        """Regression: the preheader LICM creates for the inner loop was
+        not a block of the outer loop, so %t, hoisted into it, looked
+        defined outside the outer loop and its user %u was hoisted into
+        entry, above its definition."""
+        fn = parse_function("""
+int %f(int %n, int %m) {
+entry:
+  br label %outer
+outer:
+  %i = phi int [ 0, %entry ], [ %i2, %latch ]
+  %acc = phi int [ 0, %entry ], [ %acc2, %latch ]
+  %c = setlt int %i, %n
+  br bool %c, label %inner, label %exit
+inner:
+  %j = phi int [ 0, %outer ], [ %j2, %inner ]
+  %t = add int %i, 7
+  %j2 = add int %j, 1
+  %d = setlt int %j2, %m
+  br bool %d, label %inner, label %latch
+latch:
+  %u = mul int %t, 2
+  %acc2 = add int %acc, %u
+  %i2 = add int %i, 1
+  br label %outer
+exit:
+  ret int %acc
+}
+""")
+        expected = Interpreter(fn.parent).run("f", [3, 2])
+        assert LICM().run_on_function(fn)
+        verify_function(fn)
+        entry = fn.blocks[0]
+        assert not any(i.name == "u" for i in entry.instructions)
+        assert Interpreter(fn.parent).run("f", [3, 2]) == expected == 48
+
 
 class TestSROA:
     def test_struct_split_then_promoted(self):
@@ -1160,10 +1198,9 @@ body:
         assert gvn.counters["loads-eliminated-via-dsa"] == 1
         assert Interpreter(fn.parent).run("f", [1]) == expected == 14
 
-    def test_load_evicted_when_store_may_clobber(self):
-        # Same shape, but the phi carries %slot itself: DSA unifies the
-        # store target with the loaded slot and the fact must die.
-        fn = parse_function("""
+    # The phi carries %slot itself: DSA unifies the store target with
+    # the loaded slot and the fact must die.
+    MAY_CLOBBER = """
 int %f(bool %c) {
 entry:
   %slot = alloca int
@@ -1181,7 +1218,10 @@ body:
   %sum = add int %v1, %v2
   ret int %sum
 }
-""")
+"""
+
+    def test_load_evicted_when_store_may_clobber(self):
+        fn = parse_function(self.MAY_CLOBBER)
         expected = Interpreter(fn.parent).run("f", [1])
         gvn = GVN()
         gvn.run_on_function(fn)
@@ -1191,3 +1231,19 @@ body:
                    for i in body.instructions) == 2
         assert gvn.counters["loads-eliminated-via-dsa"] == 0
         assert Interpreter(fn.parent).run("f", [1]) == expected == 16
+
+    def test_rolled_back_body_sees_fresh_dsa(self):
+        """Regression: GVN kept its module's DSA across runs, so after a
+        rollback rebuilt the body the same pass object judged values its
+        DSA had never seen, gave them fresh nodes that look disjoint,
+        and forwarded the load across the store that clobbers it."""
+        fn = parse_function(self.MAY_CLOBBER)
+        record = snapshot_function(fn)
+        gvn = GVN()
+        gvn.run_on_function(fn)
+        first_body = list(fn.instructions())  # no id is reused
+        restore_function(fn, record)
+        gvn.run_on_function(fn)
+        verify_function(fn)
+        assert first_body
+        assert Interpreter(fn.parent).run("f", [1]) == 16
