@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 from . import types
 from .instructions import Instruction, Opcode, PhiNode
-from .values import Value
+from .values import LOCAL_NAME, BodyList, Value
 
 
 class BasicBlock(Value):
@@ -21,13 +21,14 @@ class BasicBlock(Value):
 
     __slots__ = ("parent", "instructions")
 
+    name = LOCAL_NAME
+
     def __init__(self, name: str = "", parent=None):
         super().__init__(types.LABEL, name)
         self.parent = parent
-        self.instructions: list[Instruction] = []
+        self.instructions: BodyList = BodyList(self)
         if parent is not None:
             parent.blocks.append(self)
-            self._moved()
 
     # -- structure ----------------------------------------------------------
 
@@ -87,25 +88,24 @@ class BasicBlock(Value):
 
     # -- mutation -------------------------------------------------------------
     #
-    # Each of these moves the containing function's epoch
+    # Each edit of ``instructions`` (a :class:`BodyList`) and each rename
+    # calls this, moving the containing function's epoch
     # (:attr:`repro.core.module.Function.epoch`).
 
     def _moved(self) -> None:
         if self.parent is not None:
-            self.parent.epoch += 1
+            self.parent._moved()
 
     def append(self, inst: Instruction) -> Instruction:
         if self.is_terminated:
             raise ValueError(f"block {self.name!r} is already terminated")
         inst.parent = self
         self.instructions.append(inst)
-        self._moved()
         return inst
 
     def insert(self, index: int, inst: Instruction) -> Instruction:
         inst.parent = self
         self.instructions.insert(index, inst)
-        self._moved()
         return inst
 
     def insert_before_terminator(self, inst: Instruction) -> Instruction:
@@ -117,7 +117,6 @@ class BasicBlock(Value):
     def remove_from_parent(self) -> None:
         if self.parent is not None:
             self.parent.blocks.remove(self)
-            self._moved()
             self.parent = None
 
     def erase_from_parent(self) -> None:
@@ -143,7 +142,7 @@ class BasicBlock(Value):
         del self.instructions[index:]
         for inst in moved:
             inst.parent = new_block
-            new_block.instructions.append(inst)
+        new_block.instructions.extend(moved)
         for succ in new_block.successors():
             for phi in succ.phis():
                 phi.replace_incoming_block(self, new_block)

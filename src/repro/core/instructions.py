@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import types
 from .types import Type
-from .values import ConstantInt, User, Value
+from .values import LOCAL_NAME, ConstantInt, User, Value
 
 
 class Opcode(enum.Enum):
@@ -98,6 +98,8 @@ class Instruction(User):
 
     __slots__ = ("opcode", "parent", "loc")
 
+    name = LOCAL_NAME
+
     def __init__(self, opcode: Opcode, ty: Type, operands: Sequence[Value], name: str = ""):
         super().__init__(ty, operands, name)
         self.opcode = opcode
@@ -165,7 +167,6 @@ class Instruction(User):
         block = self.parent
         if block is not None:
             block.instructions.remove(self)
-            block._moved()
             self.parent = None
 
     def erase_from_parent(self) -> None:

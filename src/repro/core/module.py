@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 from . import types
 from .basicblock import BasicBlock
 from .datalayout import DataLayout, DEFAULT
-from .values import Argument, Constant, Value
+from .values import Argument, BodyList, Constant, Value
 
 
 class Linkage:
@@ -116,7 +116,7 @@ class Function(GlobalValue):
                  arg_names: Optional[Sequence[str]] = None):
         super().__init__(types.pointer(fn_type), name, linkage)
         self.args: list[Argument] = []
-        self.blocks: list[BasicBlock] = []
+        self.blocks: BodyList = BodyList(self)
         #: Marked by front-ends/analyses for calls safe to delete if unused.
         self.is_pure = False
         #: Name of the translation unit that defined this function; the
@@ -124,9 +124,12 @@ class Function(GlobalValue):
         #: diagnostics can point at the original file.
         self.source_module: Optional[str] = None
         #: The mutation epoch: moves on every edit of the body — an
-        #: operand of one of its instructions, an instruction or a block
-        #: in or out — made through the IR's mutation API.  Equal epochs
-        #: mean an unchanged body; the value itself means nothing.
+        #: operand of one of its instructions, an edit of ``blocks`` or
+        #: of a block's ``instructions`` (each a
+        #: :class:`~repro.core.values.BodyList`), a rename of an
+        #: argument, a block or an instruction.  The containers move it,
+        #: so no edit can go around it.  Equal epochs mean an unchanged
+        #: body; the value itself means nothing.
         self.epoch = 0
         #: ``(level, epoch)`` of the last ``-O<level>`` run that finished
         #: over this body (see ``repro.driver.pipelines.run_ladder``),
@@ -164,21 +167,23 @@ class Function(GlobalValue):
     def append_block(self, name: str = "") -> BasicBlock:
         return BasicBlock(name, parent=self)
 
+    def _moved(self) -> None:
+        """The body changed: the one place the epoch moves."""
+        self.epoch += 1
+
     def insert_block(self, index: int, block: BasicBlock) -> BasicBlock:
         """Place a detached ``block`` at position ``index``."""
         block.parent = self
         self.blocks.insert(index, block)
-        self.epoch += 1
         return block
 
     def take_body(self, donor: "Function") -> None:
         """Move every block of ``donor`` into this bodiless function."""
-        self.blocks = donor.blocks
-        donor.blocks = []
-        for block in self.blocks:
+        blocks = donor.blocks[:]
+        donor.blocks.clear()
+        for block in blocks:
             block.parent = self
-        self.epoch += 1
-        donor.epoch += 1
+        self.blocks.extend(blocks)
 
     def instructions(self) -> Iterator:
         for block in self.blocks:
@@ -200,7 +205,6 @@ class Function(GlobalValue):
             block.instructions.clear()
             block.remove_from_parent()
         self.blocks.clear()
-        self.epoch += 1
 
     def erase_from_parent(self) -> None:
         self.delete_body()

@@ -56,8 +56,8 @@ def rebuild_body(record: FunctionRecord, function: Function,
                  remap: Optional[Callable[[Value], Value]] = None,
                  map_type: Optional[Callable[[Type], Type]] = None,
                  suffix: str = "") -> list[BasicBlock]:
-    """Append the body ``record`` describes to ``function`` (its epoch
-    moves once) and return the new blocks.
+    """Append the body ``record`` describes to ``function`` and return
+    the new blocks.
 
     ``args`` stand in for the record's arguments and keep their names;
     by default the function's own arguments take the recorded names.
@@ -90,7 +90,7 @@ def rebuild_body(record: FunctionRecord, function: Function,
         return forward[ref]
 
     for block, (_, insts) in zip(blocks, record.blocks):
-        append = block.instructions.append
+        first = len(values)
         for opcode, carried, _, operands, name, loc in insts:
             inst = build(opcode,
                          carried if map_type is None else map_type(carried),
@@ -100,9 +100,8 @@ def rebuild_body(record: FunctionRecord, function: Function,
                           for op in operands], name)
             inst.loc = loc
             inst.parent = block
-            append(inst)
             values.append(inst)
+        block.instructions.extend(values[first:])
     for ref, stand_in in forward.items():
         stand_in.replace_all_uses_with(values[ref])
-    function.epoch += 1
     return blocks

@@ -47,7 +47,7 @@ class Value:
 
     def __init__(self, ty: Type, name: str = ""):
         self.type = ty
-        self.name = name
+        _set_name(self, name)  # a value under construction moves nothing
         #: Uses of this value, maintained by :class:`User`.
         self.uses: list[Use] = []
 
@@ -74,6 +74,45 @@ class Value:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "<unnamed>"
         return f"<{type(self).__name__} {self.type} {label}>"
+
+
+_set_name = Value.name.__set__
+
+
+def _rename(value, name: str) -> None:
+    _set_name(value, name)
+    value._moved()
+
+
+#: ``name`` of a value local to a function (an instruction, an argument,
+#: a block): reads are slot reads, and a rename moves the epoch.
+LOCAL_NAME = property(Value.name.__get__, _rename)
+
+
+class BodyList(list):
+    """A function's block list or a block's instruction list.  Every
+    edit calls ``owner._moved()``, which moves the containing function's
+    epoch, so no caller can change a body behind it; reads are list
+    reads."""
+
+    __slots__ = ("owner",)
+
+    def __init__(self, owner):
+        self.owner = owner
+
+
+def _tracked(edit):
+    def tracked(self, *args, **kwargs):
+        result = edit(self, *args, **kwargs)
+        self.owner._moved()
+        return result
+    return tracked
+
+
+for _edit in ("append", "insert", "remove", "pop", "clear", "extend",
+              "sort", "reverse", "__setitem__", "__delitem__", "__iadd__",
+              "__imul__"):
+    setattr(BodyList, _edit, _tracked(getattr(list, _edit)))
 
 
 class User(Value):
@@ -161,10 +200,16 @@ class Argument(Value):
 
     __slots__ = ("parent", "index")
 
+    name = LOCAL_NAME
+
     def __init__(self, ty: Type, name: str, parent, index: int):
         super().__init__(ty, name)
         self.parent = parent
         self.index = index
+
+    def _moved(self) -> None:
+        if self.parent is not None:
+            self.parent._moved()
 
 
 # ---------------------------------------------------------------------------

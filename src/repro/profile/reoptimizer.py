@@ -138,6 +138,5 @@ def _layout_hot_path(function: Function,
         1 for old, new in zip(function.blocks, placed) if old is not new
     )
     remaining = [b for b in function.blocks if id(b) not in placed_ids]
-    function.blocks = placed + remaining
-    function.epoch += 1  # a reorder is an edit no other entry point sees
+    function.blocks[:] = placed + remaining
     return moved

@@ -16,32 +16,29 @@ pass, or the whole module of a module pass.  The per-unit step is
     and hand it to containment.
 
 *Tracking* is on when ``verify_each`` or a ``policy`` is given.  With
-neither, a pass run is exactly the ``run_on_*`` calls.  Under a policy
-a unit's checkpoint is a structural record stamped with the mutation
+neither, a pass run is exactly the ``run_on_*`` calls.  Tracked, a
+unit's checkpoint is a structural record stamped with the mutation
 epoch (``Function.epoch``): a function's
 :class:`repro.core.record.FunctionRecord`, or a :class:`ModuleRecord`
-(the symbol table plus every function's record).  A record stays valid
-while its function's epoch does, so an untouched function is recorded
-once per :meth:`PassManager.run`, and a module record reuses every
-record whose epoch has not moved.  Nothing is printed or serialized: a
-function unit moved iff its epoch did, a module unit iff its symbol
-table or any epoch did, and rollback rebuilds from the record
-(:func:`restore_function`, :func:`restore_module`) with
-:func:`repro.core.record.rebuild_body`, the builder every clone and
-every decoded body goes through too.  A rename moves no epoch, so a
-unit that claims a change its epoch does not show drops its record.
+(the symbol table, names included, plus every function's record).  The
+epoch is right by construction — a body's block and instruction lists
+and its local names move it on every edit — so a record stays valid
+while its function's epoch does: an untouched function is recorded once
+per manager, and a module record reuses every record whose epoch has
+not moved.  Nothing is printed or serialized: a function unit moved iff
+its epoch did, a module unit iff its symbol table or any epoch did, and
+rollback rebuilds from the record (:func:`restore_function`,
+:func:`restore_module`) with :func:`repro.core.record.rebuild_body`,
+the builder every clone and every decoded body goes through too.
 
 The changed flag each pass returns is load-bearing: fixpoint drivers
 stop iterating on it.  Under a policy an unclaimed epoch move is
 verified and validated like a claimed one; an unclaimed module pass
-costs nothing.  ``verify_each`` *audits* the flag with printed text,
-the one place text survives: a unit whose text moved while its pass
-reported "no change" raises :class:`ChangedFlagLie` at the pass's own
-site, and a pass that over-reports (claims a change but moved nothing)
-skips the redundant re-verify.  The same comparison audits the epoch,
-what the driver's ``-O`` runs and the records trust: a function whose
-text moved while its epoch did not was edited behind the IR's mutation
-API, and raises :class:`UntrackedMutation`.
+costs nothing.  ``verify_each`` *audits* the flag against the same
+record: a unit that moved while its pass reported "no change" raises
+:class:`ChangedFlagLie` at the pass's own site (a module unit is
+checked even when unclaimed), and a pass that over-reports (claims a
+change but moved nothing) skips the redundant re-verify.
 
 ``run(module, functions)`` restricts the function passes to those
 functions (the driver's skip rule); module passes still see the module.
@@ -62,7 +59,6 @@ from typing import Callable, Collection, NamedTuple, Optional, Protocol
 
 from ..analysis.manager import pass_sweep
 from ..core.module import Function, Module
-from ..core.printer import print_function, print_module
 from ..core.record import FunctionRecord, rebuild_body, snapshot_function
 from ..core.verifier import verify_function, verify_module
 from ..stats import Stats
@@ -77,22 +73,12 @@ class ChangedFlagLie(Exception):
         self.pass_name = pass_name
 
 
-class UntrackedMutation(Exception):
-    """A pass changed a function without moving its epoch."""
-
-    def __init__(self, pass_name: str, function: str):
-        super().__init__(
-            f"pass {pass_name!r} changed @{function} behind the mutation "
-            "API: its text moved, its epoch did not")
-        self.pass_name = pass_name
-
-
 class ModuleRecord(NamedTuple):
     """A module's checkpoint: ``symbols`` is the symbol table —
-    ``(global, linkage, is_constant, initializer)`` per global,
-    ``(function, linkage, is_pure, source_module)`` per function, each
-    in module order, and the named types — and ``bodies`` maps every
-    function to its :class:`FunctionRecord`."""
+    ``(global, name, linkage, is_constant, initializer)`` per global,
+    ``(function, name, linkage, is_pure, source_module)`` per function,
+    each in module order, and the named types — and ``bodies`` maps
+    every function to its :class:`FunctionRecord`."""
 
     symbols: tuple
     bodies: dict
@@ -101,9 +87,9 @@ class ModuleRecord(NamedTuple):
 def _module_symbols(module: Module) -> tuple:
     """:attr:`ModuleRecord.symbols` of ``module`` as it stands."""
     return (
-        tuple([(g, g.linkage, g.is_constant, g.initializer)
+        tuple([(g, g.name, g.linkage, g.is_constant, g.initializer)
                for g in module.globals.values()]),
-        tuple([(f, f.linkage, f.is_pure, f.source_module)
+        tuple([(f, f.name, f.linkage, f.is_pure, f.source_module)
                for f in module.functions.values()]),
         tuple(module.named_types.items()))
 
@@ -131,6 +117,19 @@ def _moved_functions(module: Module, record: ModuleRecord) -> list:
             if f not in bodies or bodies[f].epoch != f.epoch]
 
 
+def _unit_moved(module: Module, function: Optional[Function], record,
+                check: bool) -> bool:
+    """Whether a tracked unit changed since ``record``.  A function
+    changed iff its epoch moved; a module unit is looked at only when
+    ``check`` (its pass claimed a change, or ``verify_each`` audits the
+    claim) — an unclaimed module pass under a policy costs nothing."""
+    if function is not None:
+        return function.epoch != record.epoch
+    return check and (
+        _module_symbols(module) != record.symbols
+        or any(f.epoch != body.epoch for f, body in record.bodies.items()))
+
+
 def restore_function(function: Function, record: FunctionRecord) -> None:
     """Roll one function back to ``record``, in place: the live
     function object (and its arguments) keeps its identity, so every
@@ -143,12 +142,12 @@ def restore_module(module: Module, record: ModuleRecord) -> None:
     """Roll ``module`` back to ``record``, in place.
 
     The recorded globals and functions go back into the module object
-    with their recorded attributes, in their recorded order; a symbol
-    created since is unlinked and its references dropped.  Only a body
-    whose epoch moved is rebuilt.
+    with their recorded names and attributes, in their recorded order; a
+    symbol created since is unlinked and its references dropped.  Only a
+    body whose epoch moved is rebuilt.
     """
     globals_, functions, named_types = record.symbols
-    recorded = {g for g, _, _, _ in globals_}
+    recorded = {g for g, _, _, _, _ in globals_}
     for global_var in module.globals.values():
         if global_var not in recorded:
             global_var.set_initializer(None)
@@ -161,15 +160,17 @@ def restore_module(module: Module, record: ModuleRecord) -> None:
     module.functions.clear()
     module.named_types.clear()
     module.named_types.update(named_types)
-    for global_var, linkage, is_constant, initializer in globals_:
-        module.globals[global_var.name] = global_var
+    for global_var, name, linkage, is_constant, initializer in globals_:
+        global_var.name = name
+        module.globals[name] = global_var
         global_var.parent = module
         global_var.linkage = linkage
         global_var.is_constant = is_constant
         if global_var.initializer is not initializer:
             global_var.set_initializer(initializer)
-    for function, linkage, is_pure, source_module in functions:
-        module.functions[function.name] = function
+    for function, name, linkage, is_pure, source_module in functions:
+        function.name = name
+        module.functions[name] = function
         function.parent = module
         function.linkage = linkage
         function.is_pure = is_pure
@@ -197,16 +198,6 @@ class ModulePass(Protocol):
     name: str
 
     def run_on_module(self, module: Module) -> bool: ...
-
-
-def _printed(module: Module, function: Optional[Function]):
-    """``verify_each``'s text of a unit: a function's printed form, or
-    the module's plus its purity flags — the one attribute passes set
-    that the printer does not show."""
-    if function is not None:
-        return print_function(function)
-    return (print_module(module),
-            [f.is_pure for f in module.functions.values()])
 
 
 class PassManager:
@@ -237,9 +228,6 @@ class PassManager:
         #: Function records by function (see :func:`snapshot_module`),
         #: each valid while its epoch is the function's.
         self._records: dict = {}
-        #: ``verify_each``'s printed text of the functions it audited,
-        #: by function: always the function's current text.
-        self._texts: dict = {}
 
     def add(self, pass_obj) -> "PassManager":
         if not hasattr(pass_obj, "run_on_function") and not hasattr(pass_obj, "run_on_module"):
@@ -252,10 +240,6 @@ class PassManager:
         """Run every pass; a function pass over the defined functions
         named in ``only`` (default: all of them)."""
         policy = self.policy
-        # Names move no epoch, and between run() calls other components
-        # may rename (or, behind the API, edit) what the caches hold.
-        self._records.clear()
-        self._texts.clear()
         changed = False
         for pass_obj in self.passes:
             name = pass_name(pass_obj)
@@ -312,13 +296,10 @@ class PassManager:
                                                          unit):
                 self.incomplete.add(unit)
                 return False
-            epoch = function.epoch
         else:
             unit, target, run = None, module, pass_obj.run_on_module
-            epoch = None
-        record = (self._checkpoint(module, function) if policy is not None
-                  else None)
-        text = self._text(module, function) if self.verify_each else None
+        record = (self._checkpoint(module, function)
+                  if policy is not None or self.verify_each else None)
         # Not part of the transaction: a policy that cannot arm its
         # watchdog here (off the main thread) raises to the caller.
         watchdog = policy.watchdog() if policy is not None else None
@@ -328,29 +309,17 @@ class PassManager:
                     claimed = bool(run(target))
             else:
                 claimed = bool(run(target))
-            if self.verify_each:
-                after = _printed(module, function)
-                if after == text:
-                    return claimed  # over-reported: skip re-verify and tvalid
-                if not claimed:
-                    raise ChangedFlagLie(name)
-                if function is not None and function.epoch == epoch:
-                    raise UntrackedMutation(name, unit)
-            elif policy is None or not self._moved(module, function, record,
-                                                   claimed):
-                return claimed
+            if record is None or not _unit_moved(
+                    module, function, record, claimed or self.verify_each):
+                return claimed  # untracked, or nothing moved
+            if self.verify_each and not claimed:
+                raise ChangedFlagLie(name)
             if function is not None:
                 verify_function(function)
                 if policy is not None:
                     policy.validate_function(name, module, function, record)
             else:
-                verify_module(module, None if record is None
-                              else _moved_functions(module, record))
-            if self.verify_each:
-                if function is None:
-                    self._texts.clear()  # function bodies may have moved
-                else:
-                    self._texts[function] = after
+                verify_module(module, _moved_functions(module, record))
             return claimed
         except Exception as error:
             if policy is None:
@@ -364,40 +333,14 @@ class PassManager:
             return False
 
     def _checkpoint(self, module: Module, function: Optional[Function]):
-        """The unit's record under a policy: its rollback source, and
-        tvalid's "before" side."""
+        """The tracked unit's record: what tells whether it moved, its
+        rollback source, and tvalid's "before" side."""
         if function is None:
             return snapshot_module(module, self._records)
         record = self._records.get(function)
         if record is None or record.epoch != function.epoch:
             record = self._records[function] = snapshot_function(function)
         return record
-
-    def _moved(self, module: Module, function: Optional[Function],
-               record, claimed: bool) -> bool:
-        """Under a policy alone: whether the unit changed.  A function
-        changed iff its epoch moved, claimed or not; a module pass is
-        trusted when it claims no change."""
-        if function is not None:
-            if function.epoch != record.epoch:
-                return True
-            if claimed:
-                # A rename moves no epoch: the record's names are stale.
-                del self._records[function]
-            return False
-        return claimed and (
-            _module_symbols(module) != record.symbols
-            or any(f.epoch != body.epoch
-                   for f, body in record.bodies.items()))
-
-    def _text(self, module: Module, function: Optional[Function]):
-        """``verify_each``'s text of the unit before the pass; a
-        function's is cached across passes."""
-        if function is None:
-            return _printed(module, None)
-        if function not in self._texts:
-            self._texts[function] = print_function(function)
-        return self._texts[function]
 
     def statistics(self) -> dict[str, dict[str, int]]:
         """Per-pass counters (the ``lc-opt -stats`` rows) of everything

@@ -1,18 +1,22 @@
 """The per-function mutation epoch and the ``-O`` skip rule it drives.
 
-``Function.epoch`` moves on every edit made through the IR's mutation
-API; ``run_ladder`` records the level and closing epoch of each function
-it finished, and skips a function that has not moved since (unless
-something it calls has).  These tests pin every entry point that must
-move the epoch, the ``--verify-each`` audit that catches an edit behind
-the API, and the skip rule's four promises: nothing re-runs over an
-unchanged module, a moved function and its callers do, a degraded
-attempt records the level it ran, and the cache cannot tell.
+``Function.epoch`` moves on every edit of a body: the block and
+instruction lists (:class:`BodyList`) and local names move it
+themselves, so no edit can go around it.  ``run_ladder`` records the
+level and closing epoch of each function it finished, and skips a
+function that has not moved since (unless something it calls has).
+These tests pin every entry point and every list edit that must move the
+epoch, that a direct list edit is seen and rolled back, that bodies stay
+tracked through a whole lifelong cycle, and the skip rule's four
+promises: nothing re-runs over an unchanged module, a moved function and
+its callers do, a degraded attempt records the level it ran, and the
+cache cannot tell.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import operator
 import os
 
 import pytest
@@ -22,15 +26,16 @@ from repro.core import print_function, print_module, types
 from repro.core.basicblock import BasicBlock
 from repro.core.instructions import BinaryOperator, Opcode, ReturnInst
 from repro.core.record import snapshot_function
-from repro.core.values import ConstantInt
+from repro.core.values import BodyList, ConstantInt
 from repro.driver import (
-    BytecodeCache, FaultPolicy, compile_and_link, optimize_module,
+    BytecodeCache, FaultPolicy, LifelongSession, compile_and_link,
+    optimize_module,
 )
 from repro.driver.pipelines import OPTIMIZE_SOURCE, stale_functions
 from repro.frontend import compile_source
 from repro.stats import Stats
 from repro.transforms import FunctionPassAdaptor, PassManager
-from repro.transforms.passmanager import UntrackedMutation, restore_function
+from repro.transforms.passmanager import restore_function
 
 SRC = """
 int add(int x, int y) { return x + y; }
@@ -138,6 +143,49 @@ class TestEntryPoints:
         assert [f.epoch for f in self.module.defined_functions()] == epochs
 
 
+#: One edit per mutator of a list, given the list.
+LIST_EDITS = {
+    "append": lambda items: items.append(items[-1]),
+    "insert": lambda items: items.insert(0, items[-1]),
+    "remove": lambda items: items.remove(items[-1]),
+    "pop": lambda items: items.pop(),
+    "clear": lambda items: items.clear(),
+    "extend": lambda items: items.extend(items[:1]),
+    "sort": lambda items: items.sort(key=id),
+    "reverse": lambda items: items.reverse(),
+    "__setitem__": lambda items: operator.setitem(items, 0, items[-1]),
+    "__setitem__slice": lambda items: operator.setitem(
+        items, slice(None), items[::-1]),
+    "__delitem__": lambda items: operator.delitem(items, 0),
+    "__delitem__slice": lambda items: operator.delitem(items,
+                                                       slice(1, None)),
+    "__iadd__": lambda items: operator.iadd(items, items[:1]),
+    "__imul__": lambda items: operator.imul(items, 2),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(LIST_EDITS))
+@pytest.mark.parametrize("container", ["blocks", "instructions"])
+def test_every_list_edit_moves_the_epoch(container, edit):
+    loop = compile_source(SRC, "m").functions["loop"]
+    items = (loop.blocks if container == "blocks"
+             else loop.blocks[1].instructions)
+    assert type(items) is BodyList
+    assert moves(loop, lambda: LIST_EDITS[edit](items))
+
+
+@pytest.mark.parametrize("kind", ["instruction", "argument", "block"])
+def test_renaming_a_placed_value_moves_the_epoch(kind):
+    loop = compile_source(SRC, "m").functions["loop"]
+    value = {"instruction": loop.blocks[1].instructions[0],
+             "argument": loop.args[0], "block": loop.blocks[1]}[kind]
+    assert moves(loop, lambda: setattr(value, "name", "renamed"))
+    assert value.name == "renamed"
+    assert not moves(loop, lambda: setattr(
+        BinaryOperator(Opcode.ADD, loop.args[0], loop.args[0]), "name",
+        "detached"))
+
+
 def _swap_call_and_add(through_api: bool):
     """A function pass exchanging the first two instructions of
     ``loop``'s body (a call and an add that do not depend on each other)."""
@@ -157,13 +205,28 @@ def _swap_call_and_add(through_api: bool):
 
 
 class TestVerifyEachAudit:
-    def test_edit_behind_the_api_is_caught(self):
-        """The planted pass reorders ``block.instructions`` directly: the
-        text moves, the epoch does not."""
-        manager = PassManager(verify_each=True).add(
-            FunctionPassAdaptor(_swap_call_and_add(False), "planted"))
-        with pytest.raises(UntrackedMutation, match="planted"):
-            manager.run(optimized())
+    def test_direct_list_edit_moves_the_epoch_and_rolls_back(self):
+        """The planted pass swaps two entries of ``block.instructions``
+        directly, then fails: the list moved the epoch, so the policy's
+        rollback restores the body exactly."""
+        module = optimized()
+        loop = module.functions["loop"]
+        text, epoch = print_function(loop), loop.epoch
+        swap, moved = _swap_call_and_add(False), []
+
+        def planted(function):
+            before = function.epoch
+            if swap(function):
+                moved.append(function.epoch != before)
+                raise RuntimeError("planted")
+            return False
+
+        manager = PassManager(policy=FaultPolicy(reduce_testcases=False))
+        manager.add(FunctionPassAdaptor(planted, "planted"))
+        manager.run(module)
+        assert moved == [True]
+        assert loop.epoch != epoch
+        assert print_function(loop) == text
 
     def test_the_same_edit_through_the_api_passes(self):
         module = optimized()
@@ -247,6 +310,27 @@ def _gen_program():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_bodies_stay_tracked_through_a_lifelong_cycle():
+    """No stage swaps a plain list in for a body list (a reassigned
+    ``blocks`` or ``instructions`` would move no epoch)."""
+    def assert_tracked(module):
+        for function in module.functions.values():
+            assert type(function.blocks) is BodyList, function.name
+            for block in function.blocks:
+                assert type(block.instructions) is BodyList, function.name
+
+    inputs = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "benchmarks", "lifelong", "inputs")
+    with open(os.path.join(inputs, "gcc.lc")) as handle:
+        sources = [handle.read()]
+    assert_tracked(compile_and_link(sources, "gcc", 2, lto=True))
+    session = LifelongSession(sources, "gcc")
+    session.run()
+    report = session.reoptimize()
+    assert report.blocks_reordered and report.inlined_calls
+    assert_tracked(session.module)
 
 
 def test_cached_edit_rebuild_is_byte_identical_to_uncached(tmp_path):

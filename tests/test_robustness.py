@@ -343,6 +343,45 @@ class TestContainedPassManager:
         for function in module.functions.values():
             assert function.parent is module
 
+    SYMBOLS_SRC = """
+int g;
+int helper(int x) { return x + g; }
+int main() { g = 2; return helper(3); }
+"""
+
+    @staticmethod
+    def _rename_symbols(module):
+        module.globals["g"].name = "renamed"
+        module.functions["helper"].name = "helper2"
+
+    def test_module_rollback_undoes_symbol_renames(self):
+        """The rollback once re-keyed the symbol table under the new
+        names: the module came back as ``@renamed`` / ``@helper2``."""
+        from repro.transforms import ModulePassAdaptor
+
+        def rename_then_fail(module):
+            self._rename_symbols(module)
+            raise RuntimeError("renamed, then failed")
+
+        module = compile_source(self.SYMBOLS_SRC, "m")
+        before = print_module(module)
+        manager = PassManager(policy=FaultPolicy(reduce_testcases=False))
+        manager.add(ModulePassAdaptor(rename_then_fail, "renamer"))
+        assert manager.run(module) is False
+        assert print_module(module) == before
+        assert list(module.globals) == ["g"]
+        assert module.functions["helper"].name == "helper"
+
+    def test_verify_each_sees_an_unclaimed_symbol_rename(self):
+        from repro.transforms import ModulePassAdaptor
+        from repro.transforms.passmanager import ChangedFlagLie
+
+        manager = PassManager(verify_each=True)
+        manager.add(ModulePassAdaptor(
+            lambda module: self._rename_symbols(module) or False, "renamer"))
+        with pytest.raises(ChangedFlagLie, match="renamer"):
+            manager.run(compile_source(self.SYMBOLS_SRC, "m"))
+
 
 class TestPerFunctionTransactions:
     """The per-function snapshot machinery of ISSUE 7: function passes
@@ -576,6 +615,14 @@ def _serializations(monkeypatch):
     return _CallCounter(monkeypatch, "write", BytecodeWriter)
 
 
+def _printings(monkeypatch):
+    """Counts every use of the IR printer (``repro.core.printer``),
+    whoever asks for it."""
+    from repro.core.printer import ModulePrinter
+
+    return _CallCounter(monkeypatch, "__init__", ModulePrinter)
+
+
 class TestTrackingCostPins:
     """Operation-count pins (in the style of the O(uses) pins): what the
     manager prints, serializes and records on each path, so the plain
@@ -588,7 +635,7 @@ class TestTrackingCostPins:
         return FunctionPassAdaptor(lambda function: False, name)
 
     def test_plain_path_never_prints_or_serializes(self, monkeypatch):
-        prints = _CallCounter(monkeypatch, "print_function")
+        prints = _printings(monkeypatch)
         records = _CallCounter(monkeypatch, "snapshot_function")
         writes = _serializations(monkeypatch)
         module = fresh_module()
@@ -617,7 +664,7 @@ class TestTrackingCostPins:
             function.blocks[0].name = f"{function.blocks[0].name}.t"
             return True
 
-        prints = _CallCounter(monkeypatch, "print_function")
+        prints = _printings(monkeypatch)
         records = _CallCounter(monkeypatch, "snapshot_function")
         writes = _serializations(monkeypatch)
         module = fresh_module()
@@ -636,17 +683,23 @@ class TestTrackingCostPins:
             manager.add(pass_obj)
             manager.add(ModulePassAdaptor(sample, f"after-{pass_obj.name}"))
         manager.run(module)
-        # One record of every function; after that one for the unit
-        # whose epoch moved, and one for the unit that claimed a change
-        # its epoch does not show (a rename).  The sampling module
-        # passes reuse every record that is still valid.
+        # One record of every function; after that one per move of the
+        # victim's epoch: the reinsertion, then the rename.  The
+        # sampling module passes reuse every record that is still valid.
         assert after_pass == [functions, functions + 1,
                               functions + 2, functions + 2]
         assert (prints.calls, writes.calls) == (0, 0)
-        # A second run() records afresh (names move no epoch), and
-        # takes the same two more.
+        # A second run() keeps the records (the epoch is right by
+        # construction) and takes only the same two moves.
         manager.run(module)
-        assert records.calls == 2 * (functions + 2)
+        assert records.calls == functions + 4
+
+    def test_verify_each_never_prints(self, monkeypatch):
+        prints = _printings(monkeypatch)
+        module = fresh_module()
+        optimize_module(module, 2, verify_each=True)
+        assert prints.calls == 0
+        assert "alloca" not in print_module(module)  # it did run
 
     def test_verify_each_never_serializes(self, monkeypatch):
         from repro.transforms import ModulePassAdaptor
