@@ -14,8 +14,6 @@ causing zero validation failures and zero rollbacks (every rewrite it
 makes is machine-checked refinement), and the analyses behind them
 must stay under a pinned ceiling of transfer-function calls (solver
 effort is a count, so a convergence regression fails deterministically).
-SCCP's fold totals are printed beside it: both passes reach their
-fixpoint through the one sparse solver.
 See docs/ANALYSIS.md, "Value-range abstract interpretation".
 
 Usage:  PYTHONPATH=src python benchmarks/absint_gate.py
@@ -73,7 +71,6 @@ def main(argv=None) -> int:
     policy = FaultPolicy(translation_validate=True, reduce_testcases=False)
     started = time.perf_counter()
     folds_by_program = {}
-    sccp_folds = {"values-folded": 0, "branches-folded": 0}
     transfers = 0
     failed_programs = []
     for name in benchmark_names():
@@ -82,13 +79,10 @@ def main(argv=None) -> int:
         manager = standard_pipeline(LEVEL, policy=policy)
         manager.run(module)
         stats = policy.statistics()
-        rows = manager.statistics()
-        rangeopt = rows.get("rangeopt", {})
+        rangeopt = manager.statistics().get("rangeopt", {})
         folds = folds_by_program[name] = sum(rangeopt.get(key, 0)
                                              for key in RangeOpt.REWRITES)
         transfers += rangeopt.get("absint-transfers", 0)
-        for key in sccp_folds:
-            sccp_folds[key] += rows.get("sccp", {}).get(key, 0)
         print(f"absint-gate: {name:10s} "
               f"{time.perf_counter() - program_started:6.1f}s  "
               f"rangeopt-rewrites={folds} "
@@ -102,9 +96,7 @@ def main(argv=None) -> int:
     stats = policy.statistics()
     total_folds = sum(folds_by_program.values())
     print(f"absint-gate: suite at -O{LEVEL}: {total_folds} rangeopt "
-          f"rewrites (sccp: {sccp_folds['values-folded']} values, "
-          f"{sccp_folds['branches-folded']} branches folded), "
-          f"{transfers} absint transfers, "
+          f"rewrites, {transfers} absint transfers, "
           f"{stats['validations.run']} validations "
           f"({stats['validations.failed']} failed), "
           f"{stats['passes.rolled_back']} rollbacks, "

@@ -1,7 +1,7 @@
 """The abstract interpretation engine: a sparse SSA solver over the
 reduced product of the interval and known-bits domains.
 
-``analyze_function`` runs an SCCP-style optimistic fixpoint on the
+``analyze_function`` runs an optimistic fixpoint on the
 shared sparse dataflow engine (:mod:`repro.analysis.dataflow`): every
 instruction starts *undefined* and information flows along def-use
 edges only.  Ascent through loop-carried phis is accelerated by
@@ -11,9 +11,10 @@ sharpened by two narrowing sweeps that intersect each fact a widened
 phi reaches with its freshly recomputed transfer — the intersection of
 two sound over-approximations is sound.
 
-The result is a :class:`ValueFacts` oracle: per-SSA-value intervals and
-known bits that rangeopt, the lint checkers, the interprocedural
-summaries, and the fuzz oracle all query.
+The result is a :class:`ValueFacts` oracle, the tree's one values
+analysis: per-SSA-value intervals and known bits that rangeopt, the
+lint checkers, the interprocedural summaries, and the fuzz oracle all
+query.
 """
 
 from __future__ import annotations

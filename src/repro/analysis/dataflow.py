@@ -2,8 +2,8 @@
 
 Every fixpoint in the tree is reached through one of these two
 worklists — the lint checkers (:mod:`repro.sanalysis`, which re-exports
-these names), the abstract interpreter (:mod:`repro.analysis.absint`)
-and SCCP (:mod:`repro.transforms.sccp`):
+these names) and the abstract interpreter (:mod:`repro.analysis.absint`),
+the one values analysis, whose facts drive ``rangeopt``:
 
 * :class:`DenseAnalysis` / :func:`solve_dense` — classic block-level
   dataflow.  States attach to basic-block boundaries, the direction is
@@ -15,19 +15,19 @@ and SCCP (:mod:`repro.transforms.sccp`):
   acyclic code converges in one sweep.
 
 * :class:`SparseAnalysis` / :func:`solve_sparse` — Wegman–Zadeck sparse
-  conditional propagation directly over the def-use graph.  Each SSA
-  value carries one lattice element; when a value's element changes,
-  exactly its users are revisited.  Only the entry block starts out
-  executable: a block is swept when an executable edge first reaches
-  it, the analysis decides which successors a terminator makes
-  feasible, and a phi merges only what arrives over executable edges.
-  This is the "compact def-use graph that simplifies many dataflow
-  optimizations" the paper credits SSA with: no per-block state is
-  ever materialized.
+  propagation directly over the def-use graph.  Each SSA value carries
+  one lattice element; when a value's element changes, exactly its
+  users are revisited.  Only the entry block starts out executable: a
+  block is swept when an executable edge first reaches it, its
+  terminator makes every successor edge executable, and a phi merges
+  only what arrives over executable edges — so nothing from a block
+  that is not reached (yet, or ever) enters a merge.  This is the
+  "compact def-use graph that simplifies many dataflow optimizations"
+  the paper credits SSA with: no per-block state is ever materialized.
 
 Termination requires what it classically requires: a finite-height
-lattice and monotone transfer functions.  SCCP and the checkers use
-small three-point, four-point or power-set lattices; absint makes its
+lattice and monotone transfer functions.  The checkers use small
+three-point, four-point or power-set lattices; absint makes its
 intervals finite-height by widening.
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Callable, Dict, Sequence
+from typing import Callable, Dict
 
 from ..core.basicblock import BasicBlock
 from ..core.instructions import Instruction, PhiNode
@@ -175,18 +175,6 @@ class SparseAnalysis:
         swept, and never again."""
         return True
 
-    def feasible_successors(self, terminator: Instruction,
-                            get: Callable[[Value], object]
-                            ) -> Sequence[BasicBlock]:
-        """The successors control may reach from ``terminator`` given
-        its operands' current elements (default: all of them).
-
-        Called each time the terminator is visited, i.e. whenever an
-        operand's element changes.  The answer may only grow as elements
-        descend the lattice: an edge once reported stays executable.
-        """
-        return terminator.successors
-
 
 class SparseResult:
     """The per-value fixpoint of a sparse analysis."""
@@ -214,7 +202,7 @@ class SparseResult:
 
 def solve_sparse(analysis: SparseAnalysis, function: Function) -> SparseResult:
     """Propagate lattice elements along def-use edges, and executability
-    along the CFG edges the analysis finds feasible, to a fixpoint.
+    along CFG edges, to a fixpoint.
 
     Newly reached blocks are swept whole, in reverse postorder, before
     any queued instruction is revisited — so acyclic code converges in
@@ -294,6 +282,6 @@ def solve_sparse(analysis: SparseAnalysis, function: Function) -> SparseResult:
         # A terminator ends its block, so it can only be a batch's last.
         last = batch[-1] if batch else None
         if last is not None and last.is_terminator:
-            for successor in analysis.feasible_successors(last, get):
+            for successor in last.successors:
                 mark_executable(last.parent, successor)
     return SparseResult(elements, iterations, executable_blocks, view)

@@ -12,8 +12,8 @@ none restates it:
   :func:`cast_evaluator` compile a row into a callable, memoised on the
   interned type.  The interpreter binds these when it decodes a block;
   ``eval_binary`` / ``eval_shift`` / ``eval_cast`` are a lookup plus a
-  call, which is what the machine simulator, tvalid's evaluator, SCCP,
-  the peephole verifier and the absint self-check call; ``fold_*`` wrap
+  call, which is what the machine simulator, tvalid's evaluator, the
+  peephole verifier and the absint self-check call; ``fold_*`` wrap
   those for ``Constant`` operands.
 * the trace JIT substitutes its locals into the same row and inlines
   the result in the closure it compiles.

@@ -815,29 +815,6 @@ class _FunctionBodyParser:
         return InvokeInst(callee, args, normal, unwind)
 
 
-class _LiveParser(Parser):
-    """Parses one function definition in a live module's symbol space:
-    named types, globals and functions — the defined function's own name
-    included — are the module's objects, and a symbol the module lacks
-    is an error rather than a forward declaration.  The definition
-    itself becomes a fresh function outside the module."""
-
-    def _named_type(self, name: str) -> types.StructType:
-        named = self.module.named_types.get(name)
-        if named is None:
-            raise self.error(f"unknown type %{name}")
-        return named
-
-    def resolve_global(self, name: str, expected_type: types.Type) -> Value:
-        if self.module.get_symbol(name) is None:
-            raise self.error(f"unknown symbol %{name}")
-        return super().resolve_global(name, expected_type)
-
-    def _get_or_create_function(self, name: str, fn_type: types.FunctionType,
-                                linkage: str = Linkage.EXTERNAL) -> Function:
-        return Function(fn_type, name, linkage)
-
-
 def parse_module(source: str, name: Optional[str] = None) -> Module:
     """Parse textual IR into a module.
 
@@ -850,22 +827,9 @@ def parse_module(source: str, name: Optional[str] = None) -> Module:
     return Parser(source, Module(name)).parse_module()
 
 
-def parse_function(source: str, name: str = "parsed",
-                   module: Optional[Module] = None) -> Function:
-    """Parse a single textual function definition.
-
-    Alone, the text is its own module (``name``; a convenience for
-    tests).  Given ``module`` — the module the text was printed from,
-    as the pass manager's per-function snapshots are — its symbols are
-    the live ones (:class:`_LiveParser`) and the result is not added to
-    it, so its body can be transplanted into the live function or
-    co-executed beside it.
-    """
-    if module is not None:
-        parser = _LiveParser(source, module)
-        function = parser._parse_function_definition(Linkage.EXTERNAL)
-        parser.expect("eof")
-        return function
+def parse_function(source: str, name: str = "parsed") -> Function:
+    """Parse a single textual function definition; the text is its own
+    module (``name``; a convenience for tests)."""
     module = parse_module(source, name)
     defined = [f for f in module.functions.values() if not f.is_declaration]
     if len(defined) != 1:

@@ -21,8 +21,8 @@ from .passmanager import FaultPolicy
 from ..stats import Stats
 from ..transforms import (
     AggressiveDCE, DeadCodeElimination, GVN, InstCombine, LICM, PassManager,
-    PromoteMem2Reg, RangeOpt, Reassociate, SCCP, ScalarReplAggregates,
-    SimplifyCFG, TailRecursionElimination,
+    PromoteMem2Reg, RangeOpt, Reassociate, ScalarReplAggregates, SimplifyCFG,
+    TailRecursionElimination,
 )
 from ..transforms.passmanager import restore_module, snapshot_module
 from ..transforms.ipo import (
@@ -58,9 +58,6 @@ def standard_pipeline(level: int = 2, verify_each: bool = False,
                            len(combiner.generated_rules))
     manager.add(combiner)
     manager.add(SimplifyCFG())
-    # Constants fold once the first instcombine/simplifycfg has exposed
-    # them, and before dce sweeps what folding leaves dead.
-    manager.add(SCCP())
     manager.add(DeadCodeElimination())
     if level >= 2:
         manager.add(SimplifyCFG())

@@ -28,7 +28,6 @@ from ..transforms.gvn import GVN
 from ..transforms.instcombine import InstCombine
 from ..transforms.ipo.inline import inline_call_site
 from ..transforms.passmanager import PassManager
-from ..transforms.sccp import SCCP
 from ..transforms.simplifycfg import SimplifyCFG
 from .collector import ProfileData
 from .tracer import TraceFormation
@@ -97,7 +96,7 @@ class OfflineReoptimizer:
 
         # 4. Clean-up pipeline over everything the above touched.
         cleanup = PassManager()
-        for pass_obj in (SimplifyCFG(), InstCombine(), SCCP(), SimplifyCFG(),
+        for pass_obj in (SimplifyCFG(), InstCombine(), SimplifyCFG(),
                          GVN(), AggressiveDCE(), SimplifyCFG()):
             cleanup.add(pass_obj)
         cleanup.run(module)

@@ -255,7 +255,6 @@ def _pass_registry():
             "simplifycfg": transforms.SimplifyCFG,
             "dce": transforms.DeadCodeElimination,
             "adce": transforms.AggressiveDCE,
-            "sccp": transforms.SCCP,
             "gvn": transforms.GVN,
             "instcombine": transforms.InstCombine,
             "reassociate": transforms.Reassociate,

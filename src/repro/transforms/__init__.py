@@ -14,7 +14,6 @@ from .passmanager import (
 )
 from .rangeopt import RangeOpt
 from .reassociate import Reassociate
-from .sccp import SCCP
 from .simplifycfg import SimplifyCFG
 from .sroa import ScalarReplAggregates
 from .tailrec import TailRecursionElimination
@@ -22,6 +21,6 @@ from .tailrec import TailRecursionElimination
 __all__ = [
     "AggressiveDCE", "DeadCodeElimination", "GVN", "InstCombine", "LICM",
     "PromoteMem2Reg", "FunctionPassAdaptor", "ModulePassAdaptor",
-    "PassManager", "RangeOpt", "Reassociate", "SCCP", "SimplifyCFG",
+    "PassManager", "RangeOpt", "Reassociate", "SimplifyCFG",
     "ScalarReplAggregates", "TailRecursionElimination",
 ]

@@ -2,8 +2,9 @@
 
 When every visible call site passes the same constant for a formal
 argument of an internal function, the argument is replaced by that
-constant inside the function body; intraprocedural SCCP then finishes
-the job.  Also propagates constant return values to call sites.
+constant inside the function body; the scalar clean-up after IPO
+(instcombine, simplifycfg, rangeopt) then folds what that exposes.
+Also propagates constant return values to call sites.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ bounds checks in many cases".  This pass reproduces the mechanism:
   runtime (which aborts), so a memory error becomes a defined trap;
 * **elimination** — checks whose index is provably in range are never
   emitted: constant indices inside the bound, and (after the scalar
-  pipeline has run) indices SCCP already folded.  The check counters
+  pipeline has run) indices it already folded.  The check counters
   record how many checks static reasoning removed, which is the
   statistic the SAFECode papers report.
 

@@ -8,7 +8,9 @@ from ..core.basicblock import BasicBlock
 from ..core.constfold import fold_instruction  # noqa: F401  (re-export)
 from ..core.instructions import BranchInst, Instruction, PhiNode, SwitchInst
 from ..core.module import Function
-from ..core.values import ConstantBool, ConstantInt, Value
+from ..core.values import (
+    ConstantBool, ConstantFP, ConstantInt, ConstantPointerNull, Value,
+)
 
 
 def is_trivially_dead(inst: Instruction) -> bool:
@@ -97,16 +99,29 @@ def constant_fold_terminator(block: BasicBlock) -> bool:
     return False
 
 
+_SCALAR_CONSTANTS = (ConstantInt, ConstantBool, ConstantFP,
+                     ConstantPointerNull)
+
+
+def _same_value(a: Value, b: Value) -> bool:
+    """One object, or two scalar constants of one type that print alike
+    (the parser and the folders make a fresh constant per literal).  The
+    printed form tells -0.0 from 0.0 and equates NaN with NaN."""
+    if a is b:
+        return True
+    return isinstance(a, _SCALAR_CONSTANTS) \
+        and isinstance(b, _SCALAR_CONSTANTS) \
+        and a.type is b.type and str(a) == str(b)
+
+
 def phi_single_value(phi: PhiNode) -> Optional[Value]:
     """If a phi merges one distinct value (ignoring itself), return it."""
     distinct: Optional[Value] = None
     for value, _ in phi.incoming:
         if value is phi:
             continue
-        if isinstance(value, type(None)):
-            continue
         if distinct is None:
             distinct = value
-        elif distinct is not value:
+        elif not _same_value(distinct, value):
             return None
     return distinct

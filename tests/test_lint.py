@@ -162,24 +162,11 @@ class _OpcodeFlow(SparseAnalysis):
         return element
 
 
-class _PrunedFlow(_OpcodeFlow):
-    """The same, with constants visible (``"const"``) and a branch or
-    switch on a literal constant feasible only where it leads."""
+class _VisibleConstants(_OpcodeFlow):
+    """The same, with constants visible (``"const"``)."""
 
     def initial(self, value):
         return frozenset({"const"} if isinstance(value, Constant) else ())
-
-    def feasible_successors(self, terminator, get):
-        selector = terminator.operands[0] if terminator.operands else None
-        successors = terminator.successors
-        if not isinstance(selector, Constant) or len(successors) < 2:
-            return successors
-        if terminator.opcode.value == "switch":
-            for case_value, destination in terminator.cases:
-                if case_value.value == selector.value:
-                    return [destination]
-            return [terminator.default_dest]
-        return [successors[0 if selector.value else 1]]
 
 
 class TestSparseEngine:
@@ -217,42 +204,10 @@ join:
         executable = {b.name for b in result.executable_blocks}
         return fn, result, insts, executable
 
-    _CONSTANT_BRANCH = """
-int %f(int %x) {
-entry:
-  br bool true, label %a, label %b
-a:
-  %p = add int %x, %x
-  br label %join
-b:
-  %q = mul int %x, %x
-  br label %join
-join:
-  %m = phi int [ %p, %a ], [ 7, %b ]
-  %n = phi int [ 7, %a ], [ %q, %b ]
-  ret int %m
-}
-"""
-
-    def test_infeasible_edge_does_not_pollute_the_merge(self):
-        _, result, insts, executable = self._solve(
-            _PrunedFlow(), self._CONSTANT_BRANCH)
-        assert result[insts["m"]] == {"phi", "add"}  # no "const" from %b
-        assert result[insts["n"]] == {"phi", "const"}  # no "mul" from %b
-        assert executable == {"entry", "a", "join"}
-
-    def test_block_behind_infeasible_edge_stays_at_top(self):
-        analysis = _PrunedFlow()
-        fn, result, insts, executable = self._solve(
-            analysis, self._CONSTANT_BRANCH)
-        assert "b" not in executable
-        assert result.get(insts["q"], analysis.top()) == analysis.top()
-        assert insts["q"] not in result.values
-
     def test_default_feasibility_visits_the_cfg_reachable_blocks(self):
-        """What ``ValueFacts.is_unreached`` relies on: an analysis that
-        does not override ``feasible_successors`` prunes nothing, not
-        even a literal ``br bool true``, and never enters dead code."""
+        """What ``ValueFacts.is_unreached`` relies on: the solver prunes
+        no edge, not even a literal ``br bool true``, and never enters
+        dead code."""
         fn, result, insts, executable = self._solve(_OpcodeFlow(), """
 int %f(int %x) {
 entry:
@@ -273,12 +228,9 @@ dead:
         assert insts["d"] not in result.values
 
     def test_phi_ignores_an_unreachable_predecessor(self):
-        """Default feasibility, a phi fed from a block no edge reaches:
-        the solve shows the phi ``top`` for that incoming, not its
-        ``initial`` element, and ``result.view`` keeps showing it so."""
-        class _VisibleConstants(_OpcodeFlow):
-            initial = _PrunedFlow.initial
-
+        """A phi fed from a block no edge reaches: the solve shows the
+        phi ``top`` for that incoming, not its ``initial`` element, and
+        ``result.view`` keeps showing it so."""
         analysis = _VisibleConstants()
         _, result, insts, executable = self._solve(analysis, """
 int %f(int %x) {
@@ -351,30 +303,11 @@ out:
         everything = self._solve(_Everything(), text)[1]
         assert result.iterations < everything.iterations
 
-    def test_constant_switch_marks_exactly_one_successor(self):
-        _, result, insts, executable = self._solve(_PrunedFlow(), """
-int %f(int %x) {
-entry:
-  switch int 2, label %other [ int 1, label %one  int 2, label %two ]
-one:
-  br label %join
-two:
-  br label %join
-other:
-  br label %join
-join:
-  %m = phi int [ 1, %one ], [ %x, %two ], [ 3, %other ]
-  ret int %m
-}
-""")
-        assert executable == {"entry", "two", "join"}
-        assert result[insts["m"]] == {"phi"}
-
     def test_late_feasible_edge_remerges_the_phis(self):
         """The back edge becomes executable after the header was
         visited; the header's phi must pick up what it carries, and so
         must everything downstream of the phi."""
-        _, result, insts, executable = self._solve(_PrunedFlow(), """
+        _, result, insts, executable = self._solve(_VisibleConstants(), """
 int %f(int %n) {
 entry:
   br label %header

@@ -39,18 +39,18 @@ def _equivalent_at_all_levels(source: str, entry: str = "main", args=()):
 
 
 class TestPipelineShape:
-    def test_one_constant_propagator_in_the_folders_old_slot(self):
+    def test_no_constant_propagator_slot(self):
         names = [pass_name(p) for p in standard_pipeline(2).passes]
         assert names == [
             "simplifycfg", "sroa", "mem2reg", "instcombine", "simplifycfg",
-            "sccp", "dce", "simplifycfg", "reassociate", "gvn", "licm",
+            "dce", "simplifycfg", "reassociate", "gvn", "licm",
             "rangeopt", "instcombine", "adce", "simplifycfg"]
         assert [pass_name(p) for p in standard_pipeline(1).passes] \
-            == names[:7]
+            == names[:6]
 
     def test_folding_exposes_dead_code_to_the_dce_behind_it(self):
-        # A constant branch condition: sccp folds the compare and the
-        # branch, dce and simplifycfg take what that leaves — at -O1 too.
+        # A constant branch condition: instcombine folds the compare,
+        # simplifycfg the branch and what that leaves — at -O1 too.
         module = compile_source("""
 int main() {
   int x = 6 * 7;

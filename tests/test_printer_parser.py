@@ -7,8 +7,8 @@ are equivalent, with no information loss between them.
 import pytest
 
 from repro.core import (
-    ConstantInt, IRBuilder, Module, Opcode, ParseError, parse_function,
-    parse_module, print_function, print_module, types, verify_module,
+    ConstantInt, IRBuilder, Module, ParseError, parse_function,
+    parse_module, print_module, types, verify_module,
 )
 from repro.core.values import ConstantString
 
@@ -136,55 +136,6 @@ entry:
     def test_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse_module("int main() { return 0; }")  # C, not IR
-
-
-LIVE = """
-%Node = type { int, %Node* }
-%total = global int 0
-int %helper(int %x) {
-entry:
-  ret int %x
-}
-int %rec(%Node* %n, int %k) {
-entry:
-  %f = getelementptr %Node* %n, long 0, uint 0
-  %v = load int* %f
-  %g = load int* %total
-  %h = call int %helper(int %v)
-  %r = call int %rec(%Node* %n, int %g)
-  ret int %r
-}
-"""
-
-
-class TestParseIntoLiveModule:
-    """``parse_function(text, module=...)``: a function snapshot parses
-    straight into the module it was printed from (rollback's path)."""
-
-    def test_symbols_resolve_to_the_live_objects(self):
-        module = parse_module(LIVE)
-        live = module.functions["rec"]
-        snapshot = print_function(live)
-        rebuilt = parse_function(snapshot, module=module)
-        assert rebuilt is not live and module.functions["rec"] is live
-        assert print_function(rebuilt) == snapshot
-        calls = [i for i in rebuilt.instructions() if i.opcode is Opcode.CALL]
-        assert calls[0].callee is module.functions["helper"]
-        assert calls[1].callee is live  # the self-call
-        loads = [i for i in rebuilt.instructions() if i.opcode is Opcode.LOAD]
-        assert loads[1].pointer is module.globals["total"]
-        assert rebuilt.args[0].type.pointee is module.named_types["Node"]
-
-    @pytest.mark.parametrize("body", [
-        "  %r = call int %missing(int 1)\n  ret int %r",
-        "  %r = load int* %nowhere\n  ret int %r",
-        "  %p = alloca %Absent\n  ret int 0",
-    ])
-    def test_missing_symbol_is_an_error(self, body):
-        module = parse_module(LIVE)
-        with pytest.raises(ParseError, match=r"unknown (symbol|type) %"):
-            parse_function(f"int %rec(int %k) {{\nentry:\n{body}\n}}",
-                           module=module)
 
 
 class TestRoundTrips:

@@ -1,12 +1,12 @@
 """Tests for the scalar optimization passes: SimplifyCFG, DCE/ADCE,
-constant propagation, SCCP, GVN, InstCombine, Reassociate, LICM, SROA,
-tail recursion elimination, and reg2mem."""
+constant propagation through the -O pipelines, GVN, InstCombine,
+Reassociate, LICM, SROA, tail recursion elimination, and reg2mem."""
 
 import pytest
 
-from repro.benchsuite import benchmark_names, load_source
 from repro.core import (
     parse_function, parse_module, print_function, types, verify_function,
+    verify_module,
 )
 from repro.core.instructions import (
     AllocaInst, BinaryOperator, CallInst, LoadInst, Opcode, PhiNode,
@@ -17,8 +17,8 @@ from repro.driver.pipelines import standard_pipeline
 from repro.execution import Interpreter
 from repro.frontend import compile_source
 from repro.transforms import (
-    AggressiveDCE, DeadCodeElimination, GVN, InstCombine, LICM, PassManager,
-    PromoteMem2Reg, Reassociate, SCCP, ScalarReplAggregates, SimplifyCFG,
+    AggressiveDCE, DeadCodeElimination, GVN, InstCombine, LICM,
+    PromoteMem2Reg, Reassociate, ScalarReplAggregates, SimplifyCFG,
     TailRecursionElimination,
 )
 from repro.transforms.passmanager import restore_function
@@ -87,6 +87,32 @@ next:
         SimplifyCFG().run_on_function(fn)
         verify_function(fn)
         assert not list(fn.entry_block.phis())
+
+    def test_phi_of_equal_scalar_constants_folded(self):
+        """The parser makes a fresh constant per literal: two ``7``s are
+        one value, ``0.0`` and ``-0.0`` are two."""
+        fn = parse_function("""
+double %f(bool %c) {
+entry:
+  br bool %c, label %l, label %r
+l:
+  br label %join
+r:
+  br label %join
+join:
+  %i = phi int [ 7, %l ], [ 7, %r ]
+  %z = phi double [ 0.0, %l ], [ -0.0, %r ]
+  %d = cast int %i to double
+  %s = add double %z, %d
+  ret double %s
+}
+""")
+        assert SimplifyCFG().run_on_function(fn)
+        verify_function(fn)
+        assert [phi.name for block in fn.blocks
+                for phi in block.phis()] == ["z"]
+        assert [Interpreter(fn.parent).run("f", [c]) for c in (1, 0)] \
+            == [7.0, 7.0]
 
     def test_constant_switch_folded(self):
         fn = parse_function("""
@@ -187,9 +213,29 @@ out:
         assert Interpreter(fn.parent).run("f", [5]) == 5
 
 
-class TestConstantPropagation:
-    def test_chain_folds(self):
-        fn = parse_function("""
+#: Constant-propagation programs and what the -O pipelines leave of
+#: each: a constant (the whole body is ``ret`` of it) or the phis that
+#: survive.  No pass of its own folds them: simplifycfg merges a phi of
+#: equal constants and folds constant branches, instcombine folds the
+#: arithmetic, and the unreachable arm is swept before anything merges
+#: it.  Two globals and two signed zeros are different values.  Each
+#: program runs to the same answers before and after.
+_SWITCH_ON_BOOL = """
+int %f() {{
+entry:
+  %sel = xor bool {}, false
+  switch bool %sel, label %d [ bool true, label %t ]
+d:
+  br label %join
+t:
+  br label %join
+join:
+  %p = phi int [ 1, %d ], [ 2, %t ]
+  ret int %p
+}}
+"""
+PIPELINE_FOLDS = {
+    "chain": ("""
 int %f() {
 entry:
   %a = add int 2, 3
@@ -197,16 +243,8 @@ entry:
   %c = sub int %b, 1
   ret int %c
 }
-""")
-        assert SCCP().run_on_function(fn)
-        DeadCodeElimination().run_on_function(fn)
-        assert fn.instruction_count() == 1
-        assert fn.entry_block.terminator.return_value.value == 19
-
-
-class TestSCCP:
-    def test_through_branches(self):
-        fn = parse_function("""
+""", [((), 19)], 19),
+    "through-branches": ("""
 int %f() {
 entry:
   %c = setlt int 3, 10
@@ -216,14 +254,8 @@ yes:
 no:
   ret int 2
 }
-""")
-        assert SCCP().run_on_function(fn)
-        SimplifyCFG().run_on_function(fn)
-        assert len(fn.blocks) == 1
-        assert Interpreter(fn.parent).run("f") == 1
-
-    def test_phi_of_equal_constants(self):
-        fn = parse_function("""
+""", [((), 1)], 1),
+    "equal-constant-phi": ("""
 int %f(bool %c) {
 entry:
   br bool %c, label %a, label %b
@@ -236,17 +268,8 @@ join:
   %r = add int %p, 1
   ret int %r
 }
-""")
-        SCCP().run_on_function(fn)
-        verify_function(fn)
-        ret = fn.blocks[-1].terminator
-        assert isinstance(ret.return_value, ConstantInt)
-        assert ret.return_value.value == 8
-
-    def test_unreachable_arm_ignored(self):
-        """SCCP's whole point: the false arm's poisoning value never
-        reaches the phi because the edge is dead."""
-        fn = parse_function("""
+""", [((1,), 8), ((0,), 8)], 8),
+    "unreachable-arm": ("""
 int %f(int %x) {
 entry:
   br bool true, label %a, label %b
@@ -258,27 +281,17 @@ join:
   %p = phi int [ 5, %a ], [ %x, %b ]
   ret int %p
 }
-""")
-        SCCP().run_on_function(fn)
-        ret = fn.blocks[-1].terminator
-        assert isinstance(ret.return_value, ConstantInt)
-        assert ret.return_value.value == 5
-
-    def test_no_fold_keeps_semantics(self):
-        fn = parse_function("""
+""", [((9,), 5)], 5),
+    "no-fold": ("""
 int %f(int %x) {
 entry:
   %double = add int %x, %x
   ret int %double
 }
-""")
-        SCCP().run_on_function(fn)
-        assert Interpreter(fn.parent).run("f", [21]) == 42
-
-    def test_constant_survives_a_loop(self):
-        """Optimism: the back edge only ever carries the same constant,
-        so the phi never leaves it; the counter beside it does."""
-        fn = parse_function("""
+""", [((21,), 42)], []),
+    # The back edge only ever carries the same constant, so the phi
+    # folds to it; the counter beside it does not.
+    "loop-carried-constant": ("""
 int %f(int %n) {
 entry:
   br label %loop
@@ -293,16 +306,8 @@ exit:
   %r = add int %k, %i
   ret int %r
 }
-""")
-        sccp = SCCP()
-        assert sccp.run_on_function(fn)
-        verify_function(fn)
-        assert sccp.counters == {"values-folded": 2, "branches-folded": 0}
-        assert [phi.name for phi in fn.blocks[1].phis()] == ["i"]
-        assert Interpreter(fn.parent).run("f", [3]) == 6
-
-    def test_constant_switch_takes_one_case(self):
-        fn = parse_function("""
+""", [((3,), 6)], ["i"]),
+    "constant-switch": ("""
 int %f(int %x) {
 entry:
   %sel = add int 1, 1
@@ -317,43 +322,12 @@ join:
   %p = phi int [ %x, %one ], [ 20, %two ], [ %x, %other ]
   ret int %p
 }
-""")
-        sccp = SCCP()
-        assert sccp.run_on_function(fn)
-        assert sccp.counters == {"values-folded": 2, "branches-folded": 1}
-        SimplifyCFG().run_on_function(fn)
-        assert Interpreter(fn.parent).run("f", [5]) == 20
-
-    @pytest.mark.parametrize("selector, expected", [("true", 2), ("false", 1)])
-    def test_switch_on_constant_bool(self, selector, expected):
-        """A switch may select on a bool; its operands are not a
-        branch's (default first, then case value / destination)."""
-        fn = parse_function(f"""
-int %f() {{
-entry:
-  %sel = xor bool {selector}, false
-  switch bool %sel, label %d [ bool true, label %t ]
-d:
-  br label %join
-t:
-  br label %join
-join:
-  %p = phi int [ 1, %d ], [ 2, %t ]
-  ret int %p
-}}
-""")
-        assert Interpreter(fn.parent).run("f", []) == expected
-        sccp = SCCP()
-        assert sccp.run_on_function(fn)
-        verify_function(fn)
-        assert sccp.counters == {"values-folded": 2, "branches-folded": 1}
-        assert Interpreter(fn.parent).run("f", []) == expected
-
-    def test_distinct_symbolic_constants_do_not_merge(self):
-        """Two globals of one type are different constants (the old
-        private solver compared them by type alone and folded the phi
-        to one of them)."""
-        module = parse_module("""
+""", [((5,), 20)], 20),
+    # A switch may select on a bool; its operands are not a branch's
+    # (default first, then case value / destination).
+    "switch-on-true": (_SWITCH_ON_BOOL.format("true"), [((), 2)], 2),
+    "switch-on-false": (_SWITCH_ON_BOOL.format("false"), [((), 1)], 1),
+    "distinct-globals": ("""
 %a = global int 1
 %b = global int 2
 
@@ -369,13 +343,8 @@ join:
   %v = load int* %p
   ret int %v
 }
-""")
-        fn = module.functions["f"]
-        assert not SCCP().run_on_function(fn)
-        assert [Interpreter(module).run("f", [c]) for c in (1, 0)] == [1, 2]
-
-    def test_signed_zeros_do_not_merge(self):
-        fn = parse_function("""
+""", [((1,), 1), ((0,), 2)], ["p"]),
+    "signed-zeros": ("""
 double %f(bool %c) {
 entry:
   br bool %c, label %l, label %r
@@ -389,60 +358,30 @@ join:
   %s = add double %p, %q
   ret double %s
 }
-""")
-        sccp = SCCP()
-        assert sccp.run_on_function(fn)
-        assert sccp.counters["values-folded"] == 1
-        assert [phi.name for phi in fn.blocks[-1].phis()] == ["p"]
-
-
-#: (values-folded, branches-folded) of SCCP per benchsuite program at
-#: two positions: its slot in the -O pipelines (after instcombine and
-#: simplifycfg — on the suite instcombine's own folding leaves it
-#: nothing; fuzz programs do give it work there, see
-#: benchmarks/slot_audit.py), and directly on fresh SSA (simplifycfg,
-#: sroa, mem2reg), where it has work.  A solver change that costs or
-#: invents a fold shows up here.
-SCCP_FOLDS = {
-    "gzip": ((0, 0), (4, 0)),
-    "vpr": ((0, 0), (7, 1)),
-    "gcc": ((0, 0), (0, 0)),
-    "mesa": ((0, 0), (4, 0)),
-    "art": ((0, 0), (4, 1)),
-    "mcf": ((0, 0), (2, 1)),
-    "equake": ((0, 0), (2, 0)),
-    "crafty": ((0, 0), (6, 0)),
-    "ammp": ((0, 0), (0, 0)),
-    "parser": ((0, 0), (2, 0)),
-    "perlbmk": ((0, 0), (3, 0)),
-    "gap": ((0, 0), (4, 0)),
-    "vortex": ((0, 0), (4, 0)),
-    "bzip2": ((0, 0), (4, 0)),
-    "twolf": ((0, 0), (1, 0)),
+""", [((1,), 1.5), ((0,), 1.5)], ["p"]),
 }
 
 
-class TestSCCPFoldCounts:
-    @staticmethod
-    def _folds(name, passes):
-        sccp = SCCP()
-        manager = PassManager()
-        for pass_obj in [*passes, sccp]:
-            manager.add(pass_obj)
-        manager.run(compile_source(load_source(name), name))
-        return (sccp.counters["values-folded"],
-                sccp.counters["branches-folded"])
-
-    def test_table_covers_the_suite(self):
-        assert sorted(SCCP_FOLDS) == sorted(benchmark_names())
-
-    @pytest.mark.parametrize("name", sorted(SCCP_FOLDS))
-    def test_golden_fold_counts(self, name):
-        pipeline = standard_pipeline(2).passes
-        position = [type(p) for p in pipeline].index(SCCP)
-        fresh_ssa = [SimplifyCFG(), ScalarReplAggregates(), PromoteMem2Reg()]
-        assert (self._folds(name, pipeline[:position]),
-                self._folds(name, fresh_ssa)) == SCCP_FOLDS[name]
+class TestPipelineFolds:
+    @pytest.mark.parametrize("level", [2, 1], ids=["O2", "O1"])
+    @pytest.mark.parametrize("name", list(PIPELINE_FOLDS))
+    def test_folds(self, name, level):
+        source, runs, folded = PIPELINE_FOLDS[name]
+        module = parse_module(source)
+        answers = [answer for _, answer in runs]
+        assert [Interpreter(module).run("f", list(args))
+                for args, _ in runs] == answers
+        standard_pipeline(level).run(module)
+        verify_module(module)
+        fn = module.functions["f"]
+        if isinstance(folded, list):
+            assert [phi.name for block in fn.blocks
+                    for phi in block.phis()] == folded
+        else:
+            assert fn.instruction_count() == 1
+            assert fn.entry_block.terminator.return_value.value == folded
+        assert [Interpreter(module).run("f", list(args))
+                for args, _ in runs] == answers
 
 
 class TestGVN:

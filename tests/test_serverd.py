@@ -483,7 +483,7 @@ class TestObservability:
         assert hits >= 1 and misses >= 1
         # So are the workers' pass counters, under the pass's name.
         assert stats["serverd.rangeopt.absint-transfers"] > 0
-        assert "serverd.sccp.values-folded" in stats
+        assert "serverd.rangeopt.values-folded" in stats
         # And what the -O skip rule did, declared before any compile.
         assert stats["serverd.optimize.functions-optimized"] > 0
         assert "serverd.optimize.functions-skipped-unchanged" in stats

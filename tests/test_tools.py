@@ -69,7 +69,7 @@ class TestToolPipeline:
         ll = tmp_path / "x.ll"
         out = tmp_path / "opt.ll"
         lc_cc([hello_lc, "-o", str(ll)])
-        assert lc_opt([str(ll), "-p", "mem2reg,sccp,simplifycfg,adce",
+        assert lc_opt([str(ll), "-p", "mem2reg,rangeopt,simplifycfg,adce",
                        "-o", str(out)]) == 0
         assert "alloca" not in out.read_text()
 
@@ -78,8 +78,9 @@ class TestToolPipeline:
         lc_cc([hello_lc, "-o", str(ll)])
         with pytest.raises(SystemExit):
             lc_opt([str(ll), "-p", "no_such_pass"])
-        with pytest.raises(SystemExit):  # sccp is the constant propagator
-            lc_opt([str(ll), "-p", "constprop"])
+        for deleted in ("constprop", "sccp"):  # no pass folds in their place
+            with pytest.raises(SystemExit):
+                lc_opt([str(ll), "-p", deleted])
 
     def test_run_executes(self, hello_lc, tmp_path, capsys):
         ll = tmp_path / "x.ll"
@@ -172,7 +173,8 @@ int main() {
                       "-o", str(tmp_path / "c.ll")]) == 0
         assert self._pass_rows(capsys.readouterr().err) == opt_rows
         assert "instcombine generated_rules_loaded" in opt_rows
-        assert {"sccp values-folded", "sccp branches-folded"} <= set(opt_rows)
+        assert {"rangeopt values-folded",
+                "rangeopt branches-folded"} <= set(opt_rows)
         # What rangeopt's facts cost, next to what they bought.
         assert {"rangeopt absint-transfers",
                 "rangeopt phis-widened"} <= set(opt_rows)

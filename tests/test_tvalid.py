@@ -11,7 +11,7 @@ from repro.driver import FaultPolicy
 from repro.driver.pipelines import optimize_module
 from repro.execution.interpreter import Interpreter
 from repro.transforms import (
-    DeadCodeElimination, GVN, InstCombine, PassManager, Reassociate, SCCP,
+    DeadCodeElimination, GVN, InstCombine, PassManager, RangeOpt, Reassociate,
 )
 from repro.tvalid import (
     FAILED, PASSED, SKIPPED_UNSUPPORTED, TranslationValidator,
@@ -305,7 +305,7 @@ entry:
 
 # ----------------------------------------------------------------------
 # Planted wrong folds through the transactional pass manager: each of
-# sccp / gvn / reassociate corrupted in its own characteristic way must
+# rangeopt / gvn / reassociate corrupted in its own characteristic way must
 # be caught, rolled back, and poisoned.
 # ----------------------------------------------------------------------
 
@@ -339,7 +339,7 @@ def _first_inst(function, opcode_name):
     return None
 
 
-def _corrupt_sccp(function):
+def _corrupt_rangeopt(function):
     # A wrong "proved constant": replace the returned value with 7.
     ret = _first_inst(function, "ret")
     if ret is None or ret.return_value is None:
@@ -373,10 +373,10 @@ def _corrupt_reassociate(function):
 
 
 @pytest.mark.parametrize("base_cls,corrupt", [
-    (SCCP, _corrupt_sccp),
+    (RangeOpt, _corrupt_rangeopt),
     (GVN, _corrupt_gvn),
     (Reassociate, _corrupt_reassociate),
-], ids=["sccp", "gvn", "reassociate"])
+], ids=["rangeopt", "gvn", "reassociate"])
 def test_planted_wrong_fold_caught_and_rolled_back(base_cls, corrupt):
     module = parse_module(PLANT_SOURCE)
     policy = FaultPolicy(translation_validate=True, reduce_testcases=False)
@@ -402,7 +402,7 @@ def test_correct_passes_validate_cleanly():
     module = parse_module(PLANT_SOURCE)
     policy = FaultPolicy(translation_validate=True, reduce_testcases=False)
     manager = PassManager(policy=policy)
-    for pass_obj in (SCCP(), GVN(), Reassociate(), InstCombine()):
+    for pass_obj in (RangeOpt(), GVN(), Reassociate(), InstCombine()):
         manager.add(pass_obj)
     manager.run(module)
     stats = policy.statistics()
