@@ -4,11 +4,14 @@ A simplification PR claims the compiler's *answers* did not move.  This
 script measures that claim against any git ref: it exports the ref with
 ``git archive`` into a temporary directory, runs itself there and here
 with ``--dump`` (same measuring code, the tree under test first on
-``sys.path``), and compares three sections:
+``sys.path``), and compares four sections:
 
 * ``bytecode`` — ``-O2`` + LTO bytecode of the 16 programs under
   ``benchmarks/lifelong/inputs`` and of ``gen_program.Program(seed)``
   for seeds 1-3 (sha-256 and size);
+* ``ir`` — the printed IR of each of those modules after a round trip
+  through bytecode with names, so a change of the bytecode format is
+  judged by the IR it carries;
 * ``facts`` — ``ValueFacts.dump()`` of every function of those linked
   modules (the abstract interpreter's intervals and known bits);
 * ``lint`` — every line ``lc-lint --whole-program -O 2`` prints over
@@ -100,16 +103,21 @@ def dump(root: str) -> dict:
     sys.path.insert(0, os.path.join(root, "src"))
     os.chdir(root)
     from repro.analysis.absint import analyze_module
-    from repro.bitcode import write_bytecode
+    from repro.bitcode import read_bytecode, write_bytecode
+    from repro.core import print_module
     from repro.driver import compile_and_link
     from repro.tools import lc_lint
 
-    report: dict[str, dict[str, str]] = {"bytecode": {}, "facts": {},
-                                         "lint": {}}
+    report: dict[str, dict[str, str]] = {"bytecode": {}, "ir": {},
+                                         "facts": {}, "lint": {}}
     for name, units in _programs().items():
         module = compile_and_link(units, name, 2, lto=True)
         data = write_bytecode(module)
         report["bytecode"][name] = f"{_sha(data)} {len(data)}B"
+        text = print_module(read_bytecode(
+            write_bytecode(module, strip_names=False)))
+        report["ir"][name] = \
+            f"{_sha(text.encode())} {text.count(chr(10))} lines"
         lines = [line for _, facts in sorted(analyze_module(module).items())
                  for line in facts.dump()]
         report["facts"][name] = \

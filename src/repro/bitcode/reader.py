@@ -3,8 +3,18 @@
 A function body decodes to a :class:`repro.core.record.FunctionRecord`
 — its instruction words, its source-location section and its name table
 — and is built by :func:`repro.core.record.rebuild_body`, the builder
-the pass manager's rollback and every clone use too.  A use that
-precedes its definition in the linear block layout is resolved there.
+the pass manager's rollback and every clone use too.  The file numbers
+a body as the record does (see :mod:`repro.bitcode.writer`): an id
+past the symbols and the constant pool is a record position, and so is
+a name-table entry, so nothing is translated, and a use that precedes
+its definition is resolved by the builder.
+
+Only :data:`~repro.bitcode.writer.VERSION` is read.  Before a body is
+built, each operand is checked against ``_LABELS``: a label must name
+a block, and any other operand a value — a constant, an argument or a
+value-producing instruction.  A branch to an argument, a ``ret`` of a
+block or a position past the body is a :class:`BytecodeError`, not IR
+left for the verifier to reject.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from ..core.values import (
 from .errors import BytecodeError
 from .stream import Reader
 from .writer import (
-    MAGIC, OLDEST_READABLE_VERSION, VERSION, _CONST_ARRAY, _CONST_BOOL, _CONST_EXPR_CAST,
+    MAGIC, VERSION, _CONST_ARRAY, _CONST_BOOL, _CONST_EXPR_CAST,
     _CONST_EXPR_GEP, _CONST_FP, _CONST_INT, _CONST_NULL, _CONST_STRING,
     _CONST_STRUCT, _CONST_SYMBOL, _CONST_UNDEF, _CONST_ZERO,
     _PRIMITIVE_ORDER, _TY_ARRAY, _TY_FUNCTION, _TY_NAMED, _TY_POINTER,
@@ -34,7 +44,7 @@ _OPCODES = list(Opcode)
 _ALLOCATIONS = (Opcode.MALLOC, Opcode.ALLOCA)
 _LINKAGES = [Linkage.EXTERNAL, Linkage.INTERNAL, Linkage.APPENDING]
 
-#: The operand positions that are block numbers, not value ids: the
+#: The operand positions that are labels, and so must name a block: the
 #: targets of ``br``/``invoke`` (the last one or two operands) and the
 #: odd positions of ``switch`` (default, case targets) and ``phi``.
 _LABELS = {
@@ -66,7 +76,6 @@ def read_bytecode_lazy(data: bytes) -> tuple[Module, "_Decoder"]:
 class _Decoder:
     def __init__(self, data: bytes):
         self.reader = Reader(data)
-        self.version = VERSION
         self.types: list[types.Type] = []
         self.symbols: list = []
         self.module: Optional[Module] = None
@@ -109,10 +118,9 @@ class _Decoder:
             raise BytecodeError("bad magic", offset=0)
         reader.position = 4
         version = reader.u8()
-        if not OLDEST_READABLE_VERSION <= version <= VERSION:
+        if version != VERSION:
             raise BytecodeError(f"unsupported bytecode version {version}",
                                 offset=4)
-        self.version = version
         self.module = Module(reader.string())
         self.section = "type-table"
         self._read_type_table()
@@ -321,22 +329,14 @@ class _Decoder:
         :class:`FunctionRecord` — words, then the loc section, then the
         name table — and build it with :func:`rebuild_body`."""
         reader = self.reader
-        # Value ids number the module's symbols, the body's constant
-        # pool, the arguments, then the value-producing instructions in
-        # layout order; a record numbers arguments, blocks, then every
-        # instruction.  ``known`` maps each value id read so far to its
-        # record operand: the object, or the local's position.  A use
-        # that precedes its definition is read as ``~id`` and patched
-        # once every instruction is.
-        known: list = self.symbols + [
-            self._read_constant() for _ in range(reader.count())]
+        # Ids below ``local`` are the module's symbols and the body's
+        # constant pool; id ``local + p`` is record position ``p``.
+        constants = self.symbols + [self._read_constant()
+                                    for _ in range(reader.count())]
+        local = len(constants)
         arg_count = len(function.args)
-        arg_base = len(known)
-        inst_base = arg_base + arg_count
-        known += range(arg_count)
         block_count = reader.count()
         first = arg_count + block_count
-        forward: list[list] = []
         layout: list[list] = []
         blocks: list[list] = []
         for _ in range(block_count):
@@ -346,13 +346,9 @@ class _Decoder:
                 opcode_number = word >> 26
                 if opcode_number:
                     type_id = (word >> 18) & 0xFF
-                    a = (word >> 9) & 0x1FF
-                    b = word & 0x1FF
-                    ids = []
-                    if a:
-                        ids.append(a - 1)
-                    if b:
-                        ids.append(b - 1)
+                    # Operands A and B are stored plus one; 0 = absent.
+                    ids = [field - 1 for field in
+                           ((word >> 9) & 0x1FF, word & 0x1FF) if field]
                 else:
                     header = reader.u32()
                     opcode_number = header >> 26
@@ -364,56 +360,60 @@ class _Decoder:
                         f"bad opcode number {opcode_number}",
                         offset=reader.position)
                 opcode = _OPCODES[opcode_number - 1]
-                is_label = _LABELS.get(opcode)
-                operands = [known[i] if i < len(known) else ~i for i in ids]
-                if is_label is not None:
-                    for index, i in enumerate(ids):
-                        if is_label(index, len(ids)):
-                            if i >= block_count:
-                                raise BytecodeError(
-                                    f"label {i} past the {block_count} "
-                                    "blocks")
-                            operands[index] = arg_count + i
-                if ids and max(ids) >= len(known):
-                    forward.append(operands)
                 carried = self.types[type_id]
                 result_type = (types.pointer(carried)
                                if opcode in _ALLOCATIONS else carried)
-                if not result_type.is_void:
-                    known.append(first + len(layout))
-                layout.append([opcode, carried, result_type, operands, "",
-                               None])
+                layout.append([opcode, carried, result_type,
+                               [constants[i] if i < local else i - local
+                                for i in ids], "", None])
             blocks.append(layout[start:])
-        for operands in forward:
+
+        def kind(op) -> str:
+            """What a record operand names: a block, a value (a constant,
+            an argument or a value-producing instruction), or nothing."""
+            if type(op) is not int or op < arg_count:
+                return "value"
+            if op < first:
+                return "block"
+            if op < first + len(layout) and not layout[op - first][2].is_void:
+                return "value"
+            return "nothing"
+
+        # A label must name a block, and every other operand a value.
+        for opcode, _, _, operands, _, _ in layout:
+            is_label = _LABELS.get(opcode)
             for index, op in enumerate(operands):
-                if type(op) is int and op < 0:
-                    operands[index] = known[~op]  # IndexError: past the body
+                want = ("block" if is_label is not None
+                        and is_label(index, len(operands)) else "value")
+                if kind(op) != want:
+                    raise BytecodeError(f"operand {index} of "
+                                        f"{opcode.value} names no {want}")
 
-        # Source-location section (absent in version-1 bytecode).
-        if self.version >= 2:
-            for _ in range(reader.count()):
-                ordinal = reader.uleb()
-                line = reader.uleb()
-                if ordinal >= len(layout):
-                    raise BytecodeError("loc record past end of function")
-                layout[ordinal][5] = line
+        # Source-location section.
+        for _ in range(reader.count()):
+            ordinal = reader.uleb()
+            line = reader.uleb()
+            if ordinal >= len(layout):
+                raise BytecodeError("loc record past end of function")
+            layout[ordinal][5] = line
 
-        # Optional local symbol table.
-        arg_names = [arg.name for arg in function.args]
+        # Optional name table: (record position, name) per named block
+        # and value-producing instruction.
         block_names = [""] * block_count
         for _ in range(reader.count()):
-            kind = reader.u8()
+            position = reader.uleb()
             name = reader.string()
-            value_id = reader.uleb()
-            if kind == 1:
-                block_names[value_id] = name
-            elif value_id >= inst_base:
-                layout[known[value_id] - first][4] = name
-            elif value_id >= arg_base:
-                arg_names[value_id - arg_base] = name
+            if position < arg_count or kind(position) == "nothing":
+                raise BytecodeError(f"name {name!r} for position "
+                                    f"{position}")
+            if position < first:
+                block_names[position - arg_count] = name
+            else:
+                layout[position - first][4] = name
         if reader.position != end:
             raise BytecodeError(f"body ends at {reader.position}, its "
                                 f"length says {end}")
-        rebuild_body(FunctionRecord(0, tuple(arg_names),
+        arg_names = tuple(arg.name for arg in function.args)
+        rebuild_body(FunctionRecord(0, arg_names,
                                     tuple(zip(block_names, blocks))),
                      function)

@@ -37,6 +37,9 @@ class Writer:
         self._chunks += _struct.pack("<f", value)
 
     def uleb(self, value: int) -> None:
+        if 0 <= value < 0x80:  # most ids and counts: one byte
+            self._chunks.append(value)
+            return
         if value < 0:
             raise ValueError("uleb encodes non-negative integers")
         while True:

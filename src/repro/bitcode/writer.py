@@ -16,12 +16,25 @@ word each."  This writer reproduces that design:
   and "though it would be possible to make the fall back case more
   efficient, we have not attempted to do so".
 
-Sections: magic, type table, global variables (with initializers),
-function headers, function bodies (constant pool + blocks +
-instructions + a sparse source-location table since version 2), and an
-optional symbol table of local value names (omitted when
-``strip_names`` — the configuration used for size measurements, like a
-stripped native executable).
+Sections: magic, version, module name, type table, global headers,
+function headers (with the argument names unless ``strip_names``),
+global initializers, then one body per defined function.  A body is
+its :class:`repro.core.record.FunctionRecord`: a constant pool, the
+blocks of instruction words, a sparse source-location section, and a
+name table (empty when ``strip_names`` — the configuration used for
+size measurements, like a stripped native executable).
+
+One numbering: in a body, operand ids run over the module's symbols
+``[0, S)`` (globals, then functions), the body's constant pool
+``[S, S+P)``, then ``S+P+p`` for the local at record position ``p`` —
+arguments, then blocks, then every instruction in layout order, void
+ones included.  A block operand is an ordinary position.  The pool
+holds one entry per encoding: it is keyed by the bytes
+``_encode_constant`` writes, so equal constants share one entry, a
+``ConstantFP`` is told apart by its f32/f64 bits (``0.0`` and ``-0.0``,
+two NaN payloads), and aggregates and constant expressions by their
+full encoding.  The name table holds ``(record position, name)`` per
+named block and value-producing instruction.
 
 The writer is deterministic: two calls over the same module — or over
 two modules built by identical compilations — produce byte-identical
@@ -34,21 +47,19 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core import types
-from ..core.basicblock import BasicBlock
-from ..core.instructions import Instruction, Opcode
+from ..core.instructions import Opcode
 from ..core.module import Function, GlobalVariable, Linkage, Module
+from ..core.record import snapshot_function
 from ..core.values import (
-    Argument, Constant, ConstantAggregateZero, ConstantArray, ConstantBool,
+    Constant, ConstantAggregateZero, ConstantArray, ConstantBool,
     ConstantExpr, ConstantFP, ConstantInt, ConstantPointerNull,
-    ConstantString, ConstantStruct, UndefValue, Value,
+    ConstantString, ConstantStruct, UndefValue,
 )
 from .stream import Writer
 
 MAGIC = b"llvm"
-#: Version 2 added the per-body source-location section; version-1
-#: bytecode (no locations) is still readable.
-VERSION = 2
-OLDEST_READABLE_VERSION = 1
+#: The format version, and the only one the reader reads.
+VERSION = 3
 
 _OPCODE_INDEX = {op: i for i, op in enumerate(Opcode)}
 _LINKAGE_INDEX = {Linkage.EXTERNAL: 0, Linkage.INTERNAL: 1, Linkage.APPENDING: 2}
@@ -110,11 +121,8 @@ class _TypeTable:
 
 
 class BytecodeWriter:
-    def __init__(self, strip_names: bool = True, version: int = VERSION):
-        if not OLDEST_READABLE_VERSION <= version <= VERSION:
-            raise ValueError(f"cannot write bytecode version {version}")
+    def __init__(self, strip_names: bool = True):
         self.strip_names = strip_names
-        self.version = version
         #: Encoding census: how many instructions fit the packed single
         #: 32-bit word vs needing the escape form (the paper's
         #: "most instructions requiring only a single 32-bit word").
@@ -124,7 +132,7 @@ class BytecodeWriter:
     def write(self, module: Module) -> bytes:
         out = Writer()
         out._chunks += MAGIC
-        out.u8(self.version)
+        out.u8(VERSION)
         out.string(module.name)
 
         type_table = _TypeTable()
@@ -300,110 +308,77 @@ class BytecodeWriter:
 
     def _encode_body(self, function: Function, table: _TypeTable,
                      symbol_ids: dict[int, int]) -> bytes:
+        """The function's :class:`FunctionRecord`: constant pool, blocks
+        of instruction words, loc section, name table."""
         out = Writer()
-        # Value numbering: module symbols, constant pool, args, instructions.
-        base = len(symbol_ids)
-        pool: list[Constant] = []
-        pool_ids: dict[int, int] = {}
+        record = snapshot_function(function)
+        insts = [inst for _, block in record.blocks for inst in block]
+        pool: dict[bytes, int] = {}
+        entry = Writer()
 
-        def pool_id(constant: Constant) -> int:
-            existing = pool_ids.get(id(constant))
-            if existing is None:
-                existing = base + len(pool)
-                pool_ids[id(constant)] = existing
-                pool.append(constant)
-            return existing
+        def constant_id(constant: Constant) -> int:
+            symbol = symbol_ids.get(id(constant))
+            if symbol is not None:
+                return symbol
+            entry._chunks.clear()
+            self._encode_constant(entry, constant, table, symbol_ids)
+            return pool.setdefault(bytes(entry._chunks),
+                                   len(symbol_ids) + len(pool))
 
-        # Collect pooled constants in a deterministic order.
-        for inst in function.instructions():
-            for operand in inst.operands:
-                if isinstance(operand, (Function, GlobalVariable)):
-                    continue
-                if isinstance(operand, Constant):
-                    pool_id(operand)
-
-        value_ids: dict[int, int] = {}
-        cursor = base + len(pool)
-        for arg in function.args:
-            value_ids[id(arg)] = cursor
-            cursor += 1
-        block_ids: dict[int, int] = {}
-        for block_number, block in enumerate(function.blocks):
-            block_ids[id(block)] = block_number
-            for inst in block.instructions:
-                if not inst.type.is_void:
-                    value_ids[id(inst)] = cursor
-                    cursor += 1
-
-        def operand_id(value: Value) -> int:
-            if isinstance(value, BasicBlock):
-                return block_ids[id(value)]
-            if isinstance(value, (Function, GlobalVariable)):
-                return symbol_ids[id(value)]
-            if isinstance(value, (Instruction, Argument)):
-                return value_ids[id(value)]
-            return pool_ids[id(value)]
-
-        # Constant pool section.
+        # A local operand is kept as ``~position`` until the pool is
+        # complete and the first local id, ``S + P``, is known.
+        operand_lists = [[~op if type(op) is int else constant_id(op)
+                          for op in inst[3]] for inst in insts]
+        local = len(symbol_ids) + len(pool)
         out.uleb(len(pool))
-        for constant in pool:
-            self._encode_constant(out, constant, table, symbol_ids)
+        for entry in pool:
+            out._chunks += entry
 
-        # Blocks and instructions.
-        out.uleb(len(function.blocks))
-        for block in function.blocks:
-            out.uleb(len(block.instructions))
-            for inst in block.instructions:
-                self._encode_instruction(out, inst, table, operand_id)
+        operands = iter(operand_lists)
+        out.uleb(len(record.blocks))
+        for _, block in record.blocks:
+            out.uleb(len(block))
+            for opcode, carried, *_ in block:
+                self._encode_instruction(
+                    out, opcode, table.id_of(carried),
+                    [local + ~op if op < 0 else op
+                     for op in next(operands)])
 
-        # Source-location section (version >= 2): sparse records of
-        # (instruction ordinal in layout order, line), so instructions
-        # without a location cost nothing.
-        if self.version >= 2:
-            located: list[tuple[int, int]] = []
-            ordinal = 0
-            for block in function.blocks:
-                for inst in block.instructions:
-                    if inst.loc is not None:
-                        located.append((ordinal, inst.loc))
-                    ordinal += 1
-            out.uleb(len(located))
-            for ordinal, line in located:
-                out.uleb(ordinal)
-                out.uleb(line)
+        # Source-location section: sparse records of (instruction
+        # ordinal in layout order, line), so instructions without a
+        # location cost nothing.
+        located = [(ordinal, inst[5]) for ordinal, inst in enumerate(insts)
+                   if inst[5] is not None]
+        out.uleb(len(located))
+        for ordinal, line in located:
+            out.uleb(ordinal)
+            out.uleb(line)
 
-        # Symbol table of local names (optional, like -g vs stripped).
+        # Name table (optional, like -g vs stripped): (record position,
+        # name) per named block and value-producing instruction; the
+        # argument names are in the function header.
         if self.strip_names:
             out.uleb(0)
-        else:
-            named: list[tuple[int, str, int]] = []  # (kind, name, id)
-            for arg in function.args:
-                if arg.name:
-                    named.append((0, arg.name, value_ids[id(arg)]))
-            for block in function.blocks:
-                if block.name:
-                    named.append((1, block.name, block_ids[id(block)]))
-                for inst in block.instructions:
-                    if inst.name and not inst.type.is_void:
-                        named.append((0, inst.name, value_ids[id(inst)]))
-            out.uleb(len(named))
-            for kind, name, value_id in named:
-                out.u8(kind)
-                out.string(name)
-                out.uleb(value_id)
+            return out.getvalue()
+        first = len(record.args) + len(record.blocks)
+        named = [(len(record.args) + index, name)
+                 for index, (name, _) in enumerate(record.blocks) if name]
+        named += [(first + ordinal, inst[4])
+                  for ordinal, inst in enumerate(insts)
+                  if inst[4] and not inst[2].is_void]
+        out.uleb(len(named))
+        for position, name in named:
+            out.uleb(position)
+            out.string(name)
         return out.getvalue()
 
-    def _encode_instruction(self, out: Writer, inst: Instruction,
-                            table: _TypeTable, operand_id) -> None:
-        opcode_number = _OPCODE_INDEX[inst.opcode] + 1  # 0 = escape
-
-        # The "type" field is the carried type (the result type; the
+    def _encode_instruction(self, out: Writer, opcode: Opcode, type_id: int,
+                            operands: list[int]) -> None:
+        # The type id is the carried type's (the result type; the
         # allocated type for alloca/malloc): what the reader's record
         # needs to type a use that precedes its definition, and to
         # rebuild the instruction with ``build``.
-        type_id = table.id_of(inst.carried_type)
-
-        operands = [operand_id(op) for op in inst.operands]
+        opcode_number = _OPCODE_INDEX[opcode] + 1  # 0 = escape
         if (len(operands) <= 2 and type_id < 0xFF
                 and all(op < 0x1FF for op in operands)):
             # Packed single 32-bit word:

@@ -1,13 +1,16 @@
 """Tests for the binary bytecode representation (section 2.5/4.1.3)."""
 
+import struct
+
 import pytest
 
 from repro.bitcode import BytecodeError, BytecodeWriter, read_bytecode, write_bytecode
 from repro.core import (
-    Function, Opcode, parse_module, print_function, print_module,
+    Function, Opcode, parse_module, print_function, print_module, types,
     verify_module,
 )
 from repro.core.record import rebuild_body, snapshot_function
+from repro.core.values import ConstantFP
 from repro.execution import Interpreter
 from repro.frontend import compile_source
 
@@ -256,13 +259,43 @@ int main() {
     def test_bad_version_rejected(self):
         module = parse_module("%g = global int 1")
         data = bytearray(write_bytecode(module))
-        data[4] = 99
-        with pytest.raises(BytecodeError, match="version"):
-            read_bytecode(bytes(data))
+        for version in (2, 99):  # 2: the format before record numbering
+            data[4] = version
+            with pytest.raises(BytecodeError, match="version"):
+                read_bytecode(bytes(data))
 
     def test_deterministic_output(self):
         module = compile_source("int main() { return 3; }", "det")
         assert write_bytecode(module) == write_bytecode(module)
+
+
+class TestConstantPool:
+    """A body's pool holds one entry per constant encoding, so equal
+    constants decode to one object, and constants that differ in their
+    bits (``0.0`` / ``-0.0``, NaN payloads) stay apart."""
+
+    def test_equal_encodings_share_one_entry(self):
+        module = parse_module(
+            "double %f(int %x, double %d) {\nentry:\n"
+            "  %a = add int %x, 7\n  %b = mul int %a, 7\n"
+            "  %p = add double %d, 0.0\n  %q = add double %p, -0.0\n"
+            "  %r = add double %q, 1.0\n  %s = add double %r, 2.0\n"
+            "  ret double %s\n}\n")
+        insts = module.functions["f"].blocks[0].instructions
+        for index, payload in ((4, 1), (5, 2)):
+            bits = struct.pack("<Q", 0x7FF8000000000000 | payload)
+            insts[index].set_operand(1, ConstantFP(
+                types.DOUBLE, struct.unpack("<d", bits)[0]))
+        constants = [inst.operands[1] for inst in insts[:6]]
+        assert constants[0] is not constants[1]  # two parsed ``int 7``
+        decoded = read_bytecode(write_bytecode(module))
+        a, b, p, q, r, s = [inst.operands[1] for inst in
+                            decoded.functions["f"].blocks[0].instructions[:6]]
+        assert a is b and a.value == 7
+        assert p is not q and str(p) == "0.0" and str(q) == "-0.0"
+        assert r is not s
+        assert ([struct.pack("<d", c.value) for c in (r, s)]
+                == [struct.pack("<d", c.value) for c in constants[4:]])
 
 
 def _locs(module):
@@ -297,24 +330,6 @@ int main() {
         decoded = read_bytecode(write_bytecode(module, strip_names=True))
         assert [loc for *_ignored, loc in _locs(decoded)] == \
             [loc for *_ignored, loc in _locs(module)]
-
-    def test_version1_bytecode_still_reads(self):
-        """Pre-loc bytecode (version 1) must stay readable; locs absent."""
-        module = compile_source(self.SOURCE, "old")
-        writer = BytecodeWriter(strip_names=False, version=1)
-        data = writer.write(module)
-        assert data[4] == 1
-        decoded = read_bytecode(data)
-        verify_module(decoded)
-        assert all(loc is None for *_ignored, loc in _locs(decoded))
-        assert Interpreter(decoded).run("main") == \
-            Interpreter(module).run("main")
-
-    def test_unsupported_writer_version_rejected(self):
-        with pytest.raises(ValueError):
-            BytecodeWriter(version=0)
-        with pytest.raises(ValueError):
-            BytecodeWriter(version=99)
 
     def test_compile_twice_bytes_identical(self):
         """Full determinism: two independent compiles of the same source

@@ -960,29 +960,46 @@ class TestBytecodeHardening:
         with pytest.raises(BytecodeError, match="length"):
             decoder.materialize(module.functions["f"])
 
-    def test_label_past_the_blocks_is_rejected(self):
-        """A block number past the body's blocks must not alias the
-        instruction that a record position would put there."""
+    # Record positions: %x 0; blocks entry 1, next 2; add 3, call 4,
+    # br 5, ret 6; so 7 is past the body.  Operand ids: the symbols %g
+    # and %f, the pool's ``int 1``, then position p is id 3 + p.
+    FORGE_SOURCE = ("declare void %g()\n"
+                    "int %f(int %x) {\nentry:\n  %y = add int %x, 1\n"
+                    "  call void %g()\n  br label %next\nnext:\n"
+                    "  ret int %y\n}\n")
+
+    @pytest.mark.parametrize("opcode, original, forged", [
+        ("br", 2, 0), ("br", 2, 3), ("br", 2, 7),
+        ("add", 0, 1), ("add", 0, 4), ("ret", 3, 2), ("ret", 3, 4),
+        ("ret", 3, 7),
+    ], ids=["br-argument", "br-instruction", "br-past-the-body",
+            "add-block", "add-void-instruction", "ret-block",
+            "ret-void-instruction", "ret-past-the-body"])
+    def test_forged_operand_is_rejected(self, opcode, original, forged):
+        """A local operand of the wrong kind is refused by the reader,
+        not left for the verifier: a label must name a block, any other
+        local an argument or a value-producing instruction."""
         import struct
 
         from repro.bitcode.writer import _OPCODE_INDEX
         from repro.core import Opcode
 
-        blob = write_bytecode(parse_module(
-            "int %f(int %x) {\nentry:\n  %y = add int %x, 1\n"
-            "  br label %next\nnext:\n  ret int %y\n}\n"))
-        # The packed ``br label %next``: opcode, type, then operand A =
-        # block 1 (stored plus one), no operand B.
-        br = _OPCODE_INDEX[Opcode.BR] + 1
+        blob = write_bytecode(parse_module(self.FORGE_SOURCE))
+        read_bytecode(blob)
+        # The packed word of ``opcode``: opcode, type, then operand A
+        # (stored plus one).
+        number = _OPCODE_INDEX[Opcode(opcode)] + 1
         words = [i for i in range(len(blob) - 3)
-                 if struct.unpack_from("<I", blob, i)[0] >> 26 == br
-                 and struct.unpack_from("<I", blob, i)[0] & 0x3FFFF == 2 << 9]
+                 if struct.unpack_from("<I", blob, i)[0] >> 26 == number
+                 and (struct.unpack_from("<I", blob, i)[0] >> 9) & 0x1FF
+                 == 3 + original + 1]
         assert len(words) == 1
         word = struct.unpack_from("<I", blob, words[0])[0]
-        forged = bytearray(blob)
-        struct.pack_into("<I", forged, words[0], word + (1 << 9))  # block 2
-        with pytest.raises(BytecodeError, match="past the 2 blocks"):
-            read_bytecode(bytes(forged))
+        mutant = bytearray(blob)
+        struct.pack_into("<I", mutant, words[0],
+                         word + ((forged - original) << 9))
+        with pytest.raises(BytecodeError, match="names no"):
+            read_bytecode(bytes(mutant))
 
     def test_trailing_bytes_are_rejected(self):
         with pytest.raises(BytecodeError, match="last body"):
