@@ -1,8 +1,8 @@
 """Verified numeric abstract interpretation over the SSA IR.
 
 Two domains — signed/unsigned intervals and known-bits tri-state
-bitvectors — with per-opcode transfer functions whose soundness is
-machine-checked against the concrete semantics in
+bitvectors — and one transfer table, :data:`TRANSFERS`, whose every
+row's soundness is machine-checked against the concrete semantics in
 :mod:`repro.core.constfold` (``lc-absint --self-check``), solved
 sparsely with widening/narrowing at loop heads by
 :func:`analyze_function`.
@@ -15,19 +15,14 @@ fact.
 
 from .domains import (
     BOOL_SHAPE,
+    TRANSFERS,
     Interval,
     KnownBits,
     Shape,
     exact_binary_range,
     from_pattern,
-    interval_binary,
-    interval_cast,
     interval_from_kb,
-    interval_shift,
-    kb_binary,
-    kb_cast,
     kb_from_interval,
-    kb_shift,
     reduce_pair,
     shape_bounds,
     shape_of,
@@ -50,20 +45,15 @@ __all__ = [
     "Interval",
     "KnownBits",
     "Shape",
+    "TRANSFERS",
     "ValueFacts",
     "abstract_of_constant",
     "analyze_function",
     "analyze_module",
     "exact_binary_range",
     "from_pattern",
-    "interval_binary",
-    "interval_cast",
     "interval_from_kb",
-    "interval_shift",
-    "kb_binary",
-    "kb_cast",
     "kb_from_interval",
-    "kb_shift",
     "reduce_pair",
     "run_self_check",
     "shape_bounds",

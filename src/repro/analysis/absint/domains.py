@@ -1,4 +1,4 @@
-"""The two numeric abstract domains and their per-opcode transformers.
+"""The two numeric abstract domains and the transfer table over them.
 
 Everything here is *parametric in the width*: a value's "shape" is the
 pair ``(bits, signed)``, with ``bool`` treated as a 1-bit unsigned
@@ -22,19 +22,25 @@ Domains:
   value is proven 0, and likewise for ``ones``; both clear means
   unknown.  ``zeros & ones == 0`` is an invariant.
 
-The concrete semantics the transformers must over-approximate are
-exactly :mod:`repro.core.constfold`'s (the interpreter's and constant
-folder's single source of truth); the self-check enumerates against
-``eval_binary``/``eval_shift``/``eval_cast`` directly.
+:data:`TRANSFERS` is the only statement of what an opcode means
+abstractly: one :class:`Transfer` row per integral opcode (the eight
+arithmetic and bitwise ones, the six comparisons, ``shl``, ``shr`` and
+``cast``), holding its interval and its known-bits transformer.  The
+engine transfers every integral instruction through it, and the
+self-check checks every row.  The concrete semantics the rows must
+over-approximate are exactly :mod:`repro.core.constfold`'s (the
+interpreter's and constant folder's single source of truth); the
+self-check evaluates its tables with constfold's evaluators directly.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Optional, Tuple
+import operator
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from ...core import types
-from ...core.instructions import COMPARISON_OPCODES, Opcode
+from ...core.instructions import Opcode
 
 #: A value's numeric shape: (bits, signed).  Bool is (1, False).
 Shape = Tuple[int, bool]
@@ -293,8 +299,19 @@ def reduce_pair(shape: Shape,
 
 
 # ---------------------------------------------------------------------------
-# Interval transformers
+# The transformers.  Every one takes ``(src, dst, *operands)``: ``src``
+# is the first operand's shape, ``dst`` the result's (``bool`` for a
+# comparison, the target for a cast, ``src`` otherwise), and the
+# operands are elements of one domain.
 # ---------------------------------------------------------------------------
+
+class Transfer(NamedTuple):
+    """One opcode's abstract meaning: its transformer in each domain,
+    both called as ``(src, dst, *operands)``."""
+
+    interval: Callable[..., Interval]
+    kb: Callable[..., KnownBits]
+
 
 def _fit(shape: Shape, lo: int, hi: int) -> Interval:
     """The interval when the exact result range fits the shape, else the
@@ -311,6 +328,18 @@ def _tdiv(n: int, d: int) -> int:
     return -q if (n < 0) != (d < 0) else q
 
 
+def _product_range(a: Interval, b: Interval) -> Tuple[int, int]:
+    corners = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+    return (min(corners), max(corners))
+
+
+_EXACT = {
+    Opcode.ADD: lambda a, b: (a.lo + b.lo, a.hi + b.hi),
+    Opcode.SUB: lambda a, b: (a.lo - b.hi, a.hi - b.lo),
+    Opcode.MUL: _product_range,
+}
+
+
 def exact_binary_range(opcode: Opcode, a: Interval,
                        b: Interval) -> Optional[Tuple[int, int]]:
     """The exact mathematical (pre-wrap) result range of add/sub/mul.
@@ -319,17 +348,11 @@ def exact_binary_range(opcode: Opcode, a: Interval,
     falls outside the shape's representable values, *every* execution
     of the instruction wraps.
     """
-    if opcode == Opcode.ADD:
-        return (a.lo + b.lo, a.hi + b.hi)
-    if opcode == Opcode.SUB:
-        return (a.lo - b.hi, a.hi - b.lo)
-    if opcode == Opcode.MUL:
-        corners = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
-        return (min(corners), max(corners))
-    return None
+    return _EXACT[opcode](a, b) if opcode in _EXACT else None
 
 
-def _interval_divide(shape: Shape, a: Interval, b: Interval) -> Interval:
+def _interval_divide(src: Shape, dst: Shape, a: Interval,
+                     b: Interval) -> Interval:
     # Executions with a zero divisor trap and produce no value, so the
     # candidate divisors exclude 0.  Truncating division is monotone in
     # the numerator for a fixed divisor and monotone in the divisor on
@@ -337,14 +360,15 @@ def _interval_divide(shape: Shape, a: Interval, b: Interval) -> Interval:
     divisors = {d for d in (b.lo, b.hi, 1, -1)
                 if b.lo <= d <= b.hi and d != 0}
     if not divisors:
-        return Interval.top(shape)  # every execution traps
+        return Interval.top(dst)  # every execution traps
     quotients = [_tdiv(n, d) for n in (a.lo, a.hi) for d in divisors]
-    return _fit(shape, min(quotients), max(quotients))
+    return _fit(dst, min(quotients), max(quotients))
 
 
-def _interval_remainder(shape: Shape, a: Interval, b: Interval) -> Interval:
+def _interval_remainder(src: Shape, dst: Shape, a: Interval,
+                        b: Interval) -> Interval:
     if b.lo == 0 and b.hi == 0:
-        return Interval.top(shape)  # every execution traps
+        return Interval.top(dst)  # every execution traps
     magnitude = max(abs(b.lo), abs(b.hi)) - 1
     # The remainder takes the dividend's sign and |r| <= min(|n|, |d|-1).
     lo = max(-magnitude, min(a.lo, 0))
@@ -360,8 +384,8 @@ def _interval_bitwise(opcode: Opcode, shape: Shape, a: Interval,
                       b: Interval) -> Interval:
     # Primary bound through the bit domain; sharpen the common
     # both-non-negative case with the classic magnitude bounds.
-    kb = kb_binary(opcode, shape,
-                   kb_from_interval(shape, a), kb_from_interval(shape, b))
+    kb = TRANSFERS[opcode].kb(shape, shape, kb_from_interval(shape, a),
+                              kb_from_interval(shape, b))
     result = interval_from_kb(shape, kb)
     if a.lo >= 0 and b.lo >= 0:
         if opcode == Opcode.AND:
@@ -377,79 +401,66 @@ def _interval_bitwise(opcode: Opcode, shape: Shape, a: Interval,
     return result
 
 
-def _interval_compare(opcode: Opcode, a: Interval, b: Interval) -> Interval:
-    def tri(true_when: bool, false_when: bool) -> Interval:
-        if true_when:
+def _same_singleton(a: Interval, b: Interval) -> bool:
+    return a.is_singleton and b.is_singleton and a.lo == b.lo
+
+
+def _disjoint(a: Interval, b: Interval) -> bool:
+    return a.hi < b.lo or b.hi < a.lo
+
+
+def _compare(holds: Callable[[int, int], bool], true_when: Callable,
+             false_when: Callable, on_conflict: Optional[bool] = None):
+    """A comparison's row.  The interval verdict is true (false) when
+    ``true_when`` (``false_when``) holds of the operand intervals.  Fully
+    known bits fold through ``holds``; when some bit is known to differ,
+    an equality test has the verdict ``on_conflict``."""
+    def interval(src: Shape, dst: Shape, a: Interval, b: Interval):
+        if true_when(a, b):
             return Interval(1, 1)
-        if false_when:
+        if false_when(a, b):
             return Interval(0, 0)
         return Interval(0, 1)
 
-    if opcode == Opcode.SETEQ:
-        return tri(a.is_singleton and b.is_singleton and a.lo == b.lo,
-                   a.hi < b.lo or b.hi < a.lo)
-    if opcode == Opcode.SETNE:
-        return tri(a.hi < b.lo or b.hi < a.lo,
-                   a.is_singleton and b.is_singleton and a.lo == b.lo)
-    if opcode == Opcode.SETLT:
-        return tri(a.hi < b.lo, a.lo >= b.hi)
-    if opcode == Opcode.SETLE:
-        return tri(a.hi <= b.lo, a.lo > b.hi)
-    if opcode == Opcode.SETGT:
-        return tri(a.lo > b.hi, a.hi <= b.lo)
-    if opcode == Opcode.SETGE:
-        return tri(a.lo >= b.hi, a.hi < b.lo)
-    raise ValueError(f"not a comparison: {opcode}")
+    def kb(src: Shape, dst: Shape, a: KnownBits, b: KnownBits):
+        if a.is_fully_known and b.is_fully_known:
+            return KnownBits.const(BOOL_SHAPE, int(holds(
+                from_pattern(src, a.known_pattern),
+                from_pattern(src, b.known_pattern))))
+        if on_conflict is not None \
+                and (a.ones & b.zeros) | (a.zeros & b.ones):
+            return KnownBits.const(BOOL_SHAPE, int(on_conflict))
+        return KnownBits.top(1)
+    return Transfer(interval, kb)
 
 
-def interval_binary(opcode: Opcode, shape: Shape, a: Interval,
-                    b: Interval) -> Interval:
-    """Transfer a binary opcode over operand intervals of ``shape``.
-
-    Comparison results are intervals of :data:`BOOL_SHAPE`.
-    """
-    if opcode in COMPARISON_OPCODES:
-        return _interval_compare(opcode, a, b)
-    if opcode in (Opcode.ADD, Opcode.SUB, Opcode.MUL):
-        lo, hi = exact_binary_range(opcode, a, b)  # type: ignore[misc]
-        return _fit(shape, lo, hi)
-    if opcode == Opcode.DIV:
-        return _interval_divide(shape, a, b)
-    if opcode == Opcode.REM:
-        return _interval_remainder(shape, a, b)
-    if opcode in (Opcode.AND, Opcode.OR, Opcode.XOR):
-        return _interval_bitwise(opcode, shape, a, b)
-    raise ValueError(f"not a scalar binary opcode: {opcode}")
+def _interval_shl(src: Shape, dst: Shape, a: Interval,
+                  amount: Interval) -> Interval:
+    bits = src[0]
+    if amount.lo >= bits:
+        return Interval.const(0)  # deterministic saturation
+    if amount.hi >= bits:
+        return Interval.top(dst)
+    corners = [v << k for v in (a.lo, a.hi)
+               for k in (amount.lo, amount.hi)]
+    return _fit(dst, min(corners), max(corners))
 
 
-def interval_shift(opcode: Opcode, shape: Shape, a: Interval,
-                   amount: Interval) -> Interval:
-    """Transfer ``shl``/``shr``; ``amount`` has :data:`SHIFT_AMOUNT_SHAPE`."""
-    bits = shape[0]
-    if opcode == Opcode.SHL:
-        if amount.lo >= bits:
-            return Interval.const(0)  # deterministic saturation
-        if amount.hi >= bits:
-            return Interval.top(shape)
-        corners = [v << k for v in (a.lo, a.hi)
-                   for k in (amount.lo, amount.hi)]
-        return _fit(shape, min(corners), max(corners))
-    if opcode == Opcode.SHR:
-        # Python's ``>>`` is an arithmetic shift with natural saturation
-        # at large amounts (floor toward -1/0), which matches eval_shift
-        # for signed shapes exactly and for unsigned shapes too (their
-        # values are non-negative).  Monotone in each argument, so the
-        # corners bound the result.
-        corners = [v >> min(k, bits) for v in (a.lo, a.hi)
-                   for k in (amount.lo, amount.hi)]
-        return Interval(min(corners), max(corners))
-    raise ValueError(f"not a shift opcode: {opcode}")
+def _interval_shr(src: Shape, dst: Shape, a: Interval,
+                  amount: Interval) -> Interval:
+    # Python's ``>>`` is an arithmetic shift with natural saturation
+    # at large amounts (floor toward -1/0), which matches eval_shift
+    # for signed shapes exactly and for unsigned shapes too (their
+    # values are non-negative).  Monotone in each argument, so the
+    # corners bound the result.
+    bits = src[0]
+    corners = [v >> min(k, bits) for v in (a.lo, a.hi)
+               for k in (amount.lo, amount.hi)]
+    return Interval(min(corners), max(corners))
 
 
-def interval_cast(src_shape: Shape, dst_shape: Shape,
-                  a: Interval) -> Interval:
-    """Transfer ``cast`` between integral shapes."""
-    if dst_shape == BOOL_SHAPE and src_shape != BOOL_SHAPE:
+def _interval_conversion(src: Shape, dst: Shape, a: Interval) -> Interval:
+    if dst == BOOL_SHAPE and src != BOOL_SHAPE:
         if not a.contains(0):
             return Interval(1, 1)
         if a.is_singleton:
@@ -457,15 +468,11 @@ def interval_cast(src_shape: Shape, dst_shape: Shape,
         return Interval(0, 1)
     # eval_cast wraps the numeric value into the destination; when every
     # member is already representable the wrap is the identity.
-    dmin, dmax = shape_bounds(dst_shape)
+    dmin, dmax = shape_bounds(dst)
     if dmin <= a.lo and a.hi <= dmax:
         return Interval(a.lo, a.hi)
-    return Interval.top(dst_shape)
+    return Interval.top(dst)
 
-
-# ---------------------------------------------------------------------------
-# KnownBits transformers
-# ---------------------------------------------------------------------------
 
 def _kb_add(bits: int, a: KnownBits, b: KnownBits,
             carry_in: int) -> KnownBits:
@@ -535,99 +542,49 @@ def _kb_divrem(opcode: Opcode, shape: Shape, a: KnownBits,
     return KnownBits.top(bits)
 
 
-def _kb_compare(opcode: Opcode, shape: Shape, a: KnownBits,
-                b: KnownBits) -> KnownBits:
-    def verdict(value: Optional[bool]) -> KnownBits:
-        if value is None:
-            return KnownBits.top(1)
-        return KnownBits.const(BOOL_SHAPE, int(value))
-
-    conflict = (a.ones & b.zeros) | (a.zeros & b.ones)
-    if a.is_fully_known and b.is_fully_known:
-        lhs = from_pattern(shape, a.known_pattern)
-        rhs = from_pattern(shape, b.known_pattern)
-        outcome = {
-            Opcode.SETEQ: lhs == rhs, Opcode.SETNE: lhs != rhs,
-            Opcode.SETLT: lhs < rhs, Opcode.SETGT: lhs > rhs,
-            Opcode.SETLE: lhs <= rhs, Opcode.SETGE: lhs >= rhs,
-        }[opcode]
-        return verdict(outcome)
-    if conflict:
-        if opcode == Opcode.SETEQ:
-            return verdict(False)
-        if opcode == Opcode.SETNE:
-            return verdict(True)
-    return KnownBits.top(1)
-
-
-def kb_binary(opcode: Opcode, shape: Shape, a: KnownBits,
-              b: KnownBits) -> KnownBits:
-    """Transfer a binary opcode over operand known-bits of ``shape``.
-
-    Comparison results are 1-bit (:data:`BOOL_SHAPE`).
-    """
-    bits = shape[0]
-    if opcode in COMPARISON_OPCODES:
-        return _kb_compare(opcode, shape, a, b)
-    if opcode == Opcode.AND:
-        return KnownBits(bits, a.zeros | b.zeros, a.ones & b.ones)
-    if opcode == Opcode.OR:
-        return KnownBits(bits, a.zeros & b.zeros, a.ones | b.ones)
-    if opcode == Opcode.XOR:
-        zeros = (a.zeros & b.zeros) | (a.ones & b.ones)
-        ones = (a.zeros & b.ones) | (a.ones & b.zeros)
-        return KnownBits(bits, zeros, ones)
-    if opcode == Opcode.ADD:
-        return _kb_add(bits, a, b, 0)
-    if opcode == Opcode.SUB:
-        return _kb_add(bits, a, _kb_not(b), 1)
-    if opcode == Opcode.MUL:
-        return _kb_mul(bits, a, b)
-    if opcode in (Opcode.DIV, Opcode.REM):
-        return _kb_divrem(opcode, shape, a, b)
-    raise ValueError(f"not a scalar binary opcode: {opcode}")
-
-
-def kb_shift(opcode: Opcode, shape: Shape, a: KnownBits,
-             amount: KnownBits) -> KnownBits:
-    """Transfer ``shl``/``shr`` over known bits."""
-    bits = shape[0]
-    mask = (1 << bits) - 1
+def _kb_shl(src: Shape, dst: Shape, a: KnownBits,
+            amount: KnownBits) -> KnownBits:
+    bits = src[0]
     if not amount.is_fully_known:
         return KnownBits.top(bits)
     k = amount.known_pattern  # the amount is unsigned (ubyte)
-    if opcode == Opcode.SHL:
+    mask = (1 << bits) - 1
+    if k >= bits:
+        return KnownBits(bits, mask, 0)  # saturates to 0
+    return KnownBits(bits, ((a.zeros << k) | ((1 << k) - 1)) & mask,
+                     (a.ones << k) & mask)
+
+
+def _kb_shr(src: Shape, dst: Shape, a: KnownBits,
+            amount: KnownBits) -> KnownBits:
+    bits = src[0]
+    if not amount.is_fully_known:
+        return KnownBits.top(bits)
+    k = amount.known_pattern
+    if not src[1]:
+        mask = (1 << bits) - 1
         if k >= bits:
-            return KnownBits(bits, mask, 0)  # saturates to 0
-        return KnownBits(bits, ((a.zeros << k) | ((1 << k) - 1)) & mask,
-                         (a.ones << k) & mask)
-    if opcode == Opcode.SHR:
-        sign_bit = 1 << (bits - 1)
-        if not shape[1]:
-            if k >= bits:
-                return KnownBits(bits, mask, 0)
-            return KnownBits(bits, (a.zeros >> k) | (mask ^ (mask >> k)),
-                             a.ones >> k)
-        # Arithmetic: vacated bits copy the sign bit.
-        k = min(k, bits)  # >= bits saturates to all-sign
-        zeros = 0
-        ones = 0
-        for i in range(bits):
-            source = min(i + k, bits - 1)
-            if a.zeros & (1 << source):
-                zeros |= 1 << i
-            elif a.ones & (1 << source):
-                ones |= 1 << i
-        return KnownBits(bits, zeros, ones)
-    raise ValueError(f"not a shift opcode: {opcode}")
+            return KnownBits(bits, mask, 0)
+        return KnownBits(bits, (a.zeros >> k) | (mask ^ (mask >> k)),
+                         a.ones >> k)
+    # Arithmetic: vacated bits copy the sign bit.
+    k = min(k, bits)  # >= bits saturates to all-sign
+    zeros = 0
+    ones = 0
+    for i in range(bits):
+        source = min(i + k, bits - 1)
+        if a.zeros & (1 << source):
+            zeros |= 1 << i
+        elif a.ones & (1 << source):
+            ones |= 1 << i
+    return KnownBits(bits, zeros, ones)
 
 
-def kb_cast(src_shape: Shape, dst_shape: Shape, a: KnownBits) -> KnownBits:
-    """Transfer ``cast`` between integral shapes over known bits."""
-    src_bits, src_signed = src_shape
-    dst_bits = dst_shape[0]
+def _kb_conversion(src: Shape, dst: Shape, a: KnownBits) -> KnownBits:
+    src_bits, src_signed = src
+    dst_bits = dst[0]
     dst_mask = (1 << dst_bits) - 1
-    if dst_shape == BOOL_SHAPE and src_shape != BOOL_SHAPE:
+    if dst == BOOL_SHAPE and src != BOOL_SHAPE:
         if a.ones:
             return KnownBits.const(BOOL_SHAPE, 1)  # some bit is set
         if a.zeros == a.mask:
@@ -648,3 +605,56 @@ def kb_cast(src_shape: Shape, dst_shape: Shape, a: KnownBits) -> KnownBits:
         elif a.ones & sign_bit:
             ones |= high
     return KnownBits(dst_bits, zeros, ones)
+
+
+# ---------------------------------------------------------------------------
+# The transfer table
+# ---------------------------------------------------------------------------
+
+#: Every integral opcode's abstract meaning, one row each.  The engine
+#: transfers through it and ``lc-absint --self-check`` checks every row.
+TRANSFERS: Dict[Opcode, Transfer] = {
+    Opcode.ADD: Transfer(
+        lambda src, dst, a, b: _fit(dst, *exact_binary_range(Opcode.ADD, a, b)),
+        lambda src, dst, a, b: _kb_add(src[0], a, b, 0)),
+    Opcode.SUB: Transfer(
+        lambda src, dst, a, b: _fit(dst, *exact_binary_range(Opcode.SUB, a, b)),
+        lambda src, dst, a, b: _kb_add(src[0], a, _kb_not(b), 1)),
+    Opcode.MUL: Transfer(
+        lambda src, dst, a, b: _fit(dst, *exact_binary_range(Opcode.MUL, a, b)),
+        lambda src, dst, a, b: _kb_mul(src[0], a, b)),
+    Opcode.DIV: Transfer(
+        _interval_divide,
+        lambda src, dst, a, b: _kb_divrem(Opcode.DIV, src, a, b)),
+    Opcode.REM: Transfer(
+        _interval_remainder,
+        lambda src, dst, a, b: _kb_divrem(Opcode.REM, src, a, b)),
+    Opcode.AND: Transfer(
+        lambda src, dst, a, b: _interval_bitwise(Opcode.AND, src, a, b),
+        lambda src, dst, a, b: KnownBits(src[0], a.zeros | b.zeros,
+                                         a.ones & b.ones)),
+    Opcode.OR: Transfer(
+        lambda src, dst, a, b: _interval_bitwise(Opcode.OR, src, a, b),
+        lambda src, dst, a, b: KnownBits(src[0], a.zeros & b.zeros,
+                                         a.ones | b.ones)),
+    Opcode.XOR: Transfer(
+        lambda src, dst, a, b: _interval_bitwise(Opcode.XOR, src, a, b),
+        lambda src, dst, a, b: KnownBits(
+            src[0], (a.zeros & b.zeros) | (a.ones & b.ones),
+            (a.zeros & b.ones) | (a.ones & b.zeros))),
+    Opcode.SETEQ: _compare(operator.eq, _same_singleton, _disjoint,
+                           on_conflict=False),
+    Opcode.SETNE: _compare(operator.ne, _disjoint, _same_singleton,
+                           on_conflict=True),
+    Opcode.SETLT: _compare(operator.lt, lambda a, b: a.hi < b.lo,
+                           lambda a, b: a.lo >= b.hi),
+    Opcode.SETLE: _compare(operator.le, lambda a, b: a.hi <= b.lo,
+                           lambda a, b: a.lo > b.hi),
+    Opcode.SETGT: _compare(operator.gt, lambda a, b: a.lo > b.hi,
+                           lambda a, b: a.hi <= b.lo),
+    Opcode.SETGE: _compare(operator.ge, lambda a, b: a.lo >= b.hi,
+                           lambda a, b: a.hi < b.lo),
+    Opcode.SHL: Transfer(_interval_shl, _kb_shl),
+    Opcode.SHR: Transfer(_interval_shr, _kb_shr),
+    Opcode.CAST: Transfer(_interval_conversion, _kb_conversion),
+}

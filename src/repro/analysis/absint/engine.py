@@ -22,13 +22,10 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ...core.instructions import (
-    BinaryOperator,
     CallInst,
-    CastInst,
     Instruction,
     InvokeInst,
     PhiNode,
-    ShiftInst,
 )
 from ...core.values import (
     ConstantBool,
@@ -41,16 +38,11 @@ from ..dominators import DominatorTree
 from ..manager import function_analysis
 from .domains import (
     BOOL_SHAPE,
+    TRANSFERS,
     Interval,
     KnownBits,
     Shape,
     from_pattern,
-    interval_binary,
-    interval_cast,
-    interval_shift,
-    kb_binary,
-    kb_cast,
-    kb_shift,
     reduce_pair,
     shape_bounds,
     shape_of,
@@ -234,12 +226,9 @@ class _RangeAnalysis(SparseAnalysis):
 
         if isinstance(inst, PhiNode):
             return self._transfer_phi(inst, get, result_shape)
-        if isinstance(inst, BinaryOperator):
-            return self._transfer_binary(inst, get, result_shape)
-        if isinstance(inst, ShiftInst):
-            return self._transfer_shift(inst, get, result_shape)
-        if isinstance(inst, CastInst):
-            return self._transfer_cast(inst, get, result_shape)
+        row = TRANSFERS.get(inst.opcode)
+        if row is not None:
+            return self._transfer_row(row, inst, get, result_shape)
         if isinstance(inst, (CallInst, InvokeInst)) \
                 and self.call_range is not None:
             interval = _clamp_hook_range(result_shape, self.call_range(inst))
@@ -257,40 +246,20 @@ class _RangeAnalysis(SparseAnalysis):
             return AbsValue.top(shape)
         return element
 
-    def _transfer_binary(self, inst, get, result_shape):
-        operand_shape = shape_of(inst.lhs.type)
-        if operand_shape is None:
-            # Comparison of pointers/floats: all we know is "a bool".
+    def _transfer_row(self, row, inst, get, result_shape):
+        src = shape_of(inst.operands[0].type)
+        if src is None:
+            # A pointer/float comparison or cast: all we know is the shape.
             return AbsValue.top(result_shape)
-        a = self._operand(inst.lhs, get, operand_shape)
-        b = self._operand(inst.rhs, get, operand_shape)
-        if a is UNDEF or b is UNDEF:
+        # Every operand is read before any UNDEF returns: reading one
+        # records its initial fact.
+        facts = [self._operand(value, get, shape_of(value.type))
+                 for value in inst.operands]
+        if any(fact is UNDEF for fact in facts):
             return UNDEF
-        interval = interval_binary(inst.opcode, operand_shape,
-                                   a.interval, b.interval)
-        kb = kb_binary(inst.opcode, operand_shape, a.kb, b.kb)
-        return AbsValue.make(result_shape, interval, kb)
-
-    def _transfer_shift(self, inst, get, result_shape):
-        amount_shape = shape_of(inst.amount.type)
-        a = self._operand(inst.value, get, result_shape)
-        amount = self._operand(inst.amount, get, amount_shape)
-        if a is UNDEF or amount is UNDEF:
-            return UNDEF
-        interval = interval_shift(inst.opcode, result_shape,
-                                  a.interval, amount.interval)
-        kb = kb_shift(inst.opcode, result_shape, a.kb, amount.kb)
-        return AbsValue.make(result_shape, interval, kb)
-
-    def _transfer_cast(self, inst, get, result_shape):
-        src_shape = shape_of(inst.value.type)
-        if src_shape is None:
-            return AbsValue.top(result_shape)  # pointer/float source
-        a = self._operand(inst.value, get, src_shape)
-        if a is UNDEF:
-            return UNDEF
-        interval = interval_cast(src_shape, result_shape, a.interval)
-        kb = kb_cast(src_shape, result_shape, a.kb)
+        interval = row.interval(src, result_shape,
+                                *[fact.interval for fact in facts])
+        kb = row.kb(src, result_shape, *[fact.kb for fact in facts])
         return AbsValue.make(result_shape, interval, kb)
 
     def _transfer_phi(self, inst, get, result_shape):

@@ -1,76 +1,73 @@
-"""Machine-checked soundness of every abstract transformer.
+"""Machine-checked soundness, and a measured precision, of every row of
+the transfer table.
 
-The check enumerates *abstract* inputs and, for each, every *concrete*
-member of their concretizations, runs the real concrete semantics
-(:mod:`repro.core.constfold` — the same code the interpreter and the
-constant folder execute), and asserts the concrete result is admitted
-by the transformer's output.  Trapping executions (division/remainder
-by zero) produce no value and are exempt.
+:func:`check_row` checks one row of :data:`~.domains.TRANSFERS` over the
+product of its operands' :class:`Space` s, against the concrete results
+:mod:`repro.core.constfold` (the interpreter's and the folder's code)
+gives for the executions each tuple of abstract operands admits.  The
+row's result must cover their best abstraction — their ``[min, max]``,
+the bits they all agree on — and is *exact* when it equals it.
+Trapping executions (division/remainder by zero) produce no value, and
+a tuple that admits only those is not counted.  Exact / counted is a
+row's precision score per domain and shape, after "Nice to Meet You"
+(PAPERS.md).
 
-The escalation ladder follows lc-synth's narrow-width discipline:
-
-* **4-bit, exhaustive**: every interval (136) and every known-bits
-  element (81) on both sides, every opcode, both signednesses — plus
-  3- and 6-bit shapes for casts, and the 1-bit bool shape.  Interval
-  containment is convex, so checking the min and max of the concrete
-  results over the operand box is checking every member.
-* **8-bit, exhaustive singletons**: all 65 536 concrete operand pairs
-  per opcode/signedness through singleton abstract values (the case
-  constant folding and rangeopt rely on), plus seeded non-singleton
-  samples.
-* **16/32/64-bit, boundary + seeded sampling**: abstract inputs built
-  from :func:`repro.tvalid.evaluate.argument_domain`'s boundary window
-  (the tvalid input discipline), concrete probes at interval endpoints
-  plus seeded interior members.
-
-``lc-absint --self-check`` runs the full ladder and is gated in CI; the
-fast mode keeps the unit suite quick.
+The ladder follows lc-synth's narrow-width discipline; rungs 1, 3 and 4
+each check every row: (1) every element of both domains at 4 bits (3 in
+fast mode), with the precision scores; (2) the reduced product's
+conversions, ``reduce_pair`` and the widening operator; (3) 8-bit
+singletons, every shift amount and casts to every production width; (4)
+seeded boundary samples at 16/32/64 bits.  docs/ANALYSIS.md has the
+details.  ``lc-absint --self-check`` runs the full ladder and prints the
+precision table; CI gates it.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ...core import types
 from ...core.constfold import (
     ArithmeticFault,
-    eval_binary,
-    eval_cast,
-    eval_shift,
+    binary_evaluator,
+    cast_evaluator,
+    shift_evaluator,
 )
 from ...core.instructions import COMPARISON_OPCODES, Opcode
 from ...tvalid.evaluate import argument_domain
 from .engine import WIDEN_AFTER, AbsValue, widen
 from .domains import (
     BOOL_SHAPE,
+    SHIFT_AMOUNT_SHAPE,
+    TRANSFERS,
     Interval,
     KnownBits,
     Shape,
     from_pattern,
-    interval_binary,
-    interval_cast,
     interval_from_kb,
-    interval_shift,
-    kb_binary,
-    kb_cast,
     kb_from_interval,
-    kb_shift,
     reduce_pair,
     shape_bounds,
-    to_pattern,
 )
 
-#: Binary opcodes with an integral result of the operand shape.
+#: Rows with a result of the operand shape, whose loops the widening
+#: checks close.
 ARITH_OPCODES = (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.REM,
                  Opcode.AND, Opcode.OR, Opcode.XOR)
-CMP_OPCODES = tuple(sorted(COMPARISON_OPCODES, key=lambda op: op.value))
-ALL_BINARY = ARITH_OPCODES + CMP_OPCODES
 SHIFT_OPCODES = (Opcode.SHL, Opcode.SHR)
 
-def _concrete(shape: Shape, numeric: int):
-    """The representation constfold expects for a numeric value."""
-    return bool(numeric) if shape == BOOL_SHAPE else numeric
+#: Rows the IR also types at ``bool``.
+_BOOL_ROWS = COMPARISON_OPCODES | {Opcode.AND, Opcode.OR, Opcode.XOR}
+
+#: The shapes of the IR's integral types.
+PRODUCTION_SHAPES = [(bits, signed) for bits in (8, 16, 32, 64)
+                     for signed in (False, True)] + [BOOL_SHAPE]
+
+#: ``(row label, domain) -> (exact, counted)`` abstract operand tuples.
+Scores = Dict[Tuple[str, str], Tuple[int, int]]
 
 
 def all_intervals(shape: Shape) -> List[Interval]:
@@ -92,265 +89,214 @@ def kb_members(shape: Shape, kb: KnownBits) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Binary opcodes
+# Operand spaces
 # ---------------------------------------------------------------------------
 
-def _binary_table(opcode: Opcode, shape: Shape):
-    """``table[x - lo][y - lo]`` = numeric result, or None on a trap."""
-    ty = types.integral(*shape)
+class Space(NamedTuple):
+    """What one operand ranges over: its concrete ``values``, and each
+    element of each domain with the positions in ``values`` it admits (a
+    ``range`` for an interval)."""
+
+    shape: Shape
+    values: Sequence[int]
+    intervals: Sequence[Tuple[Interval, range]]
+    kbs: Sequence[Tuple[KnownBits, Sequence[int]]]
+
+
+@functools.cache
+def every(shape: Shape) -> Space:
+    """Every value, interval and known-bits element of a narrow shape."""
     lo, hi = shape_bounds(shape)
-    table = []
-    for x in range(lo, hi + 1):
-        cx = _concrete(shape, x)
-        row = []
-        for y in range(lo, hi + 1):
-            try:
-                row.append(int(eval_binary(opcode, ty, cx,
-                                           _concrete(shape, y))))
-            except ArithmeticFault:
-                row.append(None)
-        table.append(row)
-    return table
+    return Space(shape, range(lo, hi + 1),
+                 tuple((iv, range(iv.lo - lo, iv.hi - lo + 1))
+                       for iv in all_intervals(shape)),
+                 tuple((kb, tuple(v - lo for v in kb_members(shape, kb)))
+                       for kb in all_knownbits(shape[0])))
 
 
-def _box_extremes(table, lo0: int, a: Interval, b: Interval):
-    """Min/max concrete result over the operand box, or None when every
-    execution in the box traps."""
-    cmin = cmax = None
-    left = b.lo - lo0
-    right = b.hi - lo0 + 1
-    for xi in range(a.lo - lo0, a.hi - lo0 + 1):
-        segment = [v for v in table[xi][left:right] if v is not None]
-        if not segment:
-            continue
-        low, high = min(segment), max(segment)
-        if cmin is None or low < cmin:
-            cmin = low
-        if cmax is None or high > cmax:
-            cmax = high
-    if cmin is None:
-        return None
-    return cmin, cmax
-
-
-def check_interval_binary_exhaustive(opcode: Opcode, shape: Shape,
-                                     problems: List[str],
-                                     intervals: Optional[list] = None) -> None:
-    table = _binary_table(opcode, shape)
-    lo0 = shape_bounds(shape)[0]
-    intervals = intervals if intervals is not None else all_intervals(shape)
-    for a in intervals:
-        for b in intervals:
-            result = interval_binary(opcode, shape, a, b)
-            extremes = _box_extremes(table, lo0, a, b)
-            if extremes is None:
-                continue
-            cmin, cmax = extremes
-            if not (result.lo <= cmin and cmax <= result.hi):
-                problems.append(
-                    f"interval {opcode.value} {shape}: {a} x {b} -> "
-                    f"{result} misses concrete [{cmin}, {cmax}]")
-                return  # one witness per transformer keeps reports short
-
-
-def check_kb_binary_exhaustive(opcode: Opcode, shape: Shape,
-                               problems: List[str],
-                               kbs: Optional[list] = None) -> None:
-    table = _binary_table(opcode, shape)
-    lo0 = shape_bounds(shape)[0]
-    result_shape = BOOL_SHAPE if opcode in COMPARISON_OPCODES else shape
-    kbs = kbs if kbs is not None else all_knownbits(shape[0])
-    members = [kb_members(shape, kb) for kb in kbs]
-    for a, xs in zip(kbs, members):
-        for b, ys in zip(kbs, members):
-            result = kb_binary(opcode, shape, a, b)
-            for x in xs:
-                row = table[x - lo0]
-                for y in ys:
-                    value = row[y - lo0]
-                    if value is None:
-                        continue
-                    if not result.contains_pattern(
-                            to_pattern(result_shape, value)):
-                        problems.append(
-                            f"knownbits {opcode.value} {shape}: {a} x {b} "
-                            f"-> {result} misses {value} (from {x}, {y})")
-                        return
-
-
-def check_binary_singletons(opcode: Opcode, shape: Shape,
-                            problems: List[str], stride: int = 1) -> None:
-    """Exhaustive concrete pairs through singleton abstract values."""
-    ty = types.integral(*shape)
+@functools.cache
+def singletons(shape: Shape, stride: int = 1) -> Space:
+    """Every ``stride``-th value of a shape, each as its own element."""
     lo, hi = shape_bounds(shape)
-    result_shape = BOOL_SHAPE if opcode in COMPARISON_OPCODES else shape
-    for x in range(lo, hi + 1, stride):
-        cx = _concrete(shape, x)
-        a_iv = Interval.const(x)
-        a_kb = KnownBits.const(shape, x)
-        for y in range(lo, hi + 1, stride):
-            try:
-                value = int(eval_binary(opcode, ty, cx, _concrete(shape, y)))
-            except ArithmeticFault:
-                continue
-            b_iv = Interval.const(y)
-            b_kb = KnownBits.const(shape, y)
-            iv = interval_binary(opcode, shape, a_iv, b_iv)
-            if not iv.contains(value):
-                problems.append(
-                    f"interval {opcode.value} {shape} singleton: "
-                    f"{x} op {y} = {value} not in {iv}")
-                return
-            kb = kb_binary(opcode, shape, a_kb, b_kb)
-            if not kb.contains_pattern(to_pattern(result_shape, value)):
-                problems.append(
-                    f"knownbits {opcode.value} {shape} singleton: "
-                    f"{x} op {y} = {value} not in {kb}")
-                return
+    values = range(lo, hi + 1, stride)
+    return Space(shape, values,
+                 tuple((Interval.const(v), range(i, i + 1))
+                       for i, v in enumerate(values)),
+                 tuple((KnownBits.const(shape, v), range(i, i + 1))
+                       for i, v in enumerate(values)))
 
 
-def check_binary_sampled(opcode: Opcode, shape: Shape, problems: List[str],
-                         rng: random.Random, rounds: int,
-                         probes: int = 8) -> None:
-    """Boundary + seeded sampling for wide shapes: abstract inputs from
-    the tvalid argument window, concrete probes at endpoints + seeded
-    interior members."""
-    ty = types.integral(*shape)
-    result_shape = BOOL_SHAPE if opcode in COMPARISON_OPCODES else shape
-    domain = argument_domain(ty) or []
+@functools.cache
+def amounts(bits: int) -> Space:
+    """Shift amounts for a ``bits``-wide value: every ubyte amount, the
+    intervals between the marks around the width, and each mark as a
+    known amount plus the unknown one (a partially known amount gives
+    top by construction)."""
+    marks = sorted({*range(bits + 2), 63, 64, 255})
+    return Space(SHIFT_AMOUNT_SHAPE, range(256),
+                 tuple((Interval(a, b), range(a, b + 1))
+                       for a in marks for b in marks if a <= b),
+                 tuple((KnownBits.const(SHIFT_AMOUNT_SHAPE, k), (k,))
+                       for k in marks) + ((KnownBits.top(8), range(256)),))
+
+
+def sampled(shape: Shape, window: Sequence[int], rng: random.Random,
+            probes: int) -> Space:
+    """One seeded interval of a wide shape — a point of ``window``, a
+    span between two, or a span between random values — with its known
+    bits, probed at its endpoints and ``probes`` seeded members."""
     lo, hi = shape_bounds(shape)
-
-    def random_interval() -> Interval:
-        kind = rng.randrange(3)
-        if kind == 0:
-            v = rng.choice(domain)
-            return Interval(v, v)
-        a, b = rng.choice(domain), rng.choice(domain)
-        if kind == 1:
-            a, b = rng.randrange(lo, hi + 1), rng.randrange(lo, hi + 1)
-        return Interval(min(a, b), max(a, b))
-
-    def probes_of(interval: Interval) -> list:
-        values = {interval.lo, interval.hi}
-        for _ in range(probes):
-            values.add(rng.randrange(interval.lo, interval.hi + 1))
-        return sorted(values)
-
-    for _ in range(rounds):
-        a, b = random_interval(), random_interval()
-        iv = interval_binary(opcode, shape, a, b)
-        a_kb, b_kb = kb_from_interval(shape, a), kb_from_interval(shape, b)
-        kb = kb_binary(opcode, shape, a_kb, b_kb)
-        for x in probes_of(a):
-            for y in probes_of(b):
-                try:
-                    value = int(eval_binary(opcode, ty, _concrete(shape, x),
-                                            _concrete(shape, y)))
-                except ArithmeticFault:
-                    continue
-                if not iv.contains(value):
-                    problems.append(
-                        f"interval {opcode.value} {shape} sampled: "
-                        f"{a} x {b} -> {iv} misses {value} ({x}, {y})")
-                    return
-                if not kb.contains_pattern(to_pattern(result_shape, value)):
-                    problems.append(
-                        f"knownbits {opcode.value} {shape} sampled: "
-                        f"{a_kb} x {b_kb} -> {kb} misses {value} ({x}, {y})")
-                    return
+    kind = rng.randrange(3)
+    a, b = rng.choice(window), rng.choice(window)
+    if kind == 0:
+        b = a
+    elif kind == 1:
+        a, b = rng.randrange(lo, hi + 1), rng.randrange(lo, hi + 1)
+    iv = Interval(min(a, b), max(a, b))
+    values = sorted({iv.lo, iv.hi, *(rng.randrange(iv.lo, iv.hi + 1)
+                                     for _ in range(probes))})
+    everywhere = range(len(values))
+    return Space(shape, values, ((iv, everywhere),),
+                 ((kb_from_interval(shape, iv), everywhere),))
 
 
-# ---------------------------------------------------------------------------
-# Shifts
-# ---------------------------------------------------------------------------
-
-def _shift_table(opcode: Opcode, shape: Shape):
-    """``table[x - lo][k]`` over every ubyte amount ``k``."""
-    ty = types.integral(*shape)
-    lo, hi = shape_bounds(shape)
-    return [[int(eval_shift(opcode, ty, x, k)) for k in range(256)]
-            for x in range(lo, hi + 1)]
-
-
-def _amount_intervals(bits: int) -> List[Interval]:
-    marks = sorted(set(list(range(bits + 2)) + [63, 64, 255]))
-    return [Interval(a, b) for a in marks for b in marks if a <= b]
-
-
-def check_shift_exhaustive(opcode: Opcode, shape: Shape,
-                           problems: List[str],
-                           intervals: Optional[list] = None) -> None:
-    table = _shift_table(opcode, shape)
-    lo0 = shape_bounds(shape)[0]
-    bits = shape[0]
-    intervals = intervals if intervals is not None else all_intervals(shape)
-    amounts = _amount_intervals(bits)
-    for a in intervals:
-        rows = table[a.lo - lo0:a.hi - lo0 + 1]
-        for amt in amounts:
-            result = interval_shift(opcode, shape, a, amt)
-            cmin = min(min(row[amt.lo:amt.hi + 1]) for row in rows)
-            cmax = max(max(row[amt.lo:amt.hi + 1]) for row in rows)
-            if not (result.lo <= cmin and cmax <= result.hi):
-                problems.append(
-                    f"interval {opcode.value} {shape}: {a} by {amt} -> "
-                    f"{result} misses concrete [{cmin}, {cmax}]")
-                return
-    # Known-bits: every value element against every fully-known amount
-    # (the transformer returns top for partially-known amounts, checked
-    # by construction) plus the top amount.
-    known_amounts = [KnownBits.const(SHIFT_SHAPE, k)
-                     for k in sorted({0, 1, 2, bits - 1, bits, bits + 1, 255})]
-    kbs = all_knownbits(bits)
-    for a in kbs:
-        xs = kb_members(shape, a)
-        for amt_kb in known_amounts + [KnownBits.top(8)]:
-            result = kb_shift(opcode, shape, a, amt_kb)
-            amounts_concrete = [amt_kb.known_pattern] \
-                if amt_kb.is_fully_known else [0, 1, bits, 255]
-            for x in xs:
-                for k in amounts_concrete:
-                    value = table[x - lo0][k]
-                    if not result.contains_pattern(to_pattern(shape, value)):
-                        problems.append(
-                            f"knownbits {opcode.value} {shape}: {a} by "
-                            f"{amt_kb} -> {result} misses {value} "
-                            f"({x} by {k})")
-                        return
+def _cases(opcode: Opcode, shapes: List[Shape],
+           casts: List[Tuple[Shape, Shape]], value: Callable,
+           amount: Callable) -> List[Tuple[Shape, Shape, tuple]]:
+    """``(src, dst, spaces)`` for each signature a rung checks a row at:
+    ``casts`` for a cast, else each of ``shapes`` the IR types the row
+    at.  ``value(shape)`` is a value operand's space, ``amount(bits)`` a
+    shift amount's."""
+    if opcode == Opcode.CAST:
+        return [(src, dst, (value(src),)) for src, dst in casts]
+    cases = []
+    for src in shapes:
+        if src != BOOL_SHAPE or opcode in _BOOL_ROWS:
+            dst = BOOL_SHAPE if opcode in COMPARISON_OPCODES else src
+            second = amount(src[0]) if opcode in SHIFT_OPCODES \
+                else value(src)
+            cases.append((src, dst, (value(src), second)))
+    return cases
 
 
-SHIFT_SHAPE: Shape = (8, False)
+def _evaluator(opcode: Opcode, src: Shape, dst: Shape) -> Callable:
+    """constfold's concrete meaning of a row at these shapes."""
+    ty = types.integral(*src)
+    if opcode == Opcode.CAST:
+        return cast_evaluator(ty, types.integral(*dst))
+    if opcode in SHIFT_OPCODES:
+        return shift_evaluator(opcode, ty)
+    return binary_evaluator(opcode, ty)
+
+
+def _row_label(opcode: Opcode, src: Shape, dst: Shape) -> str:
+    """``"add s4"``, or ``"cast s3>u4"`` for a cast."""
+    text = [f"{'us'[signed]}{bits}" if (bits, signed) != BOOL_SHAPE
+            else "bool" for bits, signed in (src, dst)]
+    return f"cast {text[0]}>{text[1]}" if opcode == Opcode.CAST \
+        else f"{opcode.value} {text[0]}"
 
 
 # ---------------------------------------------------------------------------
-# Casts
+# One row
 # ---------------------------------------------------------------------------
 
-def check_cast_exhaustive(src: Shape, dst: Shape,
-                          problems: List[str]) -> None:
-    src_ty = types.integral(*src)
-    dst_ty = types.integral(*dst)
-    lo, hi = shape_bounds(src)
-    table = [int(eval_cast(src_ty, dst_ty, _concrete(src, v)))
-             for v in range(lo, hi + 1)]
-    for a in all_intervals(src):
-        result = interval_cast(src, dst, a)
-        segment = table[a.lo - lo:a.hi - lo + 1]
-        cmin, cmax = min(segment), max(segment)
-        if not (result.lo <= cmin and cmax <= result.hi):
-            problems.append(
-                f"interval cast {src}->{dst}: {a} -> {result} misses "
-                f"concrete [{cmin}, {cmax}]")
-            return
-    for a in all_knownbits(src[0]):
-        result = kb_cast(src, dst, a)
-        for x in kb_members(src, a):
-            value = table[x - lo]
-            if not result.contains_pattern(to_pattern(dst, value)):
-                problems.append(
-                    f"knownbits cast {src}->{dst}: {a} -> {result} "
-                    f"misses {value} (from {x})")
-                return
+def _result(evaluate: Callable, *operands) -> Optional[int]:
+    try:
+        return int(evaluate(*operands))
+    except ArithmeticFault:
+        return None  # the execution traps
+
+
+def check_row(opcode: Opcode, src: Shape, dst: Shape,
+              spaces: Sequence[Space], problems: List[str],
+              scores: Optional[Scores] = None) -> None:
+    """Check one row at ``src`` -> ``dst`` over the product of
+    ``spaces``, one per operand.  Each domain reports at most one
+    witness into ``problems``; with ``scores``, a domain that passed
+    records its (exact, counted) tuples."""
+    row = TRANSFERS[opcode]
+    label = _row_label(opcode, src, dst)
+    evaluate = _evaluator(opcode, src, dst)
+    first, rest = spaces[0], spaces[1:]
+    operands = [[bool(v) if space.shape == BOOL_SHAPE else v
+                 for v in space.values] for space in spaces]
+    # ``table[i][j]``: the result on the i-th value of the first operand
+    # and the j-th of the second; a cast has one column.
+    table = [[_result(evaluate, x, *ys)
+              for ys in itertools.product(*operands[1:])]
+             for x in operands[0]]
+    mask = (1 << dst[0]) - 1
+    patterns = [[v if v is None else v & mask for v in line]
+                for line in table]
+
+    def interval_image(at: range) -> Callable:
+        # Each row's extremes over the column; a box folds its rows'.
+        extremes = [(min(live), max(live)) if live else None
+                    for live in ([v for v in line[at.start:at.stop]
+                                  if v is not None] for line in table)]
+
+        def image(rows: range) -> Optional[Interval]:
+            low = high = None
+            for pair in extremes[rows.start:rows.stop]:
+                if pair is not None:
+                    if low is None or pair[0] < low:
+                        low = pair[0]
+                    if high is None or pair[1] > high:
+                        high = pair[1]
+            return None if low is None else Interval(low, high)
+        return image
+
+    def kb_image(at: Sequence[int]) -> Callable:
+        def image(rows: Sequence[int]) -> Optional[KnownBits]:
+            zeros = ones = mask
+            live = False
+            for i in rows:
+                line = patterns[i]
+                for j in at:
+                    if line[j] is not None:
+                        zeros &= ~line[j]
+                        ones &= line[j]
+                        live = True
+            return KnownBits(dst[0], zeros, ones) if live else None
+        return image
+
+    for domain, transfer, elements, seconds, image_of in (
+            ("interval", row.interval, first.intervals,
+             rest[0].intervals if rest else None, interval_image),
+            ("knownbits", row.kb, first.kbs,
+             rest[0].kbs if rest else None, kb_image)):
+        columns = [((b,), at) for b, at in seconds] if rest \
+            else [((), range(1))]
+        tally = _check_domain(f"{domain} {label}",
+                              functools.partial(transfer, src, dst),
+                              elements, columns, image_of, problems)
+        if tally is not None and scores is not None:
+            scores[(label, domain)] = tally
+
+
+def _check_domain(what: str, transfer: Callable, elements: Sequence,
+                  columns: list, image_of: Callable,
+                  problems: List[str]) -> Optional[Tuple[int, int]]:
+    """One domain of :func:`check_row`: (exact, counted), or None after
+    reporting the first unsound tuple."""
+    exact = counted = 0
+    for extra, at in columns:
+        image = image_of(at)
+        for a, rows in elements:
+            best = image(rows)
+            if best is None:
+                continue  # every execution the tuple admits traps
+            result = transfer(a, *extra)
+            if result == best:
+                exact += 1
+            elif result.join(best) != result:
+                operands = " x ".join(map(str, (a,) + extra))
+                problems.append(f"{what}: {operands} -> {result} misses "
+                                f"the concrete results' {best}")
+                return None
+            counted += 1
+    return exact, counted
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +406,7 @@ def check_widening_chains(shape: Shape, problems: List[str],
     round trip instead and fails this at every width."""
     allowed = limit + 2
     for opcode in ARITH_OPCODES:
+        row = TRANSFERS[opcode]
         for k in steps:
             step = AbsValue.const(shape, k)
             for swapped in (False, True):
@@ -468,8 +415,8 @@ def check_widening_chains(shape: Shape, problems: List[str],
                     a, b = (step, x) if swapped else (x, step)
                     return AbsValue.make(
                         shape,
-                        interval_binary(opcode, shape, a.interval, b.interval),
-                        kb_binary(opcode, shape, a.kb, b.kb))
+                        row.interval(shape, shape, a.interval, b.interval),
+                        row.kb(shape, shape, a.kb, b.kb))
 
                 for c in starts:
                     if not _phi_settles(AbsValue.const(shape, c), body,
@@ -487,10 +434,23 @@ def check_widening_chains(shape: Shape, problems: List[str],
 # The ladder
 # ---------------------------------------------------------------------------
 
+def check_exhaustive(full: bool, problems: List[str],
+                     scores: Optional[Scores] = None) -> None:
+    """Rung 1: every row over every element of the narrow shapes."""
+    bits = 4 if full else 3
+    shapes = [(bits, False), (bits, True), BOOL_SHAPE]
+    cast_shapes = [(bits, signed) for bits in ((3, 4, 6) if full else (3,))
+                   for signed in (False, True)] + [BOOL_SHAPE]
+    casts = [(src, dst) for src in cast_shapes for dst in cast_shapes]
+    for opcode in TRANSFERS:
+        for src, dst, spaces in _cases(opcode, shapes, casts, every, amounts):
+            check_row(opcode, src, dst, spaces, problems, scores)
+
+
 def run_self_check(full: bool = True, seed: int = 0x5eed,
                    log: Optional[Callable[[str], None]] = None) -> List[str]:
     """Run the soundness ladder; returns the list of violations (empty
-    means every transformer proved sound at every probed width)."""
+    means every row proved sound at every probed width)."""
     problems: List[str] = []
     rng = random.Random(seed)
 
@@ -499,35 +459,21 @@ def run_self_check(full: bool = True, seed: int = 0x5eed,
             log(message)
 
     narrow_bits = 4 if full else 3
-    narrow_shapes = [(narrow_bits, False), (narrow_bits, True)]
+    say(f"[1/4] {narrow_bits}-bit exhaustive: every row over both domains, "
+        f"both signednesses and bool; casts over narrow shapes + bool")
+    scores: Scores = {}
+    check_exhaustive(full, problems, scores)
+    say("precision: exact / counted abstract operand tuples, per row")
+    for (label, domain), (exact, counted) in scores.items():
+        if domain == "interval":
+            kb_exact, kb_counted = scores.get((label, "knownbits"), (0, 1))
+            say(f"  {label:<14} interval {exact / counted:.2f} "
+                f"({exact}/{counted})  knownbits {kb_exact / kb_counted:.2f} "
+                f"({kb_exact}/{kb_counted})")
 
-    say(f"[1/5] {narrow_bits}-bit exhaustive: binary opcodes over both "
-        f"domains, both signednesses")
-    for shape in narrow_shapes:
-        for opcode in ALL_BINARY:
-            check_interval_binary_exhaustive(opcode, shape, problems)
-            check_kb_binary_exhaustive(opcode, shape, problems)
-    for opcode in (Opcode.AND, Opcode.OR, Opcode.XOR) + CMP_OPCODES:
-        check_interval_binary_exhaustive(opcode, BOOL_SHAPE, problems)
-        check_kb_binary_exhaustive(opcode, BOOL_SHAPE, problems)
-
-    say(f"[2/5] {narrow_bits}-bit exhaustive: shifts (saturating "
-        f"amounts included)")
-    for shape in narrow_shapes:
-        for opcode in SHIFT_OPCODES:
-            check_shift_exhaustive(opcode, shape, problems)
-
-    say("[3/5] cast matrix over narrow shapes + bool")
-    cast_shapes = [(3, False), (3, True), (narrow_bits, False),
-                   (narrow_bits, True), (6, False), (6, True), BOOL_SHAPE] \
-        if full else [(3, False), (3, True), BOOL_SHAPE]
-    for src in cast_shapes:
-        for dst in cast_shapes:
-            check_cast_exhaustive(src, dst, problems)
-
-    say("[4/5] reduced product: conversions, reduce_pair and the "
+    say("[2/4] reduced product: conversions, reduce_pair and the "
         "widening operator")
-    for shape in narrow_shapes:
+    for shape in ((narrow_bits, False), (narrow_bits, True)):
         check_reduction(shape, problems)
         check_widening_extensive(shape, problems)
         # Too narrow to keep a known bit through WIDEN_AFTER changes, so
@@ -543,24 +489,42 @@ def run_self_check(full: bool = True, seed: int = 0x5eed,
                               argument_domain(ty, core_only=True),
                               argument_domain(ty), limit=WIDEN_AFTER)
 
-    if full:
-        say("[5/5] 8-bit exhaustive singletons; 16/32/64-bit boundary "
-            "+ seeded sampling")
-        for shape in ((8, False), (8, True)):
-            for opcode in ALL_BINARY:
-                check_binary_singletons(opcode, shape, problems)
-        for bits in (16, 32, 64):
-            for signed in (False, True):
-                for opcode in ALL_BINARY:
-                    check_binary_sampled(opcode, (bits, signed), problems,
-                                         rng, rounds=40)
-    else:
-        say("[5/5] 8-bit strided singletons (fast mode)")
-        for shape in ((8, False), (8, True)):
-            for opcode in ALL_BINARY:
-                check_binary_singletons(opcode, shape, problems, stride=7)
-        for opcode in ALL_BINARY:
-            check_binary_sampled(opcode, (32, True), problems, rng,
-                                 rounds=6, probes=4)
+    stride = 1 if full else 7
+    say(f"[3/4] 8-bit {'exhaustive' if full else 'strided'} singletons: "
+        f"every row; shifts by every amount, casts to every production "
+        f"width")
+    shapes = [(8, False), (8, True)]
+    casts = [(src, dst) for src in shapes + [BOOL_SHAPE]
+             for dst in PRODUCTION_SHAPES]
+    for opcode in TRANSFERS:
+        for src, dst, spaces in _cases(
+                opcode, shapes, casts, lambda shape: singletons(shape, stride),
+                lambda bits: singletons(SHIFT_AMOUNT_SHAPE)):
+            check_row(opcode, src, dst, spaces, problems)
+
+    say(f"[4/4] {'16/32/64' if full else '32'}-bit boundary + seeded "
+        f"sampling: every row; casts between production widths")
+    wide = [(bits, signed) for bits in (16, 32, 64)
+            for signed in (False, True)] if full else [(32, True)]
+    casts = [(src, dst) for src in PRODUCTION_SHAPES
+             for dst in PRODUCTION_SHAPES] if full \
+        else [((32, True), dst) for dst in PRODUCTION_SHAPES]
+    rounds, probes = (40, 8) if full else (6, 4)
+
+    def value(shape: Shape) -> Space:
+        window = argument_domain(types.integral(*shape))
+        return sampled(shape, [int(v) for v in window], rng, probes)
+
+    def amount(bits: int) -> Space:
+        window = argument_domain(types.UBYTE) + [bits - 1, bits, bits + 1]
+        return sampled(SHIFT_AMOUNT_SHAPE, window, rng, probes)
+
+    for opcode in TRANSFERS:
+        reported = len(problems)
+        for _ in range(rounds):
+            if len(problems) > reported:
+                break  # one witness per row is enough
+            for src, dst, spaces in _cases(opcode, wide, casts, value, amount):
+                check_row(opcode, src, dst, spaces, problems)
 
     return problems

@@ -867,17 +867,15 @@ def lc_synth(argv=None) -> int:
 
 
 def lc_absint(argv=None) -> int:
-    """Verified abstract interpretation: self-check and range dumps."""
+    """Verified abstract interpretation: the transfer-table self-check."""
     parser = argparse.ArgumentParser(
         prog="lc-absint",
         description="value-range + known-bits abstract interpretation: "
-                    "machine-check every abstract transformer against "
-                    "the concrete constfold semantics (--self-check), "
-                    "or dump per-value facts for a module",
+                    "machine-check every row of the transfer table against "
+                    "the concrete constfold semantics and print each "
+                    "row's precision (per-value facts: lc-opt -analyze "
+                    "ranges)",
     )
-    parser.add_argument("input", nargs="?", default=None,
-                        help="module to analyze and dump (.ll/.bc or - "
-                             "for stdin)")
     parser.add_argument("--self-check", action="store_true",
                         dest="self_check",
                         help="run the soundness ladder over every "
@@ -888,28 +886,22 @@ def lc_absint(argv=None) -> int:
                              "(3-bit exhaustive) instead of the full one")
     parser.add_argument("-q", "--quiet", action="store_true")
     args = parser.parse_args(argv)
+    if not args.self_check:
+        parser.print_usage(sys.stderr)
+        return 2
 
-    if args.self_check:
-        from .analysis.absint import run_self_check
+    from .analysis.absint import run_self_check
 
-        log = None if args.quiet else (
-            lambda message: print(f"lc-absint: {message}", file=sys.stderr))
-        problems = run_self_check(full=not args.fast, log=log)
-        for problem in problems:
-            print(f"lc-absint: UNSOUND: {problem}", file=sys.stderr)
-        if not args.quiet:
-            status = "FAILED" if problems else "ok"
-            print(f"lc-absint: self-check {status} "
-                  f"({len(problems)} violation(s))", file=sys.stderr)
-        return 1 if problems else 0
-
-    if args.input is None:
-        parser.error("an input module is required without --self-check")
-    from .analysis.absint.engine import RangeDumpPass
-
-    PassManager().add(RangeDumpPass(stream=sys.stdout)).run(
-        _read_module(args.input))
-    return 0
+    log = None if args.quiet else (
+        lambda message: print(f"lc-absint: {message}", file=sys.stderr))
+    problems = run_self_check(full=not args.fast, log=log)
+    for problem in problems:
+        print(f"lc-absint: UNSOUND: {problem}", file=sys.stderr)
+    if not args.quiet:
+        status = "FAILED" if problems else "ok"
+        print(f"lc-absint: self-check {status} "
+              f"({len(problems)} violation(s))", file=sys.stderr)
+    return 1 if problems else 0
 
 
 def lc_bench(argv=None) -> int:

@@ -7,14 +7,14 @@ import random
 import pytest
 
 from repro.analysis.absint import (
-    BOOL_SHAPE, Interval, KnownBits, analyze_function, analyze_module,
-    exact_binary_range, interval_binary, interval_from_kb, kb_binary,
-    kb_from_interval, reduce_pair, run_self_check, shape_of,
+    BOOL_SHAPE, TRANSFERS, Interval, KnownBits, analyze_function,
+    analyze_module, exact_binary_range, interval_from_kb, kb_from_interval,
+    reduce_pair, run_self_check, shape_of,
 )
 from repro.analysis.absint.domains import _kb_add
 from repro.core import parse_function, parse_module, types, verify_function
 from repro.core.constfold import ArithmeticFault, eval_binary
-from repro.core.instructions import Opcode
+from repro.core.instructions import BINARY_OPCODES, Opcode
 from repro.execution import ExecutionError, Interpreter
 from repro.frontend import compile_source
 from repro.sanalysis import run_checkers
@@ -53,15 +53,15 @@ class TestDomains:
     def test_interval_binary_matches_concrete(self):
         a, b = Interval(-3, 4), Interval(2, 5)
         for opcode in (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV):
-            result = interval_binary(opcode, INT, a, b)
+            result = TRANSFERS[opcode].interval(INT, INT, a, b)
             for x in range(a.lo, a.hi + 1):
                 for y in range(b.lo, b.hi + 1):
                     concrete = eval_binary(opcode, types.INT, x, y)
                     assert result.contains(concrete), (opcode, x, y)
 
     def test_kb_and_tracks_masks(self):
-        kb = kb_binary(Opcode.AND, UINT, KnownBits.top(32),
-                       KnownBits.const(UINT, 0xFF))
+        kb = TRANSFERS[Opcode.AND].kb(UINT, UINT, KnownBits.top(32),
+                                      KnownBits.const(UINT, 0xFF))
         assert kb.zeros & 0xFFFFFF00 == 0xFFFFFF00  # high bits known zero
 
     def test_exact_binary_range_prewrap(self):
@@ -136,9 +136,142 @@ class TestKnownBitsAdd:
                 _ripple_kb_add(bits, a, b, carry_in), (a, b, carry_in)
 
 
+def _setlt_off_by_one(src, dst, a, b):
+    if a.hi <= b.lo:  # should be a.hi < b.lo
+        return Interval(1, 1)
+    if a.lo >= b.hi:
+        return Interval(0, 0)
+    return Interval(0, 1)
+
+
+#: One unsound row per kind; the fast ladder must name exactly its row.
+PLANTED_ROWS = {
+    "binary-interval": (Opcode.ADD, "interval",  # no wrap
+                        lambda src, dst, a, b: Interval(a.lo + b.lo,
+                                                        a.hi + b.hi)),
+    "binary-knownbits": (Opcode.ADD, "kb",  # drops the carries
+                         lambda src, dst, a, b: KnownBits(
+                             src[0], (a.zeros & b.zeros) | (a.ones & b.ones),
+                             (a.zeros & b.ones) | (a.ones & b.zeros))),
+    "shift-knownbits": (Opcode.SHR, "kb",  # ignores the amount
+                        lambda src, dst, a, amount: a),
+    "cast-interval": (Opcode.CAST, "interval",  # never wraps
+                      lambda src, dst, a: a),
+    "comparison-interval": (Opcode.SETLT, "interval", _setlt_off_by_one),
+}
+
+#: Precision floors at the fast ladder's 3-bit shapes: per row label,
+#: the (interval, known-bits) share of abstract operand tuples on which
+#: the row returns the best abstract value, truncated to 4 places.  A
+#: drop fails; a rise is re-pinned here.
+PRECISION_FLOORS = {
+    "add u3":         (0.8379, 1.0),
+    "add s3":         (0.9614, 1.0),
+    "sub u3":         (0.8379, 1.0),
+    "sub s3":         (0.9614, 1.0),
+    "mul u3":         (0.6203, 0.8038),
+    "mul s3":         (0.6929, 0.8038),
+    "div u3":         (1.0, 0.1866),
+    "div s3":         (0.9841, 0.527),
+    "rem u3":         (0.8896, 0.3048),
+    "rem s3":         (0.9, 0.4458),
+    "and u3":         (0.912, 1.0),
+    "and s3":         (0.5848, 1.0),
+    "and bool":       (1.0, 1.0),
+    "or u3":          (0.912, 1.0),
+    "or s3":          (0.5848, 1.0),
+    "or bool":        (1.0, 1.0),
+    "xor u3":         (0.7777, 1.0),
+    "xor s3":         (0.7422, 1.0),
+    "xor bool":       (1.0, 1.0),
+    "seteq u3":       (1.0, 1.0),
+    "seteq s3":       (1.0, 1.0),
+    "seteq bool":     (1.0, 1.0),
+    "setne u3":       (1.0, 1.0),
+    "setne s3":       (1.0, 1.0),
+    "setne bool":     (1.0, 1.0),
+    "setlt u3":       (1.0, 0.6351),
+    "setlt s3":       (1.0, 0.6351),
+    "setlt bool":     (1.0, 0.7777),
+    "setle u3":       (1.0, 0.6351),
+    "setle s3":       (1.0, 0.6351),
+    "setle bool":     (1.0, 0.7777),
+    "setgt u3":       (1.0, 0.6351),
+    "setgt s3":       (1.0, 0.6351),
+    "setgt bool":     (1.0, 0.7777),
+    "setge u3":       (1.0, 0.6351),
+    "setge s3":       (1.0, 0.6351),
+    "setge bool":     (1.0, 0.7777),
+    "shl u3":         (0.5069, 0.9629),
+    "shl s3":         (0.5092, 0.9629),
+    "shr u3":         (1.0, 0.9629),
+    "shr s3":         (1.0, 0.9259),
+    "cast u3>u3":     (1.0, 1.0),
+    "cast u3>s3":     (0.7222, 1.0),
+    "cast u3>bool":   (1.0, 1.0),
+    "cast s3>u3":     (0.7222, 1.0),
+    "cast s3>s3":     (1.0, 1.0),
+    "cast s3>bool":   (1.0, 1.0),
+    "cast bool>u3":   (1.0, 1.0),
+    "cast bool>s3":   (1.0, 1.0),
+    "cast bool>bool": (1.0, 1.0),
+}
+
+
 class TestSelfCheck:
     def test_fast_ladder_is_clean(self):
         assert run_self_check(full=False) == []
+
+    @pytest.mark.parametrize("kind", sorted(PLANTED_ROWS))
+    def test_ladder_reports_a_planted_unsound_row(self, monkeypatch, kind):
+        opcode, domain, unsound = PLANTED_ROWS[kind]
+        monkeypatch.setitem(TRANSFERS, opcode,
+                            TRANSFERS[opcode]._replace(**{domain: unsound}))
+        problems = run_self_check(full=False)
+        assert problems
+        reported = {tuple(problem.split()[:2]) for problem in problems}
+        named = "interval" if domain == "interval" else "knownbits"
+        assert reported == {(named, opcode.value)}, problems
+
+    @pytest.mark.parametrize("full", [False, True], ids=["fast", "full"])
+    def test_every_row_is_checked(self, monkeypatch, full):
+        from repro.analysis.absint import selfcheck
+
+        assert set(TRANSFERS) == \
+            BINARY_OPCODES | {Opcode.SHL, Opcode.SHR, Opcode.CAST}
+        rung = [None]
+        checked = {}
+
+        def record(opcode, *args, **kwargs):
+            checked.setdefault(rung[0], set()).add(opcode)
+
+        def log(message):
+            if message.startswith("["):
+                rung[0] = message.split()[0]
+
+        monkeypatch.setattr(selfcheck, "check_row", record)
+        for name in ("check_reduction", "check_widening_extensive",
+                     "check_widening_chains"):
+            monkeypatch.setattr(selfcheck, name, lambda *args, **kw: None)
+        assert run_self_check(full=full, log=log) == []
+        assert checked == {rung: set(TRANSFERS)
+                           for rung in ("[1/4]", "[3/4]", "[4/4]")}
+
+    def test_precision_does_not_drop(self):
+        from repro.analysis.absint.selfcheck import check_exhaustive
+
+        problems, scores = [], {}
+        check_exhaustive(False, problems, scores)
+        assert problems == []
+        measured = {}
+        for (label, domain), (exact, counted) in scores.items():
+            measured.setdefault(label, {})[domain] = exact / counted
+        assert set(measured) == set(PRECISION_FLOORS)
+        drops = {label: (measured[label], floors)
+                 for label, floors in PRECISION_FLOORS.items()
+                 if measured[label]["interval"] < floors[0]
+                 or measured[label]["knownbits"] < floors[1]}
+        assert not drops
 
     def test_ladder_rejects_a_widening_that_leaves_the_pair_unreduced(
             self, monkeypatch):
@@ -537,7 +670,14 @@ entry:
         from repro.tools import lc_absint
 
         assert lc_absint(["--self-check", "--fast"]) == 0
-        assert "self-check ok" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "self-check ok" in err and "precision" in err
+        # Per-value facts are lc-opt -analyze ranges' job: a bare
+        # lc-absint prints usage, and takes no module.
+        assert lc_absint([]) == 2
+        assert "usage: lc-absint" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            lc_absint(["in.ll"])
 
     def test_lc_opt_analyze_ranges(self, tmp_path, capsys):
         from repro.tools import lc_opt
