@@ -4,7 +4,7 @@ A simplification PR claims the compiler's *answers* did not move.  This
 script measures that claim against any git ref: it exports the ref with
 ``git archive`` into a temporary directory, runs itself there and here
 with ``--dump`` (same measuring code, the tree under test first on
-``sys.path``), and compares four sections:
+``sys.path``), and compares five sections:
 
 * ``bytecode`` — ``-O2`` + LTO bytecode of the 16 programs under
   ``benchmarks/lifelong/inputs`` and of ``gen_program.Program(seed)``
@@ -14,6 +14,9 @@ with ``--dump`` (same measuring code, the tree under test first on
   judged by the IR it carries;
 * ``facts`` — ``ValueFacts.dump()`` of every function of those linked
   modules (the abstract interpreter's intervals and known bits);
+* ``native`` — the X86 and SPARC executable images of those modules
+  (sha-256 and size each), so a back-end change is checked byte for
+  byte;
 * ``lint`` — every line ``lc-lint --whole-program -O 2`` prints over
   the benchsuite, ``examples/lc`` and fuzz seeds 1000-1059.
 
@@ -103,13 +106,15 @@ def dump(root: str) -> dict:
     sys.path.insert(0, os.path.join(root, "src"))
     os.chdir(root)
     from repro.analysis.absint import analyze_module
+    from repro.backend import SPARC, X86, CodeGenerator
     from repro.bitcode import read_bytecode, write_bytecode
     from repro.core import print_module
     from repro.driver import compile_and_link
     from repro.tools import lc_lint
 
     report: dict[str, dict[str, str]] = {"bytecode": {}, "ir": {},
-                                         "facts": {}, "lint": {}}
+                                         "facts": {}, "native": {},
+                                         "lint": {}}
     for name, units in _programs().items():
         module = compile_and_link(units, name, 2, lto=True)
         data = write_bytecode(module)
@@ -122,6 +127,11 @@ def dump(root: str) -> dict:
                  for line in facts.dump()]
         report["facts"][name] = \
             f"{_sha(chr(10).join(lines).encode())} {len(lines)} lines"
+        images = [(target.name,
+                   CodeGenerator(target).compile_module(module).to_bytes())
+                  for target in (X86, SPARC)]
+        report["native"][name] = " ".join(
+            f"{target} {_sha(image)} {len(image)}B" for target, image in images)
     with tempfile.TemporaryDirectory() as scratch:
         for label, inputs in _lint_inputs(root, scratch):
             out = io.StringIO()

@@ -92,8 +92,9 @@ def is_critical_edge(src: BasicBlock, dst: BasicBlock) -> bool:
 def split_critical_edge(src: BasicBlock, dst: BasicBlock) -> BasicBlock:
     """Insert a forwarding block on the (src, dst) edge.
 
-    Needed before transformations (e.g. phi elimination in the backend)
-    that must place code "on an edge".
+    Needed before IR transformations that must place code "on an
+    edge".  (The back end's phi copies need no split: it gives such an
+    edge a machine block of its own and leaves the IR alone.)
     """
     from ..core.instructions import BranchInst
 

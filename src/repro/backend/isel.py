@@ -1,7 +1,10 @@
 """Instruction selection: lower IR functions to machine IR.
 
-Performs phi elimination (after splitting critical edges), then a
-straightforward one-to-many lowering of each IR instruction.  Typed
+A straightforward one-to-many lowering of each IR instruction, with
+phis lowered on the way: copies into a group register before each
+predecessor's branch, in a machine block of its own on a critical edge.
+The IR is only read, so a function's selection is kept per epoch and
+shared by both targets.  Typed
 ``getelementptr`` is where the lowering earns its keep: the machine has
 no notion of struct fields, so field offsets become literal address
 arithmetic here — and only here, everything above this level kept the
@@ -12,16 +15,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..analysis.cfg import is_critical_edge, split_critical_edge
+from ..analysis.manager import function_analysis
 from ..core import types
 from ..core.instructions import (
     AllocaInst, BinaryOperator, BranchInst, CallInst, CastInst, FreeInst,
     GetElementPtrInst, Instruction, InvokeInst, LoadInst, MallocInst,
-    Opcode, ReturnInst, ShiftInst, StoreInst, SwitchInst,
+    Opcode, PhiNode, ReturnInst, ShiftInst, StoreInst, SwitchInst,
     UnwindInst, VAArgInst,
 )
 from ..core.module import Function, GlobalVariable, Module
-from ..core.record import rebuild_body, snapshot_function
 from ..core.values import (
     Argument, ConstantBool, ConstantExpr, ConstantFP,
     ConstantInt, ConstantPointerNull, UndefValue, Value,
@@ -96,37 +98,100 @@ def _raw_compatible(src_ty: types.Type, dst_ty: types.Type) -> bool:
 
 
 class InstructionSelector:
-    """Lowers one function at a time."""
+    """Hands out the machine IR of a module's functions."""
 
     def __init__(self, module: Module):
         self.module = module
-        self.layout = module.data_layout
 
     def select_function(self, function: Function) -> MachineFunction:
-        # Lower a detached clone: phi elimination inserts machine-level
-        # pseudo-instructions that must not leak into the analysable IR.
-        clone = Function(function.function_type, function.name,
-                         function.linkage)
-        rebuild_body(snapshot_function(function), clone)
-        function = clone
-        _eliminate_phis(function)
+        """A copy of ``function``'s machine IR for the caller to rewrite.
+        The selection is built once per epoch and kept with the
+        function's analyses; it names its globals at each copy, since
+        renaming a global moves no user's epoch."""
+        return _copy(function_analysis(function, _select), function.name)
+
+
+def _select(function: Function) -> MachineFunction:
+    return _Lowering().run(function)
+
+
+def _copy(kept: MachineFunction, name: str) -> MachineFunction:
+    machine_fn = MachineFunction(name)
+    machine_fn.next_vreg = kept.next_vreg
+    blocks = {id(block): machine_fn.new_block(block.name)
+              for block in kept.blocks}
+    for block in kept.blocks:
+        instructions = blocks[id(block)].instructions
+        for instr in block.instructions:
+            symbol, target = instr.symbol, instr.block
+            instructions.append(MachineInstr(
+                instr.op, instr.sub, instr.dst, instr.srcs, instr.imm,
+                symbol if symbol is None or isinstance(symbol, str)
+                else symbol.name,
+                None if target is None else blocks[id(target)],
+                instr.size, instr.kind))
+    return machine_fn
+
+
+class _Lowering:
+    """Lowers one function; reads the IR and never edits it."""
+
+    def run(self, function: Function) -> MachineFunction:
+        self.layout = function.parent.data_layout
         machine_fn = MachineFunction(function.name)
         self._vreg_of: dict[int, int] = {}
         self._group_vregs: dict[int, int] = {}
         self._machine_fn = machine_fn
+        # A phi becomes a copy into its group register at the end of
+        # each predecessor, read back where the phi was.  An edge from
+        # a branching block into a merging one (a critical edge) gets a
+        # block of its own for its copies, right after the predecessor.
         self._block_map: dict[int, MachineBlock] = {}
+        self._edges: dict[tuple[int, int], MachineBlock] = {}
+        position = {id(block): index
+                    for index, block in enumerate(function.blocks)}
+        successors = {}
         for block in function.blocks:
             self._block_map[id(block)] = machine_fn.new_block(block.name or "bb")
+            successors[id(block)] = with_phis = _phi_successors(block, position)
+            for succ in reversed(with_phis):
+                if (len(block.successors()) > 1
+                        and len(succ.unique_predecessors()) > 1):
+                    self._edges[id(block), id(succ)] = machine_fn.new_block(
+                        f"{block.name}.{succ.name}.crit")
         entry = self._block_map[id(function.entry_block)]
         for index, arg in enumerate(function.args):
             entry.append(MachineInstr(MOp.GETARG, dst=self._vreg(arg), imm=index))
         for block in function.blocks:
+            self._source = block
             self._current = self._block_map[id(block)]
-            for inst in block.instructions:
+            phis = list(block.phis())
+            for phi in reversed(phis):
+                self._emit(MOp.MOV, dst=self._vreg(phi),
+                           srcs=(self._group_vreg(phi),))
+            for inst in block.instructions[len(phis):-1]:
                 self._select(inst)
-        # Phi-elimination mutated the IR; callers that need the original
-        # must lower a clone.  (The copies are harmless to re-runs.)
+            for succ in successors[id(block)]:
+                if (id(block), id(succ)) not in self._edges:
+                    self._phi_copies(block, succ)
+            self._select(block.instructions[-1])
+            for succ in reversed(successors[id(block)]):
+                edge = self._edges.get((id(block), id(succ)))
+                if edge is not None:
+                    self._current = edge
+                    self._phi_copies(block, succ)
+                    self._emit(MOp.JMP, block=self._block_map[id(succ)])
         return machine_fn
+
+    def _phi_copies(self, pred, succ) -> None:
+        for phi in succ.phis():
+            self._emit(MOp.MOV, dst=self._group_vreg(phi),
+                       srcs=(self._operand(phi.incoming_for_block(pred)),))
+
+    def _target(self, block) -> MachineBlock:
+        """Where a branch of the block being lowered to ``block`` goes."""
+        return (self._edges.get((id(self._source), id(block)))
+                or self._block_map[id(block)])
 
     # -- helpers -----------------------------------------------------------
 
@@ -137,11 +202,11 @@ class InstructionSelector:
             self._vreg_of[id(value)] = reg
         return reg
 
-    def _group_vreg(self, group: int) -> int:
-        reg = self._group_vregs.get(group)
+    def _group_vreg(self, phi: PhiNode) -> int:
+        reg = self._group_vregs.get(id(phi))
         if reg is None:
             reg = self._machine_fn.new_vreg()
-            self._group_vregs[group] = reg
+            self._group_vregs[id(phi)] = reg
         return reg
 
     def _emit(self, *args, **kwargs) -> MachineInstr:
@@ -163,7 +228,7 @@ class InstructionSelector:
         elif isinstance(value, UndefValue):
             self._emit(MOp.LI, dst=reg, imm=0)
         elif isinstance(value, (GlobalVariable, Function)):
-            self._emit(MOp.LA, dst=reg, symbol=value.name)
+            self._emit(MOp.LA, dst=reg, symbol=value)
         elif isinstance(value, ConstantExpr):
             self._materialize_constexpr(value, reg)
         else:
@@ -215,19 +280,6 @@ class InstructionSelector:
         if isinstance(inst, ShiftInst):
             self._select_alu(inst, _ALU_FROM_OPCODE[opcode])
             return
-        if isinstance(inst, _CopyMarker):
-            if inst.phi_group is not None and inst.is_join:
-                # The phi itself: read the group register.
-                self._emit(MOp.MOV, dst=self._vreg(inst),
-                           srcs=(self._group_vreg(inst.phi_group),))
-            elif inst.phi_group is not None:
-                # A predecessor copy: write the group register.
-                self._emit(MOp.MOV, dst=self._group_vreg(inst.phi_group),
-                           srcs=(self._operand(inst.operands[0]),))
-            else:
-                self._emit(MOp.MOV, dst=self._vreg(inst),
-                           srcs=(self._operand(inst.operands[0]),))
-            return
         if isinstance(inst, LoadInst):
             self._select_memory(inst, self._vreg(inst), None,
                                 self.layout.size_of(inst.type),
@@ -278,24 +330,24 @@ class InstructionSelector:
                                            condition.operands[0].type),
                                srcs=(self._operand(condition.operands[0]),
                                      self._operand(condition.operands[1])),
-                               block=self._block_map[id(inst.operands[1])])
+                               block=self._target(inst.operands[1]))
                 else:
                     cond = self._operand(condition)
                     zero = self._machine_fn.new_vreg()
                     self._emit(MOp.LI, dst=zero, imm=0)
                     self._emit(MOp.CMPBR, sub="ne", srcs=(cond, zero),
-                               block=self._block_map[id(inst.operands[1])])
-                self._emit(MOp.JMP, block=self._block_map[id(inst.operands[2])])
+                               block=self._target(inst.operands[1]))
+                self._emit(MOp.JMP, block=self._target(inst.operands[2]))
             else:
-                self._emit(MOp.JMP, block=self._block_map[id(inst.operands[0])])
+                self._emit(MOp.JMP, block=self._target(inst.operands[0]))
             return
         if isinstance(inst, SwitchInst):
             selector = self._operand(inst.value)
             for case_value, dest in inst.cases:
                 case_reg = self._operand(case_value)
                 self._emit(MOp.CMPBR, sub="eq", srcs=(selector, case_reg),
-                           block=self._block_map[id(dest)])
-            self._emit(MOp.JMP, block=self._block_map[id(inst.default_dest)])
+                           block=self._target(dest))
+            self._emit(MOp.JMP, block=self._target(inst.default_dest))
             return
         if isinstance(inst, (MallocInst, AllocaInst)):
             size = self.layout.size_of(inst.allocated_type)
@@ -390,11 +442,11 @@ class InstructionSelector:
             if pointer.has_all_constant_indices():
                 offset = self._static_gep_offset(pointer)
                 if isinstance(base_pointer, (GlobalVariable, Function)):
-                    return ("global", base_pointer.name, offset)
+                    return ("global", base_pointer, offset)
                 return ("plain", self._operand(base_pointer), offset)
             return self._match_indexed(pointer)
         if isinstance(pointer, (GlobalVariable, Function)):
-            return ("global", pointer.name, 0)
+            return ("global", pointer, 0)
         return ("plain", self._operand(pointer), 0)
 
     def _gep_is_foldable(self, gep: GetElementPtrInst) -> bool:
@@ -402,7 +454,6 @@ class InstructionSelector:
         if gep.has_all_constant_indices():
             offset = self._static_gep_offset(gep)
             return offset is not None and -(1 << 31) <= offset < (1 << 31)
-        disp = 0
         variable_scale = None
         current = gep.pointer.type.pointee
         for position, index in enumerate(gep.indices):
@@ -431,8 +482,7 @@ class InstructionSelector:
         current = gep.pointer.type.pointee
         for position, index in enumerate(gep.indices):
             if position == 0:
-                element = current
-                step = self.layout.size_of(element)
+                step = self.layout.size_of(current)
             elif current.is_struct:
                 if not isinstance(index, ConstantInt):
                     return None
@@ -525,7 +575,7 @@ class InstructionSelector:
             self._emit(MOp.ARG, srcs=(self._operand(arg),), imm=index)
         callee = inst.operands[0]
         if isinstance(callee, Function):
-            self._emit(MOp.CALL, symbol=callee.name, imm=len(args))
+            self._emit(MOp.CALL, symbol=callee, imm=len(args))
         else:
             self._emit(MOp.CALLR, srcs=(self._operand(callee),), imm=len(args))
         if not inst.type.is_void:
@@ -533,7 +583,7 @@ class InstructionSelector:
         if isinstance(inst, InvokeInst):
             # The invoke's handler registration is a runtime-call pair in
             # real codegen; model the normal-path branch only.
-            self._emit(MOp.JMP, block=self._block_map[id(inst.normal_dest)])
+            self._emit(MOp.JMP, block=self._target(inst.normal_dest))
 
 
 def _only_memory_uses(gep: GetElementPtrInst) -> bool:
@@ -560,47 +610,9 @@ def _fuses_into_branch(comparison: BinaryOperator) -> bool:
             and user.parent is comparison.parent)
 
 
-class _CopyMarker(Instruction):
-    """A pseudo-instruction inserted by phi elimination.
-
-    A non-join marker copies its operand into the phi's shared group
-    register (at the end of a predecessor); the join marker, placed
-    where the phi was, reads the group register out.
-    """
-
-    __slots__ = ("phi_group", "is_join")
-
-    def __init__(self, value: Value, name: str = "",
-                 phi_group: Optional[int] = None, is_join: bool = False):
-        super().__init__(Opcode.CAST, value.type, (value,), name)
-        self.phi_group = phi_group
-        self.is_join = is_join
-
-
-def _eliminate_phis(function: Function) -> None:
-    """Replace phis with group-register copies in predecessors."""
-    # Split critical edges so each copy has an unambiguous home.
-    changed = True
-    while changed:
-        changed = False
-        for block in list(function.blocks):
-            if not any(True for _ in block.phis()):
-                continue
-            for pred in list(block.unique_predecessors()):
-                if is_critical_edge(pred, block):
-                    split_critical_edge(pred, block)
-                    changed = True
-    group_counter = 0
-    for block in function.blocks:
-        for phi in list(block.phis()):
-            group = group_counter
-            group_counter += 1
-            for value, pred in list(phi.incoming):
-                copy = _CopyMarker(value, phi.name or "phicopy",
-                                   phi_group=group)
-                pred.insert_before_terminator(copy)
-            join = _CopyMarker(phi.operands[0], phi.name or "phi",
-                               phi_group=group, is_join=True)
-            block.insert(block.first_non_phi_index(), join)
-            phi.replace_all_uses_with(join)
-            phi.erase_from_parent()
+def _phi_successors(block, position: dict[int, int]) -> list:
+    """The distinct successors of ``block`` that start with a phi, in
+    layout order."""
+    found = {id(succ): succ for succ in block.successors()
+             if next(succ.phis(), None) is not None}
+    return sorted(found.values(), key=lambda succ: position[id(succ)])

@@ -3,10 +3,10 @@
 Live intervals are computed on the linearised instruction order (one
 interval per vreg, from first def to last use — conservative across
 loops by extending intervals that cross backward branches to the loop
-end).  Allocation follows Poletto–Sarkar linear scan: spill the active
-interval with the furthest end when pressure exceeds the register file.
-Spilled vregs get frame slots; every use/def is rewritten through one
-of two reserved scratch registers.
+end, in one sweep).  Allocation follows Poletto–Sarkar linear scan:
+spill the active interval with the furthest end when pressure exceeds
+the register file.  Spilled vregs get frame slots; every use/def is
+rewritten through one of three reserved scratch registers.
 """
 
 from __future__ import annotations
@@ -71,27 +71,35 @@ class LinearScanAllocator:
                     intervals[reg] = _Interval(reg, index)
                 else:
                     interval.end = index
-        # Loop-safety: a vreg live across a backward branch must stay
-        # live through the whole loop body.  Find backward edges and
-        # extend any interval overlapping [target, branch] to the branch.
+        # Loop safety: any value live anywhere inside [target, branch]
+        # of a backward branch may be read again on the next trip round
+        # the loop, so its register must stay untouched until the
+        # branch.  That includes intervals *starting* inside the span: a
+        # phi copy in a block laid out after the loop head starts
+        # mid-loop yet is carried across the back edge.  So an interval
+        # ending at p ends at reach[p] instead: the first position at
+        # or after p that no [target, branch) span crosses.  reach
+        # starts as the identity, so a forward branch never raises it;
+        # a prefix maximum gives each position the furthest branch of
+        # a loop starting at or before it, and one backward sweep
+        # follows those jumps to where they stop.
         block_starts = {
-            id(machine_fn.blocks[i]): span[0]
-            for i, span in enumerate(block_spans)
+            id(block): span[0]
+            for block, span in zip(machine_fn.blocks, block_spans)
         }
+        reach = list(range(len(order)))
         for index, instr in enumerate(order):
             if instr.block is not None:
                 target_start = block_starts.get(id(instr.block))
-                if target_start is not None and target_start <= index:
-                    # Any value live anywhere inside [target, branch] may
-                    # be read again on the next trip around the loop, so
-                    # its register must stay untouched until the branch.
-                    # That includes intervals *starting* inside the span:
-                    # a phi copy materialised in a block the layout put
-                    # after the loop head starts mid-loop yet is carried
-                    # across the back edge.
-                    for interval in intervals.values():
-                        if interval.start <= index and interval.end >= target_start:
-                            interval.end = max(interval.end, index)
+                if target_start is not None and reach[target_start] < index:
+                    reach[target_start] = index
+        furthest = -1
+        for position, branch in enumerate(reach):
+            furthest = reach[position] = max(furthest, branch)
+        for position in range(len(order) - 1, -1, -1):
+            reach[position] = reach[reach[position]]
+        for interval in intervals.values():
+            interval.end = reach[interval.end]
         return intervals
 
     # -- allocation ------------------------------------------------------------

@@ -1,11 +1,11 @@
 """An executing backend: runs post-regalloc machine code.
 
 The byte encoders in :mod:`repro.backend.targets` model code *size*
-(Figure 5); this module makes the same machine functions *run*, so the
-whole native path — phi elimination, instruction selection, addressing-
-mode folding, linear-scan allocation, spilling, CISC memory-operand
-folding — can be differentially tested against the IR interpreter
-(``lc-fuzz``'s backend oracle).
+(Figure 5); this module *runs* the machine functions they encoded, so
+the whole native path — instruction selection with its phi lowering,
+addressing-mode folding, linear-scan allocation, spilling, CISC
+memory-operand folding — can be differentially tested against the IR
+interpreter (``lc-fuzz``'s backend oracle).
 
 Semantics deliberately mirror a 64-bit machine rather than the IR:
 
@@ -38,9 +38,9 @@ from ..execution.interpreter import (
     ExecutionError, ExitCalled, Interpreter, StepLimitExceeded,
     UndefinedFunction, UnhandledUnwind,
 )
-from .isel import InstructionSelector
+from .codegen import CodeGenerator
 from .machine import MachineBlock, MachineFunction, MachineInstr, MOp
-from .regalloc import FRAME_REG, LinearScanAllocator
+from .regalloc import FRAME_REG
 from .targets import Target
 
 _MASK64 = (1 << 64) - 1
@@ -94,23 +94,16 @@ def _encode(value, ty: types.Type):
 
 
 class MachineProgram:
-    """A module lowered through isel + regalloc for one target."""
+    """A module's machine functions for one target: the ones
+    ``CodeGenerator(target).compile_module`` selected, allocated and
+    encoded."""
 
     def __init__(self, module: Module, target: Target):
         self.module = module
         self.target = target
-        selector = InstructionSelector(module)
-        allocator = LinearScanAllocator(
-            target.num_registers,
-            fold_memory_operands=getattr(target, "folds_memory", False),
-        )
-        self.machine_fns: dict[str, MachineFunction] = {}
-        for function in module.functions.values():
-            if function.is_declaration:
-                continue
-            machine_fn = selector.select_function(function)
-            allocator.run(machine_fn)
-            self.machine_fns[function.name] = machine_fn
+        self.machine_fns: dict[str, MachineFunction] = {
+            compiled.name: compiled.machine_fn for compiled in
+            CodeGenerator(target).compile_module(module).functions}
 
 
 class _Activation:

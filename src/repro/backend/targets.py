@@ -51,45 +51,33 @@ class Target:
     num_registers: int
 
     def encode_function(self, machine_fn: MachineFunction) -> bytes:
-        body = bytearray()
-        body += self.prologue(machine_fn)
-        # Branch targets: two-pass (sizes first, then final bytes) would
-        # be needed for exact displacements; both encoders use fixed
-        # displacement widths, so one sizing pass suffices.  A jump to
+        body = bytearray(self.prologue(machine_fn))
+        # Both encoders use fixed displacement widths, so each
+        # instruction is encoded once and only those with a block target
+        # again, with their displacement, at the same size.  A jump to
         # the block laid out immediately after it is a fallthrough and
         # costs nothing.
-        fallthrough: dict[int, int] = {}
-        for position, block in enumerate(machine_fn.blocks[:-1]):
-            if block.instructions:
-                last = block.instructions[-1]
-                if (last.op == MOp.JMP
-                        and last.block is machine_fn.blocks[position + 1]):
-                    fallthrough[id(last)] = position
         offsets: dict[int, int] = {}
-        cursor = len(body)
-        sizes: list[int] = []
-        for block in machine_fn.blocks:
-            offsets[id(block)] = cursor
+        branches: list[tuple[MachineInstr, int, int]] = []
+        blocks = machine_fn.blocks
+        for position, block in enumerate(blocks):
+            offsets[id(block)] = len(body)
+            fallthrough = None
+            if block.instructions and position + 1 < len(blocks):
+                last = block.instructions[-1]
+                if last.op == MOp.JMP and last.block is blocks[position + 1]:
+                    fallthrough = last
             for instr in block.instructions:
-                if id(instr) in fallthrough:
-                    size = 0
-                else:
-                    size = len(self.encode_instr(instr, 0))
-                sizes.append(size)
-                cursor += size
-        index = 0
-        for block in machine_fn.blocks:
-            for instr in block.instructions:
-                if id(instr) in fallthrough:
-                    index += 1
+                if instr is fallthrough:
                     continue
-                target_offset = 0
+                start = len(body)
+                body += self.encode_instr(instr, 0)
                 if instr.block is not None:
-                    target_offset = offsets[id(instr.block)] - (len(body) + sizes[index])
-                encoded = self.encode_instr(instr, target_offset)
-                assert len(encoded) == sizes[index], "unstable encoding size"
-                body += encoded
-                index += 1
+                    branches.append((instr, start, len(body)))
+        for instr, start, end in branches:
+            encoded = self.encode_instr(instr, offsets[id(instr.block)] - end)
+            assert len(encoded) == end - start, "unstable encoding size"
+            body[start:end] = encoded
         body += self.epilogue(machine_fn)
         return bytes(body)
 

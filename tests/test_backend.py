@@ -1,4 +1,4 @@
-"""Tests for native code generation: isel, phi elimination, register
+"""Tests for native code generation: isel and its phi lowering, register
 allocation, encoding, and image layout."""
 
 import pytest
@@ -226,3 +226,197 @@ int main() { return initialized; }
             image = compile_for_size(module, target)
             assert image.code_size > 500
             assert image.to_bytes()
+
+
+BRANCHY = """
+extern int print_int(int x);
+int step(int x) { return x * 3 + 1; }
+int main() {
+  int i; int s = 0;
+  for (i = 0; i < 10; i++) {
+    if (i % 3 == 0) { s = s + step(i); }
+  }
+  print_int(s);
+  return s % 256;
+}
+"""
+
+
+def _branchy_module():
+    from repro.driver import optimize_module
+
+    module = compile_source(BRANCHY, "branchy")
+    optimize_module(module, level=2)
+    return module
+
+
+class TestSelectionIsShared:
+    """One selection per (function, epoch), copied out to each target."""
+
+    @pytest.fixture
+    def selections(self, monkeypatch):
+        from repro.backend import isel
+
+        selected = []
+        run = isel._Lowering.run
+
+        def counting(lowering, function):
+            selected.append(function.name)
+            return run(lowering, function)
+
+        monkeypatch.setattr(isel._Lowering, "run", counting)
+        return selected
+
+    def test_both_targets_select_each_function_once(self, selections):
+        module = _branchy_module()
+        images = [CodeGenerator(target).compile_module(module).to_bytes()
+                  for target in (X86, SPARC)]
+        assert sorted(selections) == ["main", "step"]
+        fresh = _branchy_module()
+        assert images == [CodeGenerator(target).compile_module(fresh).to_bytes()
+                          for target in (X86, SPARC)]
+        listing = print_machine_function(
+            InstructionSelector(module).select_function(module.functions["main"]))
+        assert ".crit:" in listing, "the program has a critical phi edge"
+
+    def test_an_edited_body_alone_is_selected_again(self, selections):
+        from repro.core.values import ConstantInt
+
+        module = _branchy_module()
+        CodeGenerator(X86).compile_module(module)
+        multiply = next(inst for inst in module.functions["step"].instructions()
+                        if inst.opcode.name == "MUL")
+        multiply.set_operand(1, ConstantInt(multiply.type, 5))
+        selections.clear()
+        CodeGenerator(SPARC).compile_module(module)
+        assert selections == ["step"]
+
+    def test_a_renamed_callee_is_called_by_its_new_name(self):
+        from repro.backend.machine import MOp
+        from repro.fuzz.harness import run_interpreter, run_machine
+
+        module = _branchy_module()
+        CodeGenerator(X86).compile_module(module)
+        callee = module.functions.pop("step")
+        callee.name = "triple_plus_one"
+        module.functions[callee.name] = callee
+        image = CodeGenerator(SPARC).compile_module(module)
+        main = next(f for f in image.functions if f.name == "main")
+        calls = {i.symbol for i in main.machine_fn.instructions()
+                 if i.op == MOp.CALL}
+        assert calls == {"triple_plus_one", "print_int"}
+        outcome = run_machine(module, SPARC)
+        assert outcome == run_interpreter(module)
+        assert outcome.code == 58
+
+    def test_compile_module_leaves_the_module_alone(self):
+        module = _branchy_module()
+        before = print_module(module)
+        epochs = {name: f.epoch for name, f in module.functions.items()}
+        for target in (X86, SPARC):
+            CodeGenerator(target).compile_module(module)
+        assert print_module(module) == before
+        assert {name: f.epoch for name, f in module.functions.items()} == epochs
+
+    def test_the_caller_owns_its_copy(self):
+        module = _branchy_module()
+        selector = InstructionSelector(module)
+        first = selector.select_function(module.functions["main"])
+        listing = print_machine_function(first)
+        LinearScanAllocator(X86.num_registers).run(first)
+        second = selector.select_function(module.functions["main"])
+        assert print_machine_function(second) == listing
+
+
+def _reference_ends(machine_fn):
+    """Interval ends by the defining rule, one backward branch at a
+    time over every interval: a register live anywhere in [target,
+    branch] stays live until the branch."""
+    order = list(machine_fn.instructions())
+    starts, ends = {}, {}
+    for index, instr in enumerate(order):
+        for reg in instr.registers():
+            starts.setdefault(reg, index)
+            ends[reg] = index
+    block_start, position = {}, 0
+    for block in machine_fn.blocks:
+        block_start[id(block)] = position
+        position += len(block.instructions)
+    for index, instr in enumerate(order):
+        target = block_start.get(id(instr.block))
+        if instr.block is not None and target <= index:
+            for reg, end in ends.items():
+                if starts[reg] <= index and end >= target:
+                    ends[reg] = max(end, index)
+    return ends
+
+
+@pytest.mark.parametrize("seed", range(1000, 1012))
+def test_one_sweep_intervals_match_the_per_branch_rule(seed):
+    from repro.driver import optimize_module
+    from repro.fuzz.generator import generate_program
+
+    allocator = LinearScanAllocator(X86.num_registers)
+    for level in (0, 2):
+        module = compile_source(generate_program(seed), "fuzz")
+        if level:
+            optimize_module(module, level=level)
+        selector = InstructionSelector(module)
+        for function in module.defined_functions():
+            machine_fn = selector.select_function(function)
+            order = list(machine_fn.instructions())
+            spans, position = [], 0
+            for block in machine_fn.blocks:
+                spans.append((position, position + len(block.instructions)))
+                position += len(block.instructions)
+            intervals = allocator._build_intervals(machine_fn, order, spans)
+            assert {reg: interval.end for reg, interval in intervals.items()} \
+                == _reference_ends(machine_fn)
+
+
+def test_each_instruction_is_encoded_once_and_each_branch_twice(monkeypatch):
+    from collections import Counter
+
+    module = _branchy_module()
+    for target in (X86, SPARC):
+        encoded = Counter()
+        encode = target.encode_instr
+
+        def counting(instr, displacement, encode=encode):
+            encoded[id(instr)] += 1
+            return encode(instr, displacement)
+
+        monkeypatch.setattr(target, "encode_instr", counting)
+        image = CodeGenerator(target).compile_module(module)
+        for compiled in image.functions:
+            for instr in compiled.machine_fn.instructions():
+                assert encoded[id(instr)] in (
+                    (0, 2) if instr.block is not None else (1,)), instr
+        monkeypatch.undo()
+
+
+def test_both_arms_of_a_branch_into_one_phi_block():
+    """A critical edge taken by both arms of one branch: whichever arm
+    runs, the phi's copy must run with it."""
+    from repro.fuzz.harness import run_interpreter, run_machine
+
+    module = parse_module("""
+int %main() {
+entry:
+  %c = setlt int 1, 2
+  br bool %c, label %a, label %b
+a:
+  %d = setgt int 2, 3
+  br bool %d, label %x, label %x
+b:
+  br label %x
+x:
+  %p = phi int [ 7, %a ], [ 9, %b ]
+  ret int %p
+}
+""")
+    verify_module(module)
+    expected = run_interpreter(module)
+    assert expected.code == 7
+    for target in (X86, SPARC):
+        assert run_machine(module, target) == expected
