@@ -14,6 +14,9 @@ causing zero validation failures and zero rollbacks (every rewrite it
 makes is machine-checked refinement), and the analyses behind them
 must stay under a pinned ceiling of transfer-function calls (solver
 effort is a count, so a convergence regression fails deterministically).
+A second ceiling counts the same calls over the suite built with -O2 and
+link-time optimization, where the cost is: the link-time clean-up over
+each inlined ``main``.
 See docs/ANALYSIS.md, "Value-range abstract interpretation".
 
 Usage:  PYTHONPATH=src python benchmarks/absint_gate.py
@@ -27,9 +30,10 @@ import time
 
 from repro.analysis.absint import run_self_check
 from repro.benchsuite import benchmark_names, load_source
-from repro.driver import FaultPolicy
+from repro.driver import FaultPolicy, compile_and_link
 from repro.driver.pipelines import standard_pipeline
 from repro.frontend import compile_source
+from repro.stats import Stats
 from repro.transforms import RangeOpt
 
 #: The suite yields exactly this many range-driven rewrites.  Fewer
@@ -38,14 +42,31 @@ from repro.transforms import RangeOpt
 EXPECTED_FOLDS = 15
 
 #: Ceiling on the transfer-function calls rangeopt's analyses make over
-#: the suite.  The count repeats exactly: 13 289 now, 41 221 before the
-#: widening operator covered the known bits.  A convergence regression —
-#: an ascent that gives up one bit per round trip again — multiplies it
-#: and fails here by count, not inside a timing bound; the slack is for
-#: front-end or pass changes that move a few instructions.
-MAX_ABSINT_TRANSFERS = 15_000
+#: the suite.  The count repeats exactly: 9 085 now, 13 289 before a
+#: basic induction variable widened at its first grow and the solver
+#: revisited a loop's exits only after the loop settled, 41 221 before
+#: the widening operator covered the known bits.  A convergence
+#: regression — an ascent that gives up one bit per round trip again —
+#: multiplies it and fails here by count, not inside a timing bound; the
+#: slack is for front-end or pass changes that move a few instructions.
+MAX_ABSINT_TRANSFERS = 10_000
+
+#: The same ceiling over the suite built with -O2 and link-time
+#: optimization, compile time and link time together: 19 702 now,
+#: 29 005 before the two changes above.
+MAX_LTO_ABSINT_TRANSFERS = 21_000
 
 LEVEL = 2
+
+
+def lto_transfers() -> int:
+    """rangeopt's transfer calls over the suite at -O2 + LTO."""
+    transfers = 0
+    for name in benchmark_names():
+        stats = Stats()
+        compile_and_link([load_source(name)], name, LEVEL, True, stats=stats)
+        transfers += stats.view("rangeopt").get("absint-transfers", 0)
+    return transfers
 
 
 def main(argv=None) -> int:
@@ -117,11 +138,17 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
-    if transfers > MAX_ABSINT_TRANSFERS:
-        print(f"absint-gate: FAIL — {transfers} absint transfers, ceiling "
-              f"{MAX_ABSINT_TRANSFERS}: the solver converges more slowly",
-              file=sys.stderr)
-        return 1
+    linked = lto_transfers()
+    print(f"absint-gate: suite at -O{LEVEL} + LTO: {linked} absint "
+          f"transfers")
+    for label, count, ceiling in (
+            (f"-O{LEVEL}", transfers, MAX_ABSINT_TRANSFERS),
+            (f"-O{LEVEL} + LTO", linked, MAX_LTO_ABSINT_TRANSFERS)):
+        if count > ceiling:
+            print(f"absint-gate: FAIL — {count} absint transfers at "
+                  f"{label}, ceiling {ceiling}: the solver converges more "
+                  f"slowly", file=sys.stderr)
+            return 1
 
     print("absint-gate: ok — transfers verified, range folds land, "
           "zero rollbacks")

@@ -5,8 +5,8 @@ reduced product of the interval and known-bits domains.
 shared sparse dataflow engine (:mod:`repro.analysis.dataflow`): every
 instruction starts *undefined* and information flows along def-use
 edges only.  Ascent through loop-carried phis is accelerated by
-widening (after a bounded number of grow events :func:`widen` gives up
-the moving interval bound and the moving known bits together) and then
+widening (after a few grow events, one for a basic induction variable,
+:func:`widen` gives up the moving interval bound and known bits) and then
 sharpened by two narrowing sweeps that intersect each fact a widened
 phi reaches with its freshly recomputed transfer — the intersection of
 two sound over-approximations is sound.
@@ -22,9 +22,11 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from ...core.instructions import (
+    BinaryOperator,
     CallInst,
     Instruction,
     InvokeInst,
+    Opcode,
     PhiNode,
 )
 from ...core.values import (
@@ -34,7 +36,7 @@ from ...core.values import (
 )
 from ..cfg import reverse_postorder
 from ..dataflow import SparseAnalysis, solve_sparse
-from ..dominators import DominatorTree
+from ..loops import LoopInfo
 from ..manager import function_analysis
 from .domains import (
     BOOL_SHAPE,
@@ -67,7 +69,8 @@ UNDEF = _Sentinel("<undef>")
 #: Values the domains do not track (pointers, floats, aggregates).
 NOINFO = _Sentinel("<noinfo>")
 
-#: Loop-header phis tolerate this many grow events before widening.
+#: Loop-header phis tolerate this many grow events before widening
+#: (a basic induction variable, see :func:`_steps_by_constant`, one).
 WIDEN_AFTER = 8
 
 #: Any phi (irreducible-CFG backstop) widens after this many.
@@ -166,6 +169,21 @@ def widen(previous: AbsValue, joined: AbsValue) -> AbsValue:
     return AbsValue.make(shape, Interval(lo, hi), kb)
 
 
+def _steps_by_constant(phi: PhiNode) -> bool:
+    """Whether ``phi`` is a basic induction variable: each incoming value
+    an integer constant or ``phi ± constant``, one at least the latter.
+    :func:`widen` gives it the same fact at any grow (docs/ANALYSIS.md)."""
+    stepped = False
+    for value, _block in phi.incoming:
+        if isinstance(value, BinaryOperator) and value.operands[0] is phi \
+                and value.opcode in (Opcode.ADD, Opcode.SUB) \
+                and isinstance(value.operands[1], ConstantInt):
+            stepped = True  # instcombine keeps the constant on the right
+        elif not isinstance(value, ConstantInt):
+            return False
+    return stepped
+
+
 #: Optional hook giving call results an interval: maps a call/invoke
 #: instruction to ``(lo, hi)`` (either end may be None for unbounded)
 #: or None for no information.
@@ -191,7 +209,6 @@ class _RangeAnalysis(SparseAnalysis):
         self.call_range = call_range
         self._phi_state: Dict[int, AbsValue] = {}
         self._phi_grows: Dict[int, int] = {}
-        self._header_blocks: Optional[set] = None
         #: Phis whose state the widening operator pushed past their join.
         self.widened: set = set()
         #: Calls of :meth:`transfer`: the analysis' unit of work.
@@ -277,9 +294,7 @@ class _RangeAnalysis(SparseAnalysis):
         if previous is not None and joined != previous:
             grows = self._phi_grows.get(id(inst), 0) + 1
             self._phi_grows[id(inst)] = grows
-            limit = WIDEN_AFTER if self._in_loop_header(inst) \
-                else WIDEN_BACKSTOP
-            if grows >= limit:
+            if grows >= self._widen_limit(inst):
                 widened = widen(previous, joined)
                 if widened != joined:
                     self.widened.add(inst)
@@ -287,14 +302,13 @@ class _RangeAnalysis(SparseAnalysis):
         self._phi_state[id(inst)] = joined
         return joined
 
-    def _in_loop_header(self, inst: Instruction) -> bool:
-        if self._header_blocks is None:
-            # A loop header is a block that dominates a predecessor.
-            domtree = function_analysis(self.function, DominatorTree)
-            self._header_blocks = {id(block) for block in domtree.preorder()
-                                   if any(domtree.dominates_block(block, p)
-                                          for p in block.unique_predecessors())}
-        return id(inst.parent) in self._header_blocks
+    def _widen_limit(self, phi: PhiNode) -> int:
+        # A loop header is a header of the cached loop forest, the one
+        # the solver orders its blocks by.
+        loop = function_analysis(self.function, LoopInfo).loop_for(phi.parent)
+        if loop is None or loop.header is not phi.parent:
+            return WIDEN_BACKSTOP
+        return 1 if _steps_by_constant(phi) else WIDEN_AFTER
 
 
 def abstract_of_constant(value: Value) -> Optional[AbsValue]:

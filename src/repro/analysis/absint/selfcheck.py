@@ -485,9 +485,12 @@ def run_self_check(full: bool = True, seed: int = 0x5eed,
     for shape in ((32, True), (64, True), (64, False)) if full \
             else ((32, True),):
         ty = types.integral(*shape)
-        check_widening_chains(shape, problems,
-                              argument_domain(ty, core_only=True),
-                              argument_domain(ty), limit=WIDEN_AFTER)
+        # The engine's two schedules: a basic induction variable widens
+        # at its first grow, any other loop-header phi at WIDEN_AFTER.
+        for limit in (1, WIDEN_AFTER):
+            check_widening_chains(shape, problems,
+                                  argument_domain(ty, core_only=True),
+                                  argument_domain(ty), limit=limit)
 
     stride = 1 if full else 7
     say(f"[3/4] 8-bit {'exhaustive' if full else 'strided'} singletons: "

@@ -42,6 +42,8 @@ from ..core.instructions import Instruction, PhiNode
 from ..core.module import Function
 from ..core.values import Value
 from .cfg import postorder, reachable_blocks, reverse_postorder
+from .loops import LoopInfo
+from .manager import function_analysis
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -200,24 +202,47 @@ class SparseResult:
         return self.values.get(value, default)
 
 
+def loop_nested_order(function: Function) -> list[BasicBlock]:
+    """Reachable blocks in reverse postorder, except that each natural
+    loop's blocks come right after its header and what its exits reach
+    comes after the whole loop.  Only a back edge goes against it."""
+    blocks = reverse_postorder(function)
+    position = {block: index for index, block in enumerate(blocks)}
+    loops = function_analysis(function, LoopInfo)
+
+    def key(block: BasicBlock) -> list[int]:
+        # The positions of the headers of the loops around ``block``,
+        # outermost first, then its own.
+        path, loop = [position[block]], loops.loop_for(block)
+        while loop is not None:
+            path.append(position[loop.header])
+            loop = loop.parent
+        return path[::-1]
+
+    return sorted(blocks, key=key)
+
+
 def solve_sparse(analysis: SparseAnalysis, function: Function) -> SparseResult:
     """Propagate lattice elements along def-use edges, and executability
     along CFG edges, to a fixpoint.
 
-    Newly reached blocks are swept whole, in reverse postorder, before
-    any queued instruction is revisited — so acyclic code converges in
-    one sweep and a loop body is seen before its header's phis merge the
-    back edge, which keeps widening analyses from counting the visiting
-    order as growth.
+    Newly reached blocks are swept whole, in :func:`loop_nested_order`,
+    before any queued instruction is revisited — so acyclic code
+    converges in one sweep and a loop body is seen before its header's
+    phis merge the back edge, which keeps widening analyses from
+    counting the visiting order as growth.  Revisits go lowest position
+    first, so the code after a loop is revisited once the loop settles.
     """
     elements: Dict[Value, object] = {}
     top = analysis.top()
-    blocks = reverse_postorder(function)
+    blocks = loop_nested_order(function)
     position = {block: index for index, block in enumerate(blocks)}
+    flat = [inst for block in blocks for inst in block.instructions]
+    rank = {id(inst): index for index, inst in enumerate(flat)}
     executable_blocks: set[BasicBlock] = set()
     executable_edges: set[tuple[int, int]] = set()
     reached: list[int] = []  # heap of positions of blocks not yet swept
-    worklist: deque[Instruction] = deque()
+    worklist: list[int] = []  # heap of ranks of instructions to revisit
     queued: set[int] = set()
 
     def get(value: Value):
@@ -231,7 +256,7 @@ def solve_sparse(analysis: SparseAnalysis, function: Function) -> SparseResult:
     def enqueue(inst: Instruction) -> None:
         if id(inst) not in queued:
             queued.add(id(inst))
-            worklist.append(inst)
+            heappush(worklist, rank[id(inst)])
 
     def mark_executable(source, block: BasicBlock) -> None:
         edge = (id(source), id(block))
@@ -267,7 +292,7 @@ def solve_sparse(analysis: SparseAnalysis, function: Function) -> SparseResult:
     iterations = 0
     while reached or worklist:
         batch = blocks[heappop(reached)].instructions if reached \
-            else (worklist.popleft(),)
+            else (flat[heappop(worklist)],)
         for inst in batch:
             if analysis.tracks(inst):  # else it stays queued for good
                 queued.discard(id(inst))

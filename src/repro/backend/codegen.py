@@ -171,7 +171,12 @@ def print_machine_function(machine_fn: MachineFunction) -> str:
                 parts[0] += "." + instr.sub
             if instr.dst is not None:
                 parts.append(_pretty_reg(instr.dst))
-            parts.extend(_pretty_reg(s) for s in instr.srcs)
+            srcs = [_pretty_reg(s) for s in instr.srcs]
+            if instr.mem_src is not None:
+                # A folded spill: that source is read from its frame slot.
+                position, disp = instr.mem_src
+                srcs[position] = f"[%fp+{disp}]"
+            parts.extend(srcs)
             if instr.imm is not None:
                 parts.append(f"#{instr.imm}")
             if instr.symbol:

@@ -379,6 +379,112 @@ out:
         facts = analyze_function(fn)
         assert facts.transfers <= 12 * len(list(fn.instructions()))
 
+    _INDUCTION = """
+{ty} %f({ty} %n) {{
+entry:
+  br label %loop
+loop:
+  %i = phi {ty} [ {start}, %entry ], [ %next, %loop ]
+  %next = {op} {ty} %i, {step}
+  %c = setlt {ty} %next, %n
+  br bool %c, label %loop, label %out
+out:
+  %r = xor {ty} %i, {start}
+  ret {ty} %r
+}}
+"""
+
+    @pytest.mark.parametrize("ty, bits, signed", [
+        ("sbyte", 8, True), ("ubyte", 8, False),
+        ("int", 32, True), ("uint", 32, False)])
+    @pytest.mark.parametrize("op", ["add", "sub"])
+    def test_basic_induction_variable_widens_at_its_first_grow(
+            self, ty, bits, signed, op, monkeypatch):
+        """``phi(c, x ± k)`` widens at its first grow and ends on the
+        fact the eight-grow delay gave it, whatever the step — one that
+        overflows within two trips included."""
+        from repro.analysis.absint import engine
+
+        overflow = 100 if bits == 8 else 1_500_000_000
+        for start in (0, 5):
+            for step in (1, -1, 2, -2, 8, -8, overflow):
+                text = self._INDUCTION.format(
+                    ty=ty, op=op, start=start,
+                    step=step if signed else step % (1 << bits))
+                fn, facts = self._facts(text)
+                phi = next(i for i in fn.instructions() if i.name == "i")
+                assert engine._steps_by_constant(phi)
+                with monkeypatch.context() as delay:
+                    delay.setattr(engine, "_steps_by_constant",
+                                  lambda phi: False)
+                    delayed = self._facts(text)[1]
+                assert facts.dump() == delayed.dump(), (start, step)
+
+    def test_a_phi_fed_by_an_earlier_loop_keeps_its_bound(self):
+        """``%k`` only copies ``%i & 255`` around its loop.  While ``%i``
+        climbed one step per trip, ``%k`` grew with it, widened too and
+        went to top, which no narrowing sweep brings back on a pure
+        copy cycle."""
+        fn, facts = self._facts("""
+int %f(int %n) {
+entry:
+  br label %first
+first:
+  %i = phi int [ 0, %entry ], [ %i.next, %first ]
+  %i.next = add int %i, 1
+  %c1 = setlt int %i.next, %n
+  br bool %c1, label %first, label %between
+between:
+  %m = and int %i, 255
+  br label %second
+second:
+  %k = phi int [ %m, %between ], [ %k, %second ]
+  %c2 = setlt int %k, %n
+  br bool %c2, label %second, label %out
+out:
+  ret int %k
+}
+""")
+        k = next(i for i in fn.instructions() if i.name == "k")
+        assert facts.interval_of(k) == Interval(0, 255)
+
+    def test_code_after_a_loop_is_revisited_after_the_loop_settles(self):
+        """The solver drains a loop's queue before it looks at the code
+        the loop exits to again: one sweep and one revisit, not one
+        revisit per trip around the loop."""
+        from repro.analysis.absint.engine import _RangeAnalysis
+        from repro.analysis.dataflow import solve_sparse
+
+        fn = parse_function("""
+int %f(int %n) {
+entry:
+  br label %loop
+loop:
+  %i = phi int [ 0, %entry ], [ %i.next, %loop ]
+  %s = phi int [ 0, %entry ], [ %s.next, %loop ]
+  %s.next = add int %s, %i
+  %i.next = add int %i, 1
+  %c = setlt int %i.next, %n
+  br bool %c, label %loop, label %out
+out:
+  %low = and int %s, 1023
+  %r = add int %low, %i
+  ret int %r
+}
+""")
+        analysis = _RangeAnalysis(fn, None)
+        transfer, visits = analysis.transfer, {}
+
+        def counting(inst, get):
+            visits[inst] = visits.get(inst, 0) + 1
+            return transfer(inst, get)
+
+        analysis.transfer = counting
+        solve_sparse(analysis, fn)
+        s = next(i for i in fn.instructions() if i.name == "s")
+        assert visits[s] > 2, "the loop takes several trips to settle"
+        assert all(visits[inst] <= 2 for inst in fn.blocks[-1].instructions)
+
     def test_unreachable_code_is_undef(self):
         fn, facts = self._facts("""
 int %f() {

@@ -220,6 +220,17 @@ int main() { return initialized; }
         assert "cmpbr.lt" in listing
         assert ".loop" in listing
 
+    def test_assembly_printer_shows_a_folded_spill_slot(self):
+        """An x86 operand read straight from its frame slot is listed as
+        that slot, not as the scratch register the encoder ignores."""
+        image = CodeGenerator(X86).compile_module(_branchy_module())
+        main = next(f for f in image.functions if f.name == "main").machine_fn
+        listing = print_machine_function(main)
+        folded = [i for i in main.instructions() if i.mem_src is not None]
+        assert any(i.op == MOp.CMPBR for i in folded)
+        for instr in folded:
+            assert f"[%fp+{instr.mem_src[1]}]" in listing
+
     def test_both_targets_compile_whole_benchmark(self, suite_o2):
         module = suite_o2("mcf")
         for target in (X86, SPARC):
