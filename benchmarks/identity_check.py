@@ -4,7 +4,7 @@ A simplification PR claims the compiler's *answers* did not move.  This
 script measures that claim against any git ref: it exports the ref with
 ``git archive`` into a temporary directory, runs itself there and here
 with ``--dump`` (same measuring code, the tree under test first on
-``sys.path``), and compares five sections:
+``sys.path``), and compares six sections:
 
 * ``bytecode`` — ``-O2`` + LTO bytecode of the 16 programs under
   ``benchmarks/lifelong/inputs`` and of ``gen_program.Program(seed)``
@@ -12,6 +12,9 @@ with ``--dump`` (same measuring code, the tree under test first on
 * ``ir`` — the printed IR of each of those modules after a round trip
   through bytecode with names, so a change of the bytecode format is
   judged by the IR it carries;
+* ``text`` — the named bytecode of each of those modules printed as
+  text and parsed back (sha-256 and size), so a change of the text
+  reader is checked byte for byte;
 * ``facts`` — ``ValueFacts.dump()`` of every function of those linked
   modules (the abstract interpreter's intervals and known bits);
 * ``native`` — the X86 and SPARC executable images of those modules
@@ -108,13 +111,13 @@ def dump(root: str) -> dict:
     from repro.analysis.absint import analyze_module
     from repro.backend import SPARC, X86, CodeGenerator
     from repro.bitcode import read_bytecode, write_bytecode
-    from repro.core import print_module
+    from repro.core import parse_module, print_module
     from repro.driver import compile_and_link
     from repro.tools import lc_lint
 
     report: dict[str, dict[str, str]] = {"bytecode": {}, "ir": {},
-                                         "facts": {}, "native": {},
-                                         "lint": {}}
+                                         "text": {}, "facts": {},
+                                         "native": {}, "lint": {}}
     for name, units in _programs().items():
         module = compile_and_link(units, name, 2, lto=True)
         data = write_bytecode(module)
@@ -123,6 +126,9 @@ def dump(root: str) -> dict:
             write_bytecode(module, strip_names=False)))
         report["ir"][name] = \
             f"{_sha(text.encode())} {text.count(chr(10))} lines"
+        reparsed = write_bytecode(parse_module(print_module(module)),
+                                  strip_names=False)
+        report["text"][name] = f"{_sha(reparsed)} {len(reparsed)}B"
         lines = [line for _, facts in sorted(analyze_module(module).items())
                  for line in facts.dump()]
         report["facts"][name] = \

@@ -756,7 +756,9 @@ def build(opcode: Opcode, carried_type: Type, operands: Sequence[Value],
     blocks in that list).
 
     The one place an instruction is rebuilt rather than written by a
-    front-end: the bytecode reader and the cloner both call it.
+    front-end: :func:`repro.core.record.rebuild_body` calls it for the
+    bytecode reader, the text parser and the cloner, and
+    ``profile/tracer.py`` calls it directly.
     ``carried_type`` is :attr:`Instruction.carried_type`, the one type
     the operands cannot imply (read by alloca/malloc, cast, phi and
     vaarg).

@@ -5,26 +5,28 @@ in-memory IR with no information loss.  Being able to convert between
 the representations makes debugging transformations simpler and lets
 test cases be written as text.
 
-The parser is a hand-written lexer + recursive descent parser.  Forward
-references are handled with placeholders: branch targets and phi
-operands may name blocks/values defined later in the function, and
-calls may name functions defined later in the module.
+The parser is a hand-written lexer + recursive descent parser.  A
+function body parses into a :class:`~repro.core.record.FunctionRecord`,
+as the bytecode reader decodes one, and
+:func:`~repro.core.record.rebuild_body` builds it: local operands and
+labels are held by name until the closing ``}`` (so they may name
+blocks and values defined later in the function), then numbered as the
+record numbers them.  Calls and initializers may name functions and
+globals defined later in the module through forward symbols.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import types
-from .basicblock import BasicBlock
 from .instructions import (
-    BINARY_OPCODES, AllocaInst, BinaryOperator, BranchInst, CallInst,
-    CastInst, FreeInst, GetElementPtrInst, InvokeInst, LoadInst, MallocInst,
-    Opcode, PhiNode, ReturnInst, ShiftInst, StoreInst, SwitchInst,
-    UnwindInst, VAArgInst,
+    BINARY_OPCODES, COMPARISON_OPCODES, TERMINATOR_OPCODES, Opcode,
+    gep_result_type,
 )
 from .module import Function, GlobalVariable, Linkage, Module
+from .record import FunctionRecord, rebuild_body
 from .values import (
     Constant, ConstantAggregateZero, ConstantArray, ConstantBool,
     ConstantExpr, ConstantFP, ConstantInt, ConstantPointerNull,
@@ -33,11 +35,14 @@ from .values import (
 
 
 class ParseError(Exception):
-    """Raised on malformed IR text, with a line number."""
+    """Raised on malformed IR text, with the line of the token at fault."""
 
     def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(message)
         self.line = line
+
+    def __str__(self) -> str:
+        return f"line {self.line}: {self.args[0]}"
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +127,8 @@ def tokenize(source: str) -> list[Token]:
             while index < length and source[index] != '"':
                 if source[index] == "\\":
                     hex_digits = source[index + 1:index + 3]
+                    if not re.fullmatch("[0-9A-Fa-f]{2}", hex_digits):
+                        raise ParseError(f"bad escape \\{hex_digits}", line)
                     data.append(int(hex_digits, 16))
                     index += 3
                 else:
@@ -190,16 +197,6 @@ def tokenize(source: str) -> list[Token]:
 #: The binary opcodes by their textual names (an opcode's value is its
 #: spelling).
 _BINARY_SPELLINGS = frozenset(opcode.value for opcode in BINARY_OPCODES)
-
-
-class _ForwardValue(Value):
-    """Placeholder for a local value referenced before its definition."""
-
-    __slots__ = ("ref_name",)
-
-    def __init__(self, ty: types.Type, ref_name: str):
-        super().__init__(ty, "")
-        self.ref_name = ref_name
 
 
 class Parser:
@@ -315,20 +312,28 @@ class Parser:
     # -- module items ------------------------------------------------------------
 
     def parse_module(self) -> Module:
-        while self.peek().kind != "eof":
-            token = self.peek()
-            if token.kind == "word" and token.text == "declare":
-                self._parse_declare()
-            elif token.kind == "local" and self.peek(1).kind == "=":
-                self._parse_named_item()
-            elif token.kind == "local":
-                # A function definition whose return type is a named
-                # struct (e.g. ``%Node* %push(...)``).
-                self._parse_function_definition(linkage=Linkage.EXTERNAL)
-            elif token.kind == "word":
-                self._parse_function_definition(linkage=Linkage.EXTERNAL)
-            else:
-                raise self.error(f"unexpected token {token.text!r} at module level")
+        """Only :class:`ParseError` escapes: any other error (a constant's
+        or a type's constructor refusing its operands) is reported at
+        the line of the last token read."""
+        try:
+            while self.peek().kind != "eof":
+                token = self.peek()
+                if token.kind == "word" and token.text == "declare":
+                    self._parse_declare()
+                elif token.kind == "local" and self.peek(1).kind == "=":
+                    self._parse_named_item()
+                elif token.kind in ("word", "local"):
+                    # A local starts a function definition whose return
+                    # type is a named struct (``%Node* %push(...)``).
+                    self._parse_function_definition(linkage=Linkage.EXTERNAL)
+                else:
+                    raise self.error(
+                        f"unexpected token {token.text!r} at module level")
+        except ParseError:
+            raise
+        except Exception as error:
+            raise ParseError(f"{type(error).__name__}: {error}",
+                             self.tokens[max(self.position - 1, 0)].line) from error
         self._finish_module()
         return self.module
 
@@ -425,8 +430,13 @@ class Parser:
             if arg_name:
                 arg.name = arg_name
         self.expect("{")
-        _FunctionBodyParser(self, function).parse()
+        record = _FunctionBodyParser(self, function).parse()
         self.expect("}")
+        try:
+            rebuild_body(record, function)
+        except Exception as error:
+            raise ParseError(f"function %{name}: {type(error).__name__}: "
+                             f"{error}", token.line) from error
         return function
 
     def _parse_param_list(self, return_type: types.Type,
@@ -499,7 +509,12 @@ class Parser:
             self.next()
             if ty.is_floating:
                 return ConstantFP(ty, float(token.text))  # type: ignore[arg-type]
-            return ConstantInt(ty, int(token.text))  # type: ignore[arg-type]
+            value = int(token.text)
+            # A fit at the type's width under either signedness, as
+            # LLVM 1.x's assembler accepted.
+            if ty.is_integer and not -(1 << ty.bits - 1) <= value < 1 << ty.bits:
+                raise ParseError(f"{value} does not fit {ty}", token.line)
+            return ConstantInt(ty, value)  # type: ignore[arg-type]
         if token.kind == "float":
             self.next()
             return ConstantFP(ty, float(token.text))  # type: ignore[arg-type]
@@ -566,235 +581,248 @@ class Parser:
         raise self.error(f"expected a constant, found {token.text!r}")
 
 
+class _Ref(NamedTuple):
+    """A local operand held by name until the closing ``}``: a value of
+    ``type``, or a block when ``type`` is ``label``; ``line`` is where
+    it is written."""
+
+    name: str
+    type: types.Type
+    line: int
+
+
 class _FunctionBodyParser:
-    """Parses the blocks of one function, resolving local references."""
+    """Parses the blocks of one function into a :class:`FunctionRecord`,
+    one ``(opcode, carried, type, operands, name, loc)`` row per
+    instruction, as the bytecode reader decodes one."""
 
     def __init__(self, parser: Parser, function: Function):
         self.parser = parser
         self.function = function
-        self.locals: dict[str, Value] = {arg.name: arg for arg in function.args}
-        self.blocks: dict[str, BasicBlock] = {}
-        self.forwards: list[_ForwardValue] = []
+        #: name -> (index, type) of each argument and each named
+        #: instruction; an instruction's index is the argument count
+        #: plus its layout index.
+        self.locals = {arg.name: (index, arg.type)
+                       for index, arg in enumerate(function.args)}
+        self.labels: dict[str, int] = {}
+        self.blocks: list[tuple[str, list]] = []
+        self.count = len(function.args)
 
-    # -- entry point ---------------------------------------------------------
-
-    def parse(self) -> None:
+    def parse(self) -> FunctionRecord:
         parser = self.parser
-        current: Optional[BasicBlock] = None
-        while True:
+        while parser.peek().kind != "}":
             token = parser.peek()
-            if token.kind == "}":
-                break
             if (token.kind in ("word", "local", "int")
                     and parser.peek(1).kind == ":"):
-                current = self._define_block(token.text)
+                if token.text in self.labels:
+                    raise parser.error(f"duplicate block label {token.text!r}")
+                self.labels[token.text] = len(self.blocks)
+                self.blocks.append((token.text, []))
                 parser.next()
                 parser.next()
                 continue
-            if current is None:
-                current = self._define_block("entry")
-            self._parse_instruction(current)
-        self._resolve_forwards()
+            if not self.blocks:
+                self.labels["entry"] = 0
+                self.blocks.append(("entry", []))
+            self._parse_instruction()
+        # Number the locals as FunctionRecord does: arguments, blocks in
+        # label order, then instructions in layout order.
+        args = len(self.function.args)
 
-    def _define_block(self, name: str) -> BasicBlock:
-        block = self.blocks.get(name)
-        if block is None:
-            block = BasicBlock(name)
-            self.blocks[name] = block
-        elif block.parent is not None:
-            raise self.parser.error(f"duplicate block label {name!r}")
-        block.parent = self.function
-        self.function.blocks.append(block)
-        return block
+        def resolve(op):
+            if type(op) is not _Ref:
+                return op
+            if op.type is types.LABEL:
+                if op.name not in self.labels:
+                    raise ParseError(f"branch to undefined label {op.name!r}",
+                                     op.line)
+                return args + self.labels[op.name]
+            if op.name not in self.locals:
+                # Not a local after all: module scope (e.g. a call to a
+                # function defined later in the file).
+                return self._global(op)
+            index, defined = self.locals[op.name]
+            if defined is not op.type:
+                raise ParseError(f"%{op.name} has type {defined}, "
+                                 f"expected {op.type}", op.line)
+            return index if index < args else index + len(self.blocks)
 
-    def _block_ref(self, name: str) -> BasicBlock:
-        block = self.blocks.get(name)
-        if block is None:
-            block = BasicBlock(name)
-            self.blocks[name] = block
-        return block
-
-    def _resolve_forwards(self) -> None:
-        for forward in self.forwards:
-            defined = self.locals.get(forward.ref_name)
-            if defined is None:
-                # Not a local after all: try module scope (e.g. a call to
-                # a function defined later in the file).
-                defined = self.parser.resolve_global(forward.ref_name, forward.type)
-            if defined.type is not forward.type:
-                raise self.parser.error(
-                    f"%{forward.ref_name} has type {defined.type}, "
-                    f"used as {forward.type}"
-                )
-            forward.replace_all_uses_with(defined)
-        for name, block in self.blocks.items():
-            if block.parent is None:
-                raise self.parser.error(f"branch to undefined label {name!r}")
+        return FunctionRecord(
+            0, tuple(arg.name for arg in self.function.args),
+            tuple((label, tuple(
+                (opcode, carried, ty, tuple(map(resolve, operands)), name, loc)
+                for opcode, carried, ty, operands, name, loc in rows))
+                for label, rows in self.blocks))
 
     # -- operands -------------------------------------------------------------
 
-    def _value_ref(self, name: str, expected_type: types.Type) -> Value:
-        local = self.locals.get(name)
-        if local is not None:
-            if local.type is not expected_type:
-                raise self.parser.error(
-                    f"%{name} has type {local.type}, expected {expected_type}"
-                )
-            return local
-        symbol = self.parser.module.get_symbol(name)
-        if (symbol is not None or name in self.parser._forward_functions
-                or name in self.parser._forward_globals):
-            return self.parser.resolve_global(name, expected_type)
-        # Otherwise assume a local defined later in this function; if it
-        # never appears, _resolve_forwards falls back to module scope.
-        forward = _ForwardValue(expected_type, name)
-        self.forwards.append(forward)
-        return forward
-
-    def _parse_value(self, expected_type: types.Type) -> Value:
+    def _value_ref(self, token: Token, expected_type: types.Type):
+        ref = _Ref(token.text, expected_type, token.line)
         parser = self.parser
-        token = parser.peek()
-        if token.kind == "local":
-            parser.next()
-            return self._value_ref(token.text, expected_type)
+        if ref.name not in self.locals and (
+                parser.module.get_symbol(ref.name) is not None
+                or ref.name in parser._forward_functions
+                or ref.name in parser._forward_globals):
+            return self._global(ref)
+        # A local, or a name defined later in this function; if no local
+        # defines it, parse() falls back to module scope.
+        return ref
+
+    def _global(self, ref: _Ref) -> Value:
+        try:
+            return self.parser.resolve_global(ref.name, ref.type)
+        except ParseError as error:
+            error.line = ref.line
+            raise
+
+    def _parse_value(self, expected_type: types.Type):
+        parser = self.parser
+        if parser.peek().kind == "local":
+            return self._value_ref(parser.next(), expected_type)
         return parser.parse_constant_value(expected_type)
 
-    def _parse_typed_value(self) -> Value:
+    def _parse_typed_value(self):
         ty = self.parser.parse_type()
         return self._parse_value(ty)
 
-    def _parse_label(self) -> BasicBlock:
+    def _block_ref(self) -> _Ref:
+        token = self.parser.expect("local")
+        return _Ref(token.text, types.LABEL, token.line)
+
+    def _parse_label(self) -> _Ref:
         self.parser.expect("word", "label")
-        name = self.parser.expect("local").text
-        return self._block_ref(name)
+        return self._block_ref()
 
     # -- instructions -------------------------------------------------------------
 
-    def _define_local(self, name: str, value: Value) -> None:
-        if name in self.locals:
-            raise self.parser.error(f"redefinition of %{name}")
-        value.name = name
-        self.locals[name] = value
-
-    def _parse_instruction(self, block: BasicBlock) -> None:
+    def _parse_instruction(self) -> None:
         parser = self.parser
-        result_name: Optional[str] = None
+        result: Optional[Token] = None
         if parser.peek().kind == "local" and parser.peek(1).kind == "=":
-            result_name = parser.next().text
+            result = parser.next()
             parser.next()
         opcode_token = parser.expect("word")
-        opcode_text = opcode_token.text
-        inst = self._dispatch(opcode_text, block)
+        label, rows = self.blocks[-1]
+        if rows and rows[-1][0] in TERMINATOR_OPCODES:
+            raise ParseError(f"block {label!r} is already terminated",
+                             opcode_token.line)
+        opcode, carried, operands = self._dispatch(opcode_token.text)
+        ty = (types.pointer(carried)
+              if opcode in (Opcode.MALLOC, Opcode.ALLOCA) else carried)
+        loc = None
         if parser.accept("bang", "loc"):
-            inst.loc = int(parser.expect("int").text)
-        block.append(inst)
-        if result_name is not None:
-            if inst.type.is_void:
-                raise parser.error(f"{opcode_text} produces no value")
-            self._define_local(result_name, inst)
+            loc = int(parser.expect("int").text)
+        name = ""
+        if result is not None:
+            if ty.is_void:
+                raise ParseError(f"{opcode_token.text} produces no value",
+                                 result.line)
+            if result.text in self.locals:
+                raise ParseError(f"redefinition of %{result.text}",
+                                 result.line)
+            name = result.text
+            self.locals[name] = (self.count, ty)
+        rows.append((opcode, carried, ty, operands, name, loc))
+        self.count += 1
 
-    def _dispatch(self, opcode_text: str, block: BasicBlock):
+    def _dispatch(self, opcode_text: str) -> tuple[Opcode, types.Type, list]:
+        """``(opcode, carried type, operands)`` of one instruction, as
+        :func:`~repro.core.instructions.build` takes them: the carried
+        type is the result type, but an allocation's allocated type."""
         parser = self.parser
-        if opcode_text in _BINARY_SPELLINGS:
+        if opcode_text in _BINARY_SPELLINGS or opcode_text in ("shl", "shr"):
+            opcode = Opcode(opcode_text)
             ty = parser.parse_type()
             lhs = self._parse_value(ty)
             parser.expect(",")
-            rhs = self._parse_value(ty)
-            return BinaryOperator(Opcode(opcode_text), lhs, rhs)
-        if opcode_text in ("shl", "shr"):
-            ty = parser.parse_type()
-            value = self._parse_value(ty)
-            parser.expect(",")
-            parser.expect("word", "ubyte")
-            amount = self._parse_value(types.UBYTE)
-            return ShiftInst(Opcode(opcode_text), value, amount)
+            if opcode in (Opcode.SHL, Opcode.SHR):
+                parser.expect("word", "ubyte")
+                rhs = self._parse_value(types.UBYTE)
+            else:
+                rhs = self._parse_value(ty)
+            return (opcode, types.BOOL if opcode in COMPARISON_OPCODES else ty,
+                    [lhs, rhs])
         if opcode_text == "ret":
             if parser.accept("word", "void"):
-                return ReturnInst(None)
-            return ReturnInst(self._parse_typed_value())
+                return Opcode.RET, types.VOID, []
+            return Opcode.RET, types.VOID, [self._parse_typed_value()]
         if opcode_text == "br":
             if parser.peek().text == "label":
-                return BranchInst(self._parse_label())
+                return Opcode.BR, types.VOID, [self._parse_label()]
             parser.expect("word", "bool")
             cond = self._parse_value(types.BOOL)
             parser.expect(",")
             true_dest = self._parse_label()
             parser.expect(",")
-            false_dest = self._parse_label()
-            return BranchInst(true_dest, cond, false_dest)
+            return Opcode.BR, types.VOID, [cond, true_dest, self._parse_label()]
         if opcode_text == "switch":
-            value = self._parse_typed_value()
+            operands = [self._parse_typed_value()]
             parser.expect(",")
-            default = self._parse_label()
+            operands.append(self._parse_label())
             parser.expect("[")
-            cases = []
             while not parser.accept("]"):
-                case_ty = parser.parse_type()
-                case_value = parser.parse_constant_value(case_ty)
+                operands.append(parser.parse_typed_constant())
                 parser.expect(",")
-                dest = self._parse_label()
-                cases.append((case_value, dest))
-            return SwitchInst(value, default, cases)
+                operands.append(self._parse_label())
+            return Opcode.SWITCH, types.VOID, operands
         if opcode_text in ("call", "invoke"):
             return self._parse_call(opcode_text)
         if opcode_text == "unwind":
-            return UnwindInst()
+            return Opcode.UNWIND, types.VOID, []
         if opcode_text in ("malloc", "alloca"):
             allocated = parser.parse_type()
-            size = None
+            operands = []
             if parser.accept(","):
                 parser.expect("word", "uint")
-                size = self._parse_value(types.UINT)
-            cls = MallocInst if opcode_text == "malloc" else AllocaInst
-            return cls(allocated, size)
+                operands.append(self._parse_value(types.UINT))
+            return Opcode(opcode_text), allocated, operands
         if opcode_text == "free":
-            return FreeInst(self._parse_typed_value())
+            return Opcode.FREE, types.VOID, [self._parse_typed_value()]
         if opcode_text == "load":
-            return LoadInst(self._parse_typed_value())
+            ty = parser.parse_type()
+            if not ty.is_pointer:
+                raise parser.error(f"load requires a pointer, got {ty}")
+            return Opcode.LOAD, ty.pointee, [self._parse_value(ty)]
         if opcode_text == "store":
             value = self._parse_typed_value()
             parser.expect(",")
-            ptr = self._parse_typed_value()
-            return StoreInst(value, ptr)
+            return Opcode.STORE, types.VOID, [value, self._parse_typed_value()]
         if opcode_text == "getelementptr":
-            ptr = self._parse_typed_value()
-            indices = []
+            operands = [self._parse_typed_value()]
             while parser.accept(","):
-                indices.append(self._parse_typed_value())
-            return GetElementPtrInst(ptr, indices)
+                operands.append(self._parse_typed_value())
+            return (Opcode.GETELEMENTPTR,
+                    gep_result_type(operands[0].type, operands[1:]), operands)
         if opcode_text == "phi":
             ty = parser.parse_type()
-            phi = PhiNode(ty)
+            operands = []
             while True:
                 parser.expect("[")
-                value = self._parse_value(ty)
+                operands.append(self._parse_value(ty))
                 parser.expect(",")
-                pred_name = parser.expect("local").text
+                operands.append(self._block_ref())
                 parser.expect("]")
-                phi.add_incoming(value, self._block_ref(pred_name))
                 if not parser.accept(","):
                     break
-            return phi
+            return Opcode.PHI, ty, operands
         if opcode_text == "cast":
             value = self._parse_typed_value()
             parser.expect("word", "to")
-            dest = parser.parse_type()
-            return CastInst(value, dest)
+            return Opcode.CAST, parser.parse_type(), [value]
         if opcode_text == "vaarg":
             valist = self._parse_typed_value()
             parser.expect(",")
-            result_type = parser.parse_type()
-            return VAArgInst(valist, result_type)
+            return Opcode.VAARG, parser.parse_type(), [valist]
         raise parser.error(f"unknown opcode {opcode_text!r}")
 
-    def _parse_call(self, opcode_text: str):
+    def _parse_call(self, opcode_text: str) -> tuple[Opcode, types.Type, list]:
         """``call <ty> <callee>(<args>)`` where <ty> is either the return
         type (direct, non-vararg calls) or the full function-pointer type."""
         parser = self.parser
         annotated = parser.parse_type()
-        callee_name = parser.expect("local").text
+        callee_token = parser.expect("local")
         parser.expect("(")
-        args: list[Value] = []
+        args: list = []
         while not parser.accept(")"):
             args.append(self._parse_typed_value())
             if parser.peek().kind != ")":
@@ -804,15 +832,14 @@ class _FunctionBodyParser:
         else:
             fn_type = types.function(annotated, [a.type for a in args])
             callee_type = types.pointer(fn_type)
-        callee = self._value_ref(callee_name, callee_type)
-        if opcode_text == "call":
-            return CallInst(callee, args)
-        parser.expect("word", "to")
-        normal = self._parse_label()
-        parser.expect("word", "unwind")
-        parser.expect("word", "to")
-        unwind = self._parse_label()
-        return InvokeInst(callee, args, normal, unwind)
+        operands = [self._value_ref(callee_token, callee_type), *args]
+        if opcode_text == "invoke":
+            parser.expect("word", "to")
+            operands.append(self._parse_label())
+            parser.expect("word", "unwind")
+            parser.expect("word", "to")
+            operands.append(self._parse_label())
+        return Opcode(opcode_text), callee_type.pointee.return_type, operands
 
 
 def parse_module(source: str, name: Optional[str] = None) -> Module:

@@ -1,10 +1,10 @@
 """A function body as structure, and the one builder that makes a body.
 
 :func:`snapshot_function` records a live body (a checkpoint, or the
-source of a clone) and the bytecode reader decodes one;
-:func:`rebuild_body` builds every body from its record — a rollback, a
-decoded body, an inlined, linked or selected copy — and is the one
-forward-reference scheme outside the text parser.
+source of a clone), and the bytecode reader and the text parser decode
+one; :func:`rebuild_body` builds every body from its record — a
+rollback, a decoded or parsed body, an inlined, linked or selected copy
+— and is the one forward-reference scheme.
 """
 
 from __future__ import annotations

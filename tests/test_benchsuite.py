@@ -10,7 +10,8 @@ import pytest
 from repro.benchsuite import (
     BENCHMARKS, benchmark_info, benchmark_names, load_source,
 )
-from repro.core import verify_module
+from repro.bitcode import write_bytecode
+from repro.core import parse_module, print_module, verify_module
 from repro.execution import Interpreter
 from repro.frontend import compile_source
 
@@ -42,6 +43,16 @@ def test_deterministic(name, suite_o2, suite_runs):
     again = Interpreter(suite_o2(name), step_limit=STEP_LIMIT)
     assert again.run("main") == value
     assert again.output == output
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_text_round_trip(name, suite_o2):
+    """Section 2.5: printing a module and parsing the text back loses
+    nothing, at -O0 and at -O2 + LTO (stripped bytecode compares the
+    structure; the printer uniquifies duplicate local names)."""
+    for module in (compile_source(load_source(name), name), suite_o2(name)):
+        again = parse_module(print_module(module))
+        assert write_bytecode(again) == write_bytecode(module)
 
 
 def test_suite_covers_table1():

@@ -138,6 +138,89 @@ entry:
             parse_module("int main() { return 0; }")  # C, not IR
 
 
+def _refused(source: str) -> ParseError:
+    with pytest.raises(ParseError) as refused:
+        parse_module(source)
+    return refused.value
+
+
+class TestParseErrors:
+    """Only ParseError escapes the parser, at the line of the token at
+    fault, however late the fault is found."""
+
+    def test_forward_type_mismatch_at_the_use(self):
+        error = _refused("""int %f(int %a) {
+entry:
+  br label %next
+next:
+  %y = add long %x, 1
+  %x = add int %a, 1
+  ret int %x
+}
+""")
+        assert error.line == 5 and "%x has type int" in str(error)
+
+    def test_unknown_symbol_at_the_use(self):
+        error = _refused("int %f() {\nentry:\n  ret int %nope\n\n}\n")
+        assert error.line == 3 and "unknown symbol %nope" in str(error)
+
+    def test_undefined_label_at_the_branch(self):
+        error = _refused("int %f() {\nentry:\n  br label %nowhere\n\n}\n")
+        assert error.line == 3 and "undefined label" in str(error)
+
+    def test_void_result_named_at_its_line(self):
+        error = _refused("void %f() {\nentry:\n  %x = ret void\n\n}\n")
+        assert error.line == 3 and "produces no value" in str(error)
+
+    def test_instruction_after_terminator(self):
+        error = _refused("int %f() {\nentry:\n  ret int 0\n  ret int 1\n}\n")
+        assert error.line == 4 and "already terminated" in str(error)
+
+    def test_store_type_mismatch_names_the_function(self):
+        error = _refused("""
+void %f() {
+entry:
+  %p = alloca long
+  store int 1, long* %p
+  ret void
+}
+""")
+        assert error.line == 2 and "%f" in str(error)
+
+    def test_load_from_a_non_pointer(self):
+        error = _refused("""
+int %f(int %a) {
+entry:
+  %v = load int %a
+  ret int %v
+}
+""")
+        assert error.line == 4 and "pointer" in str(error)
+
+    def test_other_refusals_are_parse_errors(self):
+        assert _refused("\n%g = global bool 1\n").line == 2
+        assert _refused('\n%s = global [2 x sbyte] c"\\zz"\n').line == 2
+        assert _refused("""
+int %f(int* %p) {
+entry:
+  %q = getelementptr int* %p, int 1
+  ret int 0
+}
+""").line == 4
+
+    def test_integer_literal_must_fit_its_type(self):
+        # A fit under either signedness: [-2^(w-1), 2^w - 1].
+        for literal in ("ubyte 300", "sbyte 256", "ubyte -129", "sbyte -129",
+                        "ushort 65536", "long 18446744073709551616"):
+            error = _refused(f"%g = global {literal}\n")
+            assert error.line == 1 and "does not fit" in str(error)
+        module = parse_module("%a = global ubyte 255\n%b = global sbyte -128\n"
+                              "%c = global sbyte 255\n%d = global ubyte -1\n"
+                              "%e = global long -9223372036854775808\n")
+        assert [g.initializer.value for g in module.globals.values()] == [
+            255, -128, -1, 255, -9223372036854775808]
+
+
 class TestRoundTrips:
     def test_every_scalar_constant_form(self):
         _roundtrip("""
