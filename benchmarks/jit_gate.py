@@ -15,7 +15,10 @@ tier to four promises:
   ``core/constfold.py``'s table; none calls back into ``eval_binary`` /
   ``eval_cast`` (``_eb(`` / ``_ec(``) per execution;
 * **coverage** — the suite compiles at least ``MIN_TRACES`` traces (the
-  hot-path detector is finding real loops, not idling);
+  hot-path detector is finding real loops, not idling) and at most
+  ``MAX_TRACES_COMPILED`` (a header whose trace is recorded and
+  compiled again and again is recompile thrash; the count is
+  deterministic, so the ceiling is exact);
 * **speed** — the interpreter-steps ratio (reference steps over steps
   actually interpreted, i.e. steps not absorbed by traces) reaches
   ``MIN_STEPS_RATIO`` on at least ``MIN_FAST_PROGRAMS`` of the
@@ -40,8 +43,10 @@ import time
 from repro.benchsuite import benchmark_names, compile_benchmark
 from repro.execution import Interpreter, TraceManager
 
-#: The whole suite must compile at least this many traces.
+#: The whole suite must compile at least this many traces...
 MIN_TRACES = 10
+#: ...and at most this many, cold and warm runs together.
+MAX_TRACES_COMPILED = 400
 #: Required interpreter-steps ratio (reference / interpreted-under-JIT)
 #: on the designated programs...
 MIN_STEPS_RATIO = 5.0
@@ -126,6 +131,8 @@ def main(argv=None) -> int:
             "warm_wall_ratio": round(wall_ratio, 2),
             "traces_compiled": stats["traces-compiled"],
             "guard_exits": stats["guard-exits"],
+            "recordings_aborted": stats["recordings-aborted"],
+            "traces_evicted": stats["traces-evicted"],
             "steps_saved": warm_saved,
             "unreconstructed_exits": stats["unreconstructed-exits"],
         })
@@ -140,6 +147,9 @@ def main(argv=None) -> int:
     if total_traces < MIN_TRACES:
         failures.append(f"only {total_traces} trace(s) compiled across the "
                         f"suite (floor {MIN_TRACES})")
+    if total_traces > MAX_TRACES_COMPILED:
+        failures.append(f"{total_traces} traces compiled across the suite "
+                        f"(ceiling {MAX_TRACES_COMPILED}): recompile thrash")
     if len(fast_programs) < MIN_FAST_PROGRAMS:
         failures.append(
             f"steps ratio >= {MIN_STEPS_RATIO} on only "

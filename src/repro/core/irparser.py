@@ -422,9 +422,13 @@ class Parser:
             linkage = token.text
             self.next()
         return_type = self.parse_type()
-        name = self.expect("local").text
+        name_token = self.expect("local")
+        name = name_token.text
         fn_type, arg_names = self._parse_param_list(return_type, want_names=True)
         function = self._get_or_create_function(name, fn_type, linkage)
+        if not function.is_declaration:
+            raise ParseError(f"redefinition of function %{name}",
+                             name_token.line)
         function.linkage = linkage
         for arg, arg_name in zip(function.args, arg_names):
             if arg_name:

@@ -11,10 +11,10 @@ cycle through it becomes a trace, and the trace is compiled with
 ``compile()``/``exec`` into one specialized Python closure — a
 straight-line unrolling of the hot path with the interpreter's dispatch,
 operand lookup, and constant evaluation all burned away.  Compiled
-traces live in a software :class:`TraceCache` keyed by
-``(function, header)`` and are dispatched from the interpreter's
-block-entry hook; reoptimization invalidates the whole cache because
-the IR underneath the closures is about to be rewritten.
+traces live in a software :class:`TraceCache` keyed by the header
+block object, one trace per header, and are dispatched from the
+interpreter's block-entry hook; reoptimization invalidates the whole
+cache because the IR underneath the closures is about to be rewritten.
 
 Every speculative assumption a trace makes is protected by a *guard*:
 
@@ -29,12 +29,14 @@ Every speculative assumption a trace makes is protected by a *guard*:
 * **null guards** — ``getelementptr`` keeps the interpreter's
   null-base trap by side-exiting before the faulting address compute.
 
-A failed guard *side-exits*: the closure writes every register the
-trace has defined back into the frame, points ``frame.block`` /
-``frame.index`` at the instruction the interpreter must re-execute,
-syncs the step counter, and returns.  The interpreter continues as if
-it had run every instruction itself — reconstruction is total by
-construction, which is what the differential jit-gate measures.
+A failed guard *side-exits*: it sets its exit number and breaks out
+of the trace loop into the one tail every exit shares.  The tail reads
+the exit's row of a table, points ``frame.block`` / ``frame.index`` at
+the instruction the interpreter must re-execute, syncs the step
+counter, writes back each register the exit's body position needs, and
+returns.  The interpreter continues as if it had run every instruction
+itself — reconstruction is total by construction, which is what the
+differential jit-gate measures.
 
 Arithmetic is derived, not restated: a binary operator, shift or cast
 is its row of :mod:`repro.core.constfold`'s table — the same expression
@@ -102,8 +104,7 @@ class TraceJITStats:
 
 class CompiledTrace:
     """One compiled hot path: the closure plus the IR it was built from
-    (holding the block references also pins their ids, which keys the
-    dispatch table)."""
+    (the header block keys the :class:`TraceCache`)."""
 
     __slots__ = ("fn", "function_name", "header", "path", "steps_per_iter",
                  "source", "entries", "saved")
@@ -121,45 +122,37 @@ class CompiledTrace:
 
     @property
     def key(self) -> tuple[str, str]:
+        """A reporting label; the cache keys by the header block."""
         return (self.function_name, self.header.name)
 
 
 class TraceCache:
-    """The software trace cache: (function name, header name) -> trace,
-    with an identity-checked dispatch index by header block."""
+    """The software trace cache: one trace per header block, keyed by
+    the block object itself (identity-hashed; block names repeat after
+    inlining, so a name would let one header's trace evict another's)."""
 
     def __init__(self):
-        self._by_key: dict[tuple[str, str], CompiledTrace] = {}
-        self._by_block: dict[int, CompiledTrace] = {}
+        self._by_header: dict[BasicBlock, CompiledTrace] = {}
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self._by_header)
 
     def traces(self) -> list[CompiledTrace]:
-        return list(self._by_key.values())
+        return list(self._by_header.values())
 
     def install(self, trace: CompiledTrace) -> None:
-        old = self._by_key.get(trace.key)
-        if old is not None:
-            self._by_block.pop(id(old.header), None)
-        self._by_key[trace.key] = trace
-        self._by_block[id(trace.header)] = trace
+        self._by_header[trace.header] = trace
 
     def lookup(self, block: BasicBlock) -> Optional[CompiledTrace]:
-        trace = self._by_block.get(id(block))
-        if trace is not None and trace.header is block:
-            return trace
-        return None
+        return self._by_header.get(block)
 
     def remove(self, trace: CompiledTrace) -> None:
-        if self._by_key.get(trace.key) is trace:
-            del self._by_key[trace.key]
-        self._by_block.pop(id(trace.header), None)
+        if self._by_header.get(trace.header) is trace:
+            del self._by_header[trace.header]
 
     def invalidate_all(self) -> int:
-        count = len(self._by_key)
-        self._by_key.clear()
-        self._by_block.clear()
+        count = len(self._by_header)
+        self._by_header.clear()
         return count
 
 
@@ -371,7 +364,11 @@ class _TraceCompiler:
         self.sym_consts: dict[int, str] = {}
         #: direct external callees: var name -> external name.
         self.externals: dict[str, str] = {}
-        self.body: list[object] = []  # str lines | ("WB", indent) markers
+        self.body: list[str] = []
+        #: The side exits' rows, by exit number; exit 0 is the budget
+        #: check at the top of the loop (see :meth:`_tail_lines`).
+        self.exits: list[tuple] = [
+            (path[0], path[0].first_non_phi_index(), 0, "budget_exits", 0, 0)]
         self.steps_per_iter = 0
         #: Path position of the block being emitted: an exit there has
         #: entered ``path[1:at + 1]`` since the header.
@@ -474,6 +471,7 @@ class _TraceCompiler:
         self.body.append("        iters += 1")
         source = self._render(total)
         env = dict(self.env)
+        env["_EXITS"] = tuple(self.exits)
         code = compile(source, f"<trace {self.function.name}:"
                                f"{path[0].name}>", "exec")
         exec(code, env)
@@ -481,7 +479,6 @@ class _TraceCompiler:
                              list(path), total, source)
 
     def _render(self, steps_per_iter: int) -> str:
-        header = self.path[0]
         lines = ["def __lc_trace(frame, interp, stats):",
                  "    R = frame.registers"]
         live = [(vid, self.names[vid]) for vid in self.live_ins]
@@ -541,17 +538,10 @@ class _TraceCompiler:
         lines.append("    iters = 0")
         lines.append("    while True:")
         lines.append(f"        if steps + {steps_per_iter} > _limit:")
-        budget = self._exit_lines(
-            indent=12, block=header, index=self._first_non_phi(header),
-            cum=0, counter="budget_exits", position=0, at=0)
-        for entry in budget + self.body:
-            if isinstance(entry, tuple):
-                _, indent, position = entry
-                pad = " " * indent
-                lines.extend(pad + wb
-                             for wb in self._writeback_lines(position))
-            else:
-                lines.append(entry)
+        lines.append("            _x = 0")
+        lines.append("            break")
+        lines.extend(self.body)
+        lines.extend(self._tail_lines())
         return "\n".join(lines) + "\n"
 
     def _type_check(self, ty, name: str) -> Optional[str]:
@@ -563,15 +553,28 @@ class _TraceCompiler:
             return f"type({name}) is not float"
         return None
 
-    @staticmethod
-    def _first_non_phi(block: BasicBlock) -> int:
-        for index, inst in enumerate(block.instructions):
-            if not isinstance(inst, PhiNode):
-                return index
-        return 0
+    def _tail_lines(self) -> list[str]:
+        """The one exit every guard breaks to: sync steps, point the
+        frame at the instruction to re-execute, write back registers,
+        hand control back with ``(full iterations, path position left
+        from)``.  The exit's row of ``_EXITS`` is ``(block, index,
+        steps, counter, position, path position)``."""
+        return [
+            "    _b, _i, _c, _k, _p, _a = _EXITS[_x]",
+            "    steps += _c",
+            "    interp.steps = steps",
+            "    frame.block = _b",
+            "    frame.index = _i",
+            "    setattr(stats, _k, getattr(stats, _k) + 1)",
+            "    stats.trace_iterations += iters",
+            "    stats.steps_saved += steps - _s0",
+            *self._writeback_lines(),
+            "    return iters, _a",
+        ]
 
-    def _writeback_lines(self, position: int) -> list[str]:
-        """Restore every register the trace may have redefined.
+    def _writeback_lines(self) -> list[str]:
+        """Restore every register the trace may have redefined, chosen
+        by the body position ``_p`` of the exit taken.
 
         A name that is live-in, or first defined before the exit point,
         was certainly assigned this pass and holds the correct current
@@ -580,52 +583,46 @@ class _TraceCompiler:
         still read — but only exists once a full iteration has
         completed, so its writeback is gated on ``iters`` (which also
         keeps the first, partial pass from touching an unbound local).
-        """
-        always, gated = [], []
-        for vid, first_def in self.defined.items():
-            if vid not in self.live_ins and self.block_local.get(vid):
-                # A straight-line temporary: off-trace code can only
-                # read it after re-executing its def, except along the
-                # window between its def and its last pending use.
-                if first_def < position <= self.last_use.get(vid, -1):
-                    always.append(f"R[{vid}] = {self.names[vid]}")
-                continue
-            if vid in self.live_ins or first_def < position:
-                always.append(f"R[{vid}] = {self.names[vid]}")
-            else:
-                gated.append(f"    R[{vid}] = {self.names[vid]}")
-        if gated:
-            always.append("if iters:")
-            always.extend(gated)
-        return always
+        A straight-line temporary (:meth:`_is_block_local`) off-trace
+        code can only read after re-executing its def, except along the
+        window between its def and its last pending use.
 
-    def _exit_lines(self, indent: int, block: BasicBlock, index: int,
-                    cum: int, counter: str, position: int,
-                    at: int) -> list[object]:
-        """A side exit: sync steps, point the frame at the instruction
-        to re-execute, write back registers, hand control back with
-        ``(full iterations, path position left from)``."""
-        pad = " " * indent
-        blk = self._env_ref("B", block)
-        lines = [
-            pad + f"interp.steps = steps + {cum}",
-            pad + f"frame.block = {blk}",
-            pad + f"frame.index = {index}",
-            pad + f"stats.{counter} += 1",
-            pad + "stats.trace_iterations += iters",
-            pad + f"stats.steps_saved += steps + {cum} - _s0",
-            ("WB", indent, position),
-            pad + f"return iters, {at}",
-        ]
+        Each condition is stated over the exit positions that satisfy
+        it, so names sharing one share a single test.
+        """
+        positions = sorted(row[4] for row in self.exits)
+        groups: dict[Optional[str], list[str]] = {}
+        for vid, first_def in self.defined.items():
+            if vid in self.live_ins:
+                condition = None
+            elif self.block_local.get(vid):
+                window = [p for p in positions
+                          if first_def < p <= self.last_use.get(vid, -1)]
+                if not window:
+                    continue
+                condition = f"{window[0]} <= _p <= {window[-1]}"
+            else:
+                later = [p for p in positions if p > first_def]
+                condition = f"iters or _p >= {later[0]}" if later else "iters"
+            groups.setdefault(condition, []).append(
+                f"R[{vid}] = {self.names[vid]}")
+        lines = []
+        for condition, writes in groups.items():
+            if condition is None:
+                lines.extend("    " + write for write in writes)
+            else:
+                lines.append(f"    if {condition}:")
+                lines.extend("        " + write for write in writes)
         return lines
 
     def _guard(self, condition: str, block: BasicBlock, index: int) -> None:
-        """Emit ``if condition: side-exit`` at body indent."""
-        position = len(self.body)
+        """Emit ``if condition:`` leaving the loop by a new exit that
+        resumes the interpreter at ``block[index]``."""
+        self.exits.append((block, index, self.steps_per_iter,
+                           "guard_exits", len(self.body), self.at))
         self.body.append(f"        if {condition}:")
-        self.body.extend(self._exit_lines(
-            indent=12, block=block, index=index, cum=self.steps_per_iter,
-            counter="guard_exits", position=position, at=self.at))
+        self.body.append(f"            _x = {len(self.exits) - 1}")
+        self.body.append("            break")
 
     # -- per-block emission ------------------------------------------------
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 
 from ..analysis.alias import AliasResult, alias
-from ..analysis.cfg import split_critical_edge
 from ..analysis.dominators import DominatorTree
 from ..analysis.loops import Loop, LoopInfo
 from ..analysis.manager import function_analysis, module_analysis

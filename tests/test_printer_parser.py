@@ -220,6 +220,15 @@ entry:
         assert [g.initializer.value for g in module.globals.values()] == [
             255, -128, -1, 255, -9223372036854775808]
 
+    def test_function_defined_twice(self):
+        error = _refused("int %f() {\nentry:\n  ret int 0\n}\n"
+                         "int %f() {\nentry:\n  ret int 1\n}\n")
+        assert error.line == 5 and "redefinition of function %f" in str(error)
+        # A declaration followed by the definition is one function.
+        module = parse_module("declare int %f()\n"
+                              "int %f() {\nentry:\n  ret int 0\n}\n")
+        assert len(module.functions["f"].blocks) == 1
+
 
 class TestRoundTrips:
     def test_every_scalar_constant_form(self):

@@ -22,9 +22,9 @@ from repro.core.values import (
     ConstantAggregateZero, ConstantArray, ConstantBool, ConstantFP,
     ConstantInt,
 )
-from repro.driver import LifelongSession
+from repro.driver import LifelongSession, compile_and_link
 from repro.execution import Interpreter, StepLimitExceeded, TraceManager
-from repro.execution.tracejit import Untraceable, compile_trace
+from repro.execution.tracejit import CompiledTrace, Untraceable, compile_trace
 from repro.frontend import compile_source
 from repro.profile import ProfileData, TraceFormation
 
@@ -135,6 +135,139 @@ int main() {
         assert (warm_value, "".join(warm.output), warm.steps) == (
             ref_value, "".join(ref.output), ref.steps)
         assert manager.stats.trace_entries > 0
+
+
+#: A static helper whose loop LTO inlines twice into ``main``: both
+#: copies of the loop header are blocks with the same name.
+INLINED_TWICE = """
+extern int print_int(int x);
+static int weigh(int n, int k) {
+  int s = 0;
+  int i;
+  for (i = 0; i < n; i++) {
+    if (i % k == 0) { s += 3; } else { s += i; }
+  }
+  return s;
+}
+int main() {
+  int a = weigh(300, 7);
+  int b = weigh(400, 5);
+  print_int(a);
+  print_int(b);
+  return (a + b) % 251;
+}
+"""
+
+#: At -O2 a loop whose every trip takes four conditional branches, with
+#: SSA values carried around it and read after it: a trace over it has
+#: at least four guards, each with its own registers to write back.
+MANY_GUARDS = """
+extern int print_int(int x);
+int main() {
+  int a = 0;
+  int b = 1;
+  int c = 0;
+  int i;
+  for (i = 0; i < 600; i++) {
+    int d = i * 3 + b;
+    if (i % 3 == 0) { a += 1; } else { b = b + i; }
+    if (i % 5 == 0) { c += d; }
+    if (i % 7 == 0) { a = a - c; }
+  }
+  print_int(a);
+  print_int(b);
+  print_int(c);
+  return (a + b + c) % 251;
+}
+"""
+
+
+def _outcome(module, manager=None):
+    """(exit, output, steps) of one run, optionally under ``manager``."""
+    interp = Interpreter(module)
+    if manager is not None:
+        manager.attach(interp)
+    value = interp.run("main", [])
+    return value, "".join(interp.output), interp.steps
+
+
+def _optimized(source):
+    return compile_and_link([source], "t", level=2, lto=True)
+
+
+def _exit_table(trace):
+    """The trace's side-exit rows; row 0 is the budget check."""
+    return trace.fn.__globals__["_EXITS"]
+
+
+def _unevicting_manager(hot_threshold):
+    manager = TraceManager(hot_threshold=hot_threshold)
+    manager.min_saved_per_entry = 0
+    return manager
+
+
+def _most_guarded_trace(module):
+    manager = _unevicting_manager(8)
+    _outcome(module, manager)
+    return max(manager.cache.traces(),
+               key=lambda trace: len(_exit_table(trace)))
+
+
+def _forced(trace, exit_number, iteration):
+    """``trace`` recompiled so that guard ``exit_number`` also fails on
+    pass ``iteration``: a side exit the program never needed, which
+    must be invisible to it."""
+    lines = trace.source.splitlines()
+    at = lines.index(f"            _x = {exit_number}") - 1
+    lines[at] = lines[at].replace("if ", f"if iters == {iteration} or ", 1)
+    source = "\n".join(lines) + "\n"
+    env = dict(trace.fn.__globals__)
+    exec(compile(source, "<forced>", "exec"), env)
+    return CompiledTrace(env["__lc_trace"], trace.function_name,
+                         trace.header, trace.path, trace.steps_per_iter,
+                         source)
+
+
+class TestOneTracePerHeader:
+    def test_same_named_headers_keep_their_own_traces(self):
+        module = _optimized(INLINED_TWICE)
+        reference = _outcome(module)
+        manager = TraceManager(hot_threshold=8)
+        for _ in range(2):
+            assert _outcome(module, manager) == reference
+        warmed = manager.stats.traces_compiled
+        traces = manager.cache.traces()
+        labels = [trace.key for trace in traces]
+        shared = {label for label in labels if labels.count(label) > 1}
+        assert shared, "no two trace headers share a name"
+        for trace in traces:
+            assert manager.cache.lookup(trace.header) is trace
+        # The third run finds every trace it needs already compiled.
+        assert _outcome(module, manager) == reference
+        assert manager.stats.traces_compiled == warmed
+        assert manager.stats.traces_evicted == 0
+
+
+class TestOneExitTail:
+    def test_a_many_guarded_trace_returns_from_one_tail(self):
+        trace = _most_guarded_trace(_optimized(MANY_GUARDS))
+        assert len(_exit_table(trace)) - 1 >= 4
+        assert trace.source.count("return iters") == 1
+
+    @pytest.mark.parametrize("iteration", [0, 2])
+    def test_a_forced_exit_at_every_guard_is_invisible(self, iteration):
+        module = _optimized(MANY_GUARDS)
+        reference = _outcome(module)
+        manager = _unevicting_manager(8)
+        _outcome(module, manager)
+        for trace in manager.cache.traces():
+            for exit_number in range(1, len(_exit_table(trace))):
+                forcing = _unevicting_manager(10 ** 9)
+                forcing.cache.install(_forced(trace, exit_number, iteration))
+                assert _outcome(module, forcing) == reference, (
+                    trace.key, exit_number)
+                assert forcing.stats.guard_exits > 0
+                assert forcing.stats.unreconstructed_exits == 0
 
 
 class TestLifelongInvalidation:
