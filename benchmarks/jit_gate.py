@@ -8,9 +8,9 @@ to the interpreter with fully reconstructed state.  The gate holds the
 tier to four promises:
 
 * **correctness** — exit value, printed output, and total interpreter
-  steps match the reference exactly on every program, and no side exit
-  ever fires with un-reconstructed state (``unreconstructed-exits`` is
-  zero across the suite);
+  steps match the reference exactly on every program, cold and warm
+  (a side exit that rebuilt the interpreter's state wrongly shows up
+  here);
 * **derivation** — every trace inlines its arithmetic from
   ``core/constfold.py``'s table; none calls back into ``eval_binary`` /
   ``eval_cast`` (``_eb(`` / ``_ec(``) per execution;
@@ -22,8 +22,9 @@ tier to four promises:
 * **speed** — the interpreter-steps ratio (reference steps over steps
   actually interpreted, i.e. steps not absorbed by traces) reaches
   ``MIN_STEPS_RATIO`` on at least ``MIN_FAST_PROGRAMS`` of the
-  designated hot-loop programs.  Steps are deterministic, so this gate
-  is machine-independent; wall-clock speedup is measured warm (the
+  designated hot-loop programs, and on at least ``MIN_FAST_SUITE`` of
+  the whole suite.  Steps are deterministic, so this gate is
+  machine-independent; wall-clock speedup is measured warm (the
   trace cache persists into a second run, the lifelong steady state)
   and recorded in the report, but never gated on.
 
@@ -54,6 +55,8 @@ MIN_STEPS_RATIO = 5.0
 MIN_FAST_PROGRAMS = 3
 #: Hot-loop programs the speed half of the gate is allowed to count.
 DESIGNATED = ("gzip", "mesa", "equake", "ammp", "bzip2")
+#: The same ratio on at least this many programs of the whole suite.
+MIN_FAST_SUITE = 8
 
 HOT_THRESHOLD = 50
 STEP_LIMIT = 200_000_000
@@ -80,8 +83,8 @@ def main(argv=None) -> int:
     failures: list[str] = []
     rows = []
     total_traces = 0
-    total_unreconstructed = 0
     fast_programs = []
+    fast_suite = 0
     started = time.perf_counter()
     for name in benchmark_names():
         module = compile_benchmark(name, level=2, lto=True)
@@ -107,7 +110,7 @@ def main(argv=None) -> int:
 
         # Arithmetic is inlined from constfold's table; a call back into
         # eval_binary/eval_cast per execution must not quietly return.
-        delegating = [trace.key for trace in manager.cache.traces()
+        delegating = [trace.key for trace in manager.traces.values()
                       if "_eb(" in trace.source or "_ec(" in trace.source]
         if delegating:
             failures.append(f"{name}: {len(delegating)} trace(s) delegate "
@@ -115,15 +118,16 @@ def main(argv=None) -> int:
 
         stats = manager.statistics()
         total_traces += stats["traces-compiled"]
-        total_unreconstructed += stats["unreconstructed-exits"]
         # Steps-saved accumulates across both runs; the gate's ratio is
         # the warm (steady-state) run's alone.
         warm_saved = stats["steps-saved"] - cold_saved
         interpreted = ref_steps - warm_saved
         steps_ratio = (ref_steps / interpreted) if interpreted > 0 else 1.0
         wall_ratio = (ref_seconds / warm_seconds) if warm_seconds > 0 else 1.0
-        if name in DESIGNATED and steps_ratio >= MIN_STEPS_RATIO:
-            fast_programs.append(name)
+        if steps_ratio >= MIN_STEPS_RATIO:
+            fast_suite += 1
+            if name in DESIGNATED:
+                fast_programs.append(name)
         rows.append({
             "program": name,
             "ref_steps": ref_steps,
@@ -132,18 +136,13 @@ def main(argv=None) -> int:
             "traces_compiled": stats["traces-compiled"],
             "guard_exits": stats["guard-exits"],
             "recordings_aborted": stats["recordings-aborted"],
-            "traces_evicted": stats["traces-evicted"],
             "steps_saved": warm_saved,
-            "unreconstructed_exits": stats["unreconstructed-exits"],
         })
         print(f"jit-gate: {name:10s} steps x{steps_ratio:6.2f}  "
               f"warm wall x{wall_ratio:5.2f}  "
               f"traces {stats['traces-compiled']:4d}  "
               f"saved {warm_saved}")
 
-    if total_unreconstructed:
-        failures.append(f"{total_unreconstructed} side exit(s) fired with "
-                        "un-reconstructed state")
     if total_traces < MIN_TRACES:
         failures.append(f"only {total_traces} trace(s) compiled across the "
                         f"suite (floor {MIN_TRACES})")
@@ -156,12 +155,17 @@ def main(argv=None) -> int:
             f"{len(fast_programs)} designated program(s) "
             f"({', '.join(fast_programs) or 'none'}); "
             f"need {MIN_FAST_PROGRAMS} of {', '.join(DESIGNATED)}")
+    if fast_suite < MIN_FAST_SUITE:
+        failures.append(
+            f"steps ratio >= {MIN_STEPS_RATIO} on only {fast_suite} of "
+            f"{len(rows)} programs; need {MIN_FAST_SUITE}")
 
     report = {
         "schema": "jit-gate/1",
         "programs": rows,
         "traces_compiled": total_traces,
         "fast_programs": fast_programs,
+        "fast_suite": fast_suite,
         "total_seconds": round(time.perf_counter() - started, 3),
     }
     if args.o != "-":
@@ -176,8 +180,8 @@ def main(argv=None) -> int:
     print(f"jit-gate: {verdict} — {total_traces} traces, "
           f"steps ratio >= {MIN_STEPS_RATIO} on "
           f"{len(fast_programs)}/{MIN_FAST_PROGRAMS} needed designated "
-          f"programs, {total_unreconstructed} unreconstructed exits, "
-          f"{len(failures)} failure(s), "
+          f"programs and {fast_suite}/{MIN_FAST_SUITE} needed of the "
+          f"suite, {len(failures)} failure(s), "
           f"{report['total_seconds']:.1f}s")
     return 1 if failures else 0
 

@@ -7,14 +7,11 @@ from .interpreter import (
 )
 from .jit import JITEngine
 from .memory import Memory, MemoryFault
-from .tracejit import (
-    CompiledTrace, TraceCache, TraceJITStats, TraceManager, Untraceable,
-)
+from .tracejit import CompiledTrace, TraceJITStats, TraceManager, Untraceable
 
 __all__ = [
     "ExecutionError", "ExitCalled", "Interpreter", "JITEngine",
     "StepLimitExceeded", "UndefinedFunction", "UnhandledUnwind",
     "Memory", "MemoryFault",
-    "CompiledTrace", "TraceCache", "TraceJITStats", "TraceManager",
-    "Untraceable",
+    "CompiledTrace", "TraceJITStats", "TraceManager", "Untraceable",
 ]

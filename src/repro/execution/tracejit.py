@@ -11,10 +11,12 @@ cycle through it becomes a trace, and the trace is compiled with
 ``compile()``/``exec`` into one specialized Python closure — a
 straight-line unrolling of the hot path with the interpreter's dispatch,
 operand lookup, and constant evaluation all burned away.  Compiled
-traces live in a software :class:`TraceCache` keyed by the header
-block object, one trace per header, and are dispatched from the
-interpreter's block-entry hook; reoptimization invalidates the whole
-cache because the IR underneath the closures is about to be rewritten.
+traces live in a software trace cache, :attr:`TraceManager.traces`,
+keyed by the header block object, one trace per header, and are
+dispatched from the interpreter's block-entry hook.  A trace is kept
+for the manager's whole life: only reoptimization invalidates the
+cache, because the IR underneath the closures is about to be
+rewritten.
 
 Every speculative assumption a trace makes is protected by a *guard*:
 
@@ -89,12 +91,7 @@ class TraceJITStats:
         self.steps_saved = 0
         self.entry_fallbacks = 0
         self.recordings_aborted = 0
-        self.traces_evicted = 0
         self.invalidations = 0
-        #: Side exits whose interpreter state could not be rebuilt.
-        #: Reconstruction is total by construction, so any nonzero
-        #: value here is a compiler bug; the jit-gate asserts zero.
-        self.unreconstructed_exits = 0
 
     def statistics(self) -> dict[str, int]:
         """The ``-stats`` rows: every counter above, hyphenated."""
@@ -104,10 +101,10 @@ class TraceJITStats:
 
 class CompiledTrace:
     """One compiled hot path: the closure plus the IR it was built from
-    (the header block keys the :class:`TraceCache`)."""
+    (the header block keys :attr:`TraceManager.traces`)."""
 
     __slots__ = ("fn", "function_name", "header", "path", "steps_per_iter",
-                 "source", "entries", "saved")
+                 "source")
 
     def __init__(self, fn, function_name: str, header: BasicBlock,
                  path: list[BasicBlock], steps_per_iter: int, source: str):
@@ -117,43 +114,11 @@ class CompiledTrace:
         self.path = path
         self.steps_per_iter = steps_per_iter
         self.source = source
-        self.entries = 0
-        self.saved = 0
 
     @property
     def key(self) -> tuple[str, str]:
-        """A reporting label; the cache keys by the header block."""
+        """A reporting label; the trace cache keys by the header block."""
         return (self.function_name, self.header.name)
-
-
-class TraceCache:
-    """The software trace cache: one trace per header block, keyed by
-    the block object itself (identity-hashed; block names repeat after
-    inlining, so a name would let one header's trace evict another's)."""
-
-    def __init__(self):
-        self._by_header: dict[BasicBlock, CompiledTrace] = {}
-
-    def __len__(self) -> int:
-        return len(self._by_header)
-
-    def traces(self) -> list[CompiledTrace]:
-        return list(self._by_header.values())
-
-    def install(self, trace: CompiledTrace) -> None:
-        self._by_header[trace.header] = trace
-
-    def lookup(self, block: BasicBlock) -> Optional[CompiledTrace]:
-        return self._by_header.get(block)
-
-    def remove(self, trace: CompiledTrace) -> None:
-        if self._by_header.get(trace.header) is trace:
-            del self._by_header[trace.header]
-
-    def invalidate_all(self) -> int:
-        count = len(self._by_header)
-        self._by_header.clear()
-        return count
 
 
 class _Recording:
@@ -169,10 +134,10 @@ class TraceManager:
     """Drives the record -> compile -> dispatch loop from the
     interpreter's block-entry events.
 
-    One manager (and its cache) may outlive many :class:`Interpreter`
-    instances over the same module — the compiled closures resolve
-    memory, globals, and externals through the interpreter they are
-    handed at each entry, which is what lets a
+    One manager (and its trace cache) may outlive many
+    :class:`Interpreter` instances over the same module — the compiled
+    closures resolve memory, globals, and externals through the
+    interpreter they are handed at each entry, which is what lets a
     :class:`~repro.driver.lifelong.LifelongSession` keep its trace
     cache warm across end-user runs.  A profile attached over the
     manager sees only interpreted block entries, so each trace run
@@ -182,26 +147,21 @@ class TraceManager:
 
     name = "jit"
 
-    #: After this many entries, a trace saving fewer than
-    #: :attr:`min_saved_per_entry` interpreter steps per entry costs
-    #: more in prologue/writeback than it saves — evict it.
-    eviction_window = 32
-    min_saved_per_entry = 24
     #: A recording longer than this many blocks is aborted, and a
     #: header whose recordings abort this often is blacklisted.
     max_blocks = 32
     max_aborts = 3
 
-    def __init__(self, hot_threshold: int = 50,
-                 cache: Optional[TraceCache] = None,
-                 stats: Optional[TraceJITStats] = None):
+    def __init__(self, hot_threshold: int = 50):
         self.hot_threshold = hot_threshold
-        self.cache = cache if cache is not None else TraceCache()
-        self.stats = stats if stats is not None else TraceJITStats()
-        self._counts: dict[int, int] = {}
-        self._pins: dict[int, BasicBlock] = {}
-        self._aborts: dict[int, int] = {}
-        self._blacklist: set[int] = set()
+        self.stats = TraceJITStats()
+        #: The software trace cache: one trace per header block, kept
+        #: until :meth:`invalidate_all`.  Every table here is keyed by
+        #: the block object itself (block names repeat after inlining).
+        self.traces: dict[BasicBlock, CompiledTrace] = {}
+        self._counts: dict[BasicBlock, int] = {}
+        self._aborts: dict[BasicBlock, int] = {}
+        self._blacklist: set[BasicBlock] = set()
         self._recording: Optional[_Recording] = None
         #: A :class:`repro.profile.ProfileData` attached over this
         #: manager, credited with the blocks each trace run covers.
@@ -219,9 +179,9 @@ class TraceManager:
     def invalidate_all(self) -> int:
         """Reoptimization rewrote the IR: every compiled closure and
         every hotness counter refers to dead blocks."""
-        dropped = self.cache.invalidate_all()
+        dropped = len(self.traces)
+        self.traces.clear()
         self._counts.clear()
-        self._pins.clear()
         self._aborts.clear()
         self._blacklist.clear()
         self._recording = None
@@ -245,50 +205,34 @@ class TraceManager:
             # unwind): the cycle did not close.  Abort, then treat this
             # entry as an ordinary event for its own block.
             self._abort_recording()
-        bid = id(block)
-        trace = self.cache.lookup(block)
+        trace = self.traces.get(block)
         if trace is not None:
             self._run_trace(interpreter, frame, trace)
             return
-        count = self._counts.get(bid)
-        if count is None:
-            self._counts[bid] = 1
-            self._pins[bid] = block
-            return
-        self._counts[bid] = count + 1
-        if count + 1 >= self.hot_threshold and bid not in self._blacklist:
+        count = self._counts.get(block, 0) + 1
+        self._counts[block] = count
+        if count >= self.hot_threshold and block not in self._blacklist:
             self._recording = _Recording(frame, block)
 
     def _run_trace(self, interpreter, frame, trace: CompiledTrace) -> None:
-        stats = self.stats
-        stats.trace_entries += 1
-        trace.entries += 1
-        before = stats.steps_saved
-        left = trace.fn(frame, interpreter, stats)
+        self.stats.trace_entries += 1
+        left = trace.fn(frame, interpreter, self.stats)
         if left is None:
-            stats.entry_fallbacks += 1
+            self.stats.entry_fallbacks += 1
         elif self.profile is not None:
             self.profile.credit_trace(trace.path, *left)
-        trace.saved += stats.steps_saved - before
-        if (trace.entries >= self.eviction_window
-                and trace.saved
-                < self.min_saved_per_entry * trace.entries):
-            self.cache.remove(trace)
-            self._blacklist.add(id(trace.header))
-            stats.traces_evicted += 1
 
     # -- recording lifecycle ----------------------------------------------
 
     def _abort_recording(self) -> None:
-        recording = self._recording
+        anchor = self._recording.anchor
         self._recording = None
         self.stats.recordings_aborted += 1
-        bid = id(recording.anchor)
-        aborts = self._aborts.get(bid, 0) + 1
-        self._aborts[bid] = aborts
+        aborts = self._aborts.get(anchor, 0) + 1
+        self._aborts[anchor] = aborts
         if aborts >= self.max_aborts:
-            self._blacklist.add(bid)
-        self._counts[bid] = 0  # must get hot again before the next try
+            self._blacklist.add(anchor)
+        self._counts[anchor] = 0  # must get hot again before the next try
 
     def _finish_recording(self, interpreter, frame) -> None:
         recording = self._recording
@@ -297,9 +241,9 @@ class TraceManager:
             trace = compile_trace(interpreter, frame.function, recording.path)
         except Untraceable:
             self.stats.recordings_aborted += 1
-            self._blacklist.add(id(recording.anchor))  # deterministic: no retry
+            self._blacklist.add(recording.anchor)  # deterministic: no retry
             return
-        self.cache.install(trace)
+        self.traces[trace.header] = trace
         self.stats.traces_compiled += 1
         # Re-arm the hotness counters of every block the trace covers:
         # a rotation of the same cycle (or a hot side-exit target) must
@@ -308,8 +252,7 @@ class TraceManager:
         # Hot guard exits keep accumulating real entries, so trace
         # trees still grow along genuinely hot side exits.
         for block in trace.path:
-            self._counts[id(block)] = 0
-            self._pins.setdefault(id(block), block)
+            self._counts[block] = 0
         # The frame sits at the freshly re-entered header: enter the
         # trace immediately.
         self._run_trace(interpreter, frame, trace)

@@ -81,7 +81,6 @@ class TestDifferential:
         assert traced == reference
         assert manager.stats.traces_compiled >= 1
         assert manager.stats.steps_saved > 0
-        assert manager.stats.unreconstructed_exits == 0
 
     def test_guard_side_exit_reconstructs_state(self):
         reference, traced, manager = _run_pair(SHAPE_SHIFT)
@@ -89,7 +88,6 @@ class TestDifferential:
         # The shape shift at i == 700 must leave via a guard, not by
         # silently running the wrong arm.
         assert manager.stats.guard_exits >= 1
-        assert manager.stats.unreconstructed_exits == 0
 
     def test_trap_inside_trace_propagates(self):
         source = """
@@ -200,16 +198,10 @@ def _exit_table(trace):
     return trace.fn.__globals__["_EXITS"]
 
 
-def _unevicting_manager(hot_threshold):
-    manager = TraceManager(hot_threshold=hot_threshold)
-    manager.min_saved_per_entry = 0
-    return manager
-
-
 def _most_guarded_trace(module):
-    manager = _unevicting_manager(8)
+    manager = TraceManager(hot_threshold=8)
     _outcome(module, manager)
-    return max(manager.cache.traces(),
+    return max(manager.traces.values(),
                key=lambda trace: len(_exit_table(trace)))
 
 
@@ -236,16 +228,54 @@ class TestOneTracePerHeader:
         for _ in range(2):
             assert _outcome(module, manager) == reference
         warmed = manager.stats.traces_compiled
-        traces = manager.cache.traces()
+        traces = manager.traces.values()
         labels = [trace.key for trace in traces]
         shared = {label for label in labels if labels.count(label) > 1}
         assert shared, "no two trace headers share a name"
         for trace in traces:
-            assert manager.cache.lookup(trace.header) is trace
+            assert manager.traces[trace.header] is trace
         # The third run finds every trace it needs already compiled.
         assert _outcome(module, manager) == reference
         assert manager.stats.traces_compiled == warmed
-        assert manager.stats.traces_evicted == 0
+
+
+#: The outer loop calls into compiled IR, so its recordings abort and
+#: only the inner loop, one iteration per entry, is traced: a trace
+#: entered once per outer pass that saves little each time.
+SHORT_INNER_LOOP = """
+extern int print_int(int x);
+int step(int x) { return x * 3 + 1; }
+int main() {
+  int acc = 0;
+  int i;
+  int j;
+  for (i = 0; i < 100; i++) {
+    acc += step(i);
+    for (j = 0; j < 1; j++) { acc += i ^ j; }
+  }
+  print_int(acc);
+  return acc % 251;
+}
+"""
+
+
+class TestTracesAreKept:
+    def test_a_trace_that_saves_little_per_entry_is_kept(self):
+        module = compile_source(SHORT_INNER_LOOP, "t")
+        reference = _outcome(module)
+        manager = TraceManager(hot_threshold=8)
+        assert _outcome(module, manager) == reference
+        stats = manager.stats
+        assert stats.trace_entries >= 32
+        assert stats.steps_saved < 24 * stats.trace_entries
+        inner = [loop.header for loop
+                 in LoopInfo(module.functions["main"]).all_loops()
+                 if loop.depth == 2]
+        assert list(manager.traces) == inner
+        assert inner[0] not in manager._blacklist
+        # The lifelong steady state: the second run compiles nothing.
+        assert _outcome(module, manager) == reference
+        assert stats.traces_compiled == 1
 
 
 class TestOneExitTail:
@@ -258,16 +288,16 @@ class TestOneExitTail:
     def test_a_forced_exit_at_every_guard_is_invisible(self, iteration):
         module = _optimized(MANY_GUARDS)
         reference = _outcome(module)
-        manager = _unevicting_manager(8)
+        manager = TraceManager(hot_threshold=8)
         _outcome(module, manager)
-        for trace in manager.cache.traces():
+        for trace in manager.traces.values():
             for exit_number in range(1, len(_exit_table(trace))):
-                forcing = _unevicting_manager(10 ** 9)
-                forcing.cache.install(_forced(trace, exit_number, iteration))
+                forcing = TraceManager(hot_threshold=10 ** 9)
+                forced = _forced(trace, exit_number, iteration)
+                forcing.traces[forced.header] = forced
                 assert _outcome(module, forcing) == reference, (
                     trace.key, exit_number)
                 assert forcing.stats.guard_exits > 0
-                assert forcing.stats.unreconstructed_exits == 0
 
 
 class TestLifelongInvalidation:
@@ -277,12 +307,12 @@ class TestLifelongInvalidation:
         first = session.run()
         compiled = session.trace_manager.stats.traces_compiled
         assert compiled >= 1
-        assert len(session.trace_manager.cache) >= 1
+        assert len(session.trace_manager.traces) >= 1
         session.reoptimize()
         # Every cached trace closed over pre-rewrite block objects;
         # reoptimize must drop them all, not dispatch into stale code.
         assert session.trace_manager.stats.invalidations >= 1
-        assert len(session.trace_manager.cache) == 0
+        assert len(session.trace_manager.traces) == 0
         second = session.run()
         assert second.output == first.output
         assert second.exit_value == first.exit_value
@@ -518,7 +548,6 @@ class TestInterpreterContract:
         for block, index in manager.mid_block_exits:
             assert 0 < index < len(block.instructions)
         assert got == expected
-        assert manager.stats.unreconstructed_exits == 0
 
 
 def _profiled(module, manager=None):
@@ -678,7 +707,6 @@ def _assert_tiers_agree(columns, result_type, compute, what):
     assert traced == reference, what
     assert manager.stats.traces_compiled == 1, what
     assert manager.stats.steps_saved > 0, what
-    assert manager.stats.unreconstructed_exits == 0, what
     return manager
 
 
