@@ -5,9 +5,10 @@ Ties the stages together the way the paper's system diagram does:
 1. front-ends compile translation units to IR;
 2. the linker + interprocedural optimizer produce the linked program,
    and bytecode is "saved with the native code";
-3. the execution engine counts block entries as end-user runs go,
-   standing for the code generator's light-weight instrumentation: the
-   shipped IR is never rewritten to be profiled;
+3. the execution engine's trace tier counts block entries as end-user
+   runs go, standing for the code generator's light-weight
+   instrumentation (the shipped IR is never rewritten to be profiled),
+   and compiles the hot loops it finds;
 4. the counts accumulate across runs into one profile;
 5. the offline, idle-time reoptimizer consumes the profile and rewrites
    the preserved IR, ready for the next run.
@@ -42,8 +43,7 @@ class LifelongSession:
 
     def __init__(self, sources: Sequence[str], name: str = "program",
                  level: int = 2, cache: Optional[BytecodeCache] = None,
-                 fault_policy: Optional[FaultPolicy] = None,
-                 jit_traces: bool = False, trace_threshold: int = 50):
+                 fault_policy: Optional[FaultPolicy] = None):
         self.cache = cache
         self._sources = list(sources)
         self._name = name
@@ -59,18 +59,18 @@ class LifelongSession:
             self._sources, name, level, cache=cache, policy=fault_policy))
         #: The persistent representation shipped with the executable.
         self.bytecode = write_bytecode(self.module)
-        #: Block-entry counts of every end-user run of :attr:`module`.
-        self.profile = ProfileData()
         self.reopt_reports: list[ReoptimizationReport] = []
         #: The trace-compiling tier, shared by every run of this
         #: session: traces compiled during one end-user run keep paying
         #: off in the next (the software trace cache is as lifelong as
         #: the IR), until :meth:`reoptimize` rewrites the IR underneath
-        #: them and invalidates the lot.
-        self.trace_manager: Optional[TraceManager] = (
-            TraceManager(hot_threshold=trace_threshold)
-            if jit_traces else None
-        )
+        #: them and invalidates the lot.  Its profile is the session's.
+        self.trace_manager = TraceManager()
+
+    @property
+    def profile(self) -> ProfileData:
+        """Block-entry counts of every end-user run of :attr:`module`."""
+        return self.trace_manager.profile
 
     def statistics(self) -> dict[str, int]:
         """One merged ``-stats`` view of the whole session: fault-policy
@@ -91,9 +91,7 @@ class LifelongSession:
         """One end-user run of the shipped code; its block entries
         accumulate in :attr:`profile`."""
         interp = Interpreter(self.module, step_limit=step_limit)
-        if self.trace_manager is not None:
-            self.trace_manager.attach(interp)
-        self.profile.attach(interp)
+        self.trace_manager.attach(interp)
         exit_value = interp.run(function, args)
         return RunResult(exit_value, "".join(interp.output), interp.steps)
 
@@ -136,8 +134,7 @@ class LifelongSession:
         objects under them.  A rollback's fresh blocks take over the
         profile's counts by position.
         """
-        if self.trace_manager is not None:
-            self.trace_manager.invalidate_all()
+        self.trace_manager.invalidate_all()
         saved = self.profile.to_json()
         reports = []
 
@@ -150,7 +147,8 @@ class LifelongSession:
         manager.add(ModulePassAdaptor(reoptimizer))
         if not manager.run(self.module):
             # Contained — or skipped, poisoned by an earlier crash.
-            self.profile = ProfileData.from_json(saved, self.module)
+            self.trace_manager.profile = ProfileData.from_json(
+                saved, self.module)
             self.reopt_reports.append(ReoptimizationReport())
             return self.reopt_reports[-1]
         report = reports[0]

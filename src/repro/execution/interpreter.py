@@ -135,20 +135,14 @@ class Interpreter:
         self.step_limit = step_limit
         self.output: list[str] = []
         self.global_addresses: dict[int, int] = {}
-        #: Hook called as fn(instruction, value) after each SSA register
-        #: write (used by the abstract-interpretation fuzz oracle to
-        #: cross-check every concrete value against computed facts).
-        self.value_hook: Optional[Callable] = None
         #: Set by the JIT engine: called with a declaration about to be
         #: executed, to materialise its body from bytecode on demand.
         self.lazy_loader: Optional[Callable] = None
         #: The one listener of the block-entry event, called as
         #: ``on_block(interp, frame, block)``: the trace JIT's
-        #: :class:`repro.execution.tracejit.TraceManager`
-        #: (``--jit-traces``), which counts hotness, records paths and
-        #: runs compiled traces in place of the dispatch loop, or a
-        #: :class:`repro.profile.ProfileData` counting block entries
-        #: (it forwards to a trace manager it displaced).
+        #: :class:`repro.execution.tracejit.TraceManager`, which counts
+        #: every entry into its profile, records hot paths and runs
+        #: compiled traces in place of the dispatch loop.
         self.block_hook = None
         from .externals import default_externals
 
@@ -386,7 +380,7 @@ class Interpreter:
         *simultaneously*), then the block-entry event.  ``dest`` is
         decoded when the edge is first taken."""
         ops = None
-        moves: list[tuple[PhiNode, Callable]] = []
+        moves: list[tuple[int, Callable]] = []
 
         def enter(stack, frame):
             nonlocal ops, moves
@@ -396,11 +390,8 @@ class Interpreter:
             if moves:
                 regs = frame.registers
                 values = [get(regs) for _, get in moves]
-                for (phi, _), value in zip(moves, values):
-                    regs[id(phi)] = value
-                    hook = self.value_hook
-                    if hook is not None:
-                        hook(phi, value)
+                for (key, _), value in zip(moves, values):
+                    regs[key] = value
             frame.block = dest
             frame.ops = ops
             frame.index = len(moves)
@@ -409,7 +400,7 @@ class Interpreter:
         return enter
 
     def _phi_moves(self, source: BasicBlock,
-                   dest: BasicBlock) -> list[tuple[PhiNode, Callable]]:
+                   dest: BasicBlock) -> list[tuple[int, Callable]]:
         moves = []
         for inst in dest.instructions:
             if not isinstance(inst, PhiNode):
@@ -420,7 +411,7 @@ class Interpreter:
                     f"phi {inst.name!r} has no entry for predecessor "
                     f"{source.name!r}"
                 )
-            moves.append((inst, self._getter(incoming)))
+            moves.append((id(inst), self._getter(incoming)))
         return moves
 
     def _decode(self, block: BasicBlock, index: int,
@@ -486,10 +477,7 @@ class Interpreter:
                     rhs = regs[y]
                 except KeyError:
                     raise _unset_register(regs, first, second) from None
-                regs[key] = result = evaluate(lhs, rhs)
-                hook = self.value_hook
-                if hook is not None:
-                    hook(inst, result)
+                regs[key] = evaluate(lhs, rhs)
                 frame.index = following
         elif first_kind is _REG and second_kind is _CONST:
             def op(stack, frame):
@@ -498,21 +486,14 @@ class Interpreter:
                     lhs = regs[x]
                 except KeyError:
                     raise _unset_register(regs, first) from None
-                regs[key] = result = evaluate(lhs, y)
-                hook = self.value_hook
-                if hook is not None:
-                    hook(inst, result)
+                regs[key] = evaluate(lhs, y)
                 frame.index = following
         else:
             get_first, get_second = self._getter(first), self._getter(second)
 
             def op(stack, frame):
                 regs = frame.registers
-                regs[key] = result = evaluate(get_first(regs),
-                                              get_second(regs))
-                hook = self.value_hook
-                if hook is not None:
-                    hook(inst, result)
+                regs[key] = evaluate(get_first(regs), get_second(regs))
                 frame.index = following
         return op
 
@@ -530,20 +511,14 @@ class Interpreter:
                     value = regs[x]
                 except KeyError:
                     raise _unset_register(regs, operand) from None
-                regs[key] = result = evaluate(value)
-                hook = self.value_hook
-                if hook is not None:
-                    hook(inst, result)
+                regs[key] = evaluate(value)
                 frame.index = following
         else:
             get = self._getter(operand)
 
             def op(stack, frame):
                 regs = frame.registers
-                regs[key] = result = evaluate(get(regs))
-                hook = self.value_hook
-                if hook is not None:
-                    hook(inst, result)
+                regs[key] = evaluate(get(regs))
                 frame.index = following
         return op
 
@@ -680,9 +655,6 @@ class Interpreter:
         def deliver(stack, frame, value):
             if key is not None:
                 frame.registers[key] = value
-                hook = self.value_hook
-                if hook is not None:
-                    hook(inst, value)
             if normal_edge is not None:
                 normal_edge(stack, frame)
             else:
@@ -763,8 +735,5 @@ class Interpreter:
             value = load(cursor)
             store_cursor(slot, cursor + 8)
             frame.registers[key] = value
-            hook = self.value_hook
-            if hook is not None:
-                hook(inst, value)
             frame.index = following
         return op

@@ -9,19 +9,16 @@ lazily: a function is decoded from the binary representation the first
 time it is about to run (our "code generation" step is IR
 materialisation — the interpreter is the back end).  Functions never
 reached stay undecoded, which is the property the JIT design buys.
-``preload`` names functions decoded eagerly at image load (the shape a
-partially-eager image would have).
-
-"The JIT translator can also insert the same instrumentation" as the
-offline code generator: here both are the execution engine's block
-event, so a :class:`repro.profile.ProfileData` attached to
-:attr:`JITEngine.interpreter` counts every body that runs, preloaded or
-lazily decoded, and the image is never rewritten to be profiled.
+``lc-run`` executes every module this way.
 
 With ``jit_traces=True`` the engine layers the trace-compiling tier
 (:mod:`repro.execution.tracejit`) on top: hot blocks are recorded and
 compiled to specialized Python closures, guarded so every side exit
-falls back into this interpreter with exact state.
+falls back into this interpreter with exact state.  "The JIT
+translator can also insert the same instrumentation" as the offline
+code generator: here both are the tier's block event, so
+``trace_manager.profile`` counts every body that runs, and the image
+is never rewritten to be profiled.
 """
 
 from __future__ import annotations
@@ -38,27 +35,21 @@ class JITEngine:
     """Function-at-a-time lazy execution of a bytecode image."""
 
     def __init__(self, bytecode: bytes, step_limit: int = 50_000_000,
-                 extra_externals=None, preload: Sequence[str] = (),
-                 jit_traces: bool = False, trace_threshold: int = 50):
+                 extra_externals=None, jit_traces: bool = False,
+                 trace_threshold: int = 50):
         self.module, self._decoder = read_bytecode_lazy(bytecode)
-        self.functions_in_image = len(self._decoder.pending_bodies)
-        self.functions_materialized = 0
         #: Names that arrived with a body, decoded or not — the image's
         #: definitions, as opposed to external declarations or typos.
         self._image_names = frozenset(self._decoder.pending_bodies)
-        for name in preload:
-            target = self.module.functions.get(name)
-            if target is not None and self._decoder.materialize(target):
-                self.functions_materialized += 1
+        self.functions_in_image = len(self._image_names)
+        self.functions_materialized = 0
         self.interpreter = Interpreter(self.module, step_limit=step_limit,
                                        extra_externals=extra_externals)
         self.interpreter.lazy_loader = self._materialize
+        self.trace_manager: Optional[TraceManager] = None
         if jit_traces:
-            self.trace_manager: Optional[TraceManager] = TraceManager(
-                hot_threshold=trace_threshold)
+            self.trace_manager = TraceManager(hot_threshold=trace_threshold)
             self.trace_manager.attach(self.interpreter)
-        else:
-            self.trace_manager = None
 
     # -- lazy materialisation -------------------------------------------------
 

@@ -16,7 +16,10 @@ keyed by the header block object, one trace per header, and are
 dispatched from the interpreter's block-entry hook.  A trace is kept
 for the manager's whole life: only reoptimization invalidates the
 cache, because the IR underneath the closures is about to be
-rewritten.
+rewritten.  The same block event is the lifelong profile (section
+3.6): the manager counts every entry into its
+:class:`~repro.profile.ProfileData`, and each trace run credits the
+blocks it entered, so the counts are a plain interpreted run's.
 
 Every speculative assumption a trace makes is protected by a *guard*:
 
@@ -67,6 +70,7 @@ from ..core.module import Function, GlobalVariable
 from ..core.values import (
     Argument, ConstantBool, ConstantExpr, ConstantInt, Value,
 )
+from ..profile.collector import ProfileData
 from .memory import OFFSET_BITS, OFFSET_MASK
 
 
@@ -139,10 +143,10 @@ class TraceManager:
     closures resolve memory, globals, and externals through the
     interpreter they are handed at each entry, which is what lets a
     :class:`~repro.driver.lifelong.LifelongSession` keep its trace
-    cache warm across end-user runs.  A profile attached over the
-    manager sees only interpreted block entries, so each trace run
-    credits it with the blocks the trace entered (the closure returns
-    its full iterations and the path position it left from).
+    cache warm across end-user runs.  :attr:`profile` counts every
+    interpreted block entry, and each trace run credits it with the
+    blocks the trace entered (the closure returns its full iterations
+    and the path position it left from).
     """
 
     name = "jit"
@@ -163,14 +167,12 @@ class TraceManager:
         self._aborts: dict[BasicBlock, int] = {}
         self._blacklist: set[BasicBlock] = set()
         self._recording: Optional[_Recording] = None
-        #: A :class:`repro.profile.ProfileData` attached over this
-        #: manager, credited with the blocks each trace run covers.
-        self.profile = None
+        #: Every block entry of every run, interpreted or traced.
+        self.profile = ProfileData()
 
     def attach(self, interpreter) -> None:
         """Hook this manager into one interpreter's block events."""
         self._recording = None
-        self.profile = None
         interpreter.block_hook = self
 
     def statistics(self) -> dict[str, int]:
@@ -178,7 +180,8 @@ class TraceManager:
 
     def invalidate_all(self) -> int:
         """Reoptimization rewrote the IR: every compiled closure and
-        every hotness counter refers to dead blocks."""
+        every hotness counter refers to dead blocks.  The profile is
+        the reoptimizer's input and stays."""
         dropped = len(self.traces)
         self.traces.clear()
         self._counts.clear()
@@ -191,6 +194,7 @@ class TraceManager:
     # -- the block-entry event --------------------------------------------
 
     def on_block(self, interpreter, frame, block: BasicBlock) -> None:
+        self.profile.count(block)
         recording = self._recording
         if recording is not None:
             if frame is recording.frame:
@@ -212,15 +216,20 @@ class TraceManager:
         count = self._counts.get(block, 0) + 1
         self._counts[block] = count
         if count >= self.hot_threshold and block not in self._blacklist:
-            self._recording = _Recording(frame, block)
+            if block is frame.function.blocks[0]:
+                # Nothing branches back to an entry block: a recording
+                # anchored there could never close.
+                self._blacklist.add(block)
+            else:
+                self._recording = _Recording(frame, block)
 
     def _run_trace(self, interpreter, frame, trace: CompiledTrace) -> None:
         self.stats.trace_entries += 1
         left = trace.fn(frame, interpreter, self.stats)
         if left is None:
             self.stats.entry_fallbacks += 1
-        elif self.profile is not None:
-            self.profile.credit_trace(trace.path, *left)
+        else:
+            self.profile.credit_trace(trace, *left)
 
     # -- recording lifecycle ----------------------------------------------
 

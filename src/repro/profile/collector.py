@@ -2,9 +2,11 @@
 
 The paper's native code generator inserts light-weight counters so the
 preserved IR stays clean (sections 3.4/3.5); here the execution engine
-stands for it: a :class:`ProfileData` attached to an interpreter counts
-every block entry through the interpreter's one block event, and the
-IR is never rewritten to be profiled.  The counts represent *end-user*
+stands for it: the trace tier's
+:class:`~repro.execution.tracejit.TraceManager`, the interpreter's one
+block-event listener, counts every block entry into the
+:class:`ProfileData` it owns, and the IR is never rewritten to be
+profiled.  The counts represent *end-user*
 runs (section 3.6): gathered while the application runs in the field,
 persisted, and consumed later by the offline reoptimizer — possibly
 accumulated over several runs with different usage patterns.
@@ -29,42 +31,39 @@ class ProfileData:
     """
 
     def __init__(self):
-        self.counts: dict[BasicBlock, int] = {}
-        #: The trace manager found in the block-event slot at attach.
-        self._tier = None
+        self._counts: dict[BasicBlock, int] = {}
+        #: Trace runs not yet in the counts: trace -> [full cycles, then
+        #: how many runs left from each position of its path].
+        self._runs: dict = {}
 
-    # -- collection --------------------------------------------------------
+    def count(self, block: BasicBlock) -> None:
+        """The interpreter entered ``block``."""
+        self._counts[block] = self._counts.get(block, 0) + 1
 
-    def attach(self, interpreter) -> None:
-        """Count every block ``interpreter`` enters from now on.
+    def credit_trace(self, trace, cycles: int, last: int) -> None:
+        """A run of compiled ``trace`` made ``cycles`` full cycles (each
+        enters ``path[1:]`` and re-enters the header), then left from
+        ``path[last]`` having entered ``path[1:last + 1]``.  A run is
+        one tally; :attr:`counts` adds the tallies up when read."""
+        runs = self._runs.get(trace)
+        if runs is None:
+            runs = self._runs[trace] = [0] * (len(trace.path) + 1)
+        runs[0] += cycles
+        runs[last + 1] += 1
 
-        The profile takes the interpreter's block-event slot.  A trace
-        manager already in it (attach the trace tier first) keeps
-        receiving every event through :meth:`on_block`, and credits
-        this profile with the blocks its compiled traces run, so the
-        counts are exactly a plain interpreted run's.
-        """
-        self._tier = interpreter.block_hook
-        if self._tier is not None:
-            self._tier.profile = self
-        interpreter.block_hook = self
-
-    def on_block(self, interpreter, frame, block: BasicBlock) -> None:
-        counts = self.counts
-        counts[block] = counts.get(block, 0) + 1
-        if self._tier is not None:
-            self._tier.on_block(interpreter, frame, block)
-
-    def credit_trace(self, path: list[BasicBlock], iterations: int,
-                     last: int) -> None:
-        """A compiled trace over ``path`` ran ``iterations`` full cycles
-        (each enters ``path[1:]`` and re-enters the header), then left
-        in ``path[last]`` having entered ``path[1:last + 1]``."""
-        counts = self.counts
-        for position, block in enumerate(path):
-            entries = iterations + (0 < position <= last)
-            if entries:
-                counts[block] = counts.get(block, 0) + entries
+    @property
+    def counts(self) -> dict[BasicBlock, int]:
+        """Entries per block, interpreted or traced."""
+        counts = self._counts
+        for trace, (cycles, *left) in self._runs.items():
+            reached = sum(left)     # runs that got to this path position
+            for position, block in enumerate(trace.path):
+                entries = cycles + (reached if position else 0)
+                reached -= left[position]
+                if entries:
+                    counts[block] = counts.get(block, 0) + entries
+        self._runs.clear()
+        return counts
 
     # -- accumulation across runs ------------------------------------------
 
@@ -87,12 +86,13 @@ class ProfileData:
     def hot_loops(self, threshold: int) -> list[tuple[str, BasicBlock, int]]:
         """(function, loop header, entries) over the threshold, hottest
         first."""
+        counts = self.counts
         result = []
         for function in self._functions():
             headers = {loop.header for loop
                        in function_analysis(function, LoopInfo).all_loops()}
             for block in function.blocks:
-                count = self.counts.get(block, 0)
+                count = counts.get(block, 0)
                 if block in headers and count >= threshold:
                     result.append((function.name, block, count))
         result.sort(key=lambda item: -item[2])
@@ -102,9 +102,9 @@ class ProfileData:
 
     def to_json(self) -> str:
         """Counts by function name, one per position in its blocks."""
+        counts = self.counts
         return json.dumps({
-            function.name: [self.counts.get(block, 0)
-                            for block in function.blocks]
+            function.name: [counts.get(block, 0) for block in function.blocks]
             for function in self._functions()})
 
     @classmethod

@@ -41,23 +41,23 @@ class ReoptimizationReport:
         self.blocks_reordered = 0
 
 
+#: The largest hot callee inlined: generous, because the profile backs
+#: the bet.
+INLINE_SIZE_LIMIT = 200
+
+
 class OfflineReoptimizer:
     """Profile-guided idle-time reoptimization of a module."""
 
     def __init__(self, hot_call_threshold: int = 50,
-                 hot_loop_threshold: int = 100,
-                 inline_size_limit: int = 200):
+                 hot_loop_threshold: int = 100):
         self.hot_call_threshold = hot_call_threshold
         self.hot_loop_threshold = hot_loop_threshold
-        self.inline_size_limit = inline_size_limit
 
     def run(self, module: Module, profile: ProfileData) -> ReoptimizationReport:
         report = ReoptimizationReport()
-        entry_counts = profile.function_entry_counts()
-        hot = {
-            name for name, count in entry_counts.items()
-            if count >= self.hot_call_threshold
-        }
+        hot = {name for name, count in profile.function_entry_counts().items()
+               if count >= self.hot_call_threshold}
         report.hot_functions = sorted(hot)
         # The loops of the code that ran, found before inlining moves it.
         hot_loops = profile.hot_loops(self.hot_loop_threshold)
@@ -69,18 +69,16 @@ class OfflineReoptimizer:
                 if inst.parent is None or not isinstance(inst, CallInst):
                     continue
                 callee = inst.callee
-                if not isinstance(callee, Function) or callee.is_declaration:
-                    continue
-                if callee is function or callee.name not in hot:
-                    continue
-                if callee.instruction_count() > self.inline_size_limit:
-                    continue
-                if inline_call_site(inst):
+                if (isinstance(callee, Function) and callee is not function
+                        and callee.name in hot and not callee.is_declaration
+                        and callee.instruction_count() <= INLINE_SIZE_LIMIT
+                        and inline_call_site(inst)):
                     report.inlined_calls += 1
 
-        # 2. Trace formation over strongly-biased hot loops.
+        # 2. Trace formation over strongly-biased hot loops: each
+        #    function once, since one call forms all of its traces.
         tracer = TraceFormation()
-        for name, _, _ in hot_loops:
+        for name in dict.fromkeys(name for name, _, _ in hot_loops):
             function = module.functions.get(name)
             if function is not None and not function.is_declaration:
                 tracer.optimize_function(function, profile.counts)
@@ -110,32 +108,26 @@ def _layout_hot_path(function: Function,
     Pure layout: the CFG is unchanged, only the block list order (which
     drives native-code fallthrough placement) moves.
     """
-    placed: list = []
-    placed_ids: set[int] = set()
+    placed: dict[BasicBlock, None] = {}     # an ordered set
     worklist = [function.entry_block]
     while worklist:
-        block = worklist.pop()
-        if id(block) in placed_ids:
-            continue
-        current = block
-        while current is not None and id(current) not in placed_ids:
-            placed.append(current)
-            placed_ids.add(id(current))
+        current = worklist.pop()
+        while current is not None and current not in placed:
+            placed[current] = None
             successors = current.successors()
-            for succ in successors:
-                if id(succ) not in placed_ids:
-                    worklist.append(succ)
+            worklist.extend(succ for succ in successors
+                            if succ not in placed)
             hottest = None
             best = -1
             for succ in successors:
                 count = block_counts.get(succ, 0)
-                if id(succ) not in placed_ids and count > best:
+                if succ not in placed and count > best:
                     best = count
                     hottest = succ
             current = hottest
     moved = sum(
         1 for old, new in zip(function.blocks, placed) if old is not new
     )
-    remaining = [b for b in function.blocks if id(b) not in placed_ids]
-    function.blocks[:] = placed + remaining
+    remaining = [b for b in function.blocks if b not in placed]
+    function.blocks[:] = list(placed) + remaining
     return moved

@@ -32,25 +32,25 @@ from ..transforms.reg2mem import DemoteRegisters
 from ..transforms.simplifycfg import SimplifyCFG
 
 
+#: A path needs this many blocks after its header to be worth a trace.
+MIN_PATH_LENGTH = 2
+#: A successor is "on trace" when it received at least this fraction of
+#: the block's outgoing executions.
+HOT_FRACTION = 0.6
+
+
 class TraceFormation:
     """Forms superblock traces for hot loops, given block counts."""
 
-    def __init__(self, min_path_length: int = 2, hot_fraction: float = 0.6):
-        self.min_path_length = min_path_length
-        #: A successor is "on trace" when it received at least this
-        #: fraction of the block's outgoing executions.
-        self.hot_fraction = hot_fraction
+    def __init__(self):
         self.traces_formed = 0
 
     def optimize_function(self, function: Function,
                           block_counts: dict[BasicBlock, int]) -> bool:
         """Form traces for every sufficiently-biased hot loop."""
-        loop_info = function_analysis(function, LoopInfo)
-        paths = []
-        for loop in loop_info.all_loops():
-            path = self._select_path(loop, block_counts)
-            if path is not None:
-                paths.append(path)
+        loops = function_analysis(function, LoopInfo).all_loops()
+        paths = [path for loop in loops
+                 if (path := self._select_path(loop, block_counts))]
         if not paths:
             return False
         DemoteRegisters().run_on_function(function)
@@ -58,12 +58,9 @@ class TraceFormation:
             self._duplicate_path(function, path)
             self.traces_formed += 1
         # Rebuild SSA and optimize the straightened code.
-        PromoteMem2Reg().run_on_function(function)
-        SimplifyCFG().run_on_function(function)
-        InstCombine().run_on_function(function)
-        GVN().run_on_function(function)
-        AggressiveDCE().run_on_function(function)
-        SimplifyCFG().run_on_function(function)
+        for pass_obj in (PromoteMem2Reg(), SimplifyCFG(), InstCombine(),
+                         GVN(), AggressiveDCE(), SimplifyCFG()):
+            pass_obj.run_on_function(function)
         return True
 
     # -- path selection ------------------------------------------------------
@@ -72,7 +69,6 @@ class TraceFormation:
                      ) -> Optional[list[BasicBlock]]:
         header = loop.header
         path = [header]
-        seen = {id(header)}
         current = header
         while True:
             successors = [s for s in current.successors() if loop.contains(s)]
@@ -81,19 +77,18 @@ class TraceFormation:
             # Dedupe before summing: a conditional branch with both
             # targets equal yields the same successor twice, and
             # double-counting it would make a perfectly biased edge
-            # look like a 50% split and fail the hot_fraction test.
-            unique = {id(s): s for s in current.successors()}.values()
+            # look like a 50% split and fail the HOT_FRACTION test.
+            unique = set(current.successors())
             total = sum(block_counts.get(s, 0) for s in unique)
             best = max(successors, key=lambda s: block_counts.get(s, 0))
             best_count = block_counts.get(best, 0)
-            if total == 0 or best_count < self.hot_fraction * total:
+            if total == 0 or best_count < HOT_FRACTION * total:
                 break  # branch not biased enough to bet on
-            if id(best) in seen:
+            if best in path:
                 break  # back at the header (or an inner cycle)
             path.append(best)
-            seen.add(id(best))
             current = best
-        if len(path) < self.min_path_length + 1:
+        if len(path) < MIN_PATH_LENGTH + 1:
             return None
         return path
 

@@ -36,7 +36,7 @@ from .driver import (
     BytecodeCache, compile_and_link, link_time_optimize, optimize_module,
 )
 from .driver.pipelines import OPTIMIZE_COUNTERS, OPTIMIZE_SOURCE, run_ladder
-from .execution import Interpreter
+from .execution import JITEngine
 from .frontend import compile_source
 from .linker import link_modules
 from .stats import Stats, format_stats, format_timings
@@ -50,13 +50,16 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _read_bytes(path: str) -> bytes:
+    if path == "-":
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
 def _read_module(path: str) -> Module:
     """Load a module from textual IR or bytecode (sniffed by magic)."""
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as handle:
-            data = handle.read()
+    data = _read_bytes(path)
     if data[:4] == b"llvm":
         return read_bytecode(data)
     return parse_module(data.decode("utf-8"))
@@ -382,21 +385,21 @@ def lc_run(argv=None) -> int:
     parser.add_argument("--trace-threshold", type=int, default=50,
                         help="block entries before a trace is recorded")
     args = parser.parse_args(argv)
-    module = _read_module(args.input)
-    interpreter = Interpreter(module, step_limit=args.step_limit)
-    manager = None
-    if args.jit_traces:
-        from .execution import TraceManager
-
-        manager = TraceManager(hot_threshold=args.trace_threshold)
-        manager.attach(interpreter)
-    result = interpreter.run(args.entry, args.args)
-    sys.stdout.write("".join(interpreter.output))
+    data = _read_bytes(args.input)
+    if data[:4] != b"llvm":     # text IR: assemble it first
+        data = write_bytecode(parse_module(data.decode("utf-8")),
+                              strip_names=False)
+    engine = JITEngine(data, args.step_limit, jit_traces=args.jit_traces,
+                       trace_threshold=args.trace_threshold)
+    result = engine.run(args.entry, args.args)
+    sys.stdout.write("".join(engine.output))
     if args.stats:
-        print(f"steps: {interpreter.steps}", file=sys.stderr)
-        print(f"heap bytes live: {interpreter.memory.heap_bytes()}",
+        print(f"steps: {engine.steps}", file=sys.stderr)
+        print(f"heap bytes live: {engine.interpreter.memory.heap_bytes()}",
               file=sys.stderr)
-        _print_stats({}, manager)
+        print(f"functions decoded: {engine.functions_materialized} of "
+              f"{engine.functions_in_image}", file=sys.stderr)
+        _print_stats({}, engine.trace_manager)
     return int(result) & 0xFF if isinstance(result, int) else 0
 
 
@@ -406,11 +409,7 @@ def _load_for_lint(path: str):
     if path != "-" and path.endswith(".lc"):
         name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
         return compile_source(_read_text(path), name), path
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as handle:
-            data = handle.read()
+    data = _read_bytes(path)
     if data[:4] == b"llvm":
         return read_bytecode(data), path
     text = data.decode("utf-8")

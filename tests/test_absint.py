@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.analysis.absint import (
-    BOOL_SHAPE, TRANSFERS, Interval, KnownBits, analyze_function,
+    BOOL_SHAPE, TRANSFERS, AbsValue, Interval, KnownBits, analyze_function,
     analyze_module, exact_binary_range, interval_from_kb, kb_from_interval,
     reduce_pair, run_self_check, shape_of,
 )
@@ -627,40 +627,83 @@ int main() {
         assert Interpreter(module).run("main", []) == expected
 
 
+class _BlockValues:
+    """A block-event listener that reads a run's concrete SSA values:
+    when a frame leaves a block, the registers that block's body wrote,
+    and at each entry, the phis the edge just moved.  A frame's first
+    event is its function's entry block, which nothing branches back
+    to, so a new frame never inherits a dead frame's block by ``id``."""
+
+    def __init__(self):
+        #: (instruction, concrete value), in the order they were read.
+        self.values = []
+        self._block = {}
+
+    def on_block(self, interpreter, frame, block):
+        registers = frame.registers
+        phis = block.first_non_phi_index()
+        left = self._block.get(id(frame))
+        if left is not None and block is not frame.function.blocks[0]:
+            self._read(registers,
+                       left.instructions[left.first_non_phi_index():])
+        self._read(registers, block.instructions[:phis])
+        self._block[id(frame)] = block
+
+    def _read(self, registers, instructions):
+        for inst in instructions:
+            value = registers.get(id(inst))
+            if isinstance(value, int):
+                self.values.append((inst, value))
+
+
+def _fuzz_values(seed):
+    """(absint facts by function, concrete values) of generated program
+    ``seed`` under the -O0 interpreter."""
+    from repro.fuzz.generator import generate_program
+
+    module = compile_source(generate_program(seed), f"fuzz{seed}")
+    listener = _BlockValues()
+    interp = Interpreter(module, step_limit=2_000_000)
+    interp.block_hook = listener
+    try:
+        interp.run("main", [])
+    except (ArithmeticFault, ExecutionError):
+        pass  # a trapping program still had its values read
+    return analyze_module(module), listener.values
+
+
+def _unsound(facts_by_fn, values):
+    """The values their instruction's fact does not admit."""
+    violations = []
+    for inst, value in values:
+        facts = facts_by_fn[inst.parent.parent.name]
+        if not facts.contains(inst, value):
+            violations.append((inst.parent.parent.name, inst.name, value,
+                               facts.abs_of(inst)))
+    return violations
+
+
 class TestFuzzOracle:
     def test_interpreter_values_within_computed_facts(self):
         """Every concrete SSA value the -O0 interpreter produces must be
         admitted by the corresponding abstract fact — a violation is a
         soundness bug in a transfer function or the solver."""
-        from repro.fuzz.generator import generate_program
-
-        programs_run = 0
+        checked = 0
         for seed in range(1, 9):
-            module = compile_source(generate_program(seed), f"fuzz{seed}")
-            facts_by_fn = analyze_module(module)
-            violations = []
-
-            def hook(inst, value):
-                block = inst.parent
-                if block is None or block.parent is None:
-                    return
-                facts = facts_by_fn.get(block.parent.name)
-                if facts is None or not isinstance(value, int):
-                    return
-                if not facts.contains(inst, value):
-                    violations.append(
-                        (block.parent.name, inst.name, value,
-                         facts.abs_of(inst)))
-
-            interp = Interpreter(module, step_limit=2_000_000)
-            interp.value_hook = hook
-            try:
-                interp.run("main", [])
-                programs_run += 1
-            except (ArithmeticFault, ExecutionError):
-                pass  # a trapping program still checked every value
+            facts_by_fn, values = _fuzz_values(seed)
+            violations = _unsound(facts_by_fn, values)
             assert not violations, violations[:5]
-        assert programs_run > 0
+            checked += len(values)
+        assert checked >= 7000
+
+    def test_a_planted_unsound_fact_is_reported(self):
+        facts_by_fn, values = _fuzz_values(1)
+        inst, value = next((inst, value) for inst, value in values
+                           if shape_of(inst.type) is not None)
+        facts = facts_by_fn[inst.parent.parent.name]
+        facts._elements[inst] = AbsValue.const(shape_of(inst.type), value ^ 1)
+        violations = _unsound(facts_by_fn, values)
+        assert violations[0][1:3] == (inst.name, value)
 
 
 class TestRangeCheckers:

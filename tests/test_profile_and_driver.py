@@ -10,7 +10,7 @@ from repro.core import (
 from repro.driver import (
     LifelongSession, compile_and_link, link_time_optimize, optimize_module,
 )
-from repro.execution import Interpreter
+from repro.execution import Interpreter, TraceManager
 from repro.frontend import compile_source
 from repro.profile import ProfileData, TraceFormation
 
@@ -33,17 +33,36 @@ int main() {
 """
 
 
+TWO_HOT_LOOPS = """
+extern int print_int(int x);
+int main() {
+  int a = 0;
+  int b = 0;
+  int i;
+  for (i = 0; i < 400; i++) {
+    if (i % 10 == 0) { a += 100; } else { a += i; }
+  }
+  for (i = 0; i < 300; i++) {
+    if (i % 7 == 0) { b += 3; } else { b += 2 * i; }
+  }
+  print_int(a);
+  print_int(b);
+  return (a + b) % 251;
+}
+"""
+
+
 def _profiled_run(module):
     """(interpreter, profile) after one profiled run of ``main``."""
     interp = Interpreter(module)
-    profile = ProfileData()
-    profile.attach(interp)
+    manager = TraceManager()
+    manager.attach(interp)
     interp.run("main")
-    return interp, profile
+    return interp, manager.profile
 
 
 class TestInstrumentation:
-    """The execution engine's block event is the profiler: nothing is
+    """The trace tier's block event is the profiler: nothing is
     inserted into the IR."""
 
     def test_counts_collected(self):
@@ -161,6 +180,30 @@ class TestOfflineReoptimizer:
         assert after.output == before.output
         # Something happened: traces and/or layout changes.
         assert report.traces_formed + report.blocks_reordered > 0
+
+    def test_a_function_with_two_hot_loops_forms_its_traces_once(
+            self, monkeypatch):
+        """One ``optimize_function`` call forms every loop's trace; a
+        second would trace the traces."""
+        formed = []
+        optimize = TraceFormation.optimize_function
+
+        def spy(tracer, function, counts):
+            formed.append(function.name)
+            return optimize(tracer, function, counts)
+
+        monkeypatch.setattr(TraceFormation, "optimize_function", spy)
+        session = LifelongSession([TWO_HOT_LOOPS], "two", level=0)
+        before = session.run()
+        assert [name for name, _, _ in session.profile.hot_loops(50)] == [
+            "main", "main"]
+        report = session.reoptimize(hot_call_threshold=1,
+                                    hot_loop_threshold=50)
+        assert formed == ["main"]
+        assert report.traces_formed == 2
+        after = session.run()
+        assert (after.exit_value, after.output) == (before.exit_value,
+                                                    before.output)
 
     def test_ships_the_code_it_optimized(self):
         """A profiled run costs what the static build costs, and the
@@ -345,11 +388,9 @@ int main(int which) {
         from repro.execution import JITEngine
 
         bytecode, _ = self._bytecode()
-        jit = JITEngine(bytecode)
-        profile = ProfileData()
-        profile.attach(jit.interpreter)
+        jit = JITEngine(bytecode, jit_traces=True)
         jit.run("main", [0])
-        counts = profile.function_entry_counts()
+        counts = jit.trace_manager.profile.function_entry_counts()
         assert counts.get("main") == 1
         assert counts.get("helper_a") == 1
         # Never-materialized functions have no counts at all.

@@ -89,6 +89,17 @@ class TestToolPipeline:
         assert code == 0
         assert capsys.readouterr().out == "42\n"
 
+    def test_run_leaves_an_uncalled_function_undecoded(self, tmp_path,
+                                                        capsys):
+        source = tmp_path / "two.lc"
+        source.write_text("int unused(int x) { return x + 1; }" + HELLO)
+        ll = tmp_path / "two.ll"
+        lc_cc([str(source), "-o", str(ll)])
+        assert lc_run([str(ll), "-stats"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "42\n"
+        assert "functions decoded: 1 of 2" in captured.err
+
     def test_llc_size_report(self, hello_lc, tmp_path, capsys):
         ll = tmp_path / "x.ll"
         lc_cc([hello_lc, "-o", str(ll)])

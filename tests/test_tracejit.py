@@ -3,7 +3,7 @@ differential runs against the plain interpreter, guard side-exit state
 reconstruction, trap transparency, lifelong trace-cache invalidation —
 plus regression tests for the trace/JIT bugfixes that rode along
 (TraceFormation successor double-counting, JITEngine.materialized on
-never-seen names, the preload instrumentation gap), and, per (opcode,
+never-seen names), the profile the tier counts, and, per (opcode,
 type), that the arithmetic a trace inlines is the interpreter's."""
 
 import math
@@ -277,6 +277,16 @@ class TestTracesAreKept:
         assert _outcome(module, manager) == reference
         assert stats.traces_compiled == 1
 
+    def test_an_entry_block_is_blacklisted_not_recorded(self):
+        """``step`` gets hot, but nothing branches back to a function's
+        entry block: a recording anchored there could only abort."""
+        module = compile_source(SHORT_INNER_LOOP, "t")
+        manager = TraceManager(hot_threshold=8)
+        assert _outcome(module, manager) == _outcome(module)
+        assert module.functions["step"].blocks[0] in manager._blacklist
+        assert all(anchor is not anchor.parent.blocks[0]
+                   for anchor in manager._aborts)
+
 
 class TestOneExitTail:
     def test_a_many_guarded_trace_returns_from_one_tail(self):
@@ -302,8 +312,7 @@ class TestOneExitTail:
 
 class TestLifelongInvalidation:
     def test_reoptimize_invalidates_trace_cache(self, tmp_path):
-        session = LifelongSession([HOT_LOOP], "hot", level=0,
-                                  jit_traces=True, trace_threshold=8)
+        session = LifelongSession([HOT_LOOP], "hot", level=0)
         first = session.run()
         compiled = session.trace_manager.stats.traces_compiled
         assert compiled >= 1
@@ -418,30 +427,6 @@ int main(int which) {
         assert not jit.materialized("print_int")       # extern decl
         assert not jit.materialized("no_such_symbol")  # typo
 
-    def test_preloaded_functions_are_instrumented(self):
-        from repro.execution import JITEngine
-
-        jit = JITEngine(self._bytecode(), preload=["helper_a", "helper_b"])
-        assert jit.materialized("helper_a")
-        assert jit.materialized("helper_b")
-        profile = ProfileData()
-        profile.attach(jit.interpreter)
-        jit.run("main", [0])
-        counts = profile.function_entry_counts()
-        # The preloaded body was decoded before the profile was
-        # attached; the engine counts it all the same.
-        assert counts.get("main") == 1
-        assert counts.get("helper_a") == 1
-        assert "helper_b" not in counts     # decoded, never run
-
-    def test_preload_counts_as_materialization(self):
-        from repro.execution import JITEngine
-
-        jit = JITEngine(self._bytecode(), preload=["helper_b"])
-        assert jit.materialized("helper_b")
-        assert not jit.materialized("helper_a")
-        assert jit.functions_materialized == 1
-
     def test_jit_traces_tier_wired_in(self):
         from repro.bitcode import write_bytecode
         from repro.execution import JITEngine
@@ -550,30 +535,46 @@ class TestInterpreterContract:
         assert got == expected
 
 
-def _profiled(module, manager=None):
-    """(exit, output, steps, block counts) of one profiled run."""
-    interp = Interpreter(module)
-    if manager is not None:
+class _BlockCounter:
+    """The reference profile: a listener that only counts block
+    entries, so every block runs interpreted."""
+
+    def __init__(self):
+        self.counts = {}
+
+    def on_block(self, interpreter, frame, block):
+        self.counts[block] = self.counts.get(block, 0) + 1
+
+
+def _counted(module, manager=None, step_limit=50_000_000):
+    """(exit, output, steps, block counts) of one run: under the
+    reference counter, or under ``manager`` with a fresh profile."""
+    interp = Interpreter(module, step_limit=step_limit)
+    if manager is None:
+        profile = interp.block_hook = _BlockCounter()
+    else:
+        profile = manager.profile = ProfileData()
         manager.attach(interp)
-    profile = ProfileData()
-    profile.attach(interp)
-    value = interp.run("main", [])
+    try:
+        value = interp.run("main", [])
+    except StepLimitExceeded:
+        value = None
     return value, "".join(interp.output), interp.steps, profile.counts
 
 
 class TestProfileUnderTraces:
-    """A profile attached over the trace tier sees only interpreted
-    block entries; each trace run credits the blocks it entered, so the
+    """The trace tier counts every interpreted block entry into its
+    profile, and each trace run credits the blocks it entered, so the
     counts are exactly a plain interpreted run's."""
 
     @pytest.mark.parametrize("source", [HOT_LOOP, SHAPE_SHIFT, CLOCKED_LOOP],
                              ids=["hot-loop", "shape-shift", "clocked"])
     def test_traced_profile_is_the_interpreted_one(self, source):
         module = compile_source(source, "t")
-        reference = _profiled(module)
+        reference = _counted(module)
         manager = TraceManager(hot_threshold=8)
-        cold = _profiled(module, manager)
-        warm = _profiled(module, manager)
+        cold = _counted(module, manager)
+        warm = _counted(module, manager)
         assert cold == reference
         assert warm == reference
         assert manager.stats.trace_iterations > 0
@@ -581,28 +582,11 @@ class TestProfileUnderTraces:
     def test_budget_exit_credits_the_iterations_run(self):
         module = parse_module(PRINT_THEN_LOOP)
         for limit in (85, 90, 99):
-            counts = []
-            for manager in (None, TraceManager(hot_threshold=3)):
-                interp = Interpreter(module, step_limit=limit)
-                if manager is not None:
-                    manager.attach(interp)
-                profile = ProfileData()
-                profile.attach(interp)
-                with pytest.raises(StepLimitExceeded):
-                    interp.run("main")
-                counts.append(profile.counts)
-            assert counts[0] == counts[1]
+            manager = TraceManager(hot_threshold=3)
+            traced = _counted(module, manager, limit)
+            assert traced == _counted(module, None, limit)
+            assert traced[2] == limit + 1       # the budget ran out
             assert manager.stats.budget_exits >= 1
-
-    def test_an_unprofiled_manager_credits_nothing(self):
-        module = compile_source(HOT_LOOP, "t")
-        manager = TraceManager(hot_threshold=8)
-        _profiled(module, manager)
-        plain = Interpreter(module)
-        manager.attach(plain)
-        assert manager.profile is None
-        plain.run("main", [])
-        assert manager.stats.trace_entries > 0
 
     def test_jit_engine_traces_count_too(self):
         from repro.bitcode import write_bytecode
@@ -611,13 +595,19 @@ class TestProfileUnderTraces:
         module = compile_source(HOT_LOOP, "hotjit")
         jit = JITEngine(write_bytecode(module, strip_names=False),
                         jit_traces=True, trace_threshold=8)
-        profile = ProfileData()
-        profile.attach(jit.interpreter)
         jit.run("main", [])
         assert jit.trace_manager.stats.traces_compiled >= 1
-        _, _, steps, counts = _profiled(jit.module)
-        assert profile.counts == counts
+        _, _, steps, counts = _counted(jit.module)
+        assert jit.trace_manager.profile.counts == counts
         assert jit.steps == steps
+
+    def test_a_session_profiles_through_its_traces(self):
+        session = LifelongSession([HOT_LOOP], "hot", level=0)
+        first = session.run()
+        assert session.trace_manager.stats.traces_compiled >= 1
+        reference = _counted(session.module)
+        assert (first.exit_value, first.output, first.steps) == reference[:3]
+        assert session.profile.counts == reference[3]
 
 
 # ---------------------------------------------------------------------------
