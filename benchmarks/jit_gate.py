@@ -5,7 +5,7 @@ under the plain IR interpreter (the reference) and once with the trace
 tier armed — hot loop headers promote to recording, each recorded path
 compiles to a guarded Python closure, and guard failures side-exit back
 to the interpreter with fully reconstructed state.  The gate holds the
-tier to four promises:
+tier to five promises:
 
 * **correctness** — exit value, printed output, and total interpreter
   steps match the reference exactly on every program, cold and warm
@@ -16,9 +16,14 @@ tier to four promises:
   ``eval_cast`` (``_eb(`` / ``_ec(``) per execution;
 * **coverage** — the suite compiles at least ``MIN_TRACES`` traces (the
   hot-path detector is finding real loops, not idling) and at most
-  ``MAX_TRACES_COMPILED`` (a header whose trace is recorded and
-  compiled again and again is recompile thrash; the count is
-  deterministic, so the ceiling is exact);
+  ``MAX_TRACES_COMPILED``, a tree recompiled to grow a branch counting
+  as one more (a header whose trace is recorded and compiled again
+  and again is recompile thrash; the count is deterministic, so the
+  ceiling is exact);
+* **trees** — vpr's warm run, whose hot loop is one tree, enters
+  traces from the interpreter's block event at most
+  ``MAX_VPR_ENTRIES_FROM_INTERPRETER`` times (each other entry is a
+  side exit linked straight into a trace, or no exit at all);
 * **speed** — the interpreter-steps ratio (reference steps over steps
   actually interpreted, i.e. steps not absorbed by traces) reaches
   ``MIN_STEPS_RATIO`` on at least ``MIN_FAST_PROGRAMS`` of the
@@ -46,8 +51,12 @@ from repro.execution import Interpreter, TraceManager
 
 #: The whole suite must compile at least this many traces...
 MIN_TRACES = 10
-#: ...and at most this many, cold and warm runs together.
+#: ...and at most this many, cold and warm runs together, counting
+#: each tree recompile.
 MAX_TRACES_COMPILED = 400
+#: vpr's warm run re-enters its traces from the interpreter at most
+#: this often (49 156 times before trees: every exit fell back).
+MAX_VPR_ENTRIES_FROM_INTERPRETER = 5000
 #: Required interpreter-steps ratio (reference / interpreted-under-JIT)
 #: on the designated programs...
 MIN_STEPS_RATIO = 5.0
@@ -82,6 +91,7 @@ def main(argv=None) -> int:
 
     failures: list[str] = []
     rows = []
+    aborted: dict[str, int] = {}
     total_traces = 0
     fast_programs = []
     fast_suite = 0
@@ -93,6 +103,7 @@ def main(argv=None) -> int:
         manager = TraceManager(hot_threshold=HOT_THRESHOLD)
         jit_code, jit_out, jit_steps, _ = _run(module, manager)
         cold_saved = manager.stats.steps_saved
+        cold_entries = manager.stats.entries_from_interpreter
         # Warm run: same trace cache, fresh interpreter — the lifelong
         # steady state, where compile cost is already paid.
         warm_code, warm_out, warm_steps, warm_seconds = _run(module, manager)
@@ -116,8 +127,18 @@ def main(argv=None) -> int:
             failures.append(f"{name}: {len(delegating)} trace(s) delegate "
                             f"arithmetic (_eb/_ec), first {delegating[0]}")
 
+        for reason, count in manager.stats.aborted.items():
+            aborted[reason] = aborted.get(reason, 0) + count
         stats = manager.statistics()
-        total_traces += stats["traces-compiled"]
+        compiled = stats["traces-compiled"] + stats["tree-recompiles"]
+        total_traces += compiled
+        warm_entries = stats["entries-from-interpreter"] - cold_entries
+        if (name == "vpr"
+                and warm_entries > MAX_VPR_ENTRIES_FROM_INTERPRETER):
+            failures.append(
+                f"vpr: warm run entered traces {warm_entries} times from "
+                f"the interpreter (ceiling "
+                f"{MAX_VPR_ENTRIES_FROM_INTERPRETER}): exits fall back")
         # Steps-saved accumulates across both runs; the gate's ratio is
         # the warm (steady-state) run's alone.
         warm_saved = stats["steps-saved"] - cold_saved
@@ -133,22 +154,29 @@ def main(argv=None) -> int:
             "ref_steps": ref_steps,
             "steps_ratio": round(steps_ratio, 2),
             "warm_wall_ratio": round(wall_ratio, 2),
-            "traces_compiled": stats["traces-compiled"],
+            "traces_compiled": compiled,
+            "tree_branches": stats["branches-grown"],
+            "warm_entries_from_interpreter": warm_entries,
+            "linked_entries": stats["linked-entries"],
             "guard_exits": stats["guard-exits"],
             "recordings_aborted": stats["recordings-aborted"],
+            "aborted": manager.stats.aborted,
+            "blacklisted": manager.stats.blacklisted,
             "steps_saved": warm_saved,
         })
-        print(f"jit-gate: {name:10s} steps x{steps_ratio:6.2f}  "
+        print(f"jit-gate: {name:10s} steps x{steps_ratio:7.2f}  "
               f"warm wall x{wall_ratio:5.2f}  "
-              f"traces {stats['traces-compiled']:4d}  "
-              f"saved {warm_saved}")
+              f"compiles {compiled:3d}  "
+              f"branches {stats['branches-grown']:3d}  "
+              f"warm entries from interpreter {warm_entries:5d}")
 
     if total_traces < MIN_TRACES:
         failures.append(f"only {total_traces} trace(s) compiled across the "
                         f"suite (floor {MIN_TRACES})")
     if total_traces > MAX_TRACES_COMPILED:
-        failures.append(f"{total_traces} traces compiled across the suite "
-                        f"(ceiling {MAX_TRACES_COMPILED}): recompile thrash")
+        failures.append(f"{total_traces} traces and tree recompiles across "
+                        f"the suite (ceiling {MAX_TRACES_COMPILED}): "
+                        f"recompile thrash")
     if len(fast_programs) < MIN_FAST_PROGRAMS:
         failures.append(
             f"steps ratio >= {MIN_STEPS_RATIO} on only "
@@ -160,10 +188,14 @@ def main(argv=None) -> int:
             f"steps ratio >= {MIN_STEPS_RATIO} on only {fast_suite} of "
             f"{len(rows)} programs; need {MIN_FAST_SUITE}")
 
+    print("jit-gate: recordings aborted by reason: " + ", ".join(
+        f"{reason} {count}" for reason, count
+        in sorted(aborted.items(), key=lambda item: -item[1])))
     report = {
         "schema": "jit-gate/1",
         "programs": rows,
         "traces_compiled": total_traces,
+        "aborted": aborted,
         "fast_programs": fast_programs,
         "fast_suite": fast_suite,
         "total_seconds": round(time.perf_counter() - started, 3),
@@ -177,7 +209,7 @@ def main(argv=None) -> int:
     for failure in failures:
         print(f"jit-gate: FAIL: {failure}", file=sys.stderr)
     verdict = "FAIL" if failures else "PASS"
-    print(f"jit-gate: {verdict} — {total_traces} traces, "
+    print(f"jit-gate: {verdict} — {total_traces} compiles, "
           f"steps ratio >= {MIN_STEPS_RATIO} on "
           f"{len(fast_programs)}/{MIN_FAST_PROGRAMS} needed designated "
           f"programs and {fast_suite}/{MIN_FAST_SUITE} needed of the "

@@ -98,11 +98,16 @@ class _Watchdog:
         self.budget = max(_MIN_BUDGET, budget)
         self._armed = False
         self._previous = None
+        #: Latched before the alarm raises, so that an expiry something
+        #: swallowed (an ``except Exception``, a gc callback) is raised
+        #: again by ``__exit__``.
+        self.expired = False
 
     def _expired(self, signum, frame):
         # An alarm already pending when __exit__ disarms is delivered
         # at the next bytecode, inside __exit__: too late to count.
         if self._armed:
+            self.expired = True
             raise PassBudgetExceeded(
                 f"time budget {self.budget:.2f}s exhausted")
 
@@ -112,12 +117,15 @@ class _Watchdog:
         signal.setitimer(signal.ITIMER_REAL, self.budget)
         return self
 
-    def __exit__(self, *exc_info):
+    def __exit__(self, exc_type, *exc_info):
         self._armed = False
         # Disarm before restoring: a stray alarm under the default
         # disposition would kill the process.
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, self._previous)
+        if self.expired and exc_type is None:
+            raise PassBudgetExceeded(
+                f"time budget {self.budget:.2f}s exhausted (swallowed)")
         return False
 
 

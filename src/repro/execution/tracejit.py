@@ -8,40 +8,31 @@ the original code and the new native code."
 This module is that loop, with Python as the "native code": block-entry
 counters promote a hot block to *recording mode*, the next completed
 cycle through it becomes a trace, and the trace is compiled with
-``compile()``/``exec`` into one specialized Python closure — a
-straight-line unrolling of the hot path with the interpreter's dispatch,
-operand lookup, and constant evaluation all burned away.  Compiled
-traces live in a software trace cache, :attr:`TraceManager.traces`,
-keyed by the header block object, one trace per header, and are
-dispatched from the interpreter's block-entry hook.  A trace is kept
-for the manager's whole life: only reoptimization invalidates the
-cache, because the IR underneath the closures is about to be
-rewritten.  The same block event is the lifelong profile (section
-3.6): the manager counts every entry into its
-:class:`~repro.profile.ProfileData`, and each trace run credits the
-blocks it entered, so the counts are a plain interpreted run's.
+``compile()``/``exec`` into one specialized Python closure, the hot path
+with the interpreter's dispatch, operand lookup and constant evaluation
+burned away.  A side exit taken ``hot_threshold`` times records the path
+from its target back to the header, and the header is recompiled with
+that path as an inline branch: a trace is a *tree* (Gal & Franz), one
+compiled function per loop header.  An exit whose target has a trace of
+its own runs that trace next (Dynamo's fragment linking).  Trees live in
+the software trace cache :attr:`TraceManager.traces`, keyed by header
+block, until reoptimization rewrites the IR under them.  The same block
+event is the lifelong profile (section 3.6): the manager counts every
+interpreted entry into its :class:`~repro.profile.ProfileData`, and each
+trace run credits the blocks it entered.
 
-Every speculative assumption a trace makes is protected by a *guard*:
-
-* **branch guards** — a conditional branch must go the recorded way;
-* **switch guards** — the selector must route to the recorded case;
-* **call-target guards** — an indirect call must still resolve to an
-  external (runtime-library) function;
-* **type guards** — live-in registers must carry the representation
-  (``int``/``bool``/``float``) the specialized code was compiled for
-  (widths need no dynamic check: the interpreter's wrap invariant keeps
-  every register inside its declared type's range);
-* **null guards** — ``getelementptr`` keeps the interpreter's
-  null-base trap by side-exiting before the faulting address compute.
-
-A failed guard *side-exits*: it sets its exit number and breaks out
-of the trace loop into the one tail every exit shares.  The tail reads
-the exit's row of a table, points ``frame.block`` / ``frame.index`` at
-the instruction the interpreter must re-execute, syncs the step
-counter, writes back each register the exit's body position needs, and
-returns.  The interpreter continues as if it had run every instruction
-itself — reconstruction is total by construction, which is what the
-differential jit-gate measures.
+Every speculative assumption is a *guard*: a conditional branch goes the
+recorded way, a switch selector routes to the recorded case, an indirect
+call still resolves to an external, a live-in register carries the
+representation (``int``/``bool``/``float``) the code was specialized
+for, and a ``getelementptr`` base is not null (the interpreter's trap).
+A failed guard *side-exits*: a branch guard first takes its edge (the
+target's phi moves and the branch's step), any other stops before its
+instruction; then it breaks out of the loop into the one tail every exit
+shares, which points the frame at the instruction to resume at, syncs
+the step counter and writes back each register that the exit's path or a
+completed iteration assigned.  The interpreter continues as if it had
+run every instruction itself, which the differential jit-gate checks.
 
 Arithmetic is derived, not restated: a binary operator, shift or cast
 is its row of :mod:`repro.core.constfold`'s table — the same expression
@@ -57,6 +48,7 @@ from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..core import constfold
@@ -88,7 +80,11 @@ class TraceJITStats:
 
     def __init__(self):
         self.traces_compiled = 0
+        self.branches_grown = 0
+        self.tree_recompiles = 0
         self.trace_entries = 0
+        self.entries_from_interpreter = 0
+        self.linked_entries = 0
         self.trace_iterations = 0
         self.guard_exits = 0
         self.budget_exits = 0
@@ -96,28 +92,67 @@ class TraceJITStats:
         self.entry_fallbacks = 0
         self.recordings_aborted = 0
         self.invalidations = 0
+        #: reason -> recordings aborted for it, and anchors (a block, or
+        #: an exit a branch would grow from) given up for it.
+        self.aborted: dict[str, int] = {}
+        self.blacklisted: dict[str, int] = {}
+
+    def abort(self, reason: str) -> None:
+        self.recordings_aborted += 1
+        self.aborted[reason] = self.aborted.get(reason, 0) + 1
+
+    def blacklist(self, reason: str) -> None:
+        self.blacklisted[reason] = self.blacklisted.get(reason, 0) + 1
 
     def statistics(self) -> dict[str, int]:
-        """The ``-stats`` rows: every counter above, hyphenated."""
-        return {name.replace("_", "-"): value
-                for name, value in vars(self).items()}
+        """The ``-stats`` rows: every counter above, hyphenated, then
+        one ``aborted.<reason>`` / ``blacklisted.<reason>`` row each."""
+        rows = {name.replace("_", "-"): value
+                for name, value in vars(self).items()
+                if isinstance(value, int)}
+        for table in ("aborted", "blacklisted"):
+            for reason, count in getattr(self, table).items():
+                rows[f"{table}.{reason}"] = count
+        return rows
 
 
+@dataclass(eq=False, slots=True)
+class _Segment:
+    """One recorded path of a trace tree: the trunk, from the header, or
+    a branch, from an exit's target; either ends by an edge back to the
+    header.  Per exit edge ``(block index, target)``: the branch grown
+    from it, how often it was taken, its failed branch recordings."""
+
+    blocks: list[BasicBlock]
+    branches: dict[tuple[int, BasicBlock], _Segment] = field(
+        default_factory=dict)
+    heat: dict[tuple[int, BasicBlock], int] = field(default_factory=dict)
+    aborts: dict[tuple[int, BasicBlock], int] = field(default_factory=dict)
+
+
+@dataclass(eq=False, slots=True)
 class CompiledTrace:
-    """One compiled hot path: the closure plus the IR it was built from
-    (the header block keys :attr:`TraceManager.traces`)."""
+    """One compiled tree: the closure plus the IR it was built from (the
+    header block keys :attr:`TraceManager.traces`), its block count, its
+    side exits' rows (see :meth:`_TraceCompiler._exit`) and, per leaf,
+    the blocks one iteration through it enters."""
 
-    __slots__ = ("fn", "function_name", "header", "path", "steps_per_iter",
-                 "source")
+    fn: object
+    function_name: str
+    tree: _Segment
+    size: int
+    exits: tuple
+    leaf_paths: list[list[BasicBlock]]
+    source: str
 
-    def __init__(self, fn, function_name: str, header: BasicBlock,
-                 path: list[BasicBlock], steps_per_iter: int, source: str):
-        self.fn = fn
-        self.function_name = function_name
-        self.header = header
-        self.path = path
-        self.steps_per_iter = steps_per_iter
-        self.source = source
+    @property
+    def path(self) -> list[BasicBlock]:
+        """The trunk: the recorded cycle from the header."""
+        return self.tree.blocks
+
+    @property
+    def header(self) -> BasicBlock:
+        return self.tree.blocks[0]
 
     @property
     def key(self) -> tuple[str, str]:
@@ -125,13 +160,12 @@ class CompiledTrace:
         return (self.function_name, self.header.name)
 
 
+@dataclass(eq=False, slots=True)
 class _Recording:
-    __slots__ = ("frame", "anchor", "path")
-
-    def __init__(self, frame, anchor: BasicBlock):
-        self.frame = frame
-        self.anchor = anchor
-        self.path = [anchor]
+    frame: object
+    anchor: BasicBlock
+    site: Optional[tuple]   # (segment, edge) for a branch, else None
+    path: list[BasicBlock]
 
 
 class TraceManager:
@@ -146,20 +180,21 @@ class TraceManager:
     cache warm across end-user runs.  :attr:`profile` counts every
     interpreted block entry, and each trace run credits it with the
     blocks the trace entered (the closure returns its full iterations
-    and the path position it left from).
+    per leaf and the exit it left by).
     """
 
     name = "jit"
 
-    #: A recording longer than this many blocks is aborted, and a
-    #: header whose recordings abort this often is blacklisted.
+    #: A recording longer than this many blocks is aborted, a tree grows
+    #: branches while they hold fewer, and a header or exit whose
+    #: recordings abort this often is blacklisted.
     max_blocks = 32
     max_aborts = 3
 
     def __init__(self, hot_threshold: int = 50):
         self.hot_threshold = hot_threshold
         self.stats = TraceJITStats()
-        #: The software trace cache: one trace per header block, kept
+        #: The software trace cache: one tree per header block, kept
         #: until :meth:`invalidate_all`.  Every table here is keyed by
         #: the block object itself (block names repeat after inlining).
         self.traces: dict[BasicBlock, CompiledTrace] = {}
@@ -197,74 +232,136 @@ class TraceManager:
         self.profile.count(block)
         recording = self._recording
         if recording is not None:
-            if frame is recording.frame:
-                if block is recording.anchor:
-                    self._finish_recording(interpreter, frame)
-                    return
+            if frame is not recording.frame:
+                # The program left the recording frame (a call, a
+                # return, an unwind): the cycle did not close.  Abort,
+                # then treat this entry as an ordinary event.
+                self._abort_recording("left-frame")
+            elif block is recording.anchor:
+                self._finish_recording(interpreter, frame)
+                return
+            elif recording.site is None and block in self.traces:
+                # A cycle through a tree's header is a rotation of a
+                # path that tree grows as a branch: never try it again.
+                self._abort_recording("reached-tree", self.max_aborts)
+            else:
                 recording.path.append(block)
                 if len(recording.path) > self.max_blocks:
-                    self._abort_recording()
+                    self._abort_recording("too-long")
                 return
-            # The program left the recording frame (a call, a return, an
-            # unwind): the cycle did not close.  Abort, then treat this
-            # entry as an ordinary event for its own block.
-            self._abort_recording()
         trace = self.traces.get(block)
         if trace is not None:
+            self.stats.entries_from_interpreter += 1
             self._run_trace(interpreter, frame, trace)
-            return
+        else:
+            self._heat(frame, block)
+
+    def _heat(self, frame, block: BasicBlock) -> None:
         count = self._counts.get(block, 0) + 1
         self._counts[block] = count
         if count >= self.hot_threshold and block not in self._blacklist:
             if block is frame.function.blocks[0]:
                 # Nothing branches back to an entry block: a recording
                 # anchored there could never close.
+                self.stats.abort("entry-block")
+                self.stats.blacklist("entry-block")
                 self._blacklist.add(block)
             else:
-                self._recording = _Recording(frame, block)
+                self._recording = _Recording(frame, block, None, [block])
 
     def _run_trace(self, interpreter, frame, trace: CompiledTrace) -> None:
-        self.stats.trace_entries += 1
-        left = trace.fn(frame, interpreter, self.stats)
-        if left is None:
-            self.stats.entry_fallbacks += 1
-        else:
-            self.profile.credit_trace(trace, *left)
+        """Run ``trace``; while it leaves by an edge into a block with a
+        trace of its own, run that one next (linking).  The landing
+        block's event is :meth:`on_block`'s, with no recording active;
+        an exit edge taken ``hot_threshold`` times records a branch."""
+        stats, profile = self.stats, self.profile
+        while True:
+            stats.trace_entries += 1
+            left = trace.fn(frame, interpreter, stats)
+            if left is None:
+                stats.entry_fallbacks += 1
+                return
+            profile.credit_trace(trace, *left)
+            site = trace.exits[left[1]][4]
+            if site is None:    # resume where the exit stopped
+                return
+            block = frame.block
+            profile.count(block)
+            linked = self.traces.get(block)
+            if linked is None:
+                # A hot exit grows a branch while the tree's branches
+                # hold fewer than max_blocks blocks.
+                segment, edge = site
+                heat = segment.heat[edge] = segment.heat.get(edge, 0) + 1
+                if (heat >= self.hot_threshold
+                        and trace.size - len(trace.path) < self.max_blocks
+                        and segment.aborts.get(edge, 0) < self.max_aborts):
+                    self._recording = _Recording(frame, trace.header, site,
+                                                 [block])
+                else:
+                    self._heat(frame, block)
+                return
+            stats.linked_entries += 1
+            trace = linked
 
     # -- recording lifecycle ----------------------------------------------
 
-    def _abort_recording(self) -> None:
-        anchor = self._recording.anchor
-        self._recording = None
-        self.stats.recordings_aborted += 1
-        aborts = self._aborts.get(anchor, 0) + 1
-        self._aborts[anchor] = aborts
-        if aborts >= self.max_aborts:
-            self._blacklist.add(anchor)
-        self._counts[anchor] = 0  # must get hot again before the next try
-
-    def _finish_recording(self, interpreter, frame) -> None:
+    def _abort_recording(self, reason: str, weight: int = 1) -> None:
         recording = self._recording
         self._recording = None
+        self.stats.abort(reason)
+        if recording.site is None:
+            key, heat, aborts = recording.anchor, self._counts, self._aborts
+        else:
+            segment, key = recording.site
+            heat, aborts = segment.heat, segment.aborts
+        aborts[key] = aborts.get(key, 0) + weight
+        heat[key] = 0  # must get hot again before the next try
+        if aborts[key] >= self.max_aborts:
+            self.stats.blacklist(reason)
+            if recording.site is None:
+                self._blacklist.add(key)
+
+    def _finish_recording(self, interpreter, frame) -> None:
+        recording, self._recording = self._recording, None
+        header, site = recording.anchor, recording.site
+        tree = _Segment(recording.path)
+        if site is not None:
+            segment, edge = site
+            segment.branches[edge] = tree
+            tree = self.traces[header].tree
+            self.stats.tree_recompiles += 1
         try:
-            trace = compile_trace(interpreter, frame.function, recording.path)
-        except Untraceable:
-            self.stats.recordings_aborted += 1
-            self._blacklist.add(recording.anchor)  # deterministic: no retry
-            return
-        self.traces[trace.header] = trace
-        self.stats.traces_compiled += 1
-        # Re-arm the hotness counters of every block the trace covers:
-        # a rotation of the same cycle (or a hot side-exit target) must
-        # earn another full threshold of *interpreted* entries — which
-        # the new trace now absorbs — before anchoring its own trace.
-        # Hot guard exits keep accumulating real entries, so trace
-        # trees still grow along genuinely hot side exits.
-        for block in trace.path:
-            self._counts[block] = 0
-        # The frame sits at the freshly re-entered header: enter the
-        # trace immediately.
-        self._run_trace(interpreter, frame, trace)
+            trace = compile_trace(interpreter, frame.function, tree)
+        except Untraceable as error:
+            # Deterministic: the anchor is never tried again.
+            self.stats.abort(str(error))
+            self.stats.blacklist(str(error))
+            if site is None:
+                self._blacklist.add(header)
+            else:
+                del segment.branches[edge]
+                segment.aborts[edge] = self.max_aborts
+        else:
+            self.traces[header] = trace
+            if site is None:
+                self.stats.traces_compiled += 1
+            else:
+                self.stats.branches_grown += 1
+                # Fold the replaced tree's tallies in, so it can be freed.
+                self.profile.counts
+            # Re-arm the hotness counters of every block the tree enters
+            # or exits to: such a block must earn a full threshold of
+            # *interpreted* entries, which the tree now absorbs, before
+            # anchoring a trace of its own; a hot exit grows a branch.
+            for blocks in (*trace.leaf_paths, [row[0] for row in trace.exits]):
+                for block in blocks:
+                    self._counts[block] = 0
+        # The frame sits at the header just re-entered: enter its tree.
+        trace = self.traces.get(header)
+        if trace is not None:
+            self.stats.entries_from_interpreter += 1
+            self._run_trace(interpreter, frame, trace)
 
 
 # ===========================================================================
@@ -272,11 +369,12 @@ class TraceManager:
 # ===========================================================================
 
 
-def compile_trace(interpreter, function: Function,
-                  path: list[BasicBlock]) -> CompiledTrace:
-    """Compile one recorded cycle into a guarded Python closure."""
-    compiler = _TraceCompiler(interpreter, function, path)
-    return compiler.compile()
+def compile_trace(interpreter, function: Function, tree) -> CompiledTrace:
+    """Compile one recorded cycle (a list of blocks from the header), or
+    a tree of them, into a guarded Python closure."""
+    if not isinstance(tree, _Segment):
+        tree = _Segment(list(tree))
+    return _TraceCompiler(interpreter, function, tree).compile()
 
 
 def _literal(value) -> str:
@@ -285,28 +383,22 @@ def _literal(value) -> str:
 
 
 class _TraceCompiler:
-    def __init__(self, interpreter, function: Function,
-                 path: list[BasicBlock]):
+    def __init__(self, interpreter, function: Function, tree: _Segment):
         self.interpreter = interpreter
         self.function = function
-        self.path = path
+        self.tree = tree
+        self.header = header = tree.blocks[0]
         self.layout = function.parent.data_layout
         #: id(value) -> local variable name.
         self.names: dict[int, str] = {}
-        #: ids read before being defined on the path (loaded from the
-        #: frame in the prologue; a miss or type mismatch falls back).
+        #: ids read where the path being emitted has not assigned them:
+        #: loaded from the frame in the prologue (a miss or a type
+        #: mismatch falls back), so bound at every exit.
         self.live_ins: dict[int, Value] = {}
-        #: ids assigned on the path -> body position of the first
-        #: definition (used to filter side-exit writebacks: a name
-        #: first defined after the exit point is re-created by the
-        #: interpreter before any use can see it).
-        self.defined: dict[int, int] = {}
-        #: id -> body position of the last on-trace read (side exits
-        #: past it skip the writeback for block-local values).
-        self.last_use: dict[int, int] = {}
-        #: id -> all uses live in the defining block (see
-        #: :meth:`_is_block_local`).
-        self.block_local: dict[int, bool] = {}
+        #: ids the path being emitted has assigned since the header.
+        self.assigned: set[int] = set()
+        #: ids the tree assigns anywhere, first assigned first.
+        self.defined: dict[int, None] = {}
         #: exec-globals for the closure: what a row of constfold's table
         #: may call, then blocks, types, IR constants...
         self.env: dict[str, object] = dict(constfold.NAMESPACE)
@@ -314,17 +406,25 @@ class _TraceCompiler:
         #: symbolic constants resolved per entry (globals, functions,
         #: constant expressions: their addresses are per-interpreter).
         self.sym_consts: dict[int, str] = {}
-        #: direct external callees: var name -> external name.
+        #: direct external callees: external name -> var name.
         self.externals: dict[str, str] = {}
         self.body: list[str] = []
-        #: The side exits' rows, by exit number; exit 0 is the budget
-        #: check at the top of the loop (see :meth:`_tail_lines`).
-        self.exits: list[tuple] = [
-            (path[0], path[0].first_non_phi_index(), 0, "budget_exits", 0, 0)]
-        self.steps_per_iter = 0
-        #: Path position of the block being emitted: an exit there has
-        #: entered ``path[1:at + 1]`` since the header.
-        self.at = 0
+        self.indent = " " * 8
+        #: Steps charged and blocks entered since the header, on the
+        #: path being emitted.
+        self.steps = 0
+        self.entered: list[BasicBlock] = []
+        #: The side exits' rows (see :meth:`_exit`), by exit number; exit
+        #: 0 is the budget check at the top of the loop; and the ids
+        #: assigned on each exit's path.
+        self.exits: list[tuple] = [(header, header.first_non_phi_index(),
+                                    0, "budget_exits", None, ())]
+        self.exit_assigned: list[frozenset] = [frozenset()]
+        #: Per leaf (an edge back to the header): the blocks and the
+        #: ids one iteration through it enters and assigns.
+        self.leaf_paths: list[list[BasicBlock]] = []
+        self.leaf_assigned: list[frozenset] = []
+        self.longest = self.size = 0
         self.uses_memory: set[str] = set()
         #: The inline load/store fast path binds ``_mem.allocations``.
         self.uses_allocs = False
@@ -342,46 +442,26 @@ class _TraceCompiler:
             self.env[name] = obj
         return name
 
+    def _name(self, vid: int) -> str:
+        name = self.names.get(vid)
+        if name is None:
+            name = self.names[vid] = f"v{len(self.names)}"
+        return name
+
     def ref(self, value: Value) -> str:
-        """Render a read of ``value`` at the current path position."""
+        """Render a read of ``value`` on the path being emitted."""
         if isinstance(value, (Instruction, Argument)):
             vid = id(value)
-            name = self.names.get(vid)
-            if name is None:
-                name = f"v{len(self.names)}"
-                self.names[vid] = name
+            if vid not in self.assigned:
                 self.live_ins[vid] = value
-            self.last_use[vid] = len(self.body)
-            return name
+            return self._name(vid)
         return self.const_ref(value)
 
     def define(self, value: Value) -> str:
         vid = id(value)
-        name = self.names.get(vid)
-        if name is None:
-            name = f"v{len(self.names)}"
-            self.names[vid] = name
-        if vid not in self.defined:
-            self.defined[vid] = len(self.body)
-            self.block_local[vid] = self._is_block_local(value)
-        return name
-
-    @staticmethod
-    def _is_block_local(inst) -> bool:
-        """True when every use of ``inst`` sits in its own block (a
-        straight-line temporary).  Such a value can only be read again
-        after its defining instruction re-executes, so a side exit past
-        its last on-trace use need not write it back.  Phi users escape:
-        they read the value at edge entry, before the block body."""
-        block = getattr(inst, "parent", None)
-        if block is None:
-            return False
-        for user in inst.users():
-            if isinstance(user, PhiNode):
-                return False
-            if getattr(user, "parent", None) is not block:
-                return False
-        return True
+        self.assigned.add(vid)
+        self.defined[vid] = None
+        return self._name(vid)
 
     def const_ref(self, constant) -> str:
         # Globals, functions and constant expressions over them have
@@ -407,30 +487,63 @@ class _TraceCompiler:
     # -- compilation ------------------------------------------------------
 
     def compile(self) -> CompiledTrace:
-        path = self.path
-        for index, block in enumerate(path):
-            self.at = index
-            previous = path[index - 1] if index else None
+        self._emit_path(self.tree, None)
+        source = self._render()
+        env = dict(self.env)
+        env["_EXITS"] = exits = tuple(self.exits)
+        code = compile(source, f"<trace {self.function.name}:"
+                               f"{self.header.name}>", "exec")
+        exec(code, env)
+        return CompiledTrace(env["__lc_trace"], self.function.name,
+                             self.tree, self.size, exits, self.leaf_paths,
+                             source)
+
+    def _emit_path(self, segment: _Segment, previous) -> None:
+        """Emit ``segment`` from the edge ``previous`` -> its first block
+        (the trunk starts at the header, already entered) to its edge
+        back to the header, nesting under each exit edge the branch
+        grown from it."""
+        blocks = segment.blocks
+        self.size += len(blocks)
+        for index, block in enumerate(blocks):
             if previous is not None:
                 self._emit_phi_moves(previous, block)
+                self.entered.append(block)
             self._emit_block_body(block)
-            successor = path[index + 1] if index + 1 < len(path) else path[0]
-            self._emit_terminator(block, successor)
+            successor = (blocks[index + 1] if index + 1 < len(blocks)
+                         else self.header)
+            self._emit_terminator(segment, index, block, successor)
+            previous = block
         # Close the cycle: the back edge re-enters the header's phis.
-        self._emit_phi_moves(path[-1], path[0])
-        total = self.steps_per_iter
-        self.body.append(f"        steps += {total}")
-        self.body.append("        iters += 1")
-        source = self._render(total)
-        env = dict(self.env)
-        env["_EXITS"] = tuple(self.exits)
-        code = compile(source, f"<trace {self.function.name}:"
-                               f"{path[0].name}>", "exec")
-        exec(code, env)
-        return CompiledTrace(env["__lc_trace"], self.function.name, path[0],
-                             list(path), total, source)
+        self._emit_phi_moves(previous, self.header)
+        leaf = len(self.leaf_paths)
+        self.leaf_paths.append(self.entered + [self.header])
+        self.leaf_assigned.append(frozenset(self.assigned))
+        self.longest = max(self.longest, self.steps)
+        self._emit(f"steps += {self.steps}")
+        self._emit(f"n{leaf} += 1")
+        if segment is not self.tree:
+            self._emit("continue")
 
-    def _render(self, steps_per_iter: int) -> str:
+    def _emit_edge(self, segment: _Segment, index: int, block: BasicBlock,
+                   target: BasicBlock) -> None:
+        """The body of an ``if`` that leaves ``segment`` by the edge
+        ``block`` -> ``target``: straight back to the header, into the
+        branch grown from this edge, or out by a side exit that lands
+        on ``target`` past its phis."""
+        saved = set(self.assigned), list(self.entered), self.steps, self.indent
+        self.indent += "    "
+        edge = (index, target)
+        if target is self.header:
+            self._emit_path(_Segment([]), block)
+        elif edge in segment.branches:
+            self._emit_path(segment.branches[edge], block)
+        else:
+            self._emit_phi_moves(block, target)
+            self._exit(target, target.first_non_phi_index(), (segment, edge))
+        self.assigned, self.entered, self.steps, self.indent = saved
+
+    def _render(self) -> str:
         lines = ["def __lc_trace(frame, interp, stats):",
                  "    R = frame.registers"]
         live = [(vid, self.names[vid]) for vid in self.live_ins]
@@ -463,7 +576,7 @@ class _TraceCompiler:
         if guards:
             lines.append(f"    if {' or '.join(guards)}:")
             lines.append("        return None")
-        for var, external_name in self.externals.items():
+        for external_name, var in self.externals.items():
             lines.append(f"    {var} = interp.externals.get("
                          f"{external_name!r})")
             lines.append(f"    if {var} is None:")
@@ -487,14 +600,17 @@ class _TraceCompiler:
         lines.append("    steps = interp.steps")
         lines.append("    _s0 = steps")
         lines.append("    _limit = interp.step_limit")
-        lines.append("    iters = 0")
+        lines.append("    " + " = ".join(self._leaves()) + " = 0")
         lines.append("    while True:")
-        lines.append(f"        if steps + {steps_per_iter} > _limit:")
+        lines.append(f"        if steps + {self.longest} > _limit:")
         lines.append("            _x = 0")
         lines.append("            break")
         lines.extend(self.body)
         lines.extend(self._tail_lines())
         return "\n".join(lines) + "\n"
+
+    def _leaves(self) -> list[str]:
+        return [f"n{leaf}" for leaf in range(len(self.leaf_paths))]
 
     def _type_check(self, ty, name: str) -> Optional[str]:
         if ty.is_bool:
@@ -507,55 +623,40 @@ class _TraceCompiler:
 
     def _tail_lines(self) -> list[str]:
         """The one exit every guard breaks to: sync steps, point the
-        frame at the instruction to re-execute, write back registers,
-        hand control back with ``(full iterations, path position left
-        from)``.  The exit's row of ``_EXITS`` is ``(block, index,
-        steps, counter, position, path position)``."""
+        frame at the instruction to resume at, write back registers,
+        hand control back with ``(full iterations per leaf, exit
+        number)``."""
         return [
-            "    _b, _i, _c, _k, _p, _a = _EXITS[_x]",
+            "    _b, _i, _c, _k, _, _ = _EXITS[_x]",
             "    steps += _c",
             "    interp.steps = steps",
             "    frame.block = _b",
             "    frame.index = _i",
             "    setattr(stats, _k, getattr(stats, _k) + 1)",
-            "    stats.trace_iterations += iters",
+            f"    iters = ({', '.join(self._leaves())},)",
+            "    stats.trace_iterations += sum(iters)",
             "    stats.steps_saved += steps - _s0",
             *self._writeback_lines(),
-            "    return iters, _a",
+            "    return iters, _x",
         ]
 
     def _writeback_lines(self) -> list[str]:
-        """Restore every register the trace may have redefined, chosen
-        by the body position ``_p`` of the exit taken.
-
-        A name that is live-in, or first defined before the exit point,
-        was certainly assigned this pass and holds the correct current
-        value.  A name first defined *after* the exit point holds its
-        value from the previous iteration — which off-trace code may
-        still read — but only exists once a full iteration has
-        completed, so its writeback is gated on ``iters`` (which also
-        keeps the first, partial pass from touching an unbound local).
-        A straight-line temporary (:meth:`_is_block_local`) off-trace
-        code can only read after re-executing its def, except along the
-        window between its def and its last pending use.
-
-        Each condition is stated over the exit positions that satisfy
-        it, so names sharing one share a single test.
-        """
-        positions = sorted(row[4] for row in self.exits)
+        """Restore every register the tree may have assigned: a live-in
+        always; any other value once it was assigned, on the path of
+        the exit taken (``_x``) or in a full iteration through a leaf
+        whose path assigns it (docs/EXECUTION.md).  Names sharing a
+        condition share one test."""
         groups: dict[Optional[str], list[str]] = {}
-        for vid, first_def in self.defined.items():
-            if vid in self.live_ins:
-                condition = None
-            elif self.block_local.get(vid):
-                window = [p for p in positions
-                          if first_def < p <= self.last_use.get(vid, -1)]
-                if not window:
-                    continue
-                condition = f"{window[0]} <= _p <= {window[-1]}"
-            else:
-                later = [p for p in positions if p > first_def]
-                condition = f"iters or _p >= {later[0]}" if later else "iters"
+        for vid in self.defined:
+            condition = None
+            if vid not in self.live_ins:
+                at = [x for x, assigned in enumerate(self.exit_assigned)
+                      if vid in assigned]
+                tests = [f"n{leaf}" for leaf, assigned
+                         in enumerate(self.leaf_assigned) if vid in assigned]
+                if at:   # a set display of constants compiles to one
+                    tests.insert(0, f"_x in {set(at)}")
+                condition = " or ".join(tests)
             groups.setdefault(condition, []).append(
                 f"R[{vid}] = {self.names[vid]}")
         lines = []
@@ -567,14 +668,26 @@ class _TraceCompiler:
                 lines.extend("        " + write for write in writes)
         return lines
 
+    def _exit(self, block: BasicBlock, index: int, site=None) -> None:
+        """Leave the loop by a new side exit that resumes the
+        interpreter at ``block[index]``.  Its row: ``(block, index,
+        steps, counter, site, entered)``, where ``site`` is the
+        ``(segment, edge)`` a branch would grow from (None unless the
+        exit took an edge) and ``entered`` the blocks entered since the
+        header."""
+        self.exits.append((block, index, self.steps, "guard_exits", site,
+                           tuple(self.entered)))
+        self.exit_assigned.append(frozenset(self.assigned))
+        self._emit(f"_x = {len(self.exits) - 1}")
+        self._emit("break")
+
     def _guard(self, condition: str, block: BasicBlock, index: int) -> None:
-        """Emit ``if condition:`` leaving the loop by a new exit that
-        resumes the interpreter at ``block[index]``."""
-        self.exits.append((block, index, self.steps_per_iter,
-                           "guard_exits", len(self.body), self.at))
-        self.body.append(f"        if {condition}:")
-        self.body.append(f"            _x = {len(self.exits) - 1}")
-        self.body.append("            break")
+        """Emit ``if condition:`` leaving by a side exit that resumes the
+        interpreter at ``block[index]``."""
+        self._emit(f"if {condition}:")
+        self.indent += "    "
+        self._exit(block, index)
+        self.indent = self.indent[:-4]
 
     # -- per-block emission ------------------------------------------------
 
@@ -594,8 +707,7 @@ class _TraceCompiler:
         # assignment packs all the reads before any write lands.
         sources = [self.ref(incoming) for _, incoming in phis]
         targets = [self.define(phi) for phi, _ in phis]
-        self.body.append(f"        {', '.join(targets)} = "
-                         f"{', '.join(sources)}")
+        self._emit(f"{', '.join(targets)} = {', '.join(sources)}")
 
     def _emit_block_body(self, block: BasicBlock) -> None:
         for index, inst in enumerate(block.instructions):
@@ -605,34 +717,27 @@ class _TraceCompiler:
                 break  # terminator handled by _emit_terminator
             self._emit_instruction(block, index, inst)
 
-    def _emit_terminator(self, block: BasicBlock,
-                         successor: BasicBlock) -> None:
+    def _emit_terminator(self, segment: _Segment, index: int,
+                         block: BasicBlock, successor: BasicBlock) -> None:
         term = block.instructions[-1]
-        index = len(block.instructions) - 1
-        if isinstance(term, BranchInst):
-            if term.is_conditional:
-                true_dest, false_dest = term.operands[1], term.operands[2]
-                if true_dest is not false_dest:
-                    condition = self.ref(term.condition)
-                    if successor is true_dest:
-                        self._guard(f"not {condition}", block, index)
-                    elif successor is false_dest:
-                        self._guard(condition, block, index)
-                    else:
-                        raise Untraceable("recorded successor is not a "
-                                          "branch target")
-                elif successor is not true_dest:
-                    raise Untraceable("recorded successor is not a "
-                                      "branch target")
-            elif successor is not term.operands[0]:
-                raise Untraceable("recorded successor is not a "
-                                  "branch target")
-        elif isinstance(term, SwitchInst):
-            self._emit_switch_guard(term, block, index, successor)
-        else:
+        if isinstance(term, SwitchInst):
+            self._emit_switch_guard(term, block, len(block.instructions) - 1,
+                                    successor)
+        elif not isinstance(term, BranchInst):
             # return / invoke / unwind end the cycle some other way.
             raise Untraceable(f"terminator {type(term).__name__}")
-        self.steps_per_iter += 1  # the taken terminator
+        elif successor not in term.operands[-2 if term.is_conditional
+                                            else -1:]:
+            raise Untraceable("recorded successor is not a branch target")
+        self.steps += 1  # the taken terminator
+        if isinstance(term, BranchInst) and term.is_conditional:
+            true_dest, false_dest = term.operands[1], term.operands[2]
+            if true_dest is not false_dest:
+                condition = self.ref(term.condition)
+                taken = successor is true_dest
+                self._emit(f"if {'not ' if taken else ''}{condition}:")
+                self._emit_edge(segment, index, block,
+                                false_dest if taken else true_dest)
 
     def _emit_switch_guard(self, term: SwitchInst, block: BasicBlock,
                            index: int, successor: BasicBlock) -> None:
@@ -659,7 +764,7 @@ class _TraceCompiler:
     # -- per-instruction emission -----------------------------------------
 
     def _emit(self, line: str) -> None:
-        self.body.append("        " + line)
+        self.body.append(self.indent + line)
 
     def _emit_instruction(self, block: BasicBlock, index: int,
                           inst: Instruction) -> None:
@@ -700,7 +805,7 @@ class _TraceCompiler:
         else:
             # invoke, unwind, vaarg, phi-out-of-position, return...
             raise Untraceable(f"instruction {type(inst).__name__}")
-        self.steps_per_iter += 1
+        self.steps += 1
 
     def _mem_fmt(self, ty, verb: str) -> Optional[str]:
         """struct format char for an inline memory access; None for a
@@ -726,27 +831,13 @@ class _TraceCompiler:
         ty = self._env_ref("T", inst.type)
         dest = self.define(inst)
         fmt = self._mem_fmt(inst.type, "load")
+        slow = f"{dest} = _load({pointer}, {ty})"
         if fmt is None:
-            self._emit(f"{dest} = _load({pointer}, {ty})")
-            return
-        # Fast path: decode straight out of the allocation's bytearray.
-        # Anything irregular — null, unmapped, a function address, an
-        # out-of-bounds offset — delegates to Memory.load for the
-        # interpreter's exact fault.  A "code" allocation holds one
-        # byte, so the bounds check rejects it for multi-byte widths;
-        # only single-byte loads test the kind explicitly.
-        size = struct.calcsize("<" + fmt)
-        unpack = self._struct_helper("up", fmt)
-        kind = " _al.kind != 'code' and" if size == 1 else ""
-        self._emit("try:")
-        self._emit(f"    _al = _allocs[{pointer} >> {OFFSET_BITS}]")
-        self._emit(f"    _o = {pointer} & {OFFSET_MASK}")
-        self._emit(f"    if{kind} _o + {size} <= len(_d := _al.data):")
-        self._emit(f"        {dest} = {unpack}(_d, _o)[0]")
-        self._emit("    else:")
-        self._emit(f"        {dest} = _load({pointer}, {ty})")
-        self._emit("except KeyError:")
-        self._emit(f"    {dest} = _load({pointer}, {ty})")
+            self._emit(slow)
+        else:
+            unpack = self._struct_helper("up", fmt)
+            self._emit_access(pointer, fmt, f"{dest} = {unpack}(_d, _o)[0]",
+                              slow)
 
     def _emit_store(self, inst: StoreInst) -> None:
         self.uses_memory.add("store")
@@ -758,23 +849,35 @@ class _TraceCompiler:
         if fmt is None:
             self._emit(f"_store({pointer}, {ty}, {value})")
             return
-        size = struct.calcsize("<" + fmt)
-        pack = self._struct_helper("pk", fmt)
         if value_type.is_pointer:
             # Pointer arithmetic can carry past 2**64 (Memory.store
             # masks); mask here so pack_into never sees it.
-            value = f"{value} & {(1 << (size * 8)) - 1}"
-        kind = " _al.kind != 'code' and" if size == 1 else ""
+            value = f"{value} & {(1 << (struct.calcsize('<' + fmt) * 8)) - 1}"
+        pack = self._struct_helper("pk", fmt)
+        self._emit_access(pointer, fmt, f"{pack}(_d, _o, {value})",
+                          f"_store({pointer}, {ty}, {value})", store=True)
+
+    def _emit_access(self, pointer: str, fmt: str, fast: str, slow: str,
+                     store: bool = False) -> None:
+        # Fast path: straight into the allocation's bytearray.  Anything
+        # irregular — null, unmapped, a function address, an
+        # out-of-bounds offset, a frozen store target, a value that does
+        # not pack — takes ``slow``, Memory's path and its exact fault.
+        # A "code" allocation holds one byte, so the bounds check
+        # rejects it for multi-byte widths; only single-byte accesses
+        # test the kind explicitly.
+        size = struct.calcsize("<" + fmt)
+        test = " _al.kind != 'code' and" if size == 1 else ""
+        test += " not _al.frozen and" if store else ""
         self._emit("try:")
         self._emit(f"    _al = _allocs[{pointer} >> {OFFSET_BITS}]")
         self._emit(f"    _o = {pointer} & {OFFSET_MASK}")
-        self._emit(f"    if{kind} not _al.frozen "
-                   f"and _o + {size} <= len(_d := _al.data):")
-        self._emit(f"        {pack}(_d, _o, {value})")
+        self._emit(f"    if{test} _o + {size} <= len(_d := _al.data):")
+        self._emit(f"        {fast}")
         self._emit("    else:")
-        self._emit(f"        _store({pointer}, {ty}, {value})")
-        self._emit("except (KeyError, _SE):")
-        self._emit(f"    _store({pointer}, {ty}, {value})")
+        self._emit(f"        {slow}")
+        self._emit(f"except {'(KeyError, _SE)' if store else 'KeyError'}:")
+        self._emit(f"    {slow}")
 
     def _emit_table(self, inst: Instruction, expression, *key) -> None:
         """A binary operator, shift or cast is its row of constfold's
@@ -812,21 +915,17 @@ class _TraceCompiler:
         self.uses_call = True
         # The call instruction itself is counted before the external
         # body runs, exactly like the interpreter's step accounting.
-        cum = self.steps_per_iter + 1
+        cum = self.steps + 1
         if isinstance(callee, Function):
             lazy = self.interpreter.lazy_loader
             if callee.is_declaration and lazy is not None:
                 lazy(callee)
             if not callee.is_declaration:
                 raise Untraceable("call into compiled IR")
-            var = f"_x{len(self.externals)}"
-            existing = [v for v, n in self.externals.items()
-                        if n == callee.name]
-            var = existing[0] if existing else var
-            self.externals[var] = callee.name
+            target = self.externals.setdefault(
+                callee.name, f"_x{len(self.externals)}")
             self._emit("interp.current_va_area = _VA")
             self._emit(f"interp.steps = steps + {cum}")
-            target = var
         else:
             # Indirect call: guard that the pointer still resolves to a
             # runtime-library function; anything else side-exits to the

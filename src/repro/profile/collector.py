@@ -32,36 +32,39 @@ class ProfileData:
 
     def __init__(self):
         self._counts: dict[BasicBlock, int] = {}
-        #: Trace runs not yet in the counts: trace -> [full cycles, then
-        #: how many runs left from each position of its path].
+        #: Trace runs not yet in the counts: trace -> (full iterations
+        #: per leaf, runs that left by each exit).
         self._runs: dict = {}
 
     def count(self, block: BasicBlock) -> None:
         """The interpreter entered ``block``."""
         self._counts[block] = self._counts.get(block, 0) + 1
 
-    def credit_trace(self, trace, cycles: int, last: int) -> None:
-        """A run of compiled ``trace`` made ``cycles`` full cycles (each
-        enters ``path[1:]`` and re-enters the header), then left from
-        ``path[last]`` having entered ``path[1:last + 1]``.  A run is
-        one tally; :attr:`counts` adds the tallies up when read."""
+    def credit_trace(self, trace, iters, exit: int) -> None:
+        """A run of compiled ``trace`` made ``iters[leaf]`` full
+        iterations through each leaf, each entering
+        ``trace.leaf_paths[leaf]`` (the header last), then left by side
+        exit ``exit`` having entered the blocks its row ends with.  A
+        run is one tally; :attr:`counts` adds the tallies up when read."""
         runs = self._runs.get(trace)
         if runs is None:
-            runs = self._runs[trace] = [0] * (len(trace.path) + 1)
-        runs[0] += cycles
-        runs[last + 1] += 1
+            runs = self._runs[trace] = ([0] * len(iters),
+                                        [0] * len(trace.exits))
+        cycles, left = runs
+        for leaf, n in enumerate(iters):
+            cycles[leaf] += n
+        left[exit] += 1
 
     @property
     def counts(self) -> dict[BasicBlock, int]:
         """Entries per block, interpreted or traced."""
         counts = self._counts
-        for trace, (cycles, *left) in self._runs.items():
-            reached = sum(left)     # runs that got to this path position
-            for position, block in enumerate(trace.path):
-                entries = cycles + (reached if position else 0)
-                reached -= left[position]
-                if entries:
-                    counts[block] = counts.get(block, 0) + entries
+        for trace, runs in self._runs.items():
+            exit_paths = [row[-1] for row in trace.exits]
+            for paths, tallies in zip((trace.leaf_paths, exit_paths), runs):
+                for blocks, n in zip(paths, tallies):
+                    for block in blocks if n else ():
+                        counts[block] = counts.get(block, 0) + n
         self._runs.clear()
         return counts
 

@@ -118,7 +118,7 @@ def _default_rules() -> list:
             from .peephole import load_generated_rules
 
             _DEFAULT_RULES = load_generated_rules()
-        except Exception:
+        except ImportError:
             _DEFAULT_RULES = []  # no generated file: run bare
     return _DEFAULT_RULES
 

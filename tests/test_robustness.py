@@ -132,6 +132,22 @@ class SleepPass:
         return False
 
 
+class SwallowingPass:
+    """Renames a block, then spins under an ``except Exception`` that
+    swallows the budget expiry, and reports a change."""
+
+    name = "swallowing"
+
+    def run_on_function(self, function):
+        function.blocks[0].name = "swallowed"
+        try:
+            while True:
+                pass
+        except Exception:
+            pass
+        return True
+
+
 def alarm_state():
     """What a watchdog must leave exactly as it found it."""
     return (signal.getitimer(signal.ITIMER_REAL),
@@ -289,6 +305,39 @@ class TestContainedPassManager:
             assert alarm_state() == ((0.0, 0.0), sentinel)
         finally:
             signal.signal(signal.SIGALRM, previous)
+
+    def test_a_swallowed_expiry_still_rolls_the_unit_back(self):
+        """The alarm latches before it raises: an expiry the pass's own
+        ``except Exception`` ate is raised again when the watchdog
+        exits, and the unit is rolled back."""
+        policy = FaultPolicy(pass_time_budget=0.05, reduce_testcases=False)
+        module = fresh_module()
+        before = print_module(module)
+        PassManager(policy=policy).add(SwallowingPass()).run(module)
+        assert print_module(module) == before
+        assert policy.statistics()["passes.rolled_back"] >= 1
+        assert alarm_state()[0] == (0.0, 0.0)
+
+    def test_an_expiry_during_the_rule_load_loses_no_rule(self,
+                                                          monkeypatch):
+        """The generated-rule load catches only a missing module: an
+        expiry inside it propagates, and a later load gets every rule."""
+        from repro.driver.passmanager import _Watchdog
+        from repro.transforms import instcombine, peephole
+
+        load = peephole.load_generated_rules
+
+        def slow_load():
+            time.sleep(5.0)
+            return load()
+
+        monkeypatch.setattr(instcombine, "_DEFAULT_RULES", None)
+        monkeypatch.setattr(peephole, "load_generated_rules", slow_load)
+        with pytest.raises(PassBudgetExceeded):
+            with _Watchdog(0.05):
+                instcombine._default_rules()
+        monkeypatch.setattr(peephole, "load_generated_rules", load)
+        assert len(instcombine._default_rules()) == 52
 
     def test_nonpositive_budget_still_arms(self):
         """``setitimer(..., 0)`` would disarm: a budget the deadline has

@@ -6,6 +6,7 @@ plus regression tests for the trace/JIT bugfixes that rode along
 never-seen names), the profile the tier counts, and, per (opcode,
 type), that the arithmetic a trace inlines is the interpreter's."""
 
+import copy
 import math
 
 import pytest
@@ -24,7 +25,7 @@ from repro.core.values import (
 )
 from repro.driver import LifelongSession, compile_and_link
 from repro.execution import Interpreter, StepLimitExceeded, TraceManager
-from repro.execution.tracejit import CompiledTrace, Untraceable, compile_trace
+from repro.execution.tracejit import Untraceable, _Segment, compile_trace
 from repro.frontend import compile_source
 from repro.profile import ProfileData, TraceFormation
 
@@ -179,6 +180,29 @@ int main() {
 }
 """
 
+#: Loads (null guards to force), short-circuit ``&&`` / ``||`` (branch
+#: targets whose phis the rest of their block reads) and values carried
+#: around the loop.
+MIXED_GUARDS = """
+extern int print_int(int x);
+int data[64];
+int main() {
+  int a = 0;
+  int b = 1;
+  int i;
+  for (i = 0; i < 64; i++) { data[i] = (i * 37) % 64; }
+  for (i = 0; i < 900; i++) {
+    int x = data[i % 64];
+    if (x % 3 == 0 && i % 5 != 0) { a += x; }
+    else if (x > 40 || i % 7 == 0) { b = b + a % 13; }
+    if (a > 5000) { a = a - b; }
+  }
+  print_int(a);
+  print_int(b);
+  return (a + b) % 251;
+}
+"""
+
 
 def _outcome(module, manager=None):
     """(exit, output, steps) of one run, optionally under ``manager``."""
@@ -198,26 +222,74 @@ def _exit_table(trace):
     return trace.fn.__globals__["_EXITS"]
 
 
+def _guards(trace):
+    """A tree's guards: each either leaves by a side exit or leads into
+    a branch, and every branch ends in a leaf of its own."""
+    return len(_exit_table(trace)) - 1 + len(trace.leaf_paths) - 1
+
+
 def _most_guarded_trace(module):
     manager = TraceManager(hot_threshold=8)
     _outcome(module, manager)
-    return max(manager.traces.values(),
-               key=lambda trace: len(_exit_table(trace)))
+    return max(manager.traces.values(), key=_guards)
 
 
 def _forced(trace, exit_number, iteration):
-    """``trace`` recompiled so that guard ``exit_number`` also fails on
-    pass ``iteration``: a side exit the program never needed, which
-    must be invisible to it."""
+    """``trace`` recompiled so that side exit ``exit_number`` is also
+    taken on pass ``iteration`` of its loop: an exit the program never
+    needed, which must be invisible to it.  Only an exit that resumes
+    the interpreter where it stands (the budget check, a null or call
+    guard) can be forced; a branch exit takes its edge."""
+    assert trace.exits[exit_number][4] is None
     lines = trace.source.splitlines()
-    at = lines.index(f"            _x = {exit_number}") - 1
-    lines[at] = lines[at].replace("if ", f"if iters == {iteration} or ", 1)
+    at = next(i for i, line in enumerate(lines)
+              if line.strip() == f"_x = {exit_number}") - 1
+    lines[at] = lines[at].replace("if ", f"if _pass == {iteration} or ", 1)
+    loop = lines.index("    while True:")
+    lines[loop:loop + 1] = ["    _pass = -1", "    while True:",
+                            "        _pass += 1"]
     source = "\n".join(lines) + "\n"
     env = dict(trace.fn.__globals__)
     exec(compile(source, "<forced>", "exec"), env)
-    return CompiledTrace(env["__lc_trace"], trace.function_name,
-                         trace.header, trace.path, trace.steps_per_iter,
-                         source)
+    forced = copy.copy(trace)
+    forced.fn, forced.source = env["__lc_trace"], source
+    return forced
+
+
+def _branch_sites(segment, chain=()):
+    """(segment, edge, blocks from the header to the guard) per branch
+    of the tree rooted at ``segment``."""
+    for (index, target), branch in segment.branches.items():
+        to_guard = chain + tuple(segment.blocks[:index + 1])
+        yield segment, (index, target), to_guard
+        yield from _branch_sites(branch, to_guard)
+
+
+def _pruned(segment, site):
+    """A copy of the tree without the branch grown at ``site``."""
+    copied = _Segment(segment.blocks)
+    copied.branches = {edge: _pruned(branch, site)
+                       for edge, branch in segment.branches.items()
+                       if (segment, edge) != site}
+    return copied
+
+
+def _variants(module, trace):
+    """The trace caches that run ``trace``'s loop: the tree itself; per
+    branch, the tree without it, whose guard now leaves by a real exit;
+    and that tree with the branch's rotation compiled at the exit's
+    target, so each exit links into the other's trace."""
+    interp = Interpreter(module)
+    function = module.functions[trace.function_name]
+    yield {trace.header: trace}
+    for segment, (index, target), to_guard in _branch_sites(trace.tree):
+        pruned = compile_trace(interp, function,
+                               _pruned(trace.tree, (segment, (index, target))))
+        yield {trace.header: pruned}
+        branch = segment.branches[(index, target)]
+        rotation = compile_trace(interp, function,
+                                 branch.blocks + list(to_guard))
+        yield {trace.header: pruned, target: rotation}
 
 
 class TestOneTracePerHeader:
@@ -291,23 +363,172 @@ class TestTracesAreKept:
 class TestOneExitTail:
     def test_a_many_guarded_trace_returns_from_one_tail(self):
         trace = _most_guarded_trace(_optimized(MANY_GUARDS))
-        assert len(_exit_table(trace)) - 1 >= 4
+        assert _guards(trace) >= 4
         assert trace.source.count("return iters") == 1
 
     @pytest.mark.parametrize("iteration", [0, 2])
     def test_a_forced_exit_at_every_guard_is_invisible(self, iteration):
+        """Every exit of every tree is taken: the budget check and every
+        null or call guard forced on pass ``iteration``, each branch's
+        guard in a tree pruned of that branch, and each link into a
+        rotation compiled at the pruned branch's target."""
         module = _optimized(MANY_GUARDS)
-        reference = _outcome(module)
         manager = TraceManager(hot_threshold=8)
         _outcome(module, manager)
+        assert manager.stats.branches_grown >= 2
+        self._force_everything(module, manager, iteration)
+
+    @pytest.mark.parametrize("turn", [0, 1, 2, 3])
+    @pytest.mark.parametrize("source", [MANY_GUARDS, MIXED_GUARDS],
+                             ids=["many", "mixed"])
+    def test_a_forced_exit_from_a_rotated_tree_is_invisible(self, source,
+                                                            turn):
+        """The same over a tree anchored ``turn`` blocks into its loop: a
+        value the loop defines before the anchor is, at an exit, the
+        previous iteration's, and must be written back once any leaf
+        ran."""
+        module = _optimized(source)
+        found = TraceManager(hot_threshold=8)
+        _outcome(module, found)
+        trunk = max(found.traces.values(), key=_guards).path
+        assert len(trunk) > turn
+        manager = TraceManager(hot_threshold=8)
+        rotated = compile_trace(Interpreter(module),
+                                module.functions["main"],
+                                trunk[turn:] + trunk[:turn])
+        manager.traces[rotated.header] = rotated
+        assert _outcome(module, manager) == _outcome(module)
+        assert manager.stats.branches_grown >= 1
+        self._force_everything(module, manager, 2)
+
+    @staticmethod
+    def _force_everything(module, manager, iteration):
+        reference = _outcome(module)
+        linked = 0
         for trace in manager.traces.values():
-            for exit_number in range(1, len(_exit_table(trace))):
-                forcing = TraceManager(hot_threshold=10 ** 9)
-                forced = _forced(trace, exit_number, iteration)
-                forcing.traces[forced.header] = forced
-                assert _outcome(module, forcing) == reference, (
-                    trace.key, exit_number)
-                assert forcing.stats.guard_exits > 0
+            for traces in _variants(module, trace):
+                header = traces[trace.header]
+                forceable = [x for x, row in enumerate(header.exits)
+                             if row[4] is None]
+                for exit_number in [None] + forceable:
+                    forcing = TraceManager(hot_threshold=10 ** 9)
+                    forcing.traces.update(traces)
+                    if exit_number is not None:
+                        forcing.traces[trace.header] = _forced(
+                            header, exit_number, iteration)
+                    assert _outcome(module, forcing) == reference, (
+                        trace.key, exit_number, len(traces))
+                    assert (forcing.stats.guard_exits
+                            + forcing.stats.budget_exits) > 0
+                    linked += forcing.stats.linked_entries
+        assert linked > 0
+
+
+#: twolf's ``wirelength`` in miniature: a data-dependent ``if`` that
+#: goes the other way on every iteration, in a loop entered once per
+#: call.  Each arm is a rotation of one cycle through the other.
+ALTERNATING = """
+extern int print_int(int x);
+int cost[64];
+int wirelength(int n, int seed) {
+  int total = 0;
+  int i = 0;
+  while (i < n) {
+    if ((i + seed) % 2 == 0) { total += cost[i % 64]; }
+    else { total -= 3; }
+    i++;
+  }
+  return total;
+}
+int main() {
+  int sum = 0;
+  int k;
+  for (k = 0; k < 64; k++) { cost[k] = k * 7 % 11; }
+  for (k = 0; k < 40; k++) { sum += wirelength(60, k); }
+  print_int(sum);
+  return sum % 251;
+}
+"""
+
+
+class TestTrees:
+    def test_an_alternating_branch_grows_one_tree_and_no_rotation(self):
+        module = compile_and_link([ALTERNATING], "t", level=2, lto=False)
+        reference = _outcome(module)
+        manager = TraceManager(hot_threshold=8)
+        assert _outcome(module, manager) == reference
+        stats = manager.stats
+        wirelength = module.functions["wirelength"]
+        headers = [loop.header for loop in LoopInfo(wirelength).all_loops()]
+        # One tree, at the loop header, with the other arm a branch;
+        # no recording was ever anchored in the middle of its cycle.
+        trees = [trace for trace in manager.traces.values()
+                 if trace.header.parent is wirelength]
+        assert [tree.header for tree in trees] == headers
+        assert len(trees[0].leaf_paths) >= 2
+        assert stats.traces_compiled == len(manager.traces)
+        assert stats.aborted.get("reached-tree", 0) == 0
+        assert stats.recordings_aborted == sum(stats.aborted.values())
+        # Warm, each loop stays in its tree from entry to exit: one
+        # entry from the interpreter's block event per loop entry, that
+        # is per call and once for ``main``'s fill loop.
+        before = stats.entries_from_interpreter
+        assert _outcome(module, manager) == reference
+        assert stats.entries_from_interpreter - before <= 40 + 1
+        assert stats.traces_compiled == len(manager.traces)
+
+    def test_the_counters_repeat_exactly(self):
+        """Why a recording stopped, what grew and how each trace was
+        entered are counts of the program, not of the host: two fresh
+        managers over the same runs report identical rows."""
+        module = _optimized(MIXED_GUARDS)
+        rows = []
+        for _ in range(2):
+            manager = TraceManager(hot_threshold=8)
+            for _ in range(2):
+                _outcome(module, manager)
+            rows.append(manager.statistics())
+        assert rows[0] == rows[1]
+        assert rows[0]["branches-grown"] >= 1
+        assert rows[0]["trace-entries"] == (
+            rows[0]["entries-from-interpreter"] + rows[0]["linked-entries"])
+        assert rows[0]["recordings-aborted"] == sum(
+            count for name, count in rows[0].items()
+            if name.startswith("aborted."))
+
+    def test_an_exit_into_a_trace_links_without_the_interpreter(self):
+        """Two loops in a row under one outer loop: the first one's exit
+        lands on the second one's header and runs its trace next."""
+        module = compile_and_link([LINKED_LOOPS], "t", level=2)
+        reference = _outcome(module)
+        manager = TraceManager(hot_threshold=8)
+        assert _outcome(module, manager) == reference
+        assert _outcome(module, manager) == reference
+        assert manager.stats.linked_entries > 0
+        assert manager.stats.trace_entries == (
+            manager.stats.entries_from_interpreter
+            + manager.stats.linked_entries)
+
+
+#: The inner loops run back to back: the first one's exit edge leads
+#: straight into the second one's header.
+LINKED_LOOPS = """
+extern int print_int(int x);
+int main() {
+  int a = 0;
+  int b = 0;
+  int i;
+  int j;
+  for (i = 0; i < 300; i++) {
+    j = 0;
+    while (j < 20) { a += j ^ i; j++; }
+    while (j > 0) { b += a % (j + 3); j--; }
+  }
+  print_int(a);
+  print_int(b);
+  return (a + b) % 251;
+}
+"""
 
 
 class TestLifelongInvalidation:
@@ -343,7 +564,9 @@ class TestToolsAndOracles:
         captured = capsys.readouterr()
         assert traced == plain
         assert captured.out.startswith(plain_out.rstrip("\n").split("\n")[0])
-        assert "traces-compiled" in captured.out + captured.err
+        for row in ("traces-compiled", "branches-grown",
+                    "entries-from-interpreter", "linked-entries"):
+            assert row in captured.out + captured.err
 
     def test_fuzz_jit_oracle_column_clean(self):
         from repro.fuzz import HarnessConfig, check_program
@@ -482,17 +705,17 @@ int main() {
 
 
 class _WatchingManager(TraceManager):
-    """Counts the block events that left the frame in the middle of a
-    block other than the one that was entered."""
+    """Records where each block event that ran a trace left the frame,
+    when that is in another block than the one that was entered."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self.mid_block_exits = []
+        self.landings = []
 
     def on_block(self, interpreter, frame, block):
         super().on_block(interpreter, frame, block)
-        if frame.block is not block and frame.index > 0:
-            self.mid_block_exits.append((frame.block, frame.index))
+        if frame.block is not block:
+            self.landings.append((frame.block, frame.index))
 
 
 class TestInterpreterContract:
@@ -517,22 +740,20 @@ class TestInterpreterContract:
         assert manager.stats.traces_compiled >= 1
         assert manager.stats.steps_saved > 0
 
-    def test_side_exit_resumes_mid_block_of_another_block(self):
-        """A guard that fails inside a trace leaves the frame at
-        ``(block, index)`` of the block holding the guard — not the
+    def test_a_branch_exit_lands_past_the_phis_of_its_target(self):
+        """A branch guard that fails takes its edge in compiled code: it
+        leaves the frame at the first non-phi instruction of the edge's
+        target, with the phis moved — not at the branch, nor in the
         block whose entry dispatched the trace — and the interpreter
-        must execute exactly that block's ``[index]`` next."""
-        module = compile_source(SHAPE_SHIFT, "t")
-        ref = Interpreter(module)
-        expected = (ref.run("main", []), "".join(ref.output), ref.steps)
-        traced = Interpreter(module)
+        must execute exactly that instruction next."""
+        module = _optimized(MIXED_GUARDS)
+        expected = _outcome(module)
         manager = _WatchingManager(hot_threshold=8)
-        manager.attach(traced)
-        got = (traced.run("main", []), "".join(traced.output), traced.steps)
-        assert manager.mid_block_exits, "no side exit into another block"
-        for block, index in manager.mid_block_exits:
-            assert 0 < index < len(block.instructions)
-        assert got == expected
+        assert _outcome(module, manager) == expected
+        assert manager.landings, "no side exit into another block"
+        for block, index in manager.landings:
+            assert index == block.first_non_phi_index()
+        assert any(index > 0 for _, index in manager.landings)
 
 
 class _BlockCounter:
