@@ -57,7 +57,8 @@ FUZZ_BASE_SEED = 1000
 
 
 #: An invoke whose callee provably never unwinds (and, being recursive,
-#: is not inlined away first): prune-eh's whole job.
+#: is not inlined away: inlining one level leaves an invoke of it):
+#: prune-eh's whole job.
 GUARDED_CALL = """
 static int depth(int n) {
   if (n <= 0) { return 0; }

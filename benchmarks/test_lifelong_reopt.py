@@ -2,10 +2,11 @@
 (idle-time) reoptimizer that improves the program for its observed use.
 
 The lifelong loop: compile+link with IPO → end-user runs, whose block
-entries the execution engine counts → the offline reoptimizer inlines
-hot call paths, forms superblock traces for biased hot loops, and
-re-lays-out hot code → the bytecode it ships executes fewer interpreter
-steps with identical output.
+entries and hot cycles the execution engine's trace tier records → the
+offline reoptimizer inlines hot call paths, forms a superblock along
+each cycle the trace tier compiled, and re-lays-out hot code → the
+bytecode it ships executes fewer interpreter steps with identical
+output.
 
 Interpreter steps are the deterministic stand-in for run time.  Both
 sides are measured the way a user would run them: a plain interpreter
@@ -21,8 +22,8 @@ from repro.execution import Interpreter
 
 from conftest import report
 
-#: Programs with hot loops and biased branches, where trace formation
-#: and profile-guided inlining have something to gain.
+#: Programs with hot loops, where trace formation and profile-guided
+#: inlining have something to gain.
 CANDIDATES = ("gzip", "mcf", "parser", "vortex")
 STEP_LIMIT = 200_000_000
 
@@ -39,7 +40,7 @@ def _run_cycle(name: str) -> tuple[int, int, int, int]:
     before = _execute(session.bytecode)                 # the static build
     profiled = session.run(step_limit=STEP_LIMIT)       # the end-user run
     assert profiled.steps == before[2], f"{name}: profiling cost steps"
-    report = session.reoptimize(hot_call_threshold=5, hot_loop_threshold=50)
+    report = session.reoptimize(hot_call_threshold=5)
     after = _execute(session.bytecode)                  # what ships
     assert after[:2] == before[:2], f"{name}: result or output changed"
     return before[2], after[2], report.traces_formed, report.inlined_calls
@@ -80,7 +81,7 @@ def test_profile_persistence_roundtrip():
     text = session.profile.to_json()
     restored = ProfileData.from_json(text, session.module)
     assert restored.counts == session.profile.counts
-    assert restored.hot_loops(1) == session.profile.hot_loops(1)
+    assert restored.paths == session.profile.paths
 
 
 def test_profile_accumulates_across_runs():

@@ -1,10 +1,11 @@
 """The lifelong loop of paper Figure 4 / sections 3.5-3.6.
 
 One program goes through the full lifecycle: static compile + link-time
-IPO, end-user runs whose block entries the execution engine counts,
-profile accumulation, and an offline (idle-time) reoptimization that
-inlines hot paths and forms superblock traces for biased hot loops —
-then the bytecode it ships runs again, faster, with identical output.
+IPO, end-user runs whose block entries and hot cycles the execution
+engine's trace tier records, profile accumulation, and an offline
+(idle-time) reoptimization that inlines hot calls and forms a superblock
+along each cycle the trace tier compiled — then the bytecode it ships
+runs again, faster, with identical output.
 
 Run:  python examples/lifelong_optimization.py
 """
@@ -80,13 +81,14 @@ def main() -> None:
         result = session.run()
         print(f"profiled run {run + 1}: exit={result.exit_value}, "
               f"{result.steps} steps")
-    hot_loops = session.profile.hot_loops(threshold=1000)
-    print("hot loops observed:",
-          [(fn, header.name, count) for fn, header, count in hot_loops[:3]])
+    hottest = sorted(session.profile.paths.items(), key=lambda item: -item[1])
+    print("hot cycles compiled:",
+          [(path[0].parent.name, [block.name for block in path], count)
+           for path, count in hottest[:3]])
 
     print()
     print("=== idle-time reoptimization ===")
-    report = session.reoptimize(hot_call_threshold=2, hot_loop_threshold=500)
+    report = session.reoptimize(hot_call_threshold=2)
     print(f"hot functions: {report.hot_functions}")
     print(f"calls inlined: {report.inlined_calls}, "
           f"traces formed: {report.traces_formed}, "

@@ -8,10 +8,12 @@ Ties the stages together the way the paper's system diagram does:
 3. the execution engine's trace tier counts block entries as end-user
    runs go, standing for the code generator's light-weight
    instrumentation (the shipped IR is never rewritten to be profiled),
-   and compiles the hot loops it finds;
-4. the counts accumulate across runs into one profile;
-5. the offline, idle-time reoptimizer consumes the profile and rewrites
-   the preserved IR, ready for the next run.
+   and compiles the hot cycles it finds;
+4. the counts and the compiled cycles' iterations accumulate across
+   runs into one profile;
+5. the offline, idle-time reoptimizer consumes the profile, turning
+   those same cycles into superblocks, and rewrites the preserved IR,
+   ready for the next run.
 
 Because the representation is preserved across all stages, step 5 can
 repeat forever — optimize differently as usage patterns drift.
@@ -132,7 +134,9 @@ class LifelongSession:
         traces are closures over specific block objects, and both a
         successful rewrite and a snapshot rollback replace those
         objects under them.  A rollback's fresh blocks take over the
-        profile's counts by position.
+        profile's counts and cycles by position.  A successful rewrite
+        drops the cycles it consumed: the next runs record the new
+        code's.
         """
         self.trace_manager.invalidate_all()
         saved = self.profile.to_json()
@@ -145,13 +149,14 @@ class LifelongSession:
 
         manager = PassManager(policy=self.fault_policy)
         manager.add(ModulePassAdaptor(reoptimizer))
-        if not manager.run(self.module):
+        if manager.run(self.module):
+            report = reports[0]
+            self.profile.paths.clear()
+            self.bytecode = write_bytecode(self.module)
+        else:
             # Contained — or skipped, poisoned by an earlier crash.
             self.trace_manager.profile = ProfileData.from_json(
                 saved, self.module)
-            self.reopt_reports.append(ReoptimizationReport())
-            return self.reopt_reports[-1]
-        report = reports[0]
+            report = ReoptimizationReport()
         self.reopt_reports.append(report)
-        self.bytecode = write_bytecode(self.module)
         return report

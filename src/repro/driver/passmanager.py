@@ -78,14 +78,16 @@ class PassBudgetExceeded(Exception):
 
 #: The shortest budget a watchdog arms.  ``setitimer(..., 0)`` disarms
 #: instead of firing, and a pass past the build's deadline must still
-#: *start* (and trip the watchdog, rolling back cleanly).
+#: *start* (and trip the watchdog, rolling back cleanly).  It is also
+#: the interval at which an expired watchdog fires again.
 _MIN_BUDGET = 0.05
 
 
 class _Watchdog:
     """Preempt a runaway pass from inside, by interval timer.
 
-    ``__enter__`` arms ``ITIMER_REAL`` for the budget; the ``SIGALRM``
+    ``__enter__`` arms ``ITIMER_REAL`` for the budget, re-firing every
+    ``_MIN_BUDGET`` after it until ``__exit__``; the ``SIGALRM``
     handler raises :class:`PassBudgetExceeded` in whatever frame the
     pass is executing (main thread only: see
     :meth:`FaultPolicy.watchdog`), which unwinds into the surrounding
@@ -104,9 +106,9 @@ class _Watchdog:
         self.expired = False
 
     def _expired(self, signum, frame):
-        # An alarm already pending when __exit__ disarms is delivered
-        # at the next bytecode, inside __exit__: too late to count.
-        if self._armed:
+        # An alarm delivered inside __exit__ (pending when it disarms,
+        # or at its first bytecode) is too late to count.
+        if self._armed and frame.f_code is not _Watchdog.__exit__.__code__:
             self.expired = True
             raise PassBudgetExceeded(
                 f"time budget {self.budget:.2f}s exhausted")
@@ -114,7 +116,10 @@ class _Watchdog:
     def __enter__(self):
         self._previous = signal.signal(signal.SIGALRM, self._expired)
         self._armed = True
-        signal.setitimer(signal.ITIMER_REAL, self.budget)
+        # The re-fire delivers an expiry again after something (an
+        # ``except Exception``, a gc callback) swallowed it, so a unit
+        # that then keeps running is still preempted.
+        signal.setitimer(signal.ITIMER_REAL, self.budget, _MIN_BUDGET)
         return self
 
     def __exit__(self, exc_type, *exc_info):

@@ -1,4 +1,5 @@
-"""Profile collection: block-entry counts taken by the execution engine.
+"""Profile collection: block-entry counts and hot cycles, taken by the
+execution engine.
 
 The paper's native code generator inserts light-weight counters so the
 preserved IR stays clean (sections 3.4/3.5); here the execution engine
@@ -6,24 +7,26 @@ stands for it: the trace tier's
 :class:`~repro.execution.tracejit.TraceManager`, the interpreter's one
 block-event listener, counts every block entry into the
 :class:`ProfileData` it owns, and the IR is never rewritten to be
-profiled.  The counts represent *end-user*
-runs (section 3.6): gathered while the application runs in the field,
-persisted, and consumed later by the offline reoptimizer — possibly
-accumulated over several runs with different usage patterns.
+profiled.  The same tier keeps the cycles it compiled into traces and
+how often each ran: they are the hot paths the offline reoptimizer
+turns into superblocks, so one rule decides what is hot.  The profile
+represents *end-user* runs (section 3.6): gathered while the
+application runs in the field, persisted, and consumed later by the
+offline reoptimizer — possibly accumulated over several runs with
+different usage patterns.
 """
 
 from __future__ import annotations
 
 import json
 
-from ..analysis.loops import LoopInfo
-from ..analysis.manager import function_analysis
 from ..core.basicblock import BasicBlock
 from ..core.module import Module
 
 
 class ProfileData:
-    """How often each block was entered.
+    """How often each block was entered, and how many full iterations
+    each cycle the trace tier compiled ran.
 
     Counts are keyed by the block object (a block's function is its
     ``parent``): block names are not unique within a function, and
@@ -32,7 +35,8 @@ class ProfileData:
 
     def __init__(self):
         self._counts: dict[BasicBlock, int] = {}
-        #: Trace runs not yet in the counts: trace -> (full iterations
+        self._paths: dict[tuple[BasicBlock, ...], int] = {}
+        #: Trace runs not yet in the tables: trace -> (full iterations
         #: per leaf, runs that left by each exit).
         self._runs: dict = {}
 
@@ -55,24 +59,40 @@ class ProfileData:
             cycles[leaf] += n
         left[exit] += 1
 
+    def _fold(self) -> None:
+        counts, paths = self._counts, self._paths
+        for trace, runs in self._runs.items():
+            exit_paths = [row[-1] for row in trace.exits]
+            for leaves, tallies in zip((trace.leaf_paths, exit_paths), runs):
+                for blocks, n in zip(leaves, tallies):
+                    for block in blocks if n else ():
+                        counts[block] = counts.get(block, 0) + n
+            for blocks, n in zip(trace.leaf_paths, runs[0]):
+                if n:
+                    cycle = (blocks[-1], *blocks[:-1])
+                    paths[cycle] = paths.get(cycle, 0) + n
+        self._runs.clear()
+
     @property
     def counts(self) -> dict[BasicBlock, int]:
         """Entries per block, interpreted or traced."""
-        counts = self._counts
-        for trace, runs in self._runs.items():
-            exit_paths = [row[-1] for row in trace.exits]
-            for paths, tallies in zip((trace.leaf_paths, exit_paths), runs):
-                for blocks, n in zip(paths, tallies):
-                    for block in blocks if n else ():
-                        counts[block] = counts.get(block, 0) + n
-        self._runs.clear()
-        return counts
+        self._fold()
+        return self._counts
+
+    @property
+    def paths(self) -> dict[tuple[BasicBlock, ...], int]:
+        """Full iterations per compiled cycle, keyed by its blocks from
+        the loop header on (the edge back to the header closes it)."""
+        self._fold()
+        return self._paths
 
     # -- accumulation across runs ------------------------------------------
 
     def merge(self, other: "ProfileData") -> None:
-        for block, count in other.counts.items():
-            self.counts[block] = self.counts.get(block, 0) + count
+        for mine, theirs in ((self.counts, other.counts),
+                             (self.paths, other.paths)):
+            for key, count in theirs.items():
+                mine[key] = mine.get(key, 0) + count
 
     # -- queries -----------------------------------------------------------
 
@@ -86,37 +106,32 @@ class ProfileData:
         return {function.name: self.counts.get(function.blocks[0], 0)
                 for function in self._functions()}
 
-    def hot_loops(self, threshold: int) -> list[tuple[str, BasicBlock, int]]:
-        """(function, loop header, entries) over the threshold, hottest
-        first."""
-        counts = self.counts
-        result = []
-        for function in self._functions():
-            headers = {loop.header for loop
-                       in function_analysis(function, LoopInfo).all_loops()}
-            for block in function.blocks:
-                count = counts.get(block, 0)
-                if block in headers and count >= threshold:
-                    result.append((function.name, block, count))
-        result.sort(key=lambda item: -item[2])
-        return result
-
     # -- persistence (the "profile info" shipped between runs) -------------
 
     def to_json(self) -> str:
-        """Counts by function name, one per position in its blocks."""
-        counts = self.counts
+        """Counts by function name, one per position in its blocks, and
+        each cycle as (function name, block positions, iterations)."""
+        counts, functions = self.counts, self._functions()
+        position = {block: index for function in functions
+                    for index, block in enumerate(function.blocks)}
         return json.dumps({
-            function.name: [counts.get(block, 0) for block in function.blocks]
-            for function in self._functions()})
+            "counts": {function.name: [counts.get(block, 0)
+                                       for block in function.blocks]
+                       for function in functions},
+            "paths": [[cycle[0].parent.name,
+                       [position[block] for block in cycle], n]
+                      for cycle, n in self.paths.items()
+                      if all(block in position for block in cycle)]})
 
     @classmethod
     def from_json(cls, text: str, module: Module) -> "ProfileData":
-        """The counts of :meth:`to_json`, keyed by ``module``'s blocks."""
-        data = cls()
-        for name, counts in json.loads(text).items():
+        """The tables of :meth:`to_json`, keyed by ``module``'s blocks."""
+        data, saved = cls(), json.loads(text)
+        for name, counts in saved["counts"].items():
+            data.counts.update(
+                (block, count) for block, count
+                in zip(module.functions[name].blocks, counts) if count)
+        for name, positions, n in saved["paths"]:
             blocks = module.functions[name].blocks
-            for block, count in zip(blocks, counts):
-                if count:
-                    data.counts[block] = count
+            data.paths[tuple(blocks[index] for index in positions)] = n
         return data

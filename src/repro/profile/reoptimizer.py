@@ -2,23 +2,21 @@
 
 "Such an optimizer is simply a modified version of the link-time
 interprocedural optimizer, but with a greater emphasis on profile-
-driven and target-specific optimizations."  It consumes the block-entry
-counts end-user runs gathered (:class:`~repro.profile.ProfileData`), and:
+driven and target-specific optimizations."  It consumes the profile
+end-user runs gathered (:class:`~repro.profile.ProfileData`), and:
 
+* forms a superblock along every cycle the trace tier compiled
+  (:mod:`repro.profile.tracer`): one rule decides what is hot;
 * inlines call sites inside *hot* functions aggressively (a larger
   threshold than the static inliner would risk);
-* forms superblock traces for strongly-biased hot loops
-  (:mod:`repro.profile.tracer`);
 * lays out each hot function so the hot path is contiguous;
-* re-runs the scalar pipeline over the changed functions.
+* re-runs one clean-up pipeline over the module.
 
 The interpreter's step count stands in for run time, so the benefit is
 measured deterministically.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..core.basicblock import BasicBlock
 from ..core.instructions import CallInst
@@ -49,20 +47,30 @@ INLINE_SIZE_LIMIT = 200
 class OfflineReoptimizer:
     """Profile-guided idle-time reoptimization of a module."""
 
-    def __init__(self, hot_call_threshold: int = 50,
-                 hot_loop_threshold: int = 100):
+    def __init__(self, hot_call_threshold: int = 50):
         self.hot_call_threshold = hot_call_threshold
-        self.hot_loop_threshold = hot_loop_threshold
 
     def run(self, module: Module, profile: ProfileData) -> ReoptimizationReport:
         report = ReoptimizationReport()
         hot = {name for name, count in profile.function_entry_counts().items()
                if count >= self.hot_call_threshold}
         report.hot_functions = sorted(hot)
-        # The loops of the code that ran, found before inlining moves it.
-        hot_loops = profile.hot_loops(self.hot_loop_threshold)
 
-        # 1. Profile-guided inlining: calls *to* hot functions from any
+        # 1. Superblocks along the cycles the trace tier compiled,
+        #    hottest first: each function once, since one call forms all
+        #    of its superblocks.  A cycle is a path through its own
+        #    function's blocks, so this comes before inlining copies a
+        #    hot callee into its callers, which then get the straightened
+        #    body.
+        hottest = sorted(profile.paths, key=profile.paths.get, reverse=True)
+        tracer = TraceFormation()
+        for function in dict.fromkeys(path[0].parent for path in hottest):
+            if function is not None:
+                tracer.optimize_function(function, [
+                    path for path in hottest if path[0].parent is function])
+        report.traces_formed = tracer.traces_formed
+
+        # 2. Profile-guided inlining: calls *to* hot functions from any
         #    defined caller, sized by the generous profile-backed limit.
         for function in list(module.defined_functions()):
             for inst in list(function.instructions()):
@@ -75,15 +83,6 @@ class OfflineReoptimizer:
                         and inline_call_site(inst)):
                     report.inlined_calls += 1
 
-        # 2. Trace formation over strongly-biased hot loops: each
-        #    function once, since one call forms all of its traces.
-        tracer = TraceFormation()
-        for name in dict.fromkeys(name for name, _, _ in hot_loops):
-            function = module.functions.get(name)
-            if function is not None and not function.is_declaration:
-                tracer.optimize_function(function, profile.counts)
-        report.traces_formed = tracer.traces_formed
-
         # 3. Hot-path code layout (affects native code, not the
         #    interpreter): place each block's hottest successor next.
         for name in hot:
@@ -92,7 +91,7 @@ class OfflineReoptimizer:
                 report.blocks_reordered += _layout_hot_path(
                     function, profile.counts)
 
-        # 4. Clean-up pipeline over everything the above touched.
+        # 4. One clean-up pipeline over everything the above touched.
         cleanup = PassManager()
         for pass_obj in (SimplifyCFG(), InstCombine(), SimplifyCFG(),
                          GVN(), AggressiveDCE(), SimplifyCFG()):
@@ -114,20 +113,12 @@ def _layout_hot_path(function: Function,
         current = worklist.pop()
         while current is not None and current not in placed:
             placed[current] = None
-            successors = current.successors()
-            worklist.extend(succ for succ in successors
-                            if succ not in placed)
-            hottest = None
-            best = -1
-            for succ in successors:
-                count = block_counts.get(succ, 0)
-                if succ not in placed and count > best:
-                    best = count
-                    hottest = succ
-            current = hottest
-    moved = sum(
-        1 for old, new in zip(function.blocks, placed) if old is not new
-    )
+            fresh = [succ for succ in current.successors()
+                     if succ not in placed]
+            worklist.extend(fresh)
+            current = max(fresh, key=lambda succ: block_counts.get(succ, 0),
+                          default=None)
+    moved = sum(old is not new for old, new in zip(function.blocks, placed))
     remaining = [b for b in function.blocks if b not in placed]
     function.blocks[:] = list(placed) + remaining
     return moved

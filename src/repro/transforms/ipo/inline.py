@@ -5,7 +5,8 @@ Inlining at an ``invoke`` site also rewrites the callee's ``unwind``
 instructions into direct branches to the invoke's handler — the paper's
 observation that LLVM can "turn stack unwinding operations into direct
 branches when the unwind target is in the same function as the unwinder
-(this often occurs due to inlining)".
+(this often occurs due to inlining)" — and the callee's calls into
+invokes of that handler, since what they unwind now lands there.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ...analysis.callgraph import CallGraph
+from ...analysis.cfg import split_critical_edge
 from ...analysis.manager import module_analysis
 from ...core.basicblock import BasicBlock
 from ...core.instructions import (
@@ -79,7 +81,7 @@ def inline_call_site(call: Instruction) -> bool:
     """Inline the direct callee of ``call`` (a CallInst or InvokeInst).
 
     Returns False when the site cannot be inlined (indirect callee,
-    declaration, or an invoke whose handler edges are shared).
+    declaration, or an invoke whose two edges lead to one block).
     """
     callee = call.operands[0]
     if not isinstance(callee, Function) or callee.is_declaration:
@@ -88,13 +90,16 @@ def inline_call_site(call: Instruction) -> bool:
     if caller is None:
         return False
     if isinstance(call, InvokeInst):
-        # Keep the rewrite simple: both continuation blocks must be
-        # exclusive to this invoke.
-        if (len(call.normal_dest.unique_predecessors()) != 1
-                or len(call.unwind_dest.unique_predecessors()) != 1):
+        if call.normal_dest is call.unwind_dest:
             return False
-        # Single-predecessor phis are trivial; fold them away so the
-        # continuation blocks are phi-free before rewiring.
+        # Keep the rewrite simple: both continuation blocks must be
+        # exclusive to this invoke, so a shared one gets a private
+        # block on the invoke's edge.  Single-predecessor phis are
+        # trivial; fold them away so the continuation blocks are
+        # phi-free before rewiring.
+        for dest in (call.normal_dest, call.unwind_dest):
+            if len(dest.unique_predecessors()) != 1:
+                split_critical_edge(call.parent, dest)
         for dest in (call.normal_dest, call.unwind_dest):
             for phi in list(dest.phis()):
                 value = phi.incoming[0][0]
@@ -123,6 +128,8 @@ def _inline_site(call: Instruction, caller: Function, callee: Function,
     # 2. Clone the callee body into the caller, actuals for formals.
     cloned = rebuild_body(snapshot_function(callee), caller, args,
                           suffix=".i")
+    if unwind_dest is not None:
+        cloned = _calls_to_invokes(cloned, unwind_dest)
 
     # 3. Rewire: the call block now branches to the cloned entry.
     block_term = block.terminator  # the split's branch, or the invoke
@@ -177,6 +184,31 @@ def _inline_site(call: Instruction, caller: Function, callee: Function,
     if call.parent is not None:
         call.erase_from_parent()
     return True
+
+
+def _calls_to_invokes(blocks: list[BasicBlock],
+                      unwind_dest: BasicBlock) -> list[BasicBlock]:
+    """Turn each call in ``blocks`` into an invoke that unwinds to
+    ``unwind_dest`` and continues in the rest of its block, split off.
+    Returns the blocks, the split-off ones included."""
+    result = []
+    for block in blocks:
+        while block is not None:
+            result.append(block)
+            call = next((inst for inst in block.instructions
+                         if isinstance(inst, CallInst)), None)
+            if call is None:
+                break
+            rest = block.split_at(block.instructions.index(call) + 1,
+                                  f"{block.name}.cont")
+            invoke = InvokeInst(call.callee, call.args, rest, unwind_dest,
+                                call.name)
+            block.terminator.erase_from_parent()
+            call.replace_all_uses_with(invoke)
+            call.erase_from_parent()
+            block.append(invoke)
+            block = rest
+    return result
 
 
 def _retarget_phis(dest: BasicBlock, old_pred: BasicBlock,

@@ -8,8 +8,9 @@ follow-up ``mem2reg`` rebuilds pristine SSA form afterwards.
 
 from __future__ import annotations
 
+from ..analysis.cfg import split_critical_edge
 from ..core.instructions import (
-    AllocaInst, Instruction, LoadInst, PhiNode, StoreInst,
+    AllocaInst, Instruction, InvokeInst, LoadInst, StoreInst,
 )
 from ..core.module import Function
 from ..core.values import Value
@@ -33,6 +34,13 @@ class DemoteRegisters:
                     inst.remove_from_parent()
                     entry.insert(0, inst)
                     changed = True
+        # 0b. An invoke's value exists only on its normal edge: give that
+        #     edge a block of its own to hold the stores of the value.
+        for block in list(function.blocks):
+            invoke = block.terminator
+            if isinstance(invoke, InvokeInst) and invoke.is_used:
+                split_critical_edge(block, invoke.normal_dest)
+                changed = True
         # 1. Demote phi nodes: stores in predecessors, load at the phi.
         for block in list(function.blocks):
             for phi in list(block.phis()):
@@ -61,8 +69,11 @@ class DemoteRegisters:
                     continue
                 slot = AllocaInst(inst.type, None, f"{inst.name or 'reg'}.slot")
                 entry.insert(0, slot)
-                index = block.instructions.index(inst)
-                block.insert(index + 1, StoreInst(inst, slot))
+                if isinstance(inst, InvokeInst):
+                    inst.normal_dest.insert(0, StoreInst(inst, slot))
+                else:
+                    index = block.instructions.index(inst)
+                    block.insert(index + 1, StoreInst(inst, slot))
                 for use in cross_uses:
                     user = use.user
                     reload = LoadInst(slot, inst.name)

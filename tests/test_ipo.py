@@ -142,6 +142,63 @@ caught:
         assert Interpreter(module).run("main", [1]) == expected_ok == 0
         assert Interpreter(module).run("main", [99]) == expected_caught == 1
 
+    def test_inlined_calls_unwind_to_the_invokes_handler(self):
+        """At an invoke, what the callee's own calls unwind lands in the
+        invoke's handler: each becomes an invoke of it."""
+        module = parse_module("""
+void %g() {
+entry:
+  unwind
+}
+void %f() {
+entry:
+  call void %g()
+  ret void
+}
+int %main() {
+entry:
+  invoke void %f() to label %ok unwind to label %caught
+ok:
+  ret int 0
+caught:
+  ret int 99
+}
+""")
+        assert Interpreter(module).run("main") == 99
+        (invoke,) = [i for i in module.functions["main"].instructions()
+                     if isinstance(i, InvokeInst)]
+        assert inline_call_site(invoke)
+        verify_module(module)
+        assert Interpreter(module).run("main") == 99
+
+    def test_inline_at_an_invoke_whose_continuation_is_shared(self):
+        """A continuation block with another predecessor gets a private
+        block on the invoke's edge, and the site is inlined."""
+        module = parse_module("""
+internal int %inc(int %x) {
+entry:
+  %y = add int %x, 1
+  ret int %y
+}
+int %main(int %x) {
+entry:
+  %big = setgt int %x, 5
+  br bool %big, label %call, label %join
+call:
+  %r = invoke int %inc(int %x) to label %join unwind to label %caught
+join:
+  %p = phi int [ 0, %entry ], [ %r, %call ]
+  ret int %p
+caught:
+  ret int 99
+}
+""")
+        (invoke,) = [i for i in module.functions["main"].instructions()
+                     if isinstance(i, InvokeInst)]
+        assert inline_call_site(invoke)
+        verify_module(module)
+        assert [Interpreter(module).run("main", [x]) for x in (7, 1)] == [8, 0]
+
     def test_inline_call_site_rejects_indirect(self):
         module = parse_module("""
 int %target(int %x) {

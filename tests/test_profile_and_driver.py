@@ -1,12 +1,16 @@
 """Tests for profiling, trace formation, the offline reoptimizer, the
 pipelines, the lifelong session, and the cxxfe lowering helpers."""
 
+from collections import Counter
+
 import pytest
 
+from repro.analysis.loops import LoopInfo
 from repro.bitcode import read_bytecode
 from repro.core import (
     ConstantInt, IRBuilder, Module, print_module, types, verify_module,
 )
+from repro.core.instructions import InvokeInst
 from repro.driver import (
     LifelongSession, compile_and_link, link_time_optimize, optimize_module,
 )
@@ -52,6 +56,59 @@ int main() {
 """
 
 
+#: A loop whose branch alternates each iteration: no arm is biased, and
+#: the trace tier compiles both cycles through it as one tree.
+ALTERNATING = """
+extern int print_int(int x);
+int cost[64];
+int wirelength(int n, int seed) {
+  int total = 0;
+  int i = 0;
+  while (i < n) {
+    if ((i + seed) % 2 == 0) { total += cost[i % 64]; }
+    else { total -= 3; }
+    i++;
+  }
+  return total;
+}
+int main() {
+  int sum = 0;
+  int k;
+  for (k = 0; k < 64; k++) { cost[k] = k * 7 % 11; }
+  for (k = 0; k < 40; k++) { sum += wirelength(60, k); }
+  print_int(sum);
+  return sum % 251;
+}
+"""
+
+
+#: A hot loop, then a ``try`` around a recursive call that may throw:
+#: the recursion keeps an invoke in ``main`` whose value is used.
+TRY_AROUND_RECURSION = """
+extern int print_int(int x);
+static int halve(int x) {
+  if (x > 1000000) { throw; }
+  if (x > 10) { return halve(x / 2) + 1; }
+  return x * 3;
+}
+int main() {
+  int total = 0;
+  int i;
+  int v = 0;
+  for (i = 0; i < 500; i++) {
+    if (i % 3 == 0) { total += i; } else { total -= 1; }
+  }
+  try {
+    v = halve(total);
+  } catch {
+    v = 0 - 1;
+  }
+  print_int(v + total);
+  return 0;
+}
+"""
+
+
 def _profiled_run(module):
     """(interpreter, profile) after one profiled run of ``main``."""
     interp = Interpreter(module)
@@ -89,17 +146,12 @@ class TestProfileData:
         module = compile_source(HOT_LOOP, "hot")
         return module, _profiled_run(module)[1]
 
-    def test_hot_loops_query(self):
-        module, profile = self._collected()
-        hot = profile.hot_loops(threshold=100)
-        assert hot and hot[0][2] >= 100
-        function, header, _ = hot[0]
-        assert header in module.functions[function].blocks
-
     def test_json_round_trip(self):
         module, profile = self._collected()
+        assert profile.paths
         restored = ProfileData.from_json(profile.to_json(), module)
         assert restored.counts == profile.counts
+        assert restored.paths == profile.paths
 
     def test_merge(self):
         _, profile = self._collected()
@@ -108,6 +160,19 @@ class TestProfileData:
         merged.merge(profile)
         sample = next(iter(profile.counts))
         assert merged.counts[sample] == 2 * profile.counts[sample]
+        assert merged.paths == {path: 2 * n
+                                for path, n in profile.paths.items()}
+
+    def test_a_compiled_cycle_counts_its_full_iterations(self):
+        """Each cycle the trace tier compiled is a path from its loop
+        header, credited with the iterations that went all the way
+        round it."""
+        module, profile = self._collected()
+        ((path, iterations),) = profile.paths.items()
+        header = path[0]
+        assert all(target in block.successors() for block, target
+                   in zip(path, (*path[1:], header)))
+        assert 0 < iterations < profile.counts[header]
 
 
 def _same_named_arms():
@@ -147,19 +212,11 @@ class TestTraceFormation:
 
         tracer = TraceFormation()
         for fn in list(module.defined_functions()):
-            tracer.optimize_function(fn, profile.counts)
+            tracer.optimize_function(fn, [path for path in profile.paths
+                                          if path[0].parent is fn])
         verify_module(module)
         assert tracer.traces_formed >= 1
         assert Interpreter(module).run("main") == expected
-
-    def test_same_named_successors_pick_the_hot_one(self):
-        from repro.analysis.loops import LoopInfo
-
-        module, function, body, hot = _same_named_arms()
-        _, profile = _profiled_run(module)
-        (loop,) = LoopInfo(function).all_loops()
-        path = TraceFormation()._select_path(loop, profile.counts)
-        assert path is not None and path[2] is hot
 
     def test_same_named_successors_lay_out_the_hot_one_next(self):
         from repro.profile.reoptimizer import _layout_hot_path
@@ -174,7 +231,7 @@ class TestOfflineReoptimizer:
     def test_cycle(self):
         session = LifelongSession([HOT_LOOP], "hot")
         before = session.run()
-        report = session.reoptimize(hot_call_threshold=1, hot_loop_threshold=50)
+        report = session.reoptimize(hot_call_threshold=1)
         after = session.run()
         assert after.exit_value == before.exit_value
         assert after.output == before.output
@@ -188,19 +245,70 @@ class TestOfflineReoptimizer:
         formed = []
         optimize = TraceFormation.optimize_function
 
-        def spy(tracer, function, counts):
+        def spy(tracer, function, paths):
             formed.append(function.name)
-            return optimize(tracer, function, counts)
+            return optimize(tracer, function, paths)
 
         monkeypatch.setattr(TraceFormation, "optimize_function", spy)
         session = LifelongSession([TWO_HOT_LOOPS], "two", level=0)
         before = session.run()
-        assert [name for name, _, _ in session.profile.hot_loops(50)] == [
-            "main", "main"]
-        report = session.reoptimize(hot_call_threshold=1,
-                                    hot_loop_threshold=50)
+        assert {path[0] for path in session.profile.paths} == set(
+            loop.header for loop in LoopInfo(
+                session.module.functions["main"]).all_loops())
+        report = session.reoptimize(hot_call_threshold=1)
         assert formed == ["main"]
-        assert report.traces_formed == 2
+        assert report.traces_formed == 3
+        after = session.run()
+        assert (after.exit_value, after.output) == (before.exit_value,
+                                                    before.output)
+
+    def test_an_unbiased_loop_gets_the_superblocks_its_trace_tree_ran(self):
+        """What the trace tier compiled is what gets reshaped, biased
+        or not: both arms of an alternating branch become superblocks
+        of their loop."""
+        session = LifelongSession([ALTERNATING], "alt")
+        before = session.run()
+        trees = Counter(path[0] for path in session.profile.paths)
+        ((header, cycles),) = trees.most_common(1)
+        assert cycles >= 2
+        report = session.reoptimize()
+        assert report.traces_formed >= cycles
+        assert any(block.name.endswith(".trace")
+                   for block in header.parent.blocks)
+        after = session.run()
+        assert (after.exit_value, after.output) == (before.exit_value,
+                                                    before.output)
+        assert after.steps < before.steps
+
+    def test_two_cycles_in_one_session(self):
+        """A second reoptimize forms superblocks from the cycles the
+        new code ran; the first cycle's paths, stale by then, are
+        dropped and, fed back in, change nothing."""
+        session = LifelongSession([ALTERNATING], "alt")
+        reference = session.run()
+        stale = dict(session.profile.paths)
+        assert session.reoptimize().traces_formed >= 1
+        assert not session.profile.paths
+        second = session.run()
+        assert session.profile.paths
+        session.profile.paths.update(stale)
+        assert session.reoptimize().traces_formed >= 1
+        third = session.run()
+        for run in (second, third):
+            assert (run.exit_value, run.output) == (reference.exit_value,
+                                                    reference.output)
+        verify_module(session.module)
+
+    def test_a_function_with_a_used_invoke_is_trace_formed(self):
+        """Inlining at an invoke leaves invokes whose values are used in
+        ``main``; forming ``main``'s superblocks demotes those values
+        on their normal edges and ships valid IR."""
+        session = LifelongSession([TRY_AROUND_RECURSION], "eh")
+        assert any(isinstance(inst, InvokeInst) for inst
+                   in session.module.functions["main"].instructions())
+        before = session.run()
+        assert session.reoptimize().traces_formed >= 1
+        verify_module(session.module)
         after = session.run()
         assert (after.exit_value, after.output) == (before.exit_value,
                                                     before.output)
@@ -212,7 +320,7 @@ class TestOfflineReoptimizer:
         static = Interpreter(read_bytecode(session.bytecode))
         static.run("main")
         assert session.run().steps == static.steps
-        session.reoptimize(hot_call_threshold=1, hot_loop_threshold=50)
+        session.reoptimize(hot_call_threshold=1)
         shipped = read_bytecode(session.bytecode)
         assert set(shipped.functions) == set(static.module.functions)
         rerun = Interpreter(shipped)

@@ -148,6 +148,28 @@ class SwallowingPass:
         return True
 
 
+class SwallowOncePass:
+    """Swallows the first budget expiry, then spins for up to five
+    seconds of wall time and reports a change."""
+
+    name = "swallow-once"
+
+    def __init__(self):
+        self.ran_out = False
+
+    def run_on_function(self, function):
+        try:
+            while True:
+                pass
+        except PassBudgetExceeded:
+            pass
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            pass
+        self.ran_out = True
+        return True
+
+
 def alarm_state():
     """What a watchdog must leave exactly as it found it."""
     return (signal.getitimer(signal.ITIMER_REAL),
@@ -314,6 +336,20 @@ class TestContainedPassManager:
         module = fresh_module()
         before = print_module(module)
         PassManager(policy=policy).add(SwallowingPass()).run(module)
+        assert print_module(module) == before
+        assert policy.statistics()["passes.rolled_back"] >= 1
+        assert alarm_state()[0] == (0.0, 0.0)
+
+    def test_a_swallowed_expiry_fires_again(self):
+        """After the first expiry the timer re-fires: a unit that ate
+        it and kept running is preempted again, well before its own
+        five-second bound, and rolled back."""
+        policy = FaultPolicy(pass_time_budget=0.05, reduce_testcases=False)
+        module = fresh_module()
+        before = print_module(module)
+        unit = SwallowOncePass()
+        PassManager(policy=policy).add(unit).run(module)
+        assert not unit.ran_out
         assert print_module(module) == before
         assert policy.statistics()["passes.rolled_back"] >= 1
         assert alarm_state()[0] == (0.0, 0.0)

@@ -984,6 +984,34 @@ b:
                         assert user_parent is block
 
 
+    def test_an_invokes_value_is_stored_on_its_normal_edge(self):
+        """An invoke's value exists only on its normal edge, which may
+        lead to a phi: both demotions store it on that edge."""
+        module = parse_module("""
+int %g(int %x) {
+entry:
+  ret int %x
+}
+int %main(int %x) {
+entry:
+  %r = invoke int %g(int %x) to label %ok unwind to label %caught
+ok:
+  %p = phi int [ %r, %entry ]
+  %s = add int %r, %p
+  ret int %s
+caught:
+  ret int 99
+}
+""")
+        fn = module.functions["main"]
+        assert DemoteRegisters().run_on_function(fn)
+        verify_module(module)
+        assert Interpreter(module).run("main", [4]) == 8
+        PromoteMem2Reg().run_on_function(fn)
+        verify_module(module)
+        assert Interpreter(module).run("main", [4]) == 8
+
+
 class TestLICMModRef:
     """Load hoisting past loop writes the alias analyses disambiguate."""
 

@@ -2,8 +2,7 @@
 differential runs against the plain interpreter, guard side-exit state
 reconstruction, trap transparency, lifelong trace-cache invalidation —
 plus regression tests for the trace/JIT bugfixes that rode along
-(TraceFormation successor double-counting, JITEngine.materialized on
-never-seen names), the profile the tier counts, and, per (opcode,
+(JITEngine.materialized on never-seen names), the profile the tier counts, and, per (opcode,
 type), that the arithmetic a trace inlines is the interpreter's."""
 
 import copy
@@ -27,7 +26,7 @@ from repro.driver import LifelongSession, compile_and_link
 from repro.execution import Interpreter, StepLimitExceeded, TraceManager
 from repro.execution.tracejit import Untraceable, _Segment, compile_trace
 from repro.frontend import compile_source
-from repro.profile import ProfileData, TraceFormation
+from repro.profile import ProfileData
 
 HOT_LOOP = """
 extern int print_int(int x);
@@ -583,40 +582,6 @@ class TestToolsAndOracles:
         reference = run_interpreter(compile_source(HOT_LOOP, "t"))
         traced = run_interpreter_traced(compile_source(HOT_LOOP, "t"))
         assert traced == reference
-
-
-class TestTraceFormationDedup:
-    #: A loop whose middle block branches conditionally to the *same*
-    #: successor on both edges.  Before the fix, that successor's count
-    #: was summed once per edge, so a perfectly-biased block looked
-    #: like a 50% split and the path selection gave up early.
-    IR = """
-int %f(int %n) {
-entry:
-  br label %header
-header:
-  %i = phi int [ 0, %entry ], [ %next, %latch ]
-  %c = setlt int %i, %n
-  br bool %c, label %mid, label %out
-mid:
-  %even = seteq int %i, %i
-  br bool %even, label %latch, label %latch
-latch:
-  %next = add int %i, 1
-  br label %header
-out:
-  ret int %i
-}
-"""
-
-    def test_duplicate_successor_edges_not_double_counted(self):
-        function = parse_module(self.IR).functions["f"]
-        loops = LoopInfo(function).all_loops()
-        assert len(loops) == 1
-        counts = dict(zip(function.blocks, (1, 100, 100, 100, 1)))
-        path = TraceFormation()._select_path(loops[0], counts)
-        assert path is not None
-        assert [block.name for block in path] == ["header", "mid", "latch"]
 
 
 class TestJITEngineFixes:
